@@ -1,23 +1,27 @@
 // Micro-benchmarks (google-benchmark) for the per-packet and per-solve
 // hot paths: NetRS header encode/parse/rewrite, event-queue churn, fabric
-// forwarding, Zipf sampling, consistent-hash lookups, C3 selection, and
-// the RSP ILP solve.
+// forwarding, the KV client request path, Zipf sampling, consistent-hash
+// lookups, C3 selection, and the RSP ILP solve.
 //
 // This translation unit replaces the global allocator with the counting
 // shim (bench/alloc_shim.hpp, nothrow variants included) so
-// BM_FabricHotPath can report allocations per simulated hop; steady-state
-// forwarding must report zero.
+// BM_FabricHotPath and BM_ClientRequestPath can report allocations per
+// simulated hop and per request; both must report zero in steady state.
 #include <benchmark/benchmark.h>
 
 #include <cstdlib>
+#include <memory>
 #include <utility>
 #include <vector>
 
 #include "alloc_shim.hpp"
 #include "kv/app_message.hpp"
+#include "kv/client.hpp"
 #include "kv/consistent_hash.hpp"
+#include "kv/server.hpp"
 #include "net/fabric.hpp"
 #include "net/fat_tree.hpp"
+#include "net/switch.hpp"
 #include "netrs/packet_format.hpp"
 #include "netrs/placement.hpp"
 #include "rs/c3.hpp"
@@ -187,6 +191,65 @@ void BM_FabricHotPath(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_FabricHotPath);
+
+// A small CliRS-R95 cell (one client, three servers on a k=4 fat-tree) run
+// past warm-up; each iteration advances it by 1 ms of simulated time. Once
+// the client's pending table, the fabric delivery pool and the event-slot
+// arena have reached their high-water marks, issuing, duplicating and
+// completing requests must not allocate: `allocs_per_request` is asserted
+// to be 0.0. The servers have more service slots than the cell ever keeps
+// busy, so their wait queues stay empty. The iteration count is fixed, so
+// every run measures the same simulated window.
+void BM_ClientRequestPath(benchmark::State& state) {
+  sim::Simulator sim;
+  net::FatTree topo(4);
+  net::Fabric fabric(sim, topo, net::FabricConfig{});
+  std::vector<std::unique_ptr<net::Switch>> switches;
+  for (net::NodeId sw = 0; sw < topo.switch_count(); ++sw) {
+    switches.push_back(std::make_unique<net::Switch>(fabric, sw));
+    fabric.attach(sw, switches.back().get());
+  }
+  const std::vector<net::HostId> server_hosts = {
+      topo.host_id(0, 0, 0), topo.host_id(0, 0, 1), topo.host_id(0, 1, 0)};
+  kv::ServerConfig scfg;
+  scfg.parallelism = 16;
+  scfg.mean_service_time = sim::millis(1);
+  std::vector<std::unique_ptr<kv::Server>> servers;
+  for (net::HostId h : server_hosts) {
+    servers.push_back(
+        std::make_unique<kv::Server>(fabric, h, scfg, sim::Rng(100 + h)));
+  }
+  const kv::ConsistentHashRing ring(server_hosts, 3, 8);
+  const sim::ZipfDistribution zipf(1000, 0.99);
+  kv::ClientConfig ccfg;
+  ccfg.arrival_rate = 2000.0;
+  ccfg.redundancy.enabled = true;
+  kv::Client client(fabric, topo.host_id(0, 1, 1), ccfg, ring, zipf,
+                    sim::Rng(7));
+  client.start();
+  // Warm up: ~120k requests, 30x the measured window. A shorter warm-up
+  // (20 s) still saw the calendar queue's per-bucket vectors set new
+  // high-water marks inside the window.
+  sim.run_until(sim::seconds(60));
+
+  const std::uint64_t before = alloc_count();
+  const std::uint64_t completed_before = client.completed();
+  const std::uint64_t redundant_before = client.redundant_sent();
+  for (auto _ : state) {
+    sim.run_until(sim.now() + sim::millis(1));
+  }
+  const std::uint64_t allocs = alloc_count() - before;
+  const std::uint64_t requests = client.completed() - completed_before;
+  state.counters["allocs_per_request"] = benchmark::Counter(
+      static_cast<double>(allocs) /
+      static_cast<double>(requests ? requests : 1));
+  state.counters["duplicates"] = benchmark::Counter(
+      static_cast<double>(client.redundant_sent() - redundant_before));
+  if (allocs != 0) {
+    state.SkipWithError("steady-state request path allocated on the heap");
+  }
+}
+BENCHMARK(BM_ClientRequestPath)->Iterations(2000);
 
 void BM_ZipfSample(benchmark::State& state) {
   sim::Rng rng(2);

@@ -1,7 +1,9 @@
 #include "kv/client.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cassert>
+#include <span>
 #include <utility>
 
 #include "netrs/packet_format.hpp"
@@ -21,6 +23,9 @@ Client::Client(net::Fabric& fabric, net::HostId id, ClientConfig cfg,
   if (cfg_.mode == ClientMode::kClientSelect) {
     selector_ =
         rs::make_selector(cfg_.selector, simulator(), rng_.child("selector"));
+    if (cfg_.redundancy.enabled) {
+      remaining_.reserve(static_cast<std::size_t>(ring_.replication_factor()));
+    }
   }
 }
 
@@ -52,7 +57,7 @@ void Client::issue_request() {
 
   const std::uint64_t req_id =
       (static_cast<std::uint64_t>(host_id()) << 32) | next_seq_++;
-  Pending& p = pending_[req_id];
+  Pending& p = pending_.insert(req_id);
   p.key = key;
   p.first_send = simulator().now();
   ++issued_;
@@ -66,7 +71,7 @@ void Client::issue_request() {
     // it. A uniformly random backup spreads degraded load.
     target = candidates[rng_.uniform(candidates.size())];
   }
-  send_copy(req_id, p, target, rgid, /*redundant=*/false);
+  send_copy(p, target, rgid, /*redundant=*/false);
 
   if (cfg_.mode == ClientMode::kClientSelect && cfg_.redundancy.enabled &&
       p95_.count() >= cfg_.redundancy.min_samples) {
@@ -75,8 +80,11 @@ void Client::issue_request() {
   }
 }
 
-void Client::send_copy(std::uint64_t req_id, Pending& p, net::HostId target,
+void Client::send_copy(Pending& p, net::HostId target,
                        core::ReplicaGroupId rgid, bool redundant) {
+  assert(p.copy_count < kMaxCopies &&
+         "a request has a primary and at most one R95 duplicate");
+  const std::uint64_t req_id = p.req_id;
   core::RequestHeader rh;
   rh.rid = core::kRidUnset;
   rh.mf = core::kMagicRequest;
@@ -96,7 +104,7 @@ void Client::send_copy(std::uint64_t req_id, Pending& p, net::HostId target,
   pkt.meta.client_send_time = simulator().now();
   pkt.meta.redundant = redundant;
 
-  p.sends.emplace_back(target, simulator().now());
+  p.copies[p.copy_count++] = Copy{target, false, simulator().now()};
   if (obs::Observer* o = simulator().observer()) {
     o->instant(redundant ? "cli.send.dup" : "cli.send", "cli",
                static_cast<std::int32_t>(node_id()), simulator().now(),
@@ -106,40 +114,33 @@ void Client::send_copy(std::uint64_t req_id, Pending& p, net::HostId target,
 }
 
 void Client::maybe_send_redundant(std::uint64_t req_id) {
-  auto it = pending_.find(req_id);
-  if (it == pending_.end() || it->second.completed ||
-      it->second.redundant_sent) {
-    return;
-  }
-  Pending& p = it->second;
-  const core::ReplicaGroupId rgid = ring_.group_of_key(p.key);
+  Pending* p = pending_.find(req_id);
+  if (p == nullptr || p->completed || p->redundant_sent) return;
+  const core::ReplicaGroupId rgid = ring_.group_of_key(p->key);
   const auto candidates = ring_.replicas(rgid);
 
   // Choose among replicas not already tried.
-  std::vector<net::HostId> remaining;
-  remaining.reserve(candidates.size());
+  const auto sent = std::span(p->copies).first(p->copy_count);
+  remaining_.clear();
   for (net::HostId h : candidates) {
-    const bool used = std::any_of(
-        p.sends.begin(), p.sends.end(),
-        [h](const auto& s) { return s.first == h; });
-    if (!used) remaining.push_back(h);
+    const bool used = std::any_of(sent.begin(), sent.end(),
+                                  [h](const Copy& c) { return c.server == h; });
+    if (!used) remaining_.push_back(h);
   }
-  if (remaining.empty()) return;
+  if (remaining_.empty()) return;
 
-  const net::HostId target = selector_->select(remaining);
+  const net::HostId target = selector_->select(remaining_);
   selector_->on_send(target);
-  p.redundant_sent = true;
+  p->redundant_sent = true;
   ++redundant_;
-  send_copy(req_id, p, target, rgid, /*redundant=*/true);
+  send_copy(*p, target, rgid, /*redundant=*/true);
 }
 
-void Client::send_cancels(std::uint64_t req_id, const Pending& p) {
-  for (const auto& [server, sent_at] : p.sends) {
-    (void)sent_at;
-    const bool answered =
-        std::find(p.responders.begin(), p.responders.end(), server) !=
-        p.responders.end();
-    if (answered) continue;
+void Client::send_cancels(const Pending& p) {
+  const std::uint64_t req_id = p.req_id;
+  for (const Copy& copy : std::span(p.copies).first(p.copy_count)) {
+    if (copy.answered) continue;
+    const net::HostId server = copy.server;
 
     core::RequestHeader rh;
     rh.rid = core::kRidUnset;
@@ -185,18 +186,18 @@ void Client::handle_response(net::Packet& pkt) {
       decode_app_response(core::response_app_payload(pkt.payload));
   if (!app.has_value()) return;
 
-  auto it = pending_.find(app->client_request_id);
-  if (it == pending_.end()) return;  // stray / already fully settled
-  Pending& p = it->second;
+  Pending* found = pending_.find(app->client_request_id);
+  if (found == nullptr) return;  // stray / already fully settled
+  Pending& p = *found;
   ++p.responses;
 
   const net::HostId server = pkt.src;
-  p.responders.push_back(server);
   // Per-copy response time for selector feedback.
   sim::Time sent_at = p.first_send;
-  for (const auto& [h, t] : p.sends) {
-    if (h == server) {
-      sent_at = t;
+  for (Copy& copy : std::span(p.copies).first(p.copy_count)) {
+    if (copy.server == server) {
+      sent_at = copy.sent_at;
+      copy.answered = true;
       break;
     }
   }
@@ -214,8 +215,8 @@ void Client::handle_response(net::Packet& pkt) {
     p.completed = true;
     ++completed_;
     if (cfg_.redundancy.cancel_on_completion &&
-        p.responses < p.sends.size()) {
-      send_cancels(app->client_request_id, p);
+        p.responses < p.copy_count) {
+      send_cancels(p);
     }
     const sim::Duration latency = simulator().now() - p.first_send;
     if (obs::Observer* o = simulator().observer()) {
@@ -237,7 +238,63 @@ void Client::handle_response(net::Packet& pkt) {
       on_complete_(c);
     }
   }
-  if (p.responses >= p.sends.size()) pending_.erase(it);
+  if (p.responses >= p.copy_count) pending_.erase(p);
+}
+
+Client::Pending* Client::PendingTable::find(std::uint64_t req_id) {
+  if (size_ == 0) return nullptr;
+  const std::size_t mask = slots_.size() - 1;
+  for (std::size_t i = home(req_id);; i = (i + 1) & mask) {
+    if (slots_[i].req_id == req_id) return &slots_[i];
+    if (slots_[i].req_id == 0) return nullptr;
+  }
+}
+
+Client::Pending& Client::PendingTable::insert(std::uint64_t req_id) {
+  assert(req_id != 0 && find(req_id) == nullptr);
+  if (2 * (size_ + 1) > slots_.size()) grow();
+  const std::size_t mask = slots_.size() - 1;
+  std::size_t i = home(req_id);
+  while (slots_[i].req_id != 0) i = (i + 1) & mask;
+  ++size_;
+  slots_[i] = Pending{};
+  slots_[i].req_id = req_id;
+  return slots_[i];
+}
+
+void Client::PendingTable::erase(Pending& p) {
+  const std::size_t mask = slots_.size() - 1;
+  auto hole = static_cast<std::size_t>(&p - slots_.data());
+  // Backward shift: pull each later entry of the probe run into the hole
+  // unless that would move it before its home slot.
+  for (std::size_t j = (hole + 1) & mask; slots_[j].req_id != 0;
+       j = (j + 1) & mask) {
+    const std::size_t h = home(slots_[j].req_id);
+    if (((j - h) & mask) >= ((j - hole) & mask)) {
+      slots_[hole] = slots_[j];
+      hole = j;
+    }
+  }
+  slots_[hole].req_id = 0;
+  --size_;
+}
+
+std::size_t Client::PendingTable::home(std::uint64_t req_id) const {
+  // Fibonacci hashing: the top bits of id * 2^64/phi spread consecutive
+  // request ids evenly over the table.
+  return static_cast<std::size_t>((req_id * 0x9E3779B97F4A7C15ull) >>
+                                  shift_);
+}
+
+void Client::PendingTable::grow() {
+  constexpr std::size_t kInitialSlots = 16;
+  std::vector<Pending> old = std::move(slots_);
+  slots_.assign(old.empty() ? kInitialSlots : 2 * old.size(), Pending{});
+  shift_ = 64 - std::countr_zero(slots_.size());
+  size_ = 0;
+  for (const Pending& p : old) {
+    if (p.req_id != 0) insert(p.req_id) = p;
+  }
 }
 
 }  // namespace netrs::kv

@@ -15,10 +15,10 @@
 //     Selection target required by §III-C); the ToR assigns the RSNode.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <functional>
 #include <memory>
-#include <unordered_map>
 #include <vector>
 
 #include "kv/app_message.hpp"
@@ -117,23 +117,61 @@ class NETRS_SHARD_LOCAL Client final : public net::Host {
   [[nodiscard]] double p95_estimate_us() const { return p95_.estimate(); }
 
  private:
+  /// Copies one request can have: the primary plus one R95 duplicate.
+  static constexpr std::size_t kMaxCopies = 2;
+
+  /// One copy of a request as sent.
+  struct Copy {
+    net::HostId server = net::kInvalidHost;
+    bool answered = false;  ///< its response has arrived
+    sim::Time sent_at = 0;
+  };
+
+  /// One outstanding request. `req_id == 0` marks an empty table slot
+  /// (request ids carry a sequence number starting at 1).
   struct Pending {
+    std::uint64_t req_id = 0;
     std::uint64_t key = 0;
     sim::Time first_send = 0;
-    // (server, send time) per copy; size > 1 only with redundancy.
-    std::vector<std::pair<net::HostId, sim::Time>> sends;
-    std::vector<net::HostId> responders;
+    std::array<Copy, kMaxCopies> copies{};
+    std::uint32_t copy_count = 0;
     std::uint32_t responses = 0;
     bool completed = false;
     bool redundant_sent = false;
   };
 
+  /// Request id -> Pending, as an open-addressing table: power-of-two
+  /// capacity, linear probing, backward-shift deletion (no tombstones),
+  /// grown at 1/2 load. Storage is reused across requests, so the steady
+  /// state allocates nothing. Never iterated, so its layout cannot leak
+  /// into any output order.
+  class PendingTable {
+   public:
+    /// The entry for `req_id`, or nullptr.
+    Pending* find(std::uint64_t req_id);
+    /// A fresh entry for `req_id`, which must not be present. References
+    /// into the table stay valid until the next insert or erase.
+    Pending& insert(std::uint64_t req_id);
+    /// Removes `p`, which must point into this table.
+    void erase(Pending& p);
+    /// Live entries.
+    [[nodiscard]] std::size_t size() const { return size_; }
+
+   private:
+    [[nodiscard]] std::size_t home(std::uint64_t req_id) const;
+    void grow();
+
+    std::vector<Pending> slots_;  // empty until the first insert
+    std::size_t size_ = 0;
+    int shift_ = 64;  // 64 - log2(capacity), for Fibonacci hashing
+  };
+
   void schedule_next_arrival();
   void issue_request();
-  void send_copy(std::uint64_t req_id, Pending& p, net::HostId target,
-                 core::ReplicaGroupId rgid, bool redundant);
+  void send_copy(Pending& p, net::HostId target, core::ReplicaGroupId rgid,
+                 bool redundant);
   void maybe_send_redundant(std::uint64_t req_id);
-  void send_cancels(std::uint64_t req_id, const Pending& p);
+  void send_cancels(const Pending& p);
   void handle_response(net::Packet& pkt);
 
   ClientConfig cfg_;
@@ -143,7 +181,10 @@ class NETRS_SHARD_LOCAL Client final : public net::Host {
   std::unique_ptr<rs::ReplicaSelector> selector_;  // kClientSelect only
   CompletionCallback on_complete_;
 
-  std::unordered_map<std::uint64_t, Pending> pending_;
+  PendingTable pending_;
+  // Duplicate-target candidates, reused across R95 duplicates (reserved to
+  // the replication factor, so it never reallocates).
+  std::vector<net::HostId> remaining_;
   sim::P2Quantile p95_;
   bool running_ = false;
   std::uint64_t next_seq_ = 1;

@@ -1,18 +1,24 @@
 #include "netrs/selector_node.hpp"
 
+#include <algorithm>
 #include <cassert>
 #include <utility>
 
 #include "obs/observer.hpp"
 
 namespace netrs::core {
+namespace {
+
+// Slots allocated by an operator's first selection.
+constexpr std::size_t kInitialSlots = 64;
+// One slot per value of the 16-bit RV field.
+constexpr std::size_t kMaxSlots = std::size_t{1} << 16;
+
+}  // namespace
 
 SelectorNode::SelectorNode(sim::Simulator& sim, const ReplicaDatabase& db,
                            std::unique_ptr<rs::ReplicaSelector> selector)
-    : sim_(sim),
-      db_(db),
-      selector_(std::move(selector)),
-      pending_(65536) {
+    : sim_(sim), db_(db), selector_(std::move(selector)) {
   assert(selector_ != nullptr);
 }
 
@@ -25,13 +31,16 @@ void SelectorNode::reset_selector(
 }
 
 void SelectorNode::fail() {
-  // netrs-lint: allow(unordered-iteration): pending_ here is the
-  // std::vector<PendingSlot> ring above; the name collides with
-  // kv::Client's unordered map in the linter's cross-TU symbol table.
-  for (PendingSlot& slot : pending_) {
-    if (slot.valid) ++pending_dropped_;
+  for (const PendingSlot& slot : pending_) {
+    if (slot.server != net::kInvalidHost) ++pending_dropped_;
   }
   pending_.assign(pending_.size(), PendingSlot{});
+}
+
+void SelectorNode::grow_to(std::uint16_t rv) {
+  std::size_t size = pending_.empty() ? kInitialSlots : pending_.size();
+  while (size <= rv) size *= 2;
+  pending_.resize(std::min(size, kMaxSlots));
 }
 
 std::optional<net::Packet> SelectorNode::process(net::Packet pkt) {
@@ -63,7 +72,8 @@ std::optional<net::Packet> SelectorNode::handle_request(net::Packet pkt) {
   ++requests_selected_;
 
   const std::uint16_t rv = next_rv_++;
-  pending_[rv] = PendingSlot{server, sim_.now(), true};
+  if (rv >= pending_.size()) grow_to(rv);
+  pending_[rv] = PendingSlot{server, sim_.now()};
   if (obs::Observer* o = sim_.observer()) {
     o->instant("rs.select", "rs", trace_tid_, sim_.now(),
                pkt.meta.request_id, "server",
@@ -88,10 +98,12 @@ void SelectorNode::handle_response(const net::Packet& pkt) {
   fb.queue_size = resp->status.queue_size;
   fb.service_time = static_cast<sim::Duration>(resp->status.service_time_ns);
 
-  PendingSlot& slot = pending_[resp->rv];
-  if (slot.valid && slot.server == pkt.src) {
-    fb.response_time = sim_.now() - slot.sent_at;
-    slot.valid = false;
+  PendingSlot* slot =
+      resp->rv < pending_.size() ? &pending_[resp->rv] : nullptr;
+  if (slot != nullptr && slot->server != net::kInvalidHost &&
+      slot->server == pkt.src) {
+    fb.response_time = sim_.now() - slot->sent_at;
+    slot->server = net::kInvalidHost;
   } else {
     fb.has_response_time = false;
     ++rv_mismatches_;

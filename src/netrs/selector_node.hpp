@@ -70,6 +70,9 @@ class NETRS_SHARD_LOCAL SelectorNode {
   }
   /// Responses whose RV no longer matched a pending slot (reused tag).
   [[nodiscard]] std::uint64_t rv_mismatches() const { return rv_mismatches_; }
+  /// Slots currently allocated in the RV table (0 until the first
+  /// selection; at most 65,536). Diagnostic.
+  [[nodiscard]] std::size_t rv_table_slots() const { return pending_.size(); }
 
   /// Sets the trace thread id this selector records "rs.select" events
   /// under (its RSNode's switch id). Defaults to -1 (untagged).
@@ -87,20 +90,25 @@ class NETRS_SHARD_LOCAL SelectorNode {
   }
 
  private:
+  /// One outstanding selection; `server == kInvalidHost` marks it empty.
   struct PendingSlot {
     net::HostId server = net::kInvalidHost;
     sim::Time sent_at = 0;
-    bool valid = false;
   };
 
   std::optional<net::Packet> handle_request(net::Packet pkt);
   void handle_response(const net::Packet& pkt);
+  /// Doubles the table until slot `rv` exists (capped at 2^16 slots).
+  void grow_to(std::uint16_t rv);
 
   sim::Simulator& sim_;
   const ReplicaDatabase& db_;
   std::unique_ptr<rs::ReplicaSelector> selector_;
   rs::DecisionHook hook_;  // reapplied on reset_selector()
-  // RV-indexed pending table (the RV field is 16 bits wide).
+  // RV-indexed pending table (the RV field is 16 bits wide). It starts
+  // empty and only grows as far as next_rv_ has reached, so an operator
+  // that never selects costs nothing; an rv at or beyond its size was
+  // never issued since the last reset and so reads as a mismatch.
   std::vector<PendingSlot> pending_;
   std::uint16_t next_rv_ = 1;
   std::uint64_t requests_selected_ = 0;

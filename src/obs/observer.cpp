@@ -1,6 +1,6 @@
 #include "obs/observer.hpp"
 
-#include "sim/simulator.hpp"
+#include <utility>
 
 namespace netrs::obs {
 
@@ -8,8 +8,7 @@ Observer::Observer(const ObsConfig& cfg)
     : ring_(cfg.want_trace() ? cfg.trace_capacity : 0),
       flight_(cfg.want_attribution()),
       decisions_(cfg.want_decisions(), cfg.herd_window),
-      metering_(cfg.want_metrics()),
-      sample_interval_(cfg.sample_interval) {}
+      metering_(cfg.want_metrics()) {}
 
 void Observer::span(const char* name, const char* cat, std::int32_t tid,
                     sim::Time ts, sim::Duration dur, std::uint64_t id,
@@ -50,15 +49,6 @@ void Observer::instant(const char* name, const char* cat, std::int32_t tid,
 
 void Observer::set_tid_name(std::int32_t tid, std::string name) {
   ring_.set_tid_name(tid, std::move(name));
-}
-
-void Observer::start_sampler(sim::Simulator& sim, sim::Time until) {
-  if (!metering_) return;
-  sim.every(sample_interval_, [this, &sim, until]() {
-    if (sim.now() > until) return false;  // run is draining; stop the ticker
-    metrics_.sample(sim.now());
-    return true;
-  });
 }
 
 TraceSnapshot Observer::take_trace() const {

@@ -133,11 +133,6 @@ class NETRS_SHARD_LOCAL Observer {
   /// Names a trace thread (forwarded to TraceRing::set_tid_name).
   void set_tid_name(std::int32_t tid, std::string name);
 
-  /// Starts the simulated-time metrics ticker on `sim`: one sample every
-  /// ObsConfig::sample_interval until simulated time passes `until`
-  /// (ticks stop themselves afterwards). No-op when metering() is false.
-  void start_sampler(sim::Simulator& sim, sim::Time until);
-
   /// Extracts this run's trace contribution for the merged JSON file.
   [[nodiscard]] TraceSnapshot take_trace() const;
 
@@ -160,7 +155,6 @@ class NETRS_SHARD_LOCAL Observer {
   FlightRecorder flight_;
   DecisionRecorder decisions_;
   bool metering_;
-  sim::Duration sample_interval_;
 };
 
 }  // namespace netrs::obs

@@ -1,11 +1,12 @@
 // Unit tests for the NetRS selector (§IV-C) in isolation: RGID database
 // lookups, packet rewriting, RV-based response-time measurement (including
-// slot reuse), and state reset.
+// slot reuse and the lazily sized RV table), and state reset.
 #include "netrs/selector_node.hpp"
 
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <vector>
 
 #include "rs/baselines.hpp"
 #include "rs/selector.hpp"
@@ -179,6 +180,115 @@ TEST_F(SelectorNodeTest, RvTagsWrapWithoutCollision) {
     ASSERT_TRUE(out.has_value());
   }
   EXPECT_EQ(node->requests_selected(), 70000u);
+}
+
+// ---- The lazily sized RV table ----
+
+// Advances simulated time to `t`.
+void advance_to(sim::Simulator& sim, sim::Time t) {
+  sim.at(t, [] {});
+  sim.run();
+}
+
+TEST_F(SelectorNodeTest, IdleNodeAllocatesNoSlots) {
+  EXPECT_EQ(node->rv_table_slots(), 0u);
+  node->process(response(10, 1));  // a clone before any selection
+  EXPECT_EQ(node->rv_table_slots(), 0u);
+  node->process(request(0));
+  EXPECT_GT(node->rv_table_slots(), 0u);
+  EXPECT_LE(node->rv_table_slots(), 64u);
+}
+
+TEST_F(SelectorNodeTest, RvBeyondAnyIssuedIsAMismatchNotAGrowth) {
+  for (int i = 0; i < 3; ++i) node->process(request(0));  // rv 1..3
+  const std::size_t slots = node->rv_table_slots();
+  // Inside the table but never issued, then far beyond it, then the top
+  // of the 16-bit range.
+  for (const std::uint16_t rv : {std::uint16_t{40}, std::uint16_t{5000},
+                                 std::uint16_t{65535}}) {
+    node->process(response(10, rv));
+  }
+  EXPECT_EQ(node->rv_mismatches(), 3u);
+  EXPECT_EQ(node->rv_table_slots(), slots) << "a response grew the table";
+  ASSERT_EQ(recorder->feedbacks.size(), 3u);
+  for (const rs::Feedback& fb : recorder->feedbacks) {
+    EXPECT_FALSE(fb.has_response_time);
+    EXPECT_EQ(fb.queue_size, 3u);  // server status is still absorbed
+  }
+}
+
+TEST_F(SelectorNodeTest, WrappedRvsMeasureResponseTimes) {
+  // rv 1..65534 at t=0, then 65535 at 1ms, the wrapped 0 at 2ms and the
+  // reused 1 at 3ms; the last three are answered at 10ms.
+  for (int i = 1; i <= 65534; ++i) node->process(request(1));
+  advance_to(sim, sim::millis(1));
+  auto out = node->process(request(1));
+  ASSERT_EQ(decode_request(out->payload)->rv, 65535);
+  advance_to(sim, sim::millis(2));
+  out = node->process(request(1));
+  ASSERT_EQ(decode_request(out->payload)->rv, 0);
+  advance_to(sim, sim::millis(3));
+  out = node->process(request(1));
+  ASSERT_EQ(decode_request(out->payload)->rv, 1);
+  EXPECT_EQ(node->rv_table_slots(), 65536u);
+
+  advance_to(sim, sim::millis(10));
+  node->process(response(40, 65535));
+  node->process(response(40, 0));
+  node->process(response(40, 1));
+  ASSERT_EQ(recorder->feedbacks.size(), 3u);
+  const sim::Duration want[] = {sim::millis(9), sim::millis(8),
+                                sim::millis(7)};
+  for (int i = 0; i < 3; ++i) {
+    EXPECT_TRUE(recorder->feedbacks[i].has_response_time) << i;
+    EXPECT_EQ(recorder->feedbacks[i].response_time, want[i]) << i;
+  }
+  EXPECT_EQ(node->rv_mismatches(), 0u);
+}
+
+TEST_F(SelectorNodeTest, FailCountsOutstandingSlotsAfterGrowth) {
+  std::vector<std::uint16_t> rvs;
+  for (int i = 0; i < 100; ++i) {
+    rvs.push_back(decode_request(node->process(request(0))->payload)->rv);
+  }
+  for (int i = 0; i < 30; ++i) node->process(response(10, rvs[i]));
+  node->fail();
+  EXPECT_EQ(node->pending_dropped(), 70u);
+  node->fail();  // nothing left to drop
+  EXPECT_EQ(node->pending_dropped(), 70u);
+  for (int i = 30; i < 100; ++i) node->process(response(10, rvs[i]));
+  EXPECT_EQ(node->rv_mismatches(), 70u);
+
+  // After the wrap every one of the 65,536 rvs is outstanding: the dense
+  // ring dropped them all, and so must the grown table.
+  for (int i = 0; i < 70000; ++i) node->process(request(0));
+  node->fail();
+  EXPECT_EQ(node->pending_dropped(), 70u + 65536u);
+}
+
+TEST_F(SelectorNodeTest, ResetInvalidatesEveryOutstandingRv) {
+  std::vector<std::uint16_t> rvs;
+  for (int i = 0; i < 200; ++i) {
+    rvs.push_back(decode_request(node->process(request(0))->payload)->rv);
+  }
+  auto fresh = std::make_unique<RecordingSelector>();
+  RecordingSelector* fresh_ptr = fresh.get();
+  node->reset_selector(std::move(fresh));
+  for (const std::uint16_t rv : rvs) node->process(response(10, rv));
+  EXPECT_EQ(node->rv_mismatches(), 200u);
+  ASSERT_EQ(fresh_ptr->feedbacks.size(), 200u);
+  for (const rs::Feedback& fb : fresh_ptr->feedbacks) {
+    EXPECT_FALSE(fb.has_response_time);
+  }
+
+  // Numbering continues after the reset, and new tags measure again.
+  advance_to(sim, sim::millis(1));
+  const auto rv = decode_request(node->process(request(0))->payload)->rv;
+  EXPECT_EQ(rv, 201);
+  advance_to(sim, sim::millis(5));
+  node->process(response(10, rv));
+  EXPECT_TRUE(fresh_ptr->feedbacks.back().has_response_time);
+  EXPECT_EQ(fresh_ptr->feedbacks.back().response_time, sim::millis(4));
 }
 
 }  // namespace
