@@ -44,7 +44,6 @@
 
 #include "alloc_shim.hpp"
 #include "harness/experiment.hpp"
-#include "sim/event_queue.hpp"
 
 namespace {
 
@@ -98,12 +97,6 @@ harness::ExperimentConfig scale_config(int shards, std::uint64_t requests) {
   cfg.jobs = 1;
   cfg.shards = shards;
   return cfg;
-}
-
-std::string queue_strategy_name() {
-  return sim::EventQueue::default_strategy() == sim::QueueStrategy::kCalendar
-             ? "calendar"
-             : "heap";
 }
 
 }  // namespace
@@ -264,8 +257,6 @@ int main(int argc, char** argv) {
                kFatTreeK, kNumServers, kNumClients,
                static_cast<unsigned long long>(requests), kRepeats,
                static_cast<unsigned long long>(kSeed));
-  std::fprintf(f, "  \"queue_strategy\": \"%s\",\n",
-               queue_strategy_name().c_str());
   std::fprintf(f, "  \"wall_seconds\": %.3f,\n", total_wall);
   std::fprintf(f, "  \"simulated_requests\": %llu,\n",
                static_cast<unsigned long long>(total_completed));
@@ -348,9 +339,9 @@ int main(int argc, char** argv) {
 
   std::printf(
       "[macro] %s: %.1f req/s | %.0f events/core-sec | %.4f allocs/hop | "
-      "%.1fs wall (queue=%s)\n",
+      "%.1fs wall\n",
       out_path.c_str(), req_per_sec, events_per_core_sec, allocs_per_hop,
-      total_wall, queue_strategy_name().c_str());
+      total_wall);
   std::printf("[macro] scale: shards=%d %.1f req/s -> shards=%d %.1f req/s "
               "(speedup %.2fx on %u cores)\n",
               scale_cells.front().shards,

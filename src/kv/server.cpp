@@ -48,11 +48,10 @@ void Server::set_service_inflation(double factor) {
 }
 
 void Server::journal_state() {
-  // Oracle journal for the deferred decision replay: one entry per
-  // {queue, parallelism, mean} transition, on this server's own shard
-  // recorder (fault hooks run at coordinator barriers, where the affinity
-  // check inside queue_size() passes by construction). Online-mode
-  // recorders ignore the call.
+  // Oracle journal for the decision replay: one entry per {queue,
+  // parallelism, mean} transition, on this server's own shard recorder
+  // (fault hooks run at coordinator barriers, where the affinity check
+  // inside queue_size() passes by construction).
   if (obs::Observer* o = simulator().observer()) {
     o->decisions().on_server_state(host_id(), simulator().now(), queue_size(),
                                    cfg_.parallelism, current_mean());

@@ -110,8 +110,8 @@ class NETRS_SHARD_LOCAL Server final : public net::Host {
   void send_response(const net::Packet& pkt, std::uint32_t value_bytes);
   void fluctuate();
   /// Journals {queue_size, parallelism, current mean} to the decision
-  /// recorder's oracle log after any transition of those values (no-op
-  /// without an observer, or when the recorder is in online mode).
+  /// recorder's oracle journal after any transition of those values
+  /// (no-op without an observer or with decision auditing off).
   void journal_state();
 
   ServerConfig cfg_;

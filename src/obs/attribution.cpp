@@ -1,6 +1,7 @@
 #include "obs/attribution.hpp"
 
 #include <algorithm>
+#include <map>
 #include <tuple>
 
 #include "obs/metrics.hpp"
@@ -10,109 +11,58 @@ namespace netrs::obs {
 void FlightRecorder::on_accel(std::uint64_t request_id, sim::Time arrival,
                               sim::Time start, sim::Duration service) {
   if (!enabled_ || request_id == 0) return;
-  if (deferred_) {
-    log_.accels.push_back(FlightLog::Accel{request_id, arrival, start,
-                                           service});
-    return;
-  }
-  PendingFlight& p = pending_[request_id];
-  if (p.accel_valid) return;  // keep the first accelerator contact
-  p.accel_valid = true;
-  p.accel_arrival = arrival;
-  p.accel_start = start;
-  p.accel_service = service;
+  log_.accels.push_back(FlightLog::Accel{request_id, arrival, start, service});
 }
 
 void FlightRecorder::on_server(std::uint64_t request_id, net::HostId server,
                                sim::Time arrival, sim::Time start,
                                sim::Duration service) {
   if (!enabled_ || request_id == 0) return;
-  if (deferred_) {
-    log_.servers.push_back(FlightLog::Server{request_id, server, arrival,
-                                             start, service});
-    return;
-  }
-  pending_[request_id].copies.push_back(
-      CopyObs{server, arrival, start, service});
+  log_.servers.push_back(
+      FlightLog::Server{request_id, server, arrival, start, service});
 }
-
-namespace {
-
-// The telescoping decomposition shared by the online path and the
-// deferred join: every component is a difference of adjacent observed
-// timestamps along the winning copy's path, so the sum equals `total`
-// exactly (the invariant attribution_test asserts per record).
-FlightRecord make_record(std::uint64_t request_id, sim::Time first_send,
-                         sim::Time winner_send, net::HostId winner,
-                         sim::Time now, bool accel_valid,
-                         sim::Time accel_arrival, sim::Time accel_start,
-                         sim::Duration accel_service, sim::Time copy_arrival,
-                         sim::Time copy_start, sim::Duration copy_service) {
-  FlightRecord r;
-  r.request_id = request_id;
-  r.completed_at = now;
-  r.server = winner;
-  r.dup_won = winner_send != first_send;
-  r.via_rs = accel_valid;
-  r.total = now - first_send;
-  r.components[0] = winner_send - first_send;  // dup_wait
-  sim::Time cursor = winner_send;
-  if (accel_valid) {
-    r.components[1] = accel_arrival - cursor;        // wire_cli_rs
-    r.components[2] = accel_start - accel_arrival;   // accel_queue
-    r.components[3] = accel_service;                 // accel_serv
-    cursor = accel_start + accel_service;
-  }
-  r.components[4] = copy_arrival - cursor;                // wire_rs_srv
-  r.components[5] = copy_start - copy_arrival;            // srv_queue
-  r.components[6] = copy_service;                         // srv_serv
-  r.components[7] = now - (copy_start + copy_service);    // wire_return
-  return r;
-}
-
-}  // namespace
 
 void FlightRecorder::on_complete(std::uint64_t request_id,
                                  sim::Time first_send, sim::Time winner_send,
                                  net::HostId winner, sim::Time now) {
   if (!enabled_ || request_id == 0) return;
-  if (deferred_) {
-    log_.completes.push_back(FlightLog::Complete{request_id, first_send,
-                                                 winner_send, winner, now});
-    return;
-  }
-  const auto it = pending_.find(request_id);
-  if (it == pending_.end()) {
-    ++unmatched_;
-    return;
-  }
-  // Same warmup filter as the harness's measured latencies: a request
-  // belongs to the measured set iff it was first sent after warmup.
-  if (first_send < measure_from_) {
-    pending_.erase(it);
-    ++warmup_skipped_;
-    return;
-  }
-  const PendingFlight& p = it->second;
-  const CopyObs* copy = nullptr;
-  for (const CopyObs& c : p.copies) {
-    if (c.server == winner) {
-      copy = &c;
-      break;
-    }
-  }
-  if (copy == nullptr) {
-    ++unmatched_;
-    pending_.erase(it);
-    return;
-  }
-
-  records_.push_back(make_record(
-      request_id, first_send, winner_send, winner, now, p.accel_valid,
-      p.accel_arrival, p.accel_start, p.accel_service, copy->arrival,
-      copy->start, copy->service));
-  pending_.erase(it);
+  log_.completes.push_back(
+      FlightLog::Complete{request_id, first_send, winner_send, winner, now});
 }
+
+namespace {
+
+// The telescoping decomposition: every component is a difference of
+// adjacent observed timestamps along the winning copy's path, so the sum
+// equals `total` exactly (the invariant attribution_test asserts per
+// record). `accel` is null when the winning copy never crossed an
+// accelerator.
+FlightRecord make_record(const FlightLog::Complete& c,
+                         const FlightLog::Accel* accel,
+                         const FlightLog::Server& copy) {
+  FlightRecord r;
+  r.request_id = c.request_id;
+  r.completed_at = c.at;
+  r.server = c.winner;
+  r.dup_won = c.winner_send != c.first_send;
+  r.via_rs = accel != nullptr;
+  r.total = c.at - c.first_send;
+  r.components[0] = c.winner_send - c.first_send;  // dup_wait
+  sim::Time cursor = c.winner_send;
+  if (accel != nullptr) {
+    r.components[1] = accel->arrival - cursor;         // wire_cli_rs
+    r.components[2] = accel->start - accel->arrival;   // accel_queue
+    r.components[3] = accel->service;                  // accel_serv
+    cursor = accel->start + accel->service;
+  }
+  r.components[4] = copy.arrival - cursor;               // wire_rs_srv
+  r.components[5] = copy.start - copy.arrival;           // srv_queue
+  r.components[6] = copy.service;                        // srv_serv
+  r.components[7] = c.at - (copy.start + copy.service);  // wire_return
+  return r;
+}
+
+}  // namespace
 
 FlightSnapshot join_flights(const std::vector<FlightLog>& logs,
                             sim::Time measure_from) {
@@ -127,10 +77,8 @@ FlightSnapshot join_flights(const std::vector<FlightLog>& logs,
   for (const FlightLog& log : logs) {
     for (const FlightLog::Accel& a : log.accels) {
       Joined& j = pending[a.request_id];
-      // Canonical stand-in for the online "first accelerator contact":
-      // the minimum by (start, arrival, service). A recorder's own stream
-      // is start-time-ordered, so at --shards 1 this is the same contact
-      // the online path would keep (up to exact-ns ties).
+      // Canonical "first accelerator contact": the minimum by (start,
+      // arrival, service), whichever log holds it.
       if (!j.accel_valid ||
           std::tie(a.start, a.arrival, a.service) <
               std::tie(j.accel.start, j.accel.arrival, j.accel.service)) {
@@ -144,8 +92,8 @@ FlightSnapshot join_flights(const std::vector<FlightLog>& logs,
     completes.insert(completes.end(), log.completes.begin(),
                      log.completes.end());
   }
-  // Canonical copy order (the online path saw service starts in time
-  // order) and completion order. request_id breaks exact-time ties.
+  // Canonical copy order (service starts in time order) and completion
+  // order. request_id breaks exact-time ties.
   for (auto& [id, j] : pending) {
     std::stable_sort(j.copies.begin(), j.copies.end(),
                      [](const FlightLog::Server& a,
@@ -189,23 +137,11 @@ FlightSnapshot join_flights(const std::vector<FlightLog>& logs,
       pending.erase(it);
       continue;
     }
-    snap.records.push_back(make_record(
-        c.request_id, c.first_send, c.winner_send, c.winner, c.at,
-        j.accel_valid, j.accel.arrival, j.accel.start, j.accel.service,
-        copy->arrival, copy->start, copy->service));
+    snap.records.push_back(
+        make_record(c, j.accel_valid ? &j.accel : nullptr, *copy));
     pending.erase(it);
   }
   snap.pending_at_end = pending.size();
-  return snap;
-}
-
-FlightSnapshot FlightRecorder::take() const {
-  FlightSnapshot snap;
-  snap.enabled = enabled_;
-  snap.records = records_;
-  snap.warmup_skipped = warmup_skipped_;
-  snap.unmatched = unmatched_;
-  snap.pending_at_end = pending_.size();
   return snap;
 }
 

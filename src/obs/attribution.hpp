@@ -1,26 +1,28 @@
 // Per-request latency attribution ("flight recorder").
 //
-// The FlightRecorder rides the existing Observer null-guard hooks and
-// decomposes every completed request's end-to-end latency into named
-// additive components along the path of the copy that won (duplicate and
-// cancelled copies are attributed to the winner): duplicate wait, client->
-// RSNode wire, accelerator queue, accelerator service (the selection
-// itself), RSNode->server wire, server queue, server service, and the
-// return path. Every component is a difference of observed event
-// timestamps, so the eight components telescope to exactly the measured
-// end-to-end latency — the invariant attribution_test asserts per record.
+// The FlightRecorder rides the existing Observer null-guard hooks and logs
+// every accelerator, server and completion observation verbatim; at
+// harvest, join_flights() merges the logs of every shard and decomposes
+// each completed request's end-to-end latency into named additive
+// components along the path of the copy that won (duplicate and cancelled
+// copies are attributed to the winner): duplicate wait, client->RSNode
+// wire, accelerator queue, accelerator service (the selection itself),
+// RSNode->server wire, server queue, server service, and the return path.
+// Every component is a difference of observed event timestamps, so the
+// eight components telescope to exactly the measured end-to-end latency —
+// the invariant attribution_test asserts per record.
 //
-// Determinism contract (DESIGN.md §8.4): recording is observation-only (no
-// RNG draws, no wall clock, no feedback into simulated behavior), records
-// append in completion order of a single-threaded simulation, and repeats
-// merge in repeat order — so the CSV and summaries are bit-identical for a
-// given seed at any harness --jobs value, and golden digests are unchanged
-// with the recorder on or off.
+// Determinism contract (DESIGN.md §8.4, §8.6): recording is
+// observation-only (no RNG draws, no wall clock, no feedback into
+// simulated behavior), the join processes the merged logs in a canonical
+// order keyed on simulated time, and repeats merge in repeat order — so
+// the CSV and summaries are bit-identical for a given seed at any harness
+// --jobs value, and golden digests are unchanged with the recorder on or
+// off.
 #pragma once
 
 #include <array>
 #include <cstdint>
-#include <map>
 #include <ostream>
 #include <vector>
 
@@ -69,12 +71,11 @@ struct NETRS_SHARED_IMMUTABLE FlightRecord {
   std::array<sim::Duration, kFlightComponents> components{};
 };
 
-/// Raw observation log of one recorder in deferred mode (DESIGN.md §8.6):
-/// shard-local recorders append every hook verbatim instead of joining
-/// online (one request's accelerator, server, and completion hooks fire on
-/// different shards), and join_flights() reproduces the online
-/// decomposition over the union of all logs in a canonical order — the
-/// same bytes at any shard count.
+/// Raw observation log of one recorder (DESIGN.md §8.6): shard-local
+/// recorders append every hook verbatim (one request's accelerator,
+/// server, and completion hooks fire on different shards), and
+/// join_flights() builds the decomposition over the union of all logs in
+/// a canonical order — the same bytes at any shard count.
 struct NETRS_SHARED_IMMUTABLE FlightLog {
   /// One on_accel() observation, verbatim.
   struct Accel {
@@ -139,9 +140,8 @@ struct NETRS_SHARED_IMMUTABLE FlightSnapshot {
 /// Per-request flight recorder; one per shard per repeat, owned by that
 /// shard's Observer. Components call the on_*() hooks under the existing
 /// observer null guard; every hook is a cheap early-out when the recorder
-/// is disabled. In deferred mode (the harness default since the recorders
-/// went shard-parallel) hooks append to a FlightLog and join_flights()
-/// builds the records at harvest time.
+/// is disabled, and otherwise appends to the recorder's FlightLog.
+/// join_flights() builds the records at harvest time.
 class NETRS_SHARD_LOCAL FlightRecorder {
  public:
   /// A disabled recorder ignores every hook.
@@ -150,22 +150,9 @@ class NETRS_SHARD_LOCAL FlightRecorder {
   /// True when hooks record (construction-time switch).
   [[nodiscard]] bool enabled() const { return enabled_; }
 
-  /// Completions of requests first sent before `t` are dropped — the same
-  /// warmup filter the harness applies to measured latencies. In deferred
-  /// mode the filter is applied by join_flights() instead.
-  void set_measure_from(sim::Time t) { measure_from_ = t; }
-
-  /// Switches the recorder to deferred (raw-log) mode: hooks append
-  /// verbatim observations for a later join_flights() instead of joining
-  /// online. Must be called before the first hook fires.
-  void set_deferred(bool deferred) { deferred_ = deferred; }
-
-  /// True when hooks log raw observations for a merge-time join.
-  [[nodiscard]] bool deferred() const { return deferred_; }
-
   /// Accelerator observation for a request: arrival (enqueue) time,
   /// service start, and service duration. Response clones must not be
-  /// reported. Only the first accelerator contact per request is kept.
+  /// reported. The join keeps one accelerator contact per request.
   void on_accel(std::uint64_t request_id, sim::Time arrival, sim::Time start,
                 sim::Duration service);
 
@@ -176,55 +163,29 @@ class NETRS_SHARD_LOCAL FlightRecorder {
 
   /// Completion at the client (first response): the primary copy's send
   /// time, the winning copy's send time and server, and the completion
-  /// time. Computes the decomposition and appends a FlightRecord.
+  /// time.
   void on_complete(std::uint64_t request_id, sim::Time first_send,
                    sim::Time winner_send, net::HostId winner, sim::Time now);
 
-  /// Extracts this repeat's records (completion order) and counts.
-  /// Online mode only; a deferred recorder yields via take_log().
-  [[nodiscard]] FlightSnapshot take() const;
-
-  /// Extracts the raw observation log accumulated in deferred mode.
+  /// Extracts the raw observation log (record order).
   [[nodiscard]] FlightLog take_log() const { return log_; }
 
  private:
-  /// Per-copy server observation (duplicates land on distinct servers).
-  struct CopyObs {
-    net::HostId server = net::kInvalidHost;
-    sim::Time arrival = 0;
-    sim::Time start = 0;
-    sim::Duration service = 0;
-  };
-  /// Pending (not yet completed) per-request observations.
-  struct PendingFlight {
-    bool accel_valid = false;
-    sim::Time accel_arrival = 0;
-    sim::Time accel_start = 0;
-    sim::Duration accel_service = 0;
-    std::vector<CopyObs> copies;
-  };
-
   bool enabled_;
-  bool deferred_ = false;
-  sim::Time measure_from_ = 0;
-  // Ordered map: the obs tree bans unordered containers (netrs_lint
-  // unordered-in-obs) so iteration order can never leak into output.
-  std::map<std::uint64_t, PendingFlight> pending_;
-  std::vector<FlightRecord> records_;
-  std::uint64_t warmup_skipped_ = 0;
-  std::uint64_t unmatched_ = 0;
   FlightLog log_;
 };
 
-/// Joins the deferred logs of every shard's recorder (plus the
-/// coordinator's) into one repeat snapshot, replaying the online
-/// decomposition in a canonical order that does not depend on which shard
-/// observed what: completions are processed by (completion time, request
-/// id); the kept accelerator contact is the minimum by (start, arrival,
-/// service); per-request copies are ordered by (start, arrival, server,
-/// service). Event timestamps are shard-count-invariant (DESIGN.md
-/// §4.10), so the result is byte-identical at any --shards value —
-/// including 1, which the harness routes through this same join.
+/// Joins the logs of every shard's recorder (plus the coordinator's) into
+/// one repeat snapshot, in a canonical order that does not depend on which
+/// shard observed what: completions are processed by (completion time,
+/// request id); the kept accelerator contact is the minimum by (start,
+/// arrival, service); per-request copies are ordered by (start, arrival,
+/// server, service). Completions of requests first sent before
+/// `measure_from` are skipped (the harness's warmup filter); requests
+/// observed but never completed count in `pending_at_end`. Event
+/// timestamps are shard-count-invariant (DESIGN.md §4.10), so the result
+/// is byte-identical at any --shards value — including 1, which the
+/// harness routes through this same join.
 [[nodiscard]] FlightSnapshot join_flights(const std::vector<FlightLog>& logs,
                                           sim::Time measure_from);
 

@@ -1,8 +1,10 @@
 #include "obs/decision.hpp"
 
 #include <algorithm>
+#include <deque>
 #include <string>
 #include <tuple>
+#include <utility>
 
 #include "obs/metrics.hpp"
 
@@ -31,60 +33,15 @@ void DecisionRecorder::on_decision(std::int32_t node, sim::Time now,
                                    std::span<const double> scores,
                                    std::span<const sim::Duration> ages) {
   if (!enabled_ || chosen == net::kInvalidHost) return;
-  ++observed_;
-
-  if (deferred_) {
-    DecisionLog::Pick pick;
-    pick.t = now;
-    pick.node = node;
-    pick.node_seq = node_seq_[node]++;
-    pick.chosen = chosen;
-    pick.cand_begin = static_cast<std::uint32_t>(log_.cand_pool.size());
-    pick.cand_count = static_cast<std::uint32_t>(candidates.size());
-    log_.cand_pool.insert(log_.cand_pool.end(), candidates.begin(),
-                          candidates.end());
-    std::size_t chosen_idx = candidates.size();
-    for (std::size_t i = 0; i < candidates.size(); ++i) {
-      if (candidates[i] == chosen) {
-        chosen_idx = i;
-        break;
-      }
-    }
-    if (chosen_idx < scores.size()) {
-      pick.score = scores[chosen_idx];
-      pick.has_score = true;
-    }
-    if (chosen_idx < ages.size() && ages[chosen_idx] >= 0) {
-      pick.staleness = ages[chosen_idx];
-      pick.has_staleness = true;
-    }
-    log_.picks.push_back(pick);
-    return;
-  }
-
-  // Herd window maintenance runs for every decision (including warmup) so
-  // the first post-warmup records see a fully warmed window.
-  const sim::Time horizon = now - window_;
-  while (!window_picks_.empty() && window_picks_.front().first <= horizon) {
-    const auto cit = window_counts_.find(window_picks_.front().second);
-    if (cit != window_counts_.end() && --cit->second == 0) {
-      window_counts_.erase(cit);
-    }
-    window_picks_.pop_front();
-  }
-  window_picks_.emplace_back(now, chosen);
-  ++window_counts_[chosen];
-
-  if (now < measure_from_) return;
-
-  DecisionRecord rec;
-  rec.t = now;
-  rec.node = node;
-  rec.chosen = chosen;
-  rec.candidates = static_cast<std::uint32_t>(candidates.size());
-  rec.herd = static_cast<double>(window_counts_[chosen]) /
-             static_cast<double>(window_picks_.size());
-
+  DecisionLog::Pick pick;
+  pick.t = now;
+  pick.node = node;
+  pick.node_seq = node_seq_[node]++;
+  pick.chosen = chosen;
+  pick.cand_begin = static_cast<std::uint32_t>(log_.cand_pool.size());
+  pick.cand_count = static_cast<std::uint32_t>(candidates.size());
+  log_.cand_pool.insert(log_.cand_pool.end(), candidates.begin(),
+                        candidates.end());
   std::size_t chosen_idx = candidates.size();
   for (std::size_t i = 0; i < candidates.size(); ++i) {
     if (candidates[i] == chosen) {
@@ -93,58 +50,22 @@ void DecisionRecorder::on_decision(std::int32_t node, sim::Time now,
     }
   }
   if (chosen_idx < scores.size()) {
-    rec.chosen_score = scores[chosen_idx];
-    rec.has_score = true;
+    pick.score = scores[chosen_idx];
+    pick.has_score = true;
   }
   if (chosen_idx < ages.size() && ages[chosen_idx] >= 0) {
-    rec.staleness = ages[chosen_idx];
-    rec.has_staleness = true;
+    pick.staleness = ages[chosen_idx];
+    pick.has_staleness = true;
   }
-
-  if (oracle_ && !candidates.empty()) {
-    double best = 0.0;
-    double chosen_cost = 0.0;
-    bool all_valid = true;
-    bool chosen_valid = false;
-    bool first = true;
-    for (const net::HostId host : candidates) {
-      const OracleServerState s = oracle_(host);
-      if (!s.valid) {
-        all_valid = false;
-        break;
-      }
-      const double cost = oracle_cost_ns(s);
-      if (first || cost < best) best = cost;
-      first = false;
-      if (host == chosen) {
-        chosen_cost = cost;
-        chosen_valid = true;
-      }
-    }
-    if (all_valid && chosen_valid) {
-      rec.regret_ns = chosen_cost - best;
-      if (rec.regret_ns < 0) rec.regret_ns = 0;  // float-order guard
-      rec.has_regret = true;
-    }
-  }
-
-  records_.push_back(rec);
+  log_.picks.push_back(pick);
 }
 
 void DecisionRecorder::on_server_state(net::HostId host, sim::Time t,
                                        std::uint32_t queue_size,
                                        int parallelism, sim::Duration mean) {
-  if (!enabled_ || !deferred_) return;
+  if (!enabled_) return;
   log_.states.push_back(
       DecisionLog::ServerState{t, host, queue_size, parallelism, mean});
-}
-
-DecisionSnapshot DecisionRecorder::take() const {
-  DecisionSnapshot snap;
-  snap.enabled = enabled_;
-  snap.records = records_;
-  snap.observed = observed_;
-  return snap;
 }
 
 DecisionSnapshot replay_decisions(const std::vector<DecisionLog>& logs,
@@ -210,8 +131,9 @@ DecisionSnapshot replay_decisions(const std::vector<DecisionLog>& logs,
   DecisionSnapshot snap;
   snap.enabled = true;
   snap.observed = picks.size();
-  // Trailing herd window over the merged stream — the same maintenance
-  // the online recorder runs per decision.
+  // Trailing herd window over the merged stream: (time, server) picks
+  // plus per-server counts. Every pick enters it, warmup included, so the
+  // first measured records see a fully warmed window.
   std::deque<std::pair<sim::Time, net::HostId>> window_picks;
   std::map<net::HostId, std::uint32_t> window_counts;
   for (const MergedPick& mp : picks) {

@@ -3,7 +3,9 @@
 //
 // The selectors see only stale, piggybacked server status; the oracle sees
 // the true instantaneous server state (queue depth, parallelism, current
-// fluctuation-mode mean). For each decision it records:
+// fluctuation-mode mean), which every server journals on each transition.
+// The recorder logs picks and journal entries verbatim; at harvest,
+// replay_decisions() merges every shard's log and records per decision:
 //
 //   regret     — oracle cost of the chosen replica minus the cheapest
 //                candidate's oracle cost, where cost(s) = mean_s * (1 +
@@ -19,19 +21,17 @@
 //                1/candidates when balanced, near 1 when RSNodes stampede
 //                one replica (§II load oscillation, per decision).
 //
-// Observation-only contract (DESIGN.md §8.5): the oracle callback reads
-// const simulation state only — it must not consume RNG draws, mutate any
-// component, or read the wall clock. Golden digests are identical with the
-// auditor on or off, and output is bit-identical at any --jobs value.
+// Observation-only contract (DESIGN.md §8.5): the hooks and the journal
+// read const simulation state only — they consume no RNG draws, mutate no
+// component, and never read the wall clock. Golden digests are identical
+// with the auditor on or off, and output is bit-identical at any --jobs
+// value.
 #pragma once
 
 #include <cstdint>
-#include <deque>
-#include <functional>
 #include <map>
 #include <ostream>
 #include <span>
-#include <utility>
 #include <vector>
 
 #include "net/address.hpp"
@@ -41,9 +41,9 @@
 
 namespace netrs::obs {
 
-/// True instantaneous state of one server, read by the oracle callback.
+/// True state of one server at a decision time, looked up in the journal.
 struct NETRS_SHARED_IMMUTABLE OracleServerState {
-  /// False when the host is unknown to the oracle (no regret computed).
+  /// False when the host had no journal entry yet (no regret computed).
   bool valid = false;
   /// Waiting + in-service requests right now.
   std::uint32_t queue_size = 0;
@@ -52,10 +52,6 @@ struct NETRS_SHARED_IMMUTABLE OracleServerState {
   /// Current fluctuation-mode mean service time, ns.
   sim::Duration mean_service_time = 0;
 };
-
-/// Oracle callback: true state of a candidate server, by host id. Must
-/// only read const simulation state (see the file comment's contract).
-using OracleFn = std::function<OracleServerState(net::HostId)>;
 
 /// Oracle cost of joining a server now, in ns: mean * (1 + queue / Np),
 /// the expected in-system time under the server's true current state.
@@ -77,7 +73,7 @@ struct NETRS_SHARED_IMMUTABLE DecisionRecord {
   bool has_score = false;
   /// Oracle regret in ns (>= 0); meaningful iff has_regret.
   double regret_ns = 0.0;
-  /// False when the oracle was absent or a candidate was unknown to it.
+  /// False when a candidate had no journal entry at the decision time.
   bool has_regret = false;
   /// Feedback age of the chosen server's snapshot, ns; meaningful iff
   /// has_staleness.
@@ -99,8 +95,8 @@ struct NETRS_SHARED_IMMUTABLE DecisionSnapshot {
   std::uint64_t observed = 0;
 };
 
-/// Raw decision log of one recorder in deferred mode (DESIGN.md §8.6).
-/// Shard-local recorders log picks and true server-state transitions (the
+/// Raw decision log of one recorder (DESIGN.md §8.6). Shard-local
+/// recorders log picks and true server-state transitions (the
 /// oracle journal) verbatim; replay_decisions() merges every log, orders
 /// picks canonically by (time, node, per-node sequence), and computes the
 /// herd index and oracle regret at harvest time — the same bytes at any
@@ -155,87 +151,55 @@ struct NETRS_SHARED_IMMUTABLE DecisionLog {
 };
 
 /// Per-shard, per-repeat decision auditor, owned by that shard's
-/// Observer. The harness installs the oracle and routes every selector's
-/// decision hook here. In deferred mode (the harness default since the
-/// recorders went shard-parallel) hooks append to a DecisionLog and
-/// replay_decisions() builds the records at harvest time.
+/// Observer. The harness routes every selector's decision hook here and
+/// kv::Server journals its state transitions here; both append to a
+/// DecisionLog, and replay_decisions() builds the records at harvest time.
 class NETRS_SHARD_LOCAL DecisionRecorder {
  public:
-  /// A disabled recorder ignores every call. `herd_window` is the
-  /// trailing window of the herd index.
-  DecisionRecorder(bool enabled, sim::Duration herd_window)
-      : enabled_(enabled), window_(herd_window) {}
+  /// A disabled recorder ignores every call.
+  explicit DecisionRecorder(bool enabled) : enabled_(enabled) {}
 
   /// True when decisions record (construction-time switch).
   [[nodiscard]] bool enabled() const { return enabled_; }
 
-  /// Installs the omniscient oracle; absent = no regret computed.
-  void set_oracle(OracleFn fn) { oracle_ = std::move(fn); }
-
-  /// Decisions before `t` update herd state but produce no records — the
-  /// same warmup filter the harness applies to measured latencies. In
-  /// deferred mode the filter is applied by replay_decisions() instead.
-  void set_measure_from(sim::Time t) { measure_from_ = t; }
-
-  /// Switches the recorder to deferred (raw-log) mode: hooks append
-  /// verbatim picks and oracle-journal entries for a later
-  /// replay_decisions() instead of scoring online. Must be called before
-  /// the first hook fires.
-  void set_deferred(bool deferred) { deferred_ = deferred; }
-
-  /// True when hooks log raw observations for a merge-time replay.
-  [[nodiscard]] bool deferred() const { return deferred_; }
-
-  /// Audits one selection: `candidates`/`chosen` from the selector,
+  /// Logs one selection: `candidates`/`chosen` from the selector,
   /// `scores`/`ages` parallel to `candidates` (either may be empty; an
-  /// age < 0 means never heard from). Computes regret via the oracle,
-  /// staleness from `ages`, and the herd index from the trailing window.
+  /// age < 0 means never heard from). Keeps the chosen replica's score
+  /// and feedback age (its staleness) plus a per-node sequence number.
   void on_decision(std::int32_t node, sim::Time now,
                    std::span<const net::HostId> candidates,
                    net::HostId chosen, std::span<const double> scores,
                    std::span<const sim::Duration> ages);
 
-  /// Journals one true server-state transition for the deferred oracle
-  /// (no-op outside deferred mode). kv::Server calls this under the
-  /// observer null guard after every queue/parallelism/mean change.
+  /// Journals one true server-state transition for the oracle. kv::Server
+  /// calls this under the observer null guard after every
+  /// queue/parallelism/mean change.
   void on_server_state(net::HostId host, sim::Time t,
                        std::uint32_t queue_size, int parallelism,
                        sim::Duration mean);
 
-  /// Extracts this repeat's records (decision order) and counts.
-  /// Online mode only; a deferred recorder yields via take_log().
-  [[nodiscard]] DecisionSnapshot take() const;
-
-  /// Extracts the raw log accumulated in deferred mode.
+  /// Extracts the raw log (record order).
   [[nodiscard]] DecisionLog take_log() const { return log_; }
 
  private:
   bool enabled_;
-  bool deferred_ = false;
-  sim::Duration window_;
-  sim::Time measure_from_ = 0;
-  OracleFn oracle_;
-  std::vector<DecisionRecord> records_;
-  std::uint64_t observed_ = 0;
-  // Trailing herd window: (time, server) picks plus per-server counts.
-  // Ordered map: the obs tree bans unordered containers (netrs_lint
-  // unordered-in-obs) so iteration order can never leak into output.
-  std::deque<std::pair<sim::Time, net::HostId>> window_picks_;
-  std::map<net::HostId, std::uint32_t> window_counts_;
-  // Deferred mode: raw log plus per-node pick sequence numbers.
   DecisionLog log_;
+  // Per-node pick sequence numbers. Ordered map: the obs tree bans
+  // unordered containers (netrs_lint unordered-in-obs) so iteration order
+  // can never leak into output.
   std::map<std::int32_t, std::uint64_t> node_seq_;
 };
 
-/// Replays the deferred logs of every shard's recorder (plus the
-/// coordinator's) into one repeat snapshot. Picks are ordered canonically
-/// by (time, node, per-node sequence); the herd window is maintained over
-/// that merged stream exactly as the online recorder maintains it; regret
-/// is computed against the oracle journal — for each candidate, the last
-/// journaled state at or before the decision time. Pick times and per-node
-/// streams are shard-count-invariant (DESIGN.md §4.10), so the result is
-/// byte-identical at any --shards value — including 1, which the harness
-/// routes through this same replay.
+/// Replays the logs of every shard's recorder (plus the coordinator's)
+/// into one repeat snapshot. Picks are ordered canonically by (time, node,
+/// per-node sequence). The herd index is computed over that merged stream
+/// with a trailing `herd_window`; every pick, warmup included, enters the
+/// window, but only picks at or after `measure_from` produce records.
+/// Regret is computed against the oracle journal — for each candidate,
+/// the last journaled state at or before the decision time. Pick times
+/// and per-node streams are shard-count-invariant (DESIGN.md §4.10), so
+/// the result is byte-identical at any --shards value — including 1,
+/// which the harness routes through this same replay.
 [[nodiscard]] DecisionSnapshot replay_decisions(
     const std::vector<DecisionLog>& logs, sim::Duration herd_window,
     sim::Time measure_from);

@@ -141,14 +141,6 @@ class NETRS_SHARD_LOCAL Observer {
     return metrics_.snapshot();
   }
 
-  /// Extracts this run's flight-attribution records.
-  [[nodiscard]] FlightSnapshot take_flight() const { return flight_.take(); }
-
-  /// Extracts this run's audited decisions.
-  [[nodiscard]] DecisionSnapshot take_decisions() const {
-    return decisions_.take();
-  }
-
  private:
   TraceRing ring_;
   MetricsRegistry metrics_;

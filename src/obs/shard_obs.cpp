@@ -10,16 +10,6 @@ ShardObserverSet::ShardObserverSet(const ObsConfig& cfg, int lanes)
     lanes_.push_back(std::make_unique<Observer>(cfg));
   }
   if (lanes > 1) coord_ = std::make_unique<Observer>(cfg);
-  // Deferred everywhere — the serial and sharded paths must run the very
-  // same merge code for the byte-identity guarantee to hold.
-  for (const std::unique_ptr<Observer>& o : lanes_) {
-    o->flight().set_deferred(true);
-    o->decisions().set_deferred(true);
-  }
-  if (coord_ != nullptr) {
-    coord_->flight().set_deferred(true);
-    coord_->decisions().set_deferred(true);
-  }
 }
 
 void ShardObserverSet::set_tid_name(std::int32_t tid,

@@ -7,14 +7,14 @@
 // instead owns one shard-local Observer per shard — attached by the
 // harness to that shard's simulator, so every component hook lands on its
 // own shard's recorders with no synchronization — plus one coordinator
-// observer for the global simulator (controller, fault injector). All
-// flight/decision recorders run in deferred (raw-log) mode, and the
-// take_*() harvests merge the per-shard contributions in canonical orders
-// keyed on simulated time: event times are shard-count-invariant
-// (DESIGN.md §4.10), so the merged trace JSON, attribution CSV, and
-// decision CSV are byte-identical at any --shards value. The single-shard
-// harness routes through the very same deferred merges, which is what
-// makes the identity hold by construction rather than by coincidence.
+// observer for the global simulator (controller, fault injector). The
+// flight/decision recorders log raw observations, and the take_*()
+// harvests merge the per-shard contributions in canonical orders keyed on
+// simulated time: event times are shard-count-invariant (DESIGN.md §4.10),
+// so the merged trace JSON, attribution CSV, and decision CSV are
+// byte-identical at any --shards value. The single-shard harness routes
+// through the very same merges, which is what makes the identity hold by
+// construction rather than by coincidence.
 //
 // Observation only, unchanged: nothing here mutates simulation state,
 // consumes RNG draws, or reads the wall clock — golden digests are
@@ -49,8 +49,7 @@ class NETRS_COORD_GLOBAL ShardObserverSet {
   /// Creates `lanes` shard observers (>= 1) from `cfg`. With a single
   /// lane the coordinator observer IS lane 0 (the serial engine runs
   /// shard and global events on one simulator); with more, a separate
-  /// coordinator observer is added for the global simulator. Every
-  /// flight/decision recorder is switched to deferred mode.
+  /// coordinator observer is added for the global simulator.
   ShardObserverSet(const ObsConfig& cfg, int lanes);
 
   /// Number of shard lanes (excludes the coordinator observer).
@@ -82,7 +81,7 @@ class NETRS_COORD_GLOBAL ShardObserverSet {
   [[nodiscard]] bool deciding() const { return lanes_.front()->deciding(); }
 
   /// Completions/decisions of requests issued before `t` are excluded
-  /// from records — applied by the deferred merges at harvest.
+  /// from records — applied by the merges at harvest.
   void set_measure_from(sim::Time t) { measure_from_ = t; }
 
   /// Names a trace thread on every lane (merge takes the union).
@@ -95,10 +94,10 @@ class NETRS_COORD_GLOBAL ShardObserverSet {
   /// The coordinator registry's sampled series.
   [[nodiscard]] MetricsSnapshot take_metrics() const;
 
-  /// Canonical join of every lane's deferred flight log (join_flights()).
+  /// Canonical join of every lane's flight log (join_flights()).
   [[nodiscard]] FlightSnapshot take_flight() const;
 
-  /// Canonical replay of every lane's deferred decision log
+  /// Canonical replay of every lane's decision log
   /// (replay_decisions() with the configured herd window).
   [[nodiscard]] DecisionSnapshot take_decisions() const;
 

@@ -1,10 +1,7 @@
 #include "sim/event_queue.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <cassert>
-#include <cstdlib>
-#include <cstring>
 
 namespace netrs::sim {
 namespace {
@@ -17,37 +14,7 @@ namespace {
 constexpr std::size_t kMinBuckets = 16;
 constexpr std::size_t kMaxBuckets = std::size_t{1} << 18;
 
-std::atomic<int> g_default_strategy{-1};
-
-int strategy_from_env() {
-  const char* e = std::getenv("NETRS_EVENT_QUEUE");
-  if (e != nullptr) {
-    if (std::strcmp(e, "heap") == 0 || std::strcmp(e, "binary-heap") == 0) {
-      return static_cast<int>(QueueStrategy::kBinaryHeap);
-    }
-    if (std::strcmp(e, "calendar") == 0) {
-      return static_cast<int>(QueueStrategy::kCalendar);
-    }
-  }
-  return static_cast<int>(QueueStrategy::kCalendar);
-}
-
 }  // namespace
-
-QueueStrategy EventQueue::default_strategy() {
-  int s = g_default_strategy.load(std::memory_order_relaxed);
-  if (s < 0) {
-    s = strategy_from_env();
-    g_default_strategy.store(s, std::memory_order_relaxed);
-  }
-  return static_cast<QueueStrategy>(s);
-}
-
-void EventQueue::set_default_strategy(QueueStrategy s) {
-  g_default_strategy.store(static_cast<int>(s), std::memory_order_relaxed);
-}
-
-EventQueue::EventQueue(QueueStrategy strategy) : strategy_(strategy) {}
 
 std::uint32_t EventQueue::acquire_slot() {
   if (free_head_ != kNilSlot) {
@@ -101,22 +68,15 @@ EventId EventQueue::push(Time t, Callback cb) {
   Slot& s = slots_[index];
   s.task = std::move(cb);
   s.state = SlotState::kLive;
-  const Entry entry{t, next_seq_++, index};
-  if (strategy_ == QueueStrategy::kCalendar) {
-    if (buckets_.empty()) cal_init();
-    cal_insert(entry);
-    ++live_;
-    if (live_ > buckets_.size() * 2 && buckets_.size() < kMaxBuckets) {
-      cal_rebuild(buckets_.size() * 2);
-    } else if (cal_stored_ > 2 * live_ + 64) {
-      // Tombstones the cursor never sweeps (cancelled entries in windows
-      // the scan jumped over) would otherwise pin arena slots forever.
-      cal_rebuild(buckets_.size());
-    }
-  } else {
-    heap_.push_back(entry);
-    std::push_heap(heap_.begin(), heap_.end(), Later{});
-    ++live_;
+  if (buckets_.empty()) cal_init();
+  cal_insert(Entry{t, next_seq_++, index});
+  ++live_;
+  if (live_ > buckets_.size() * 2 && buckets_.size() < kMaxBuckets) {
+    cal_rebuild(buckets_.size() * 2);
+  } else if (cal_stored_ > 2 * live_ + 64) {
+    // Tombstones the cursor never sweeps (cancelled entries in windows
+    // the scan jumped over) would otherwise pin arena slots forever.
+    cal_rebuild(buckets_.size());
   }
   return (static_cast<EventId>(s.generation) << 32) | index;
 }
@@ -136,16 +96,6 @@ bool EventQueue::cancel(EventId id) {
   assert(live_ > 0);
   --live_;
   return true;
-}
-
-void EventQueue::heap_drop_cancelled() {
-  while (!heap_.empty() &&
-         slots_[heap_.front().slot].state == SlotState::kCancelled) {
-    const std::uint32_t index = heap_.front().slot;
-    std::pop_heap(heap_.begin(), heap_.end(), Later{});
-    heap_.pop_back();
-    release_slot(index);
-  }
 }
 
 Time EventQueue::floor_div(Time t, Time w) {
@@ -289,48 +239,28 @@ void EventQueue::cal_rebuild(std::size_t nbuckets) {
 }
 
 Time EventQueue::next_time() {
-  if (strategy_ == QueueStrategy::kCalendar) {
-    assert(live_ > 0);
-    return cal_find_min()->time;
-  }
-  heap_drop_cancelled();
-  assert(!heap_.empty());
-  return heap_.front().time;
+  assert(live_ > 0);
+  return cal_find_min()->time;
 }
 
 std::pair<Time, EventQueue::Callback> EventQueue::pop() {
-  if (strategy_ == QueueStrategy::kCalendar) {
-    assert(live_ > 0);
-    const Entry e = *cal_find_min();
-    Slot& s = slots_[e.slot];
-    check_live_slot(e, s);
-    Task cb = std::move(s.task);
-    release_slot(e.slot);
-    Bucket& b = buckets_[cursor_];
-    ++b.head;
-    --cal_stored_;
-    if (b.head >= b.entries.size()) {
-      b.entries.clear();
-      b.head = 0;
-    }
-    assert(live_ > 0);
-    --live_;
-    if (buckets_.size() > kMinBuckets && live_ < buckets_.size() / 8) {
-      cal_rebuild(buckets_.size() / 2);
-    }
-    return {e.time, std::move(cb)};
-  }
-  heap_drop_cancelled();
-  assert(!heap_.empty());
-  std::pop_heap(heap_.begin(), heap_.end(), Later{});
-  const Entry e = heap_.back();
-  heap_.pop_back();
+  assert(live_ > 0);
+  const Entry e = *cal_find_min();
   Slot& s = slots_[e.slot];
   check_live_slot(e, s);
   Task cb = std::move(s.task);
   release_slot(e.slot);
-  assert(live_ > 0);
+  Bucket& b = buckets_[cursor_];
+  ++b.head;
+  --cal_stored_;
+  if (b.head >= b.entries.size()) {
+    b.entries.clear();
+    b.head = 0;
+  }
   --live_;
+  if (buckets_.size() > kMinBuckets && live_ < buckets_.size() / 8) {
+    cal_rebuild(buckets_.size() / 2);
+  }
   return {e.time, std::move(cb)};
 }
 

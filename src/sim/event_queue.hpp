@@ -12,18 +12,11 @@
 // compare. Cancelling destroys the callback (and everything it captured)
 // eagerly; the slot itself is tombstoned until its index entry surfaces.
 //
-// Two interchangeable priority-index strategies sit behind the same API
-// (DESIGN.md §4 "Event-queue strategies"):
-//   - kBinaryHeap: std::push_heap/pop_heap over a flat vector. O(log n)
-//     push/pop, simple, and the reference implementation.
-//   - kCalendar: a calendar queue (Brown 1988) of width-aligned time
-//     buckets, each kept sorted by (time, seq) with an amortized-O(1)
-//     sorted-append fast path. Pop reads the head of the current bucket,
-//     so push and pop are amortized O(1) at any depth; the bucket count
-//     and width adapt to the live event population.
-// Both produce the exact same (time, seq) total order, so golden digests
-// are bit-identical across strategies; the default is process-wide and
-// overridable with NETRS_EVENT_QUEUE=heap|calendar.
+// The priority index is a calendar queue (Brown 1988; DESIGN.md §4.8) of
+// width-aligned time buckets, each kept sorted by (time, seq) with an
+// amortized-O(1) sorted-append fast path. Pop reads the head of the
+// current bucket, so push and pop are amortized O(1) at any depth; the
+// bucket count and width adapt to the live event population.
 #pragma once
 
 #include <cstdint>
@@ -41,38 +34,18 @@ namespace netrs::sim {
 /// valid id.
 using EventId = std::uint64_t;
 
-/// Priority-index implementation behind EventQueue (see the file comment);
-/// every strategy yields the identical (time, seq) pop order.
-enum class QueueStrategy : std::uint8_t {
-  kBinaryHeap = 0,  ///< Flat binary min-heap, O(log n) push/pop.
-  kCalendar = 1,    ///< Adaptive calendar queue, amortized O(1) push/pop.
-};
-
 /// Scheduled-callback priority queue with FIFO same-instant ordering, O(1)
-/// generation-tagged cancellation, a recycled slot arena, and a runtime
-/// strategy switch between a binary heap and a calendar queue (see the
-/// file comment for the allocation-free design and the strategy contract).
+/// generation-tagged cancellation, a recycled slot arena, and a calendar
+/// priority index (see the file comment for the allocation-free design).
 class EventQueue {
  public:
   /// The stored callable type (sim::Task, move-only small-buffer).
   using Callback = Task;
 
-  /// Constructs an empty queue using `strategy` as its priority index.
-  explicit EventQueue(QueueStrategy strategy = default_strategy());
+  /// Constructs an empty queue.
+  EventQueue() = default;
   EventQueue(const EventQueue&) = delete;
   EventQueue& operator=(const EventQueue&) = delete;
-
-  /// Process-wide default strategy for newly constructed queues: the
-  /// NETRS_EVENT_QUEUE environment variable ("heap" / "calendar") when
-  /// set and valid, else kCalendar.
-  [[nodiscard]] static QueueStrategy default_strategy();
-
-  /// Overrides the process-wide default (tests and benchmarks; queues
-  /// already constructed keep their strategy).
-  static void set_default_strategy(QueueStrategy s);
-
-  /// The strategy this queue was constructed with.
-  [[nodiscard]] QueueStrategy strategy() const { return strategy_; }
 
   /// Schedules `cb` to fire at absolute time `t`. Returns an id usable with
   /// `cancel`.
@@ -120,15 +93,6 @@ class EventQueue {
     std::uint32_t slot = kNilSlot;
   };
 
-  // Min-heap ordering over (time, seq); seqs are strictly increasing so
-  // the order is total and FIFO within an instant.
-  struct Later {
-    bool operator()(const Entry& a, const Entry& b) const {
-      if (a.time != b.time) return a.time > b.time;
-      return a.seq > b.seq;
-    }
-  };
-
   // Calendar bucket: entries ascending by (time, seq) from `head` on;
   // positions before `head` are already consumed (cleared when the bucket
   // drains, so capacity is recycled without memmoves).
@@ -137,6 +101,8 @@ class EventQueue {
     std::size_t head = 0;
   };
 
+  // Total order over (time, seq); seqs are strictly increasing, so the
+  // order is FIFO within an instant.
   static bool entry_less(const Entry& a, const Entry& b) {
     if (a.time != b.time) return a.time < b.time;
     return a.seq < b.seq;
@@ -146,10 +112,7 @@ class EventQueue {
   void release_slot(std::uint32_t index);
   void check_live_slot(const Entry& e, const Slot& s);
 
-  // Binary-heap strategy.
-  void heap_drop_cancelled();
-
-  // Calendar strategy.
+  // Calendar index.
   [[nodiscard]] static Time floor_div(Time t, Time w);
   [[nodiscard]] std::size_t bucket_of(Time t) const;
   void cal_init();
@@ -157,9 +120,6 @@ class EventQueue {
   Entry* cal_find_min();
   void cal_direct_seek();
   void cal_rebuild(std::size_t nbuckets);
-
-  QueueStrategy strategy_;
-  std::vector<Entry> heap_;
 
   std::vector<Bucket> buckets_;
   std::vector<Entry> rebuild_scratch_;

@@ -31,13 +31,8 @@ class Simulator {
   /// heap.
   using Callback = EventQueue::Callback;
 
-  /// Constructs an empty simulator at time 0 with the auditor attached;
-  /// the event queue uses the process-wide default strategy.
-  Simulator() : Simulator(EventQueue::default_strategy()) {}
-
-  /// Constructs an empty simulator whose event queue uses `strategy`
-  /// explicitly (benchmarks and strategy-equivalence tests).
-  explicit Simulator(QueueStrategy strategy) : queue_(strategy) {
+  /// Constructs an empty simulator at time 0 with the auditor attached.
+  Simulator() {
     auditor_.attach(this);
     queue_.set_auditor(&auditor_);
   }

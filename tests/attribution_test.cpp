@@ -1,10 +1,11 @@
-// Flight-recorder and decision-auditor tests (DESIGN.md §8.4/§8.5):
+// Flight-recorder and decision-auditor tests (DESIGN.md §8.4-§8.6):
 // hand-built oracle-regret scenarios with exact expected values, the
-// telescoping invariant (components sum to the measured end-to-end
-// latency for every record), determinism with recording on at any --jobs
-// value, and the paper's causal claim — in-network selection (NetRS-ILP)
-// decides on fresher information and closer to the oracle than
-// client-side C3.
+// canonical merge rules of join_flights()/replay_decisions() across
+// per-shard logs, the telescoping invariant (components sum to the
+// measured end-to-end latency for every record), determinism with
+// recording on at any --jobs value, and the paper's causal claim —
+// in-network selection (NetRS-ILP) decides on fresher information and
+// closer to the oracle than client-side C3.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -23,7 +24,8 @@ namespace netrs {
 namespace {
 
 // ---------------------------------------------------------------------------
-// FlightRecorder unit tests: hand-built event sequences with exact sums.
+// FlightRecorder unit tests: hand-built event sequences with exact sums,
+// harvested through join_flights() as the harness does.
 
 TEST(FlightRecorderTest, AccelPathTelescopesExactly) {
   obs::FlightRecorder rec(true);
@@ -33,7 +35,7 @@ TEST(FlightRecorderTest, AccelPathTelescopesExactly) {
   rec.on_complete(7, /*first_send=*/1000, /*winner_send=*/1000, /*winner=*/3,
                   /*now=*/7000);
 
-  const obs::FlightSnapshot snap = rec.take();
+  const obs::FlightSnapshot snap = obs::join_flights({rec.take_log()}, 0);
   ASSERT_EQ(snap.records.size(), 1u);
   const obs::FlightRecord& r = snap.records[0];
   EXPECT_EQ(r.request_id, 7u);
@@ -64,7 +66,7 @@ TEST(FlightRecorderTest, DuplicateWinAttributesToWinner) {
   rec.on_complete(9, /*first_send=*/0, /*winner_send=*/500, /*winner=*/2,
                   /*now=*/2000);
 
-  const obs::FlightSnapshot snap = rec.take();
+  const obs::FlightSnapshot snap = obs::join_flights({rec.take_log()}, 0);
   ASSERT_EQ(snap.records.size(), 1u);
   const obs::FlightRecord& r = snap.records[0];
   EXPECT_TRUE(r.dup_won);
@@ -85,10 +87,10 @@ TEST(FlightRecorderTest, DuplicateWinAttributesToWinner) {
 
 TEST(FlightRecorderTest, WarmupCompletionsAreSkipped) {
   obs::FlightRecorder rec(true);
-  rec.set_measure_from(10'000);
   rec.on_server(1, 0, 600, 600, 100);
   rec.on_complete(1, /*first_send=*/500, 500, 0, 900);
-  const obs::FlightSnapshot snap = rec.take();
+  const obs::FlightSnapshot snap =
+      obs::join_flights({rec.take_log()}, /*measure_from=*/10'000);
   EXPECT_TRUE(snap.records.empty());
   EXPECT_EQ(snap.warmup_skipped, 1u);
   EXPECT_EQ(snap.pending_at_end, 0u);
@@ -97,46 +99,109 @@ TEST(FlightRecorderTest, WarmupCompletionsAreSkipped) {
 TEST(FlightRecorderTest, CompletionWithoutServerObservationCountsUnmatched) {
   obs::FlightRecorder rec(true);
   rec.on_complete(5, 0, 0, 4, 1000);
-  const obs::FlightSnapshot snap = rec.take();
+  const obs::FlightSnapshot snap = obs::join_flights({rec.take_log()}, 0);
   EXPECT_TRUE(snap.records.empty());
   EXPECT_EQ(snap.unmatched, 1u);
 }
 
 TEST(FlightRecorderTest, DisabledRecorderIgnoresHooks) {
   obs::FlightRecorder rec(false);
+  rec.on_accel(1, 0, 0, 50);
   rec.on_server(1, 0, 0, 0, 100);
   rec.on_complete(1, 0, 0, 0, 500);
-  const obs::FlightSnapshot snap = rec.take();
-  EXPECT_FALSE(snap.enabled);
-  EXPECT_TRUE(snap.records.empty());
+  const obs::FlightLog log = rec.take_log();
+  EXPECT_TRUE(log.accels.empty());
+  EXPECT_TRUE(log.servers.empty());
+  EXPECT_TRUE(log.completes.empty());
+}
+
+TEST(FlightRecorderTest, JoinMergesOneRequestObservedAcrossThreeLogs) {
+  // As in a sharded run: the accelerator, the server and the client of one
+  // request sit on different shards, so each hook lands in its own log.
+  obs::FlightRecorder accel_lane(true);
+  obs::FlightRecorder server_lane(true);
+  obs::FlightRecorder client_lane(true);
+  // Request 7 contacts two accelerators. The later contact is logged first
+  // and in another log; the join keeps the minimum by (start, arrival,
+  // service) wherever it was logged.
+  accel_lane.on_accel(7, /*arrival=*/1700, /*start=*/1800, /*service=*/100);
+  server_lane.on_server(7, /*server=*/3, /*arrival=*/2400, /*start=*/2500,
+                        /*service=*/4000);
+  client_lane.on_accel(7, /*arrival=*/1500, /*start=*/1600, /*service=*/200);
+  client_lane.on_complete(7, /*first_send=*/1000, /*winner_send=*/1000,
+                          /*winner=*/3, /*now=*/7000);
+  // Request 8: two contacts that tie on start; the earlier arrival wins.
+  accel_lane.on_accel(8, /*arrival=*/1300, /*start=*/1600, /*service=*/200);
+  server_lane.on_accel(8, /*arrival=*/1200, /*start=*/1600, /*service=*/200);
+  server_lane.on_server(8, 4, 2400, 2500, 4000);
+  client_lane.on_complete(8, 1000, 1000, 4, 7000);
+  // Request 9 is served but never completes.
+  accel_lane.on_accel(9, 2000, 2100, 200);
+  server_lane.on_server(9, 5, 3000, 3100, 4000);
+
+  const std::vector<obs::FlightLog> logs = {
+      accel_lane.take_log(), server_lane.take_log(), client_lane.take_log()};
+  const obs::FlightSnapshot snap = obs::join_flights(logs, 0);
+  ASSERT_EQ(snap.records.size(), 2u);
   EXPECT_EQ(snap.unmatched, 0u);
+  EXPECT_EQ(snap.pending_at_end, 1u);
+
+  // Same completion time: request id orders the records.
+  const obs::FlightRecord& r7 = snap.records[0];
+  EXPECT_EQ(r7.request_id, 7u);
+  EXPECT_TRUE(r7.via_rs);
+  EXPECT_EQ(r7.components[1], 500);  // wire_cli_rs from the 1500 ns arrival
+  EXPECT_EQ(r7.components[2], 100);  // accel_queue
+  EXPECT_EQ(r7.components[3], 200);  // accel_serv
+  EXPECT_EQ(r7.components[4], 600);  // wire_rs_srv from the 1800 ns finish
+  const obs::FlightRecord& r8 = snap.records[1];
+  EXPECT_EQ(r8.request_id, 8u);
+  EXPECT_EQ(r8.components[1], 200);  // the 1200 ns arrival won the tie
+  EXPECT_EQ(r8.components[2], 400);
+  for (const obs::FlightRecord& r : snap.records) {
+    sim::Duration sum = 0;
+    for (const sim::Duration c : r.components) sum += c;
+    EXPECT_EQ(sum, r.total) << "request " << r.request_id;
+  }
+
+  // The join does not depend on which log holds what.
+  const obs::FlightSnapshot reversed =
+      obs::join_flights({logs[2], logs[1], logs[0]}, 0);
+  ASSERT_EQ(reversed.records.size(), snap.records.size());
+  for (std::size_t i = 0; i < snap.records.size(); ++i) {
+    EXPECT_EQ(reversed.records[i].request_id, snap.records[i].request_id);
+    EXPECT_EQ(reversed.records[i].components, snap.records[i].components);
+  }
+  EXPECT_EQ(reversed.pending_at_end, 1u);
 }
 
 // ---------------------------------------------------------------------------
 // Decision-auditor unit tests: two servers with known true state, so the
-// oracle regret is exact arithmetic.
+// oracle regret is exact arithmetic. Harvested through replay_decisions()
+// as the harness does.
 
-obs::OracleFn two_server_oracle() {
+void journal_two_servers(obs::DecisionRecorder& rec) {
   // Server 1: idle, mean 4 ms, Np=1 -> cost 4 ms. Server 2: 4 queued,
   // mean 4 ms, Np=1 -> cost 4 ms * (1 + 4) = 20 ms.
-  return [](net::HostId h) {
-    obs::OracleServerState s;
-    if (h == 1) {
-      s = {true, 0, 1, sim::millis(4)};
-    } else if (h == 2) {
-      s = {true, 4, 1, sim::millis(4)};
-    }
-    return s;
-  };
+  rec.on_server_state(1, /*t=*/0, /*queue_size=*/0, /*parallelism=*/1,
+                      sim::millis(4));
+  rec.on_server_state(2, /*t=*/0, /*queue_size=*/4, /*parallelism=*/1,
+                      sim::millis(4));
+}
+
+obs::DecisionSnapshot replay(const obs::DecisionRecorder& rec,
+                             sim::Time measure_from = 0) {
+  return obs::replay_decisions({rec.take_log()}, sim::millis(1),
+                               measure_from);
 }
 
 TEST(DecisionRecorderTest, PickingLoadedServerHasExactPositiveRegret) {
-  obs::DecisionRecorder rec(true, sim::millis(1));
-  rec.set_oracle(two_server_oracle());
+  obs::DecisionRecorder rec(true);
+  journal_two_servers(rec);
   const std::vector<net::HostId> cand = {1, 2};
   rec.on_decision(0, /*now=*/0, cand, /*chosen=*/2, {}, {});
 
-  const obs::DecisionSnapshot snap = rec.take();
+  const obs::DecisionSnapshot snap = replay(rec);
   ASSERT_EQ(snap.records.size(), 1u);
   const obs::DecisionRecord& r = snap.records[0];
   ASSERT_TRUE(r.has_regret);
@@ -147,12 +212,12 @@ TEST(DecisionRecorderTest, PickingLoadedServerHasExactPositiveRegret) {
 }
 
 TEST(DecisionRecorderTest, PickingIdleServerHasZeroRegret) {
-  obs::DecisionRecorder rec(true, sim::millis(1));
-  rec.set_oracle(two_server_oracle());
+  obs::DecisionRecorder rec(true);
+  journal_two_servers(rec);
   const std::vector<net::HostId> cand = {1, 2};
   rec.on_decision(0, 0, cand, /*chosen=*/1, {}, {});
 
-  const obs::DecisionSnapshot snap = rec.take();
+  const obs::DecisionSnapshot snap = replay(rec);
   ASSERT_EQ(snap.records.size(), 1u);
   ASSERT_TRUE(snap.records[0].has_regret);
   EXPECT_DOUBLE_EQ(snap.records[0].regret_ns, 0.0);
@@ -165,7 +230,7 @@ TEST(DecisionRecorderTest, ParallelismDividesQueueInOracleCost) {
 }
 
 TEST(DecisionRecorderTest, StalenessComesFromChosenServersFeedbackAge) {
-  obs::DecisionRecorder rec(true, sim::millis(1));
+  obs::DecisionRecorder rec(true);
   const std::vector<net::HostId> cand = {1, 2};
   // Delayed feedback: the chosen server (1) was last heard 250 us ago;
   // server 2 was never heard from (age < 0).
@@ -174,7 +239,7 @@ TEST(DecisionRecorderTest, StalenessComesFromChosenServersFeedbackAge) {
   rec.on_decision(0, sim::millis(2), cand, /*chosen=*/1, scores, ages);
   rec.on_decision(0, sim::millis(2), cand, /*chosen=*/2, scores, ages);
 
-  const obs::DecisionSnapshot snap = rec.take();
+  const obs::DecisionSnapshot snap = replay(rec);
   ASSERT_EQ(snap.records.size(), 2u);
   ASSERT_TRUE(snap.records[0].has_staleness);
   EXPECT_EQ(snap.records[0].staleness, sim::micros(250));
@@ -187,7 +252,7 @@ TEST(DecisionRecorderTest, StalenessComesFromChosenServersFeedbackAge) {
 }
 
 TEST(DecisionRecorderTest, HerdIndexTracksTrailingWindow) {
-  obs::DecisionRecorder rec(true, sim::millis(1));
+  obs::DecisionRecorder rec(true);
   const std::vector<net::HostId> cand = {1, 2};
   rec.on_decision(0, sim::micros(0), cand, 1, {}, {});
   rec.on_decision(0, sim::micros(100), cand, 1, {}, {});
@@ -195,7 +260,7 @@ TEST(DecisionRecorderTest, HerdIndexTracksTrailingWindow) {
   // 1.5 ms: everything up to 0.5 ms has left the 1 ms window.
   rec.on_decision(0, sim::micros(1500), cand, 2, {}, {});
 
-  const obs::DecisionSnapshot snap = rec.take();
+  const obs::DecisionSnapshot snap = replay(rec);
   ASSERT_EQ(snap.records.size(), 4u);
   EXPECT_DOUBLE_EQ(snap.records[0].herd, 1.0);        // {1}
   EXPECT_DOUBLE_EQ(snap.records[1].herd, 1.0);        // {1, 1}
@@ -204,18 +269,83 @@ TEST(DecisionRecorderTest, HerdIndexTracksTrailingWindow) {
 }
 
 TEST(DecisionRecorderTest, WarmupDecisionsFeedHerdStateButProduceNoRecords) {
-  obs::DecisionRecorder rec(true, sim::millis(1));
-  rec.set_measure_from(sim::micros(150));
+  obs::DecisionRecorder rec(true);
   const std::vector<net::HostId> cand = {1, 2};
   rec.on_decision(0, sim::micros(0), cand, 1, {}, {});    // warmup
   rec.on_decision(0, sim::micros(100), cand, 1, {}, {});  // warmup
   rec.on_decision(0, sim::micros(200), cand, 1, {}, {});  // measured
 
-  const obs::DecisionSnapshot snap = rec.take();
+  const obs::DecisionSnapshot snap = replay(rec, sim::micros(150));
   EXPECT_EQ(snap.observed, 3u);
   ASSERT_EQ(snap.records.size(), 1u);
   // The measured record sees the warmed window: 3 of 3 picks match.
   EXPECT_DOUBLE_EQ(snap.records[0].herd, 1.0);
+}
+
+TEST(DecisionRecorderTest, JournalEntryAtTheDecisionTimeIsTheOneUsed) {
+  obs::DecisionRecorder rec(true);
+  journal_two_servers(rec);
+  // At 1 ms server 1 fills up: 9 queued -> cost 40 ms, now worse than
+  // server 2's 20 ms.
+  rec.on_server_state(1, sim::millis(1), 9, 1, sim::millis(4));
+  const std::vector<net::HostId> cand = {1, 2};
+  rec.on_decision(0, sim::millis(1) - 1, cand, /*chosen=*/2, {}, {});
+  rec.on_decision(0, sim::millis(1), cand, /*chosen=*/2, {}, {});
+
+  const obs::DecisionSnapshot snap = replay(rec);
+  ASSERT_EQ(snap.records.size(), 2u);
+  // One ns before the transition the t=0 state still holds.
+  ASSERT_TRUE(snap.records[0].has_regret);
+  EXPECT_DOUBLE_EQ(snap.records[0].regret_ns, 16.0 * 1e6);
+  // At exactly 1 ms the new entry applies: server 2 is now the best pick.
+  ASSERT_TRUE(snap.records[1].has_regret);
+  EXPECT_DOUBLE_EQ(snap.records[1].regret_ns, 0.0);
+}
+
+TEST(DecisionRecorderTest, CandidateFirstJournaledAfterDecisionHasNoRegret) {
+  obs::DecisionRecorder rec(true);
+  rec.on_server_state(1, 0, 0, 1, sim::millis(4));
+  rec.on_server_state(2, sim::millis(2), 4, 1, sim::millis(4));
+  const std::vector<net::HostId> cand = {1, 2};
+  rec.on_decision(0, sim::millis(1), cand, /*chosen=*/1, {}, {});
+  rec.on_decision(0, sim::millis(3), cand, /*chosen=*/1, {}, {});
+
+  const obs::DecisionSnapshot snap = replay(rec);
+  ASSERT_EQ(snap.records.size(), 2u);
+  EXPECT_FALSE(snap.records[0].has_regret);
+  ASSERT_TRUE(snap.records[1].has_regret);
+  EXPECT_DOUBLE_EQ(snap.records[1].regret_ns, 0.0);
+}
+
+TEST(DecisionRecorderTest, SameInstantPicksFromTwoLogsOrderByNodeThenSeq) {
+  // Two shards decide at the same instant. Node 5 (logged first, in its
+  // own log) decides twice; node 3 once.
+  obs::DecisionRecorder shard_a(true);
+  obs::DecisionRecorder shard_b(true);
+  const std::vector<net::HostId> cand = {1, 2, 3};
+  shard_a.on_decision(5, sim::micros(100), cand, /*chosen=*/1, {}, {});
+  shard_a.on_decision(5, sim::micros(100), cand, /*chosen=*/2, {}, {});
+  shard_b.on_decision(3, sim::micros(100), cand, /*chosen=*/3, {}, {});
+  const obs::DecisionLog a = shard_a.take_log();
+  const obs::DecisionLog b = shard_b.take_log();
+
+  for (const std::vector<obs::DecisionLog>& logs :
+       {std::vector<obs::DecisionLog>{a, b},
+        std::vector<obs::DecisionLog>{b, a}}) {
+    const obs::DecisionSnapshot snap =
+        obs::replay_decisions(logs, sim::millis(1), 0);
+    ASSERT_EQ(snap.records.size(), 3u);
+    EXPECT_EQ(snap.records[0].node, 3);
+    EXPECT_EQ(snap.records[0].chosen, 3u);
+    EXPECT_EQ(snap.records[1].node, 5);
+    EXPECT_EQ(snap.records[1].chosen, 1u);  // node 5's first pick
+    EXPECT_EQ(snap.records[2].node, 5);
+    EXPECT_EQ(snap.records[2].chosen, 2u);
+    // The herd window follows the merged order: {3}, {3, 1}, {3, 1, 2}.
+    EXPECT_DOUBLE_EQ(snap.records[0].herd, 1.0);
+    EXPECT_DOUBLE_EQ(snap.records[1].herd, 0.5);
+    EXPECT_DOUBLE_EQ(snap.records[2].herd, 1.0 / 3.0);
+  }
 }
 
 // ---------------------------------------------------------------------------
