@@ -1,16 +1,20 @@
 // Micro-benchmarks (google-benchmark) for the per-packet and per-solve
 // hot paths: NetRS header encode/parse/rewrite, event-queue churn, fabric
 // forwarding, the KV client request path, Zipf sampling, consistent-hash
-// lookups, C3 selection, and the RSP ILP solve.
+// lookups, C3 selection, the RSP ILP solve, and the obs CSV writers.
 //
 // This translation unit replaces the global allocator with the counting
 // shim (bench/alloc_shim.hpp, nothrow variants included) so
 // BM_FabricHotPath and BM_ClientRequestPath can report allocations per
 // simulated hop and per request; both must report zero in steady state.
+// BM_ObsWrite reports allocations per written record the same way.
 #include <benchmark/benchmark.h>
 
+#include <cstdint>
 #include <cstdlib>
 #include <memory>
+#include <ostream>
+#include <streambuf>
 #include <utility>
 #include <vector>
 
@@ -24,6 +28,8 @@
 #include "net/switch.hpp"
 #include "netrs/packet_format.hpp"
 #include "netrs/placement.hpp"
+#include "obs/attribution.hpp"
+#include "obs/decision.hpp"
 #include "rs/c3.hpp"
 #include "sim/event_queue.hpp"
 #include "sim/rng.hpp"
@@ -243,6 +249,89 @@ void BM_ClientRequestPath(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_ClientRequestPath)->Iterations(2000);
+
+// Counts the bytes written to it and drops them: a null std::ostream
+// target, so BM_ObsWrite times formatting, not the file system.
+class CountingBuf : public std::streambuf {
+ public:
+  [[nodiscard]] std::uint64_t bytes() const { return bytes_; }
+
+ protected:
+  std::streamsize xsputn(const char*, std::streamsize n) override {
+    bytes_ += static_cast<std::uint64_t>(n);
+    return n;
+  }
+  int_type overflow(int_type c) override {
+    ++bytes_;
+    return traits_type::not_eof(c);
+  }
+
+ private:
+  std::uint64_t bytes_ = 0;
+};
+
+// The obs write path: a fixed synthetic repeat of 100k flight records and
+// 100k audited decisions (values shaped like a k=8 NetRS-ILP run: ~ms
+// components, fractional scores, regrets and herd indices) written as the
+// attribution CSV and the decision CSV. Reports bytes/s and
+// allocs_per_record; each writer owns one TextSink buffer, so anything
+// beyond one allocation per writer call is a per-record allocation and
+// fails the benchmark.
+void BM_ObsWrite(benchmark::State& state) {
+  constexpr std::size_t kRecords = 100'000;
+  sim::Rng rng(11);
+  std::vector<obs::FlightSnapshot> flights(1);
+  std::vector<obs::DecisionSnapshot> decisions(1);
+  flights[0].enabled = true;
+  decisions[0].enabled = true;
+  sim::Time t = sim::millis(50);
+  for (std::size_t i = 0; i < kRecords; ++i) {
+    t += static_cast<sim::Time>(rng.uniform(20'000));
+    obs::FlightRecord r;
+    r.request_id = (static_cast<std::uint64_t>(rng.uniform(64)) << 32) | i;
+    r.completed_at = t;
+    r.server = static_cast<net::HostId>(rng.uniform(128));
+    r.dup_won = rng.bernoulli(0.05);
+    r.via_rs = rng.bernoulli(0.9);
+    for (sim::Duration& c : r.components) {
+      c = static_cast<sim::Duration>(rng.uniform(4'000'000));
+      r.total += c;
+    }
+    flights[0].records.push_back(r);
+
+    obs::DecisionRecord d;
+    d.t = t;
+    d.node = static_cast<std::int32_t>(rng.uniform(200));
+    d.chosen = static_cast<net::HostId>(rng.uniform(128));
+    d.candidates = 3;
+    d.has_score = true;
+    d.chosen_score = rng.next_double() * 5000.0;
+    d.has_regret = rng.bernoulli(0.95);
+    d.regret_ns = rng.bernoulli(0.6) ? 0.0 : rng.next_double() * 8e6;
+    d.has_staleness = true;
+    d.staleness = static_cast<sim::Duration>(rng.uniform(5'000'000));
+    d.herd = 1.0 / static_cast<double>(1 + rng.uniform(8));
+    decisions[0].records.push_back(d);
+  }
+
+  CountingBuf buf;
+  std::ostream os(&buf);
+  const std::uint64_t before = alloc_count();
+  for (auto _ : state) {
+    obs::write_attribution_csv(os, flights);
+    obs::write_decision_csv(os, decisions);
+  }
+  const std::uint64_t allocs = alloc_count() - before;
+  const auto iterations = static_cast<std::uint64_t>(state.iterations());
+  state.SetBytesProcessed(static_cast<std::int64_t>(buf.bytes()));
+  state.counters["allocs_per_record"] = benchmark::Counter(
+      static_cast<double>(allocs) /
+      static_cast<double>(2 * kRecords * (iterations ? iterations : 1)));
+  if (allocs > 2 * iterations) {
+    state.SkipWithError("obs writers allocated per record");
+  }
+}
+BENCHMARK(BM_ObsWrite)->Unit(benchmark::kMillisecond);
 
 void BM_ZipfSample(benchmark::State& state) {
   sim::Rng rng(2);

@@ -208,11 +208,16 @@ int main(int argc, char** argv) {
               static_cast<unsigned long long>(r.redundant),
               static_cast<unsigned long long>(r.cancels));
   std::printf("RSNodes %d (%s, %d plans, %zu DRS groups) | fwd/req %.2f | "
-              "KB/req %.2f | herd CV %.2f | wall %.1fs\n",
+              "KB/req %.2f | herd CV %.2f | wall %.1fs",
               r.rsnodes, r.plan_method.c_str(), r.plans_deployed,
               r.drs_groups, r.avg_forwards,
               r.wire_bytes_per_request / 1024.0, r.load_oscillation,
               r.wall_seconds);
+  if (cfg.obs.any()) {
+    std::printf(" (obs harvest %.3fs, write %.3fs)", r.harvest_seconds,
+                r.write_seconds);
+  }
+  std::printf("\n");
   if (r.events_per_shard.size() > 1) {
     std::printf("events per shard:");
     for (std::size_t s = 0; s < r.events_per_shard.size(); ++s) {

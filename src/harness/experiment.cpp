@@ -66,6 +66,8 @@ struct RunOutput {
   std::vector<obs::TraceLaneCounts> trace_lanes;
   std::vector<std::uint64_t> events_per_shard;
   sim::ShardTelemetry telemetry;
+  // Wall-clock seconds spent in the obs take_*() harvest (0 without obs).
+  double harvest_seconds = 0.0;
 };
 
 // Selections of a crash-dark replica ("doomed picks"): for each server
@@ -859,10 +861,17 @@ RunOutput run_once(Scheme scheme, const ExperimentConfig& cfg,
   out.events_per_shard = shard_group.events_fired_per_shard();
   if (telemetry) out.telemetry = shard_group.telemetry();
   if (observer) {
+    // netrs-lint: allow(wall-clock): harvest_seconds is a harness
+    // diagnostic; it never feeds back into simulated behavior.
+    const auto harvest_start = std::chrono::steady_clock::now();
     out.trace = observer->take_trace();
     out.metrics = observer->take_metrics();
     out.flight = observer->take_flight();
     out.decisions = observer->take_decisions();
+    // netrs-lint: allow(wall-clock): see harvest_start above.
+    const auto harvest_end = std::chrono::steady_clock::now();
+    out.harvest_seconds =
+        std::chrono::duration<double>(harvest_end - harvest_start).count();
     if (observer->tracing()) {
       out.trace_lanes = observer->lane_trace_counts();
     }
@@ -990,12 +999,15 @@ ExperimentResult run_experiment(Scheme scheme, const ExperimentConfig& cfg) {
       res.doomed_timeline[i] += out.doomed_timeline[i];
     }
     res.doomed_picks += out.doomed_picks;
+    res.harvest_seconds += out.harvest_seconds;
   }
   res.attribution.finalize();
   res.decisions.finalize();
   // Emit the merged observability artifacts in repeat order — the same
   // order at any --jobs value, so both files are bit-identical to a
   // serial run.
+  // netrs-lint: allow(wall-clock): write_seconds is a harness diagnostic.
+  const auto write_start = std::chrono::steady_clock::now();
   if (cfg.obs.want_trace()) {
     std::vector<obs::TraceSnapshot> traces;
     traces.reserve(outputs.size());
@@ -1025,6 +1037,12 @@ ExperimentResult run_experiment(Scheme scheme, const ExperimentConfig& cfg) {
     }
     std::ofstream os(cfg.obs.decision_path, std::ios::binary);
     obs::write_decision_csv(os, decisions);
+  }
+  if (cfg.obs.any()) {
+    // netrs-lint: allow(wall-clock): see write_start above.
+    const auto write_end = std::chrono::steady_clock::now();
+    res.write_seconds =
+        std::chrono::duration<double>(write_end - write_start).count();
   }
   if (!cfg.shard_telemetry_path.empty()) {
     res.shard_telemetry.reserve(outputs.size());

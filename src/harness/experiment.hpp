@@ -88,6 +88,13 @@ struct ExperimentResult {
   std::vector<sim::ShardTelemetry> shard_telemetry;
 
   double wall_seconds = 0.0;
+  /// Wall-clock seconds spent harvesting the obs recorders (the take_*()
+  /// merges and joins), summed over repeats; 0 when obs is off. A
+  /// diagnostic like wall_seconds: nondeterministic, not in the report.
+  double harvest_seconds = 0.0;
+  /// Wall-clock seconds spent writing the obs output files; 0 when obs
+  /// is off. A diagnostic like wall_seconds.
+  double write_seconds = 0.0;
 
   /// Invariant-audit result merged over repeats. `enabled` only in
   /// NETRS_AUDIT builds; CI fails the audit job on violations_total != 0.

@@ -1,10 +1,12 @@
 #include "obs/attribution.hpp"
 
 #include <algorithm>
-#include <map>
+#include <string_view>
 #include <tuple>
+#include <utility>
 
-#include "obs/metrics.hpp"
+#include "obs/text_sink.hpp"
+#include "sim/radix_sort.hpp"
 
 namespace netrs::obs {
 
@@ -31,6 +33,20 @@ void FlightRecorder::on_complete(std::uint64_t request_id,
 }
 
 namespace {
+
+/// Flight::accel value of a request with no accelerator contact.
+constexpr std::uint32_t kNoAccel = 0xFFFFFFFFu;
+
+/// Appends `src` to `dst`, stealing its storage when `dst` is empty (the
+/// single-log case costs no copy).
+template <typename T>
+void append_moved(std::vector<T>& dst, std::vector<T>& src) {
+  if (dst.empty()) {
+    dst = std::move(src);
+  } else {
+    dst.insert(dst.end(), src.begin(), src.end());
+  }
+}
 
 // The telescoping decomposition: every component is a difference of
 // adjacent observed timestamps along the winning copy's path, so the sum
@@ -64,84 +80,109 @@ FlightRecord make_record(const FlightLog::Complete& c,
 
 }  // namespace
 
-FlightSnapshot join_flights(const std::vector<FlightLog>& logs,
+FlightSnapshot join_flights(std::vector<FlightLog> logs,
                             sim::Time measure_from) {
-  // Canonical per-request state assembled from the union of all logs.
-  struct Joined {
-    bool accel_valid = false;
-    FlightLog::Accel accel;
-    std::vector<FlightLog::Server> copies;
-  };
-  std::map<std::uint64_t, Joined> pending;
-  std::vector<FlightLog::Complete> completes;
-  for (const FlightLog& log : logs) {
-    for (const FlightLog::Accel& a : log.accels) {
-      Joined& j = pending[a.request_id];
-      // Canonical "first accelerator contact": the minimum by (start,
-      // arrival, service), whichever log holds it.
-      if (!j.accel_valid ||
-          std::tie(a.start, a.arrival, a.service) <
-              std::tie(j.accel.start, j.accel.arrival, j.accel.service)) {
-        j.accel_valid = true;
-        j.accel = a;
-      }
-    }
-    for (const FlightLog::Server& s : log.servers) {
-      pending[s.request_id].copies.push_back(s);
-    }
-    completes.insert(completes.end(), log.completes.begin(),
-                     log.completes.end());
+  // The union of all logs, as three flat arrays.
+  FlightLog all;
+  for (FlightLog& log : logs) {
+    append_moved(all.accels, log.accels);
+    append_moved(all.servers, log.servers);
+    append_moved(all.completes, log.completes);
   }
-  // Canonical copy order (service starts in time order) and completion
-  // order. request_id breaks exact-time ties.
-  for (auto& [id, j] : pending) {
-    std::stable_sort(j.copies.begin(), j.copies.end(),
-                     [](const FlightLog::Server& a,
-                        const FlightLog::Server& b) {
-                       return std::tie(a.start, a.arrival, a.server,
-                                       a.service) <
-                              std::tie(b.start, b.arrival, b.server,
-                                       b.service);
-                     });
-  }
-  std::stable_sort(completes.begin(), completes.end(),
+  // Canonical orders, independent of which log observed what: every
+  // observation grouped by request id, completions by (completion time,
+  // request id). The sorts are stable, and the order inside a request's
+  // group does not matter: the kept accelerator contact is the minimum by
+  // (start, arrival, service) and the winning copy the first by (start,
+  // arrival, server, service) among the winner's copies, both found by a
+  // scan of the (short) group.
+  const auto by_id = [](const auto& x) { return x.request_id; };
+  sim::radix_sort(all.accels, by_id);
+  sim::radix_sort(all.servers, by_id);
+  std::stable_sort(all.completes.begin(), all.completes.end(),
                    [](const FlightLog::Complete& a,
                       const FlightLog::Complete& b) {
                      return std::tie(a.at, a.request_id) <
                             std::tie(b.at, b.request_id);
                    });
 
+  // One entry per distinct request id observed at an accelerator or a
+  // server, in id order: its accelerator contact, its group of copies,
+  // and whether a completion has consumed it yet.
+  struct Flight {
+    std::uint64_t id = 0;
+    std::uint32_t accel = kNoAccel;
+    std::uint32_t copies_begin = 0;
+    std::uint32_t copies_end = 0;
+    bool consumed = false;
+  };
+  std::vector<Flight> flights;
+  const std::vector<FlightLog::Accel>& accels = all.accels;
+  const std::vector<FlightLog::Server>& servers = all.servers;
+  std::size_t ai = 0;
+  std::size_t si = 0;
+  while (ai < accels.size() || si < servers.size()) {
+    Flight f;
+    if (si == servers.size() ||
+        (ai < accels.size() &&
+         accels[ai].request_id < servers[si].request_id)) {
+      f.id = accels[ai].request_id;
+    } else {
+      f.id = servers[si].request_id;
+    }
+    for (; ai < accels.size() && accels[ai].request_id == f.id; ++ai) {
+      const FlightLog::Accel& a = accels[ai];
+      if (f.accel == kNoAccel ||
+          std::tie(a.start, a.arrival, a.service) <
+              std::tie(accels[f.accel].start, accels[f.accel].arrival,
+                       accels[f.accel].service)) {
+        f.accel = static_cast<std::uint32_t>(ai);
+      }
+    }
+    f.copies_begin = static_cast<std::uint32_t>(si);
+    while (si < servers.size() && servers[si].request_id == f.id) ++si;
+    f.copies_end = static_cast<std::uint32_t>(si);
+    flights.push_back(f);
+  }
+
   FlightSnapshot snap;
   snap.enabled = true;
-  for (const FlightLog::Complete& c : completes) {
-    const auto it = pending.find(c.request_id);
-    if (it == pending.end()) {
+  snap.records.reserve(all.completes.size());
+  std::size_t consumed = 0;
+  for (const FlightLog::Complete& c : all.completes) {
+    const auto it = std::lower_bound(
+        flights.begin(), flights.end(), c.request_id,
+        [](const Flight& f, std::uint64_t id) { return f.id < id; });
+    // A request never observed, or already consumed by an earlier
+    // completion, is unmatched.
+    if (it == flights.end() || it->id != c.request_id || it->consumed) {
       ++snap.unmatched;
       continue;
     }
+    it->consumed = true;
+    ++consumed;
     if (c.first_send < measure_from) {
-      pending.erase(it);
       ++snap.warmup_skipped;
       continue;
     }
-    const Joined& j = it->second;
     const FlightLog::Server* copy = nullptr;
-    for (const FlightLog::Server& s : j.copies) {
-      if (s.server == c.winner) {
+    for (std::uint32_t i = it->copies_begin; i < it->copies_end; ++i) {
+      const FlightLog::Server& s = servers[i];
+      if (s.server == c.winner &&
+          (copy == nullptr ||
+           std::tie(s.start, s.arrival, s.service) <
+               std::tie(copy->start, copy->arrival, copy->service))) {
         copy = &s;
-        break;
       }
     }
     if (copy == nullptr) {
       ++snap.unmatched;
-      pending.erase(it);
       continue;
     }
-    snap.records.push_back(
-        make_record(c, j.accel_valid ? &j.accel : nullptr, *copy));
-    pending.erase(it);
+    snap.records.push_back(make_record(
+        c, it->accel != kNoAccel ? &accels[it->accel] : nullptr, *copy));
   }
-  snap.pending_at_end = pending.size();
+  snap.pending_at_end = flights.size() - consumed;
   return snap;
 }
 
@@ -167,19 +208,32 @@ void AttributionSummary::finalize() {
 
 void write_attribution_csv(std::ostream& os,
                            const std::vector<FlightSnapshot>& repeats) {
-  os << "repeat,req,complete_us,server,dup,via_rs,component,ns\n";
+  TextSink out(os);
+  out.put("repeat,req,complete_us,server,dup,via_rs,component,ns\n");
   for (std::size_t rep = 0; rep < repeats.size(); ++rep) {
     for (const FlightRecord& r : repeats[rep].records) {
-      const std::string t = format_time_us(r.completed_at);
-      const char* prefix_dup = r.dup_won ? "1" : "0";
-      const char* prefix_rs = r.via_rs ? "1" : "0";
+      // "repeat,req,complete_us,server,dup,via_rs," is shared by the
+      // record's nine rows; format it once.
+      char prefix[5 * kMaxNumberChars];
+      char* p = write_int(prefix, rep);
+      *p++ = ',';
+      p = write_int(p, r.request_id);
+      *p++ = ',';
+      p = write_time_us(p, r.completed_at);
+      *p++ = ',';
+      p = write_int(p, r.server);
+      *p++ = ',';
+      *p++ = r.dup_won ? '1' : '0';
+      *p++ = ',';
+      *p++ = r.via_rs ? '1' : '0';
+      *p++ = ',';
+      const std::string_view row(prefix,
+                                 static_cast<std::size_t>(p - prefix));
       for (std::size_t c = 0; c < kFlightComponents; ++c) {
-        os << rep << ',' << r.request_id << ',' << t << ',' << r.server
-           << ',' << prefix_dup << ',' << prefix_rs << ','
-           << kFlightComponentNames[c] << ',' << r.components[c] << '\n';
+        out.put(row).put(kFlightComponentNames[c]).put(',')
+            .put_int(r.components[c]).put('\n');
       }
-      os << rep << ',' << r.request_id << ',' << t << ',' << r.server << ','
-         << prefix_dup << ',' << prefix_rs << ",total," << r.total << '\n';
+      out.put(row).put("total,").put_int(r.total).put('\n');
     }
   }
 }

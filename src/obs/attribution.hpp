@@ -24,6 +24,7 @@
 #include <array>
 #include <cstdint>
 #include <ostream>
+#include <utility>
 #include <vector>
 
 #include "net/address.hpp"
@@ -167,8 +168,9 @@ class NETRS_SHARD_LOCAL FlightRecorder {
   void on_complete(std::uint64_t request_id, sim::Time first_send,
                    sim::Time winner_send, net::HostId winner, sim::Time now);
 
-  /// Extracts the raw observation log (record order).
-  [[nodiscard]] FlightLog take_log() const { return log_; }
+  /// Moves the raw observation log (record order) out; the recorder is
+  /// left with an empty log.
+  [[nodiscard]] FlightLog take_log() { return std::exchange(log_, {}); }
 
  private:
   bool enabled_;
@@ -177,16 +179,20 @@ class NETRS_SHARD_LOCAL FlightRecorder {
 
 /// Joins the logs of every shard's recorder (plus the coordinator's) into
 /// one repeat snapshot, in a canonical order that does not depend on which
-/// shard observed what: completions are processed by (completion time,
-/// request id); the kept accelerator contact is the minimum by (start,
-/// arrival, service); per-request copies are ordered by (start, arrival,
-/// server, service). Completions of requests first sent before
-/// `measure_from` are skipped (the harness's warmup filter); requests
-/// observed but never completed count in `pending_at_end`. Event
+/// shard observed what. The logs are moved in and concatenated into three
+/// flat arrays; accelerator and server observations are grouped by
+/// request id (stable radix sorts), completions are processed by
+/// (completion time, request id), and each completion finds its request by
+/// binary search. The kept accelerator contact is the minimum by (start,
+/// arrival, service); the winning copy is the first by (start, arrival,
+/// server, service) among the winner's copies. Completions of requests
+/// first
+/// sent before `measure_from` are skipped (the harness's warmup filter);
+/// requests observed but never completed count in `pending_at_end`. Event
 /// timestamps are shard-count-invariant (DESIGN.md §4.10), so the result
 /// is byte-identical at any --shards value — including 1, which the
 /// harness routes through this same join.
-[[nodiscard]] FlightSnapshot join_flights(const std::vector<FlightLog>& logs,
+[[nodiscard]] FlightSnapshot join_flights(std::vector<FlightLog> logs,
                                           sim::Time measure_from);
 
 /// Per-component latency aggregates over every record of every repeat,
@@ -216,7 +222,8 @@ struct NETRS_SHARED_IMMUTABLE AttributionSummary {
 /// Writes the merged long-format attribution CSV: header
 /// `repeat,req,complete_us,server,dup,via_rs,component,ns`, then one row
 /// per (record, component) plus a `total` row per record, repeats in
-/// order. Bit-identical at any --jobs value.
+/// order, through one buffered TextSink. Bit-identical at any --jobs
+/// value.
 void write_attribution_csv(std::ostream& os,
                            const std::vector<FlightSnapshot>& repeats);
 

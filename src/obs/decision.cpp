@@ -1,25 +1,14 @@
 #include "obs/decision.hpp"
 
 #include <algorithm>
-#include <deque>
-#include <string>
+#include <cassert>
 #include <tuple>
 #include <utility>
 
-#include "obs/metrics.hpp"
+#include "obs/text_sink.hpp"
+#include "sim/radix_sort.hpp"
 
 namespace netrs::obs {
-namespace {
-
-/// Formats a score/regret for CSV output; -1 marks an absent value (real
-/// values are always >= 0 for regret; scores use format_metric_value, so
-/// collisions with real -1 scores are acceptable: consumers key on the
-/// paired has_* CSV semantics, and no selector emits negative scores).
-std::string optional_value(bool has, double v) {
-  return has ? format_metric_value(v) : std::string("-1");
-}
-
-}  // namespace
 
 double oracle_cost_ns(const OracleServerState& s) {
   const int np = s.parallelism > 0 ? s.parallelism : 1;
@@ -36,7 +25,11 @@ void DecisionRecorder::on_decision(std::int32_t node, sim::Time now,
   DecisionLog::Pick pick;
   pick.t = now;
   pick.node = node;
-  pick.node_seq = node_seq_[node]++;
+  // Slot node + 1: an RSNode without a trace tid decides as node -1.
+  assert(node >= -1 && "decision node must be a trace tid or -1");
+  const auto slot = static_cast<std::size_t>(node + 1);
+  if (slot >= node_seq_.size()) node_seq_.resize(slot + 1, 0);
+  pick.node_seq = node_seq_[slot]++;
   pick.chosen = chosen;
   pick.cand_begin = static_cast<std::uint32_t>(log_.cand_pool.size());
   pick.cand_count = static_cast<std::uint32_t>(candidates.size());
@@ -68,59 +61,80 @@ void DecisionRecorder::on_server_state(net::HostId host, sim::Time t,
       DecisionLog::ServerState{t, host, queue_size, parallelism, mean});
 }
 
-DecisionSnapshot replay_decisions(const std::vector<DecisionLog>& logs,
+DecisionSnapshot replay_decisions(std::vector<DecisionLog> logs,
                                   sim::Duration herd_window,
                                   sim::Time measure_from) {
-  // Merge all picks into the canonical (t, node, node_seq) order. The
-  // pick keeps a pointer to its source log so candidates resolve from the
-  // right pool.
-  struct MergedPick {
-    const DecisionLog::Pick* pick = nullptr;
-    const DecisionLog* log = nullptr;
+  // The union of all logs as one flat log (the first is moved, not
+  // copied); later logs' candidate offsets are re-based onto the merged
+  // pool.
+  DecisionLog all;
+  for (std::size_t i = 0; i < logs.size(); ++i) {
+    DecisionLog& log = logs[i];
+    if (i == 0) {
+      all = std::move(log);
+      continue;
+    }
+    const auto base = static_cast<std::uint32_t>(all.cand_pool.size());
+    for (DecisionLog::Pick p : log.picks) {
+      p.cand_begin += base;
+      all.picks.push_back(p);
+    }
+    all.cand_pool.insert(all.cand_pool.end(), log.cand_pool.begin(),
+                         log.cand_pool.end());
+    all.states.insert(all.states.end(), log.states.begin(),
+                      log.states.end());
+  }
+  // Canonical pick order (time, node, per-node sequence). One log's
+  // picks are appended in time order, so the sort rarely runs.
+  const auto by_decision = [](const DecisionLog::Pick& a,
+                              const DecisionLog::Pick& b) {
+    return std::tie(a.t, a.node, a.node_seq) <
+           std::tie(b.t, b.node, b.node_seq);
   };
-  std::vector<MergedPick> picks;
-  // Oracle journal: per-host state transitions, time-ordered. Ordered map
-  // (unordered containers are banned in the obs tree).
-  std::map<net::HostId, std::vector<DecisionLog::ServerState>> journal;
-  for (const DecisionLog& log : logs) {
-    for (const DecisionLog::Pick& p : log.picks) {
-      picks.push_back(MergedPick{&p, &log});
-    }
-    for (const DecisionLog::ServerState& s : log.states) {
-      journal[s.host].push_back(s);
+  if (!std::is_sorted(all.picks.begin(), all.picks.end(), by_decision)) {
+    std::stable_sort(all.picks.begin(), all.picks.end(), by_decision);
+  }
+
+  // Oracle journal grouped by host (a stable sort, so each host's entries
+  // keep their record order), then each host's entries in time order. A
+  // host's journal lives in one log (one server = one shard) and is
+  // appended in time order; the time sort is a guard, not a requirement.
+  std::vector<DecisionLog::ServerState>& journal = all.states;
+  sim::radix_sort(journal, [](const DecisionLog::ServerState& s) {
+    return std::uint64_t{s.host};
+  });
+  const std::size_t hosts =
+      journal.empty() ? 0 : std::size_t{journal.back().host} + 1;
+  // journal_begin[h]: first entry of host h (dense host ids).
+  std::vector<std::size_t> journal_begin(hosts + 1, 0);
+  for (const DecisionLog::ServerState& s : journal) {
+    ++journal_begin[s.host + 1];
+  }
+  const auto by_time = [](const DecisionLog::ServerState& a,
+                          const DecisionLog::ServerState& b) {
+    return a.t < b.t;
+  };
+  for (std::size_t h = 0; h < hosts; ++h) {
+    journal_begin[h + 1] += journal_begin[h];
+    const auto first = journal.begin() + journal_begin[h];
+    const auto last = journal.begin() + journal_begin[h + 1];
+    if (!std::is_sorted(first, last, by_time)) {
+      std::stable_sort(first, last, by_time);
     }
   }
-  std::stable_sort(picks.begin(), picks.end(),
-                   [](const MergedPick& a, const MergedPick& b) {
-                     return std::tie(a.pick->t, a.pick->node,
-                                     a.pick->node_seq) <
-                            std::tie(b.pick->t, b.pick->node,
-                                     b.pick->node_seq);
-                   });
-  // A host's journal lives in one log (one server = one shard) and is
-  // appended in time order; the sort is a guard, not a requirement.
-  for (auto& [host, states] : journal) {
-    std::stable_sort(states.begin(), states.end(),
-                     [](const DecisionLog::ServerState& a,
-                        const DecisionLog::ServerState& b) {
-                       return a.t < b.t;
-                     });
-  }
-  // Last journaled state at or before `t`; invalid when the host was
-  // never journaled or first appears later.
-  const auto oracle_at = [&journal](net::HostId host,
-                                    sim::Time t) -> OracleServerState {
+  // Picks are replayed in time order, so each host's "last journaled
+  // state at or before t" only moves forward: one cursor per host (one
+  // past that state) replaces a search per lookup.
+  std::vector<std::size_t> cursor(journal_begin.begin(),
+                                  journal_begin.end() - 1);
+  const auto oracle_at = [&](net::HostId host,
+                             sim::Time t) -> OracleServerState {
     OracleServerState out;
-    const auto jt = journal.find(host);
-    if (jt == journal.end()) return out;
-    const std::vector<DecisionLog::ServerState>& states = jt->second;
-    const auto it = std::upper_bound(
-        states.begin(), states.end(), t,
-        [](sim::Time lhs, const DecisionLog::ServerState& s) {
-          return lhs < s.t;
-        });
-    if (it == states.begin()) return out;
-    const DecisionLog::ServerState& s = *std::prev(it);
+    if (host >= hosts) return out;
+    std::size_t& c = cursor[host];
+    while (c < journal_begin[host + 1] && journal[c].t <= t) ++c;
+    if (c == journal_begin[host]) return out;
+    const DecisionLog::ServerState& s = journal[c - 1];
     out.valid = true;
     out.queue_size = s.queue_size;
     out.parallelism = s.parallelism;
@@ -130,23 +144,25 @@ DecisionSnapshot replay_decisions(const std::vector<DecisionLog>& logs,
 
   DecisionSnapshot snap;
   snap.enabled = true;
-  snap.observed = picks.size();
-  // Trailing herd window over the merged stream: (time, server) picks
-  // plus per-server counts. Every pick enters it, warmup included, so the
-  // first measured records see a fully warmed window.
-  std::deque<std::pair<sim::Time, net::HostId>> window_picks;
-  std::map<net::HostId, std::uint32_t> window_counts;
-  for (const MergedPick& mp : picks) {
-    const DecisionLog::Pick& p = *mp.pick;
+  snap.observed = all.picks.size();
+  snap.records.reserve(all.picks.size());
+  // Trailing herd window over the merged stream: the picks in
+  // [tail, current] of the time-sorted array, plus dense per-server
+  // counts. Every pick enters it, warmup included, so the first measured
+  // records see a fully warmed window.
+  std::size_t servers = 0;
+  for (const DecisionLog::Pick& p : all.picks) {
+    servers = std::max<std::size_t>(servers, std::size_t{p.chosen} + 1);
+  }
+  std::vector<std::uint32_t> window_counts(servers, 0);
+  std::size_t tail = 0;
+  for (std::size_t i = 0; i < all.picks.size(); ++i) {
+    const DecisionLog::Pick& p = all.picks[i];
     const sim::Time horizon = p.t - herd_window;
-    while (!window_picks.empty() && window_picks.front().first <= horizon) {
-      const auto cit = window_counts.find(window_picks.front().second);
-      if (cit != window_counts.end() && --cit->second == 0) {
-        window_counts.erase(cit);
-      }
-      window_picks.pop_front();
+    while (tail < i && all.picks[tail].t <= horizon) {
+      --window_counts[all.picks[tail].chosen];
+      ++tail;
     }
-    window_picks.emplace_back(p.t, p.chosen);
     ++window_counts[p.chosen];
 
     if (p.t < measure_from) continue;
@@ -157,7 +173,7 @@ DecisionSnapshot replay_decisions(const std::vector<DecisionLog>& logs,
     rec.chosen = p.chosen;
     rec.candidates = p.cand_count;
     rec.herd = static_cast<double>(window_counts[p.chosen]) /
-               static_cast<double>(window_picks.size());
+               static_cast<double>(i + 1 - tail);
     rec.chosen_score = p.score;
     rec.has_score = p.has_score;
     rec.staleness = p.staleness;
@@ -169,8 +185,8 @@ DecisionSnapshot replay_decisions(const std::vector<DecisionLog>& logs,
       bool all_valid = true;
       bool chosen_valid = false;
       bool first = true;
-      for (std::uint32_t i = 0; i < p.cand_count; ++i) {
-        const net::HostId host = mp.log->cand_pool[p.cand_begin + i];
+      for (std::uint32_t c = 0; c < p.cand_count; ++c) {
+        const net::HostId host = all.cand_pool[p.cand_begin + c];
         const OracleServerState s = oracle_at(host, p.t);
         if (!s.valid) {
           all_valid = false;
@@ -220,17 +236,22 @@ void DecisionSummary::finalize() {
 
 void write_decision_csv(std::ostream& os,
                         const std::vector<DecisionSnapshot>& repeats) {
-  os << "repeat,time_us,node,chosen,candidates,score,regret_ns,staleness_ns,"
-        "herd\n";
+  TextSink out(os);
+  out.put("repeat,time_us,node,chosen,candidates,score,regret_ns,"
+          "staleness_ns,herd\n");
   for (std::size_t rep = 0; rep < repeats.size(); ++rep) {
     for (const DecisionRecord& r : repeats[rep].records) {
-      os << rep << ',' << format_time_us(r.t) << ',' << r.node << ','
-         << r.chosen << ',' << r.candidates << ','
-         << optional_value(r.has_score, r.chosen_score) << ','
-         << optional_value(r.has_regret, r.regret_ns) << ','
-         << (r.has_staleness ? std::to_string(r.staleness)
-                             : std::string("-1"))
-         << ',' << format_metric_value(r.herd) << '\n';
+      out.put_int(rep).put(',').put_time_us(r.t).put(',').put_int(r.node)
+          .put(',').put_int(r.chosen).put(',').put_int(r.candidates)
+          .put(',');
+      // Absent values print as -1 (real regrets and staleness are >= 0,
+      // and no selector emits negative scores).
+      r.has_score ? out.put_metric(r.chosen_score) : out.put("-1");
+      out.put(',');
+      r.has_regret ? out.put_metric(r.regret_ns) : out.put("-1");
+      out.put(',');
+      r.has_staleness ? out.put_int(r.staleness) : out.put("-1");
+      out.put(',').put_metric(r.herd).put('\n');
     }
   }
 }

@@ -29,9 +29,9 @@
 #pragma once
 
 #include <cstdint>
-#include <map>
 #include <ostream>
 #include <span>
+#include <utility>
 #include <vector>
 
 #include "net/address.hpp"
@@ -178,31 +178,33 @@ class NETRS_SHARD_LOCAL DecisionRecorder {
                        std::uint32_t queue_size, int parallelism,
                        sim::Duration mean);
 
-  /// Extracts the raw log (record order).
-  [[nodiscard]] DecisionLog take_log() const { return log_; }
+  /// Moves the raw log (record order) out; the recorder is left with an
+  /// empty log.
+  [[nodiscard]] DecisionLog take_log() { return std::exchange(log_, {}); }
 
  private:
   bool enabled_;
   DecisionLog log_;
-  // Per-node pick sequence numbers. Ordered map: the obs tree bans
-  // unordered containers (netrs_lint unordered-in-obs) so iteration order
-  // can never leak into output.
-  std::map<std::int32_t, std::uint64_t> node_seq_;
+  // Next pick sequence number per node, indexed by node + 1 (trace tids
+  // are dense node ids; -1 is an RSNode without one).
+  std::vector<std::uint64_t> node_seq_;
 };
 
 /// Replays the logs of every shard's recorder (plus the coordinator's)
-/// into one repeat snapshot. Picks are ordered canonically by (time, node,
-/// per-node sequence). The herd index is computed over that merged stream
-/// with a trailing `herd_window`; every pick, warmup included, enters the
-/// window, but only picks at or after `measure_from` produce records.
-/// Regret is computed against the oracle journal — for each candidate,
-/// the last journaled state at or before the decision time. Pick times
-/// and per-node streams are shard-count-invariant (DESIGN.md §4.10), so
-/// the result is byte-identical at any --shards value — including 1,
-/// which the harness routes through this same replay.
-[[nodiscard]] DecisionSnapshot replay_decisions(
-    const std::vector<DecisionLog>& logs, sim::Duration herd_window,
-    sim::Time measure_from);
+/// into one repeat snapshot. The logs are moved in and concatenated into
+/// one flat log; picks are ordered canonically by (time, node, per-node
+/// sequence). The herd index is computed over that merged stream with a
+/// trailing `herd_window` (a range of the sorted picks plus dense
+/// per-server counts); every pick, warmup included, enters the window, but
+/// only picks at or after `measure_from` produce records. Regret is
+/// computed against the oracle journal, grouped by host — for each
+/// candidate, the last journaled state at or before the decision time.
+/// Pick times and per-node streams are shard-count-invariant (DESIGN.md
+/// §4.10), so the result is byte-identical at any --shards value —
+/// including 1, which the harness routes through this same replay.
+[[nodiscard]] DecisionSnapshot replay_decisions(std::vector<DecisionLog> logs,
+                                                sim::Duration herd_window,
+                                                sim::Time measure_from);
 
 /// Selection-quality aggregates over every decision of every repeat,
 /// shown as the "Selection quality" report table.
@@ -231,7 +233,8 @@ struct NETRS_SHARED_IMMUTABLE DecisionSummary {
 /// Writes the merged long-format decision CSV: header
 /// `repeat,time_us,node,chosen,candidates,score,regret_ns,staleness_ns,
 /// herd`, one row per post-warmup decision, repeats in order; absent
-/// score/regret/staleness print as -1. Bit-identical at any --jobs value.
+/// score/regret/staleness print as -1. Written through one buffered
+/// TextSink; bit-identical at any --jobs value.
 void write_decision_csv(std::ostream& os,
                         const std::vector<DecisionSnapshot>& repeats);
 

@@ -2,7 +2,9 @@
 
 #include <cassert>
 #include <cmath>
-#include <cstdio>
+#include <string_view>
+
+#include "obs/text_sink.hpp"
 
 namespace netrs::obs {
 namespace {
@@ -221,44 +223,33 @@ MetricsSnapshot MetricsRegistry::snapshot() const {
 }
 
 std::string format_metric_value(double v) {
-  if (std::isfinite(v) && v == std::floor(v) && std::fabs(v) < 1e15) {
-    char buf[32];
-    const int len = std::snprintf(buf, sizeof(buf), "%lld",
-                                  static_cast<long long>(v));
-    return std::string(buf, static_cast<std::size_t>(len));
-  }
-  char buf[40];
-  const int len = std::snprintf(buf, sizeof(buf), "%.9g", v);
-  return std::string(buf, static_cast<std::size_t>(len));
+  char buf[kMaxNumberChars];
+  return std::string(buf, write_metric_value(buf, v));
 }
 
 std::string format_time_us(sim::Time t) {
-  char buf[40];
-  const auto ns = static_cast<std::uint64_t>(t);
-  const std::uint64_t us = ns / 1000;
-  const unsigned rem = static_cast<unsigned>(ns % 1000);
-  int len = 0;
-  if (rem == 0) {
-    len = std::snprintf(buf, sizeof(buf), "%llu",
-                        static_cast<unsigned long long>(us));
-  } else {
-    len = std::snprintf(buf, sizeof(buf), "%llu.%03u",
-                        static_cast<unsigned long long>(us), rem);
-    while (len > 0 && buf[len - 1] == '0') --len;
-  }
-  return std::string(buf, static_cast<std::size_t>(len));
+  char buf[kMaxNumberChars];
+  return std::string(buf, write_time_us(buf, t));
 }
 
 void write_metrics_csv(std::ostream& os,
                        const std::vector<MetricsSnapshot>& repeats) {
-  os << "repeat,time_us,metric,value\n";
+  TextSink out(os);
+  out.put("repeat,time_us,metric,value\n");
   for (std::size_t rep = 0; rep < repeats.size(); ++rep) {
     const MetricsSnapshot& snap = repeats[rep];
     for (const MetricsSnapshot::Row& row : snap.rows) {
-      const std::string t = format_time_us(row.t);
+      // "repeat,time_us," is shared by every column of the tick.
+      char prefix[2 * kMaxNumberChars + 2];
+      char* p = write_int(prefix, rep);
+      *p++ = ',';
+      p = write_time_us(p, row.t);
+      *p++ = ',';
+      const std::string_view tick(prefix,
+                                  static_cast<std::size_t>(p - prefix));
       for (std::size_t c = 0; c < snap.columns.size(); ++c) {
-        os << rep << ',' << t << ',' << snap.columns[c] << ','
-           << format_metric_value(row.values[c]) << '\n';
+        out.put(tick).put(snap.columns[c]).put(',').put_metric(row.values[c])
+            .put('\n');
       }
     }
   }

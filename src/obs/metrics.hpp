@@ -227,17 +227,21 @@ class NETRS_COORD_GLOBAL MetricsRegistry {
 };
 
 /// Formats a metric value for CSV/report output: integers print exactly
-/// ("17"), everything else through "%.9g". Locale-independent.
+/// ("17"), everything else as "%.9g". Locale-independent. A string
+/// wrapper over write_metric_value() (obs/text_sink.hpp), the one path the
+/// obs writers use.
 [[nodiscard]] std::string format_metric_value(double v);
 
 /// Formats simulated nanoseconds as a microsecond decimal string with
 /// exact remainder and trailing zeros stripped ("1250.5"), integer
-/// arithmetic only — the shared `time_us` CSV column format.
+/// arithmetic only — the shared `time_us` CSV column format. A string
+/// wrapper over write_time_us() (obs/text_sink.hpp).
 [[nodiscard]] std::string format_time_us(sim::Time t);
 
 /// Writes the merged long-format CSV: header
 /// `repeat,time_us,metric,value`, then one row per (repeat, tick,
-/// column), repeats in order. Bit-identical at any --jobs value.
+/// column), repeats in order, through one buffered TextSink.
+/// Bit-identical at any --jobs value.
 void write_metrics_csv(std::ostream& os,
                        const std::vector<MetricsSnapshot>& repeats);
 

@@ -1,5 +1,7 @@
 #include "obs/shard_obs.hpp"
 
+#include <utility>
+
 namespace netrs::obs {
 
 ShardObserverSet::ShardObserverSet(const ObsConfig& cfg, int lanes)
@@ -27,7 +29,8 @@ TraceSnapshot ShardObserverSet::take_trace() const {
     parts.push_back(o->take_trace());
   }
   if (coord_ != nullptr) parts.push_back(coord_->take_trace());
-  return merge_traces(parts, cfg_.want_trace() ? cfg_.trace_capacity : 0);
+  return merge_traces(std::move(parts),
+                      cfg_.want_trace() ? cfg_.trace_capacity : 0);
 }
 
 MetricsSnapshot ShardObserverSet::take_metrics() const {
@@ -35,19 +38,19 @@ MetricsSnapshot ShardObserverSet::take_metrics() const {
   return coord.take_metrics();
 }
 
-FlightSnapshot ShardObserverSet::take_flight() const {
+FlightSnapshot ShardObserverSet::take_flight() {
   std::vector<FlightLog> logs;
   logs.reserve(lanes_.size() + 1);
   for (const std::unique_ptr<Observer>& o : lanes_) {
     logs.push_back(o->flight().take_log());
   }
   if (coord_ != nullptr) logs.push_back(coord_->flight().take_log());
-  FlightSnapshot snap = join_flights(logs, measure_from_);
+  FlightSnapshot snap = join_flights(std::move(logs), measure_from_);
   snap.enabled = attributing();
   return snap;
 }
 
-DecisionSnapshot ShardObserverSet::take_decisions() const {
+DecisionSnapshot ShardObserverSet::take_decisions() {
   std::vector<DecisionLog> logs;
   logs.reserve(lanes_.size() + 1);
   for (const std::unique_ptr<Observer>& o : lanes_) {
@@ -55,7 +58,7 @@ DecisionSnapshot ShardObserverSet::take_decisions() const {
   }
   if (coord_ != nullptr) logs.push_back(coord_->decisions().take_log());
   DecisionSnapshot snap =
-      replay_decisions(logs, cfg_.herd_window, measure_from_);
+      replay_decisions(std::move(logs), cfg_.herd_window, measure_from_);
   snap.enabled = deciding();
   return snap;
 }

@@ -94,12 +94,14 @@ class NETRS_COORD_GLOBAL ShardObserverSet {
   /// The coordinator registry's sampled series.
   [[nodiscard]] MetricsSnapshot take_metrics() const;
 
-  /// Canonical join of every lane's flight log (join_flights()).
-  [[nodiscard]] FlightSnapshot take_flight() const;
+  /// Canonical join of every lane's flight log (join_flights()). The
+  /// logs are moved out of the lanes, so this harvests once per repeat.
+  [[nodiscard]] FlightSnapshot take_flight();
 
-  /// Canonical replay of every lane's decision log
-  /// (replay_decisions() with the configured herd window).
-  [[nodiscard]] DecisionSnapshot take_decisions() const;
+  /// Canonical replay of every lane's decision log (replay_decisions()
+  /// with the configured herd window). The logs are moved out of the
+  /// lanes, so this harvests once per repeat.
+  [[nodiscard]] DecisionSnapshot take_decisions();
 
   /// Per-ring recorded/dropped counts: one entry per shard lane, plus a
   /// final coordinator entry when a separate coordinator observer exists.

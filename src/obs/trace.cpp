@@ -1,72 +1,75 @@
 #include "obs/trace.hpp"
 
 #include <algorithm>
-#include <cassert>
 #include <cstdio>
+#include <utility>
+
+#include "obs/text_sink.hpp"
 
 namespace netrs::obs {
 namespace {
 
-/// Formats a nanosecond quantity as a microsecond decimal string with an
-/// exact fractional part ("12", "12.5", "12.003"), using integer
-/// arithmetic only so the output is locale- and platform-independent.
-std::string ns_as_us(std::uint64_t ns) {
-  char buf[40];
-  const std::uint64_t us = ns / 1000;
-  const unsigned rem = static_cast<unsigned>(ns % 1000);
-  int len = 0;
-  if (rem == 0) {
-    len = std::snprintf(buf, sizeof(buf), "%llu",
-                        static_cast<unsigned long long>(us));
+/// Appends `s` as JSON string contents; json_escape() runs only when `s`
+/// holds a character that needs it.
+void put_json(TextSink& out, std::string_view s) {
+  const bool plain = std::none_of(s.begin(), s.end(), [](char c) {
+    return c == '"' || c == '\\' || static_cast<unsigned char>(c) < 0x20;
+  });
+  if (plain) {
+    out.put(s);
   } else {
-    len = std::snprintf(buf, sizeof(buf), "%llu.%03u",
-                        static_cast<unsigned long long>(us), rem);
-    // Trim trailing zeros of the fraction ("12.500" -> "12.5").
-    while (len > 0 && buf[len - 1] == '0') --len;
+    out.put(json_escape(s));
   }
-  return std::string(buf, static_cast<std::size_t>(len));
 }
 
 /// Emits one trace event as a JSON object (no trailing comma).
-void write_event(std::ostream& os, const TraceEvent& e, std::size_t pid) {
-  os << "{\"name\":\"" << json_escape(e.name != nullptr ? e.name : "?")
-     << "\",\"cat\":\"" << json_escape(e.cat != nullptr ? e.cat : "sim")
-     << "\",\"ph\":\"" << e.phase << "\",\"pid\":" << pid
-     << ",\"tid\":" << e.tid << ",\"ts\":"
-     << ns_as_us(static_cast<std::uint64_t>(e.ts));
-  if (e.phase == 'X') {
-    os << ",\"dur\":" << ns_as_us(static_cast<std::uint64_t>(e.dur));
-  }
-  if (e.phase == 'i') {
-    os << ",\"s\":\"t\"";  // thread-scoped instant
-  }
+void write_event(TextSink& out, const TraceEvent& e, std::size_t pid) {
+  out.put("{\"name\":\"");
+  put_json(out, e.name != nullptr ? e.name : "?");
+  out.put("\",\"cat\":\"");
+  put_json(out, e.cat != nullptr ? e.cat : "sim");
+  out.put("\",\"ph\":\"").put(e.phase).put("\",\"pid\":").put_int(pid)
+      .put(",\"tid\":").put_int(e.tid).put(",\"ts\":").put_time_us(e.ts);
+  if (e.phase == 'X') out.put(",\"dur\":").put_time_us(e.dur);
+  if (e.phase == 'i') out.put(",\"s\":\"t\"");  // thread-scoped instant
   const bool has_args =
       e.id != 0 || e.arg0_name != nullptr || e.arg1_name != nullptr;
   if (has_args) {
-    os << ",\"args\":{";
-    const char* sep = "";
+    out.put(",\"args\":{");
+    bool sep = false;
     if (e.id != 0) {
-      os << "\"req\":" << e.id;
-      sep = ",";
+      out.put("\"req\":").put_int(e.id);
+      sep = true;
     }
     if (e.arg0_name != nullptr) {
-      os << sep << '"' << json_escape(e.arg0_name) << "\":" << e.arg0;
-      sep = ",";
+      if (sep) out.put(',');
+      out.put('"');
+      put_json(out, e.arg0_name);
+      out.put("\":").put_int(e.arg0);
+      sep = true;
     }
     if (e.arg1_name != nullptr) {
-      os << sep << '"' << json_escape(e.arg1_name) << "\":" << e.arg1;
+      if (sep) out.put(',');
+      out.put('"');
+      put_json(out, e.arg1_name);
+      out.put("\":").put_int(e.arg1);
     }
-    os << '}';
+    out.put('}');
   }
-  os << '}';
+  out.put('}');
 }
 
-/// Emits a Chrome metadata event ('M') that names a process or thread.
-void write_metadata(std::ostream& os, const char* what, std::size_t pid,
-                    std::int32_t tid, const std::string& value) {
-  os << "{\"name\":\"" << what << "\",\"ph\":\"M\",\"pid\":" << pid;
-  if (tid >= 0) os << ",\"tid\":" << tid;
-  os << ",\"args\":{\"name\":\"" << json_escape(value) << "\"}}";
+/// Emits a Chrome metadata event ('M') that names a process or thread
+/// (`tid` < 0: a process).
+void write_metadata(TextSink& out, const char* what, std::size_t pid,
+                    std::int32_t tid, std::string_view prefix,
+                    std::string_view value) {
+  out.put("{\"name\":\"").put(what).put("\",\"ph\":\"M\",\"pid\":")
+      .put_int(pid);
+  if (tid >= 0) out.put(",\"tid\":").put_int(tid);
+  out.put(",\"args\":{\"name\":\"").put(prefix);
+  put_json(out, value);
+  out.put("\"}}");
 }
 
 }  // namespace
@@ -101,17 +104,21 @@ void TraceRing::set_tid_name(std::int32_t tid, std::string name) {
   tid_names_[tid] = std::move(name);
 }
 
-TraceSnapshot merge_traces(const std::vector<TraceSnapshot>& parts,
+TraceSnapshot merge_traces(std::vector<TraceSnapshot> parts,
                            std::size_t capacity) {
   TraceSnapshot out;
   std::size_t total = 0;
   for (const TraceSnapshot& p : parts) total += p.events.size();
-  out.events.reserve(total);
-  for (const TraceSnapshot& p : parts) {
-    out.events.insert(out.events.end(), p.events.begin(), p.events.end());
+  for (TraceSnapshot& p : parts) {
+    if (out.events.empty()) {
+      out.events = std::move(p.events);  // the single-ring case: no copy
+      out.events.reserve(total);
+    } else {
+      out.events.insert(out.events.end(), p.events.begin(), p.events.end());
+    }
     out.recorded += p.recorded;
-    for (const auto& [tid, name] : p.tid_names) {
-      out.tid_names.emplace(tid, name);  // first writer wins; names agree
+    for (auto& [tid, name] : p.tid_names) {
+      out.tid_names.emplace(tid, std::move(name));  // first writer wins
     }
   }
   // A span records when it ends (`ts + dur`), an instant when it fires;
@@ -165,28 +172,27 @@ std::string json_escape(std::string_view s) {
 
 void write_chrome_trace(std::ostream& os,
                         const std::vector<TraceSnapshot>& repeats) {
-  os << "{\"traceEvents\":[";
-  const char* sep = "\n";
+  TextSink out(os);
+  out.put("{\"traceEvents\":[");
+  std::string_view sep = "\n";
   for (std::size_t rep = 0; rep < repeats.size(); ++rep) {
     const TraceSnapshot& snap = repeats[rep];
-    {
-      os << sep;
-      sep = ",\n";
-      char pname[32];
-      std::snprintf(pname, sizeof(pname), "repeat %llu",
-                    static_cast<unsigned long long>(rep));
-      write_metadata(os, "process_name", rep, -1, pname);
-    }
+    out.put(sep);
+    sep = ",\n";
+    char pid[kMaxNumberChars];
+    const std::string_view pid_text(
+        pid, static_cast<std::size_t>(write_int(pid, rep) - pid));
+    write_metadata(out, "process_name", rep, -1, "repeat ", pid_text);
     for (const auto& [tid, name] : snap.tid_names) {
-      os << sep;
-      write_metadata(os, "thread_name", rep, tid, name);
+      out.put(sep);
+      write_metadata(out, "thread_name", rep, tid, "", name);
     }
     for (const TraceEvent& e : snap.events) {
-      os << sep;
-      write_event(os, e, rep);
+      out.put(sep);
+      write_event(out, e, rep);
     }
   }
-  os << "\n],\"displayTimeUnit\":\"ns\"}\n";
+  out.put("\n],\"displayTimeUnit\":\"ns\"}\n");
 }
 
 }  // namespace netrs::obs

@@ -128,9 +128,10 @@ struct NETRS_SHARED_IMMUTABLE TraceSnapshot {
 /// so as long as no ring wrapped the result is byte-identical at any
 /// --shards value; the harness routes --shards 1 through this same merge.
 /// `recorded` sums the parts; `dropped` counts everything not retained
-/// (ring wraps plus merge-time trimming). tid names take the union.
-[[nodiscard]] TraceSnapshot merge_traces(
-    const std::vector<TraceSnapshot>& parts, std::size_t capacity);
+/// (ring wraps plus merge-time trimming). tid names take the union. The
+/// parts are moved in, so a single part's events are sorted in place.
+[[nodiscard]] TraceSnapshot merge_traces(std::vector<TraceSnapshot> parts,
+                                         std::size_t capacity);
 
 /// Escapes a string for embedding inside a JSON string literal: quotes,
 /// backslashes and control characters (\uXXXX); everything else — including
@@ -142,7 +143,8 @@ struct NETRS_SHARED_IMMUTABLE TraceSnapshot {
 /// NodeId values and the registered thread names. Timestamps are emitted
 /// in microseconds with exact nanosecond remainders (integer arithmetic,
 /// locale-independent), so output is byte-stable across runs and --jobs
-/// values.
+/// values. Written through one buffered TextSink; json_escape() runs only
+/// on names that need it.
 void write_chrome_trace(std::ostream& os,
                         const std::vector<TraceSnapshot>& repeats);
 

@@ -6,6 +6,8 @@
 #include <cmath>
 #include <limits>
 
+#include "sim/radix_sort.hpp"
+
 namespace netrs::sim {
 namespace {
 
@@ -71,7 +73,7 @@ double LatencyRecorder::percentile(double q) const {
 
 void LatencyRecorder::finalize() {
   if (sorted_) return;
-  std::sort(samples_.begin(), samples_.end());
+  radix_sort(samples_, [](double v) { return radix_key(v); });
   sorted_ = true;
 }
 

@@ -189,7 +189,7 @@ void journal_two_servers(obs::DecisionRecorder& rec) {
                       sim::millis(4));
 }
 
-obs::DecisionSnapshot replay(const obs::DecisionRecorder& rec,
+obs::DecisionSnapshot replay(obs::DecisionRecorder& rec,
                              sim::Time measure_from = 0) {
   return obs::replay_decisions({rec.take_log()}, sim::millis(1),
                                measure_from);

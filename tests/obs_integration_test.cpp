@@ -87,6 +87,22 @@ TEST(ObsIntegrationTest, ObservabilityDoesNotPerturbResults) {
       << "attaching the Observer changed simulation behavior";
 }
 
+TEST(ObsIntegrationTest, HarvestAndWritePhasesAreTimedOnlyWithObs) {
+  const ExperimentConfig base = small_config();
+  const ExperimentResult off = run_experiment(Scheme::kNetRSIlp, base);
+  EXPECT_EQ(off.harvest_seconds, 0.0);
+  EXPECT_EQ(off.write_seconds, 0.0);
+
+  ExperimentConfig on = base;
+  on.obs.trace_path = ::testing::TempDir() + "obs_itest_phase.json";
+  on.obs.metrics_path = ::testing::TempDir() + "obs_itest_phase.csv";
+  on.obs.attribution_path = ::testing::TempDir() + "obs_itest_phase_a.csv";
+  on.obs.decision_path = ::testing::TempDir() + "obs_itest_phase_d.csv";
+  const ExperimentResult r = run_experiment(Scheme::kNetRSIlp, on);
+  EXPECT_GT(r.harvest_seconds, 0.0);
+  EXPECT_GT(r.write_seconds, 0.0);
+}
+
 TEST(ObsIntegrationTest, TraceAndMetricsBytesIdenticalAcrossJobs) {
   ExperimentConfig cfg = small_config();
   cfg.obs.trace_path = ::testing::TempDir() + "obs_itest_j1.json";

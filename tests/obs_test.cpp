@@ -123,6 +123,38 @@ TEST(ChromeTraceTest, EmitsSpansInstantsAndMetadata) {
   EXPECT_NE(out.find("\"s\":\"t\""), std::string::npos);
 }
 
+TEST(ChromeTraceTest, EscapesNamesThatNeedIt) {
+  // Names are usually plain literals and are copied as is; one holding a
+  // quote, a backslash or a control character still goes through
+  // json_escape().
+  TraceEvent span;
+  span.name = "say \"hi\"";
+  span.cat = "c\\d";
+  span.phase = 'X';
+  span.tid = 2;
+  span.ts = 1000;
+  span.dur = 1000;
+  span.arg0_name = "tab\there";
+  span.arg0 = 5;
+  span.arg1_name = "plain";
+  span.arg1 = 6;
+  TraceSnapshot snap;
+  snap.events = {span};
+  snap.tid_names[2] = "line\nbreak";
+
+  std::ostringstream os;
+  write_chrome_trace(os, {snap});
+  const std::string out = os.str();
+  EXPECT_NE(out.find("\"name\":\"say \\\"hi\\\"\""), std::string::npos)
+      << out;
+  EXPECT_NE(out.find("\"cat\":\"c\\\\d\""), std::string::npos) << out;
+  EXPECT_NE(out.find("\"args\":{\"tab\\there\":5,\"plain\":6}"),
+            std::string::npos)
+      << out;
+  EXPECT_NE(out.find("{\"name\":\"line\\nbreak\"}"), std::string::npos)
+      << out;
+}
+
 TEST(HistogramTest, ValueOnBoundaryLandsInThatBucket) {
   Histogram h({1.0, 2.0, 4.0});
   ASSERT_EQ(h.bucket_count(), 4u);  // 3 bounds + overflow
