@@ -26,9 +26,10 @@ using namespace netrs;
 
 int main() {
   std::printf("=== Ablation A7 - RSP deployment transient ===\n");
-  sim::Simulator sim;
+  sim::ShardGroup group{1};
   net::FatTree topo(16);
-  net::Fabric fabric(sim, topo, net::FabricConfig{});
+  net::Fabric fabric(group, topo, net::FabricConfig{});
+  sim::Simulator& sim = fabric.simulator();
   std::vector<std::unique_ptr<net::Switch>> switches;
   for (net::NodeId sw = 0; sw < topo.switch_count(); ++sw) {
     switches.push_back(std::make_unique<net::Switch>(fabric, sw));

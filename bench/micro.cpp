@@ -147,9 +147,10 @@ class PingPongNode final : public net::Node {
 };
 
 void BM_FabricHotPath(benchmark::State& state) {
-  sim::Simulator sim;
+  sim::ShardGroup group{1};
   net::FatTree topo(4);
-  net::Fabric fabric(sim, topo, net::FabricConfig{});
+  net::Fabric fabric(group, topo, net::FabricConfig{});
+  sim::Simulator& sim = fabric.simulator();
   const net::NodeId host = topo.host_node(0);
   const net::NodeId tor = topo.host_tor(0);
   PingPongNode a(fabric, host, tor);
@@ -200,9 +201,10 @@ BENCHMARK(BM_FabricHotPath);
 // busy, so their wait queues stay empty. The iteration count is fixed, so
 // every run measures the same simulated window.
 void BM_ClientRequestPath(benchmark::State& state) {
-  sim::Simulator sim;
+  sim::ShardGroup group{1};
   net::FatTree topo(4);
-  net::Fabric fabric(sim, topo, net::FabricConfig{});
+  net::Fabric fabric(group, topo, net::FabricConfig{});
+  sim::Simulator& sim = fabric.simulator();
   std::vector<std::unique_ptr<net::Switch>> switches;
   for (net::NodeId sw = 0; sw < topo.switch_count(); ++sw) {
     switches.push_back(std::make_unique<net::Switch>(fabric, sw));

@@ -75,9 +75,10 @@ class WeightedQueueSelector final : public rs::ReplicaSelector {
 // operator; returns the measured latency distribution.
 sim::LatencyRecorder run_with(core::SelectorFactory make_one_selector,
                               const char* label) {
-  sim::Simulator sim;
+  sim::ShardGroup group{1};
   net::FatTree topo(8);
-  net::Fabric fabric(sim, topo, net::FabricConfig{});
+  net::Fabric fabric(group, topo, net::FabricConfig{});
+  sim::Simulator& sim = fabric.simulator();
   std::vector<std::unique_ptr<net::Switch>> switches;
   for (net::NodeId sw = 0; sw < topo.switch_count(); ++sw) {
     switches.push_back(std::make_unique<net::Switch>(fabric, sw));

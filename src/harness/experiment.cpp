@@ -906,6 +906,28 @@ ExperimentResult run_experiment(Scheme scheme, const ExperimentConfig& cfg) {
   // Parse the fault plan once up front: a malformed spec throws here, on
   // the caller's thread, before any repeat fans out.
   const sim::FaultPlan fault_plan = sim::FaultPlan::parse(cfg.fault_plan);
+  // Link events must name a cabled fat-tree link: Fabric::set_link_state
+  // checks its endpoints only in debug builds, so a bad pair would count
+  // as fired while cutting nothing.
+  const net::FatTree tree(cfg.fat_tree_k);
+  const auto node_count = static_cast<long long>(tree.node_count());
+  for (const sim::FaultEvent& e : fault_plan.events()) {
+    if (e.unit != sim::FaultUnit::kLink) continue;
+    if (e.index >= 0 && e.index < node_count && e.peer >= 0 &&
+        e.peer < node_count &&
+        tree.adjacent(static_cast<net::NodeId>(e.index),
+                      static_cast<net::NodeId>(e.peer))) {
+      continue;
+    }
+    const char* verb =
+        e.op == sim::FaultOp::kLinkDown ? "link-down " : "link-up ";
+    throw std::invalid_argument(
+        "run_experiment: fault plan entry \"" + std::string(verb) +
+        std::to_string(e.index) + " " + std::to_string(e.peer) + "\" at " +
+        std::to_string(e.at) + " ns names no link of the k=" +
+        std::to_string(cfg.fat_tree_k) + " fat tree (NodeIds 0.." +
+        std::to_string(node_count - 1) + ", endpoints must be adjacent)");
+  }
   res.fault.enabled = !fault_plan.empty();
   res.fault.window_start_ms = sim::to_millis(fault_plan.window_start());
   res.fault.window_end_ms = sim::to_millis(fault_plan.window_end());

@@ -3,7 +3,9 @@
 #include <algorithm>
 #include <atomic>
 #include <exception>
-#include <utility>
+#include <mutex>
+#include <thread>
+#include <vector>
 
 namespace netrs::harness {
 
@@ -11,52 +13,6 @@ int resolve_jobs(int requested) {
   if (requested >= 1) return requested;
   const unsigned hw = std::thread::hardware_concurrency();
   return hw == 0 ? 1 : static_cast<int>(hw);
-}
-
-ThreadPool::ThreadPool(int threads) {
-  const int n = std::max(1, threads);
-  workers_.reserve(static_cast<std::size_t>(n));
-  for (int i = 0; i < n; ++i) {
-    workers_.emplace_back([this] { worker_loop(); });
-  }
-}
-
-ThreadPool::~ThreadPool() {
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    stop_ = true;
-  }
-  task_ready_.notify_all();
-  for (std::thread& w : workers_) w.join();
-}
-
-void ThreadPool::submit(std::function<void()> task) {
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    queue_.push_back(std::move(task));
-  }
-  task_ready_.notify_one();
-}
-
-void ThreadPool::wait() {
-  std::unique_lock<std::mutex> lock(mu_);
-  all_done_.wait(lock, [this] { return queue_.empty() && running_ == 0; });
-}
-
-void ThreadPool::worker_loop() {
-  std::unique_lock<std::mutex> lock(mu_);
-  for (;;) {
-    task_ready_.wait(lock, [this] { return stop_ || !queue_.empty(); });
-    if (queue_.empty()) return;  // stop_ and drained
-    std::function<void()> task = std::move(queue_.front());
-    queue_.pop_front();
-    ++running_;
-    lock.unlock();
-    task();
-    lock.lock();
-    --running_;
-    if (queue_.empty() && running_ == 0) all_done_.notify_all();
-  }
 }
 
 void parallel_for(int jobs, std::size_t n,
@@ -84,10 +40,14 @@ void parallel_for(int jobs, std::size_t n,
     }
   };
 
-  ThreadPool pool(static_cast<int>(workers) - 1);  // caller is worker #0
-  for (std::size_t t = 1; t < workers; ++t) pool.submit(drain);
-  drain();
-  pool.wait();
+  {
+    // The caller is worker #0. jthreads join when this scope ends, also
+    // when a thread fails to start and its exception propagates.
+    std::vector<std::jthread> threads;
+    threads.reserve(workers - 1);
+    for (std::size_t t = 1; t < workers; ++t) threads.emplace_back(drain);
+    drain();
+  }
   if (first_error) std::rethrow_exception(first_error);
 }
 

@@ -1,6 +1,6 @@
-// Small thread-pool used to fan independent experiment runs — repeat
-// deployments within run_experiment() and whole sweep cells (scheme ×
-// config point) in the figure benches — out across CPU cores.
+// Fans independent experiment runs — repeat deployments within
+// run_experiment() and whole sweep cells (scheme × config point) in the
+// figure benches — out across CPU cores with parallel_for().
 //
 // Determinism contract: every task owns its entire simulation state
 // (Simulator, Rng, topology, …) and derives its seed from the task index,
@@ -10,13 +10,8 @@
 // your own slot; merge slots in order afterwards).
 #pragma once
 
-#include <condition_variable>
 #include <cstddef>
-#include <deque>
 #include <functional>
-#include <mutex>
-#include <thread>
-#include <vector>
 
 namespace netrs::harness {
 
@@ -25,48 +20,12 @@ namespace netrs::harness {
 /// least 1).
 [[nodiscard]] int resolve_jobs(int requested);
 
-/// Fixed-size pool of worker threads draining a FIFO task queue. The
-/// queue and completion accounting sit behind one mutex; wait() blocks
-/// until every submitted task has finished.
-class ThreadPool {
- public:
-  /// Spawns exactly `threads` workers (>= 1).
-  explicit ThreadPool(int threads);
-  ~ThreadPool();
-
-  ThreadPool(const ThreadPool&) = delete;
-  ThreadPool& operator=(const ThreadPool&) = delete;
-
-  /// Number of worker threads.
-  [[nodiscard]] int thread_count() const {
-    return static_cast<int>(workers_.size());
-  }
-
-  /// Enqueues a task. Tasks must not throw past their own frame unless
-  /// the caller arranges to capture the exception (parallel_for does).
-  void submit(std::function<void()> task);
-
-  /// Blocks until the queue is empty and no task is running.
-  void wait();
-
- private:
-  void worker_loop();
-
-  std::mutex mu_;
-  std::condition_variable task_ready_;
-  std::condition_variable all_done_;
-  std::deque<std::function<void()>> queue_;
-  std::vector<std::thread> workers_;
-  std::size_t running_ = 0;
-  bool stop_ = false;
-};
-
-/// Runs body(0), …, body(n-1) across up to `jobs` workers (the calling
-/// thread participates, so `jobs == 1` — or n <= 1 — executes serially
-/// inline with zero threading overhead). Indices are claimed from an
-/// atomic counter, each exactly once, in no particular order; the first
-/// exception thrown by any body is rethrown on the caller after all
-/// workers drain.
+/// Runs body(0), …, body(n-1) across up to `jobs` workers: the calling
+/// thread plus workers-1 std::jthreads joined before return (so
+/// `jobs == 1` — or n <= 1 — executes serially inline with zero
+/// threading overhead). Indices are claimed from an atomic counter, each
+/// exactly once, in no particular order; the first exception thrown by
+/// any body is rethrown on the caller after all workers drain.
 void parallel_for(int jobs, std::size_t n,
                   const std::function<void(std::size_t)>& body);
 

@@ -10,81 +10,44 @@
 
 namespace netrs::net {
 
-Fabric::Fabric(sim::Simulator& simulator, const FatTree& topo,
-               FabricConfig cfg)
-    : topo_(topo), cfg_(cfg) {
-  init_serial(simulator);
-}
-
 Fabric::Fabric(sim::ShardGroup& group, const FatTree& topo, FabricConfig cfg)
-    : topo_(topo), cfg_(cfg) {
-  if (group.shards() <= 1) {
-    // One shard: no cross-shard traffic exists, so take the serial path
-    // (and skip the lookahead validation — no conservative sync runs).
-    init_serial(group.global_sim());
-    return;
-  }
-  init_sharded(group);
-}
-
-Fabric::~Fabric() {
-  if (lanes_ == nullptr) return;
-  const std::size_t n = sims_.size() * sims_.size();
-  for (std::size_t i = 0; i < n; ++i) {
-    Lane& ln = lanes_[i];
-    for (LaneNode* list :
-         {ln.head.load(std::memory_order_relaxed),
-          ln.free_head.load(std::memory_order_relaxed), ln.producer_cache}) {
-      while (list != nullptr) {
-        LaneNode* next = list->next;
-        delete list;
-        list = next;
-      }
-    }
-  }
-}
-
-void Fabric::init_serial(sim::Simulator& simulator) {
-  sims_ = {&simulator};
-  global_sim_ = &simulator;
-  node_shard_.assign(topo_.node_count(), 0);
-  state_ = std::make_unique<ShardState[]>(1);
-  state_[0].ledger.set_name("fabric-delivery");
-  nodes_.resize(topo_.node_count(), nullptr);
-}
-
-void Fabric::init_sharded(sim::ShardGroup& group) {
+    : topo_(topo), cfg_(cfg), group_(&group) {
   const int shards = group.shards();
-  // Satellite fix: a link shorter than the lookahead window would let a
-  // packet arrive inside a window a neighbor shard has already executed,
-  // silently corrupting conservative sync. Fail fast at construction.
-  // Accelerator links are exempt: the ownership map pins every accelerator
-  // to its switch's shard, so they can never cross a shard boundary.
-  const sim::Duration lookahead = group.lookahead();
-  if (lookahead <= 0) {
-    throw std::invalid_argument(
-        "Fabric: sharded mode needs a positive lookahead window, got " +
-        std::to_string(lookahead) + " ns");
-  }
-  if (cfg_.switch_link_latency < lookahead) {
-    throw std::invalid_argument(
-        "Fabric: switch link latency " +
-        std::to_string(cfg_.switch_link_latency) +
-        " ns is below the conservative lookahead window of " +
-        std::to_string(lookahead) +
-        " ns; cross-shard packets would arrive inside already-executed "
-        "windows (lower the ShardGroup lookahead or raise the latency)");
-  }
-  if (cfg_.host_link_latency < lookahead) {
-    throw std::invalid_argument(
-        "Fabric: host link latency " + std::to_string(cfg_.host_link_latency) +
-        " ns is below the conservative lookahead window of " +
-        std::to_string(lookahead) +
-        " ns; cross-shard packets would arrive inside already-executed "
-        "windows (lower the ShardGroup lookahead or raise the latency)");
+  if (shards > 1) {
+    // Only more than one shard runs conservative sync and sends across
+    // shards, so only then are link latencies checked and lanes built.
+    // A link shorter than the lookahead window would let a packet arrive
+    // inside a window a neighbor shard has already executed, silently
+    // corrupting conservative sync. Fail fast at construction. Accelerator
+    // links are exempt: the ownership map pins every accelerator to its
+    // switch's shard, so they can never cross a shard boundary.
+    const sim::Duration lookahead = group.lookahead();
+    if (lookahead <= 0) {
+      throw std::invalid_argument(
+          "Fabric: sharded mode needs a positive lookahead window, got " +
+          std::to_string(lookahead) + " ns");
+    }
+    if (cfg_.switch_link_latency < lookahead) {
+      throw std::invalid_argument(
+          "Fabric: switch link latency " +
+          std::to_string(cfg_.switch_link_latency) +
+          " ns is below the conservative lookahead window of " +
+          std::to_string(lookahead) +
+          " ns; cross-shard packets would arrive inside already-executed "
+          "windows (lower the ShardGroup lookahead or raise the latency)");
+    }
+    if (cfg_.host_link_latency < lookahead) {
+      throw std::invalid_argument(
+          "Fabric: host link latency " +
+          std::to_string(cfg_.host_link_latency) +
+          " ns is below the conservative lookahead window of " +
+          std::to_string(lookahead) +
+          " ns; cross-shard packets would arrive inside already-executed "
+          "windows (lower the ShardGroup lookahead or raise the latency)");
+    }
+    lanes_ = std::vector<Lane>(std::size_t(shards) * std::size_t(shards));
   }
 
-  group_ = &group;
   sims_.reserve(std::size_t(shards));
   for (int s = 0; s < shards; ++s) sims_.push_back(&group.shard_sim(s));
   global_sim_ = &group.global_sim();
@@ -92,7 +55,6 @@ void Fabric::init_sharded(sim::ShardGroup& group) {
   for (int s = 0; s < shards; ++s) {
     state_[s].ledger.set_name("fabric-delivery");
   }
-  lanes_ = std::make_unique<Lane[]>(std::size_t(shards) * std::size_t(shards));
 
   // Ownership map: pod p (ToRs, aggs, hosts) on shard p mod S; core group g
   // (its k/2 switches, and by attach_auxiliary the accelerator they share)
@@ -116,13 +78,26 @@ void Fabric::init_sharded(sim::ShardGroup& group) {
       [this](int shard, sim::Time safe) { drain_shard(shard, safe); });
 }
 
+Fabric::~Fabric() {
+  for (Lane& ln : lanes_) {
+    for (LaneNode* list :
+         {ln.head.load(std::memory_order_relaxed),
+          ln.free_head.load(std::memory_order_relaxed), ln.producer_cache}) {
+      while (list != nullptr) {
+        LaneNode* next = list->next;
+        delete list;
+        list = next;
+      }
+    }
+  }
+}
+
 void Fabric::attach(NodeId id, Node* node) {
   assert(id < nodes_.size());
   assert(nodes_[id] == nullptr && "NodeId already attached");
   assert(node != nullptr);
   nodes_[id] = node;
-  // Record the owner shard on the node's affinity sentinel (audit builds;
-  // group_ is null in serial mode, leaving the guard inert).
+  // Record the owner shard on the node's affinity sentinel (audit builds).
   const int shard = shard_of(id);
   node->shard_affinity().bind(group_, shard, "node",
                               static_cast<long long>(id),
@@ -149,7 +124,6 @@ void Fabric::audit_simulator_for(NodeId id) {
   // to a foreign shard's simulator, and the misuse only surfaced later as a
   // data race on that shard's event queue. Catch it at the hand-out point,
   // naming the owning shard.
-  if (group_ == nullptr) return;  // serial mode: one simulator, no foreigners
   const int owner = shard_of(id);
   const int ctx = sim::ShardGroup::current_shard();
   const bool foreign_worker =
@@ -245,10 +219,6 @@ void Fabric::send(NodeId from, NodeId to, Packet pkt) {
   }
 
   const int dst_shard = shard_of(to);
-  if (lanes_ == nullptr) {
-    send_local(dst_shard, from, to, std::move(pkt));
-    return;
-  }
   const int src_shard = shard_of(from);
   if (src_shard == dst_shard) {
     send_local(dst_shard, from, to, std::move(pkt));
@@ -386,16 +356,9 @@ void Fabric::drop_at_down_link(NodeId from) {
   // so it is neither counted as sent nor injected — the conservation
   // identity stays exact and the loss is visible in the drop ledger. The
   // executing context owns `from`'s shard (or is the coordinator at a
-  // barrier), so the counters are race-free.
-  const int src_shard = shard_of(from);
-  ++state_[src_shard].link_drops;
-  sims_[std::size_t(src_shard)]->auditor().on_packet_dropped("link-down");
-}
-
-std::uint64_t Fabric::link_drops() const {
-  std::uint64_t total = 0;
-  for (int s = 0; s < shard_count(); ++s) total += state_[s].link_drops;
-  return total;
+  // barrier), so the ledger write is race-free.
+  sims_[std::size_t(shard_of(from))]->auditor().on_packet_dropped(
+      "link-down");
 }
 
 std::uint64_t Fabric::packets_sent() const {

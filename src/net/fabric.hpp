@@ -7,16 +7,19 @@
 // 1.25 us one-way. No bandwidth contention is modeled (neither does the
 // paper); queueing happens at servers and accelerators.
 //
-// Sharded mode (DESIGN.md §4.10): constructed over a sim::ShardGroup the
-// fabric partitions the tree by pod — pod p (its ToRs, aggs, and hosts)
-// lives on shard p mod S, core group g (its k/2 switches plus the shared
-// accelerator cabled to them) on shard g mod S — so the only links that
-// cross shards are the 30 us agg<->core links, which bound the group's
-// conservative lookahead. send() delivers intra-shard packets exactly as
-// the serial fabric does and pushes cross-shard packets onto a lock-free
-// per-(dst,src) lane stamped with arrival time; each shard drains its
-// lanes at the start of every conservative window, scheduling arrivals in
-// deterministic (arrive, src-shard, seq) order.
+// Sharding (DESIGN.md §4.10): the fabric is always built over a
+// sim::ShardGroup — a serial run is simply ShardGroup(1), whose single
+// shard is also the global simulator. It partitions the tree by pod — pod
+// p (its ToRs, aggs, and hosts) lives on shard p mod S, core group g (its
+// k/2 switches plus the shared accelerator cabled to them) on shard
+// g mod S — so the only links that cross shards are the 30 us agg<->core
+// links, which bound the group's conservative lookahead. send() parks
+// intra-shard packets in the sending shard's delivery pool and pushes
+// cross-shard packets onto a lock-free per-(dst,src) lane stamped with
+// arrival time; each shard drains its lanes at the start of every
+// conservative window, scheduling arrivals in deterministic
+// (arrive, src-shard, seq) order. With one shard every send is
+// intra-shard.
 #pragma once
 
 #include <atomic>
@@ -56,17 +59,15 @@ struct NETRS_SHARED_IMMUTABLE FabricConfig {
 /// fixed-latency links through the simulator (see the file comment).
 class NETRS_COORD_GLOBAL Fabric {
  public:
-  /// Builds a serial (single-simulator) fabric over `topo`; `topo` must
-  /// outlive the fabric. Identical to the pre-shard fabric.
-  Fabric(sim::Simulator& simulator, const FatTree& topo, FabricConfig cfg);
-
-  /// Builds a sharded fabric over `topo` partitioned across `group`'s
-  /// shards by pod / core group (see the file comment) and installs the
-  /// group's inbox drain hook. Throws std::invalid_argument when a
+  /// Builds the fabric over `topo` partitioned across `group`'s shards by
+  /// pod / core group (see the file comment) and installs the group's
+  /// inbox drain hook; `sim::ShardGroup group{1}` gives a serial fabric.
+  /// With more than one shard, throws std::invalid_argument when a
   /// switch/host link latency is below the group's lookahead window (a
   /// short link would let a packet arrive inside an already-executed
-  /// window and silently break conservative sync). `group` and `topo`
-  /// must outlive the fabric; one fabric per group.
+  /// window and silently break conservative sync); one shard runs no
+  /// conservative sync, so any latency is accepted there. `group` and
+  /// `topo` must outlive the fabric; one fabric per group.
   Fabric(sim::ShardGroup& group, const FatTree& topo, FabricConfig cfg);
 
   ~Fabric();
@@ -89,9 +90,9 @@ class NETRS_COORD_GLOBAL Fabric {
   /// destination shard's lock-free lane (nodes pooled per lane).
   void send(NodeId from, NodeId to, Packet pkt);
 
-  /// The global simulation clock/scheduler: the only simulator in serial
-  /// mode, the ShardGroup's barrier-executed global simulator in sharded
-  /// mode. Per-node scheduling must use simulator_for().
+  /// The global simulation clock/scheduler: the ShardGroup's
+  /// barrier-executed global simulator (the only simulator with one
+  /// shard). Per-node scheduling must use simulator_for().
   [[nodiscard]] sim::Simulator& simulator() { return *global_sim_; }
   /// The simulator owning `id`'s shard: components cache this and schedule
   /// all their local work on it. Audit builds record a
@@ -104,13 +105,13 @@ class NETRS_COORD_GLOBAL Fabric {
     if constexpr (sim::kAuditEnabled) audit_simulator_for(id);
     return *sims_[std::size_t(shard_of(id))];
   }
-  /// Shard index owning NodeId `id` (always 0 in serial mode).
+  /// Shard index owning NodeId `id` (always 0 with one shard).
   [[nodiscard]] int shard_of(NodeId id) const {
     return id < node_shard_.size()
                ? node_shard_[id]
                : aux_shard_[id - node_shard_.size()];
   }
-  /// Number of shards the fabric spans (1 in serial mode).
+  /// Number of shards the fabric spans.
   [[nodiscard]] int shard_count() const { return static_cast<int>(sims_.size()); }
   /// The static topology.
   [[nodiscard]] const FatTree& topology() const { return topo_; }
@@ -144,8 +145,6 @@ class NETRS_COORD_GLOBAL Fabric {
     return !links_down_ ||
            down_links_.count(a < b ? std::pair(a, b) : std::pair(b, a)) == 0;
   }
-  /// Packets dropped at down links, summed over shards (diagnostic).
-  [[nodiscard]] std::uint64_t link_drops() const;
 
   /// Stable per-flow hash used for ECMP decisions.
   static std::uint64_t flow_hash(const Packet& pkt);
@@ -164,13 +163,13 @@ class NETRS_COORD_GLOBAL Fabric {
   /// reported as a packet leak with its send provenance; without it (a run
   /// cut off at a simulated-time wall with traffic legitimately on the
   /// wire) the in-flight count is recorded in the audit summary instead.
-  /// In sharded mode the per-shard ledgers are closed in shard order and
-  /// the conservation identity is checked over the merged counters.
+  /// The per-shard ledgers are closed in shard order and the conservation
+  /// identity is checked over the merged counters.
   void audit_finalize(bool expect_drained = true);
 
   /// Merged audit counters across every shard auditor plus the global one
-  /// (shard order; empty-default in plain builds). Serial mode returns the
-  /// single simulator's summary.
+  /// (shard order; empty-default in plain builds). With one shard this is
+  /// the single simulator's summary.
   [[nodiscard]] sim::AuditSummary merged_audit_summary() const;
 
  private:
@@ -230,7 +229,6 @@ class NETRS_COORD_GLOBAL Fabric {
     std::uint64_t packets_sent = 0;
     std::uint64_t bytes_sent = 0;
     std::uint64_t cross_sends = 0;  // sends leaving this shard's partition
-    std::uint64_t link_drops = 0;  // sends rejected at a down link
     sim::SlotLedger ledger;           // conservation audit (checked builds)
     std::vector<CrossEntry> pending;  // drained, not yet schedulable
     /// Cross-shard packets bound here that are not yet parked in the
@@ -238,8 +236,6 @@ class NETRS_COORD_GLOBAL Fabric {
     std::atomic<std::uint64_t> cross_pending{0};
   };
 
-  void init_serial(sim::Simulator& simulator);
-  void init_sharded(sim::ShardGroup& group);
   /// Audit-build half of simulator_for (see its doc comment): records the
   /// foreign-handle violation with owner/actor provenance. Out of line so
   /// the hot inline path stays a single vector index in plain builds.
@@ -249,8 +245,8 @@ class NETRS_COORD_GLOBAL Fabric {
   /// Cabling check behind assert(): tree adjacency or an auxiliary link in
   /// either direction. Single map lookup per direction.
   [[nodiscard]] bool valid_link(NodeId from, NodeId to) const;
-  /// The serial fast path: park in `shard`'s pool and schedule delivery on
-  /// its own simulator. Bit-for-bit the pre-shard send.
+  /// The intra-shard path: park in `shard`'s pool and schedule delivery on
+  /// its own simulator.
   void send_local(int shard, NodeId from, NodeId to, Packet pkt);
   /// Drains every lane bound for `dst` and parks all arrivals strictly
   /// below `safe` in (arrive, src_shard, seq) order; the rest wait in the
@@ -265,13 +261,13 @@ class NETRS_COORD_GLOBAL Fabric {
 
   const FatTree& topo_;
   FabricConfig cfg_;
-  sim::ShardGroup* group_ = nullptr;     // null in serial mode
+  sim::ShardGroup* group_;
   std::vector<sim::Simulator*> sims_;    // by shard
   sim::Simulator* global_sim_ = nullptr;
   std::vector<int> node_shard_;          // topology NodeId -> shard
   std::vector<int> aux_shard_;           // auxiliary index -> shard
   std::unique_ptr<ShardState[]> state_;  // by shard
-  std::unique_ptr<Lane[]> lanes_;        // [dst * shards + src], sharded only
+  std::vector<Lane> lanes_;  // [dst * shards + src]; empty with one shard
   std::vector<Node*> nodes_;             // topology nodes by NodeId
   std::vector<Node*> aux_nodes_;         // auxiliary devices
   std::unordered_map<NodeId, NodeId> aux_link_;  // aux id -> switch id

@@ -16,21 +16,6 @@ std::string bucket_label(const std::string& name, double bound) {
 
 }  // namespace
 
-Histogram::Histogram(std::vector<double> bounds) : bounds_(std::move(bounds)) {
-  for (std::size_t i = 1; i < bounds_.size(); ++i) {
-    assert(bounds_[i - 1] < bounds_[i] && "histogram bounds must increase");
-  }
-  counts_.assign(bounds_.size() + 1, 0);
-}
-
-void Histogram::add(double v) {
-  std::size_t i = 0;
-  while (i < bounds_.size() && v > bounds_[i]) ++i;
-  ++counts_[i];
-  ++count_;
-  sum_ += v;
-}
-
 ShardedHistogram::ShardedHistogram(std::vector<double> bounds, int lanes)
     : bounds_(std::move(bounds)) {
   for (std::size_t i = 1; i < bounds_.size(); ++i) {
@@ -107,29 +92,11 @@ void MetricsSummary::merge(const MetricsSnapshot& snap) {
   }
 }
 
-std::uint64_t* MetricsRegistry::counter(std::string name, bool summarize) {
-  assert(rows_.empty() && "register metrics before the first sample");
-  counters_.push_back(0);
-  metrics_.push_back(
-      {std::move(name), Kind::kCounter, summarize, counters_.size() - 1});
-  return &counters_.back();
-}
-
 void MetricsRegistry::gauge(std::string name, GaugeFn fn, bool summarize) {
   assert(rows_.empty() && "register metrics before the first sample");
   gauges_.push_back(std::move(fn));
   metrics_.push_back(
       {std::move(name), Kind::kGauge, summarize, gauges_.size() - 1});
-}
-
-Histogram* MetricsRegistry::histogram(std::string name,
-                                      std::vector<double> bounds,
-                                      bool summarize) {
-  assert(rows_.empty() && "register metrics before the first sample");
-  histograms_.emplace_back(std::move(bounds));
-  metrics_.push_back(
-      {std::move(name), Kind::kHistogram, summarize, histograms_.size() - 1});
-  return &histograms_.back();
 }
 
 ShardedHistogram* MetricsRegistry::sharded_histogram(std::string name,
@@ -146,58 +113,38 @@ ShardedHistogram* MetricsRegistry::sharded_histogram(std::string name,
 void MetricsRegistry::sample(sim::Time now) {
   if (columns_ == 0) {
     for (const Metric& m : metrics_) {
-      switch (m.kind) {
-        case Kind::kHistogram:
-          columns_ += histograms_[m.index].bucket_count() + 2;
-          break;
-        case Kind::kShardedHistogram:
-          columns_ += sharded_[m.index].bucket_count() + 2;
-          break;
-        default:
-          columns_ += 1;
-          break;
-      }
+      columns_ += m.kind == Kind::kShardedHistogram
+                      ? sharded_[m.index].bucket_count() + 2
+                      : 1;
     }
   }
   MetricsSnapshot::Row row;
   row.t = now;
   row.values.reserve(columns_);
   for (const Metric& m : metrics_) {
-    switch (m.kind) {
-      case Kind::kCounter:
-        row.values.push_back(static_cast<double>(counters_[m.index]));
-        break;
-      case Kind::kGauge:
-        row.values.push_back(gauges_[m.index]());
-        break;
-      case Kind::kHistogram: {
-        const Histogram& h = histograms_[m.index];
-        for (std::size_t b = 0; b < h.bucket_count(); ++b) {
-          row.values.push_back(static_cast<double>(h.bucket(b)));
-        }
-        row.values.push_back(static_cast<double>(h.count()));
-        row.values.push_back(h.sum());
-        break;
-      }
-      case Kind::kShardedHistogram: {
-        const ShardedHistogram& h = sharded_[m.index];
-        for (std::size_t b = 0; b < h.bucket_count(); ++b) {
-          row.values.push_back(static_cast<double>(h.bucket(b)));
-        }
-        row.values.push_back(static_cast<double>(h.count()));
-        row.values.push_back(h.sum());
-        break;
-      }
+    if (m.kind == Kind::kGauge) {
+      row.values.push_back(gauges_[m.index]());
+      continue;
     }
+    const ShardedHistogram& h = sharded_[m.index];
+    for (std::size_t b = 0; b < h.bucket_count(); ++b) {
+      row.values.push_back(static_cast<double>(h.bucket(b)));
+    }
+    row.values.push_back(static_cast<double>(h.count()));
+    row.values.push_back(h.sum());
   }
   rows_.push_back(std::move(row));
 }
 
 MetricsSnapshot MetricsRegistry::snapshot() const {
   MetricsSnapshot snap;
-  const auto expand_histogram = [&snap](const Metric& m,
-                                        const std::vector<double>& bounds) {
-    for (const double bound : bounds) {
+  for (const Metric& m : metrics_) {
+    if (m.kind == Kind::kGauge) {
+      snap.columns.push_back(m.name);
+      snap.summarize.push_back(m.summarize ? 1 : 0);
+      continue;
+    }
+    for (const double bound : sharded_[m.index].bounds()) {
       snap.columns.push_back(bucket_label(m.name, bound));
       snap.summarize.push_back(0);
     }
@@ -207,16 +154,6 @@ MetricsSnapshot MetricsRegistry::snapshot() const {
     snap.summarize.push_back(m.summarize ? 1 : 0);
     snap.columns.push_back(m.name + ".sum");
     snap.summarize.push_back(0);
-  };
-  for (const Metric& m : metrics_) {
-    if (m.kind == Kind::kHistogram) {
-      expand_histogram(m, histograms_[m.index].bounds());
-    } else if (m.kind == Kind::kShardedHistogram) {
-      expand_histogram(m, sharded_[m.index].bounds());
-    } else {
-      snap.columns.push_back(m.name);
-      snap.summarize.push_back(m.summarize ? 1 : 0);
-    }
   }
   snap.rows = rows_;
   return snap;

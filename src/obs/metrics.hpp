@@ -1,11 +1,10 @@
 // Deterministic metrics registry sampled on simulated time.
 //
-// Components register counters (monotone uint64, owned by the caller via
-// a stable pointer), gauges (pull-style callbacks over const getters)
-// and fixed-bucket histograms. A simulated-time ticker calls sample()
-// at a fixed interval, appending one row per tick; after the run the
-// rows become a long-format CSV time series plus a compact per-metric
-// summary for the harness report.
+// Components register gauges (pull-style callbacks over const getters)
+// and shard-laned fixed-bucket histograms. The harness calls sample() at
+// every sampling grid point between engine windows, appending one row per
+// tick; after the run the rows become a long-format CSV time series plus
+// a compact per-metric summary for the harness report.
 //
 // Determinism contract: the column layout is the registration order
 // (never hash order), sampling reads const state only, and all value
@@ -25,44 +24,9 @@
 
 namespace netrs::obs {
 
-/// Fixed-bucket histogram in the Prometheus "le" style: a value lands in
+/// Fixed-bucket histogram in the Prometheus "le" style (a value lands in
 /// the first bucket whose upper bound is >= the value; values above the
-/// last bound land in the overflow bucket.
-class NETRS_COORD_GLOBAL Histogram {
- public:
-  /// Creates a histogram with the given strictly increasing upper bounds
-  /// (one overflow bucket is added implicitly).
-  explicit Histogram(std::vector<double> bounds);
-
-  /// Records one observation.
-  void add(double v);
-
-  /// Upper bounds as configured (excludes the implicit overflow bucket).
-  [[nodiscard]] const std::vector<double>& bounds() const { return bounds_; }
-
-  /// Number of buckets including the overflow bucket.
-  [[nodiscard]] std::size_t bucket_count() const { return counts_.size(); }
-
-  /// Observation count in bucket `i` (the last index is the overflow
-  /// bucket). Not cumulative.
-  [[nodiscard]] std::uint64_t bucket(std::size_t i) const {
-    return counts_[i];
-  }
-
-  /// Total observations.
-  [[nodiscard]] std::uint64_t count() const { return count_; }
-
-  /// Sum of all observed values.
-  [[nodiscard]] double sum() const { return sum_; }
-
- private:
-  std::vector<double> bounds_;
-  std::vector<std::uint64_t> counts_;
-  std::uint64_t count_ = 0;
-  double sum_ = 0.0;
-};
-
-/// Fixed-bucket "le"-style histogram safe to feed from shard worker
+/// last bound land in the overflow bucket), safe to feed from shard worker
 /// threads: each shard owns one cache-line-isolated lane (single writer)
 /// accumulating integer bucket counts and an exact nanosecond sum, and
 /// the read side folds the lanes by plain integer addition in lane order
@@ -167,29 +131,21 @@ struct NETRS_SHARED_IMMUTABLE MetricsSummary {
   void merge(const MetricsSnapshot& snap);
 };
 
-/// Registry of counters / gauges / histograms with a deterministic,
+/// Registry of gauges and sharded histograms with a deterministic,
 /// registration-ordered column layout. One instance per repeat.
 class NETRS_COORD_GLOBAL MetricsRegistry {
  public:
   /// Pull-style gauge callback; must only read const simulation state.
   using GaugeFn = std::function<double()>;
 
-  /// Registers a counter and returns a stable pointer the owner
-  /// increments; the registry reads it at each tick. `summarize` selects
+  /// Registers a pull gauge evaluated at each tick. `summarize` selects
   /// whether the column appears in the report summary table.
-  std::uint64_t* counter(std::string name, bool summarize = true);
-
-  /// Registers a pull gauge evaluated at each tick.
   void gauge(std::string name, GaugeFn fn, bool summarize = true);
-
-  /// Registers a histogram with the given upper bounds and returns a
-  /// stable pointer the owner feeds via Histogram::add.
-  Histogram* histogram(std::string name, std::vector<double> bounds,
-                       bool summarize = true);
 
   /// Registers a shard-laned histogram (bounds in ms, one lane per
   /// shard) and returns a stable pointer the owners feed via
-  /// ShardedHistogram::add. Expands to the same columns as histogram().
+  /// ShardedHistogram::add. Expands to `<name>.le_<bound>` buckets,
+  /// `<name>.le_inf`, `<name>.count` and `<name>.sum`.
   ShardedHistogram* sharded_histogram(std::string name,
                                       std::vector<double> bounds, int lanes,
                                       bool summarize = true);
@@ -201,14 +157,11 @@ class NETRS_COORD_GLOBAL MetricsRegistry {
   /// be finished before the first tick (the column layout freezes then).
   void sample(sim::Time now);
 
-  /// Number of rows sampled so far.
-  [[nodiscard]] std::size_t row_count() const { return rows_.size(); }
-
   /// Extracts the sampled series (column names, summary flags, rows).
   [[nodiscard]] MetricsSnapshot snapshot() const;
 
  private:
-  enum class Kind { kCounter, kGauge, kHistogram, kShardedHistogram };
+  enum class Kind { kGauge, kShardedHistogram };
 
   struct Metric {
     std::string name;
@@ -218,9 +171,7 @@ class NETRS_COORD_GLOBAL MetricsRegistry {
   };
 
   std::vector<Metric> metrics_;
-  std::deque<std::uint64_t> counters_;   // deque: stable addresses
   std::vector<GaugeFn> gauges_;
-  std::deque<Histogram> histograms_;     // deque: stable addresses
   std::deque<ShardedHistogram> sharded_;  // deque: stable addresses
   std::vector<MetricsSnapshot::Row> rows_;
   std::size_t columns_ = 0;  // frozen at first sample()

@@ -7,8 +7,7 @@ namespace netrs::obs {
 Observer::Observer(const ObsConfig& cfg)
     : ring_(cfg.want_trace() ? cfg.trace_capacity : 0),
       flight_(cfg.want_attribution()),
-      decisions_(cfg.want_decisions()),
-      metering_(cfg.want_metrics()) {}
+      decisions_(cfg.want_decisions()) {}
 
 void Observer::span(const char* name, const char* cat, std::int32_t tid,
                     sim::Time ts, sim::Duration dur, std::uint64_t id,

@@ -1,10 +1,11 @@
 // Observability hub: one Observer per simulation run.
 //
-// The Observer bundles the trace ring (obs/trace.hpp) and the metrics
-// registry (obs/metrics.hpp) and hangs off the Simulator as a plain
-// pointer (`Simulator::set_observer`), which the simulator only forward-
-// declares — sim keeps zero dependency on obs. Components guard every
-// record with `if (obs::Observer* o = sim.observer())`, so a run without
+// The Observer bundles the trace ring (obs/trace.hpp) and the flight and
+// decision recorders (obs/attribution.hpp, obs/decision.hpp) and hangs
+// off the Simulator as a plain pointer (`Simulator::set_observer`), which
+// the simulator only forward-declares — sim keeps zero dependency on obs.
+// Components guard every record with
+// `if (obs::Observer* o = sim.observer())`, so a run without
 // observability pays exactly one pointer load + branch per would-be
 // event ("zero overhead when off" in the runtime sense; the audit layer
 // covers the compile-time sense).
@@ -19,7 +20,6 @@
 
 #include "obs/attribution.hpp"
 #include "obs/decision.hpp"
-#include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "sim/affinity.hpp"
 #include "sim/time.hpp"
@@ -74,8 +74,8 @@ struct NETRS_SHARED_IMMUTABLE ObsConfig {
   }
 };
 
-/// Per-simulator observability hub; owns the trace ring, metrics
-/// registry, and the flight/decision recorders. Created by the harness —
+/// Per-simulator observability hub; owns the trace ring and the
+/// flight/decision recorders. Created by the harness —
 /// one per shard per repeat (plus a coordinator-side one for the global
 /// simulator), bundled in a ShardObserverSet (obs/shard_obs.hpp) — and
 /// attached to that simulator via Simulator::set_observer, so every
@@ -94,9 +94,6 @@ class NETRS_SHARD_LOCAL Observer {
   /// True when trace events are being recorded.
   [[nodiscard]] bool tracing() const { return ring_.enabled(); }
 
-  /// True when the metrics registry is live (sampler + registrations).
-  [[nodiscard]] bool metering() const { return metering_; }
-
   /// True when the flight recorder is capturing latency attribution.
   [[nodiscard]] bool attributing() const { return flight_.enabled(); }
 
@@ -111,10 +108,6 @@ class NETRS_SHARD_LOCAL Observer {
 
   /// The trace ring (mostly for tests; components use span()/instant()).
   [[nodiscard]] TraceRing& ring() { return ring_; }
-
-  /// The metrics registry; register counters/gauges/histograms here
-  /// before the sampler's first tick.
-  [[nodiscard]] MetricsRegistry& metrics() { return metrics_; }
 
   /// Records a complete span ('X'): `ts` + `dur` in simulated ns,
   /// `tid` = recording node, `id` = request correlation id, plus up to
@@ -136,17 +129,10 @@ class NETRS_SHARD_LOCAL Observer {
   /// Extracts this run's trace contribution for the merged JSON file.
   [[nodiscard]] TraceSnapshot take_trace() const;
 
-  /// Extracts this run's sampled metrics series.
-  [[nodiscard]] MetricsSnapshot take_metrics() const {
-    return metrics_.snapshot();
-  }
-
  private:
   TraceRing ring_;
-  MetricsRegistry metrics_;
   FlightRecorder flight_;
   DecisionRecorder decisions_;
-  bool metering_;
 };
 
 }  // namespace netrs::obs

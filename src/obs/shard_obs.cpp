@@ -33,11 +33,6 @@ TraceSnapshot ShardObserverSet::take_trace() const {
                       cfg_.want_trace() ? cfg_.trace_capacity : 0);
 }
 
-MetricsSnapshot ShardObserverSet::take_metrics() const {
-  const Observer& coord = coord_ != nullptr ? *coord_ : *lanes_.front();
-  return coord.take_metrics();
-}
-
 FlightSnapshot ShardObserverSet::take_flight() {
   std::vector<FlightLog> logs;
   logs.reserve(lanes_.size() + 1);

@@ -26,6 +26,7 @@
 #include <string>
 #include <vector>
 
+#include "obs/metrics.hpp"
 #include "obs/observer.hpp"
 #include "sim/affinity.hpp"
 #include "sim/time.hpp"
@@ -41,9 +42,10 @@ struct NETRS_SHARED_IMMUTABLE TraceLaneCounts {
 };
 
 /// Owns the per-shard Observers of one repeat plus the coordinator-side
-/// one, and produces the deterministic merged snapshots. Coordinator-
-/// owned: the harness creates it, attaches the lanes, and harvests after
-/// the run; shard threads only ever touch their own lane's Observer.
+/// one, and the repeat's single metrics registry, and produces the
+/// deterministic merged snapshots. Coordinator-owned: the harness creates
+/// it, attaches the lanes, and harvests after the run; shard threads only
+/// ever touch their own lane's Observer.
 class NETRS_COORD_GLOBAL ShardObserverSet {
  public:
   /// Creates `lanes` shard observers (>= 1) from `cfg`. With a single
@@ -64,15 +66,16 @@ class NETRS_COORD_GLOBAL ShardObserverSet {
     return coord_ != nullptr ? *coord_ : *lanes_.front();
   }
 
-  /// The coordinator observer's registry: the single metrics home of the
-  /// repeat (gauges read cross-shard state at sampling quiescence, so
-  /// per-shard registries would buy nothing but merge complexity).
-  [[nodiscard]] MetricsRegistry& metrics() { return coordinator().metrics(); }
+  /// The single metrics home of the repeat (gauges read cross-shard
+  /// state at sampling quiescence, so per-shard registries would buy
+  /// nothing but merge complexity). Register gauges and histograms here
+  /// before the first sample.
+  [[nodiscard]] MetricsRegistry& metrics() { return metrics_; }
 
   /// True when trace events are being recorded.
   [[nodiscard]] bool tracing() const { return lanes_.front()->tracing(); }
-  /// True when the metrics registry is live.
-  [[nodiscard]] bool metering() const { return lanes_.front()->metering(); }
+  /// True when metrics sampling is requested (ObsConfig::want_metrics).
+  [[nodiscard]] bool metering() const { return cfg_.want_metrics(); }
   /// True when flight attribution is being captured.
   [[nodiscard]] bool attributing() const {
     return lanes_.front()->attributing();
@@ -91,8 +94,10 @@ class NETRS_COORD_GLOBAL ShardObserverSet {
   /// the rings with the configured capacity.
   [[nodiscard]] TraceSnapshot take_trace() const;
 
-  /// The coordinator registry's sampled series.
-  [[nodiscard]] MetricsSnapshot take_metrics() const;
+  /// The registry's sampled series.
+  [[nodiscard]] MetricsSnapshot take_metrics() const {
+    return metrics_.snapshot();
+  }
 
   /// Canonical join of every lane's flight log (join_flights()). The
   /// logs are moved out of the lanes, so this harvests once per repeat.
@@ -110,6 +115,7 @@ class NETRS_COORD_GLOBAL ShardObserverSet {
  private:
   ObsConfig cfg_;
   sim::Time measure_from_ = 0;
+  MetricsRegistry metrics_;
   std::vector<std::unique_ptr<Observer>> lanes_;
   std::unique_ptr<Observer> coord_;  // null when lanes() == 1
 };

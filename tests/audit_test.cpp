@@ -42,9 +42,9 @@ class SinkHost final : public net::Host {
 };
 
 struct FabricRig {
-  sim::Simulator sim;
+  sim::ShardGroup group{1};
   net::FatTree topo{4};
-  net::Fabric fabric{sim, topo, net::FabricConfig{}};
+  net::Fabric fabric{group, topo, net::FabricConfig{}};
   std::vector<std::unique_ptr<net::Switch>> switches;
   std::vector<std::unique_ptr<SinkHost>> hosts;
 
@@ -115,7 +115,7 @@ TEST(AuditTest, LeakedDeliveryIsDetectedAtFinalize) {
   // Fault: finalize while the delivery event is still queued — the parked
   // slot was never released.
   rig.fabric.audit_finalize(/*expect_drained=*/true);
-  const AuditSummary s = rig.sim.auditor().summary();
+  const AuditSummary s = rig.fabric.simulator().auditor().summary();
   const AuditViolation* v = find_violation(s, "packet-leak");
   ASSERT_NE(v, nullptr);
   EXPECT_NE(v->detail.find("fabric-delivery"), std::string::npos) << v->detail;
@@ -197,9 +197,9 @@ TEST(AuditTest, HealthyRunIsViolationFree) {
   const net::HostId src = rig.topo.host_id(0, 0, 0);
   const net::HostId dst = rig.topo.host_id(3, 1, 1);
   rig.hosts[src]->transmit(rig.make_packet(src, dst));
-  rig.sim.run();
+  rig.fabric.simulator().run();
   rig.fabric.audit_finalize(/*expect_drained=*/true);
-  const AuditSummary s = rig.sim.auditor().summary();
+  const AuditSummary s = rig.fabric.simulator().auditor().summary();
   EXPECT_TRUE(s.enabled);
   EXPECT_EQ(s.violations_total, 0u);
   EXPECT_GT(s.checks, 0u);

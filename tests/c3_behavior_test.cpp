@@ -19,7 +19,7 @@ namespace {
 class C3BehaviorRig : public ::testing::Test {
  protected:
   // k = 8: four hosts per rack, so three servers + spare fit in one rack.
-  C3BehaviorRig() : topo(8), fabric(sim, topo, net::FabricConfig{}) {
+  C3BehaviorRig() : topo(8), fabric(group, topo, net::FabricConfig{}) {
     for (net::NodeId sw = 0; sw < topo.switch_count(); ++sw) {
       switches.push_back(std::make_unique<net::Switch>(fabric, sw));
       fabric.attach(sw, switches.back().get());
@@ -55,13 +55,13 @@ class C3BehaviorRig : public ::testing::Test {
     client->set_completion_callback(
         [this](const Client::Completion& c) { ++hits[c.server]; });
     client->start();
-    sim.run_until(sim.now() + span);
+    group.run_until(group.now() + span);
     client->stop();
-    sim.run_until(sim.now() + sim::millis(200));
+    group.run_until(group.now() + sim::millis(200));
     return hits;
   }
 
-  sim::Simulator sim;
+  sim::ShardGroup group{1};
   net::FatTree topo;
   net::Fabric fabric;
   std::vector<std::unique_ptr<net::Switch>> switches;

@@ -16,7 +16,7 @@ namespace {
 
 class CancelRig : public ::testing::Test {
  protected:
-  CancelRig() : topo(4), fabric(sim, topo, net::FabricConfig{}) {
+  CancelRig() : topo(4), fabric(group, topo, net::FabricConfig{}) {
     for (net::NodeId sw = 0; sw < topo.switch_count(); ++sw) {
       switches.push_back(std::make_unique<net::Switch>(fabric, sw));
       fabric.attach(sw, switches.back().get());
@@ -27,7 +27,8 @@ class CancelRig : public ::testing::Test {
     zipf = std::make_unique<sim::ZipfDistribution>(100, 0.99);
   }
 
-  sim::Simulator sim;
+  sim::ShardGroup group{1};
+  sim::Simulator& sim = group.global_sim();
   net::FatTree topo;
   net::Fabric fabric;
   std::vector<std::unique_ptr<net::Switch>> switches;

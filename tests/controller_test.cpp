@@ -21,7 +21,7 @@ class ControllerRig : public ::testing::Test {
  protected:
   ControllerRig()
       : topo(4),
-        fabric(sim, topo, net::FabricConfig{}),
+        fabric(group, topo, net::FabricConfig{}),
         groups(topo, GroupGranularity::kRack) {
     for (net::NodeId sw = 0; sw < topo.switch_count(); ++sw) {
       switches.push_back(std::make_unique<net::Switch>(fabric, sw));
@@ -90,7 +90,8 @@ class ControllerRig : public ::testing::Test {
     return n;
   }
 
-  sim::Simulator sim;
+  sim::ShardGroup group{1};
+  sim::Simulator& sim = group.global_sim();
   net::FatTree topo;
   net::Fabric fabric;
   TrafficGroups groups;

@@ -28,9 +28,9 @@ class SinkHost final : public Host {
 };
 
 struct Rig {
-  sim::Simulator sim;
+  sim::ShardGroup group{1};
   FatTree topo{4};
-  Fabric fabric{sim, topo, FabricConfig{}};
+  Fabric fabric{group, topo, FabricConfig{}};
   std::vector<std::unique_ptr<Switch>> switches;
   std::vector<std::unique_ptr<SinkHost>> hosts;
 
@@ -60,7 +60,7 @@ TEST(FabricTest, DeliversAcrossRackWithCorrectLatency) {
   const HostId src = rig.topo.host_id(0, 0, 0);
   const HostId dst = rig.topo.host_id(0, 0, 1);  // same rack: 2 host links
   rig.hosts[src]->transmit(rig.make_packet(src, dst));
-  rig.sim.run();
+  rig.fabric.simulator().run();
   ASSERT_EQ(rig.hosts[dst]->received.size(), 1u);
   // host->ToR (30us) + ToR->host (30us).
   EXPECT_EQ(rig.hosts[dst]->received_at[0], sim::micros(60));
@@ -72,7 +72,7 @@ TEST(FabricTest, DeliversAcrossPodsWithFiveForwards) {
   const HostId src = rig.topo.host_id(0, 0, 0);
   const HostId dst = rig.topo.host_id(3, 1, 1);
   rig.hosts[src]->transmit(rig.make_packet(src, dst));
-  rig.sim.run();
+  rig.fabric.simulator().run();
   ASSERT_EQ(rig.hosts[dst]->received.size(), 1u);
   EXPECT_EQ(rig.hosts[dst]->received[0].meta.forwards, 5u);
   // 2 host links + 4 switch links, all 30us.
@@ -89,7 +89,7 @@ TEST(FabricTest, AllPairsDeliver) {
       ++expected;
     }
   }
-  rig.sim.run();
+  rig.fabric.simulator().run();
   int delivered = 0;
   for (const auto& h : rig.hosts) {
     delivered += static_cast<int>(h->received.size());
@@ -102,7 +102,7 @@ TEST(FabricTest, PacketsArriveFromTorPort) {
   const HostId src = rig.topo.host_id(1, 0, 0);
   const HostId dst = rig.topo.host_id(1, 1, 1);
   rig.hosts[src]->transmit(rig.make_packet(src, dst));
-  rig.sim.run();
+  rig.fabric.simulator().run();
   ASSERT_EQ(rig.hosts[dst]->froms.size(), 1u);
   EXPECT_EQ(rig.hosts[dst]->froms[0], rig.topo.host_tor(dst));
 }
@@ -151,7 +151,7 @@ TEST(SwitchTest, IngressStagesRunPerPacket) {
   rig.switches[tor]->add_ingress_stage(&stage);
   rig.hosts[src]->transmit(rig.make_packet(src, dst));
   rig.hosts[src]->transmit(rig.make_packet(src, dst));
-  rig.sim.run();
+  rig.fabric.simulator().run();
   EXPECT_EQ(stage.seen, 2);
   EXPECT_EQ(rig.hosts[dst]->received.size(), 2u);
 }
@@ -189,7 +189,7 @@ TEST(SwitchTest, SteerDetoursThroughTargetSwitch) {
     sw->add_ingress_stage(stages.back().get());
   }
   rig.hosts[src]->transmit(rig.make_packet(src, dst));
-  rig.sim.run();
+  rig.fabric.simulator().run();
   ASSERT_EQ(rig.hosts[dst]->received.size(), 1u);
   // Same-rack default is 1 forward; via the core it is 5 (the paper's
   // extra-hop example: 4 extra forwards for tier-2 traffic via core).
@@ -216,7 +216,7 @@ TEST(SwitchTest, ConsumedPacketsStop) {
   const HostId dst = rig.topo.host_id(2, 0, 0);
   rig.switches[rig.topo.host_tor(src)]->add_ingress_stage(&stage);
   rig.hosts[src]->transmit(rig.make_packet(src, dst));
-  rig.sim.run();
+  rig.fabric.simulator().run();
   EXPECT_EQ(stage.eaten, 1);
   EXPECT_TRUE(rig.hosts[dst]->received.empty());
 }
@@ -239,7 +239,7 @@ TEST(SwitchTest, EgressStagesObserveNextHop) {
   const NodeId tor = rig.topo.host_tor(src);
   rig.switches[tor]->add_egress_stage(&egress);
   rig.hosts[src]->transmit(rig.make_packet(src, dst));
-  rig.sim.run();
+  rig.fabric.simulator().run();
   ASSERT_EQ(egress.next_hops.size(), 1u);
   EXPECT_EQ(egress.next_hops[0], rig.topo.host_node(dst));
 }
@@ -251,7 +251,7 @@ TEST(SwitchTest, ForwardCounterAdvances) {
   const NodeId tor = rig.topo.host_tor(src);
   rig.hosts[src]->transmit(rig.make_packet(src, dst));
   rig.hosts[src]->transmit(rig.make_packet(src, dst));
-  rig.sim.run();
+  rig.fabric.simulator().run();
   EXPECT_EQ(rig.switches[tor]->forwards(), 2u);
 }
 

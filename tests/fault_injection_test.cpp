@@ -6,6 +6,7 @@
 //    digests across --shards {1,4} x --jobs {1,4}: fault events run at
 //    full shard barriers on the global simulator, so fault timing can
 //    never depend on the partitioning.
+//  * Link validation — a plan naming no cabled link is rejected up front.
 //  * Zero-fault equivalence — an empty or comment-only plan reproduces
 //    the recorded golden digests exactly (the fault path adds no RNG
 //    draws and no event reordering when nothing is scheduled).
@@ -288,6 +289,36 @@ TEST(FaultUnboundEvents, RsnodeEventsUnderClirsAreCountedAndSkipped) {
   EXPECT_EQ(res.fault.events_unbound, 2u * 2u)  // 2 events x 2 repeats
       << "CliRS binds no rsnodes; both events must skip, twice";
   EXPECT_EQ(res.issued, res.completed) << "no component was actually faulted";
+}
+
+// Link events must name a cabled link of the run's fat tree (k=4: cores
+// 0-3, aggs 4-11, ToRs 12-19, hosts 20-35); the error quotes the entry.
+bool rejects_link_entry(const std::string& entry) {
+  harness::ExperimentConfig cfg = faulted_config();
+  cfg.fault_plan = "at 20ms " + entry;
+  try {
+    (void)harness::run_experiment(harness::Scheme::kNetRSToR, cfg);
+  } catch (const std::invalid_argument& e) {
+    return std::string(e.what()).find('"' + entry + '"') != std::string::npos;
+  }
+  return false;
+}
+
+TEST(FaultLinkValidation, NonAdjacentPairIsRejected) {
+  EXPECT_TRUE(rejects_link_entry("link-down 0 1"));  // two cores, no cable
+}
+
+TEST(FaultLinkValidation, OutOfRangeNodeIsRejected) {
+  EXPECT_TRUE(rejects_link_entry("link-down 16 48"));
+  EXPECT_TRUE(rejects_link_entry("link-up 99999 7"));
+}
+
+TEST(FaultLinkValidation, TorAggLinkRuns) {
+  harness::ExperimentConfig cfg = faulted_config();
+  cfg.fault_plan = "at 0.15s link-down 4 12; at 0.3s link-up 4 12";
+  const harness::ExperimentResult res =
+      harness::run_experiment(harness::Scheme::kNetRSToR, cfg);
+  EXPECT_EQ(res.fault.events_fired, 2u * 2u);  // 2 events x 2 repeats
 }
 
 // ---------------------------------------------------------------------------

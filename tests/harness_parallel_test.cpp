@@ -1,4 +1,4 @@
-// Thread-pool unit tests plus the harness determinism contract: any
+// parallel_for unit tests plus the harness determinism contract: any
 // --jobs value must produce bit-identical ExperimentResult statistics,
 // because each repeat owns its simulation, seeds derive from the repeat
 // index, and merge order is fixed.
@@ -6,7 +6,6 @@
 
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <numeric>
 #include <stdexcept>
 #include <vector>
@@ -21,27 +20,6 @@ TEST(ResolveJobsTest, PositivePassesThroughAutoFallsBackToHardware) {
   EXPECT_EQ(resolve_jobs(1), 1);
   EXPECT_GE(resolve_jobs(0), 1);
   EXPECT_GE(resolve_jobs(-2), 1);
-}
-
-TEST(ThreadPoolTest, RunsEverySubmittedTask) {
-  ThreadPool pool(3);
-  EXPECT_EQ(pool.thread_count(), 3);
-  std::atomic<int> count{0};
-  for (int i = 0; i < 100; ++i) {
-    pool.submit([&count] { count.fetch_add(1); });
-  }
-  pool.wait();
-  EXPECT_EQ(count.load(), 100);
-}
-
-TEST(ThreadPoolTest, WaitIsReusableAcrossBatches) {
-  ThreadPool pool(2);
-  std::atomic<int> count{0};
-  for (int batch = 0; batch < 3; ++batch) {
-    for (int i = 0; i < 10; ++i) pool.submit([&count] { ++count; });
-    pool.wait();
-    EXPECT_EQ(count.load(), (batch + 1) * 10);
-  }
 }
 
 TEST(ParallelForTest, VisitsEachIndexExactlyOnce) {

@@ -16,7 +16,7 @@ namespace {
 
 class ClientMoreRig : public ::testing::Test {
  protected:
-  ClientMoreRig() : topo(8), fabric(sim, topo, net::FabricConfig{}) {
+  ClientMoreRig() : topo(8), fabric(group, topo, net::FabricConfig{}) {
     for (net::NodeId sw = 0; sw < topo.switch_count(); ++sw) {
       switches.push_back(std::make_unique<net::Switch>(fabric, sw));
       fabric.attach(sw, switches.back().get());
@@ -27,7 +27,7 @@ class ClientMoreRig : public ::testing::Test {
     zipf = std::make_unique<sim::ZipfDistribution>(100, 0.99);
   }
 
-  sim::Simulator sim;
+  sim::ShardGroup group{1};
   net::FatTree topo;
   net::Fabric fabric;
   std::vector<std::unique_ptr<net::Switch>> switches;
@@ -55,9 +55,9 @@ TEST_F(ClientMoreRig, NetRSBackupsSpreadAcrossReplicas) {
   Client client(fabric, topo.host_id(0, 1, 0), cfg, *ring, *zipf,
                 sim::Rng(5));
   client.start();
-  sim.run_until(sim::seconds(1));
+  group.run_until(sim::seconds(1));
   client.stop();
-  sim.run_until(sim.now() + sim::millis(20));
+  group.run_until(group.now() + sim::millis(20));
 
   int total = 0;
   for (const auto& c : caps) total += c->count;
@@ -74,7 +74,7 @@ TEST_F(ClientMoreRig, ZeroRateClientIssuesNothing) {
   Client client(fabric, topo.host_id(0, 1, 0), cfg, *ring, *zipf,
                 sim::Rng(6));
   client.start();
-  sim.run_until(sim::seconds(1));
+  group.run_until(sim::seconds(1));
   EXPECT_EQ(client.issued(), 0u);
   EXPECT_EQ(client.in_flight(), 0u);
 }
@@ -94,9 +94,9 @@ TEST_F(ClientMoreRig, DoubleStartIsIdempotent) {
                 sim::Rng(7));
   client.start();
   client.start();  // must not double the arrival process
-  sim.run_until(sim::seconds(1));
+  group.run_until(sim::seconds(1));
   client.stop();
-  sim.run_until(sim.now() + sim::millis(50));
+  group.run_until(group.now() + sim::millis(50));
   EXPECT_NEAR(static_cast<double>(client.issued()), 1000.0, 160.0);
 }
 
@@ -118,9 +118,9 @@ TEST_F(ClientMoreRig, KeysFollowZipfPopularity) {
   client.set_completion_callback(
       [&](const Client::Completion& c) { ++key_counts[c.key]; });
   client.start();
-  sim.run_until(sim::seconds(2));
+  group.run_until(sim::seconds(2));
   client.stop();
-  sim.run_until(sim.now() + sim::millis(50));
+  group.run_until(group.now() + sim::millis(50));
 
   int max_count = 0, total = 0;
   for (const auto& [key, n] : key_counts) {

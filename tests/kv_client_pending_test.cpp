@@ -72,7 +72,7 @@ class PendingTableModel : public ::testing::TestWithParam<bool> {
   // Zero-latency links: once run_until(t) returns, every packet sent up
   // to t has arrived, so the model sees exactly what the client sent.
   PendingTableModel()
-      : topo(4), fabric(sim, topo, net::FabricConfig{0, 0, 0}) {
+      : topo(4), fabric(group, topo, net::FabricConfig{0, 0, 0}) {
     for (net::NodeId sw = 0; sw < topo.switch_count(); ++sw) {
       switches.push_back(std::make_unique<net::Switch>(fabric, sw));
       fabric.attach(sw, switches.back().get());
@@ -86,7 +86,7 @@ class PendingTableModel : public ::testing::TestWithParam<bool> {
     zipf = std::make_unique<sim::ZipfDistribution>(1000, 0.99);
   }
 
-  sim::Simulator sim;
+  sim::ShardGroup group{1};
   net::FatTree topo;
   net::Fabric fabric;
   std::vector<std::unique_ptr<net::Switch>> switches;
@@ -164,7 +164,7 @@ TEST_P(PendingTableModel, MatchesMapReferenceUnderRandomAnswers) {
     c.answered = true;
     ++r.responses;
     latency.try_emplace(c.server, 0.9)
-        .first->second.add(sim::to_micros(sim.now() - c.sent_at));
+        .first->second.add(sim::to_micros(group.now() - c.sent_at));
     if (!r.completed) {
       r.completed = true;
       ++completed;
@@ -182,7 +182,7 @@ TEST_P(PendingTableModel, MatchesMapReferenceUnderRandomAnswers) {
 
     client.receive(response_from(server, id), /*from=*/0);
     if (done.size() > done_before) {
-      EXPECT_EQ(done.back().latency, sim.now() - first_send);
+      EXPECT_EQ(done.back().latency, group.now() - first_send);
       EXPECT_EQ(done.back().server, server);
       EXPECT_EQ(done.back().redundant_used, dup);
     }
@@ -193,7 +193,7 @@ TEST_P(PendingTableModel, MatchesMapReferenceUnderRandomAnswers) {
   const sim::Duration step = sim::micros(100);
   for (int s = 0; s < 4000; ++s) {
     if (s == 3000) client.stop();
-    sim.run_until(sim.now() + step);
+    group.run_until(group.now() + step);
 
     // Fold what the client sent into the model.
     for (const Arrival& a : arrivals) {
@@ -241,7 +241,7 @@ TEST_P(PendingTableModel, MatchesMapReferenceUnderRandomAnswers) {
 
   // Drain: answer everything answerable; doomed copies keep their request.
   for (const auto& [id, copy_index] : answerable) answer(id, copy_index);
-  sim.run_until(sim.now() + step);
+  group.run_until(group.now() + step);
   for (const Arrival& a : arrivals) {
     ASSERT_TRUE(a.cancel) << "request sent after stop()";
     got_cancels.emplace(a.req_id, a.server);

@@ -15,7 +15,7 @@ namespace {
 // Small single-rack cluster: 3 servers + 1 client under one ToR, no NetRS.
 class ClientRig : public ::testing::Test {
  protected:
-  ClientRig() : topo(4), fabric(sim, topo, net::FabricConfig{}) {
+  ClientRig() : topo(4), fabric(group, topo, net::FabricConfig{}) {
     for (net::NodeId sw = 0; sw < topo.switch_count(); ++sw) {
       switches.push_back(std::make_unique<net::Switch>(fabric, sw));
       fabric.attach(sw, switches.back().get());
@@ -39,7 +39,8 @@ class ClientRig : public ::testing::Test {
     return *clients.back();
   }
 
-  sim::Simulator sim;
+  sim::ShardGroup group{1};
+  sim::Simulator& sim = group.global_sim();
   net::FatTree topo;
   net::Fabric fabric;
   std::vector<std::unique_ptr<net::Switch>> switches;

@@ -28,7 +28,7 @@ class ProbeClient final : public net::Host {
 class ServerRig : public ::testing::Test {
  protected:
   ServerRig()
-      : topo(4), fabric(sim, topo, net::FabricConfig{}) {
+      : topo(4), fabric(group, topo, net::FabricConfig{}) {
     for (net::NodeId sw = 0; sw < topo.switch_count(); ++sw) {
       switches.push_back(std::make_unique<net::Switch>(fabric, sw));
       fabric.attach(sw, switches.back().get());
@@ -63,7 +63,8 @@ class ServerRig : public ::testing::Test {
     return p;
   }
 
-  sim::Simulator sim;
+  sim::ShardGroup group{1};
+  sim::Simulator& sim = group.global_sim();
   net::FatTree topo;
   net::Fabric fabric;
   std::vector<std::unique_ptr<net::Switch>> switches;

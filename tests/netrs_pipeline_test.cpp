@@ -34,7 +34,7 @@ class PipelineRig : public ::testing::Test {
  protected:
   PipelineRig()
       : topo(4),
-        fabric(sim, topo, net::FabricConfig{}),
+        fabric(group, topo, net::FabricConfig{}),
         groups(topo, GroupGranularity::kRack) {
     for (net::NodeId sw = 0; sw < topo.switch_count(); ++sw) {
       switches.push_back(std::make_unique<net::Switch>(fabric, sw));
@@ -118,7 +118,8 @@ class PipelineRig : public ::testing::Test {
     return p;
   }
 
-  sim::Simulator sim;
+  sim::ShardGroup group{1};
+  sim::Simulator& sim = group.global_sim();
   net::FatTree topo;
   net::Fabric fabric;
   TrafficGroups groups;

@@ -11,6 +11,7 @@
 
 #include "obs/metrics.hpp"
 #include "obs/observer.hpp"
+#include "obs/shard_obs.hpp"
 #include "obs/trace.hpp"
 
 namespace netrs::obs {
@@ -156,26 +157,26 @@ TEST(ChromeTraceTest, EscapesNamesThatNeedIt) {
 }
 
 TEST(HistogramTest, ValueOnBoundaryLandsInThatBucket) {
-  Histogram h({1.0, 2.0, 4.0});
+  ShardedHistogram h({1.0, 2.0, 4.0}, 2);  // ms bounds, ns values, 2 lanes
   ASSERT_EQ(h.bucket_count(), 4u);  // 3 bounds + overflow
-  h.add(1.0);   // == first bound -> bucket 0
-  h.add(1.5);   // bucket 1 (le 2)
-  h.add(2.0);   // == second bound -> bucket 1
-  h.add(4.0);   // == last bound -> bucket 2
-  h.add(4.001); // overflow
-  h.add(100.0); // overflow
+  h.add(0, sim::millis(1));     // == first bound -> bucket 0
+  h.add(1, 1'000'001);          // 1 ns above it -> bucket 1 (le 2)
+  h.add(0, sim::millis(2));     // == second bound -> bucket 1
+  h.add(1, sim::millis(4));     // == last bound -> bucket 2
+  h.add(0, sim::micros(4001));  // overflow
+  h.add(1, sim::millis(100));   // overflow
   EXPECT_EQ(h.bucket(0), 1u);
   EXPECT_EQ(h.bucket(1), 2u);
   EXPECT_EQ(h.bucket(2), 1u);
   EXPECT_EQ(h.bucket(3), 2u);
   EXPECT_EQ(h.count(), 6u);
-  EXPECT_DOUBLE_EQ(h.sum(), 1.0 + 1.5 + 2.0 + 4.0 + 4.001 + 100.0);
+  EXPECT_DOUBLE_EQ(h.sum(), 112.001001);  // exact ns sum, in ms
 }
 
 TEST(HistogramTest, ValueBelowFirstBoundLandsInFirstBucket) {
-  Histogram h({10.0, 20.0});
-  h.add(0.0);
-  h.add(-5.0);
+  ShardedHistogram h({10.0, 20.0}, 3);
+  h.add(0, 0);
+  h.add(2, sim::millis(9));
   EXPECT_EQ(h.bucket(0), 2u);
   EXPECT_EQ(h.bucket(1), 0u);
   EXPECT_EQ(h.bucket(2), 0u);
@@ -191,16 +192,16 @@ TEST(FormatMetricValueTest, IntegersExactOthersNineSigFigs) {
 
 TEST(MetricsRegistryTest, ColumnsFollowRegistrationOrder) {
   MetricsRegistry reg;
-  std::uint64_t* c = reg.counter("reqs");
+  double reqs = 5.0;
+  reg.gauge("reqs", [&reqs] { return reqs; });
   reg.gauge("depth", [] { return 3.0; });
-  Histogram* h = reg.histogram("lat", {1.0, 2.0});
+  ShardedHistogram* h = reg.sharded_histogram("lat", {1.0, 2.0}, 2);
   EXPECT_EQ(reg.metric_count(), 3u);
 
-  *c = 5;
-  h->add(0.5);
-  h->add(9.0);
+  h->add(0, sim::micros(500));
+  h->add(1, sim::millis(9));
   reg.sample(1000);
-  *c = 8;
+  reqs = 8.0;
   reg.sample(2000);
 
   const MetricsSnapshot snap = reg.snapshot();
@@ -262,7 +263,7 @@ TEST(ObserverTest, TracingOffMakesSpanRecordingFree) {
   cfg.metrics_path = "unused.csv";  // metrics on, tracing off
   Observer obs(cfg);
   EXPECT_FALSE(obs.tracing());
-  EXPECT_TRUE(obs.metering());
+  EXPECT_TRUE(ShardObserverSet(cfg, 1).metering());
   // Safe no-op even with tracing disabled (metrics-only runs still call
   // through the same instrumentation sites).
   obs.span("x", "t", 1, 0, 10);

@@ -17,7 +17,7 @@ class RulesRig : public ::testing::Test {
  protected:
   RulesRig()
       : topo(4),
-        fabric(sim, topo, net::FabricConfig{}),
+        fabric(group, topo, net::FabricConfig{}),
         groups(topo, GroupGranularity::kRack) {
     for (net::NodeId sw = 0; sw < topo.switch_count(); ++sw) {
       switches.push_back(std::make_unique<net::Switch>(fabric, sw));
@@ -75,7 +75,7 @@ class RulesRig : public ::testing::Test {
   net::NodeId tor_accel_ = net::kInvalidNode;
   net::NodeId agg_accel_ = net::kInvalidNode;
 
-  sim::Simulator sim;
+  sim::ShardGroup group{1};
   net::FatTree topo;
   net::Fabric fabric;
   TrafficGroups groups;
