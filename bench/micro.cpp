@@ -76,23 +76,84 @@ void BM_SwitchFieldRewrite(benchmark::State& state) {
 }
 BENCHMARK(BM_SwitchFieldRewrite);
 
+// Delay mixes for BM_EventQueueChurn's second argument. kUniformMix is
+// the original synthetic load, uniform over [0, 1000) ns. kIlpK8Mix is
+// the traffic the perfbench `ilp-k8` cell actually schedules, recorded
+// once by counting every Simulator::at delay over `netrs_perfbench run
+// --workload ilp-k8 --seed 1 --seconds 0.5` (two calls, 11.18 M pushes,
+// mean depth 177): 62.3% 30 us link hops, 16.1% 1.25 us accelerator
+// hops, 5.4% 5 us and 5.4% 1 us accelerator service, 10.7% exponential
+// service times and arrival gaps (mean ~2.5 ms), and periodic timers
+// that are always pending: 32 server fluctuation timers at 50 ms (armed
+// together, so they fire as one same-instant burst), a 5 ms sampler and
+// the 100 ms controller replan.
+enum DelayMix : std::int64_t { kUniformMix = 0, kIlpK8Mix = 1 };
+
+// Delay of a one-shot event (the periodic timers re-arm themselves).
+sim::Duration draw_delay(sim::Rng& rng, std::int64_t mix) {
+  if (mix == kUniformMix) return static_cast<sim::Duration>(rng.uniform(1000));
+  const std::uint64_t u = rng.uniform(99'860);
+  if (u < 62'280) return sim::micros(30);
+  if (u < 78'380) return sim::micros(1.25);
+  if (u < 83'750) return sim::micros(5);
+  if (u < 89'120) return sim::micros(1);
+  return sim::nanos(rng.exponential(sim::millis(2.5)));
+}
+
 void BM_EventQueueChurn(benchmark::State& state) {
-  // Arg 0: steady-state queue depth.
+  // Arg 0: steady-state queue depth; arg 1: delay mix (see DelayMix).
+  // Steady state keeps `depth` events queued: pop one, fire it, push one
+  // (a timer re-arms with its period, any other event draws a delay).
+  // `shifted_per_push` counts the index entries each push moved aside,
+  // over a fixed untimed window after a warm-up (so the count does not
+  // depend on the iteration count); a calendar whose width no longer
+  // fits the traffic shows up there first, so the benchmark fails above 4.
   sim::EventQueue q;
   sim::Rng rng(1);
   sim::Time t = 0;
-  // Steady-state: keep N events queued, push one / pop one.
   const int depth = static_cast<int>(state.range(0));
-  for (int i = 0; i < depth; ++i) {
-    q.push(t + static_cast<sim::Time>(rng.uniform(1000)), [] {});
+  const std::int64_t mix = state.range(1);
+  sim::Duration period = 0;  // of the event just fired; 0 for one-shots
+  std::vector<sim::Duration> timers;
+  if (mix == kIlpK8Mix) {
+    timers.assign(32, sim::millis(50));
+    timers.push_back(sim::millis(5));
+    timers.push_back(sim::millis(100));
   }
-  for (auto _ : state) {
-    auto [when, cb] = q.pop();
-    t = when;
-    q.push(t + static_cast<sim::Time>(rng.uniform(1000)), std::move(cb));
+  for (const sim::Duration p : timers) {
+    q.push(t + p, [&period, p] { period = p; });
+  }
+  for (int i = static_cast<int>(timers.size()); i < depth; ++i) {
+    q.push(t + draw_delay(rng, mix), [&period] { period = 0; });
+  }
+  const auto churn = [&](int ops) {
+    for (int i = 0; i < ops; ++i) {
+      auto [when, cb] = q.pop();
+      t = when;
+      cb();
+      q.push(t + (period != 0 ? period : draw_delay(rng, mix)), std::move(cb));
+    }
+  };
+  churn(4 * depth + 10'000);  // warm-up: leave the all-at-t=0 fill behind
+  constexpr int kProbeOps = 50'000;
+  const std::uint64_t shifted_before = q.entries_shifted();
+  churn(kProbeOps);
+  const double shifted_per_push =
+      static_cast<double>(q.entries_shifted() - shifted_before) / kProbeOps;
+  for (auto _ : state) churn(1);
+  state.counters["shifted_per_push"] = benchmark::Counter(shifted_per_push);
+  if (shifted_per_push > 4) {
+    state.SkipWithError("calendar pushes shift more than 4 entries each");
   }
 }
-BENCHMARK(BM_EventQueueChurn)->ArgName("depth")->Arg(1000)->Arg(100000);
+// The uniform mix at the original depths; the ilp-k8 mix at that cell's
+// steady depth (~130-180) and above it.
+BENCHMARK(BM_EventQueueChurn)
+    ->ArgNames({"depth", "mix"})
+    ->Args({1000, kUniformMix})
+    ->Args({100000, kUniformMix})
+    ->Args({130, kIlpK8Mix})
+    ->Args({1000, kIlpK8Mix});
 
 void BM_PercentileBatch(benchmark::State& state) {
   // The report pattern: p50/p95/p99/p999 back-to-back. Finalizing first

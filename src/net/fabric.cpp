@@ -176,7 +176,7 @@ std::uint32_t Fabric::acquire_slot(ShardState& st) {
   return slot;
 }
 
-void Fabric::send_local(int shard, NodeId from, NodeId to, Packet pkt) {
+void Fabric::send_local(int shard, NodeId from, NodeId to, Packet&& pkt) {
   Node* dst = node(to);
   assert(dst != nullptr && "destination NodeId has no attached object");
   ShardState& st = state_[shard];
@@ -190,7 +190,7 @@ void Fabric::send_local(int shard, NodeId from, NodeId to, Packet pkt) {
   // the high-water mark of concurrently in-flight packets and is reused.
   const std::uint32_t slot = acquire_slot(st);
   Delivery& d = st.deliveries[slot];
-  d.pkt = std::move(pkt);
+  d.pkt = pkt;
   d.dst = dst;
   d.from = from;
   sim.auditor().on_packet_injected();
@@ -203,7 +203,7 @@ void Fabric::send_local(int shard, NodeId from, NodeId to, Packet pkt) {
   sim.after(lat, [this, shard, slot] { deliver(shard, slot); });
 }
 
-void Fabric::send(NodeId from, NodeId to, Packet pkt) {
+void Fabric::send(NodeId from, NodeId to, Packet&& pkt) {
   // Cabling validation lives inside the assert so release builds pay
   // nothing (the old code evaluated two map lookups unconditionally).
   assert(valid_link(from, to));
@@ -246,8 +246,7 @@ void Fabric::send(NodeId from, NodeId to, Packet pkt) {
   if (ctx == sim::ShardGroup::kCoordinator) {
     // Every shard is parked at a barrier: park straight into the
     // destination pool, bypassing the lanes (which are single-producer).
-    park_cross(dst_shard,
-               CrossEntry{arrive, src_shard, 0, from, to, std::move(pkt)});
+    park_cross(dst_shard, CrossEntry{arrive, src_shard, 0, from, to, pkt});
     return;
   }
 
@@ -264,8 +263,7 @@ void Fabric::send(NodeId from, NodeId to, Packet pkt) {
   } else {
     n = new LaneNode;
   }
-  n->entry = CrossEntry{arrive, src_shard, ln.next_seq++, from, to,
-                        std::move(pkt)};
+  n->entry = CrossEntry{arrive, src_shard, ln.next_seq++, from, to, pkt};
   LaneNode* head = ln.head.load(std::memory_order_relaxed);
   do {
     n->next = head;
@@ -282,7 +280,7 @@ void Fabric::drain_shard(int dst, sim::Time safe) {
     LaneNode* n = ln.head.exchange(nullptr, std::memory_order_acquire);
     while (n != nullptr) {
       LaneNode* next = n->next;
-      st.pending.push_back(std::move(n->entry));
+      st.pending.push_back(n->entry);
       std::push_heap(st.pending.begin(), st.pending.end(), CrossLater{});
       // Recycle through the consumer-side free stack (producer steals it).
       LaneNode* free_head = ln.free_head.load(std::memory_order_relaxed);
@@ -299,19 +297,18 @@ void Fabric::drain_shard(int dst, sim::Time safe) {
   // timing. Later arrivals wait in the heap for a future window.
   while (!st.pending.empty() && st.pending.front().arrive < safe) {
     std::pop_heap(st.pending.begin(), st.pending.end(), CrossLater{});
-    CrossEntry e = std::move(st.pending.back());
+    park_cross(dst, st.pending.back());
     st.pending.pop_back();
-    park_cross(dst, std::move(e));
   }
 }
 
-void Fabric::park_cross(int dst, CrossEntry entry) {
+void Fabric::park_cross(int dst, const CrossEntry& entry) {
   ShardState& st = state_[dst];
   sim::Simulator& sim = *sims_[std::size_t(dst)];
   Node* dst_node = node(entry.to);
   const std::uint32_t slot = acquire_slot(st);
   Delivery& d = st.deliveries[slot];
-  d.pkt = std::move(entry.pkt);
+  d.pkt = entry.pkt;
   d.dst = dst_node;
   d.from = entry.from;
   st.ledger.on_park(sim.auditor(), slot, [&] {
@@ -328,16 +325,15 @@ void Fabric::park_cross(int dst, CrossEntry entry) {
 void Fabric::deliver(int shard, std::uint32_t slot) {
   ShardState& st = state_[shard];
   sim::Simulator& sim = *sims_[std::size_t(shard)];
-  Delivery& d = st.deliveries[slot];
-  Packet pkt = std::move(d.pkt);
-  Node* const dst = d.dst;
-  const NodeId from = d.from;
+  const Delivery& d = st.deliveries[slot];
   sim.auditor().on_packet_delivered();
   st.ledger.on_release(sim.auditor(), slot);
   // Recycle before receive(): anything the receiver sends can reuse the
-  // slot immediately, keeping the pool at its high-water mark.
+  // slot immediately, keeping the pool at its high-water mark. The packet
+  // is copied out of the slot into receive()'s parameter before its body
+  // runs, so that reuse cannot touch it.
   st.free_deliveries.push_back(slot);
-  dst->receive(std::move(pkt), from);
+  d.dst->receive(d.pkt, d.from);
 }
 
 void Fabric::set_link_state(NodeId a, NodeId b, bool up) {

@@ -84,11 +84,13 @@ class NETRS_COORD_GLOBAL Fabric {
   /// the link's one-way latency. Asserts topological adjacency (debug
   /// builds only; release builds skip the check entirely).
   ///
-  /// Allocation-free in steady state: the packet is parked in a free-list
-  /// delivery pool and the scheduled event captures only {fabric, slot}.
-  /// In sharded mode a cross-shard send instead pushes onto the
-  /// destination shard's lock-free lane (nodes pooled per lane).
-  void send(NodeId from, NodeId to, Packet pkt);
+  /// Allocation-free in steady state: the packet is copied once, into a
+  /// free-list delivery pool slot, and the scheduled event captures only
+  /// {fabric, slot}; delivery copies it out of the slot into the
+  /// receiver's parameter. In sharded mode a cross-shard send instead
+  /// pushes onto the destination shard's lock-free lane (nodes pooled per
+  /// lane).
+  void send(NodeId from, NodeId to, Packet&& pkt);
 
   /// The global simulation clock/scheduler: the ShardGroup's
   /// barrier-executed global simulator (the only simulator with one
@@ -247,12 +249,12 @@ class NETRS_COORD_GLOBAL Fabric {
   [[nodiscard]] bool valid_link(NodeId from, NodeId to) const;
   /// The intra-shard path: park in `shard`'s pool and schedule delivery on
   /// its own simulator.
-  void send_local(int shard, NodeId from, NodeId to, Packet pkt);
+  void send_local(int shard, NodeId from, NodeId to, Packet&& pkt);
   /// Drains every lane bound for `dst` and parks all arrivals strictly
   /// below `safe` in (arrive, src_shard, seq) order; the rest wait in the
   /// pending heap. Runs on `dst`'s worker at each window start.
   void drain_shard(int dst, sim::Time safe);
-  void park_cross(int dst, CrossEntry entry);
+  void park_cross(int dst, const CrossEntry& entry);
   void deliver(int shard, std::uint32_t slot);
   [[nodiscard]] std::uint32_t acquire_slot(ShardState& st);
   [[nodiscard]] Lane& lane(int dst, int src) {

@@ -34,7 +34,7 @@ class NETRS_SHARD_LOCAL Host : public Node {
 
  protected:
   /// Stamps the source address and pushes the packet onto the access link.
-  void send(Packet pkt) {
+  void send(Packet&& pkt) {
     // Shard affinity: only this host's owning worker (or the coordinator
     // between windows) may push onto its access link.
     shard_affinity().check("send");

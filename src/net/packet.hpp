@@ -5,10 +5,16 @@
 // are parsed/rewritten by the devices, never accessed through side channels.
 // `meta` carries simulation-only bookkeeping (latency measurement, hop
 // accounting) that no device may use for forwarding decisions.
+//
+// A Packet is trivially copyable (144 B): the payload is a fixed inline
+// array with no heap fallback, so copying or moving a packet is a flat
+// copy. The switch pipeline and the fabric pass it by reference; a hop
+// copies it only into its delivery slot and out of it.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
+#include <type_traits>
 
 #include "net/address.hpp"
 #include "net/payload.hpp"
@@ -32,8 +38,9 @@ struct NETRS_SHARED_IMMUTABLE Packet {
   HostId dst = kInvalidHost;   ///< Destination host (switches may rewrite).
   std::uint16_t src_port = 0;  ///< UDP source port.
   std::uint16_t dst_port = 0;  ///< UDP destination port (service demux).
-  /// UDP payload (NetRS header + app data). Small-buffer: NetRS payloads
-  /// are tens of bytes, so construction/clone/move never touch the heap.
+  /// UDP payload (NetRS header + app data). Fixed inline capacity: NetRS
+  /// payloads are tens of bytes, so construction/clone/move never touch
+  /// the heap.
   PayloadBuffer payload;
   /// Bytes carried on the wire but never parsed by any device (the bulk of
   /// a ~1 KB value). Counted in wire_size() without being materialized.
@@ -45,5 +52,7 @@ struct NETRS_SHARED_IMMUTABLE Packet {
     return 46 + payload.size() + phantom_payload;
   }
 };
+
+static_assert(std::is_trivially_copyable_v<Packet>);
 
 }  // namespace netrs::net

@@ -1,12 +1,13 @@
-// Small-buffer byte buffer for packet payloads.
+// Fixed-capacity byte buffer for packet payloads.
 //
 // Every NetRS payload is tens of bytes (request header 13 B + app request
 // 17 B; response header 22 B + app response 20 B; bulk value bytes are
-// phantom), so a std::vector<std::byte> payload heap-allocated on every
-// packet construction and clone. PayloadBuffer inlines up to
-// kInlineCapacity bytes and falls back to the heap only beyond that,
-// making packet construction, copy (response cloning) and move
-// allocation-free on the steady-state forwarding path.
+// phantom), so the bytes live in a fixed inline array of kInlineCapacity
+// bytes with no heap fallback. PayloadBuffer — and so net::Packet — is
+// trivially copyable: constructing, cloning (response duplication) and
+// moving a packet is a flat copy that never touches the heap, and a
+// moved-from buffer keeps its bytes. A resize or assign beyond the
+// capacity throws std::length_error.
 //
 // The API is the subset of std::vector the packet path uses (resize /
 // assign / operator[] / size / data / iteration) plus implicit
@@ -18,157 +19,110 @@
 #include <cstdint>
 #include <cstring>
 #include <span>
+#include <stdexcept>
+#include <string>
+#include <type_traits>
+
 #include "sim/affinity.hpp"
 
 namespace netrs::net {
 
-/// Small-buffer byte buffer: the std::vector subset the packet path needs,
-/// allocation-free up to kInlineCapacity bytes (see the file comment).
+/// Fixed-capacity byte buffer: the std::vector subset the packet path
+/// needs, stored inline with no heap fallback (see the file comment).
 class NETRS_SHARED_IMMUTABLE PayloadBuffer {
  public:
-  /// Covers every NetRS header + app payload combination with headroom.
-  static constexpr std::size_t kInlineCapacity = 64;
+  /// Holds every frame the NetRS codec encodes: the 22 B response header
+  /// plus the largest app payload the codec tests round-trip (63 B) is
+  /// 85 B, rounded up to 96.
+  static constexpr std::size_t kInlineCapacity = 96;
 
-  /// Constructs an empty buffer (inline storage).
-  PayloadBuffer() noexcept : data_(inline_), size_(0), capacity_(kInlineCapacity) {}
+  /// Constructs an empty buffer.
+  PayloadBuffer() noexcept = default;
 
-  /// Constructs a zero-filled buffer of `n` bytes.
-  explicit PayloadBuffer(std::size_t n) : PayloadBuffer() { resize(n); }
-
-  /// Copies `other`'s bytes (inline when they fit).
-  PayloadBuffer(const PayloadBuffer& other) : PayloadBuffer() {
-    resize_uninitialized(other.size_);
-    std::memcpy(data_, other.data_, other.size_);
-  }
-
-  /// Takes `other`'s bytes; `other` is left empty.
-  PayloadBuffer(PayloadBuffer&& other) noexcept : PayloadBuffer() {
-    steal(other);
-  }
-
-  /// Copy assignment; reuses existing capacity where possible.
-  PayloadBuffer& operator=(const PayloadBuffer& other) {
-    if (this != &other) {
-      resize_uninitialized(other.size_);
-      std::memcpy(data_, other.data_, other.size_);
-    }
-    return *this;
-  }
-
-  /// Move assignment; `other` is left empty.
-  PayloadBuffer& operator=(PayloadBuffer&& other) noexcept {
-    if (this != &other) {
-      release();
-      steal(other);
-    }
-    return *this;
-  }
-
-  ~PayloadBuffer() { release(); }
+  /// Constructs a zero-filled buffer of `n` bytes; throws
+  /// std::length_error beyond kInlineCapacity.
+  explicit PayloadBuffer(std::size_t n) { resize(n); }
 
   /// Mutable pointer to the first byte.
-  [[nodiscard]] std::byte* data() noexcept { return data_; }
+  [[nodiscard]] std::byte* data() noexcept { return bytes_; }
   /// Const pointer to the first byte.
-  [[nodiscard]] const std::byte* data() const noexcept { return data_; }
+  [[nodiscard]] const std::byte* data() const noexcept { return bytes_; }
   /// Current length in bytes.
   [[nodiscard]] std::size_t size() const noexcept { return size_; }
-  /// Bytes storable without reallocating.
-  [[nodiscard]] std::size_t capacity() const noexcept { return capacity_; }
+  /// Bytes storable: always kInlineCapacity.
+  [[nodiscard]] static constexpr std::size_t capacity() noexcept {
+    return kInlineCapacity;
+  }
   /// True when size() == 0.
   [[nodiscard]] bool empty() const noexcept { return size_ == 0; }
-  /// True while the bytes live in the inline buffer (diagnostics and
-  /// allocation-regression tests).
-  [[nodiscard]] bool is_inline() const noexcept { return data_ == inline_; }
 
   /// Unchecked element access.
-  std::byte& operator[](std::size_t i) noexcept { return data_[i]; }
+  std::byte& operator[](std::size_t i) noexcept { return bytes_[i]; }
   /// Unchecked const element access.
   const std::byte& operator[](std::size_t i) const noexcept {
-    return data_[i];
+    return bytes_[i];
   }
 
   /// Iterator to the first byte.
-  [[nodiscard]] std::byte* begin() noexcept { return data_; }
+  [[nodiscard]] std::byte* begin() noexcept { return bytes_; }
   /// Iterator one past the last byte.
-  [[nodiscard]] std::byte* end() noexcept { return data_ + size_; }
+  [[nodiscard]] std::byte* end() noexcept { return bytes_ + size_; }
   /// Const iterator to the first byte.
-  [[nodiscard]] const std::byte* begin() const noexcept { return data_; }
+  [[nodiscard]] const std::byte* begin() const noexcept { return bytes_; }
   /// Const iterator one past the last byte.
   [[nodiscard]] const std::byte* end() const noexcept {
-    return data_ + size_;
+    return bytes_ + size_;
   }
 
   /// Grows or shrinks to `n` bytes; new bytes are zero (vector parity).
-  /// Shrinking never releases capacity, so pooled packets stay warm.
+  /// Throws std::length_error when `n` exceeds kInlineCapacity.
   void resize(std::size_t n) {
     const std::size_t old = size_;
-    resize_uninitialized(n);
-    if (n > old) std::memset(data_ + old, 0, n - old);
+    set_size(n);
+    if (n > old) std::memset(bytes_ + old, 0, n - old);
   }
 
-  /// Replaces the contents with `n` copies of `value`.
+  /// Replaces the contents with `n` copies of `value`. Throws
+  /// std::length_error when `n` exceeds kInlineCapacity.
   void assign(std::size_t n, std::byte value) {
-    resize_uninitialized(n);
-    std::memset(data_, static_cast<int>(value), n);
+    set_size(n);
+    std::memset(bytes_, static_cast<int>(value), n);
   }
 
-  /// Empties the buffer without releasing capacity.
+  /// Empties the buffer.
   void clear() noexcept { size_ = 0; }
 
   /// Implicit view over the bytes (parse/rewrite helper signatures).
-  operator std::span<std::byte>() noexcept { return {data_, size_}; }
+  operator std::span<std::byte>() noexcept { return {bytes_, size_}; }
   /// Implicit const view over the bytes.
   operator std::span<const std::byte>() const noexcept {
-    return {data_, size_};
+    return {bytes_, size_};
   }
 
   /// Byte-wise equality.
   friend bool operator==(const PayloadBuffer& a, const PayloadBuffer& b) {
     return a.size_ == b.size_ &&
-           std::memcmp(a.data_, b.data_, a.size_) == 0;
+           std::memcmp(a.bytes_, b.bytes_, a.size_) == 0;
   }
 
  private:
-  void resize_uninitialized(std::size_t n) {
-    if (n > capacity_) {
-      // Geometric growth so repeated appends stay amortized-constant.
-      std::size_t cap = capacity_;
-      while (cap < n) cap *= 2;
-      auto* heap = new std::byte[cap];
-      std::memcpy(heap, data_, size_);
-      release();
-      data_ = heap;
-      capacity_ = static_cast<std::uint32_t>(cap);
-    }
+  void set_size(std::size_t n) {
+    if (n > kInlineCapacity) [[unlikely]] throw_oversize(n);
     size_ = static_cast<std::uint32_t>(n);
   }
 
-  void release() noexcept {
-    if (!is_inline()) delete[] data_;
-    data_ = inline_;
-    capacity_ = kInlineCapacity;
-    size_ = 0;
+  // Out of line and cold, so the inlined resize/assign stay small.
+  [[noreturn, gnu::cold, gnu::noinline]] static void throw_oversize(
+      std::size_t n) {
+    throw std::length_error("PayloadBuffer: " + std::to_string(n) +
+                            " bytes exceed the fixed capacity of " +
+                            std::to_string(kInlineCapacity));
   }
 
-  /// Takes other's contents; other is left empty (inline, size 0).
-  void steal(PayloadBuffer& other) noexcept {
-    if (other.is_inline()) {
-      size_ = other.size_;
-      std::memcpy(data_, other.data_, other.size_);
-    } else {
-      data_ = other.data_;
-      size_ = other.size_;
-      capacity_ = other.capacity_;
-      other.data_ = other.inline_;
-      other.capacity_ = kInlineCapacity;
-    }
-    other.size_ = 0;
-  }
-
-  std::byte* data_;
-  std::uint32_t size_;
-  std::uint32_t capacity_;
-  std::byte inline_[kInlineCapacity];
+  std::uint32_t size_ = 0;
+  std::byte bytes_[kInlineCapacity];
 };
+
+static_assert(std::is_trivially_copyable_v<PayloadBuffer>);
 
 }  // namespace netrs::net

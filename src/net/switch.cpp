@@ -24,17 +24,10 @@ void Switch::add_egress_stage(EgressStage* stage) {
 
 void Switch::receive(Packet pkt, NodeId from) {
   shard_affinity().check("receive");
-  run_pipeline(std::move(pkt), from);
+  run_pipeline(pkt, from);
 }
 
-void Switch::inject(Packet pkt, NodeId from) {
-  // Injection (accelerator re-emitting a steered packet) must come from the
-  // same shard context as a wire delivery would.
-  shard_affinity().check("inject");
-  run_pipeline(std::move(pkt), from);
-}
-
-void Switch::run_pipeline(Packet pkt, NodeId from) {
+void Switch::run_pipeline(Packet& pkt, NodeId from) {
   for (IngressStage* stage : ingress_) {
     Disposition d = stage->on_ingress(pkt, from, *this);
     if (std::holds_alternative<Consumed>(d)) {
@@ -57,7 +50,7 @@ void Switch::run_pipeline(Packet pkt, NodeId from) {
   forward_toward_host(std::move(pkt));
 }
 
-void Switch::forward_toward_host(Packet pkt) {
+void Switch::forward_toward_host(Packet&& pkt) {
   if constexpr (sim::kAuditEnabled) {
     sim_.auditor().check(
         pkt.dst != kInvalidHost, "invalid-forward", [&] {
@@ -73,7 +66,7 @@ void Switch::forward_toward_host(Packet pkt) {
   emit(std::move(pkt), next);
 }
 
-void Switch::forward_toward_switch(Packet pkt, NodeId target) {
+void Switch::forward_toward_switch(Packet&& pkt, NodeId target) {
   if constexpr (sim::kAuditEnabled) {
     sim_.auditor().check(
         target != self_, "invalid-forward", [&] {
@@ -90,7 +83,7 @@ void Switch::forward_toward_switch(Packet pkt, NodeId target) {
   emit(std::move(pkt), next);
 }
 
-void Switch::emit(Packet pkt, NodeId next) {
+void Switch::emit(Packet&& pkt, NodeId next) {
   for (EgressStage* stage : egress_) stage->on_egress(pkt, next, *this);
   ++forwards_;
   ++pkt.meta.forwards;

@@ -63,17 +63,13 @@ class NETRS_SHARD_LOCAL Switch : public Node {
   /// Runs the ingress pipeline on a delivered packet.
   void receive(Packet pkt, NodeId from) override;
 
-  /// Injects a packet as if it arrived fresh (used by the accelerator to
-  /// hand a rebuilt request back to the switch); runs the full pipeline.
-  void inject(Packet pkt, NodeId from);
-
   /// Sends `pkt` one hop toward its destination host (or delivers it if
   /// this is the destination ToR), running egress stages. Public so stages
   /// can resume default forwarding after a rewrite.
-  void forward_toward_host(Packet pkt);
+  void forward_toward_host(Packet&& pkt);
 
   /// Sends `pkt` one hop toward switch `target`, running egress stages.
-  void forward_toward_switch(Packet pkt, NodeId target);
+  void forward_toward_switch(Packet&& pkt, NodeId target);
 
   /// This switch's NodeId.
   [[nodiscard]] NodeId id() const { return self_; }
@@ -88,8 +84,8 @@ class NETRS_SHARD_LOCAL Switch : public Node {
   [[nodiscard]] std::uint64_t forwards() const { return forwards_; }
 
  private:
-  void run_pipeline(Packet pkt, NodeId from);
-  void emit(Packet pkt, NodeId next);
+  void run_pipeline(Packet& pkt, NodeId from);
+  void emit(Packet&& pkt, NodeId next);
 
   Fabric& fabric_;
   NodeId self_;

@@ -1,7 +1,10 @@
 #include "sim/event_queue.hpp"
 
 #include <algorithm>
+#include <array>
+#include <bit>
 #include <cassert>
+#include <span>
 
 namespace netrs::sim {
 namespace {
@@ -13,6 +16,40 @@ namespace {
 // path tolerates.
 constexpr std::size_t kMinBuckets = 16;
 constexpr std::size_t kMaxBuckets = std::size_t{1} << 18;
+
+// Width calibration samples the earliest kSample pending events; widths
+// stay below 2^kMaxShift ns (~18 simulated minutes).
+constexpr std::size_t kSample = 32;
+constexpr int kMaxShift = 40;
+
+// Recalibration: every epoch of pops (at least kMinEpoch, at least two
+// per bucket) the entries shifted by pushes plus the buckets stepped over
+// by pops are compared with the pops served; above kMaxCostPerPop the
+// width is recalibrated. Two pops per bucket cover the live population
+// (up to the bucket cap), so even a workload whose cost no width can
+// lower pays at most one O(n log n) rebuild per n pops.
+constexpr std::size_t kMinEpoch = 1024;
+constexpr std::uint64_t kMaxCostPerPop = 4;
+
+// Brown's separation estimate over ascending times: the mean gap,
+// recomputed over the gaps at most twice that mean, so one far-off event
+// in the sample (a periodic timer) does not stretch the width.
+double mean_gap(std::span<const Time> t) {
+  if (t.size() < 2) return 0;
+  const double first = static_cast<double>(t.back() - t.front()) /
+                       static_cast<double>(t.size() - 1);
+  double sum = 0;
+  std::size_t count = 0;
+  for (std::size_t i = 1; i < t.size(); ++i) {
+    const auto gap = static_cast<double>(t[i] - t[i - 1]);
+    if (gap <= 2 * first) {
+      sum += gap;
+      ++count;
+    }
+  }
+  // count >= 1: the smallest gap is at most the mean.
+  return sum / static_cast<double>(count);
+}
 
 }  // namespace
 
@@ -63,7 +100,7 @@ void EventQueue::check_live_slot(const Entry& e, const Slot& s) {
   (void)s;
 }
 
-EventId EventQueue::push(Time t, Callback cb) {
+EventId EventQueue::push(Time t, Callback&& cb) {
   const std::uint32_t index = acquire_slot();
   Slot& s = slots_[index];
   s.task = std::move(cb);
@@ -98,24 +135,15 @@ bool EventQueue::cancel(EventId id) {
   return true;
 }
 
-Time EventQueue::floor_div(Time t, Time w) {
-  // Bucket windows must stay width-aligned for negative times too (the
-  // queue API does not forbid them even though the simulator never
-  // schedules below zero).
-  return t >= 0 ? t / w : -((-t + w - 1) / w);
-}
-
-std::size_t EventQueue::bucket_of(Time t) const {
-  return static_cast<std::size_t>(floor_div(t, width_)) & bucket_mask_;
-}
-
 void EventQueue::cal_init() {
   buckets_.resize(kMinBuckets);
   bucket_mask_ = kMinBuckets - 1;
-  width_ = 1;
+  shift_ = 0;
   cursor_ = 0;
-  cursor_upper_ = width_;
+  cursor_upper_ = window_end(0);
   cal_stored_ = 0;
+  epoch_len_ = epoch_left_ = kMinEpoch;
+  epoch_cost_mark_ = shifted_ + scanned_;
 }
 
 void EventQueue::cal_insert(const Entry& e) {
@@ -128,14 +156,15 @@ void EventQueue::cal_insert(const Entry& e) {
     const auto it =
         std::upper_bound(b.entries.begin() + static_cast<std::ptrdiff_t>(b.head),
                          b.entries.end(), e, entry_less);
+    shifted_ += static_cast<std::uint64_t>(b.entries.end() - it);
     b.entries.insert(it, e);
   }
   ++cal_stored_;
-  if (live_ == 0 || e.time < cursor_upper_ - width_) {
+  if (live_ == 0 || e.time < cursor_upper_ - (Time{1} << shift_)) {
     // The new entry precedes the scan position: reposition the year scan
     // on its window so pop order stays exact.
     cursor_ = bucket_of(e.time);
-    cursor_upper_ = floor_div(e.time, width_) * width_ + width_;
+    cursor_upper_ = window_end(e.time);
   }
 }
 
@@ -159,7 +188,8 @@ EventQueue::Entry* EventQueue::cal_find_min() {
       return &b.entries[b.head];
     }
     cursor_ = (cursor_ + 1) & bucket_mask_;
-    cursor_upper_ += width_;
+    cursor_upper_ += Time{1} << shift_;
+    ++scanned_;
     if (++scanned > buckets_.size()) {
       // A full year scanned with nothing eligible: the next event is more
       // than nbuckets * width away. Find it directly and jump there.
@@ -192,8 +222,9 @@ void EventQueue::cal_direct_seek() {
     }
   }
   assert(best != nullptr && "cal_direct_seek on a queue with no live events");
+  scanned_ += buckets_.size();
   cursor_ = best_bucket;
-  cursor_upper_ = floor_div(best->time, width_) * width_ + width_;
+  cursor_upper_ = window_end(best->time);
 }
 
 void EventQueue::cal_rebuild(std::size_t nbuckets) {
@@ -215,21 +246,13 @@ void EventQueue::cal_rebuild(std::size_t nbuckets) {
   buckets_.resize(nbuckets);
   bucket_mask_ = nbuckets - 1;
   std::sort(rebuild_scratch_.begin(), rebuild_scratch_.end(), entry_less);
-  if (rebuild_scratch_.size() >= 2) {
-    // Width ~ mean inter-event gap, so the live population spreads over
-    // about one bucket each; clamped to >= 1 ns (integer time).
-    const Time span =
-        rebuild_scratch_.back().time - rebuild_scratch_.front().time;
-    width_ = std::max<Time>(
-        1, span / static_cast<Time>(rebuild_scratch_.size() - 1));
-  }
+  calibrate_width();
   if (rebuild_scratch_.empty()) {
     cursor_ = 0;
-    cursor_upper_ = width_;
+    cursor_upper_ = window_end(0);
   } else {
     cursor_ = bucket_of(rebuild_scratch_.front().time);
-    cursor_upper_ =
-        floor_div(rebuild_scratch_.front().time, width_) * width_ + width_;
+    cursor_upper_ = window_end(rebuild_scratch_.front().time);
   }
   // Globally sorted order keeps every bucket's [head, end) run ascending.
   for (const Entry& e : rebuild_scratch_) {
@@ -238,17 +261,51 @@ void EventQueue::cal_rebuild(std::size_t nbuckets) {
   cal_stored_ = rebuild_scratch_.size();
 }
 
+void EventQueue::calibrate_width() {
+  // Brown's rule: a bucket spans ~3 mean gaps among the earliest pending
+  // events, so the events about to fire sit a few per bucket. The whole
+  // live span would be stretched by far-future timers into buckets that
+  // each hold most of the near traffic.
+  const std::vector<Entry>& sorted = rebuild_scratch_;
+  std::array<Time, kSample> sample{};
+  std::size_t n = std::min(sorted.size(), kSample);
+  for (std::size_t i = 0; i < n; ++i) sample[i] = sorted[i].time;
+  double width = 3 * mean_gap({sample.data(), n});
+  if (width == 0) {
+    // A same-instant burst fills the sample and says nothing about the
+    // spacing: measure the gaps between the next distinct instants
+    // instead, one instant per bucket, as a dense instant stream needs
+    // (each push into a shared bucket would shift a whole instant's run).
+    n = 0;
+    for (const Entry& e : sorted) {
+      if (n == 0 || e.time != sample[n - 1]) sample[n++] = e.time;
+      if (n == kSample) break;
+    }
+    width = mean_gap({sample.data(), n});
+    if (width == 0) return;  // one instant queued: keep the width
+  }
+  const auto w = static_cast<std::uint64_t>(
+      std::min(width, static_cast<double>(Time{1} << kMaxShift)));
+  shift_ = w <= 1 ? 0 : std::bit_width(w) - 1;  // floor to a power of two
+}
+
+void EventQueue::end_epoch() {
+  if (shifted_ + scanned_ - epoch_cost_mark_ > kMaxCostPerPop * epoch_len_) {
+    cal_rebuild(buckets_.size());
+  }
+  epoch_len_ = epoch_left_ = std::max(kMinEpoch, 2 * buckets_.size());
+  epoch_cost_mark_ = shifted_ + scanned_;
+}
+
 Time EventQueue::next_time() {
   assert(live_ > 0);
   return cal_find_min()->time;
 }
 
-std::pair<Time, EventQueue::Callback> EventQueue::pop() {
-  assert(live_ > 0);
-  const Entry e = *cal_find_min();
+void EventQueue::take(const Entry& e, Callback& cb) {
   Slot& s = slots_[e.slot];
   check_live_slot(e, s);
-  Task cb = std::move(s.task);
+  cb = std::move(s.task);
   release_slot(e.slot);
   Bucket& b = buckets_[cursor_];
   ++b.head;
@@ -261,7 +318,22 @@ std::pair<Time, EventQueue::Callback> EventQueue::pop() {
   if (buckets_.size() > kMinBuckets && live_ < buckets_.size() / 8) {
     cal_rebuild(buckets_.size() / 2);
   }
-  return {e.time, std::move(cb)};
+  if (--epoch_left_ == 0) end_epoch();
+}
+
+bool EventQueue::pop_due(Time deadline, Time& when, Callback& cb) {
+  assert(live_ > 0);
+  const Entry e = *cal_find_min();
+  if (e.time > deadline) return false;
+  when = e.time;
+  take(e, cb);
+  return true;
+}
+
+std::pair<Time, EventQueue::Callback> EventQueue::pop() {
+  std::pair<Time, Callback> out;
+  pop_due(kNever, out.first, out.second);
+  return out;
 }
 
 }  // namespace netrs::sim

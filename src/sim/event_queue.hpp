@@ -15,8 +15,11 @@
 // The priority index is a calendar queue (Brown 1988; DESIGN.md §4.8) of
 // width-aligned time buckets, each kept sorted by (time, seq) with an
 // amortized-O(1) sorted-append fast path. Pop reads the head of the
-// current bucket, so push and pop are amortized O(1) at any depth; the
-// bucket count and width adapt to the live event population.
+// current bucket, so push and pop are amortized O(1) at any depth. The
+// bucket count follows the live event population; the width is a power
+// of two (bucket_of is a shift) calibrated on the gaps among the earliest
+// pending events, and is recalibrated when pushes and pops start paying
+// for a layout that no longer fits the traffic.
 #pragma once
 
 #include <cstdint>
@@ -48,8 +51,8 @@ class EventQueue {
   EventQueue& operator=(const EventQueue&) = delete;
 
   /// Schedules `cb` to fire at absolute time `t`. Returns an id usable with
-  /// `cancel`.
-  EventId push(Time t, Callback cb);
+  /// `cancel`. The callback is moved once, into its arena slot.
+  EventId push(Time t, Callback&& cb);
 
   /// Cancels a pending event. Returns true if the id was pending;
   /// cancelling an already-fired or unknown id is a no-op returning false.
@@ -69,12 +72,23 @@ class EventQueue {
   /// Removes and returns the earliest live event. Precondition: !empty().
   std::pair<Time, Callback> pop();
 
+  /// One index probe per event: when the earliest live event is due at or
+  /// before `deadline`, moves its callback into `cb`, stores its time in
+  /// `when`, removes it and returns true; otherwise leaves it queued and
+  /// returns false. Precondition: !empty().
+  bool pop_due(Time deadline, Time& when, Callback& cb);
+
+  /// Index entries moved aside by out-of-order pushes so far: the
+  /// calendar's per-push cost beyond the O(1) append (diagnostic; the
+  /// event-queue micro-benchmark bounds it per push).
+  [[nodiscard]] std::uint64_t entries_shifted() const { return shifted_; }
+
   /// Routes slot-state invariant violations to the simulator's auditor
   /// (checked builds only; the pointer is unused otherwise).
   void set_auditor(Auditor* auditor) { auditor_ = auditor; }
 
  private:
-  friend struct EventQueueTestPeer;  // generation-wraparound tests
+  friend struct EventQueueTestPeer;  // generation and layout tests
 
   static constexpr std::uint32_t kNilSlot = 0xFFFFFFFFu;
 
@@ -113,21 +127,39 @@ class EventQueue {
   void check_live_slot(const Entry& e, const Slot& s);
 
   // Calendar index.
-  [[nodiscard]] static Time floor_div(Time t, Time w);
-  [[nodiscard]] std::size_t bucket_of(Time t) const;
+  [[nodiscard]] std::size_t bucket_of(Time t) const {
+    return static_cast<std::size_t>(t >> shift_) & bucket_mask_;
+  }
+  // Exclusive upper bound of the bucket window holding `t` (arithmetic
+  // shifts keep windows width-aligned for negative times too).
+  [[nodiscard]] Time window_end(Time t) const {
+    return ((t >> shift_) + 1) << shift_;
+  }
   void cal_init();
   void cal_insert(const Entry& e);
   Entry* cal_find_min();
   void cal_direct_seek();
   void cal_rebuild(std::size_t nbuckets);
+  void calibrate_width();
+  void take(const Entry& e, Callback& cb);
+  void end_epoch();
 
   std::vector<Bucket> buckets_;
   std::vector<Entry> rebuild_scratch_;
-  Time width_ = 1;
+  int shift_ = 0;               // bucket width is 2^shift_ ns
   std::size_t bucket_mask_ = 0;
   std::size_t cursor_ = 0;      // bucket the year scan is positioned on
   Time cursor_upper_ = 1;       // exclusive time bound of cursor_'s window
   std::size_t cal_stored_ = 0;  // entries in buckets incl. tombstones
+
+  // Layout cost accounting: entries shifted by pushes and buckets stepped
+  // over by pops. Every epoch of pops compares the cost with the pops it
+  // served and recalibrates the width when the layout stops fitting.
+  std::uint64_t shifted_ = 0;
+  std::uint64_t scanned_ = 0;
+  std::uint64_t epoch_cost_mark_ = 0;
+  std::size_t epoch_len_ = 0;
+  std::size_t epoch_left_ = 0;
 
   std::vector<Slot> slots_;
   std::uint32_t free_head_ = kNilSlot;

@@ -7,7 +7,7 @@
 
 namespace netrs::sim {
 
-EventId Simulator::at(Time t, Callback cb) {
+EventId Simulator::at(Time t, Callback&& cb) {
   // Shard affinity: only the owning worker (or the coordinator between
   // windows) may push events onto a sharded simulator's queue.
   affinity_.check("schedule");
@@ -28,7 +28,7 @@ EventId Simulator::at(Time t, Callback cb) {
   return queue_.push(t < now_ ? now_ : t, std::move(cb));
 }
 
-EventId Simulator::after(Duration d, Callback cb) {
+EventId Simulator::after(Duration d, Callback&& cb) {
   if constexpr (kAuditEnabled) {
     auditor_.check(d >= 0, "schedule-into-past", [&] {
       return "negative delay " + std::to_string(d) + " ns at now=" +
@@ -62,12 +62,13 @@ std::uint64_t Simulator::run() {
 std::uint64_t Simulator::run_until(Time deadline) {
   stopped_ = false;
   std::uint64_t n = 0;
+  Time t = 0;
+  Callback cb;
   while (!stopped_ && !queue_.empty()) {
-    if (queue_.next_time() > deadline) {
+    if (!queue_.pop_due(deadline, t, cb)) {
       now_ = deadline;
       return n;
     }
-    auto [t, cb] = queue_.pop();
     // Causality: the queue's (time, seq) order guarantees fired times never
     // regress; a regression here means queue-state corruption.
     if constexpr (kAuditEnabled) {
@@ -81,6 +82,7 @@ std::uint64_t Simulator::run_until(Time deadline) {
     }
     now_ = t;
     cb();
+    cb.reset();  // captures die as soon as their event has fired
     ++n;
     ++fired_;
   }

@@ -3,6 +3,10 @@
 // Single-threaded and deterministic: components schedule callbacks at
 // absolute or relative simulated times, and `run()` fires them in
 // (time, scheduling-order) order. There is no wall-clock coupling.
+//
+// `at`/`after` take the callback as `Callback&&`: a lambda converts into a
+// temporary sim::Task in place, and the queue moves it once, into its
+// arena slot; the run loop moves it once more, out of the slot to fire.
 #pragma once
 
 #include <cstdint>
@@ -43,10 +47,10 @@ class Simulator {
   [[nodiscard]] Time now() const { return now_; }
 
   /// Schedules `cb` at absolute time `t`; `t` must be >= now().
-  EventId at(Time t, Callback cb);
+  EventId at(Time t, Callback&& cb);
 
   /// Schedules `cb` after a non-negative delay from now().
-  EventId after(Duration d, Callback cb);
+  EventId after(Duration d, Callback&& cb);
 
   /// Schedules `cb` every `period` (> 0), first firing at now() + period.
   /// The periodic task stops when `cb` returns false or the simulation ends.

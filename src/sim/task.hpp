@@ -10,7 +10,10 @@
 // event churn performs no allocations.
 //
 // Unlike std::function, Task is move-only: it can own move-only captures
-// (pooled packets, unique_ptrs) and never silently copies state.
+// (pooled packets, unique_ptrs) and never silently copies state. The
+// scheduling entry points (Simulator::at/after, EventQueue::push) take it
+// as `Callback&&`, so a lambda becomes a Task in place and is relocated
+// once into the queue's slot arena and once out of it to fire.
 #pragma once
 
 #include <cassert>

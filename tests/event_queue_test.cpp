@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <memory>
 #include <set>
@@ -13,7 +14,8 @@
 namespace netrs::sim {
 
 /// Test-only backdoor (friend of EventQueue) used to steer a slot's
-/// generation counter to the wraparound boundary.
+/// generation counter to the wraparound boundary and to read the
+/// calendar's layout.
 struct EventQueueTestPeer {
   /// Sets the generation counter of `slot` (must not have live events
   /// whose ids embed the old generation).
@@ -25,6 +27,8 @@ struct EventQueueTestPeer {
   static std::uint32_t generation(const EventQueue& q, std::uint32_t slot) {
     return q.slots_[slot].generation;
   }
+  /// The calendar's current bucket width in ns.
+  static Time width(const EventQueue& q) { return Time{1} << q.shift_; }
 };
 
 namespace {
@@ -186,21 +190,47 @@ TEST(EventQueueTest, StressWithRandomCancellations) {
   EXPECT_EQ(popped, live);
 }
 
-TEST(EventQueueTest, ChurnPopOrderMatchesReferenceModel) {
-  // A random push/cancel/pop interleaving checked against a reference
-  // model of the pending set, ordered by (time, logical event index).
-  // Logical indices grow in push order, as the queue's sequence numbers
-  // do, so the model's minimum is exactly the event the queue must pop
-  // next (FIFO within an instant).
+// Mirrors an EventQueue with a reference model of the pending set,
+// ordered by (time, logical event index). Logical indices grow in push
+// order, as the queue's sequence numbers do, so the model's minimum is
+// exactly the event the queue must pop next (FIFO within an instant).
+struct ReferenceChurn {
   EventQueue q;
-  Rng rng(99);
   std::set<std::pair<Time, int>> model;
   std::vector<EventId> ids;  // by logical event
   std::vector<Time> whens;   // by logical event
   std::vector<bool> gone;    // popped or cancelled
   int fired = -1;            // set by callbacks
+  Time now = 0;              // time of the last pop
+  std::uint64_t pushes = 0;
 
-  const auto pop_and_check = [&](int op) {
+  void push(Time when) {
+    const int k = static_cast<int>(ids.size());
+    ids.push_back(q.push(when, [this, k] { fired = k; }));
+    whens.push_back(when);
+    gone.push_back(false);
+    model.emplace(when, k);
+    ++pushes;
+  }
+
+  // Cancels a random logical event among the `window` latest (all by
+  // default); one already gone must fail. Returns whether it cancelled.
+  bool cancel_random(Rng& rng, std::size_t window = 0) {
+    const std::size_t probe =
+        window == 0
+            ? rng.uniform(ids.size())
+            : ids.size() - 1 - rng.uniform(std::min(window, ids.size()));
+    if (gone[probe]) {
+      EXPECT_FALSE(q.cancel(ids[probe]));
+      return false;
+    }
+    EXPECT_TRUE(q.cancel(ids[probe]));
+    gone[probe] = true;
+    model.erase({whens[probe], static_cast<int>(probe)});
+    return true;
+  }
+
+  void pop_and_check(int op) {
     ASSERT_FALSE(model.empty());
     const auto [want_time, want_event] = *model.begin();
     ASSERT_EQ(q.next_time(), want_time) << "op " << op;
@@ -210,45 +240,163 @@ TEST(EventQueueTest, ChurnPopOrderMatchesReferenceModel) {
     ASSERT_EQ(fired, want_event) << "pop order diverged at op " << op;
     gone[static_cast<std::size_t>(fired)] = true;
     model.erase(model.begin());
-  };
+    now = when;
+  }
 
-  Time t = 0;
-  for (int op = 0; op < 20000; ++op) {
-    const std::uint64_t dice = rng.uniform(10);
-    if (dice < 5 || model.empty()) {
-      // Push (sometimes far ahead, to exercise bucket-year wraps and the
-      // calendar's direct-seek fallback).
-      const Time when =
-          t + static_cast<Time>(rng.uniform(rng.uniform(50) == 0 ? 2'000'000
-                                                                 : 2'000));
-      const int k = static_cast<int>(ids.size());
-      ids.push_back(q.push(when, [&fired, k] { fired = k; }));
-      whens.push_back(when);
-      gone.push_back(false);
-      model.emplace(when, k);
-    } else if (dice < 7) {
-      // Cancel a random logical event; one already gone must fail.
-      const std::size_t probe = rng.uniform(ids.size());
-      if (!gone[probe]) {
-        EXPECT_TRUE(q.cancel(ids[probe]));
-        gone[probe] = true;
-        model.erase({whens[probe], static_cast<int>(probe)});
+  // `ops` random operations: a push (drawing its delay from `delay`)
+  // with probability push_in_10 / 10, a cancel with cancel_in_10 / 10,
+  // otherwise a pop checked against the model.
+  void run(Rng& rng, int ops, Time (*delay)(Rng&), std::uint64_t push_in_10,
+           std::uint64_t cancel_in_10) {
+    for (int op = 0; op < ops; ++op) {
+      const std::uint64_t dice = rng.uniform(10);
+      if (dice < push_in_10 || model.empty()) {
+        push(now + delay(rng));
+      } else if (dice < push_in_10 + cancel_in_10) {
+        cancel_random(rng);
       } else {
-        EXPECT_FALSE(q.cancel(ids[probe]));
+        pop_and_check(op);
+        ASSERT_FALSE(::testing::Test::HasFatalFailure());
       }
-    } else {
-      pop_and_check(op);
-      ASSERT_FALSE(HasFatalFailure());
-      t = whens[static_cast<std::size_t>(fired)];
+      ASSERT_EQ(q.size(), model.size());
     }
-    ASSERT_EQ(q.size(), model.size());
   }
-  // Drain completely; the tail must match too.
-  while (!model.empty()) {
-    pop_and_check(-1);
+
+  // Drains completely; the tail must match too.
+  void drain() {
+    while (!model.empty()) {
+      pop_and_check(-1);
+      ASSERT_FALSE(::testing::Test::HasFatalFailure());
+    }
+    EXPECT_TRUE(q.empty());
+  }
+};
+
+// Uniform delays, sometimes far ahead, to exercise bucket-year wraps and
+// the calendar's direct-seek fallback.
+Time uniform_with_far_tail(Rng& rng) {
+  return static_cast<Time>(
+      rng.uniform(rng.uniform(50) == 0 ? 2'000'000 : 2'000));
+}
+
+// The simulator's near/far mix, a coarser version of BM_EventQueueChurn's
+// ilp-k8 mix with the periodic timers drawn like any other delay: mostly
+// 30 us link and 1.25 us accelerator hops, exponential service times and
+// arrival gaps, and rare 50 ms / 100 ms timers.
+Time near_far_mix(Rng& rng) {
+  const std::uint64_t u = rng.uniform(1000);
+  if (u < 620) return micros(30);
+  if (u < 780) return micros(1.25);
+  if (u < 890) return micros(rng.uniform(2) == 0 ? 5 : 1);
+  if (u < 997) return nanos(rng.exponential(millis(2.5)));
+  if (u < 999) return millis(50);
+  return millis(100);
+}
+
+TEST(EventQueueTest, ChurnPopOrderMatchesReferenceModel) {
+  // A random push/cancel/pop interleaving checked against the reference
+  // model of the pending set.
+  Rng rng(99);
+  ReferenceChurn c;
+  c.run(rng, 20000, uniform_with_far_tail, 5, 2);
+  ASSERT_FALSE(HasFatalFailure());
+  c.drain();
+}
+
+TEST(EventQueueTest, NearFarMixMatchesReferenceModelAndShiftsLittle) {
+  // The delay mix the simulator schedules, at its steady depth and
+  // above. The calendar's width must follow the near traffic, not the
+  // span stretched by far timers: a width taken from the whole span puts
+  // most near events into one crowded bucket, and each push then shifts
+  // ~20 entries aside.
+  for (const int depth : {130, 1000}) {
+    SCOPED_TRACE(depth);
+    Rng rng(static_cast<std::uint64_t>(depth));
+    ReferenceChurn c;
+    for (int i = 0; i < depth; ++i) c.push(near_far_mix(rng));
+    const std::uint64_t shifted_before = c.q.entries_shifted();
+    const std::uint64_t pushes_before = c.pushes;
+    // Push and pop half the time each, plus a cancel per round: the depth
+    // stays near `depth`.
+    for (int round = 0; round < 20; ++round) {
+      c.run(rng, 2000, near_far_mix, 5, 0);
+      ASSERT_FALSE(HasFatalFailure());
+      if (!c.model.empty()) c.cancel_random(rng);
+    }
+    const double shifted_per_push =
+        static_cast<double>(c.q.entries_shifted() - shifted_before) /
+        static_cast<double>(c.pushes - pushes_before);
+    EXPECT_LE(shifted_per_push, 4.0);
+    c.drain();
+  }
+}
+
+TEST(EventQueueTest, SameInstantBurstKeepsTheWidth) {
+  // A burst of same-instant events at t=0 lands on top of the mix and
+  // grows the calendar, so the rebuild samples only the burst. Its zero
+  // gaps must not collapse the width to 1 ns (which would spread the
+  // near traffic over one bucket-year per few ns); FIFO order within the
+  // burst and the order behind it must hold.
+  Rng rng(5);
+  ReferenceChurn c;
+  for (int i = 0; i < 200; ++i) c.push(near_far_mix(rng));
+  const Time mix_width = EventQueueTestPeer::width(c.q);
+  for (int i = 0; i < 100; ++i) c.push(0);
+  EXPECT_GT(EventQueueTestPeer::width(c.q), 1);
+  EXPECT_GE(EventQueueTestPeer::width(c.q), mix_width / 64);
+  for (int i = 0; i < 100; ++i) {
+    c.pop_and_check(i);
     ASSERT_FALSE(HasFatalFailure());
+    EXPECT_EQ(c.now, 0);
   }
-  EXPECT_TRUE(q.empty());
+  c.run(rng, 4000, near_far_mix, 5, 1);
+  ASSERT_FALSE(HasFatalFailure());
+  c.drain();
+}
+
+TEST(EventQueueTest, CancelsStraddlingRecalibrationsMatchReferenceModel) {
+  // The delay scale jumps 1000x between phases at a constant depth of
+  // 1000, so the layout stops fitting and the calendar recalibrates its
+  // width mid-run. Events pushed under one width are cancelled and popped
+  // under another: every cancel must succeed exactly once and the pop
+  // order must match the model throughout.
+  Rng rng(2024);
+  ReferenceChurn c;
+  for (int i = 0; i < 1000; ++i) c.push(static_cast<Time>(rng.uniform(200)));
+  std::vector<Time> widths;
+  for (int phase = 0; phase < 6; ++phase) {
+    const std::uint64_t range = phase % 2 == 0 ? 200 : 200'000;
+    for (int op = 0; op < 8000; ++op) {
+      c.pop_and_check(op);
+      ASSERT_FALSE(HasFatalFailure());
+      c.push(c.now + static_cast<Time>(rng.uniform(range)));
+      if (op % 4 == 0 && c.cancel_random(rng, 2000)) {
+        c.push(c.now + static_cast<Time>(rng.uniform(range)));
+      }
+      ASSERT_EQ(c.q.size(), c.model.size());
+    }
+    widths.push_back(EventQueueTestPeer::width(c.q));
+  }
+  // Each fine phase ended on a narrower width than the coarse phases
+  // around it: the calendar recalibrated at every jump.
+  for (std::size_t i = 0; i + 1 < widths.size(); ++i) {
+    if (i % 2 == 0) {
+      EXPECT_LT(widths[i], widths[i + 1]) << "phase " << i;
+    } else {
+      EXPECT_GT(widths[i], widths[i + 1]) << "phase " << i;
+    }
+  }
+  // Ids issued before the recalibrations stay cancellable exactly once.
+  for (std::size_t k = 0; k < c.ids.size(); k += 7) {
+    if (c.gone[k]) {
+      EXPECT_FALSE(c.q.cancel(c.ids[k]));
+    } else {
+      EXPECT_TRUE(c.q.cancel(c.ids[k]));
+      c.gone[k] = true;
+      c.model.erase({c.whens[k], static_cast<int>(k)});
+    }
+  }
+  c.drain();
 }
 
 TEST(EventQueueTest, CancelHeavyChurnReclaimsTombstones) {
