@@ -22,11 +22,6 @@ Fabric::Fabric(sim::ShardGroup& group, const FatTree& topo, FabricConfig cfg)
     // links are exempt: the ownership map pins every accelerator to its
     // switch's shard, so they can never cross a shard boundary.
     const sim::Duration lookahead = group.lookahead();
-    if (lookahead <= 0) {
-      throw std::invalid_argument(
-          "Fabric: sharded mode needs a positive lookahead window, got " +
-          std::to_string(lookahead) + " ns");
-    }
     if (cfg_.switch_link_latency < lookahead) {
       throw std::invalid_argument(
           "Fabric: switch link latency " +
@@ -76,20 +71,6 @@ Fabric::Fabric(sim::ShardGroup& group, const FatTree& topo, FabricConfig cfg)
   nodes_.resize(topo_.node_count(), nullptr);
   group.set_drain_hook(
       [this](int shard, sim::Time safe) { drain_shard(shard, safe); });
-}
-
-Fabric::~Fabric() {
-  for (Lane& ln : lanes_) {
-    for (LaneNode* list :
-         {ln.head.load(std::memory_order_relaxed),
-          ln.free_head.load(std::memory_order_relaxed), ln.producer_cache}) {
-      while (list != nullptr) {
-        LaneNode* next = list->next;
-        delete list;
-        list = next;
-      }
-    }
-  }
 }
 
 void Fabric::attach(NodeId id, Node* node) {
@@ -241,34 +222,10 @@ void Fabric::send(NodeId from, NodeId to, Packet&& pkt) {
                                   ? *global_sim_
                                   : *sims_[std::size_t(ctx)];
   const sim::Time arrive = clock_sim.now() + link_latency(from, to);
-  state_[dst_shard].cross_pending.fetch_add(1, std::memory_order_relaxed);
-
-  if (ctx == sim::ShardGroup::kCoordinator) {
-    // Every shard is parked at a barrier: park straight into the
-    // destination pool, bypassing the lanes (which are single-producer).
-    park_cross(dst_shard, CrossEntry{arrive, src_shard, 0, from, to, pkt});
-    return;
-  }
-
   Lane& ln = lane(dst_shard, src_shard);
-  // Refill the producer's node cache from the consumer's free stack;
-  // allocate only at the lane's high-water mark.
-  if (ln.producer_cache == nullptr) {
-    ln.producer_cache = ln.free_head.exchange(nullptr, std::memory_order_acquire);
-  }
-  LaneNode* n;
-  if (ln.producer_cache != nullptr) {
-    n = ln.producer_cache;
-    ln.producer_cache = n->next;
-  } else {
-    n = new LaneNode;
-  }
-  n->entry = CrossEntry{arrive, src_shard, ln.next_seq++, from, to, pkt};
-  LaneNode* head = ln.head.load(std::memory_order_relaxed);
-  do {
-    n->next = head;
-  } while (!ln.head.compare_exchange_weak(head, n, std::memory_order_release,
-                                          std::memory_order_relaxed));
+  const std::lock_guard<std::mutex> lock(ln.m);
+  ln.entries.push_back(
+      CrossEntry{arrive, src_shard, ln.next_seq++, from, to, std::move(pkt)});
 }
 
 void Fabric::drain_shard(int dst, sim::Time safe) {
@@ -277,49 +234,41 @@ void Fabric::drain_shard(int dst, sim::Time safe) {
   for (int src = 0; src < shards; ++src) {
     if (src == dst) continue;
     Lane& ln = lane(dst, src);
-    LaneNode* n = ln.head.exchange(nullptr, std::memory_order_acquire);
-    while (n != nullptr) {
-      LaneNode* next = n->next;
-      st.pending.push_back(n->entry);
-      std::push_heap(st.pending.begin(), st.pending.end(), CrossLater{});
-      // Recycle through the consumer-side free stack (producer steals it).
-      LaneNode* free_head = ln.free_head.load(std::memory_order_relaxed);
-      do {
-        n->next = free_head;
-      } while (!ln.free_head.compare_exchange_weak(
-          free_head, n, std::memory_order_release, std::memory_order_relaxed));
-      n = next;
+    {
+      // Swap, not copy: both vectors keep their capacity, so steady-state
+      // traffic allocates nothing.
+      const std::lock_guard<std::mutex> lock(ln.m);
+      ln.entries.swap(st.inbox);
     }
+    for (CrossEntry& e : st.inbox) {
+      st.pending.push_back(std::move(e));
+      std::push_heap(st.pending.begin(), st.pending.end(), CrossLater{});
+    }
+    st.inbox.clear();
   }
   // Park every arrival strictly below the window bound, in deterministic
   // (arrive, src_shard, seq) order; conservative sync guarantees no later
   // push can land below `safe`, so the order is independent of thread
   // timing. Later arrivals wait in the heap for a future window.
+  sim::Simulator& sim = *sims_[std::size_t(dst)];
   while (!st.pending.empty() && st.pending.front().arrive < safe) {
     std::pop_heap(st.pending.begin(), st.pending.end(), CrossLater{});
-    park_cross(dst, st.pending.back());
+    const CrossEntry& entry = st.pending.back();
+    const std::uint32_t slot = acquire_slot(st);
+    Delivery& d = st.deliveries[slot];
+    d.pkt = entry.pkt;
+    d.dst = node(entry.to);
+    d.from = entry.from;
+    st.ledger.on_park(sim.auditor(), slot, [&] {
+      return "packet src=" + std::to_string(d.pkt.src) +
+             " dst=" + std::to_string(d.pkt.dst) + " link " +
+             std::to_string(entry.from) + "->" + std::to_string(entry.to) +
+             " crossing from shard " + std::to_string(entry.src_shard) +
+             ", arrives t=" + std::to_string(entry.arrive) + " ns";
+    });
+    sim.at(entry.arrive, [this, dst, slot] { deliver(dst, slot); });
     st.pending.pop_back();
   }
-}
-
-void Fabric::park_cross(int dst, const CrossEntry& entry) {
-  ShardState& st = state_[dst];
-  sim::Simulator& sim = *sims_[std::size_t(dst)];
-  Node* dst_node = node(entry.to);
-  const std::uint32_t slot = acquire_slot(st);
-  Delivery& d = st.deliveries[slot];
-  d.pkt = entry.pkt;
-  d.dst = dst_node;
-  d.from = entry.from;
-  st.ledger.on_park(sim.auditor(), slot, [&] {
-    return "packet src=" + std::to_string(d.pkt.src) +
-           " dst=" + std::to_string(d.pkt.dst) + " link " +
-           std::to_string(entry.from) + "->" + std::to_string(entry.to) +
-           " crossing from shard " + std::to_string(entry.src_shard) +
-           ", arrives t=" + std::to_string(entry.arrive) + " ns";
-  });
-  st.cross_pending.fetch_sub(1, std::memory_order_relaxed);
-  sim.at(entry.arrive, [this, dst, slot] { deliver(dst, slot); });
 }
 
 void Fabric::deliver(int shard, std::uint32_t slot) {
@@ -374,7 +323,15 @@ std::uint64_t Fabric::cross_sends(int s) const {
 }
 
 std::uint64_t Fabric::cross_pending_depth(int s) const {
-  return state_[s].cross_pending.load(std::memory_order_relaxed);
+  // Between windows no thread touches the lanes, and the window barrier
+  // orders every send before this read, so the sizes are read unlocked.
+  std::uint64_t depth = state_[s].pending.size();
+  if (lanes_.empty()) return depth;
+  for (int src = 0; src < shard_count(); ++src) {
+    depth += lanes_[std::size_t(s) * sims_.size() + std::size_t(src)]
+                 .entries.size();
+  }
+  return depth;
 }
 
 std::size_t Fabric::deliveries_in_flight() const {
@@ -382,7 +339,7 @@ std::size_t Fabric::deliveries_in_flight() const {
   for (int s = 0; s < shard_count(); ++s) {
     const ShardState& st = state_[s];
     total += st.deliveries.size() - st.free_deliveries.size();
-    total += st.cross_pending.load(std::memory_order_relaxed);
+    total += cross_pending_depth(s);
   }
   return total;
 }
@@ -415,8 +372,7 @@ void Fabric::audit_finalize(bool expect_drained) {
       st.ledger.finalize(sims_[std::size_t(s)]->auditor());
     } else {
       sims_[std::size_t(s)]->auditor().on_packets_in_flight_at_end(
-          st.ledger.parked_count() +
-          st.cross_pending.load(std::memory_order_relaxed));
+          st.ledger.parked_count() + cross_pending_depth(s));
     }
   }
   // Conservation identity over the merged per-shard ledgers: the counters

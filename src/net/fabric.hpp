@@ -14,17 +14,18 @@
 // k/2 switches plus the shared accelerator cabled to them) on shard
 // g mod S — so the only links that cross shards are the 30 us agg<->core
 // links, which bound the group's conservative lookahead. send() parks
-// intra-shard packets in the sending shard's delivery pool and pushes
-// cross-shard packets onto a lock-free per-(dst,src) lane stamped with
-// arrival time; each shard drains its lanes at the start of every
-// conservative window, scheduling arrivals in deterministic
-// (arrive, src-shard, seq) order. With one shard every send is
-// intra-shard.
+// intra-shard packets in the sending shard's delivery pool and appends
+// cross-shard packets, stamped with arrival time, to a mutex-guarded
+// per-(dst,src) lane; each shard swaps its lanes out at the start of every
+// conservative window and schedules arrivals in deterministic
+// (arrive, src-shard, seq) order. Cross-shard traffic is a few packets per
+// lane per window, so one uncontended lock per send costs nothing
+// measurable. With one shard every send is intra-shard.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <memory>
+#include <mutex>
 #include <set>
 #include <unordered_map>
 #include <utility>
@@ -70,8 +71,6 @@ class NETRS_COORD_GLOBAL Fabric {
   /// `topo` must outlive the fabric; one fabric per group.
   Fabric(sim::ShardGroup& group, const FatTree& topo, FabricConfig cfg);
 
-  ~Fabric();
-
   /// Registers the live object for a topology NodeId. Must precede traffic.
   void attach(NodeId id, Node* node);
 
@@ -88,8 +87,10 @@ class NETRS_COORD_GLOBAL Fabric {
   /// free-list delivery pool slot, and the scheduled event captures only
   /// {fabric, slot}; delivery copies it out of the slot into the
   /// receiver's parameter. In sharded mode a cross-shard send instead
-  /// pushes onto the destination shard's lock-free lane (nodes pooled per
-  /// lane).
+  /// appends to the (destination, source) shard lane under its mutex; lane
+  /// vectors keep their capacity, so this allocates nothing in steady state
+  /// either. Coordinator-context sends (setup, global events) use the same
+  /// lane.
   void send(NodeId from, NodeId to, Packet&& pkt);
 
   /// The global simulation clock/scheduler: the ShardGroup's
@@ -126,8 +127,8 @@ class NETRS_COORD_GLOBAL Fabric {
   /// Total wire bytes carried across all links (bandwidth accounting —
   /// NetRS is required to "limit its bandwidth overheads", §II).
   [[nodiscard]] std::uint64_t bytes_sent() const;
-  /// Packets shard `s` sent across a shard boundary (lane or barrier
-  /// park). Engine self-telemetry; call only between ShardGroup windows.
+  /// Packets shard `s` sent across a shard boundary. Engine
+  /// self-telemetry; call only between ShardGroup windows.
   [[nodiscard]] std::uint64_t cross_sends(int s) const;
   /// Cross-shard packets bound for shard `s` not yet scheduled there (in
   /// a lane or the pending heap). Engine self-telemetry; call only
@@ -204,27 +205,17 @@ class NETRS_COORD_GLOBAL Fabric {
     }
   };
 
-  /// Intrusive node of a lane's lock-free stack; pooled per lane.
-  struct LaneNode {
-    LaneNode* next = nullptr;
-    CrossEntry entry;
-  };
-
-  /// Single-producer (src shard) / single-consumer (dst shard) lock-free
-  /// channel. `head` is a Treiber stack the producer pushes with CAS and
-  /// the consumer steals wholesale with exchange (no ABA: only whole-list
-  /// steals). Freed nodes flow back through `free_head` (consumer CAS-push,
-  /// producer exchange-steal into its private cache).
-  struct Lane {
-    std::atomic<LaneNode*> head{nullptr};
-    std::atomic<LaneNode*> free_head{nullptr};
-    LaneNode* producer_cache = nullptr;  // producer-only
-    std::uint64_t next_seq = 0;          // producer-only, monotone per lane
+  /// Cross-shard channel from one source shard (or the coordinator on its
+  /// behalf) to one destination shard: senders append under `m`, the
+  /// destination swaps `entries` out at each window start.
+  struct alignas(64) Lane {
+    std::mutex m;
+    std::vector<CrossEntry> entries;  // guarded by m
+    std::uint64_t next_seq = 0;       // guarded by m; monotone per lane
   };
 
   /// Everything one shard owns; cache-line isolated. Only the owning shard
-  /// thread (or the coordinator at a barrier) touches the non-atomic
-  /// fields.
+  /// thread (or the coordinator at a barrier) touches it.
   struct alignas(64) ShardState {
     std::vector<Delivery> deliveries;            // packet pool
     std::vector<std::uint32_t> free_deliveries;  // free slot indices
@@ -232,10 +223,8 @@ class NETRS_COORD_GLOBAL Fabric {
     std::uint64_t bytes_sent = 0;
     std::uint64_t cross_sends = 0;  // sends leaving this shard's partition
     sim::SlotLedger ledger;           // conservation audit (checked builds)
+    std::vector<CrossEntry> inbox;    // a lane's entries, swapped out
     std::vector<CrossEntry> pending;  // drained, not yet schedulable
-    /// Cross-shard packets bound here that are not yet parked in the
-    /// delivery pool (in a lane or in `pending`).
-    std::atomic<std::uint64_t> cross_pending{0};
   };
 
   /// Audit-build half of simulator_for (see its doc comment): records the
@@ -254,7 +243,6 @@ class NETRS_COORD_GLOBAL Fabric {
   /// below `safe` in (arrive, src_shard, seq) order; the rest wait in the
   /// pending heap. Runs on `dst`'s worker at each window start.
   void drain_shard(int dst, sim::Time safe);
-  void park_cross(int dst, const CrossEntry& entry);
   void deliver(int shard, std::uint32_t slot);
   [[nodiscard]] std::uint32_t acquire_slot(ShardState& st);
   [[nodiscard]] Lane& lane(int dst, int src) {

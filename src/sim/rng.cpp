@@ -2,7 +2,6 @@
 
 #include <cassert>
 #include <cmath>
-#include <deque>
 
 namespace netrs::sim {
 namespace {
@@ -101,27 +100,6 @@ double Rng::exponential(double mean) {
   return -mean * std::log1p(-u);
 }
 
-std::vector<std::size_t> Rng::sample_without_replacement(std::size_t n,
-                                                         std::size_t k) {
-  assert(k <= n);
-  // Floyd's algorithm keeps this O(k) in expectation.
-  std::vector<std::size_t> out;
-  out.reserve(k);
-  for (std::size_t j = n - k; j < n; ++j) {
-    const auto t = static_cast<std::size_t>(uniform(j + 1));
-    bool seen = false;
-    for (std::size_t v : out) {
-      if (v == t) {
-        seen = true;
-        break;
-      }
-    }
-    out.push_back(seen ? j : t);
-  }
-  shuffle(out);
-  return out;
-}
-
 // ---------------------------------------------------------------------------
 // ZipfDistribution — Hörmann's rejection-inversion sampling, the same method
 // used by Apache Commons' RejectionInversionZipfSampler. Constant time per
@@ -168,50 +146,6 @@ std::uint64_t ZipfDistribution::operator()(Rng& rng) const {
       return k;
     }
   }
-}
-
-// ---------------------------------------------------------------------------
-// AliasTable — Vose's alias method.
-// ---------------------------------------------------------------------------
-
-AliasTable::AliasTable(const std::vector<double>& weights)
-    : prob_(weights.size(), 0.0), alias_(weights.size(), 0) {
-  assert(!weights.empty());
-  double total = 0.0;
-  for (double w : weights) {
-    assert(w >= 0.0);
-    total += w;
-  }
-  assert(total > 0.0);
-
-  const std::size_t n = weights.size();
-  std::vector<double> scaled(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    scaled[i] = weights[i] * static_cast<double>(n) / total;
-  }
-
-  std::deque<std::size_t> small;
-  std::deque<std::size_t> large;
-  for (std::size_t i = 0; i < n; ++i) {
-    (scaled[i] < 1.0 ? small : large).push_back(i);
-  }
-  while (!small.empty() && !large.empty()) {
-    const std::size_t s = small.front();
-    small.pop_front();
-    const std::size_t l = large.front();
-    large.pop_front();
-    prob_[s] = scaled[s];
-    alias_[s] = l;
-    scaled[l] = (scaled[l] + scaled[s]) - 1.0;
-    (scaled[l] < 1.0 ? small : large).push_back(l);
-  }
-  for (std::size_t i : large) prob_[i] = 1.0;
-  for (std::size_t i : small) prob_[i] = 1.0;  // numeric leftovers
-}
-
-std::size_t AliasTable::operator()(Rng& rng) const {
-  const std::size_t i = static_cast<std::size_t>(rng.uniform(prob_.size()));
-  return rng.next_double() < prob_[i] ? i : alias_[i];
 }
 
 }  // namespace netrs::sim

@@ -55,10 +55,6 @@ class Rng {
     }
   }
 
-  /// Samples k distinct indices from [0, n) (k <= n), in random order.
-  std::vector<std::size_t> sample_without_replacement(std::size_t n,
-                                                      std::size_t k);
-
  private:
   std::array<std::uint64_t, 4> s_{};
   std::uint64_t seed_ = 0;
@@ -91,24 +87,6 @@ class ZipfDistribution {
   double h_x1_;
   double h_n_;
   double t_;  // threshold used by the rejection test
-};
-
-/// Alias-method sampler over arbitrary non-negative weights: O(1) per draw.
-/// Used for demand-skew client selection and workload mixes.
-class AliasTable {
- public:
-  /// Builds the alias table from `weights` (non-negative, not all zero).
-  explicit AliasTable(const std::vector<double>& weights);
-
-  /// Returns an index in [0, weights.size()).
-  std::size_t operator()(Rng& rng) const;
-
-  /// Number of weights (and of drawable indices).
-  [[nodiscard]] std::size_t size() const { return prob_.size(); }
-
- private:
-  std::vector<double> prob_;
-  std::vector<std::size_t> alias_;
 };
 
 }  // namespace netrs::sim

@@ -2,6 +2,8 @@
 
 #include <cassert>
 #include <chrono>
+#include <stdexcept>
+#include <string>
 
 namespace netrs::sim {
 
@@ -35,7 +37,16 @@ ScopedShardContext::~ScopedShardContext() { tls_current_shard = prev_; }
 
 ShardGroup::ShardGroup(int shards, Duration lookahead)
     : lookahead_(lookahead) {
-  assert(shards >= 1);
+  if (shards < 1) {
+    throw std::invalid_argument("ShardGroup: needs at least one shard, got " +
+                                std::to_string(shards));
+  }
+  if (shards > 1 && lookahead <= 0) {
+    throw std::invalid_argument(
+        "ShardGroup: conservative sync across " + std::to_string(shards) +
+        " shards needs a positive lookahead window, got " +
+        std::to_string(lookahead) + " ns");
+  }
   sims_.reserve(std::size_t(shards));
   for (int i = 0; i < shards; ++i) {
     sims_.push_back(std::make_unique<Simulator>());
@@ -47,7 +58,6 @@ ShardGroup::ShardGroup(int shards, Duration lookahead)
     global_ = sims_[0].get();
     return;
   }
-  assert(lookahead_ > 0 && "conservative sync needs positive lookahead");
   owned_global_ = std::make_unique<Simulator>();
   global_ = owned_global_.get();
   // Affinity sentinel (audit builds): each shard simulator is owned by its
@@ -60,6 +70,7 @@ ShardGroup::ShardGroup(int shards, Duration lookahead)
   global_->shard_affinity().bind(this, kCoordinator, "global-simulator", -1,
                                  &global_->auditor());
   clocks_ = std::make_unique<PaddedClock[]>(std::size_t(shards));
+  sync_.emplace(shards + 1);
   workers_.reserve(std::size_t(shards));
   for (int i = 0; i < shards; ++i) {
     workers_.emplace_back([this, i] { worker_loop(i); });
@@ -68,32 +79,19 @@ ShardGroup::ShardGroup(int shards, Duration lookahead)
 
 ShardGroup::~ShardGroup() {
   if (workers_.empty()) return;
-  {
-    std::lock_guard<std::mutex> lk(m_);
-    stop_ = true;
-  }
-  cv_cmd_.notify_all();
+  // A start phase with stop_ set: every worker returns instead of running.
+  stop_ = true;
+  sync_->arrive_and_wait();
   for (std::thread& t : workers_) t.join();
 }
 
 void ShardGroup::worker_loop(int shard) {
   tls_current_shard = shard;
-  std::uint64_t seen_epoch = 0;
   for (;;) {
-    Time bound;
-    {
-      std::unique_lock<std::mutex> lk(m_);
-      cv_cmd_.wait(lk, [&] { return stop_ || epoch_ != seen_epoch; });
-      if (stop_) return;
-      seen_epoch = epoch_;
-      bound = target_;
-    }
-    run_windows(shard, bound);
-    {
-      std::lock_guard<std::mutex> lk(m_);
-      ++done_;
-    }
-    cv_done_.notify_one();
+    sync_->arrive_and_wait();  // start: target_ / stop_ are published
+    if (stop_) return;
+    run_windows(shard, target_);
+    sync_->arrive_and_wait();  // done: every shard reached target_
   }
 }
 
@@ -181,17 +179,9 @@ void ShardGroup::run_windows(int shard, Time bound) {
 void ShardGroup::advance_shards(Time bound) {
   if (workers_.empty()) return;
   window_active_.store(true, std::memory_order_relaxed);
-  {
-    std::lock_guard<std::mutex> lk(m_);
-    ++epoch_;
-    target_ = bound;
-    done_ = 0;
-  }
-  cv_cmd_.notify_all();
-  {
-    std::unique_lock<std::mutex> lk(m_);
-    cv_done_.wait(lk, [&] { return done_ == shards(); });
-  }
+  target_ = bound;
+  sync_->arrive_and_wait();  // start
+  sync_->arrive_and_wait();  // done
   window_active_.store(false, std::memory_order_relaxed);
 }
 

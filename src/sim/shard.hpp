@@ -19,16 +19,19 @@
 // samplers — anything that reads or mutates state across shards) execute at
 // full barriers: the coordinator parks every shard exactly at the global
 // event's timestamp, runs the event single-threaded, and resumes the
-// shards. With shards == 1 the group degenerates to one Simulator driven
-// directly — bit-for-bit today's serial execution.
+// shards. Each park is one std::barrier handshake shared by the workers and
+// the coordinator: a start phase hands the workers the new bound, a done
+// phase returns once every shard has reached it. With shards == 1 the group
+// degenerates to one Simulator driven directly — bit-for-bit today's serial
+// execution.
 #pragma once
 
 #include <atomic>
-#include <condition_variable>
+#include <barrier>
 #include <cstdint>
 #include <functional>
 #include <memory>
-#include <mutex>
+#include <optional>
 #include <ostream>
 #include <thread>
 #include <vector>
@@ -106,10 +109,11 @@ class ShardGroup {
   static constexpr int kCoordinator = -1;
 
   /// Creates `shards` simulator shards synchronized with lookahead
-  /// `lookahead` (must be > 0 when shards > 1; it is the minimum latency of
-  /// any link that may cross a shard boundary). With shards == 1 no worker
-  /// threads are created and the single shard doubles as the global
-  /// simulator.
+  /// `lookahead` (the minimum latency of any link that may cross a shard
+  /// boundary). Throws std::invalid_argument, before any worker starts,
+  /// when `shards` < 1 or when `shards` > 1 and `lookahead` <= 0 (no window
+  /// could ever advance). With shards == 1 no worker threads are created
+  /// and the single shard doubles as the global simulator.
   explicit ShardGroup(int shards, Duration lookahead = micros(30));
   ShardGroup(const ShardGroup&) = delete;
   ShardGroup& operator=(const ShardGroup&) = delete;
@@ -208,8 +212,9 @@ class ShardGroup {
   /// demand, index capped so a mis-sized width cannot balloon memory).
   ShardTelemetry::Bucket& telemetry_bucket(ShardTelemetry::Lane& lane,
                                            Time clock);
-  /// Parks every shard at `bound`: on return each shard has executed all
-  /// events strictly below `bound` and published clock == bound.
+  /// Parks every shard at `bound` with two barrier phases (start, done):
+  /// on return each shard has executed all events strictly below `bound`
+  /// and published clock == bound.
   void advance_shards(Time bound);
 
   std::vector<std::unique_ptr<Simulator>> sims_;
@@ -220,16 +225,15 @@ class ShardGroup {
   DrainHook drain_hook_;
 
   std::unique_ptr<PaddedClock[]> clocks_;
-  std::vector<std::thread> workers_;
-  std::mutex m_;
-  std::condition_variable cv_cmd_;
-  std::condition_variable cv_done_;
-  std::uint64_t epoch_ = 0;
+  /// Window handshake of the workers plus the coordinator (shards > 1
+  /// only). The coordinator writes target_ (or stop_) before arriving; the
+  /// barrier orders those writes before every worker's read.
+  std::optional<std::barrier<>> sync_;
   Time target_ = 0;
-  int done_ = 0;
   bool stop_ = false;
   std::atomic<bool> window_active_{false};
   ShardTelemetry telemetry_;
+  std::vector<std::thread> workers_;  // after every member they use
 };
 
 /// RAII override of ShardGroup::current_shard() for the calling thread:

@@ -114,24 +114,6 @@ TEST(RngTest, ShufflePreservesElements) {
   EXPECT_EQ(v, original);
 }
 
-TEST(RngTest, SampleWithoutReplacementDistinct) {
-  Rng r(8);
-  for (int trial = 0; trial < 50; ++trial) {
-    auto s = r.sample_without_replacement(20, 7);
-    ASSERT_EQ(s.size(), 7u);
-    std::sort(s.begin(), s.end());
-    EXPECT_TRUE(std::adjacent_find(s.begin(), s.end()) == s.end());
-    for (auto x : s) EXPECT_LT(x, 20u);
-  }
-}
-
-TEST(RngTest, SampleWithoutReplacementFullSet) {
-  Rng r(13);
-  auto s = r.sample_without_replacement(5, 5);
-  std::sort(s.begin(), s.end());
-  EXPECT_EQ(s, (std::vector<std::size_t>{0, 1, 2, 3, 4}));
-}
-
 // --- Zipf -------------------------------------------------------------------
 
 TEST(ZipfTest, RanksWithinDomain) {
@@ -195,32 +177,6 @@ TEST(ZipfTest, ExponentOneSupported) {
     EXPECT_GE(k, 1u);
     EXPECT_LE(k, 1000u);
   }
-}
-
-// --- AliasTable ---------------------------------------------------------------
-
-TEST(AliasTableTest, MatchesWeights) {
-  Rng r(53);
-  AliasTable table({1.0, 2.0, 3.0, 4.0});
-  std::vector<int> counts(4, 0);
-  const int trials = 200000;
-  for (int i = 0; i < trials; ++i) ++counts[table(r)];
-  for (int i = 0; i < 4; ++i) {
-    EXPECT_NEAR(counts[static_cast<size_t>(i)] / static_cast<double>(trials),
-                (i + 1) / 10.0, 0.01);
-  }
-}
-
-TEST(AliasTableTest, ZeroWeightNeverSampled) {
-  Rng r(59);
-  AliasTable table({0.0, 1.0, 0.0});
-  for (int i = 0; i < 10000; ++i) EXPECT_EQ(table(r), 1u);
-}
-
-TEST(AliasTableTest, SingleBucket) {
-  Rng r(61);
-  AliasTable table({3.5});
-  for (int i = 0; i < 100; ++i) EXPECT_EQ(table(r), 0u);
 }
 
 }  // namespace

@@ -181,5 +181,15 @@ TEST(ShardLookaheadTest, FabricRejectsLinksShorterThanLookahead) {
   }
 }
 
+// Configs under which no window could ever advance are rejected by the
+// group itself, before any worker thread starts.
+TEST(ShardLookaheadTest, GroupRejectsBadShardCountAndLookahead) {
+  EXPECT_THROW(sim::ShardGroup(2, 0), std::invalid_argument);
+  EXPECT_THROW(sim::ShardGroup(4, -1), std::invalid_argument);
+  EXPECT_THROW(sim::ShardGroup(0), std::invalid_argument);
+  // One shard runs no conservative sync, so its lookahead is unused.
+  EXPECT_NO_THROW(sim::ShardGroup(1, 0));
+}
+
 }  // namespace
 }  // namespace netrs::harness
