@@ -258,9 +258,10 @@ BENCHMARK(BM_FabricHotPath);
 // the client's pending table, the fabric delivery pool and the event-slot
 // arena have reached their high-water marks, issuing, duplicating and
 // completing requests must not allocate: `allocs_per_request` is asserted
-// to be 0.0. The servers have more service slots than the cell ever keeps
-// busy, so their wait queues stay empty. The iteration count is fixed, so
-// every run measures the same simulated window.
+// to be 0.0. The argument is the servers' parallelism: at 16 no request
+// ever waits, at 1 requests wait in the server FIFO, so the guard covers
+// the wait queue too. The iteration count is fixed, so every run measures
+// the same simulated window.
 void BM_ClientRequestPath(benchmark::State& state) {
   sim::ShardGroup group{1};
   net::FatTree topo(4);
@@ -274,7 +275,7 @@ void BM_ClientRequestPath(benchmark::State& state) {
   const std::vector<net::HostId> server_hosts = {
       topo.host_id(0, 0, 0), topo.host_id(0, 0, 1), topo.host_id(0, 1, 0)};
   kv::ServerConfig scfg;
-  scfg.parallelism = 16;
+  scfg.parallelism = static_cast<int>(state.range(0));
   scfg.mean_service_time = sim::millis(1);
   std::vector<std::unique_ptr<kv::Server>> servers;
   for (net::HostId h : server_hosts) {
@@ -311,7 +312,7 @@ void BM_ClientRequestPath(benchmark::State& state) {
     state.SkipWithError("steady-state request path allocated on the heap");
   }
 }
-BENCHMARK(BM_ClientRequestPath)->Iterations(2000);
+BENCHMARK(BM_ClientRequestPath)->Arg(16)->Arg(1)->Iterations(2000);
 
 // Counts the bytes written to it and drops them: a null std::ostream
 // target, so BM_ObsWrite times formatting, not the file system.

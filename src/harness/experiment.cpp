@@ -278,7 +278,7 @@ void register_run_metrics(obs::MetricsRegistry& reg, sim::Simulator& simulator,
 }
 
 RunOutput run_once(Scheme scheme, const ExperimentConfig& cfg,
-                   std::uint64_t seed) {
+                   const sim::FaultPlan& fault_plan, std::uint64_t seed) {
   // Shard-count resolution (DESIGN.md §4.10): clamp to [1, pods]. The obs
   // layer is shard-parallel (one Observer lane per shard, merged
   // deterministically at harvest — DESIGN.md §8.6), so every output —
@@ -455,12 +455,12 @@ RunOutput run_once(Scheme scheme, const ExperimentConfig& cfg,
   }
 
   // --- Fault injection (DESIGN.md §9) --------------------------------------
-  // The plan is parsed per repeat (cheap) and every event is scheduled on
-  // the *global* simulator, so faults execute at full shard barriers —
-  // bit-identical timing at any --shards/--jobs. All hook bundles are
-  // bound here: the harness is the one layer allowed to touch component
-  // fail()/recover() hooks directly (fault-hook-discipline lint rule).
-  const sim::FaultPlan fault_plan = sim::FaultPlan::parse(cfg.fault_plan);
+  // run_experiment parsed and validated the plan once for all repeats.
+  // Every event is scheduled on the *global* simulator, so faults execute
+  // at full shard barriers — bit-identical timing at any --shards/--jobs.
+  // All hook bundles are bound here: the harness is the one layer allowed
+  // to touch component fail()/recover() hooks directly
+  // (fault-hook-discipline lint rule).
   sim::FaultInjector injector(simulator);
   if (!fault_plan.empty()) {
     for (std::size_t i = 0; i < servers.size(); ++i) {
@@ -941,9 +941,10 @@ ExperimentResult run_experiment(Scheme scheme, const ExperimentConfig& cfg) {
   const int repeats = std::max(1, cfg.repeats);
   std::vector<RunOutput> outputs(static_cast<std::size_t>(repeats));
   parallel_for(cfg.jobs, static_cast<std::size_t>(repeats),
-               [&outputs, scheme, &cfg](std::size_t rep) {
-                 outputs[rep] = run_once(
-                     scheme, cfg, cfg.seed + static_cast<std::uint64_t>(rep));
+               [&outputs, scheme, &cfg, &fault_plan](std::size_t rep) {
+                 outputs[rep] =
+                     run_once(scheme, cfg, fault_plan,
+                              cfg.seed + static_cast<std::uint64_t>(rep));
                });
 
   for (const RunOutput& out : outputs) {

@@ -1,6 +1,8 @@
 #include "kv/server.hpp"
 
 #include <cassert>
+#include <optional>
+#include <string>
 #include <utility>
 
 #include "netrs/packet_format.hpp"
@@ -14,12 +16,8 @@ Server::Server(net::Fabric& fabric, net::HostId id, ServerConfig cfg,
       cfg_(cfg),
       rng_(rng),
       current_mean_(cfg.mean_service_time),
+      station_(simulator(), cfg.parallelism, "server@" + std::to_string(id)),
       service_time_ewma_(cfg.status_ewma_alpha) {
-  assert(cfg.parallelism >= 1);
-  service_slots_.resize(static_cast<std::size_t>(cfg.parallelism));
-  slot_busy_.resize(static_cast<std::size_t>(cfg.parallelism), false);
-  service_events_.resize(static_cast<std::size_t>(cfg.parallelism), 0);
-  station_ledger_.set_name("server@" + std::to_string(id));
   // Seed the advertised service time with the configured mean so early
   // piggybacks are sane.
   service_time_ewma_.add(sim::to_micros(cfg.mean_service_time));
@@ -67,19 +65,16 @@ void Server::receive(net::Packet pkt, net::NodeId from) {
     // alike) is dropped on the floor. The issuing client's Pending entry
     // stays open until the run's drain deadline — there are no client
     // timeouts — so losses surface as issued > completed.
-    ++rejected_;
     simulator().auditor().on_packet_dropped("server-down");
     return;
   }
   // A real server drops traffic it cannot parse instead of crashing.
   if (!core::decode_request(pkt.payload).has_value()) {
-    ++malformed_;
     simulator().auditor().on_packet_dropped("server-malformed");
     return;
   }
   const auto app = decode_app_request(core::request_app_payload(pkt.payload));
   if (!app.has_value()) {
-    ++malformed_;
     simulator().auditor().on_packet_dropped("server-malformed");
     return;
   }
@@ -87,11 +82,11 @@ void Server::receive(net::Packet pkt, net::NodeId from) {
     handle_cancel(pkt, *app);
     return;
   }
-  if (in_service_ < cfg_.parallelism) {
-    start_service(std::move(pkt), simulator().now());
+  Job job{std::move(pkt), simulator().now()};
+  if (station_.has_free_slot()) {
+    start_service(std::move(job));
   } else {
-    queue_.push_back(Queued{std::move(pkt), simulator().now()});
-    station_ledger_.on_enqueue(simulator().auditor(), queue_.size());
+    station_.enqueue(std::move(job));
     journal_state();
   }
 }
@@ -100,55 +95,27 @@ void Server::handle_cancel(const net::Packet& cancel, const AppRequest& app) {
   // Cross-server cancellation: remove the matching *queued* copy (an
   // in-service request cannot be recalled) and settle it immediately with
   // an empty response so the issuing client's bookkeeping completes.
-  for (auto it = queue_.begin(); it != queue_.end(); ++it) {
-    if (it->pkt.src != cancel.src) continue;
+  std::optional<Job> victim = station_.remove_first([&](const Job& job) {
+    if (job.pkt.src != cancel.src) return false;
     const auto queued_app =
-        decode_app_request(core::request_app_payload(it->pkt.payload));
-    if (!queued_app.has_value() ||
-        queued_app->client_request_id != app.client_request_id) {
-      continue;
-    }
-    net::Packet victim = std::move(it->pkt);
-    queue_.erase(it);
-    station_ledger_.on_remove(simulator().auditor(), queue_.size());
-    simulator().auditor().on_packet_dropped("server-cancel");
-    ++cancelled_;
-    journal_state();
-    if (obs::Observer* o = simulator().observer()) {
-      o->instant("kv.cancel", "kv", static_cast<std::int32_t>(node_id()),
-                 simulator().now(), victim.meta.request_id);
-    }
-    send_response(victim, /*value_bytes=*/0);
-    return;
-  }
+        decode_app_request(core::request_app_payload(job.pkt.payload));
+    return queued_app.has_value() &&
+           queued_app->client_request_id == app.client_request_id;
+  });
   // Not queued (already serving, served, or never arrived): ignore; the
   // normal response settles the copy.
+  if (!victim.has_value()) return;
+  simulator().auditor().on_packet_dropped("server-cancel");
+  ++cancelled_;
+  journal_state();
+  if (obs::Observer* o = simulator().observer()) {
+    o->instant("kv.cancel", "kv", static_cast<std::int32_t>(node_id()),
+               simulator().now(), victim->pkt.meta.request_id);
+  }
+  send_response(victim->pkt, /*value_bytes=*/0);
 }
 
-void Server::start_service(net::Packet pkt, sim::Time arrival) {
-  if (in_service_ == 0) busy_since_ = simulator().now();
-  ++in_service_;
-  station_ledger_.on_service_start(simulator().auditor(), in_service_,
-                                   cfg_.parallelism);
-  std::size_t slot = slot_busy_.size();
-  for (std::size_t s = 0; s < slot_busy_.size(); ++s) {
-    if (!slot_busy_[s]) {
-      slot = s;
-      break;
-    }
-  }
-  if constexpr (sim::kAuditEnabled) {
-    simulator().auditor().check(
-        slot < slot_busy_.size(), "service-slot-overflow", [&] {
-          return "server admitted a request with all " +
-                 std::to_string(cfg_.parallelism) + " slots busy";
-        });
-    if (slot >= slot_busy_.size()) return;  // unrecordable; avoid UB
-  } else {
-    assert(slot < slot_busy_.size() &&
-           "in_service_ admitted more requests than parallelism");
-  }
-  slot_busy_[slot] = true;
+void Server::start_service(Job job) {
   // Slow-node inflation scales the sampled mean; at the default 1.0 the
   // multiply is exact, so the RNG stream (and golden digests) are
   // untouched in fault-free runs.
@@ -162,50 +129,28 @@ void Server::start_service(net::Packet pkt, sim::Time arrival) {
   if (obs::Observer* o = simulator().observer()) {
     const sim::Time now = simulator().now();
     const auto tid = static_cast<std::int32_t>(node_id());
-    if (now > arrival) {
-      o->span("kv.queue", "kv", tid, arrival, now - arrival,
-              pkt.meta.request_id);
+    const std::uint64_t rid = job.pkt.meta.request_id;
+    if (now > job.enqueued) {
+      o->span("kv.queue", "kv", tid, job.enqueued, now - job.enqueued, rid);
     }
-    o->span("kv.service", "kv", tid, now, service, pkt.meta.request_id);
-    o->flight().on_server(pkt.meta.request_id, host_id(), arrival, now,
-                          service);
+    o->span("kv.service", "kv", tid, now, service, rid);
+    o->flight().on_server(rid, host_id(), job.enqueued, now, service);
   }
-  // The request parks in its slot; the completion event captures
-  // {this, slot, service} only, so scheduling never heap-allocates.
-  service_slots_[slot] = std::move(pkt);
-  service_events_[slot] = simulator().after(
-      service, [this, slot, service] { finish_service(slot, service); });
+  station_.start(std::move(job), service, [this](Job done, sim::Time started) {
+    finish_service(std::move(done), started);
+  });
   journal_state();
 }
 
-void Server::finish_service(std::size_t slot, sim::Duration service_time) {
-  if constexpr (sim::kAuditEnabled) {
-    simulator().auditor().check(
-        in_service_ > 0 && slot_busy_[slot], "service-slot-underflow", [&] {
-          return "server completion fired for slot " + std::to_string(slot) +
-                 " with in_service=" + std::to_string(in_service_) +
-                 " slot_busy=" +
-                 std::to_string(static_cast<int>(slot_busy_[slot]));
-        });
-  } else {
-    assert(in_service_ > 0);
-    assert(slot_busy_[slot]);
-  }
-  --in_service_;
-  station_ledger_.on_service_finish(simulator().auditor(), in_service_,
-                                    cfg_.parallelism);
-  if (in_service_ == 0) busy_accum_ += simulator().now() - busy_since_;
-  net::Packet pkt = std::move(service_slots_[slot]);
-  slot_busy_[slot] = false;
+void Server::finish_service(Job job, sim::Time started) {
   ++served_;
-  service_time_ewma_.add(sim::to_micros(service_time));
-  send_response(pkt, cfg_.value_bytes);
-
-  if (!queue_.empty()) {
-    Queued next = std::move(queue_.front());
-    queue_.pop_front();
-    station_ledger_.on_dequeue(simulator().auditor(), queue_.size());
-    start_service(std::move(next.pkt), next.enqueued);
+  // The completion fires exactly `service` after `started`.
+  service_time_ewma_.add(sim::to_micros(simulator().now() - started));
+  // Respond before dequeuing: the piggybacked queue size counts the slot
+  // just freed as idle and the next request as still waiting.
+  send_response(job.pkt, cfg_.value_bytes);
+  if (std::optional<Job> next = station_.dequeue()) {
+    start_service(std::move(*next));
   } else {
     journal_state();
   }
@@ -247,39 +192,15 @@ void Server::send_response(const net::Packet& pkt,
 void Server::fail() {
   if (failed_) return;
   failed_ = true;
-  sim::Auditor& audit = simulator().auditor();
-  // Drop the FIFO queue: each waiting request leaves the station ledger
-  // and is accounted as a crash casualty.
-  while (!queue_.empty()) {
-    queue_.pop_front();
-    station_ledger_.on_remove(audit, queue_.size());
-    audit.on_packet_dropped("server-crash");
-  }
-  // Cancel every in-flight completion and drop the parked request; the
-  // slot frees immediately so recover() starts from a clean station.
-  const bool was_busy = in_service_ > 0;
-  for (std::size_t slot = 0; slot < slot_busy_.size(); ++slot) {
-    if (!slot_busy_[slot]) continue;
-    simulator().cancel(service_events_[slot]);
-    slot_busy_[slot] = false;
-    service_slots_[slot] = net::Packet{};
-    --in_service_;
-    station_ledger_.on_service_finish(audit, in_service_, cfg_.parallelism);
-    audit.on_packet_dropped("server-crash");
-  }
-  if (was_busy) busy_accum_ += simulator().now() - busy_since_;
+  // Queued and in-service requests alike are crash casualties; the slots
+  // free immediately so recover() starts from a clean station.
+  station_.crash("server-crash");
   journal_state();
 }
 
 void Server::recover() {
   failed_ = false;
   journal_state();
-}
-
-double Server::busy_fraction(sim::Time now) const {
-  sim::Duration busy = busy_accum_;
-  if (in_service_ > 0) busy += now - busy_since_;
-  return now > 0 ? static_cast<double>(busy) / static_cast<double>(now) : 0.0;
 }
 
 }  // namespace netrs::kv

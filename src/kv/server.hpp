@@ -13,15 +13,12 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
-#include <vector>
 
 #include "kv/app_message.hpp"
 #include "net/host.hpp"
 #include "sim/affinity.hpp"
-#include "sim/audit.hpp"
-#include "sim/event_queue.hpp"
 #include "sim/rng.hpp"
+#include "sim/station.hpp"
 #include "sim/stats.hpp"
 
 namespace netrs::kv {
@@ -46,7 +43,8 @@ struct NETRS_SHARED_IMMUTABLE ServerConfig {
 /// service-time fluctuation (see the file comment).
 class NETRS_SHARD_LOCAL Server final : public net::Host {
  public:
-  /// Attaches the server to `fabric` as host `id`.
+  /// Attaches the server to `fabric` as host `id`. Throws
+  /// std::invalid_argument when `cfg.parallelism` < 1.
   Server(net::Fabric& fabric, net::HostId id, ServerConfig cfg, sim::Rng rng);
 
   /// Handles a delivered request (or cancel) packet.
@@ -68,26 +66,20 @@ class NETRS_SHARD_LOCAL Server final : public net::Host {
 
   /// True while crashed by fault injection.
   [[nodiscard]] bool failed() const { return failed_; }
-  /// Packets rejected while crashed (diagnostic).
-  [[nodiscard]] std::uint64_t rejected() const { return rejected_; }
 
   /// Waiting + in-service requests (the SS queue-size field). Legitimate
   /// off-shard readers (herd sampler, decision oracle) run at barriers or
   /// in serial mode, where the affinity check passes by construction.
   [[nodiscard]] std::uint32_t queue_size() const {
     shard_affinity().check("queue_size");
-    return static_cast<std::uint32_t>(queue_.size()) +
-           static_cast<std::uint32_t>(in_service_);
+    return static_cast<std::uint32_t>(station_.queued()) +
+           static_cast<std::uint32_t>(station_.busy());
   }
 
   /// Requests fully served.
   [[nodiscard]] std::uint64_t served() const { return served_; }
-  /// Unparseable packets dropped (diagnostic).
-  [[nodiscard]] std::uint64_t malformed() const { return malformed_; }
   /// Queued requests removed by cross-server cancellation.
   [[nodiscard]] std::uint64_t cancelled() const { return cancelled_; }
-  /// Fraction of time the server had at least one busy slot (diagnostic).
-  [[nodiscard]] double busy_fraction(sim::Time now) const;
   /// Current fluctuation-mode mean, scaled by any slow-node inflation
   /// (tests and the decision auditor's oracle).
   [[nodiscard]] sim::Duration current_mean() const {
@@ -98,14 +90,14 @@ class NETRS_SHARD_LOCAL Server final : public net::Host {
   [[nodiscard]] int parallelism() const { return cfg_.parallelism; }
 
  private:
-  /// A waiting request plus its arrival time (for the kv.queue trace span).
-  struct Queued {
+  /// A request plus its arrival time (for the kv.queue trace span).
+  struct Job {
     net::Packet pkt;
     sim::Time enqueued = 0;
   };
 
-  void start_service(net::Packet pkt, sim::Time arrival);
-  void finish_service(std::size_t slot, sim::Duration service_time);
+  void start_service(Job job);
+  void finish_service(Job job, sim::Time started);
   void handle_cancel(const net::Packet& cancel, const AppRequest& app);
   void send_response(const net::Packet& pkt, std::uint32_t value_bytes);
   void fluctuate();
@@ -117,26 +109,12 @@ class NETRS_SHARD_LOCAL Server final : public net::Host {
   ServerConfig cfg_;
   sim::Rng rng_;
   sim::Duration current_mean_;
-  std::deque<Queued> queue_;
-  // In-service requests parked per parallelism slot (valid iff
-  // slot_busy_), so the completion event captures {this, slot, service}
-  // and stays inline in the scheduled Task — no per-request allocation.
-  std::vector<net::Packet> service_slots_;
-  std::vector<bool> slot_busy_;
-  // Per-slot completion EventId so fail() can cancel in-flight service.
-  std::vector<sim::EventId> service_events_;
-  int in_service_ = 0;
+  sim::Station<Job> station_;
   bool failed_ = false;      // crash-fault flag (fail()/recover())
   double inflation_ = 1.0;   // slow-node service-time multiplier
-  std::uint64_t rejected_ = 0;
   std::uint64_t served_ = 0;
-  std::uint64_t malformed_ = 0;
   std::uint64_t cancelled_ = 0;
   sim::Ewma service_time_ewma_;
-  // Busy-time accounting.
-  sim::Time busy_since_ = 0;
-  sim::Duration busy_accum_ = 0;
-  sim::StationLedger station_ledger_;  // queue-accounting audit
 };
 
 }  // namespace netrs::kv

@@ -17,7 +17,6 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <optional>
 #include <unordered_map>
@@ -26,6 +25,7 @@
 #include "net/fabric.hpp"
 #include "net/node.hpp"
 #include "sim/affinity.hpp"
+#include "sim/station.hpp"
 
 namespace netrs::core {
 
@@ -47,7 +47,8 @@ class NETRS_SHARD_LOCAL Accelerator final : public net::Node {
   /// packet to hand back to the switch the packet came from.
   using Handler = std::function<std::optional<net::Packet>(net::Packet)>;
 
-  /// Creates the accelerator cabled to `co_located_switch`.
+  /// Creates the accelerator cabled to `co_located_switch`. Throws
+  /// std::invalid_argument when `cfg.cores` < 1.
   Accelerator(net::Fabric& fabric, net::NodeId co_located_switch,
               AcceleratorConfig cfg);
 
@@ -72,8 +73,6 @@ class NETRS_SHARD_LOCAL Accelerator final : public net::Node {
   void recover();
   /// True while failed by fault injection.
   [[nodiscard]] bool failed() const { return failed_; }
-  /// Packets rejected while failed (diagnostic).
-  [[nodiscard]] std::uint64_t rejected() const { return rejected_; }
 
   /// Auxiliary NodeId for the primary (first) switch.
   [[nodiscard]] net::NodeId node_id() const { return primary_node_; }
@@ -92,7 +91,7 @@ class NETRS_SHARD_LOCAL Accelerator final : public net::Node {
   /// Packets fully serviced (requests selected + clones absorbed).
   [[nodiscard]] std::uint64_t processed() const { return processed_; }
   /// Jobs waiting for a core right now (excludes jobs in service).
-  [[nodiscard]] std::size_t queue_length() const { return queue_.size(); }
+  [[nodiscard]] std::size_t queue_length() const { return station_.queued(); }
   /// Fraction of core-time spent busy since the last reset, including the
   /// elapsed part of services still in progress. Always in [0, 1].
   /// A pure read — safe to call from metrics samplers and from const
@@ -109,42 +108,31 @@ class NETRS_SHARD_LOCAL Accelerator final : public net::Node {
     sim::Time enqueued = 0;  // arrival at the accelerator (for trace spans)
   };
 
-  [[nodiscard]] bool is_request(const net::Packet& pkt) const;
   void start_service(Job job);
-  void finish_service(std::size_t slot);
+  void finish_service(Job job, sim::Time started);
+  /// Busy core-time in the current window up to `now`: completed services
+  /// plus the elapsed part of those still in progress.
+  [[nodiscard]] sim::Duration busy_time(sim::Time now) const;
 
   net::Fabric& fabric_;
   // This accelerator's shard simulator (its primary switch's — shared-mode
   // switches are all in one core group, hence one shard).
   sim::Simulator& sim_;
   AcceleratorConfig cfg_;
+  sim::Station<Job> station_;
   Handler handler_;
   net::NodeId primary_switch_ = net::kInvalidNode;
   net::NodeId primary_node_ = net::kInvalidNode;
   std::unordered_map<net::NodeId, net::NodeId> by_switch_;  // switch -> aux
 
-  std::deque<Job> queue_;
-  // In-service jobs parked per core slot (valid iff slot_busy_), so the
-  // completion event captures only {this, slot} and stays inline in the
-  // scheduled Task — no per-service heap allocation.
-  std::vector<Job> in_service_;
-  int busy_cores_ = 0;
   std::uint64_t processed_ = 0;
   // Busy time is accrued per job at *completion*, clamped to the current
-  // measurement window, so reset_utilization() mid-service splits the
+  // measurement window: a reset_utilization() mid-service splits the
   // service across windows instead of crediting it all to the window in
-  // which it started (which let utilization exceed 1.0). service_start_
-  // holds, per busy core slot, the later of the service start and the
-  // window start.
+  // which it started (which let utilization exceed 1.0).
   sim::Duration busy_accum_ = 0;  // completed-service busy time, all cores
   sim::Time window_start_ = 0;
-  std::vector<sim::Time> service_start_;  // per core slot; valid iff busy
-  std::vector<bool> slot_busy_;
-  // Per-slot completion EventId so fail() can cancel in-flight service.
-  std::vector<sim::EventId> service_events_;
   bool failed_ = false;  // failure-fault flag (fail()/recover())
-  std::uint64_t rejected_ = 0;
-  sim::StationLedger station_ledger_;  // queue-accounting audit
 };
 
 }  // namespace netrs::core

@@ -1,0 +1,183 @@
+// Multi-slot FIFO service station (paper §V-A): the queueing discipline of
+// the KV server (Np slots, exponential service) and of the network
+// accelerator (c cores, fixed service).
+//
+// Up to `slots` jobs are in service and the rest wait FIFO. A job in
+// service parks in the lowest free slot with its completion EventId and
+// service start, so the completion event stays inline in its Task. The
+// wait queue is a power-of-two ring that doubles when full and never
+// shrinks: past its high-water depth, queueing allocates nothing. The
+// station is the only caller of its StationLedger (DESIGN.md §7); the
+// owner keeps the service-time policy, tracing, and what a finished job
+// turns into.
+#pragma once
+
+#include <cassert>
+#include <cstddef>
+#include <optional>
+#include <stdexcept>
+#include <string>
+#include <utility>
+#include <vector>
+
+#include "sim/audit.hpp"
+#include "sim/simulator.hpp"
+#include "sim/time.hpp"
+
+namespace netrs::sim {
+
+/// A `slots`-way parallel FIFO queueing station over jobs of type `Job`
+/// (default-constructible and movable); see the file comment.
+template <typename Job>
+class Station {
+ public:
+  /// Creates an idle station on `sim`; `name` identifies it in audit
+  /// violations. Throws std::invalid_argument when `slots` < 1: a station
+  /// without slots would queue every job forever.
+  Station(Simulator& sim, int slots, std::string name) : sim_(sim) {
+    if (slots < 1) {
+      throw std::invalid_argument(name + ": a service station needs at "
+                                         "least 1 slot, got " +
+                                  std::to_string(slots));
+    }
+    slots_.resize(static_cast<std::size_t>(slots));
+    ledger_.set_name(std::move(name));
+  }
+  Station(const Station&) = delete;             ///< Completions hold `this`.
+  Station& operator=(const Station&) = delete;  ///< Completions hold `this`.
+
+  /// Parallel service slots (Np or c).
+  [[nodiscard]] int slots() const { return static_cast<int>(slots_.size()); }
+  /// Jobs in service.
+  [[nodiscard]] int busy() const { return busy_; }
+  /// Jobs waiting for a slot.
+  [[nodiscard]] std::size_t queued() const { return queued_; }
+  /// True when start() may be called.
+  [[nodiscard]] bool has_free_slot() const { return busy_ < slots(); }
+
+  /// Appends `job` to the FIFO.
+  void enqueue(Job job) {
+    if (queued_ == ring_.size()) grow();
+    at(queued_++) = std::move(job);
+    ledger_.on_enqueue(sim_.auditor(), queued_);
+  }
+
+  /// Removes and returns the oldest waiting job, if any.
+  std::optional<Job> dequeue() {
+    if (queued_ == 0) return std::nullopt;
+    Job job = std::move(at(0));
+    head_ = (head_ + 1) & (ring_.size() - 1);
+    --queued_;
+    ledger_.on_dequeue(sim_.auditor(), queued_);
+    return job;
+  }
+
+  /// Removes and returns the oldest waiting job for which `pred(job)` is
+  /// true (out-of-order removal: the CliRS-R95 cancel path); the jobs
+  /// behind it keep their order.
+  template <typename Pred>
+  std::optional<Job> remove_first(Pred pred) {
+    for (std::size_t i = 0; i < queued_; ++i) {
+      if (!pred(std::as_const(at(i)))) continue;
+      Job job = std::move(at(i));
+      for (; i + 1 < queued_; ++i) at(i) = std::move(at(i + 1));
+      --queued_;
+      ledger_.on_remove(sim_.auditor(), queued_);
+      return job;
+    }
+    return std::nullopt;
+  }
+
+  /// Parks `job` in the lowest free slot and schedules its completion
+  /// `service` from now. The completion frees the slot, then calls
+  /// `done(job, service_start)`. Call only when has_free_slot(); a start
+  /// on a full station is a `service-slot-overflow` violation in checked
+  /// builds and drops the job.
+  template <typename Done>
+  void start(Job job, Duration service, Done done) {
+    std::size_t s = 0;
+    while (s < slots_.size() && slots_[s].busy) ++s;
+    ledger_.on_service_start(sim_.auditor(), busy_ + 1, slots());
+    assert(s < slots_.size() && "start() on a station with no free slot");
+    if (s == slots_.size()) return;
+    Slot& slot = slots_[s];
+    slot.job = std::move(job);
+    slot.start = sim_.now();
+    slot.busy = true;
+    ++busy_;
+    slot.event = sim_.after(service, [this, s, done = std::move(done)] {
+      const Time started = slots_[s].start;
+      done(finish(s), started);
+    });
+  }
+
+  /// Calls `f(job, service_start)` for every job in service, in slot
+  /// order.
+  template <typename F>
+  void for_each_in_service(F f) const {
+    for (const Slot& slot : slots_) {
+      if (slot.busy) f(slot.job, slot.start);
+    }
+  }
+
+  /// Crash path: drops every waiting job and cancels every in-service
+  /// completion, counting each as a `reason` drop in the audit ledger.
+  /// The station is empty and idle afterwards.
+  void crash(const char* reason) {
+    Auditor& audit = sim_.auditor();
+    while (remove_first([](const Job&) { return true; })) {
+      audit.on_packet_dropped(reason);
+    }
+    for (Slot& slot : slots_) {
+      if (!slot.busy) continue;
+      sim_.cancel(slot.event);
+      slot = Slot{};
+      --busy_;
+      ledger_.on_service_finish(audit, busy_, slots());
+      audit.on_packet_dropped(reason);
+    }
+  }
+
+  /// Checked builds: busy slot-time `busy` accrued over `window` must fit
+  /// in slots() x `window` (`busy-time-overflow`).
+  void check_busy_time(Duration busy, Duration window) {
+    ledger_.check_busy_time(sim_.auditor(), busy, window, slots());
+  }
+
+ private:
+  struct Slot {
+    Job job{};
+    EventId event = 0;
+    Time start = 0;
+    bool busy = false;
+  };
+
+  // The i-th waiting job from the front (ring_ is empty or a power of two).
+  Job& at(std::size_t i) { return ring_[(head_ + i) & (ring_.size() - 1)]; }
+
+  void grow() {
+    std::vector<Job> bigger(ring_.empty() ? 4 : 2 * ring_.size());
+    for (std::size_t i = 0; i < queued_; ++i) bigger[i] = std::move(at(i));
+    ring_.swap(bigger);
+    head_ = 0;
+  }
+
+  Job finish(std::size_t s) {
+    Slot& slot = slots_[s];
+    assert(slot.busy);
+    slot.busy = false;
+    --busy_;
+    ledger_.on_service_finish(sim_.auditor(), busy_, slots());
+    return std::move(slot.job);
+  }
+
+  Simulator& sim_;
+  std::vector<Slot> slots_;
+  int busy_ = 0;
+  std::vector<Job> ring_;
+  std::size_t head_ = 0;
+  std::size_t queued_ = 0;
+  StationLedger ledger_;
+};
+
+}  // namespace netrs::sim

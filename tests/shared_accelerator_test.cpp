@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <stdexcept>
 #include <vector>
 
 #include "net/switch.hpp"
@@ -46,6 +47,15 @@ TEST_F(SharedAccelRig, AttachSwitchIsIdempotent) {
   EXPECT_NE(aux1, aux0);
   EXPECT_EQ(accel.attached_switches(), 2u);
   EXPECT_EQ(accel.node_id_for(topo.core_node(0, 1)), aux1);
+}
+
+TEST_F(SharedAccelRig, ZeroCoresAreRejected) {
+  // Release builds compile asserts out, so a 0-core accelerator used to
+  // divide its utilization by zero.
+  AcceleratorConfig cfg;
+  cfg.cores = 0;
+  EXPECT_THROW(Accelerator(fabric, topo.core_node(0, 0), cfg),
+               std::invalid_argument);
 }
 
 TEST_F(SharedAccelRig, RepliesReturnToTheOriginSwitch) {
