@@ -1,7 +1,12 @@
 #include "harness/config.hpp"
 
+#include <charconv>
+#include <cstdint>
 #include <cstdlib>
+#include <limits>
+#include <stdexcept>
 #include <string>
+#include <string_view>
 
 namespace netrs::harness {
 
@@ -39,10 +44,24 @@ sim::Duration ExperimentConfig::nominal_duration() const {
 
 namespace {
 
-std::uint64_t env_u64(const char* name, std::uint64_t fallback) {
+/// The count in environment variable `name`, or `fallback` when it is
+/// unset or empty. Throws std::invalid_argument unless the whole value is a
+/// non-negative decimal integer that fits a T.
+template <typename T>
+T env_count(const char* name, T fallback) {
   const char* v = std::getenv(name);
   if (v == nullptr || *v == '\0') return fallback;
-  return std::strtoull(v, nullptr, 10);
+  const std::string_view s(v);
+  std::uint64_t n = 0;
+  const auto [end, ec] = std::from_chars(s.data(), s.data() + s.size(), n);
+  if (ec != std::errc{} || end != s.data() + s.size() ||
+      n > static_cast<std::uint64_t>(std::numeric_limits<T>::max())) {
+    throw std::invalid_argument(std::string(name) + "=\"" + v +
+                                "\" is not a count in [0, " +
+                                std::to_string(std::numeric_limits<T>::max()) +
+                                "]");
+  }
+  return static_cast<T>(n);
 }
 
 std::string env_str(const char* name, std::string fallback) {
@@ -55,23 +74,19 @@ std::string env_str(const char* name, std::string fallback) {
 
 ExperimentConfig default_config() {
   ExperimentConfig cfg;
-  cfg.total_requests = env_u64("NETRS_REQUESTS", cfg.total_requests);
-  cfg.repeats = static_cast<int>(
-      env_u64("NETRS_REPEATS", static_cast<std::uint64_t>(cfg.repeats)));
-  cfg.seed = env_u64("NETRS_SEED", cfg.seed);
-  cfg.jobs = static_cast<int>(
-      env_u64("NETRS_JOBS", static_cast<std::uint64_t>(cfg.jobs)));
-  cfg.shards = static_cast<int>(
-      env_u64("NETRS_SHARDS", static_cast<std::uint64_t>(cfg.shards)));
+  cfg.total_requests = env_count("NETRS_REQUESTS", cfg.total_requests);
+  cfg.repeats = env_count("NETRS_REPEATS", cfg.repeats);
+  cfg.seed = env_count("NETRS_SEED", cfg.seed);
+  cfg.jobs = env_count("NETRS_JOBS", cfg.jobs);
+  cfg.shards = env_count("NETRS_SHARDS", cfg.shards);
   cfg.fault_plan = env_str("NETRS_FAULTS", cfg.fault_plan);
   cfg.obs.trace_path = env_str("NETRS_TRACE", cfg.obs.trace_path);
   cfg.obs.metrics_path = env_str("NETRS_METRICS", cfg.obs.metrics_path);
   cfg.obs.attribution_path =
       env_str("NETRS_ATTRIBUTION", cfg.obs.attribution_path);
   cfg.obs.decision_path = env_str("NETRS_DECISIONS", cfg.obs.decision_path);
-  cfg.obs.trace_capacity = static_cast<std::size_t>(env_u64(
-      "NETRS_TRACE_CAPACITY",
-      static_cast<std::uint64_t>(cfg.obs.trace_capacity)));
+  cfg.obs.trace_capacity =
+      env_count("NETRS_TRACE_CAPACITY", cfg.obs.trace_capacity);
   cfg.shard_telemetry_path =
       env_str("NETRS_SHARD_TELEMETRY", cfg.shard_telemetry_path);
   return cfg;

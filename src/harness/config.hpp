@@ -53,12 +53,13 @@ struct ExperimentConfig {
   // --- Workload ---
   /// System utilization tkv*A/(Ns*Np); determines the aggregate rate A.
   double utilization = 0.9;
-  /// Logical client streams superposed on each simulated Client object:
-  /// its Poisson arrival rate is multiplied by this, so num_clients x
-  /// client_multiplicity independent logical clients share num_clients
-  /// hosts. Lets a k=32 tree (8192 hosts) carry 100k+ logical clients
-  /// without 100k objects (superposed Poisson processes are one Poisson
-  /// process). 1 = one stream per client (the paper's setup).
+  /// Logical client streams superposed on each simulated Client object, so
+  /// num_clients x client_multiplicity logical clients share num_clients
+  /// hosts. Each Client keeps the rate aggregate / num_clients (set by
+  /// `utilization`); only the selectors' concurrency math counts the
+  /// logical clients. Lets a k=32 tree (8192 hosts) carry 100k+ logical
+  /// clients without 100k objects (superposed Poisson processes are one
+  /// Poisson process). 1 = one stream per client (the paper's setup).
   int client_multiplicity = 1;
   /// Fraction of all requests issued by 20% of the clients; 0 = uniform
   /// (the paper sweeps 70%..95%).
@@ -149,7 +150,9 @@ struct ExperimentConfig {
 /// NETRS_JOBS / NETRS_SHARDS / NETRS_FAULTS / NETRS_TRACE / NETRS_METRICS /
 /// NETRS_ATTRIBUTION / NETRS_DECISIONS / NETRS_TRACE_CAPACITY /
 /// NETRS_SHARD_TELEMETRY environment overrides applied (the benches use
-/// this).
+/// this). An empty or unset variable keeps the default; a numeric one that
+/// is not a whole decimal count fitting its field throws
+/// std::invalid_argument naming the variable and its value.
 [[nodiscard]] ExperimentConfig default_config();
 
 }  // namespace netrs::harness

@@ -783,10 +783,10 @@ RunOutput run_once(Scheme scheme, const ExperimentConfig& cfg,
   // state at any --shards x --jobs combination (an in-simulator ticker
   // would interleave unpredictably with same-timestamp events). Gauges
   // that cross shards are safe here for the same reason.
-  if (observer && observer->metering() && cfg.obs.sample_interval > 0) {
+  if (observer && observer->metering()) {
     obs::MetricsRegistry& reg = observer->metrics();
-    for (sim::Time t = cfg.obs.sample_interval; t <= t_end;
-         t += cfg.obs.sample_interval) {
+    for (sim::Time t = obs::kSampleInterval; t <= t_end;
+         t += obs::kSampleInterval) {
       shard_group.run_until(t - 1);
       reg.sample(t);
     }

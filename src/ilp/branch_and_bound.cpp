@@ -2,14 +2,19 @@
 
 #include <algorithm>
 #include <cassert>
-#include <chrono>
 #include <cmath>
 #include <memory>
 #include <queue>
 #include <vector>
 
+#include "ilp/simplex.hpp"
+
 namespace netrs::ilp {
 namespace {
+
+constexpr double kIntTol = 1e-6;  ///< |x - round(x)| below this is integral.
+/// Prune nodes whose LP bound is within this of the incumbent.
+constexpr double kGapAbs = 1e-9;
 
 struct Node {
   // Bound overrides for integer variables, applied on top of the root model.
@@ -62,10 +67,6 @@ bool try_rounding(const Model& m, const std::vector<double>& x,
   return m.is_feasible(out);
 }
 
-}  // namespace
-
-namespace {
-
 /// True when the objective can only take integral values at integral
 /// points: every nonzero coefficient is an integer on an integer variable.
 bool objective_is_integral(const Model& m) {
@@ -79,14 +80,13 @@ bool objective_is_integral(const Model& m) {
 
 }  // namespace
 
-BnbResult solve_ilp(const Model& model, const BnbOptions& opts) {
-  BnbResult res;
+Solution solve_ilp(const Model& model, const BnbOptions& opts) {
   Model work = model;  // bounds are mutated per node
 
-  const double prune_gap =
-      (opts.exploit_integral_objective && objective_is_integral(model))
-          ? 1.0 - 1e-6
-          : opts.gap_abs;
+  // With an integral objective, any solution strictly better than the
+  // incumbent improves it by >= 1, so nodes with bound > incumbent - 1 can
+  // be pruned.
+  const double prune_gap = objective_is_integral(model) ? 1.0 - 1e-6 : kGapAbs;
 
   const int nv = model.num_vars();
   std::vector<double> root_lb(static_cast<std::size_t>(nv));
@@ -106,6 +106,7 @@ BnbResult solve_ilp(const Model& model, const BnbOptions& opts) {
   Solution incumbent;
   incumbent.status = SolveStatus::kInfeasible;
   double incumbent_obj = kInf;
+  int nodes_explored = 0;
   bool limit_hit = false;
   bool root_unbounded = false;
 
@@ -117,36 +118,24 @@ BnbResult solve_ilp(const Model& model, const BnbOptions& opts) {
     incumbent_obj = incumbent.objective;
   }
 
-  // netrs-lint: allow(wall-clock): max_seconds is an explicit opt-in cutoff
-  // for offline use; simulation callers (placement.cpp) set it to 0.
-  const auto wall_start = std::chrono::steady_clock::now();
   while (!open.empty()) {
-    if (res.nodes_explored >= opts.max_nodes) {
+    if (nodes_explored >= opts.max_nodes) {
       limit_hit = true;
       break;
-    }
-    if (opts.max_seconds > 0.0 && (res.nodes_explored & 15) == 0) {
-      // netrs-lint: allow(wall-clock): see wall_start above.
-      const auto wall_now = std::chrono::steady_clock::now();
-      if (std::chrono::duration<double>(wall_now - wall_start).count() >
-          opts.max_seconds) {
-        limit_hit = true;
-        break;
-      }
     }
     auto node = open.top();
     open.pop();
     if (node->bound >= incumbent_obj - prune_gap) continue;  // pruned
-    ++res.nodes_explored;
+    ++nodes_explored;
 
     for (int j = 0; j < nv; ++j) {
       work.set_bounds(j, node->lb[static_cast<std::size_t>(j)],
                       node->ub[static_cast<std::size_t>(j)]);
     }
-    const Solution lp = solve_lp(work, opts.lp);
+    const Solution lp = solve_lp(work);
     if (lp.status == SolveStatus::kInfeasible) continue;
     if (lp.status == SolveStatus::kUnbounded) {
-      if (res.nodes_explored == 1) root_unbounded = true;
+      if (nodes_explored == 1) root_unbounded = true;
       // An unbounded relaxation of a bounded-variable IP only happens with
       // unbounded integer vars; we cannot bound it, so give up on this node.
       continue;
@@ -157,7 +146,7 @@ BnbResult solve_ilp(const Model& model, const BnbOptions& opts) {
     }
     if (lp.objective >= incumbent_obj - prune_gap) continue;
 
-    const int frac = most_fractional(model, lp.values, opts.int_tol);
+    const int frac = most_fractional(model, lp.values, kIntTol);
     if (frac < 0) {
       // Integral LP optimum: new incumbent.
       incumbent.status = SolveStatus::kOptimal;
@@ -177,7 +166,7 @@ BnbResult solve_ilp(const Model& model, const BnbOptions& opts) {
     std::vector<double> rounded;
     if (try_rounding(work, lp.values, rounded)) {
       const double obj = model.objective_value(rounded);
-      if (obj < incumbent_obj - opts.gap_abs) {
+      if (obj < incumbent_obj - kGapAbs) {
         incumbent.status = SolveStatus::kOptimal;  // provisional
         incumbent.values = rounded;
         incumbent.objective = obj;
@@ -202,19 +191,17 @@ BnbResult solve_ilp(const Model& model, const BnbOptions& opts) {
     }
   }
 
-  res.best_bound = open.empty() ? incumbent_obj : open.top()->bound;
-  res.solution = incumbent;
   if (incumbent.has_point()) {
-    res.solution.status =
+    incumbent.status =
         limit_hit ? SolveStatus::kFeasible : SolveStatus::kOptimal;
   } else if (limit_hit) {
-    res.solution.status = SolveStatus::kLimit;
+    incumbent.status = SolveStatus::kLimit;
   } else if (root_unbounded) {
-    res.solution.status = SolveStatus::kUnbounded;
+    incumbent.status = SolveStatus::kUnbounded;
   } else {
-    res.solution.status = SolveStatus::kInfeasible;
+    incumbent.status = SolveStatus::kInfeasible;
   }
-  return res;
+  return incumbent;
 }
 
 }  // namespace netrs::ilp

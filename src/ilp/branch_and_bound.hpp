@@ -4,47 +4,27 @@
 // branching and a rounding heuristic for early incumbents. Node limits make
 // the paper's "terminate the solving process early for a suboptimal RSP"
 // trade-off (§III-B) explicit: hitting the limit returns the best incumbent
-// with status kFeasible.
+// with status kFeasible. The node budget is the only cutoff: a wall-clock
+// one would make plans depend on host speed.
 #pragma once
 
+#include <vector>
+
 #include "ilp/model.hpp"
-#include "ilp/simplex.hpp"
 
 namespace netrs::ilp {
 
-/// Search limits and pruning knobs.
+/// Search limits.
 struct BnbOptions {
   int max_nodes = 20000;  ///< Node budget; hitting it returns kFeasible.
-  /// Wall-clock budget; <= 0 disables. Hitting it returns the incumbent
-  /// with status kFeasible — the paper's "terminate the solving process
-  /// early ... trade-off between recalculation expense and optimality".
-  /// WARNING: wall-clock cutoffs make results machine-speed-dependent; any
-  /// caller inside the simulation must set this to 0 and rely on max_nodes
-  /// (placement.cpp does).
-  double max_seconds = 2.0;
-  double int_tol = 1e-6;  ///< |x - round(x)| below this counts as integral.
-  /// Prune nodes whose LP bound is within this of the incumbent.
-  double gap_abs = 1e-9;
-  /// When every objective coefficient is integral and attached to an
-  /// integer variable, any solution strictly better than the incumbent
-  /// improves it by >= 1, so nodes with bound > incumbent - 1 can be
-  /// pruned. Detected automatically; set false to disable.
-  bool exploit_integral_objective = true;
   /// Optional warm-start point. If feasible, it becomes the first
   /// incumbent, which lets the integral-objective pruning close symmetric
   /// search trees (like RSNode placement) almost immediately.
   std::vector<double> initial_incumbent;
-  SimplexOptions lp;  ///< Options for every LP-relaxation solve.
 };
 
-/// Solve outcome plus search statistics.
-struct BnbResult {
-  Solution solution;        ///< Best incumbent (or infeasible/limit).
-  int nodes_explored = 0;   ///< B&B nodes expanded.
-  double best_bound = -kInf;  ///< global lower bound at termination
-};
-
-/// Solves the integer program (see the file comment for the search).
-BnbResult solve_ilp(const Model& model, const BnbOptions& opts = {});
+/// Solves the integer program (see the file comment for the search) and
+/// returns the best incumbent, or the infeasible/limit status.
+Solution solve_ilp(const Model& model, const BnbOptions& opts = {});
 
 }  // namespace netrs::ilp

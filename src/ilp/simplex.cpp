@@ -8,14 +8,17 @@
 namespace netrs::ilp {
 namespace {
 
+/// Pivot budget of one phase before giving up (kLimit).
+constexpr int kMaxIterations = 200000;
+/// After this many consecutive non-improving pivots, switch to Bland.
+constexpr int kStallBeforeBland = 2000;
+constexpr double kEps = 1e-9;  ///< Numerical zero tolerance.
+
 enum class VarState : std::uint8_t { kAtLower, kAtUpper, kBasic };
 
 class Tableau {
  public:
-  Tableau(const Model& model, const SimplexOptions& opts)
-      : model_(model), opts_(opts) {
-    build();
-  }
+  explicit Tableau(const Model& model) : model_(model) { build(); }
 
   Solution solve() {
     if (!phase(/*phase1=*/true)) return finish(SolveStatus::kLimit);
@@ -257,8 +260,8 @@ class Tableau {
   bool phase(bool phase1) {
     int stall = 0;
     double last_obj = current_objective(phase1);
-    for (int iter = 0; iter < opts_.max_iterations; ++iter) {
-      const bool bland = stall >= opts_.stall_before_bland;
+    for (int iter = 0; iter < kMaxIterations; ++iter) {
+      const bool bland = stall >= kStallBeforeBland;
       const int enter = pick_entering(bland);
       if (enter < 0) return true;  // optimal for this phase
       if (!step(enter)) {
@@ -271,7 +274,7 @@ class Tableau {
         return true;
       }
       const double obj = current_objective(phase1);
-      if (obj < last_obj - opts_.eps) {
+      if (obj < last_obj - kEps) {
         stall = 0;
         last_obj = obj;
       } else {
@@ -301,7 +304,7 @@ class Tableau {
 
   [[nodiscard]] int pick_entering(bool bland) const {
     int best = -1;
-    double best_score = opts_.eps;
+    double best_score = kEps;
     for (int j = 0; j < n_total_; ++j) {
       const auto st = state_[static_cast<std::size_t>(j)];
       if (st == VarState::kBasic) continue;
@@ -311,8 +314,8 @@ class Tableau {
       }
       const double dj = d_[static_cast<std::size_t>(j)];
       double score = 0.0;
-      if (st == VarState::kAtLower && dj < -opts_.eps) score = -dj;
-      if (st == VarState::kAtUpper && dj > opts_.eps) score = dj;
+      if (st == VarState::kAtLower && dj < -kEps) score = -dj;
+      if (st == VarState::kAtUpper && dj > kEps) score = dj;
       if (score <= 0.0) continue;
       if (bland) return j;  // lowest eligible index
       if (score > best_score) {
@@ -345,24 +348,24 @@ class Tableau {
       const double delta = sigma * at(i, q);  // xB_i changes by -delta * t
       const int bi = basis_[static_cast<std::size_t>(i)];
       const double xbi = xb_[static_cast<std::size_t>(i)];
-      if (delta > opts_.eps) {
+      if (delta > kEps) {
         const double lo = lb_[static_cast<std::size_t>(bi)];
         if (!std::isfinite(lo)) continue;
         const double limit = (xbi - lo) / delta;
-        if (limit < t_best - opts_.eps ||
-            (limit < t_best + opts_.eps &&
+        if (limit < t_best - kEps ||
+            (limit < t_best + kEps &&
              (leave_row < 0 || std::abs(at(i, q)) > std::abs(leave_pivot)))) {
           t_best = std::max(limit, 0.0);
           leave_row = i;
           leave_at_lower = true;
           leave_pivot = at(i, q);
         }
-      } else if (delta < -opts_.eps) {
+      } else if (delta < -kEps) {
         const double hi = ub_[static_cast<std::size_t>(bi)];
         if (!std::isfinite(hi)) continue;
         const double limit = (hi - xbi) / (-delta);
-        if (limit < t_best - opts_.eps ||
-            (limit < t_best + opts_.eps &&
+        if (limit < t_best - kEps ||
+            (limit < t_best + kEps &&
              (leave_row < 0 || std::abs(at(i, q)) > std::abs(leave_pivot)))) {
           t_best = std::max(limit, 0.0);
           leave_row = i;
@@ -442,7 +445,6 @@ class Tableau {
   }
 
   const Model& model_;
-  const SimplexOptions& opts_;
   int m_ = 0;        // rows
   int n_struct_ = 0; // structural variables
   int n_ = 0;        // structural + slack
@@ -457,7 +459,7 @@ class Tableau {
 
 }  // namespace
 
-Solution solve_lp(const Model& m, const SimplexOptions& opts) {
+Solution solve_lp(const Model& m) {
   // Trivial no-constraint case: each variable sits at its best bound.
   if (m.num_constraints() == 0) {
     Solution sol;
@@ -483,7 +485,7 @@ Solution solve_lp(const Model& m, const SimplexOptions& opts) {
     sol.objective = m.objective_value(sol.values);
     return sol;
   }
-  Tableau t(m, opts);
+  Tableau t(m);
   return t.solve();
 }
 

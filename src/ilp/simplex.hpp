@@ -14,15 +14,8 @@
 
 namespace netrs::ilp {
 
-/// Iteration limits and tolerances.
-struct SimplexOptions {
-  int max_iterations = 200000;  ///< Pivot budget before giving up (kLimit).
-  /// After this many consecutive non-improving pivots, switch to Bland.
-  int stall_before_bland = 2000;
-  double eps = 1e-9;  ///< Numerical zero tolerance.
-};
-
-/// Solves the LP relaxation of `m` (integrality ignored).
-Solution solve_lp(const Model& m, const SimplexOptions& opts = {});
+/// Solves the LP relaxation of `m` (integrality ignored). Returns kLimit
+/// when a phase exceeds its pivot budget.
+Solution solve_lp(const Model& m);
 
 }  // namespace netrs::ilp

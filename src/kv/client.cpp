@@ -10,6 +10,13 @@
 #include "obs/observer.hpp"
 
 namespace netrs::kv {
+namespace {
+
+/// CliRS-R95 duplicates a request once it has waited longer than this
+/// quantile of the client's completed-request latencies.
+constexpr double kRedundancyQuantile = 0.95;
+
+}  // namespace
 
 Client::Client(net::Fabric& fabric, net::HostId id, ClientConfig cfg,
                const ConsistentHashRing& ring,
@@ -19,7 +26,7 @@ Client::Client(net::Fabric& fabric, net::HostId id, ClientConfig cfg,
       ring_(ring),
       zipf_(zipf),
       rng_(rng),
-      p95_(cfg.redundancy.quantile) {
+      p95_(kRedundancyQuantile) {
   if (cfg_.mode == ClientMode::kClientSelect) {
     selector_ =
         rs::make_selector(cfg_.selector, simulator(), rng_.child("selector"));

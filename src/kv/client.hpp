@@ -40,7 +40,6 @@ enum class ClientMode {
 /// CliRS-R95 duplicate-request policy knobs.
 struct NETRS_SHARED_IMMUTABLE RedundancyConfig {
   bool enabled = false;  ///< CliRS-R95 when true (kClientSelect mode only)
-  double quantile = 0.95;
   /// Minimum completed requests before duplicates may fire (estimator
   /// warmup; duplicating on a cold estimate would flood the cluster).
   std::uint64_t min_samples = 30;

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cassert>
 #include <map>
+#include <stdexcept>
+#include <string>
 
 namespace netrs::kv {
 namespace {
@@ -24,10 +26,16 @@ ConsistentHashRing::ConsistentHashRing(std::span<const net::HostId> servers,
                                        int replication_factor,
                                        int virtual_nodes, std::uint64_t seed)
     : rf_(replication_factor) {
-  assert(!servers.empty());
-  assert(replication_factor >= 1);
-  assert(static_cast<std::size_t>(replication_factor) <= servers.size());
-  assert(virtual_nodes >= 1);
+  if (servers.empty() || replication_factor < 1 ||
+      static_cast<std::size_t>(replication_factor) > servers.size() ||
+      virtual_nodes < 1) {
+    throw std::invalid_argument(
+        "ConsistentHashRing: needs 1 <= replication_factor <= servers and "
+        "virtual_nodes >= 1, got " +
+        std::to_string(servers.size()) + " servers, replication_factor " +
+        std::to_string(replication_factor) + ", virtual_nodes " +
+        std::to_string(virtual_nodes));
+  }
 
   ring_.reserve(servers.size() * static_cast<std::size_t>(virtual_nodes));
   for (net::HostId s : servers) {

@@ -24,7 +24,9 @@ namespace netrs::kv {
 class NETRS_SHARED_IMMUTABLE ConsistentHashRing {
  public:
   /// `servers`: host ids of the KV servers. `replication_factor` servers
-  /// per key (paper: 3). `virtual_nodes` ring points per server.
+  /// per key (paper: 3). `virtual_nodes` ring points per server. Throws
+  /// std::invalid_argument when `servers` is empty, `replication_factor`
+  /// is < 1 or exceeds the server count, or `virtual_nodes` < 1.
   ConsistentHashRing(std::span<const net::HostId> servers,
                      int replication_factor, int virtual_nodes = 16,
                      std::uint64_t seed = 42);

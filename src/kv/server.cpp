@@ -9,6 +9,12 @@
 #include "obs/observer.hpp"
 
 namespace netrs::kv {
+namespace {
+
+/// EWMA weight of the service time piggybacked in the SS fields.
+constexpr double kStatusEwmaAlpha = 0.9;
+
+}  // namespace
 
 Server::Server(net::Fabric& fabric, net::HostId id, ServerConfig cfg,
                sim::Rng rng)
@@ -17,7 +23,7 @@ Server::Server(net::Fabric& fabric, net::HostId id, ServerConfig cfg,
       rng_(rng),
       current_mean_(cfg.mean_service_time),
       station_(simulator(), cfg.parallelism, "server@" + std::to_string(id)),
-      service_time_ewma_(cfg.status_ewma_alpha) {
+      service_time_ewma_(kStatusEwmaAlpha) {
   // Seed the advertised service time with the configured mean so early
   // piggybacks are sane.
   service_time_ewma_.add(sim::to_micros(cfg.mean_service_time));

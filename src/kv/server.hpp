@@ -36,7 +36,6 @@ struct NETRS_SHARED_IMMUTABLE ServerConfig {
   sim::Duration fluctuation_interval = sim::millis(50);
   double fluctuation_factor = 3.0;                  ///< d: fast mean = tkv/d
   std::uint32_t value_bytes = 1024;                 ///< response value size
-  double status_ewma_alpha = 0.9;  ///< EWMA weight of the SS service time.
 };
 
 /// Key-value server: an Np-way parallel queueing station with bimodal

@@ -16,12 +16,6 @@ namespace {
 
 constexpr int kGroupTier = 2;  // groups attach to ToR switches (3-tier tree)
 
-struct OpIndex {
-  std::size_t idx;  // index into problem.operators
-};
-
-double remaining_capacity_key(const OperatorSpec& op) { return op.t_max; }
-
 /// Shared-accelerator capacity pools: operators with accel_share >= 0 draw
 /// from one pool per share id; dedicated operators have their own pool.
 class CapacityPools {
@@ -65,7 +59,6 @@ struct Attempt {
   // Lookup-only (finalize walks problem.groups, not this map), so the
   // unordered container is safe; never iterate it.
   std::unordered_map<GroupId, std::size_t> op_of_group;  // group -> op index
-  bool feasible = false;
   bool proven_optimal = false;
 };
 
@@ -176,18 +169,13 @@ std::optional<Attempt> solve_full_ilp(const PlacementProblem& problem,
 
   ilp::BnbOptions bnb;
   bnb.max_nodes = opts.max_bnb_nodes;
-  // Determinism: the solver's default wall-clock cutoff would make plans
-  // depend on machine speed; the node budget is the only termination knob
-  // allowed inside a simulation.
-  bnb.max_seconds = 0.0;
-  const ilp::BnbResult r = ilp::solve_ilp(model, bnb);
-  if (!r.solution.has_point()) return std::nullopt;
+  const ilp::Solution r = ilp::solve_ilp(model, bnb);
+  if (!r.has_point()) return std::nullopt;
 
   Attempt attempt;
-  attempt.feasible = true;
-  attempt.proven_optimal = r.solution.status == ilp::SolveStatus::kOptimal;
+  attempt.proven_optimal = r.status == ilp::SolveStatus::kOptimal;
   for (const PVar& p : pvars) {
-    if (r.solution.values[static_cast<std::size_t>(p.var)] > 0.5) {
+    if (r.values[static_cast<std::size_t>(p.var)] > 0.5) {
       attempt.op_of_group[problem.groups[gidx[p.gi]].id] = p.j;
     }
   }
@@ -242,7 +230,7 @@ std::optional<ReducedShape> reduced_shape(const PlacementProblem& problem) {
 /// `max_bins` bins would be needed.
 std::optional<std::vector<int>> ffd_pack(
     const std::vector<std::pair<double, std::size_t>>& items, double cap,
-    std::size_t max_bins, int* bins_used) {
+    std::size_t max_bins) {
   std::vector<std::pair<double, std::size_t>> sorted = items;
   std::sort(sorted.begin(), sorted.end(),
             [](const auto& a, const auto& b) { return a.first > b.first; });
@@ -264,7 +252,6 @@ std::optional<std::vector<int>> ffd_pack(
     bins[static_cast<std::size_t>(placed)] += load;
     result[item_idx] = placed;
   }
-  *bins_used = static_cast<int>(bins.size());
   return result;
 }
 
@@ -377,7 +364,6 @@ std::optional<Attempt> solve_reduced_ilp(const PlacementProblem& problem,
 
   ilp::BnbOptions bnb;
   bnb.max_nodes = opts.max_bnb_nodes;
-  bnb.max_seconds = 0.0;  // determinism: node budget only (see full ILP)
 
   // Warm start: "every group on an aggregation switch of its pod" (falling
   // back to ToR, then core). Usually feasible and within ~2x of optimal,
@@ -420,16 +406,15 @@ std::optional<Attempt> solve_reduced_ilp(const PlacementProblem& problem,
     bnb.initial_incumbent = std::move(warm);  // ignored if infeasible
   }
 
-  const ilp::BnbResult r = ilp::solve_ilp(model, bnb);
-  if (!r.solution.has_point()) return std::nullopt;
-  const auto& x = r.solution.values;
+  const ilp::Solution r = ilp::solve_ilp(model, bnb);
+  if (!r.has_point()) return std::nullopt;
+  const auto& x = r.values;
 
   // Concretize: ToR choices map directly; agg/core choices are packed onto
   // physical accelerators with FFD (which may use more bins than the model's
   // count variables — still valid, only slightly suboptimal).
   Attempt attempt;
-  attempt.feasible = true;
-  attempt.proven_optimal = r.solution.status == ilp::SolveStatus::kOptimal;
+  attempt.proven_optimal = r.status == ilp::SolveStatus::kOptimal;
 
   std::map<int, std::vector<std::pair<double, std::size_t>>> agg_items;
   std::map<int, std::vector<std::size_t>> agg_item_group;  // pod -> [a]
@@ -456,9 +441,7 @@ std::optional<Attempt> solve_reduced_ilp(const PlacementProblem& problem,
   // Pack per-pod agg groups.
   for (auto& [pod, items] : agg_items) {
     const auto& ops = shape.aggs.at(pod);
-    int bins_used = 0;
-    auto packed = ffd_pack(items, shape.agg_tmax.at(pod), ops.size(),
-                           &bins_used);
+    auto packed = ffd_pack(items, shape.agg_tmax.at(pod), ops.size());
     if (!packed.has_value()) return std::nullopt;
     const auto& members = agg_item_group.at(pod);
     for (std::size_t t = 0; t < items.size(); ++t) {
@@ -470,9 +453,7 @@ std::optional<Attempt> solve_reduced_ilp(const PlacementProblem& problem,
 
   // Pack core groups.
   if (!core_items.empty()) {
-    int bins_used = 0;
-    auto packed = ffd_pack(core_items, shape.core_tmax, shape.cores.size(),
-                           &bins_used);
+    auto packed = ffd_pack(core_items, shape.core_tmax, shape.cores.size());
     if (!packed.has_value()) return std::nullopt;
     for (std::size_t t = 0; t < core_items.size(); ++t) {
       const std::size_t a = core_item_group[t];
@@ -645,7 +626,6 @@ std::optional<Attempt> solve_greedy(const PlacementProblem& problem,
     if (!changed) break;
   }
 
-  attempt.feasible = true;
   attempt.proven_optimal = false;
   return attempt;
 }
@@ -728,8 +708,7 @@ bool validate_placement(const PlacementProblem& problem,
     cost += extra_hop_cost(g, op.tier);
   }
   for (std::size_t j = 0; j < problem.operators.size(); ++j) {
-    if (pools.remaining(j) < -tol * std::max(1.0, remaining_capacity_key(
-                                                      problem.operators[j]))) {
+    if (pools.remaining(j) < -tol * std::max(1.0, problem.operators[j].t_max)) {
       return false;
     }
   }
@@ -740,6 +719,15 @@ bool validate_placement(const PlacementProblem& problem,
 
 PlacementResult solve_placement(const PlacementProblem& problem,
                                 const PlacementOptions& opts) {
+  // kAuto uses the full ILP up to this many P variables; beyond that the
+  // pod-symmetry-reduced model (or greedy) takes over. The dense-tableau
+  // simplex makes large full models expensive.
+  constexpr std::size_t kFullIlpVarLimit = 220;
+  // Above this many traffic groups even the reduced model's tableau gets
+  // too large for the dense simplex (host-level groups on a 16-ary tree
+  // are 1024 groups); the greedy consolidation heuristic takes over.
+  constexpr std::size_t kReducedIlpGroupLimit = 320;
+
   // DRS fallback loop (§III-C case i): shed the highest-traffic group until
   // a feasible plan exists for the rest.
   std::vector<std::size_t> gidx(problem.groups.size());
@@ -756,7 +744,7 @@ PlacementResult solve_placement(const PlacementProblem& problem,
 
   PlacementMethod method = opts.method;
   if (method == PlacementMethod::kAuto) {
-    if (pair_count <= opts.full_ilp_var_limit) {
+    if (pair_count <= kFullIlpVarLimit) {
       method = PlacementMethod::kFullIlp;
     } else if (shape.has_value()) {
       method = PlacementMethod::kReducedIlp;
@@ -776,7 +764,7 @@ PlacementResult solve_placement(const PlacementProblem& problem,
       case PlacementMethod::kReducedIlp:
         name = "reduced-ilp";
         if (shape.has_value() &&
-            gidx.size() <= opts.reduced_ilp_group_limit) {
+            gidx.size() <= kReducedIlpGroupLimit) {
           // ToR placements burn a whole RSNode on one rack, so the optimum
           // almost never uses them; try the smaller ToR-free model first.
           attempt = solve_reduced_ilp(problem, gidx, *shape, opts,

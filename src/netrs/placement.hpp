@@ -90,14 +90,6 @@ struct NETRS_SHARED_IMMUTABLE PlacementOptions {
   PlacementMethod method = PlacementMethod::kAuto;  ///< Solve path.
   /// Branch-and-bound node budget (the paper's early-termination knob).
   int max_bnb_nodes = 5000;
-  /// kAuto uses the full ILP up to this many P variables; beyond that the
-  /// pod-symmetry-reduced model (or greedy) takes over. The dense-tableau
-  /// simplex makes large full models expensive.
-  std::size_t full_ilp_var_limit = 220;
-  /// Above this many traffic groups even the reduced model's tableau gets
-  /// too large for the dense simplex (host-level groups on a 16-ary tree
-  /// are 1024 groups); the greedy consolidation heuristic takes over.
-  std::size_t reduced_ilp_group_limit = 320;
 };
 
 /// A solved Replica Selection Plan.

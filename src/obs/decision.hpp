@@ -190,6 +190,10 @@ class NETRS_SHARD_LOCAL DecisionRecorder {
   std::vector<std::uint64_t> node_seq_;
 };
 
+/// Trailing window of the decision auditor's herd index: the
+/// `herd_window` that ShardObserverSet::take_decisions() replays with.
+inline constexpr sim::Duration kHerdWindow = 1 * sim::kMillisecond;
+
 /// Replays the logs of every shard's recorder (plus the coordinator's)
 /// into one repeat snapshot. The logs are moved in and concatenated into
 /// one flat log; picks are ordered canonically by (time, node, per-node

@@ -24,6 +24,10 @@
 
 namespace netrs::obs {
 
+/// Metrics sampling tick, in simulated time: the harness samples the
+/// registry at every multiple of it up to the end of the run.
+inline constexpr sim::Duration kSampleInterval = 5 * sim::kMillisecond;
+
 /// Fixed-bucket histogram in the Prometheus "le" style (a value lands in
 /// the first bucket whose upper bound is >= the value; values above the
 /// last bound land in the overflow bucket), safe to feed from shard worker

@@ -50,10 +50,6 @@ struct NETRS_SHARED_IMMUTABLE ObsConfig {
   bool record_decisions = false;
   /// Events retained per repeat before the ring wraps.
   std::size_t trace_capacity = 1u << 16;
-  /// Metrics sampling tick, in simulated time.
-  sim::Duration sample_interval = 5 * sim::kMillisecond;
-  /// Trailing window of the decision auditor's herd index.
-  sim::Duration herd_window = 1 * sim::kMillisecond;
 
   /// True when tracing is requested.
   [[nodiscard]] bool want_trace() const { return !trace_path.empty(); }

@@ -53,7 +53,7 @@ DecisionSnapshot ShardObserverSet::take_decisions() {
   }
   if (coord_ != nullptr) logs.push_back(coord_->decisions().take_log());
   DecisionSnapshot snap =
-      replay_decisions(std::move(logs), cfg_.herd_window, measure_from_);
+      replay_decisions(std::move(logs), kHerdWindow, measure_from_);
   snap.enabled = deciding();
   return snap;
 }

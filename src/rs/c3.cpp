@@ -5,6 +5,12 @@
 #include <cmath>
 
 namespace netrs::rs {
+namespace {
+
+constexpr double kEwmaAlpha = 0.9;  ///< History weight of the EWMAs.
+constexpr int kCubicExponent = 3;   ///< b in q̂^b.
+
+}  // namespace
 
 C3Selector::C3Selector(sim::Simulator& sim, sim::Rng rng, C3Options opts)
     : sim_(sim), rng_(rng), opts_(opts) {}
@@ -12,8 +18,8 @@ C3Selector::C3Selector(sim::Simulator& sim, sim::Rng rng, C3Options opts)
 std::uint32_t C3Selector::slot_of(net::HostId server) {
   const auto [slot, inserted] = index_.get_or_add(server);
   if (inserted) {
-    response_time_.emplace_back(opts_.ewma_alpha);
-    service_time_.emplace_back(opts_.ewma_alpha);
+    response_time_.emplace_back(kEwmaAlpha);
+    service_time_.emplace_back(kEwmaAlpha);
     queue_size_.push_back(0);
     outstanding_.push_back(0);
     last_feedback_.push_back(0);
@@ -31,8 +37,7 @@ double C3Selector::score_of(std::uint32_t slot) const {
       1.0 + static_cast<double>(outstanding_[slot]) * opts_.concurrency +
       static_cast<double>(queue_size_[slot]);
   return (r - t_service) +
-         std::pow(q_hat, static_cast<double>(opts_.cubic_exponent)) *
-             t_service;
+         std::pow(q_hat, static_cast<double>(kCubicExponent)) * t_service;
 }
 
 double C3Selector::score(net::HostId server) const {

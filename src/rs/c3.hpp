@@ -32,10 +32,9 @@
 
 namespace netrs::rs {
 
-/// C3 tuning knobs (defaults follow the NSDI'15 paper).
+/// C3 tuning knobs (defaults follow the NSDI'15 paper; c3.cpp holds the
+/// EWMA weight and cubic exponent).
 struct NETRS_SHARED_IMMUTABLE C3Options {
-  double ewma_alpha = 0.9;  ///< history weight of the EWMAs
-  int cubic_exponent = 3;   ///< b in q̂^b
   /// Concurrency-compensation factor n: how many RSNodes share the servers.
   double concurrency = 1.0;
   bool rate_control = true;  ///< Enable CUBIC rate control ("c3-norate" off).

@@ -4,6 +4,15 @@
 #include <cmath>
 
 namespace netrs::rs {
+namespace {
+
+constexpr double kMinRate = 0.1;      ///< Floor to keep probing (requests/s).
+constexpr double kBeta = 0.2;         ///< Multiplicative decrease factor.
+constexpr double kCubicC = 0.000004;  ///< Cubic growth scaling constant.
+/// Window of the receive-rate estimate.
+constexpr sim::Duration kRateWindow = sim::millis(20);
+
+}  // namespace
 
 CubicRateController::CubicRateController(CubicOptions opts)
     : opts_(opts),
@@ -30,7 +39,7 @@ void CubicRateController::on_response(sim::Time now) {
   if (window_count_ == 0) window_start_ = now;
   ++window_count_;
   const sim::Duration span = now - window_start_;
-  if (span >= opts_.rate_window) {
+  if (span >= kRateWindow) {
     recv_rate_ = static_cast<double>(window_count_) / sim::to_seconds(span);
     window_count_ = 0;
   }
@@ -43,16 +52,15 @@ void CubicRateController::update_rate(sim::Time now) {
     // Cubic growth anchored at the last decrease: R(t) = C*(t - K)^3 + Rmax
     // with K = cbrt(Rmax * beta / C), t in milliseconds since decrease.
     const double t_ms = sim::to_millis(now - decrease_time_);
-    const double k =
-        std::cbrt(rate_at_decrease_ * opts_.beta / opts_.cubic_c);
+    const double k = std::cbrt(rate_at_decrease_ * kBeta / kCubicC);
     const double target =
-        opts_.cubic_c * std::pow(t_ms - k, 3.0) + rate_at_decrease_;
-    rate_ = std::max(opts_.min_rate, std::max(rate_, target));
+        kCubicC * std::pow(t_ms - k, 3.0) + rate_at_decrease_;
+    rate_ = std::max(kMinRate, std::max(rate_, target));
   } else {
     // Sending faster than the server delivers: multiplicative decrease.
     rate_at_decrease_ = rate_;
     decrease_time_ = now;
-    rate_ = std::max(opts_.min_rate, recv_rate_ * (1.0 - opts_.beta));
+    rate_ = std::max(kMinRate, recv_rate_ * (1.0 - kBeta));
   }
 }
 

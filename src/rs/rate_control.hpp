@@ -15,15 +15,12 @@
 
 namespace netrs::rs {
 
-/// CUBIC rate-controller parameters (defaults follow C3's evaluation).
+/// CUBIC rate-controller parameters (defaults follow C3's evaluation; the
+/// fixed ones are constants in rate_control.cpp).
 struct NETRS_SHARED_IMMUTABLE CubicOptions {
   double initial_rate = 10.0;      ///< requests/s starting budget
-  double min_rate = 0.1;           ///< floor to keep probing
-  double beta = 0.2;               ///< multiplicative decrease factor
-  double cubic_c = 0.000004;       ///< cubic growth scaling constant
   double gamma = 1.3;              ///< allowed send/receive rate ratio
   double burst_tokens = 4.0;       ///< token bucket depth
-  sim::Duration rate_window = sim::millis(20);  ///< receive-rate window
 };
 
 /// Token-bucket send limiter whose rate follows a cubic growth /

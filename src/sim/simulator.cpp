@@ -60,11 +60,10 @@ std::uint64_t Simulator::run() {
 }
 
 std::uint64_t Simulator::run_until(Time deadline) {
-  stopped_ = false;
   std::uint64_t n = 0;
   Time t = 0;
   Callback cb;
-  while (!stopped_ && !queue_.empty()) {
+  while (!queue_.empty()) {
     if (!queue_.pop_due(deadline, t, cb)) {
       now_ = deadline;
       return n;

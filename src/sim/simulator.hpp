@@ -59,17 +59,13 @@ class Simulator {
   /// Cancels a pending event; see EventQueue::cancel.
   bool cancel(EventId id) { return queue_.cancel(id); }
 
-  /// Runs until the queue drains or `stop()` is called. Returns the number
-  /// of events fired.
+  /// Runs until the queue drains. Returns the number of events fired.
   std::uint64_t run();
 
   /// Runs until simulated time would exceed `deadline` (events at exactly
   /// `deadline` still fire); leaves later events queued and sets now() to
   /// `deadline` if the queue outlives it. Returns events fired.
   std::uint64_t run_until(Time deadline);
-
-  /// Requests that `run`/`run_until` return after the current event.
-  void stop() { stopped_ = true; }
 
   /// Number of events fired so far (diagnostic).
   [[nodiscard]] std::uint64_t events_fired() const { return fired_; }
@@ -119,7 +115,6 @@ class Simulator {
   EventQueue queue_;
   Time now_ = 0;
   std::uint64_t fired_ = 0;
-  bool stopped_ = false;
   Auditor auditor_;
   ShardAffinityGuard affinity_;
   obs::Observer* observer_ = nullptr;

@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <map>
 #include <set>
+#include <stdexcept>
 #include <vector>
 
 #include "sim/rng.hpp"
@@ -139,6 +140,16 @@ TEST(ConsistentHashTest, GroupIdsFitWireField) {
   const auto servers = make_servers(100);
   ConsistentHashRing ring(servers, 3, 16);
   EXPECT_LE(ring.group_count(), core::kMaxReplicaGroupId);
+}
+
+TEST(ConsistentHashTest, RejectsImpossibleRings) {
+  const auto two = make_servers(2);
+  const std::vector<net::HostId> none;
+  EXPECT_THROW(ConsistentHashRing(none, 1), std::invalid_argument);
+  EXPECT_THROW(ConsistentHashRing(two, 0), std::invalid_argument);
+  EXPECT_THROW(ConsistentHashRing(two, 3), std::invalid_argument);
+  EXPECT_THROW(ConsistentHashRing(two, 2, 0), std::invalid_argument);
+  EXPECT_NO_THROW(ConsistentHashRing(two, 2, 1));
 }
 
 }  // namespace

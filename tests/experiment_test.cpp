@@ -5,6 +5,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdlib>
+#include <stdexcept>
+
 namespace netrs::harness {
 namespace {
 
@@ -139,6 +142,27 @@ TEST(ExperimentTest, AlternativeSelectorAlgorithmsRun) {
     const ExperimentResult res = run_experiment(Scheme::kNetRSIlp, cfg);
     EXPECT_EQ(res.issued, res.completed) << algo;
   }
+}
+
+TEST(ExperimentTest, RejectsFewerServersThanReplicas) {
+  ExperimentConfig cfg = small_config();
+  cfg.num_servers = 2;  // replication_factor is 3
+  EXPECT_THROW(run_experiment(Scheme::kNetRSIlp, cfg), std::invalid_argument);
+}
+
+TEST(ExperimentTest, DefaultConfigRejectsMalformedEnvironment) {
+  ::setenv("NETRS_REQUESTS", "1e6", 1);
+  EXPECT_THROW(default_config(), std::invalid_argument);
+  ::setenv("NETRS_REQUESTS", "-1", 1);
+  EXPECT_THROW(default_config(), std::invalid_argument);
+  ::setenv("NETRS_REQUESTS", "5000", 1);
+  EXPECT_EQ(default_config().total_requests, 5000u);
+  ::unsetenv("NETRS_REQUESTS");
+  ::setenv("NETRS_SHARDS", "4294967297", 1);  // does not fit an int
+  EXPECT_THROW(default_config(), std::invalid_argument);
+  ::unsetenv("NETRS_SHARDS");
+  EXPECT_EQ(default_config().total_requests,
+            ExperimentConfig{}.total_requests);
 }
 
 }  // namespace

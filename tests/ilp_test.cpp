@@ -158,9 +158,9 @@ TEST(BnbTest, KnapsackOptimal) {
   const VarId b = m.add_binary(-4.0);
   const VarId c = m.add_binary(-3.0);
   m.add_constraint(LinExpr().add(a, 2).add(b, 3).add(c, 1), Sense::kLe, 5.0);
-  const BnbResult r = solve_ilp(m);
-  ASSERT_EQ(r.solution.status, SolveStatus::kOptimal);
-  EXPECT_NEAR(r.solution.objective, -9.0, 1e-9);
+  const Solution r = solve_ilp(m);
+  ASSERT_EQ(r.status, SolveStatus::kOptimal);
+  EXPECT_NEAR(r.objective, -9.0, 1e-9);
 }
 
 TEST(BnbTest, SetCover) {
@@ -171,18 +171,18 @@ TEST(BnbTest, SetCover) {
   m.add_constraint(LinExpr().add(s1, 1).add(s3, 1), Sense::kGe, 1.0);
   m.add_constraint(LinExpr().add(s1, 1).add(s2, 1), Sense::kGe, 1.0);
   m.add_constraint(LinExpr().add(s2, 1).add(s3, 1), Sense::kGe, 1.0);
-  const BnbResult r = solve_ilp(m);
-  ASSERT_EQ(r.solution.status, SolveStatus::kOptimal);
-  EXPECT_NEAR(r.solution.objective, 2.0, 1e-9);
+  const Solution r = solve_ilp(m);
+  ASSERT_EQ(r.status, SolveStatus::kOptimal);
+  EXPECT_NEAR(r.objective, 2.0, 1e-9);
 }
 
 TEST(BnbTest, GeneralIntegerRoundsUp) {
   Model m;
   const VarId y = m.add_integer(0.0, 10.0, 1.0);
   m.add_constraint(LinExpr().add(y, 1), Sense::kGe, 2.3);
-  const BnbResult r = solve_ilp(m);
-  ASSERT_EQ(r.solution.status, SolveStatus::kOptimal);
-  EXPECT_NEAR(r.solution.objective, 3.0, 1e-9);
+  const Solution r = solve_ilp(m);
+  ASSERT_EQ(r.status, SolveStatus::kOptimal);
+  EXPECT_NEAR(r.objective, 3.0, 1e-9);
 }
 
 TEST(BnbTest, InfeasibleIntegerProgram) {
@@ -192,7 +192,7 @@ TEST(BnbTest, InfeasibleIntegerProgram) {
   // a + b = 1 and a + b = 2 cannot both hold.
   m.add_constraint(LinExpr().add(a, 1).add(b, 1), Sense::kEq, 1.0);
   m.add_constraint(LinExpr().add(a, 1).add(b, 1), Sense::kEq, 2.0);
-  EXPECT_EQ(solve_ilp(m).solution.status, SolveStatus::kInfeasible);
+  EXPECT_EQ(solve_ilp(m).status, SolveStatus::kInfeasible);
 }
 
 TEST(BnbTest, FractionalLpNeedsBranching) {
@@ -205,9 +205,9 @@ TEST(BnbTest, FractionalLpNeedsBranching) {
   m.add_constraint(LinExpr().add(x, 1).add(y, 1), Sense::kGe, 1.0);
   m.add_constraint(LinExpr().add(x, 1).add(y, -1), Sense::kLe, 0.5);
   m.add_constraint(LinExpr().add(y, 1).add(x, -1), Sense::kLe, 0.5);
-  const BnbResult r = solve_ilp(m);
-  ASSERT_EQ(r.solution.status, SolveStatus::kOptimal);
-  EXPECT_NEAR(r.solution.objective, 2.0, 1e-9);
+  const Solution r = solve_ilp(m);
+  ASSERT_EQ(r.status, SolveStatus::kOptimal);
+  EXPECT_NEAR(r.objective, 2.0, 1e-9);
 }
 
 TEST(BnbTest, WarmStartAcceptedWhenFeasible) {
@@ -217,9 +217,9 @@ TEST(BnbTest, WarmStartAcceptedWhenFeasible) {
   m.add_constraint(LinExpr().add(a, 1).add(b, 1), Sense::kGe, 1.0);
   BnbOptions opts;
   opts.initial_incumbent = {1.0, 1.0};  // feasible but suboptimal
-  const BnbResult r = solve_ilp(m, opts);
-  ASSERT_EQ(r.solution.status, SolveStatus::kOptimal);
-  EXPECT_NEAR(r.solution.objective, 1.0, 1e-9);  // improved past warm start
+  const Solution r = solve_ilp(m, opts);
+  ASSERT_EQ(r.status, SolveStatus::kOptimal);
+  EXPECT_NEAR(r.objective, 1.0, 1e-9);  // improved past warm start
 }
 
 TEST(BnbTest, NodeLimitReturnsIncumbentAsFeasible) {
@@ -238,9 +238,9 @@ TEST(BnbTest, NodeLimitReturnsIncumbentAsFeasible) {
   BnbOptions opts;
   opts.max_nodes = 1;
   opts.initial_incumbent = warm;  // all-zero is feasible
-  const BnbResult r = solve_ilp(m, opts);
-  EXPECT_EQ(r.solution.status, SolveStatus::kFeasible);
-  EXPECT_TRUE(r.solution.has_point());
+  const Solution r = solve_ilp(m, opts);
+  EXPECT_EQ(r.status, SolveStatus::kFeasible);
+  EXPECT_TRUE(r.has_point());
 }
 
 // Property test: random binary programs, exact solution vs brute force.
@@ -297,15 +297,15 @@ TEST(BnbTest, MatchesBruteForceOnRandomBinaryPrograms) {
       best = std::min(best, val);
     }
 
-    const BnbResult r = solve_ilp(m);
+    const Solution r = solve_ilp(m);
     if (best == kInf) {
-      EXPECT_EQ(r.solution.status, SolveStatus::kInfeasible)
+      EXPECT_EQ(r.status, SolveStatus::kInfeasible)
           << "trial " << trial;
     } else {
-      ASSERT_EQ(r.solution.status, SolveStatus::kOptimal)
+      ASSERT_EQ(r.status, SolveStatus::kOptimal)
           << "trial " << trial;
-      EXPECT_NEAR(r.solution.objective, best, 1e-6) << "trial " << trial;
-      EXPECT_TRUE(m.is_feasible(r.solution.values, 1e-6));
+      EXPECT_NEAR(r.objective, best, 1e-6) << "trial " << trial;
+      EXPECT_TRUE(m.is_feasible(r.values, 1e-6));
     }
   }
 }

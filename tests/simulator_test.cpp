@@ -61,20 +61,6 @@ TEST(SimulatorTest, RunUntilWithEmptyQueueAdvancesToDeadline) {
   EXPECT_EQ(s.now(), 1234);
 }
 
-TEST(SimulatorTest, StopHaltsRun) {
-  Simulator s;
-  int fired = 0;
-  s.at(1, [&] {
-    ++fired;
-    s.stop();
-  });
-  s.at(2, [&] { ++fired; });
-  s.run();
-  EXPECT_EQ(fired, 1);
-  s.run();  // resumes
-  EXPECT_EQ(fired, 2);
-}
-
 TEST(SimulatorTest, EveryRepeatsUntilFalse) {
   Simulator s;
   int ticks = 0;

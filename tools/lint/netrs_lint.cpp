@@ -15,7 +15,8 @@
 //                         etc. inside simulation code: anything keyed to
 //                         wall time makes results machine-speed-dependent
 //                         (the placement B&B's max_seconds cutoff was a
-//                         live instance of this).
+//                         live instance of this; that budget is gone and
+//                         the node budget is the solver's only cutoff).
 //   unseeded-random       rand()/srand()/std::random_device: randomness
 //                         outside the seeded sim::Rng tree.
 //   pointer-order         std::map/std::set keyed on a pointer type:
