@@ -231,7 +231,7 @@ void Client::handle_response(net::Packet& pkt) {
               p.first_send, latency, app->client_request_id, "server",
               static_cast<std::uint64_t>(server), "fwd", pkt.meta.forwards);
       o->flight().on_complete(app->client_request_id, p.first_send, sent_at,
-                              server, simulator().now());
+                              server, simulator().now(), pkt.meta);
     }
     p95_.add(sim::to_micros(latency));
     if (on_complete_) {

@@ -130,17 +130,29 @@ void Server::start_service(Job job) {
       cfg_.deterministic_service
           ? static_cast<sim::Duration>(mean)
           : static_cast<sim::Duration>(rng_.exponential(mean));
+  const sim::Time now = simulator().now();
+  // Flight stamps: send_response() copies `meta` into the response, so
+  // the client reads this copy's server timing off the response it gets.
+  net::PacketMeta& meta = job.pkt.meta;
+  if constexpr (sim::kAuditEnabled) {
+    simulator().auditor().check(!meta.server_stamped, "flight-restamp", [&] {
+      return "request " + std::to_string(meta.request_id) +
+             " copy served twice by server " + std::to_string(host_id());
+    });
+  }
+  meta.server_stamped = true;
+  meta.server_arrival = job.enqueued;
+  meta.server_start = now;
+  meta.server_service = service;
   // Both spans are known here: the wait ended now and the (just-sampled)
   // service ends `service` from now.
   if (obs::Observer* o = simulator().observer()) {
-    const sim::Time now = simulator().now();
     const auto tid = static_cast<std::int32_t>(node_id());
-    const std::uint64_t rid = job.pkt.meta.request_id;
+    const std::uint64_t rid = meta.request_id;
     if (now > job.enqueued) {
       o->span("kv.queue", "kv", tid, job.enqueued, now - job.enqueued, rid);
     }
     o->span("kv.service", "kv", tid, now, service, rid);
-    o->flight().on_server(rid, host_id(), job.enqueued, now, service);
   }
   station_.start(std::move(job), service, [this](Job done, sim::Time started) {
     finish_service(std::move(done), started);

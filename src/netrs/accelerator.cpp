@@ -74,10 +74,26 @@ void Accelerator::start_service(Job job) {
       mf.has_value() && classify(*mf) == PacketKind::kNetRSRequest;
   const sim::Duration service =
       request ? cfg_.request_service_time : cfg_.response_service_time;
+  const sim::Time now = sim_.now();
+  if (request) {
+    // Flight stamps for the client's attribution (net::PacketMeta). The
+    // selection relabels the request (Mreq -> f(Mresp), or a plain label
+    // on DRS), so no later accelerator serves it as a request again.
+    net::PacketMeta& meta = job.pkt.meta;
+    if constexpr (sim::kAuditEnabled) {
+      sim_.auditor().check(!meta.accel_stamped, "flight-restamp", [&] {
+        return "request " + std::to_string(meta.request_id) +
+               " served as a request by a second accelerator";
+      });
+    }
+    meta.accel_stamped = true;
+    meta.accel_arrival = job.enqueued;
+    meta.accel_start = now;
+    meta.accel_service = service;
+  }
   // Both spans are known here: the wait ended now and the (deterministic)
   // service ends `service` from now.
   if (obs::Observer* o = sim_.observer()) {
-    const sim::Time now = sim_.now();
     const auto tid = static_cast<std::int32_t>(primary_node_);
     const std::uint64_t rid = job.pkt.meta.request_id;
     if (now > job.enqueued) {
@@ -86,7 +102,6 @@ void Accelerator::start_service(Job job) {
     }
     o->span("accel.service", "accel", tid, now, service, rid, "is_req",
             request ? 1 : 0);
-    if (request) o->flight().on_accel(rid, job.enqueued, now, service);
   }
   station_.start(std::move(job), service, [this](Job done, sim::Time started) {
     finish_service(std::move(done), started);

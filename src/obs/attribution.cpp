@@ -6,184 +6,73 @@
 #include <utility>
 
 #include "obs/text_sink.hpp"
-#include "sim/radix_sort.hpp"
 
 namespace netrs::obs {
 
-void FlightRecorder::on_accel(std::uint64_t request_id, sim::Time arrival,
-                              sim::Time start, sim::Duration service) {
-  if (!enabled_ || request_id == 0) return;
-  log_.accels.push_back(FlightLog::Accel{request_id, arrival, start, service});
-}
-
-void FlightRecorder::on_server(std::uint64_t request_id, net::HostId server,
-                               sim::Time arrival, sim::Time start,
-                               sim::Duration service) {
-  if (!enabled_ || request_id == 0) return;
-  log_.servers.push_back(
-      FlightLog::Server{request_id, server, arrival, start, service});
-}
-
 void FlightRecorder::on_complete(std::uint64_t request_id,
                                  sim::Time first_send, sim::Time winner_send,
-                                 net::HostId winner, sim::Time now) {
+                                 net::HostId winner, sim::Time now,
+                                 const net::PacketMeta& stamps) {
   if (!enabled_ || request_id == 0) return;
-  log_.completes.push_back(
-      FlightLog::Complete{request_id, first_send, winner_send, winner, now});
+  if (!stamps.server_stamped) {
+    ++lane_.unmatched;
+    return;
+  }
+  if (first_send < measure_from_) {
+    ++lane_.warmup_skipped;
+    return;
+  }
+  // The telescoping decomposition: every component is a difference of
+  // adjacent stamped timestamps along the winning copy's path, so the sum
+  // equals `total` exactly (the invariant attribution_test asserts per
+  // record).
+  FlightRecord& r = lane_.records.emplace_back();
+  r.request_id = request_id;
+  r.completed_at = now;
+  r.server = winner;
+  r.dup_won = winner_send != first_send;
+  r.via_rs = stamps.accel_stamped;
+  r.total = now - first_send;
+  r.components[0] = winner_send - first_send;  // dup_wait
+  sim::Time cursor = winner_send;
+  if (stamps.accel_stamped) {
+    r.components[1] = stamps.accel_arrival - cursor;  // wire_cli_rs
+    r.components[2] = stamps.accel_start - stamps.accel_arrival;  // accel_queue
+    r.components[3] = stamps.accel_service;  // accel_serv
+    cursor = stamps.accel_start + stamps.accel_service;
+  }
+  r.components[4] = stamps.server_arrival - cursor;  // wire_rs_srv
+  r.components[5] = stamps.server_start - stamps.server_arrival;  // srv_queue
+  r.components[6] = stamps.server_service;  // srv_serv
+  r.components[7] =
+      now - (stamps.server_start + stamps.server_service);  // wire_return
 }
 
-namespace {
-
-/// Flight::accel value of a request with no accelerator contact.
-constexpr std::uint32_t kNoAccel = 0xFFFFFFFFu;
-
-/// Appends `src` to `dst`, stealing its storage when `dst` is empty (the
-/// single-log case costs no copy).
-template <typename T>
-void append_moved(std::vector<T>& dst, std::vector<T>& src) {
-  if (dst.empty()) {
-    dst = std::move(src);
-  } else {
-    dst.insert(dst.end(), src.begin(), src.end());
-  }
-}
-
-// The telescoping decomposition: every component is a difference of
-// adjacent observed timestamps along the winning copy's path, so the sum
-// equals `total` exactly (the invariant attribution_test asserts per
-// record). `accel` is null when the winning copy never crossed an
-// accelerator.
-FlightRecord make_record(const FlightLog::Complete& c,
-                         const FlightLog::Accel* accel,
-                         const FlightLog::Server& copy) {
-  FlightRecord r;
-  r.request_id = c.request_id;
-  r.completed_at = c.at;
-  r.server = c.winner;
-  r.dup_won = c.winner_send != c.first_send;
-  r.via_rs = accel != nullptr;
-  r.total = c.at - c.first_send;
-  r.components[0] = c.winner_send - c.first_send;  // dup_wait
-  sim::Time cursor = c.winner_send;
-  if (accel != nullptr) {
-    r.components[1] = accel->arrival - cursor;         // wire_cli_rs
-    r.components[2] = accel->start - accel->arrival;   // accel_queue
-    r.components[3] = accel->service;                  // accel_serv
-    cursor = accel->start + accel->service;
-  }
-  r.components[4] = copy.arrival - cursor;               // wire_rs_srv
-  r.components[5] = copy.start - copy.arrival;           // srv_queue
-  r.components[6] = copy.service;                        // srv_serv
-  r.components[7] = c.at - (copy.start + copy.service);  // wire_return
-  return r;
-}
-
-}  // namespace
-
-FlightSnapshot join_flights(std::vector<FlightLog> logs,
-                            sim::Time measure_from) {
-  // The union of all logs, as three flat arrays.
-  FlightLog all;
-  for (FlightLog& log : logs) {
-    append_moved(all.accels, log.accels);
-    append_moved(all.servers, log.servers);
-    append_moved(all.completes, log.completes);
-  }
-  // Canonical orders, independent of which log observed what: every
-  // observation grouped by request id, completions by (completion time,
-  // request id). The sorts are stable, and the order inside a request's
-  // group does not matter: the kept accelerator contact is the minimum by
-  // (start, arrival, service) and the winning copy the first by (start,
-  // arrival, server, service) among the winner's copies, both found by a
-  // scan of the (short) group.
-  const auto by_id = [](const auto& x) { return x.request_id; };
-  sim::radix_sort(all.accels, by_id);
-  sim::radix_sort(all.servers, by_id);
-  std::stable_sort(all.completes.begin(), all.completes.end(),
-                   [](const FlightLog::Complete& a,
-                      const FlightLog::Complete& b) {
-                     return std::tie(a.at, a.request_id) <
-                            std::tie(b.at, b.request_id);
-                   });
-
-  // One entry per distinct request id observed at an accelerator or a
-  // server, in id order: its accelerator contact, its group of copies,
-  // and whether a completion has consumed it yet.
-  struct Flight {
-    std::uint64_t id = 0;
-    std::uint32_t accel = kNoAccel;
-    std::uint32_t copies_begin = 0;
-    std::uint32_t copies_end = 0;
-    bool consumed = false;
-  };
-  std::vector<Flight> flights;
-  const std::vector<FlightLog::Accel>& accels = all.accels;
-  const std::vector<FlightLog::Server>& servers = all.servers;
-  std::size_t ai = 0;
-  std::size_t si = 0;
-  while (ai < accels.size() || si < servers.size()) {
-    Flight f;
-    if (si == servers.size() ||
-        (ai < accels.size() &&
-         accels[ai].request_id < servers[si].request_id)) {
-      f.id = accels[ai].request_id;
+FlightSnapshot merge_flights(std::vector<FlightSnapshot> lanes) {
+  FlightSnapshot out;
+  std::size_t total = 0;
+  for (const FlightSnapshot& lane : lanes) total += lane.records.size();
+  for (FlightSnapshot& lane : lanes) {
+    if (out.records.empty()) {
+      out.records = std::move(lane.records);  // one busy lane: no copy
+      out.records.reserve(total);
     } else {
-      f.id = servers[si].request_id;
+      out.records.insert(out.records.end(), lane.records.begin(),
+                         lane.records.end());
     }
-    for (; ai < accels.size() && accels[ai].request_id == f.id; ++ai) {
-      const FlightLog::Accel& a = accels[ai];
-      if (f.accel == kNoAccel ||
-          std::tie(a.start, a.arrival, a.service) <
-              std::tie(accels[f.accel].start, accels[f.accel].arrival,
-                       accels[f.accel].service)) {
-        f.accel = static_cast<std::uint32_t>(ai);
-      }
-    }
-    f.copies_begin = static_cast<std::uint32_t>(si);
-    while (si < servers.size() && servers[si].request_id == f.id) ++si;
-    f.copies_end = static_cast<std::uint32_t>(si);
-    flights.push_back(f);
+    out.warmup_skipped += lane.warmup_skipped;
+    out.unmatched += lane.unmatched;
   }
-
-  FlightSnapshot snap;
-  snap.enabled = true;
-  snap.records.reserve(all.completes.size());
-  std::size_t consumed = 0;
-  for (const FlightLog::Complete& c : all.completes) {
-    const auto it = std::lower_bound(
-        flights.begin(), flights.end(), c.request_id,
-        [](const Flight& f, std::uint64_t id) { return f.id < id; });
-    // A request never observed, or already consumed by an earlier
-    // completion, is unmatched.
-    if (it == flights.end() || it->id != c.request_id || it->consumed) {
-      ++snap.unmatched;
-      continue;
-    }
-    it->consumed = true;
-    ++consumed;
-    if (c.first_send < measure_from) {
-      ++snap.warmup_skipped;
-      continue;
-    }
-    const FlightLog::Server* copy = nullptr;
-    for (std::uint32_t i = it->copies_begin; i < it->copies_end; ++i) {
-      const FlightLog::Server& s = servers[i];
-      if (s.server == c.winner &&
-          (copy == nullptr ||
-           std::tie(s.start, s.arrival, s.service) <
-               std::tie(copy->start, copy->arrival, copy->service))) {
-        copy = &s;
-      }
-    }
-    if (copy == nullptr) {
-      ++snap.unmatched;
-      continue;
-    }
-    snap.records.push_back(make_record(
-        c, it->accel != kNoAccel ? &accels[it->accel] : nullptr, *copy));
+  // (completed_at, request_id) is unique per record, so the order does
+  // not depend on how the records were split across lanes.
+  const auto canonical = [](const FlightRecord& a, const FlightRecord& b) {
+    return std::tie(a.completed_at, a.request_id) <
+           std::tie(b.completed_at, b.request_id);
+  };
+  if (!std::is_sorted(out.records.begin(), out.records.end(), canonical)) {
+    std::sort(out.records.begin(), out.records.end(), canonical);
   }
-  snap.pending_at_end = flights.size() - consumed;
-  return snap;
+  return out;
 }
 
 void AttributionSummary::merge(const FlightSnapshot& snap) {

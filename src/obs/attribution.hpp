@@ -1,21 +1,23 @@
 // Per-request latency attribution ("flight recorder").
 //
-// The FlightRecorder rides the existing Observer null-guard hooks and logs
-// every accelerator, server and completion observation verbatim; at
-// harvest, join_flights() merges the logs of every shard and decomposes
-// each completed request's end-to-end latency into named additive
-// components along the path of the copy that won (duplicate and cancelled
-// copies are attributed to the winner): duplicate wait, client->RSNode
-// wire, accelerator queue, accelerator service (the selection itself),
-// RSNode->server wire, server queue, server service, and the return path.
+// Each completed request's end-to-end latency is decomposed into named
+// additive components along the path of the copy that won (duplicate and
+// cancelled copies are attributed to the winner): duplicate wait,
+// client->RSNode wire, accelerator queue, accelerator service (the
+// selection itself), RSNode->server wire, server queue, server service,
+// and the return path. The accelerator and the server stamp their timing
+// into the request's simulation-only net::PacketMeta, the server's
+// response carries it back, and the client's FlightRecorder builds the
+// record on completion — no per-hop log and no join at harvest.
 // Every component is a difference of observed event timestamps, so the
 // eight components telescope to exactly the measured end-to-end latency —
 // the invariant attribution_test asserts per record.
 //
 // Determinism contract (DESIGN.md §8.4, §8.6): recording is
 // observation-only (no RNG draws, no wall clock, no feedback into
-// simulated behavior), the join processes the merged logs in a canonical
-// order keyed on simulated time, and repeats merge in repeat order — so
+// simulated behavior; no device reads the stamps), the lane merge restores
+// a canonical order keyed on simulated time, and repeats merge in repeat
+// order — so
 // the CSV and summaries are bit-identical for a given seed at any harness
 // --jobs value, and golden digests are unchanged with the recorder on or
 // off.
@@ -28,6 +30,7 @@
 #include <vector>
 
 #include "net/address.hpp"
+#include "net/packet.hpp"
 #include "sim/affinity.hpp"
 #include "sim/stats.hpp"
 #include "sim/time.hpp"
@@ -72,77 +75,25 @@ struct NETRS_SHARED_IMMUTABLE FlightRecord {
   std::array<sim::Duration, kFlightComponents> components{};
 };
 
-/// Raw observation log of one recorder (DESIGN.md §8.6): shard-local
-/// recorders append every hook verbatim (one request's accelerator,
-/// server, and completion hooks fire on different shards), and
-/// join_flights() builds the decomposition over the union of all logs in
-/// a canonical order — the same bytes at any shard count.
-struct NETRS_SHARED_IMMUTABLE FlightLog {
-  /// One on_accel() observation, verbatim.
-  struct Accel {
-    /// End-to-end correlation id.
-    std::uint64_t request_id = 0;
-    /// Accelerator arrival (enqueue) time, ns.
-    sim::Time arrival = 0;
-    /// Accelerator service start, ns.
-    sim::Time start = 0;
-    /// Accelerator service duration, ns.
-    sim::Duration service = 0;
-  };
-  /// One on_server() observation, verbatim.
-  struct Server {
-    /// End-to-end correlation id.
-    std::uint64_t request_id = 0;
-    /// Serving host.
-    net::HostId server = net::kInvalidHost;
-    /// Server arrival time, ns.
-    sim::Time arrival = 0;
-    /// Server service start, ns.
-    sim::Time start = 0;
-    /// Sampled service duration, ns.
-    sim::Duration service = 0;
-  };
-  /// One on_complete() observation, verbatim.
-  struct Complete {
-    /// End-to-end correlation id.
-    std::uint64_t request_id = 0;
-    /// The primary copy's send time, ns.
-    sim::Time first_send = 0;
-    /// The winning copy's send time, ns.
-    sim::Time winner_send = 0;
-    /// Server whose response completed the request.
-    net::HostId winner = net::kInvalidHost;
-    /// Completion time at the client, ns.
-    sim::Time at = 0;
-  };
-  /// Accelerator observations in this recorder's record order.
-  std::vector<Accel> accels;
-  /// Server observations in this recorder's record order.
-  std::vector<Server> servers;
-  /// Completion observations in this recorder's record order.
-  std::vector<Complete> completes;
-};
-
 /// One repeat's worth of completed-flight records plus bookkeeping counts.
 struct NETRS_SHARED_IMMUTABLE FlightSnapshot {
   /// True when the repeat recorded attribution at all.
   bool enabled = false;
-  /// Completed records in completion order.
+  /// Completed records in (completed_at, request_id) order.
   std::vector<FlightRecord> records;
   /// Completions skipped because the request was issued during warmup.
   std::uint64_t warmup_skipped = 0;
-  /// Completions whose winning copy had no matching server observation
+  /// Completions whose winning response carried no server stamps
   /// (defensive; 0 in practice).
   std::uint64_t unmatched = 0;
-  /// Requests still pending (never completed) when the repeat ended.
-  std::uint64_t pending_at_end = 0;
 };
 
 /// Per-request flight recorder; one per shard per repeat, owned by that
-/// shard's Observer. Components call the on_*() hooks under the existing
-/// observer null guard; every hook is a cheap early-out when the recorder
-/// is disabled, and otherwise appends to the recorder's FlightLog.
-/// join_flights() builds the records at harvest time.
+/// shard's Observer. The client calls on_complete() under the existing
+/// observer null guard when a request's first response arrives; the
+/// response carries the winning copy's accelerator and server stamps
+/// (net::PacketMeta), so the record is built there and appended to this
+/// recorder's lane. merge_flights() concatenates the lanes at harvest.
 class NETRS_SHARD_LOCAL FlightRecorder {
  public:
   /// A disabled recorder ignores every hook.
@@ -151,49 +102,36 @@ class NETRS_SHARD_LOCAL FlightRecorder {
   /// True when hooks record (construction-time switch).
   [[nodiscard]] bool enabled() const { return enabled_; }
 
-  /// Accelerator observation for a request: arrival (enqueue) time,
-  /// service start, and service duration. Response clones must not be
-  /// reported. The join keeps one accelerator contact per request.
-  void on_accel(std::uint64_t request_id, sim::Time arrival, sim::Time start,
-                sim::Duration service);
-
-  /// Server observation for one copy of a request: the serving host, its
-  /// arrival time, service start, and sampled service duration.
-  void on_server(std::uint64_t request_id, net::HostId server,
-                 sim::Time arrival, sim::Time start, sim::Duration service);
+  /// Completions of requests first sent before `t` count as
+  /// `warmup_skipped` instead of producing a record (the harness's warmup
+  /// filter). Set before the run.
+  void set_measure_from(sim::Time t) { measure_from_ = t; }
 
   /// Completion at the client (first response): the primary copy's send
-  /// time, the winning copy's send time and server, and the completion
-  /// time.
+  /// time, the winning copy's send time and server, the completion time,
+  /// and the winning response's `meta` with its flight stamps.
   void on_complete(std::uint64_t request_id, sim::Time first_send,
-                   sim::Time winner_send, net::HostId winner, sim::Time now);
+                   sim::Time winner_send, net::HostId winner, sim::Time now,
+                   const net::PacketMeta& stamps);
 
-  /// Moves the raw observation log (record order) out; the recorder is
-  /// left with an empty log.
-  [[nodiscard]] FlightLog take_log() { return std::exchange(log_, {}); }
+  /// Moves this lane's records (completion order) and counts out; the
+  /// recorder is left empty.
+  [[nodiscard]] FlightSnapshot take() { return std::exchange(lane_, {}); }
 
  private:
   bool enabled_;
-  FlightLog log_;
+  sim::Time measure_from_ = 0;
+  FlightSnapshot lane_;
 };
 
-/// Joins the logs of every shard's recorder (plus the coordinator's) into
-/// one repeat snapshot, in a canonical order that does not depend on which
-/// shard observed what. The logs are moved in and concatenated into three
-/// flat arrays; accelerator and server observations are grouped by
-/// request id (stable radix sorts), completions are processed by
-/// (completion time, request id), and each completion finds its request by
-/// binary search. The kept accelerator contact is the minimum by (start,
-/// arrival, service); the winning copy is the first by (start, arrival,
-/// server, service) among the winner's copies. Completions of requests
-/// first
-/// sent before `measure_from` are skipped (the harness's warmup filter);
-/// requests observed but never completed count in `pending_at_end`. Event
-/// timestamps are shard-count-invariant (DESIGN.md §4.10), so the result
-/// is byte-identical at any --shards value — including 1, which the
-/// harness routes through this same join.
-[[nodiscard]] FlightSnapshot join_flights(std::vector<FlightLog> logs,
-                                          sim::Time measure_from);
+/// Merges the lanes of every shard's recorder (plus the coordinator's)
+/// into one repeat snapshot. The lanes are moved in and concatenated, and
+/// the counts summed; records are then put in canonical (completion
+/// time, request id) order, which each lane already holds except for
+/// same-instant completions, so the sort runs only when an is_sorted
+/// pass fails. Stamps are shard-count-invariant (DESIGN.md §4.10), so
+/// the result is byte-identical at any --shards value.
+[[nodiscard]] FlightSnapshot merge_flights(std::vector<FlightSnapshot> lanes);
 
 /// Per-component latency aggregates over every record of every repeat,
 /// shown as the "Latency attribution" report table.

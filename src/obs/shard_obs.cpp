@@ -33,14 +33,22 @@ TraceSnapshot ShardObserverSet::take_trace() const {
                       cfg_.want_trace() ? cfg_.trace_capacity : 0);
 }
 
-FlightSnapshot ShardObserverSet::take_flight() {
-  std::vector<FlightLog> logs;
-  logs.reserve(lanes_.size() + 1);
+void ShardObserverSet::set_measure_from(sim::Time t) {
+  measure_from_ = t;
   for (const std::unique_ptr<Observer>& o : lanes_) {
-    logs.push_back(o->flight().take_log());
+    o->flight().set_measure_from(t);
   }
-  if (coord_ != nullptr) logs.push_back(coord_->flight().take_log());
-  FlightSnapshot snap = join_flights(std::move(logs), measure_from_);
+  if (coord_ != nullptr) coord_->flight().set_measure_from(t);
+}
+
+FlightSnapshot ShardObserverSet::take_flight() {
+  std::vector<FlightSnapshot> parts;
+  parts.reserve(lanes_.size() + 1);
+  for (const std::unique_ptr<Observer>& o : lanes_) {
+    parts.push_back(o->flight().take());
+  }
+  if (coord_ != nullptr) parts.push_back(coord_->flight().take());
+  FlightSnapshot snap = merge_flights(std::move(parts));
   snap.enabled = attributing();
   return snap;
 }

@@ -7,14 +7,15 @@
 // instead owns one shard-local Observer per shard — attached by the
 // harness to that shard's simulator, so every component hook lands on its
 // own shard's recorders with no synchronization — plus one coordinator
-// observer for the global simulator (controller, fault injector). The
-// flight/decision recorders log raw observations, and the take_*()
-// harvests merge the per-shard contributions in canonical orders keyed on
-// simulated time: event times are shard-count-invariant (DESIGN.md §4.10),
-// so the merged trace JSON, attribution CSV, and decision CSV are
-// byte-identical at any --shards value. The single-shard harness routes
-// through the very same merges, which is what makes the identity hold by
-// construction rather than by coincidence.
+// observer for the global simulator (controller, fault injector). Flight
+// records are built in-band at the client, the decision recorders log raw
+// observations, and the take_*() harvests merge the per-shard
+// contributions in canonical orders keyed on simulated time: event times
+// are shard-count-invariant (DESIGN.md §4.10), so the merged attribution
+// and decision CSVs are byte-identical at any --shards value, and so is
+// the trace JSON as long as no trace ring wraps (DESIGN.md §8.6). The
+// single-shard harness routes through the very same merges, which is what
+// makes the identity hold by construction rather than by coincidence.
 //
 // Observation only, unchanged: nothing here mutates simulation state,
 // consumes RNG draws, or reads the wall clock — golden digests are
@@ -84,8 +85,9 @@ class NETRS_COORD_GLOBAL ShardObserverSet {
   [[nodiscard]] bool deciding() const { return lanes_.front()->deciding(); }
 
   /// Completions/decisions of requests issued before `t` are excluded
-  /// from records — applied by the merges at harvest.
-  void set_measure_from(sim::Time t) { measure_from_ = t; }
+  /// from records: every lane's flight recorder applies it on completion,
+  /// the decision replay at harvest.
+  void set_measure_from(sim::Time t);
 
   /// Names a trace thread on every lane (merge takes the union).
   void set_tid_name(std::int32_t tid, const std::string& name);
@@ -99,8 +101,9 @@ class NETRS_COORD_GLOBAL ShardObserverSet {
     return metrics_.snapshot();
   }
 
-  /// Canonical join of every lane's flight log (join_flights()). The
-  /// logs are moved out of the lanes, so this harvests once per repeat.
+  /// Every lane's flight records in canonical order (merge_flights()).
+  /// The records are moved out of the lanes, so this harvests once per
+  /// repeat.
   [[nodiscard]] FlightSnapshot take_flight();
 
   /// Canonical replay of every lane's decision log (replay_decisions()

@@ -1,7 +1,7 @@
 // Flight-recorder and decision-auditor tests (DESIGN.md §8.4-§8.6):
 // hand-built oracle-regret scenarios with exact expected values, the
-// canonical merge rules of join_flights()/replay_decisions() across
-// per-shard logs, the telescoping invariant (components sum to the
+// canonical merge rules of merge_flights()/replay_decisions() across
+// per-shard lanes, the telescoping invariant (components sum to the
 // measured end-to-end latency for every record), determinism with
 // recording on at any --jobs value, and the paper's causal claim —
 // in-network selection (NetRS-ILP) decides on fresher information and
@@ -14,6 +14,7 @@
 #include <map>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "harness/experiment.hpp"
@@ -24,18 +25,51 @@ namespace netrs {
 namespace {
 
 // ---------------------------------------------------------------------------
-// FlightRecorder unit tests: hand-built event sequences with exact sums,
-// harvested through join_flights() as the harness does.
+// FlightRecorder unit tests: hand-stamped winning responses with exact
+// sums, harvested through merge_flights() as the harness does.
+
+// The flight stamps of a copy that crossed no accelerator.
+net::PacketMeta server_stamps(sim::Time arrival, sim::Time start,
+                              sim::Duration service) {
+  net::PacketMeta m;
+  m.server_stamped = true;
+  m.server_arrival = arrival;
+  m.server_start = start;
+  m.server_service = service;
+  return m;
+}
+
+// ...and of one that an accelerator served on the way.
+net::PacketMeta accel_and_server_stamps(sim::Time accel_arrival,
+                                        sim::Time accel_start,
+                                        sim::Duration accel_service,
+                                        sim::Time arrival, sim::Time start,
+                                        sim::Duration service) {
+  net::PacketMeta m = server_stamps(arrival, start, service);
+  m.accel_stamped = true;
+  m.accel_arrival = accel_arrival;
+  m.accel_start = accel_start;
+  m.accel_service = accel_service;
+  return m;
+}
+
+obs::FlightSnapshot harvest(obs::FlightRecorder& rec) {
+  std::vector<obs::FlightSnapshot> lanes;
+  lanes.push_back(rec.take());
+  return obs::merge_flights(std::move(lanes));
+}
 
 TEST(FlightRecorderTest, AccelPathTelescopesExactly) {
   obs::FlightRecorder rec(true);
-  rec.on_accel(7, /*arrival=*/1500, /*start=*/1600, /*service=*/200);
-  rec.on_server(7, /*server=*/3, /*arrival=*/2400, /*start=*/2500,
-                /*service=*/4000);
   rec.on_complete(7, /*first_send=*/1000, /*winner_send=*/1000, /*winner=*/3,
-                  /*now=*/7000);
+                  /*now=*/7000,
+                  accel_and_server_stamps(/*accel_arrival=*/1500,
+                                          /*accel_start=*/1600,
+                                          /*accel_service=*/200,
+                                          /*arrival=*/2400, /*start=*/2500,
+                                          /*service=*/4000));
 
-  const obs::FlightSnapshot snap = obs::join_flights({rec.take_log()}, 0);
+  const obs::FlightSnapshot snap = harvest(rec);
   ASSERT_EQ(snap.records.size(), 1u);
   const obs::FlightRecord& r = snap.records[0];
   EXPECT_EQ(r.request_id, 7u);
@@ -58,15 +92,14 @@ TEST(FlightRecorderTest, AccelPathTelescopesExactly) {
 
 TEST(FlightRecorderTest, DuplicateWinAttributesToWinner) {
   obs::FlightRecorder rec(true);
-  // Primary copy to server 1 (slow), duplicate sent at t=500 to server 2.
-  rec.on_server(9, /*server=*/1, /*arrival=*/300, /*start=*/900,
-                /*service=*/5000);
-  rec.on_server(9, /*server=*/2, /*arrival=*/800, /*start=*/850,
-                /*service=*/1000);
+  // Primary copy to server 1 (slow), duplicate sent at t=500 to server 2,
+  // whose response wins and carries server 2's stamps.
   rec.on_complete(9, /*first_send=*/0, /*winner_send=*/500, /*winner=*/2,
-                  /*now=*/2000);
+                  /*now=*/2000,
+                  server_stamps(/*arrival=*/800, /*start=*/850,
+                                /*service=*/1000));
 
-  const obs::FlightSnapshot snap = obs::join_flights({rec.take_log()}, 0);
+  const obs::FlightSnapshot snap = harvest(rec);
   ASSERT_EQ(snap.records.size(), 1u);
   const obs::FlightRecord& r = snap.records[0];
   EXPECT_TRUE(r.dup_won);
@@ -87,92 +120,75 @@ TEST(FlightRecorderTest, DuplicateWinAttributesToWinner) {
 
 TEST(FlightRecorderTest, WarmupCompletionsAreSkipped) {
   obs::FlightRecorder rec(true);
-  rec.on_server(1, 0, 600, 600, 100);
-  rec.on_complete(1, /*first_send=*/500, 500, 0, 900);
-  const obs::FlightSnapshot snap =
-      obs::join_flights({rec.take_log()}, /*measure_from=*/10'000);
+  rec.set_measure_from(10'000);
+  rec.on_complete(1, /*first_send=*/500, 500, 0, 900,
+                  server_stamps(600, 600, 100));
+  const obs::FlightSnapshot snap = harvest(rec);
   EXPECT_TRUE(snap.records.empty());
   EXPECT_EQ(snap.warmup_skipped, 1u);
-  EXPECT_EQ(snap.pending_at_end, 0u);
+  EXPECT_EQ(snap.unmatched, 0u);
 }
 
 TEST(FlightRecorderTest, CompletionWithoutServerObservationCountsUnmatched) {
   obs::FlightRecorder rec(true);
-  rec.on_complete(5, 0, 0, 4, 1000);
-  const obs::FlightSnapshot snap = obs::join_flights({rec.take_log()}, 0);
+  // A response whose copy no server served (e.g. a cancel's reply) has no
+  // server stamps; it counts as unmatched before the warmup filter.
+  rec.set_measure_from(10'000);
+  rec.on_complete(5, 0, 0, 4, 1000, net::PacketMeta{});
+  const obs::FlightSnapshot snap = harvest(rec);
   EXPECT_TRUE(snap.records.empty());
   EXPECT_EQ(snap.unmatched, 1u);
+  EXPECT_EQ(snap.warmup_skipped, 0u);
 }
 
 TEST(FlightRecorderTest, DisabledRecorderIgnoresHooks) {
   obs::FlightRecorder rec(false);
-  rec.on_accel(1, 0, 0, 50);
-  rec.on_server(1, 0, 0, 0, 100);
-  rec.on_complete(1, 0, 0, 0, 500);
-  const obs::FlightLog log = rec.take_log();
-  EXPECT_TRUE(log.accels.empty());
-  EXPECT_TRUE(log.servers.empty());
-  EXPECT_TRUE(log.completes.empty());
+  rec.on_complete(1, 0, 0, 0, 500, server_stamps(0, 0, 100));
+  rec.on_complete(2, 0, 0, 0, 500, net::PacketMeta{});
+  const obs::FlightSnapshot snap = rec.take();
+  EXPECT_TRUE(snap.records.empty());
+  EXPECT_EQ(snap.unmatched, 0u);
+  EXPECT_EQ(snap.warmup_skipped, 0u);
 }
 
-TEST(FlightRecorderTest, JoinMergesOneRequestObservedAcrossThreeLogs) {
-  // As in a sharded run: the accelerator, the server and the client of one
-  // request sit on different shards, so each hook lands in its own log.
-  obs::FlightRecorder accel_lane(true);
-  obs::FlightRecorder server_lane(true);
-  obs::FlightRecorder client_lane(true);
-  // Request 7 contacts two accelerators. The later contact is logged first
-  // and in another log; the join keeps the minimum by (start, arrival,
-  // service) wherever it was logged.
-  accel_lane.on_accel(7, /*arrival=*/1700, /*start=*/1800, /*service=*/100);
-  server_lane.on_server(7, /*server=*/3, /*arrival=*/2400, /*start=*/2500,
-                        /*service=*/4000);
-  client_lane.on_accel(7, /*arrival=*/1500, /*start=*/1600, /*service=*/200);
-  client_lane.on_complete(7, /*first_send=*/1000, /*winner_send=*/1000,
-                          /*winner=*/3, /*now=*/7000);
-  // Request 8: two contacts that tie on start; the earlier arrival wins.
-  accel_lane.on_accel(8, /*arrival=*/1300, /*start=*/1600, /*service=*/200);
-  server_lane.on_accel(8, /*arrival=*/1200, /*start=*/1600, /*service=*/200);
-  server_lane.on_server(8, 4, 2400, 2500, 4000);
-  client_lane.on_complete(8, 1000, 1000, 4, 7000);
-  // Request 9 is served but never completes.
-  accel_lane.on_accel(9, 2000, 2100, 200);
-  server_lane.on_server(9, 5, 3000, 3100, 4000);
+TEST(FlightRecorderTest, LaneMergeRestoresCompletionOrder) {
+  // As in a sharded run: clients on different shards complete requests
+  // into their own lanes; the merge yields one (completion time, request
+  // id) order whichever lane holds what.
+  obs::FlightRecorder lane_a(true);
+  obs::FlightRecorder lane_b(true);
+  const net::PacketMeta stamps = server_stamps(2400, 2500, 4000);
+  // Lane a: request 9 then request 7, both completing at 7000 ns (the
+  // order the shard's events ran in, not id order).
+  lane_a.on_complete(9, 1000, 1000, 3, 7000, stamps);
+  lane_a.on_complete(7, 1000, 1000, 3, 7000, stamps);
+  lane_a.on_complete(4, 1000, 1000, 3, 9000, stamps);
+  // Lane b: request 8 completes between them; one warmup completion and
+  // one unmatched completion add to the counts.
+  lane_b.set_measure_from(500);
+  lane_b.on_complete(8, 1000, 1000, 3, 8000, stamps);
+  lane_b.on_complete(6, /*first_send=*/100, 100, 3, 8500, stamps);
+  lane_b.on_complete(5, 1000, 1000, 3, 8600, net::PacketMeta{});
+  const obs::FlightSnapshot a = lane_a.take();
+  const obs::FlightSnapshot b = lane_b.take();
 
-  const std::vector<obs::FlightLog> logs = {
-      accel_lane.take_log(), server_lane.take_log(), client_lane.take_log()};
-  const obs::FlightSnapshot snap = obs::join_flights(logs, 0);
-  ASSERT_EQ(snap.records.size(), 2u);
-  EXPECT_EQ(snap.unmatched, 0u);
-  EXPECT_EQ(snap.pending_at_end, 1u);
-
-  // Same completion time: request id orders the records.
-  const obs::FlightRecord& r7 = snap.records[0];
-  EXPECT_EQ(r7.request_id, 7u);
-  EXPECT_TRUE(r7.via_rs);
-  EXPECT_EQ(r7.components[1], 500);  // wire_cli_rs from the 1500 ns arrival
-  EXPECT_EQ(r7.components[2], 100);  // accel_queue
-  EXPECT_EQ(r7.components[3], 200);  // accel_serv
-  EXPECT_EQ(r7.components[4], 600);  // wire_rs_srv from the 1800 ns finish
-  const obs::FlightRecord& r8 = snap.records[1];
-  EXPECT_EQ(r8.request_id, 8u);
-  EXPECT_EQ(r8.components[1], 200);  // the 1200 ns arrival won the tie
-  EXPECT_EQ(r8.components[2], 400);
-  for (const obs::FlightRecord& r : snap.records) {
-    sim::Duration sum = 0;
-    for (const sim::Duration c : r.components) sum += c;
-    EXPECT_EQ(sum, r.total) << "request " << r.request_id;
+  for (const std::vector<obs::FlightSnapshot>& lanes :
+       {std::vector<obs::FlightSnapshot>{a, b},
+        std::vector<obs::FlightSnapshot>{b, a}}) {
+    const obs::FlightSnapshot snap = obs::merge_flights(lanes);
+    ASSERT_EQ(snap.records.size(), 4u);
+    EXPECT_EQ(snap.records[0].request_id, 7u);  // same instant: id order
+    EXPECT_EQ(snap.records[1].request_id, 9u);
+    EXPECT_EQ(snap.records[2].request_id, 8u);
+    EXPECT_EQ(snap.records[3].request_id, 4u);
+    EXPECT_EQ(snap.warmup_skipped, 1u);
+    EXPECT_EQ(snap.unmatched, 1u);
+    for (const obs::FlightRecord& r : snap.records) {
+      sim::Duration sum = 0;
+      for (const sim::Duration c : r.components) sum += c;
+      EXPECT_EQ(sum, r.total) << "request " << r.request_id;
+    }
   }
-
-  // The join does not depend on which log holds what.
-  const obs::FlightSnapshot reversed =
-      obs::join_flights({logs[2], logs[1], logs[0]}, 0);
-  ASSERT_EQ(reversed.records.size(), snap.records.size());
-  for (std::size_t i = 0; i < snap.records.size(); ++i) {
-    EXPECT_EQ(reversed.records[i].request_id, snap.records[i].request_id);
-    EXPECT_EQ(reversed.records[i].components, snap.records[i].components);
-  }
-  EXPECT_EQ(reversed.pending_at_end, 1u);
 }
 
 // ---------------------------------------------------------------------------
