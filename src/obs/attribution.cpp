@@ -1,7 +1,6 @@
 #include "obs/attribution.hpp"
 
 #include <algorithm>
-#include <string_view>
 #include <tuple>
 #include <utility>
 
@@ -98,31 +97,16 @@ void AttributionSummary::finalize() {
 void write_attribution_csv(std::ostream& os,
                            const std::vector<FlightSnapshot>& repeats) {
   TextSink out(os);
-  out.put("repeat,req,complete_us,server,dup,via_rs,component,ns\n");
+  out.put("repeat,req,complete_us,server,dup,via_rs");
+  for (const char* name : kFlightComponentNames) out.put(',').put(name);
+  out.put(",total\n");
   for (std::size_t rep = 0; rep < repeats.size(); ++rep) {
     for (const FlightRecord& r : repeats[rep].records) {
-      // "repeat,req,complete_us,server,dup,via_rs," is shared by the
-      // record's nine rows; format it once.
-      char prefix[5 * kMaxNumberChars];
-      char* p = write_int(prefix, rep);
-      *p++ = ',';
-      p = write_int(p, r.request_id);
-      *p++ = ',';
-      p = write_time_us(p, r.completed_at);
-      *p++ = ',';
-      p = write_int(p, r.server);
-      *p++ = ',';
-      *p++ = r.dup_won ? '1' : '0';
-      *p++ = ',';
-      *p++ = r.via_rs ? '1' : '0';
-      *p++ = ',';
-      const std::string_view row(prefix,
-                                 static_cast<std::size_t>(p - prefix));
-      for (std::size_t c = 0; c < kFlightComponents; ++c) {
-        out.put(row).put(kFlightComponentNames[c]).put(',')
-            .put_int(r.components[c]).put('\n');
-      }
-      out.put(row).put("total,").put_int(r.total).put('\n');
+      out.put_int(rep).put(',').put_int(r.request_id).put(',')
+          .put_time_us(r.completed_at).put(',').put_int(r.server).put(',')
+          .put(r.dup_won ? '1' : '0').put(',').put(r.via_rs ? '1' : '0');
+      for (const sim::Duration c : r.components) out.put(',').put_int(c);
+      out.put(',').put_int(r.total).put('\n');
     }
   }
 }

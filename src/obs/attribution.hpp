@@ -157,9 +157,9 @@ struct NETRS_SHARED_IMMUTABLE AttributionSummary {
   void finalize();
 };
 
-/// Writes the merged long-format attribution CSV: header
-/// `repeat,req,complete_us,server,dup,via_rs,component,ns`, then one row
-/// per (record, component) plus a `total` row per record, repeats in
+/// Writes the merged attribution CSV, one row per record: header
+/// `repeat,req,complete_us,server,dup,via_rs,` then the eight
+/// kFlightComponentNames and `total` as columns (integer ns), repeats in
 /// order, through one buffered TextSink. Bit-identical at any --jobs
 /// value.
 void write_attribution_csv(std::ostream& os,

@@ -11,7 +11,6 @@
 #include <cstdint>
 #include <cstring>
 #include <fstream>
-#include <map>
 #include <sstream>
 #include <string>
 #include <utility>
@@ -439,43 +438,30 @@ TEST(AttributionExperimentTest, ComponentsSumToTotalForEveryRequest) {
     EXPECT_EQ(res.attribution.requests, res.latencies_ms.count());
     EXPECT_EQ(res.attribution.unmatched, 0u);
 
-    // Long-format CSV: per (repeat, req), the eight component rows must
-    // sum to the total row exactly (integer ns, no tolerance).
+    // One row per record: the eight component columns must sum to the
+    // total column exactly (integer ns, no tolerance).
     std::ifstream in(path);
     ASSERT_TRUE(in.is_open()) << path;
     std::string line;
     ASSERT_TRUE(std::getline(in, line));
-    EXPECT_EQ(line, "repeat,req,complete_us,server,dup,via_rs,component,ns");
-    std::map<std::string, long long> component_sum;
-    std::map<std::string, long long> totals;
-    std::uint64_t total_rows = 0;
+    EXPECT_EQ(line,
+              "repeat,req,complete_us,server,dup,via_rs,dup_wait,"
+              "wire_cli_rs,accel_queue,accel_serv,wire_rs_srv,srv_queue,"
+              "srv_serv,wire_return,total");
+    std::uint64_t rows = 0;
     while (std::getline(in, line)) {
       std::stringstream ss(line);
-      std::string repeat, req, rest, component, ns;
-      ASSERT_TRUE(std::getline(ss, repeat, ','));
-      ASSERT_TRUE(std::getline(ss, req, ','));
-      for (int skip = 0; skip < 4; ++skip) {
-        ASSERT_TRUE(std::getline(ss, rest, ','));
-      }
-      ASSERT_TRUE(std::getline(ss, component, ','));
-      ASSERT_TRUE(std::getline(ss, ns, ','));
-      const std::string key = repeat + ":" + req;
-      if (component == "total") {
-        totals[key] = std::stoll(ns);
-        ++total_rows;
-      } else {
-        component_sum[key] += std::stoll(ns);
-      }
+      std::vector<std::string> fields;
+      for (std::string f; std::getline(ss, f, ',');) fields.push_back(f);
+      ASSERT_EQ(fields.size(), 15u) << line;
+      long long sum = 0;
+      for (std::size_t c = 6; c < 14; ++c) sum += std::stoll(fields[c]);
+      EXPECT_EQ(sum, std::stoll(fields[14]))
+          << "components do not telescope for " << fields[0] << ":"
+          << fields[1] << " (" << harness::scheme_name(scheme) << ")";
+      ++rows;
     }
-    EXPECT_EQ(total_rows, res.attribution.requests);
-    ASSERT_EQ(component_sum.size(), totals.size());
-    for (const auto& [key, total] : totals) {
-      const auto it = component_sum.find(key);
-      ASSERT_NE(it, component_sum.end()) << key;
-      EXPECT_EQ(it->second, total)
-          << "components do not telescope for " << key << " ("
-          << harness::scheme_name(scheme) << ")";
-    }
+    EXPECT_EQ(rows, res.attribution.requests);
   }
 }
 

@@ -9,8 +9,9 @@ Each input CSV is classified by its header:
     PNG per (figure, metric panel): sweep on the x-axis, one line per
     scheme, mirroring the bar groups of the paper's Figs. 4-7;
   - attribution CSVs (`--attribution` / NETRS_ATTRIBUTION, DESIGN.md
-    §8.4) become one stacked-component bar per file: mean ms per latency
-    component, so "where did the latency go" is one glance;
+    §8.4, one row per request) become one stacked-component bar per file:
+    mean ms per latency component, so "where did the latency go" is one
+    glance (attribution_means() computes the bars without matplotlib);
   - decision CSVs (`--decisions` / NETRS_DECISIONS, DESIGN.md §8.5)
     become one oracle-regret CDF curve per file;
   - failover timeline CSVs (written by bench/fig_failover, one row per
@@ -33,7 +34,15 @@ import csv
 import os
 import sys
 
-ATTRIBUTION_HEADER = "repeat,req,complete_us,server,dup,via_rs,component,ns"
+ATTRIBUTION_HEADER = (
+    "repeat,req,complete_us,server,dup,via_rs,dup_wait,wire_cli_rs,"
+    "accel_queue,accel_serv,wire_rs_srv,srv_queue,srv_serv,wire_return,total"
+)
+# The eight latency components, in the CSV's (chronological) column order.
+ATTRIBUTION_COMPONENTS = ATTRIBUTION_HEADER.split(",")[6:-1]
+# The earlier long format: nine rows per request, one per component plus
+# the total. Rejected with a message rather than misread.
+LONG_ATTRIBUTION_HEADER = "repeat,req,complete_us,server,dup,via_rs,component,ns"
 DECISION_HEADER = (
     "repeat,time_us,node,chosen,candidates,score,regret_ns,staleness_ns,herd"
 )
@@ -87,34 +96,44 @@ def plot_bench(path, outdir, plt):
             print("wrote", out)
 
 
-def plot_attribution(paths, outdir, plt):
-    """One stacked bar per attribution CSV: mean ms per component."""
-    # Component order as first encountered (the CSV emits them in
-    # chronological path order).
-    order = []
-    means = {}  # path -> {component: mean_ms}
-    for path in paths:
-        sums = collections.defaultdict(float)
-        counts = collections.defaultdict(int)
-        with open(path, newline="") as f:
-            reader = csv.DictReader(f)
-            for row in reader:
-                comp = row["component"]
-                if comp == "total":
-                    continue
-                if comp not in order:
-                    order.append(comp)
-                sums[comp] += float(row["ns"])
-                counts[comp] += 1
-        means[path] = {
-            c: sums[c] / counts[c] / 1e6 for c in sums if counts[c] > 0
-        }
+def attribution_means(path):
+    """Mean ms per latency component over every request row of an
+    attribution CSV, as {component: mean_ms} in column order (all 0.0 for a
+    file with no rows). Raises ValueError for any other header, naming the
+    long format (one row per component) that earlier versions wrote."""
+    with open(path, newline="") as f:
+        reader = csv.reader(f)
+        header = ",".join(next(reader, []))
+        if header == LONG_ATTRIBUTION_HEADER:
+            raise ValueError(
+                f"{path}: long-format attribution CSV (one row per "
+                "component); re-run the simulator to get the one-row-per-"
+                "request schema"
+            )
+        if header != ATTRIBUTION_HEADER:
+            raise ValueError(f"{path}: not an attribution CSV: {header!r}")
+        first = 6  # repeat,req,complete_us,server,dup,via_rs
+        sums = [0] * len(ATTRIBUTION_COMPONENTS)
+        rows = 0
+        for row in reader:
+            for i in range(len(sums)):
+                sums[i] += int(row[first + i])
+            rows += 1
+    return {
+        c: (s / rows / 1e6 if rows else 0.0)
+        for c, s in zip(ATTRIBUTION_COMPONENTS, sums)
+    }
 
+
+def plot_attribution(means, outdir, plt):
+    """One stacked bar per attribution CSV: mean ms per component.
+    `means` maps each path to its attribution_means()."""
+    paths = list(means)
     plt.figure(figsize=(max(4.0, 1.2 * len(paths) + 2.0), 3.6))
     xs = range(len(paths))
     bottoms = [0.0] * len(paths)
-    for comp in order:
-        heights = [means[p].get(comp, 0.0) for p in paths]
+    for comp in ATTRIBUTION_COMPONENTS:
+        heights = [means[p][comp] for p in paths]
         plt.bar(xs, heights, bottom=bottoms, width=0.6, label=comp)
         bottoms = [b + h for b, h in zip(bottoms, heights)]
     plt.xticks(list(xs), [file_label(p) for p in paths], rotation=20,
@@ -283,7 +302,7 @@ def main() -> int:
     for path in args:
         with open(path, newline="") as f:
             header = f.readline().strip()
-        if header == ATTRIBUTION_HEADER:
+        if header in (ATTRIBUTION_HEADER, LONG_ATTRIBUTION_HEADER):
             attribution.append(path)
         elif header == DECISION_HEADER:
             decisions.append(path)
@@ -294,11 +313,17 @@ def main() -> int:
         else:
             bench.append(path)
 
+    try:
+        means = {path: attribution_means(path) for path in attribution}
+    except ValueError as e:
+        print(e, file=sys.stderr)
+        return 1
+
     os.makedirs(outdir, exist_ok=True)
     for path in bench:
         plot_bench(path, outdir, plt)
-    if attribution:
-        plot_attribution(attribution, outdir, plt)
+    if means:
+        plot_attribution(means, outdir, plt)
     if decisions:
         plot_decisions(decisions, outdir, plt)
     for path in failover:
