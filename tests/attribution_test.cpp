@@ -19,6 +19,7 @@
 #include "harness/experiment.hpp"
 #include "obs/attribution.hpp"
 #include "obs/decision.hpp"
+#include "sim/audit.hpp"
 
 namespace netrs {
 namespace {
@@ -462,6 +463,31 @@ TEST(AttributionExperimentTest, ComponentsSumToTotalForEveryRequest) {
       ++rows;
     }
     EXPECT_EQ(rows, res.attribution.requests);
+  }
+}
+
+TEST(AttributionExperimentTest, StampsAreWrittenOncePerCopyInAuditBuilds) {
+  // In-band attribution rests on two facts the audit build checks
+  // ("flight-restamp"): a request is served as a request by at most one
+  // accelerator, and each copy by at most one server — so the winning
+  // response carries exactly the winner's stamps.
+  if constexpr (!sim::kAuditEnabled) {
+    GTEST_SKIP() << "stamp checks exist only under -DNETRS_AUDIT=ON";
+  }
+  for (const harness::Scheme scheme :
+       {harness::Scheme::kCliRSR95Cancel, harness::Scheme::kNetRSToR,
+        harness::Scheme::kNetRSIlp}) {
+    for (const bool shared : {false, true}) {
+      harness::ExperimentConfig cfg = small_config();
+      cfg.shards = 2;
+      cfg.share_core_accelerators = shared;
+      cfg.fault_plan = "at 0.15s crash server 3; at 0.3s recover server 3";
+      const harness::ExperimentResult res =
+          harness::run_experiment(scheme, cfg);
+      ASSERT_TRUE(res.audit.enabled);
+      EXPECT_EQ(res.audit.violations_total, 0u)
+          << harness::scheme_name(scheme) << " shared=" << shared;
+    }
   }
 }
 
