@@ -1,9 +1,11 @@
 #include "harness/experiment.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cassert>
 #include <chrono>
 #include <cmath>
+#include <exception>
 #include <fstream>
 #include <limits>
 #include <map>
@@ -11,6 +13,7 @@
 #include <numeric>
 #include <stdexcept>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "harness/parallel.hpp"
@@ -57,10 +60,6 @@ struct RunOutput {
   // replica while it was crash-dark (needs decisions + timeline + plan).
   std::vector<std::uint64_t> doomed_timeline;
   std::uint64_t doomed_picks = 0;
-  obs::TraceSnapshot trace;
-  obs::MetricsSnapshot metrics;
-  obs::FlightSnapshot flight;
-  obs::DecisionSnapshot decisions;
   // Per-ring trace accounting (shard lanes + coordinator; empty unless
   // tracing) and per-shard engine counters.
   std::vector<obs::TraceLaneCounts> trace_lanes;
@@ -68,6 +67,16 @@ struct RunOutput {
   sim::ShardTelemetry telemetry;
   // Wall-clock seconds spent in the obs take_*() harvest (0 without obs).
   double harvest_seconds = 0.0;
+};
+
+// The obs snapshots of every repeat, one vector per output file, sized to
+// the repeat count only when obs is on: repeat `rep` harvests into slot
+// `rep` of each, and each file's writer reads its vector in place.
+struct ObsSnapshots {
+  std::vector<obs::TraceSnapshot> trace;
+  std::vector<obs::MetricsSnapshot> metrics;
+  std::vector<obs::FlightSnapshot> flight;
+  std::vector<obs::DecisionSnapshot> decisions;
 };
 
 // Selections of a crash-dark replica ("doomed picks"): for each server
@@ -78,8 +87,10 @@ struct RunOutput {
 // a directly comparable number (fig_failover plots it per scheme).
 void tally_doomed_picks(const sim::FaultPlan& plan,
                         const std::vector<net::HostId>& server_hosts,
-                        sim::Duration bucket, RunOutput& out) {
-  if (plan.empty() || bucket <= 0 || out.decisions.records.empty()) return;
+                        sim::Duration bucket,
+                        const obs::DecisionSnapshot& decisions,
+                        RunOutput& out) {
+  if (plan.empty() || bucket <= 0 || decisions.records.empty()) return;
   // Dark intervals as (host, [crash, recover)); an unmatched crash stays
   // dark to the end of the run.
   std::vector<std::pair<net::HostId, std::pair<sim::Time, sim::Time>>> dark;
@@ -104,7 +115,7 @@ void tally_doomed_picks(const sim::FaultPlan& plan,
     }
   }
   if (dark.empty()) return;
-  for (const obs::DecisionRecord& r : out.decisions.records) {
+  for (const obs::DecisionRecord& r : decisions.records) {
     for (const auto& [host, window] : dark) {
       if (r.chosen == host && r.t >= window.first && r.t < window.second) {
         const auto b = static_cast<std::size_t>(r.t / bucket);
@@ -277,13 +288,17 @@ void register_run_metrics(obs::MetricsRegistry& reg, sim::Simulator& simulator,
   fabric.register_metrics(reg);
 }
 
+// Runs one repeat; with obs on, its snapshots land in slot `rep` of
+// `snaps`.
 RunOutput run_once(Scheme scheme, const ExperimentConfig& cfg,
-                   const sim::FaultPlan& fault_plan, std::uint64_t seed) {
+                   const sim::FaultPlan& fault_plan, std::uint64_t seed,
+                   ObsSnapshots& snaps, std::size_t rep) {
   // Shard-count resolution (DESIGN.md §4.10): clamp to [1, pods]. The obs
   // layer is shard-parallel (one Observer lane per shard, merged
   // deterministically at harvest — DESIGN.md §8.6), so every output —
-  // digests, trace JSON, metrics CSV, attribution CSV, decision CSV — is
-  // byte-identical at any --shards x --jobs combination.
+  // digests, metrics CSV, attribution CSV, decision CSV, and the trace
+  // JSON while no trace ring wraps — is byte-identical at any --shards x
+  // --jobs combination.
   const int shards = std::min(std::max(1, cfg.shards), cfg.fat_tree_k);
   const sim::Duration lookahead =
       std::min(cfg.switch_link_latency, cfg.host_link_latency);
@@ -864,10 +879,10 @@ RunOutput run_once(Scheme scheme, const ExperimentConfig& cfg,
     // netrs-lint: allow(wall-clock): harvest_seconds is a harness
     // diagnostic; it never feeds back into simulated behavior.
     const auto harvest_start = std::chrono::steady_clock::now();
-    out.trace = observer->take_trace();
-    out.metrics = observer->take_metrics();
-    out.flight = observer->take_flight();
-    out.decisions = observer->take_decisions();
+    snaps.trace[rep] = observer->take_trace();
+    snaps.metrics[rep] = observer->take_metrics();
+    snaps.flight[rep] = observer->take_flight();
+    snaps.decisions[rep] = observer->take_decisions();
     // netrs-lint: allow(wall-clock): see harvest_start above.
     const auto harvest_end = std::chrono::steady_clock::now();
     out.harvest_seconds =
@@ -879,9 +894,113 @@ RunOutput run_once(Scheme scheme, const ExperimentConfig& cfg,
       shard_group.shard_sim(s).set_observer(nullptr);
     }
     simulator.set_observer(nullptr);
-    tally_doomed_picks(fault_plan, server_hosts, cfg.timeline_bucket, out);
+    tally_doomed_picks(fault_plan, server_hosts, cfg.timeline_bucket,
+                       snaps.decisions[rep], out);
   }
   return out;
+}
+
+// Writes the requested obs files, one thread per file, while the calling
+// thread folds every repeat's snapshots into the report summaries (so
+// their large allocations stay on its arena). Each file is written by
+// exactly one thread in repeat order, so its bytes do not depend on the
+// thread count; writers and summaries only read the snapshots.
+void finish_obs(const ExperimentConfig& cfg, const sim::FaultPlan& fault_plan,
+                const std::vector<RunOutput>& outputs,
+                const ObsSnapshots& snaps, ExperimentResult& res) {
+  enum class File { kTrace, kMetrics, kAttribution, kDecisions };
+  std::array<File, 4> files{};
+  std::size_t requested = 0;
+  if (cfg.obs.want_trace()) files[requested++] = File::kTrace;
+  if (cfg.obs.want_metrics()) files[requested++] = File::kMetrics;
+  if (!cfg.obs.attribution_path.empty()) {
+    files[requested++] = File::kAttribution;
+  }
+  if (!cfg.obs.decision_path.empty()) files[requested++] = File::kDecisions;
+  const auto write_file = [&cfg, &snaps, &files](std::size_t i) {
+    switch (files[i]) {
+      case File::kTrace: {
+        std::ofstream os(cfg.obs.trace_path, std::ios::binary);
+        obs::write_chrome_trace(os, snaps.trace);
+        break;
+      }
+      case File::kMetrics: {
+        std::ofstream os(cfg.obs.metrics_path, std::ios::binary);
+        obs::write_metrics_csv(os, snaps.metrics);
+        break;
+      }
+      case File::kAttribution: {
+        std::ofstream os(cfg.obs.attribution_path, std::ios::binary);
+        obs::write_attribution_csv(os, snaps.flight);
+        break;
+      }
+      case File::kDecisions: {
+        std::ofstream os(cfg.obs.decision_path, std::ios::binary);
+        obs::write_decision_csv(os, snaps.decisions);
+        break;
+      }
+    }
+  };
+  // netrs-lint: allow(wall-clock): write_seconds is a harness diagnostic.
+  const auto write_start = std::chrono::steady_clock::now();
+  std::exception_ptr write_error;
+  std::jthread writers;
+  if (requested > 0) {
+    writers = std::jthread([&write_error, &write_file, requested] {
+      try {
+        parallel_for(static_cast<int>(requested), requested, write_file);
+      } catch (...) {
+        write_error = std::current_exception();
+      }
+    });
+  }
+
+  for (std::size_t rep = 0; rep < outputs.size(); ++rep) {
+    const obs::TraceSnapshot& trace = snaps.trace[rep];
+    const obs::DecisionSnapshot& decisions = snaps.decisions[rep];
+    res.metrics.merge(snaps.metrics[rep]);
+    res.trace_events += trace.events.size();
+    res.trace_dropped += trace.dropped;
+    if (cfg.obs.want_trace()) {
+      res.trace_repeats.push_back(
+          {trace.recorded, trace.dropped, outputs[rep].trace_lanes});
+    }
+    res.attribution.merge(snaps.flight[rep]);
+    res.decisions.merge(decisions);
+    if (res.fault.enabled) {
+      // Decision records carry their timestamps, so the per-phase regret
+      // and staleness windows fall out of the same bucketing the latency
+      // phases use (records exist only with --decisions).
+      const sim::Time fault_start = fault_plan.window_start();
+      const sim::Time fault_end = fault_plan.window_end();
+      for (const obs::DecisionRecord& r : decisions.records) {
+        const int p = r.t < fault_start ? 0 : r.t < fault_end ? 1 : 2;
+        if (r.has_regret) res.fault.regret_ms[p].add(r.regret_ns / 1e6);
+        if (r.has_staleness) {
+          res.fault.staleness_ms[p].add(sim::to_millis(r.staleness));
+        }
+      }
+    }
+    if (cfg.timeline_bucket > 0) {
+      // Staleness timeline: decision records carry timestamps, so they
+      // bucket onto the same absolute-time grid as the latencies.
+      for (const obs::DecisionRecord& r : decisions.records) {
+        if (!r.has_staleness) continue;
+        const auto i = static_cast<std::size_t>(r.t / cfg.timeline_bucket);
+        if (i >= res.stale_timeline.size()) res.stale_timeline.resize(i + 1);
+        res.stale_timeline[i].add(sim::to_millis(r.staleness));
+      }
+    }
+  }
+  res.attribution.finalize();
+  res.decisions.finalize();
+
+  if (writers.joinable()) writers.join();
+  // netrs-lint: allow(wall-clock): see write_start above.
+  const auto write_end = std::chrono::steady_clock::now();
+  res.write_seconds =
+      std::chrono::duration<double>(write_end - write_start).count();
+  if (write_error) std::rethrow_exception(write_error);
 }
 
 }  // namespace
@@ -940,11 +1059,19 @@ ExperimentResult run_experiment(Scheme scheme, const ExperimentConfig& cfg) {
   // so any --jobs value yields bit-identical statistics.
   const int repeats = std::max(1, cfg.repeats);
   std::vector<RunOutput> outputs(static_cast<std::size_t>(repeats));
+  ObsSnapshots snaps;
+  if (cfg.obs.any()) {
+    snaps.trace.resize(outputs.size());
+    snaps.metrics.resize(outputs.size());
+    snaps.flight.resize(outputs.size());
+    snaps.decisions.resize(outputs.size());
+  }
   parallel_for(cfg.jobs, static_cast<std::size_t>(repeats),
-               [&outputs, scheme, &cfg, &fault_plan](std::size_t rep) {
+               [&outputs, &snaps, scheme, &cfg, &fault_plan](std::size_t rep) {
                  outputs[rep] =
                      run_once(scheme, cfg, fault_plan,
-                              cfg.seed + static_cast<std::uint64_t>(rep));
+                              cfg.seed + static_cast<std::uint64_t>(rep),
+                              snaps, rep);
                });
 
   for (const RunOutput& out : outputs) {
@@ -965,55 +1092,24 @@ ExperimentResult run_experiment(Scheme scheme, const ExperimentConfig& cfg) {
     res.plans_deployed = out.plans_deployed;
     res.drs_groups = out.drs_groups;
     res.audit.merge(out.audit);
-    res.metrics.merge(out.metrics);
-    res.trace_events += out.trace.events.size();
-    res.trace_dropped += out.trace.dropped;
-    if (cfg.obs.want_trace()) {
-      res.trace_repeats.push_back(
-          {out.trace.recorded, out.trace.dropped, out.trace_lanes});
-    }
     if (out.events_per_shard.size() > res.events_per_shard.size()) {
       res.events_per_shard.resize(out.events_per_shard.size(), 0);
     }
     for (std::size_t s = 0; s < out.events_per_shard.size(); ++s) {
       res.events_per_shard[s] += out.events_per_shard[s];
     }
-    res.attribution.merge(out.flight);
-    res.decisions.merge(out.decisions);
     if (res.fault.enabled) {
       for (int p = 0; p < 3; ++p) {
         res.fault.latency_ms[p].merge(out.phase_lat[p]);
       }
       res.fault.events_fired += out.fault_fired;
       res.fault.events_unbound += out.fault_unbound;
-      // Decision records carry their timestamps, so the per-phase regret
-      // and staleness windows fall out of the same bucketing the latency
-      // phases use (records exist only with --decisions).
-      const sim::Time fault_start = fault_plan.window_start();
-      const sim::Time fault_end = fault_plan.window_end();
-      for (const obs::DecisionRecord& r : out.decisions.records) {
-        const int p = r.t < fault_start ? 0 : r.t < fault_end ? 1 : 2;
-        if (r.has_regret) res.fault.regret_ms[p].add(r.regret_ns / 1e6);
-        if (r.has_staleness) {
-          res.fault.staleness_ms[p].add(sim::to_millis(r.staleness));
-        }
-      }
     }
     if (out.timeline.size() > res.timeline.size()) {
       res.timeline.resize(out.timeline.size());
     }
     for (std::size_t i = 0; i < out.timeline.size(); ++i) {
       res.timeline[i].merge(out.timeline[i]);
-    }
-    if (cfg.timeline_bucket > 0) {
-      // Staleness timeline: decision records carry timestamps, so they
-      // bucket onto the same absolute-time grid as the latencies.
-      for (const obs::DecisionRecord& r : out.decisions.records) {
-        if (!r.has_staleness) continue;
-        const auto i = static_cast<std::size_t>(r.t / cfg.timeline_bucket);
-        if (i >= res.stale_timeline.size()) res.stale_timeline.resize(i + 1);
-        res.stale_timeline[i].add(sim::to_millis(r.staleness));
-      }
     }
     if (out.doomed_timeline.size() > res.doomed_timeline.size()) {
       res.doomed_timeline.resize(out.doomed_timeline.size(), 0);
@@ -1024,49 +1120,7 @@ ExperimentResult run_experiment(Scheme scheme, const ExperimentConfig& cfg) {
     res.doomed_picks += out.doomed_picks;
     res.harvest_seconds += out.harvest_seconds;
   }
-  res.attribution.finalize();
-  res.decisions.finalize();
-  // Emit the merged observability artifacts in repeat order — the same
-  // order at any --jobs value, so both files are bit-identical to a
-  // serial run.
-  // netrs-lint: allow(wall-clock): write_seconds is a harness diagnostic.
-  const auto write_start = std::chrono::steady_clock::now();
-  if (cfg.obs.want_trace()) {
-    std::vector<obs::TraceSnapshot> traces;
-    traces.reserve(outputs.size());
-    for (RunOutput& out : outputs) traces.push_back(std::move(out.trace));
-    std::ofstream os(cfg.obs.trace_path, std::ios::binary);
-    obs::write_chrome_trace(os, traces);
-  }
-  if (cfg.obs.want_metrics()) {
-    std::vector<obs::MetricsSnapshot> series;
-    series.reserve(outputs.size());
-    for (RunOutput& out : outputs) series.push_back(std::move(out.metrics));
-    std::ofstream os(cfg.obs.metrics_path, std::ios::binary);
-    obs::write_metrics_csv(os, series);
-  }
-  if (!cfg.obs.attribution_path.empty()) {
-    std::vector<obs::FlightSnapshot> flights;
-    flights.reserve(outputs.size());
-    for (RunOutput& out : outputs) flights.push_back(std::move(out.flight));
-    std::ofstream os(cfg.obs.attribution_path, std::ios::binary);
-    obs::write_attribution_csv(os, flights);
-  }
-  if (!cfg.obs.decision_path.empty()) {
-    std::vector<obs::DecisionSnapshot> decisions;
-    decisions.reserve(outputs.size());
-    for (RunOutput& out : outputs) {
-      decisions.push_back(std::move(out.decisions));
-    }
-    std::ofstream os(cfg.obs.decision_path, std::ios::binary);
-    obs::write_decision_csv(os, decisions);
-  }
-  if (cfg.obs.any()) {
-    // netrs-lint: allow(wall-clock): see write_start above.
-    const auto write_end = std::chrono::steady_clock::now();
-    res.write_seconds =
-        std::chrono::duration<double>(write_end - write_start).count();
-  }
+  if (cfg.obs.any()) finish_obs(cfg, fault_plan, outputs, snaps, res);
   if (!cfg.shard_telemetry_path.empty()) {
     res.shard_telemetry.reserve(outputs.size());
     for (RunOutput& out : outputs) {

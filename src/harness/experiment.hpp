@@ -89,11 +89,13 @@ struct ExperimentResult {
 
   double wall_seconds = 0.0;
   /// Wall-clock seconds spent harvesting the obs recorders (the take_*()
-  /// merges and joins), summed over repeats; 0 when obs is off. A
-  /// diagnostic like wall_seconds: nondeterministic, not in the report.
+  /// merges), summed over repeats; 0 when obs is off. A diagnostic like
+  /// wall_seconds: nondeterministic, not in the report.
   double harvest_seconds = 0.0;
-  /// Wall-clock seconds spent writing the obs output files; 0 when obs
-  /// is off. A diagnostic like wall_seconds.
+  /// Wall-clock seconds from the start of the obs file writes (one thread
+  /// per file) until they and the report summaries, folded meanwhile on
+  /// the calling thread, are done; 0 when obs is off. A diagnostic like
+  /// wall_seconds.
   double write_seconds = 0.0;
 
   /// Invariant-audit result merged over repeats. `enabled` only in
