@@ -60,7 +60,7 @@ double ShardedHistogram::sum() const {
 }
 
 void MetricsSummary::merge(const MetricsSnapshot& snap) {
-  if (snap.rows.empty()) return;
+  if (snap.rows() == 0) return;
   if (entries.empty()) {
     for (std::size_t c = 0; c < snap.columns.size(); ++c) {
       if (snap.summarize[c] == 0) continue;
@@ -75,8 +75,8 @@ void MetricsSummary::merge(const MetricsSnapshot& snap) {
     assert(out < entries.size() && entries[out].name == snap.columns[c] &&
            "merged snapshots must share one column layout");
     MetricSummaryEntry& e = entries[out++];
-    for (const MetricsSnapshot::Row& row : snap.rows) {
-      const double v = row.values[c];
+    for (std::size_t row = 0; row < snap.rows(); ++row) {
+      const double v = snap.value(row, c);
       if (e.samples == 0) {
         e.min = e.max = v;
       } else {
@@ -93,7 +93,7 @@ void MetricsSummary::merge(const MetricsSnapshot& snap) {
 }
 
 void MetricsRegistry::gauge(std::string name, GaugeFn fn, bool summarize) {
-  assert(rows_.empty() && "register metrics before the first sample");
+  assert(times_.empty() && "register metrics before the first sample");
   gauges_.push_back(std::move(fn));
   metrics_.push_back(
       {std::move(name), Kind::kGauge, summarize, gauges_.size() - 1});
@@ -103,7 +103,7 @@ ShardedHistogram* MetricsRegistry::sharded_histogram(std::string name,
                                                      std::vector<double> bounds,
                                                      int lanes,
                                                      bool summarize) {
-  assert(rows_.empty() && "register metrics before the first sample");
+  assert(times_.empty() && "register metrics before the first sample");
   sharded_.emplace_back(std::move(bounds), lanes);
   metrics_.push_back({std::move(name), Kind::kShardedHistogram, summarize,
                       sharded_.size() - 1});
@@ -118,25 +118,22 @@ void MetricsRegistry::sample(sim::Time now) {
                       : 1;
     }
   }
-  MetricsSnapshot::Row row;
-  row.t = now;
-  row.values.reserve(columns_);
+  times_.push_back(now);
   for (const Metric& m : metrics_) {
     if (m.kind == Kind::kGauge) {
-      row.values.push_back(gauges_[m.index]());
+      values_.push_back(gauges_[m.index]());
       continue;
     }
     const ShardedHistogram& h = sharded_[m.index];
     for (std::size_t b = 0; b < h.bucket_count(); ++b) {
-      row.values.push_back(static_cast<double>(h.bucket(b)));
+      values_.push_back(static_cast<double>(h.bucket(b)));
     }
-    row.values.push_back(static_cast<double>(h.count()));
-    row.values.push_back(h.sum());
+    values_.push_back(static_cast<double>(h.count()));
+    values_.push_back(h.sum());
   }
-  rows_.push_back(std::move(row));
 }
 
-MetricsSnapshot MetricsRegistry::snapshot() const {
+MetricsSnapshot MetricsRegistry::take() {
   MetricsSnapshot snap;
   for (const Metric& m : metrics_) {
     if (m.kind == Kind::kGauge) {
@@ -155,7 +152,10 @@ MetricsSnapshot MetricsRegistry::snapshot() const {
     snap.columns.push_back(m.name + ".sum");
     snap.summarize.push_back(0);
   }
-  snap.rows = rows_;
+  snap.times = std::move(times_);
+  snap.values = std::move(values_);
+  times_.clear();
+  values_.clear();
   return snap;
 }
 
@@ -175,18 +175,18 @@ void write_metrics_csv(std::ostream& os,
   out.put("repeat,time_us,metric,value\n");
   for (std::size_t rep = 0; rep < repeats.size(); ++rep) {
     const MetricsSnapshot& snap = repeats[rep];
-    for (const MetricsSnapshot::Row& row : snap.rows) {
+    for (std::size_t row = 0; row < snap.rows(); ++row) {
       // "repeat,time_us," is shared by every column of the tick.
       char prefix[2 * kMaxNumberChars + 2];
       char* p = write_int(prefix, rep);
       *p++ = ',';
-      p = write_time_us(p, row.t);
+      p = write_time_us(p, snap.times[row]);
       *p++ = ',';
       const std::string_view tick(prefix,
                                   static_cast<std::size_t>(p - prefix));
       for (std::size_t c = 0; c < snap.columns.size(); ++c) {
-        out.put(tick).put(snap.columns[c]).put(',').put_metric(row.values[c])
-            .put('\n');
+        out.put(tick).put(snap.columns[c]).put(',')
+            .put_metric(snap.value(row, c)).put('\n');
       }
     }
   }

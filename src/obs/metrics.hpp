@@ -83,24 +83,25 @@ class NETRS_SHARD_LOCAL ShardedHistogram {
 };
 
 /// One sampled time series extracted from a repeat: the expanded column
-/// names, which columns feed the report summary, and one row per tick.
+/// names, which columns feed the report summary, and one row per tick,
+/// stored as one flat row-major table.
 struct NETRS_SHARED_IMMUTABLE MetricsSnapshot {
-  /// A single sample row: the tick's simulated time plus one value per
-  /// column (same order as MetricsSnapshot::columns).
-  struct Row {
-    /// Simulated time of the tick, ns.
-    sim::Time t = 0;
-    /// Column values at the tick.
-    std::vector<double> values;
-  };
-
   /// Expanded column names in registration order (histograms expand to
   /// `<name>.le_<bound>` buckets plus `<name>.count` / `<name>.sum`).
   std::vector<std::string> columns;
   /// Per-column flag: include this column in the report summary table.
   std::vector<std::uint8_t> summarize;
-  /// Sample rows in tick order.
-  std::vector<Row> rows;
+  /// Simulated time of each tick (one per row), ns, in tick order.
+  std::vector<sim::Time> times;
+  /// Row-major samples, columns.size() per row.
+  std::vector<double> values;
+
+  /// Number of sampled rows.
+  [[nodiscard]] std::size_t rows() const { return times.size(); }
+  /// The sample of column `col` at row `row`.
+  [[nodiscard]] double value(std::size_t row, std::size_t col) const {
+    return values[row * columns.size() + col];
+  }
 };
 
 /// Per-column aggregate over every tick of every repeat, shown as the
@@ -161,8 +162,9 @@ class NETRS_COORD_GLOBAL MetricsRegistry {
   /// be finished before the first tick (the column layout freezes then).
   void sample(sim::Time now);
 
-  /// Extracts the sampled series (column names, summary flags, rows).
-  [[nodiscard]] MetricsSnapshot snapshot() const;
+  /// Moves the sampled series out (column names, summary flags, rows);
+  /// the registry keeps its metrics but no rows.
+  [[nodiscard]] MetricsSnapshot take();
 
  private:
   enum class Kind { kGauge, kShardedHistogram };
@@ -177,7 +179,8 @@ class NETRS_COORD_GLOBAL MetricsRegistry {
   std::vector<Metric> metrics_;
   std::vector<GaugeFn> gauges_;
   std::deque<ShardedHistogram> sharded_;  // deque: stable addresses
-  std::vector<MetricsSnapshot::Row> rows_;
+  std::vector<sim::Time> times_;  // one per sampled row
+  std::vector<double> values_;    // row-major, columns_ per row
   std::size_t columns_ = 0;  // frozen at first sample()
 };
 

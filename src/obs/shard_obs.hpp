@@ -96,10 +96,9 @@ class NETRS_COORD_GLOBAL ShardObserverSet {
   /// the rings with the configured capacity.
   [[nodiscard]] TraceSnapshot take_trace() const;
 
-  /// The registry's sampled series.
-  [[nodiscard]] MetricsSnapshot take_metrics() const {
-    return metrics_.snapshot();
-  }
+  /// The registry's sampled series, moved out (MetricsRegistry::take()),
+  /// so this harvests once per repeat.
+  [[nodiscard]] MetricsSnapshot take_metrics() { return metrics_.take(); }
 
   /// Every lane's flight records in canonical order (merge_flights()).
   /// The records are moved out of the lanes, so this harvests once per

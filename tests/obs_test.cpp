@@ -204,28 +204,34 @@ TEST(MetricsRegistryTest, ColumnsFollowRegistrationOrder) {
   reqs = 8.0;
   reg.sample(2000);
 
-  const MetricsSnapshot snap = reg.snapshot();
+  const MetricsSnapshot snap = reg.take();
   const std::vector<std::string> want = {
       "reqs", "depth", "lat.le_1", "lat.le_2", "lat.le_inf", "lat.count",
       "lat.sum"};
   EXPECT_EQ(snap.columns, want);
-  ASSERT_EQ(snap.rows.size(), 2u);
-  EXPECT_EQ(snap.rows[0].t, 1000);
-  EXPECT_DOUBLE_EQ(snap.rows[0].values[0], 5.0);
-  EXPECT_DOUBLE_EQ(snap.rows[0].values[1], 3.0);
-  EXPECT_DOUBLE_EQ(snap.rows[0].values[2], 1.0);  // 0.5 in le_1
-  EXPECT_DOUBLE_EQ(snap.rows[0].values[4], 1.0);  // 9.0 in overflow
-  EXPECT_DOUBLE_EQ(snap.rows[0].values[5], 2.0);  // count
-  EXPECT_DOUBLE_EQ(snap.rows[1].values[0], 8.0);
+  ASSERT_EQ(snap.rows(), 2u);
+  ASSERT_EQ(snap.values.size(), 2 * want.size());
+  EXPECT_EQ(snap.times[0], 1000);
+  EXPECT_EQ(snap.times[1], 2000);
+  EXPECT_DOUBLE_EQ(snap.value(0, 0), 5.0);
+  EXPECT_DOUBLE_EQ(snap.value(0, 1), 3.0);
+  EXPECT_DOUBLE_EQ(snap.value(0, 2), 1.0);  // 0.5 in le_1
+  EXPECT_DOUBLE_EQ(snap.value(0, 4), 1.0);  // 9.0 in overflow
+  EXPECT_DOUBLE_EQ(snap.value(0, 5), 2.0);  // count
+  EXPECT_DOUBLE_EQ(snap.value(1, 0), 8.0);
+  // take() moved the rows out; the metrics stay registered.
+  EXPECT_EQ(reg.take().rows(), 0u);
+  EXPECT_EQ(reg.metric_count(), 3u);
 }
 
 TEST(MetricsRegistryTest, SummaryMergeAcrossRepeats) {
   MetricsSnapshot a;
   a.columns = {"x", "noise"};
   a.summarize = {1, 0};
-  a.rows = {{1000, {2.0, 9.0}}, {2000, {4.0, 9.0}}};
+  a.times = {1000, 2000};
+  a.values = {2.0, 9.0, 4.0, 9.0};
   MetricsSnapshot b = a;
-  b.rows = {{1000, {6.0, 9.0}}, {2000, {8.0, 9.0}}};
+  b.values = {6.0, 9.0, 8.0, 9.0};
 
   MetricsSummary sum;
   EXPECT_FALSE(sum.enabled());
@@ -247,7 +253,8 @@ TEST(MetricsCsvTest, LongFormatWithRepeatColumn) {
   MetricsSnapshot snap;
   snap.columns = {"a", "b"};
   snap.summarize = {1, 1};
-  snap.rows = {{5000, {1.0, 2.5}}};
+  snap.times = {5000};
+  snap.values = {1.0, 2.5};
 
   std::ostringstream os;
   write_metrics_csv(os, {snap, snap});
