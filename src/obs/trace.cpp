@@ -1,6 +1,7 @@
 #include "obs/trace.hpp"
 
 #include <algorithm>
+#include <cstddef>
 #include <cstdio>
 #include <utility>
 
@@ -84,18 +85,20 @@ void TraceRing::record(const TraceEvent& e) {
     ring_.push_back(e);
   } else {
     ring_[head_] = e;
-    head_ = (head_ + 1) % capacity_;
+    if (++head_ == capacity_) head_ = 0;
     ++dropped_;
   }
   ++recorded_;
 }
 
 std::vector<TraceEvent> TraceRing::in_order() const {
+  // Oldest first: [head_, end) then [begin, head_); head_ is 0 until the
+  // ring wraps.
+  const auto head = ring_.begin() + static_cast<std::ptrdiff_t>(head_);
   std::vector<TraceEvent> out;
   out.reserve(ring_.size());
-  for (std::size_t i = 0; i < ring_.size(); ++i) {
-    out.push_back(ring_[(head_ + i) % ring_.size()]);
-  }
+  out.insert(out.end(), head, ring_.end());
+  out.insert(out.end(), ring_.begin(), head);
   return out;
 }
 
