@@ -1,6 +1,7 @@
 #include "obs/attribution.hpp"
 
 #include <algorithm>
+#include <cstddef>
 #include <tuple>
 #include <utility>
 
@@ -47,29 +48,51 @@ void FlightRecorder::on_complete(std::uint64_t request_id,
       now - (stamps.server_start + stamps.server_service);  // wire_return
 }
 
+namespace {
+
+// (completed_at, request_id) is unique per record, so this order does not
+// depend on how the records were split across lanes.
+bool canonical(const FlightRecord& a, const FlightRecord& b) {
+  return std::tie(a.completed_at, a.request_id) <
+         std::tie(b.completed_at, b.request_id);
+}
+
+// Puts one lane in canonical order. A lane is appended in its shard's
+// completion-time order, so only same-instant completions can be out of
+// id order, and this insertion sort moves each past its few same-instant
+// neighbours: linear in the lane.
+void sort_lane(std::vector<FlightRecord>& records) {
+  for (std::size_t i = 1; i < records.size(); ++i) {
+    if (!canonical(records[i], records[i - 1])) continue;
+    const FlightRecord r = records[i];
+    std::size_t j = i;
+    for (; j > 0 && canonical(r, records[j - 1]); --j) {
+      records[j] = records[j - 1];
+    }
+    records[j] = r;
+  }
+}
+
+}  // namespace
+
 FlightSnapshot merge_flights(std::vector<FlightSnapshot> lanes) {
   FlightSnapshot out;
   std::size_t total = 0;
   for (const FlightSnapshot& lane : lanes) total += lane.records.size();
   for (FlightSnapshot& lane : lanes) {
+    sort_lane(lane.records);
     if (out.records.empty()) {
       out.records = std::move(lane.records);  // one busy lane: no copy
       out.records.reserve(total);
     } else {
+      const auto mid = static_cast<std::ptrdiff_t>(out.records.size());
       out.records.insert(out.records.end(), lane.records.begin(),
                          lane.records.end());
+      std::inplace_merge(out.records.begin(), out.records.begin() + mid,
+                         out.records.end(), canonical);
     }
     out.warmup_skipped += lane.warmup_skipped;
     out.unmatched += lane.unmatched;
-  }
-  // (completed_at, request_id) is unique per record, so the order does
-  // not depend on how the records were split across lanes.
-  const auto canonical = [](const FlightRecord& a, const FlightRecord& b) {
-    return std::tie(a.completed_at, a.request_id) <
-           std::tie(b.completed_at, b.request_id);
-  };
-  if (!std::is_sorted(out.records.begin(), out.records.end(), canonical)) {
-    std::sort(out.records.begin(), out.records.end(), canonical);
   }
   return out;
 }

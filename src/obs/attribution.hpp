@@ -125,12 +125,12 @@ class NETRS_SHARD_LOCAL FlightRecorder {
 };
 
 /// Merges the lanes of every shard's recorder (plus the coordinator's)
-/// into one repeat snapshot. The lanes are moved in and concatenated, and
-/// the counts summed; records are then put in canonical (completion
-/// time, request id) order, which each lane already holds except for
-/// same-instant completions, so the sort runs only when an is_sorted
-/// pass fails. Stamps are shard-count-invariant (DESIGN.md §4.10), so
-/// the result is byte-identical at any --shards value.
+/// into one repeat snapshot in canonical (completion time, request id)
+/// order, summing the counts. Each lane already holds completion-time
+/// order (one shard's clock), so it is fixed up with an insertion sort
+/// (same-instant completions only) and merged into the result; one lane
+/// is moved, not copied. Stamps are shard-count-invariant (DESIGN.md
+/// §4.10), so the result is byte-identical at any --shards value.
 [[nodiscard]] FlightSnapshot merge_flights(std::vector<FlightSnapshot> lanes);
 
 /// Per-component latency aggregates over every record of every repeat,
