@@ -9,7 +9,7 @@
 // into the request's simulation-only net::PacketMeta, the server's
 // response carries it back, and the client's FlightRecorder builds the
 // record on completion — no per-hop log and no join at harvest.
-// Every component is a difference of observed event timestamps, so the
+// Every component is a difference of stamped event timestamps, so the
 // eight components telescope to exactly the measured end-to-end latency —
 // the invariant attribution_test asserts per record.
 //
@@ -17,10 +17,9 @@
 // observation-only (no RNG draws, no wall clock, no feedback into
 // simulated behavior; no device reads the stamps), the lane merge restores
 // a canonical order keyed on simulated time, and repeats merge in repeat
-// order — so
-// the CSV and summaries are bit-identical for a given seed at any harness
-// --jobs value, and golden digests are unchanged with the recorder on or
-// off.
+// order — so the CSV and summaries are bit-identical for a given seed at
+// any harness --jobs value, and golden digests are unchanged with the
+// recorder on or off.
 #pragma once
 
 #include <array>
@@ -144,7 +143,7 @@ struct NETRS_SHARED_IMMUTABLE AttributionSummary {
   std::uint64_t dup_wins = 0;
   /// Records whose winning copy crossed an accelerator.
   std::uint64_t via_rs = 0;
-  /// Completions with no matching server observation, over all repeats.
+  /// Completions without server stamps, over all repeats.
   std::uint64_t unmatched = 0;
   /// End-to-end latency distribution (ms) over merged records.
   sim::LatencyRecorder total_ms;
