@@ -86,12 +86,19 @@ BENCHMARK(BM_SwitchFieldRewrite);
 // service times and arrival gaps (mean ~2.5 ms), and periodic timers
 // that are always pending: 32 server fluctuation timers at 50 ms (armed
 // together, so they fire as one same-instant burst), a 5 ms sampler and
-// the 100 ms controller replan.
-enum DelayMix : std::int64_t { kUniformMix = 0, kIlpK8Mix = 1 };
+// the 100 ms controller replan. kIlpK8LaneMix is the same traffic with
+// the 30 us and 1.25 us hops on two FIFO lanes, as net::Fabric schedules
+// them; everything else stays on the calendar.
+enum DelayMix : std::int64_t {
+  kUniformMix = 0,
+  kIlpK8Mix = 1,
+  kIlpK8LaneMix = 2,
+};
 
 // Delay of a one-shot event (the periodic timers re-arm themselves).
 sim::Duration draw_delay(sim::Rng& rng, std::int64_t mix) {
   if (mix == kUniformMix) return static_cast<sim::Duration>(rng.uniform(1000));
+  // kIlpK8Mix and kIlpK8LaneMix draw the same delays.
   const std::uint64_t u = rng.uniform(99'860);
   if (u < 62'280) return sim::micros(30);
   if (u < 78'380) return sim::micros(1.25);
@@ -104,6 +111,7 @@ void BM_EventQueueChurn(benchmark::State& state) {
   // Arg 0: steady-state queue depth; arg 1: delay mix (see DelayMix).
   // Steady state keeps `depth` events queued: pop one, fire it, push one
   // (a timer re-arms with its period, any other event draws a delay).
+  // Pops take the run loop's path (EventQueue::pop_next).
   // `shifted_per_push` counts the index entries each push moved aside,
   // over a fixed untimed window after a warm-up (so the count does not
   // depend on the iteration count); a calendar whose width no longer
@@ -115,23 +123,50 @@ void BM_EventQueueChurn(benchmark::State& state) {
   const std::int64_t mix = state.range(1);
   sim::Duration period = 0;  // of the event just fired; 0 for one-shots
   std::vector<sim::Duration> timers;
-  if (mix == kIlpK8Mix) {
+  if (mix != kUniformMix) {
     timers.assign(32, sim::millis(50));
     timers.push_back(sim::millis(5));
     timers.push_back(sim::millis(100));
   }
+  const bool lanes = mix == kIlpK8LaneMix;
+  const auto one_shot = [](void* ctx, std::uint32_t) {
+    *static_cast<sim::Duration*>(ctx) = 0;
+  };
+  const sim::LaneId link_lane = lanes ? q.add_lane(one_shot, &period) : 0;
+  const sim::LaneId accel_lane = lanes ? q.add_lane(one_shot, &period) : 0;
+  // Schedules a one-shot `d` from now; with lanes, the two hop latencies
+  // go to their lanes and `cb` is dropped.
+  const auto schedule = [&](sim::Duration d, sim::EventQueue::Callback&& cb) {
+    if (lanes && d == sim::micros(30)) {
+      q.push_lane(link_lane, t + d, 0);
+    } else if (lanes && d == sim::micros(1.25)) {
+      q.push_lane(accel_lane, t + d, 0);
+    } else {
+      q.push(t + d, std::move(cb));
+    }
+  };
   for (const sim::Duration p : timers) {
     q.push(t + p, [&period, p] { period = p; });
   }
   for (int i = static_cast<int>(timers.size()); i < depth; ++i) {
-    q.push(t + draw_delay(rng, mix), [&period] { period = 0; });
+    schedule(draw_delay(rng, mix), [&period] { period = 0; });
   }
+  sim::EventQueue::Callback cb;
+  sim::LaneEvent lane;
   const auto churn = [&](int ops) {
     for (int i = 0; i < ops; ++i) {
-      auto [when, cb] = q.pop();
-      t = when;
-      cb();
-      q.push(t + (period != 0 ? period : draw_delay(rng, mix)), std::move(cb));
+      if (q.pop_next(sim::kNever, t, cb, lane) ==
+          sim::EventQueue::Popped::kLane) {
+        lane();
+        cb = [&period] { period = 0; };  // in case the calendar takes it
+      } else {
+        cb();
+      }
+      if (period != 0) {
+        q.push(t + period, std::move(cb));
+      } else {
+        schedule(draw_delay(rng, mix), std::move(cb));
+      }
     }
   };
   churn(4 * depth + 10'000);  // warm-up: leave the all-at-t=0 fill behind
@@ -146,14 +181,17 @@ void BM_EventQueueChurn(benchmark::State& state) {
     state.SkipWithError("calendar pushes shift more than 4 entries each");
   }
 }
-// The uniform mix at the original depths; the ilp-k8 mix at that cell's
-// steady depth (~130-180) and above it.
+// The uniform mix at the original depths; the ilp-k8 mix, all on the
+// calendar and with its hops on lanes, at that cell's steady depth
+// (~130-180) and above it.
 BENCHMARK(BM_EventQueueChurn)
     ->ArgNames({"depth", "mix"})
     ->Args({1000, kUniformMix})
     ->Args({100000, kUniformMix})
     ->Args({130, kIlpK8Mix})
-    ->Args({1000, kIlpK8Mix});
+    ->Args({1000, kIlpK8Mix})
+    ->Args({130, kIlpK8LaneMix})
+    ->Args({1000, kIlpK8LaneMix});
 
 void BM_PercentileBatch(benchmark::State& state) {
   // The report pattern: p50/p95/p99/p999 back-to-back. Finalizing first
@@ -186,7 +224,7 @@ BENCHMARK(BM_PercentileBatch);
 // Bounces a NetRS-sized packet between a host and its ToR forever; each
 // benchmark iteration advances the simulation by exactly one link crossing
 // (send + deliver + receive). After the warm-up hops fill the delivery pool
-// and the event-queue slot arena, the steady state must not allocate:
+// and the fabric's event-lane ring, the steady state must not allocate:
 // `allocs_per_hop` is asserted to be 0.0 via the counting shim above.
 class PingPongNode final : public net::Node {
  public:
@@ -232,7 +270,7 @@ void BM_FabricHotPath(benchmark::State& state) {
   fabric.send(host, tor, std::move(pkt));
 
   const sim::Duration hop = fabric.config().host_link_latency;
-  // Warm up: let the delivery pool and event-slot arena reach their
+  // Warm up: let the delivery pool and the lane ring reach their
   // high-water marks before counting.
   for (int i = 0; i < 1024; ++i) sim.run_until(sim.now() + hop);
 

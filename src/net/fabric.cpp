@@ -11,34 +11,43 @@
 namespace netrs::net {
 
 Fabric::Fabric(sim::ShardGroup& group, const FatTree& topo, FabricConfig cfg)
-    : topo_(topo), cfg_(cfg), group_(&group) {
+    : topo_(topo),
+      cfg_(cfg),
+      latency_{cfg.switch_link_latency, cfg.host_link_latency,
+               cfg.accelerator_link_latency},
+      group_(&group) {
+  // A negative latency would deliver before the send (release builds used
+  // to clamp it to zero silently) and would break the event lanes' time
+  // order, so it is rejected whatever the shard count.
+  static constexpr const char* kLinkNames[kLinkClasses] = {
+      "switch", "host", "accelerator"};
+  for (int c = 0; c < kLinkClasses; ++c) {
+    if (latency_[c] < 0) {
+      throw std::invalid_argument(
+          std::string("Fabric: ") + kLinkNames[c] + " link latency " +
+          std::to_string(latency_[c]) + " ns is negative");
+    }
+  }
   const int shards = group.shards();
   if (shards > 1) {
     // Only more than one shard runs conservative sync and sends across
-    // shards, so only then are link latencies checked and lanes built.
-    // A link shorter than the lookahead window would let a packet arrive
-    // inside a window a neighbor shard has already executed, silently
-    // corrupting conservative sync. Fail fast at construction. Accelerator
-    // links are exempt: the ownership map pins every accelerator to its
-    // switch's shard, so they can never cross a shard boundary.
+    // shards, so only then are lookaheads checked and lanes built. A link
+    // shorter than the lookahead window would let a packet arrive inside a
+    // window a neighbor shard has already executed, silently corrupting
+    // conservative sync. Fail fast at construction. Accelerator links are
+    // exempt: the ownership map pins every accelerator to its switch's
+    // shard, so they can never cross a shard boundary.
     const sim::Duration lookahead = group.lookahead();
-    if (cfg_.switch_link_latency < lookahead) {
-      throw std::invalid_argument(
-          "Fabric: switch link latency " +
-          std::to_string(cfg_.switch_link_latency) +
-          " ns is below the conservative lookahead window of " +
-          std::to_string(lookahead) +
-          " ns; cross-shard packets would arrive inside already-executed "
-          "windows (lower the ShardGroup lookahead or raise the latency)");
-    }
-    if (cfg_.host_link_latency < lookahead) {
-      throw std::invalid_argument(
-          "Fabric: host link latency " +
-          std::to_string(cfg_.host_link_latency) +
-          " ns is below the conservative lookahead window of " +
-          std::to_string(lookahead) +
-          " ns; cross-shard packets would arrive inside already-executed "
-          "windows (lower the ShardGroup lookahead or raise the latency)");
+    for (const int c : {kSwitchLink, kHostLink}) {
+      if (latency_[c] < lookahead) {
+        throw std::invalid_argument(
+            std::string("Fabric: ") + kLinkNames[c] + " link latency " +
+            std::to_string(latency_[c]) +
+            " ns is below the conservative lookahead window of " +
+            std::to_string(lookahead) +
+            " ns; cross-shard packets would arrive inside already-executed "
+            "windows (lower the ShardGroup lookahead or raise the latency)");
+      }
     }
     lanes_ = std::vector<Lane>(std::size_t(shards) * std::size_t(shards));
   }
@@ -48,7 +57,19 @@ Fabric::Fabric(sim::ShardGroup& group, const FatTree& topo, FabricConfig cfg)
   global_sim_ = &group.global_sim();
   state_ = std::make_unique<ShardState[]>(std::size_t(shards));
   for (int s = 0; s < shards; ++s) {
-    state_[s].ledger.set_name("fabric-delivery");
+    ShardState& st = state_[s];
+    st.ledger.set_name("fabric-delivery");
+    st.fabric = this;
+    st.shard = s;
+    // One event lane per distinct latency: classes sharing a latency share
+    // a lane, so pushes onto each lane are now() plus one constant.
+    for (int c = 0; c < kLinkClasses; ++c) {
+      int same = 0;
+      while (latency_[same] != latency_[c]) ++same;
+      st.event_lanes[c] =
+          same < c ? st.event_lanes[same]
+                   : sims_[std::size_t(s)]->add_lane(deliver_from_lane, &st);
+    }
   }
 
   // Ownership map: pod p (ToRs, aggs, hosts) on shard p mod S; core group g
@@ -130,12 +151,12 @@ Node* Fabric::node(NodeId id) const {
   return aux_nodes_[aux];
 }
 
-sim::Duration Fabric::link_latency(NodeId a, NodeId b) const {
+Fabric::LinkClass Fabric::link_class(NodeId a, NodeId b) const {
   const bool a_aux = a >= topo_.node_count();
   const bool b_aux = b >= topo_.node_count();
-  if (a_aux || b_aux) return cfg_.accelerator_link_latency;
-  if (topo_.is_host(a) || topo_.is_host(b)) return cfg_.host_link_latency;
-  return cfg_.switch_link_latency;
+  if (a_aux || b_aux) return kAcceleratorLink;
+  if (topo_.is_host(a) || topo_.is_host(b)) return kHostLink;
+  return kSwitchLink;
 }
 
 bool Fabric::valid_link(NodeId from, NodeId to) const {
@@ -164,11 +185,11 @@ void Fabric::send_local(int shard, NodeId from, NodeId to, Packet&& pkt) {
   sim::Simulator& sim = *sims_[std::size_t(shard)];
   ++st.packets_sent;
   st.bytes_sent += pkt.wire_size();
-  const sim::Duration lat = link_latency(from, to);
+  const LinkClass cls = link_class(from, to);
 
-  // Park the packet in the pool; the event captures {this, shard, slot}
-  // only, so it stays within the Task's inline buffer. The pool grows to
-  // the high-water mark of concurrently in-flight packets and is reused.
+  // Park the packet in the pool; the link's event lane carries only the
+  // slot index. The pool grows to the high-water mark of concurrently
+  // in-flight packets and is reused.
   const std::uint32_t slot = acquire_slot(st);
   Delivery& d = st.deliveries[slot];
   d.pkt = pkt;
@@ -181,7 +202,7 @@ void Fabric::send_local(int shard, NodeId from, NodeId to, Packet&& pkt) {
            std::to_string(from) + "->" + std::to_string(to) +
            " sent at t=" + std::to_string(sim.now()) + " ns";
   });
-  sim.after(lat, [this, shard, slot] { deliver(shard, slot); });
+  sim.after_lane(st.event_lanes[cls], latency_[cls], slot);
 }
 
 void Fabric::send(NodeId from, NodeId to, Packet&& pkt) {
@@ -269,6 +290,11 @@ void Fabric::drain_shard(int dst, sim::Time safe) {
     sim.at(entry.arrive, [this, dst, slot] { deliver(dst, slot); });
     st.pending.pop_back();
   }
+}
+
+void Fabric::deliver_from_lane(void* ctx, std::uint32_t slot) {
+  const ShardState& st = *static_cast<const ShardState*>(ctx);
+  st.fabric->deliver(st.shard, slot);
 }
 
 void Fabric::deliver(int shard, std::uint32_t slot) {

@@ -21,8 +21,17 @@
 // (arrive, src-shard, seq) order. Cross-shard traffic is a few packets per
 // lane per window, so one uncontended lock per send costs nothing
 // measurable. With one shard every send is intra-shard.
+//
+// Intra-shard deliveries ride the shard simulator's FIFO event lanes
+// (sim::EventQueue): the fabric creates one lane per distinct link latency
+// on every shard simulator, and since every push onto a lane is now() plus
+// that lane's constant, each lane is in time order by construction. A hop
+// is then a ring append of the delivery slot's index, fired by a plain
+// function call — no Task, no arena slot, no calendar insert. Cross-shard
+// arrivals parked by the window drain keep using the calendar.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <memory>
 #include <mutex>
@@ -63,12 +72,13 @@ class NETRS_COORD_GLOBAL Fabric {
   /// Builds the fabric over `topo` partitioned across `group`'s shards by
   /// pod / core group (see the file comment) and installs the group's
   /// inbox drain hook; `sim::ShardGroup group{1}` gives a serial fabric.
-  /// With more than one shard, throws std::invalid_argument when a
+  /// Throws std::invalid_argument when any link latency is negative, at
+  /// any shard count. With more than one shard, also throws when a
   /// switch/host link latency is below the group's lookahead window (a
   /// short link would let a packet arrive inside an already-executed
   /// window and silently break conservative sync); one shard runs no
-  /// conservative sync, so any latency is accepted there. `group` and
-  /// `topo` must outlive the fabric; one fabric per group.
+  /// conservative sync, so any non-negative latency is accepted there.
+  /// `group` and `topo` must outlive the fabric; one fabric per group.
   Fabric(sim::ShardGroup& group, const FatTree& topo, FabricConfig cfg);
 
   /// Registers the live object for a topology NodeId. Must precede traffic.
@@ -84,9 +94,11 @@ class NETRS_COORD_GLOBAL Fabric {
   /// builds only; release builds skip the check entirely).
   ///
   /// Allocation-free in steady state: the packet is copied once, into a
-  /// free-list delivery pool slot, and the scheduled event captures only
-  /// {fabric, slot}; delivery copies it out of the slot into the
-  /// receiver's parameter. In sharded mode a cross-shard send instead
+  /// free-list delivery pool slot, and the slot's index is appended to the
+  /// shard simulator's event lane for the link's latency; delivery copies
+  /// the packet out of the slot into the receiver's parameter. Lane rings
+  /// and the pool keep their capacity, so both are bounded by the peak of
+  /// packets in flight. In sharded mode a cross-shard send instead
   /// appends to the (destination, source) shard lane under its mutex; lane
   /// vectors keep their capacity, so this allocates nothing in steady state
   /// either. Coordinator-context sends (setup, global events) use the same
@@ -214,9 +226,20 @@ class NETRS_COORD_GLOBAL Fabric {
     std::uint64_t next_seq = 0;       // guarded by m; monotone per lane
   };
 
+  /// Link kinds by latency parameter; indexes `latency_` and the lanes.
+  enum LinkClass : std::uint8_t {
+    kSwitchLink,
+    kHostLink,
+    kAcceleratorLink,
+    kLinkClasses,
+  };
+
   /// Everything one shard owns; cache-line isolated. Only the owning shard
   /// thread (or the coordinator at a barrier) touches it.
   struct alignas(64) ShardState {
+    Fabric* fabric = nullptr;  // lane handler context: {fabric, shard}
+    int shard = 0;
+    std::array<sim::LaneId, kLinkClasses> event_lanes{};  // by LinkClass
     std::vector<Delivery> deliveries;            // packet pool
     std::vector<std::uint32_t> free_deliveries;  // free slot indices
     std::uint64_t packets_sent = 0;
@@ -231,7 +254,10 @@ class NETRS_COORD_GLOBAL Fabric {
   /// foreign-handle violation with owner/actor provenance. Out of line so
   /// the hot inline path stays a single vector index in plain builds.
   void audit_simulator_for(NodeId id);
-  [[nodiscard]] sim::Duration link_latency(NodeId a, NodeId b) const;
+  [[nodiscard]] LinkClass link_class(NodeId a, NodeId b) const;
+  [[nodiscard]] sim::Duration link_latency(NodeId a, NodeId b) const {
+    return latency_[link_class(a, b)];
+  }
   [[nodiscard]] Node* node(NodeId id) const;
   /// Cabling check behind assert(): tree adjacency or an auxiliary link in
   /// either direction. Single map lookup per direction.
@@ -244,6 +270,8 @@ class NETRS_COORD_GLOBAL Fabric {
   /// pending heap. Runs on `dst`'s worker at each window start.
   void drain_shard(int dst, sim::Time safe);
   void deliver(int shard, std::uint32_t slot);
+  /// Lane handler: `ctx` is the delivering shard's ShardState.
+  static void deliver_from_lane(void* ctx, std::uint32_t slot);
   [[nodiscard]] std::uint32_t acquire_slot(ShardState& st);
   [[nodiscard]] Lane& lane(int dst, int src) {
     return lanes_[std::size_t(dst) * sims_.size() + std::size_t(src)];
@@ -251,6 +279,7 @@ class NETRS_COORD_GLOBAL Fabric {
 
   const FatTree& topo_;
   FabricConfig cfg_;
+  std::array<sim::Duration, kLinkClasses> latency_{};  // by LinkClass
   sim::ShardGroup* group_;
   std::vector<sim::Simulator*> sims_;    // by shard
   sim::Simulator* global_sim_ = nullptr;

@@ -108,9 +108,11 @@ EventId EventQueue::push(Time t, Callback&& cb) {
   if (buckets_.empty()) cal_init();
   cal_insert(Entry{t, next_seq_++, index});
   ++live_;
-  if (live_ > buckets_.size() * 2 && buckets_.size() < kMaxBuckets) {
+  ++cal_live_;
+  cal_head_valid_ = false;
+  if (cal_live_ > buckets_.size() * 2 && buckets_.size() < kMaxBuckets) {
     cal_rebuild(buckets_.size() * 2);
-  } else if (cal_stored_ > 2 * live_ + 64) {
+  } else if (cal_stored_ > 2 * cal_live_ + 64) {
     // Tombstones the cursor never sweeps (cancelled entries in windows
     // the scan jumped over) would otherwise pin arena slots forever.
     cal_rebuild(buckets_.size());
@@ -130,9 +132,39 @@ bool EventQueue::cancel(EventId id) {
   // becomes a tombstone discarded lazily when it reaches the front.
   s.task.reset();
   s.state = SlotState::kCancelled;
-  assert(live_ > 0);
+  assert(cal_live_ > 0);
   --live_;
+  --cal_live_;
+  cal_head_valid_ = false;
   return true;
+}
+
+LaneId EventQueue::add_lane(LaneHandler handler, void* ctx) {
+  assert(handler != nullptr);
+  lanes_.push_back(Lane{{}, handler, ctx});
+  return static_cast<LaneId>(lanes_.size() - 1);
+}
+
+Time EventQueue::lane_order_violation(LaneId lane, Time t, Time tail) {
+  // A push behind the lane's tail would leave the ring out of order, and
+  // the head comparison in find_min would fire it late and out of
+  // (time, seq) order. Clamping to the tail keeps the ring sorted.
+  if constexpr (kAuditEnabled) {
+    if (auditor_ != nullptr) {
+      auditor_->record(
+          "lane-order",
+          "lane " + std::to_string(lane) + " push at t=" + std::to_string(t) +
+              " ns behind its latest pending event at t=" +
+              std::to_string(tail) + " ns (" +
+              std::to_string(lanes_[lane].ring.size()) +
+              " pending on the lane); clamped to the latest");
+      return tail;
+    }
+  }
+  assert(t >= tail && "lane push behind the lane's latest event");
+  (void)lane;
+  (void)t;
+  return tail;
 }
 
 void EventQueue::cal_init() {
@@ -160,7 +192,7 @@ void EventQueue::cal_insert(const Entry& e) {
     b.entries.insert(it, e);
   }
   ++cal_stored_;
-  if (live_ == 0 || e.time < cursor_upper_ - (Time{1} << shift_)) {
+  if (cal_live_ == 0 || e.time < cursor_upper_ - (Time{1} << shift_)) {
     // The new entry precedes the scan position: reposition the year scan
     // on its window so pop order stays exact.
     cursor_ = bucket_of(e.time);
@@ -169,7 +201,7 @@ void EventQueue::cal_insert(const Entry& e) {
 }
 
 EventQueue::Entry* EventQueue::cal_find_min() {
-  assert(live_ > 0);
+  assert(cal_live_ > 0);
   std::size_t scanned = 0;
   while (true) {
     Bucket& b = buckets_[cursor_];
@@ -230,7 +262,7 @@ void EventQueue::cal_direct_seek() {
 void EventQueue::cal_rebuild(std::size_t nbuckets) {
   nbuckets = std::clamp(nbuckets, kMinBuckets, kMaxBuckets);
   rebuild_scratch_.clear();
-  rebuild_scratch_.reserve(live_);
+  rebuild_scratch_.reserve(cal_live_);
   for (Bucket& b : buckets_) {
     for (std::size_t i = b.head; i < b.entries.size(); ++i) {
       const Entry& e = b.entries[i];
@@ -297,16 +329,12 @@ void EventQueue::end_epoch() {
   epoch_cost_mark_ = shifted_ + scanned_;
 }
 
-Time EventQueue::next_time() {
-  assert(live_ > 0);
-  return cal_find_min()->time;
-}
-
 void EventQueue::take(const Entry& e, Callback& cb) {
   Slot& s = slots_[e.slot];
   check_live_slot(e, s);
   cb = std::move(s.task);
   release_slot(e.slot);
+  cal_head_valid_ = false;
   Bucket& b = buckets_[cursor_];
   ++b.head;
   --cal_stored_;
@@ -315,24 +343,19 @@ void EventQueue::take(const Entry& e, Callback& cb) {
     b.head = 0;
   }
   --live_;
-  if (buckets_.size() > kMinBuckets && live_ < buckets_.size() / 8) {
+  --cal_live_;
+  if (buckets_.size() > kMinBuckets && cal_live_ < buckets_.size() / 8) {
     cal_rebuild(buckets_.size() / 2);
   }
   if (--epoch_left_ == 0) end_epoch();
 }
 
-bool EventQueue::pop_due(Time deadline, Time& when, Callback& cb) {
-  assert(live_ > 0);
-  const Entry e = *cal_find_min();
-  if (e.time > deadline) return false;
-  when = e.time;
-  take(e, cb);
-  return true;
-}
-
 std::pair<Time, EventQueue::Callback> EventQueue::pop() {
   std::pair<Time, Callback> out;
-  pop_due(kNever, out.first, out.second);
+  LaneEvent lane;
+  if (pop_next(kNever, out.first, out.second, lane) == Popped::kLane) {
+    out.second = [lane] { lane(); };
+  }
   return out;
 }
 

@@ -1,0 +1,60 @@
+// Power-of-two ring FIFO: the wait queue of sim::Station and the FIFO
+// lanes of sim::EventQueue.
+//
+// Elements live in one vector whose size is zero or a power of two, so an
+// index wraps with a mask. The ring doubles when full and never shrinks:
+// once it has held its high-water depth, pushing allocates nothing.
+#pragma once
+
+#include <cstddef>
+#include <utility>
+#include <vector>
+
+namespace netrs::sim {
+
+/// FIFO over a power-of-two ring that doubles when full and never shrinks
+/// (see the file comment). `T` must be default-constructible and movable.
+template <typename T>
+class Ring {
+ public:
+  /// Elements held.
+  [[nodiscard]] std::size_t size() const { return size_; }
+  /// True when no element is held.
+  [[nodiscard]] bool empty() const { return size_ == 0; }
+
+  /// The i-th element from the front. Precondition: i < size().
+  T& operator[](std::size_t i) {
+    return buf_[(head_ + i) & (buf_.size() - 1)];
+  }
+  /// The i-th element from the front, read-only. Precondition: i < size().
+  const T& operator[](std::size_t i) const {
+    return buf_[(head_ + i) & (buf_.size() - 1)];
+  }
+
+  /// Appends `v` at the back, doubling the ring first when it is full.
+  void push_back(T v) {
+    if (size_ == buf_.size()) [[unlikely]] grow();
+    (*this)[size_++] = std::move(v);
+  }
+  /// Drops the front element. Precondition: !empty().
+  void pop_front() {
+    head_ = (head_ + 1) & (buf_.size() - 1);
+    --size_;
+  }
+  /// Drops the back element. Precondition: !empty().
+  void pop_back() { --size_; }
+
+ private:
+  void grow() {
+    std::vector<T> bigger(buf_.empty() ? 4 : 2 * buf_.size());
+    for (std::size_t i = 0; i < size_; ++i) bigger[i] = std::move((*this)[i]);
+    buf_.swap(bigger);
+    head_ = 0;
+  }
+
+  std::vector<T> buf_;
+  std::size_t head_ = 0;
+  std::size_t size_ = 0;
+};
+
+}  // namespace netrs::sim

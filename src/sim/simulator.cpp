@@ -63,8 +63,10 @@ std::uint64_t Simulator::run_until(Time deadline) {
   std::uint64_t n = 0;
   Time t = 0;
   Callback cb;
+  LaneEvent lane;
   while (!queue_.empty()) {
-    if (!queue_.pop_due(deadline, t, cb)) {
+    const EventQueue::Popped popped = queue_.pop_next(deadline, t, cb, lane);
+    if (popped == EventQueue::Popped::kNone) {
       now_ = deadline;
       return n;
     }
@@ -80,8 +82,12 @@ std::uint64_t Simulator::run_until(Time deadline) {
       assert(t >= now_);
     }
     now_ = t;
-    cb();
-    cb.reset();  // captures die as soon as their event has fired
+    if (popped == EventQueue::Popped::kLane) {
+      lane();  // no Task: the lane handler runs directly
+    } else {
+      cb();
+      cb.reset();  // captures die as soon as their event has fired
+    }
     ++n;
     ++fired_;
   }

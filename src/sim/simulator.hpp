@@ -6,9 +6,14 @@
 //
 // `at`/`after` take the callback as `Callback&&`: a lambda converts into a
 // temporary sim::Task in place, and the queue moves it once, into its
-// arena slot; the run loop moves it once more, out of the slot to fire.
+// arena slot; the run loop moves it out of the slot to fire it. Traffic
+// that is in time order by construction — a fixed delay from now() — can
+// skip the Task entirely: `after_lane` appends a (time, seq, token) entry
+// to a FIFO lane created by `add_lane`, and the run loop calls the lane's
+// plain-function handler with the token (EventQueue's file comment).
 #pragma once
 
+#include <cassert>
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -51,6 +56,23 @@ class Simulator {
 
   /// Schedules `cb` after a non-negative delay from now().
   EventId after(Duration d, Callback&& cb);
+
+  /// Creates a FIFO lane on this simulator's queue whose events fire as
+  /// `handler(ctx, token)`; see EventQueue::add_lane.
+  LaneId add_lane(LaneHandler handler, void* ctx) {
+    return queue_.add_lane(handler, ctx);
+  }
+
+  /// Schedules a lane event a non-negative delay `d` from now(). Every
+  /// push onto one lane must use the same `d` (or a non-decreasing one),
+  /// which keeps the lane in time order (EventQueue::push_lane). Lane
+  /// events cannot be cancelled; they count in events_fired() and
+  /// pending_events() like any other.
+  void after_lane(LaneId lane, Duration d, std::uint32_t token) {
+    affinity_.check("schedule");
+    assert(d >= 0 && "negative lane delay");
+    queue_.push_lane(lane, now_ + d, token);
+  }
 
   /// Schedules `cb` every `period` (> 0), first firing at now() + period.
   /// The periodic task stops when `cb` returns false or the simulation ends.

@@ -5,8 +5,8 @@
 // Up to `slots` jobs are in service and the rest wait FIFO. A job in
 // service parks in the lowest free slot with its completion EventId and
 // service start, so the completion event stays inline in its Task. The
-// wait queue is a power-of-two ring that doubles when full and never
-// shrinks: past its high-water depth, queueing allocates nothing. The
+// wait queue is a sim::Ring, which doubles when full and never shrinks:
+// past its high-water depth, queueing allocates nothing. The
 // station is the only caller of its StationLedger (DESIGN.md §7); the
 // owner keeps the service-time policy, tracing, and what a finished job
 // turns into.
@@ -21,6 +21,7 @@
 #include <vector>
 
 #include "sim/audit.hpp"
+#include "sim/ring.hpp"
 #include "sim/simulator.hpp"
 #include "sim/time.hpp"
 
@@ -51,24 +52,22 @@ class Station {
   /// Jobs in service.
   [[nodiscard]] int busy() const { return busy_; }
   /// Jobs waiting for a slot.
-  [[nodiscard]] std::size_t queued() const { return queued_; }
+  [[nodiscard]] std::size_t queued() const { return ring_.size(); }
   /// True when start() may be called.
   [[nodiscard]] bool has_free_slot() const { return busy_ < slots(); }
 
   /// Appends `job` to the FIFO.
   void enqueue(Job job) {
-    if (queued_ == ring_.size()) grow();
-    at(queued_++) = std::move(job);
-    ledger_.on_enqueue(sim_.auditor(), queued_);
+    ring_.push_back(std::move(job));
+    ledger_.on_enqueue(sim_.auditor(), ring_.size());
   }
 
   /// Removes and returns the oldest waiting job, if any.
   std::optional<Job> dequeue() {
-    if (queued_ == 0) return std::nullopt;
-    Job job = std::move(at(0));
-    head_ = (head_ + 1) & (ring_.size() - 1);
-    --queued_;
-    ledger_.on_dequeue(sim_.auditor(), queued_);
+    if (ring_.empty()) return std::nullopt;
+    Job job = std::move(ring_[0]);
+    ring_.pop_front();
+    ledger_.on_dequeue(sim_.auditor(), ring_.size());
     return job;
   }
 
@@ -77,12 +76,12 @@ class Station {
   /// behind it keep their order.
   template <typename Pred>
   std::optional<Job> remove_first(Pred pred) {
-    for (std::size_t i = 0; i < queued_; ++i) {
-      if (!pred(std::as_const(at(i)))) continue;
-      Job job = std::move(at(i));
-      for (; i + 1 < queued_; ++i) at(i) = std::move(at(i + 1));
-      --queued_;
-      ledger_.on_remove(sim_.auditor(), queued_);
+    for (std::size_t i = 0; i < ring_.size(); ++i) {
+      if (!pred(std::as_const(ring_[i]))) continue;
+      Job job = std::move(ring_[i]);
+      for (; i + 1 < ring_.size(); ++i) ring_[i] = std::move(ring_[i + 1]);
+      ring_.pop_back();
+      ledger_.on_remove(sim_.auditor(), ring_.size());
       return job;
     }
     return std::nullopt;
@@ -152,16 +151,6 @@ class Station {
     bool busy = false;
   };
 
-  // The i-th waiting job from the front (ring_ is empty or a power of two).
-  Job& at(std::size_t i) { return ring_[(head_ + i) & (ring_.size() - 1)]; }
-
-  void grow() {
-    std::vector<Job> bigger(ring_.empty() ? 4 : 2 * ring_.size());
-    for (std::size_t i = 0; i < queued_; ++i) bigger[i] = std::move(at(i));
-    ring_.swap(bigger);
-    head_ = 0;
-  }
-
   Job finish(std::size_t s) {
     Slot& slot = slots_[s];
     assert(slot.busy);
@@ -174,9 +163,7 @@ class Station {
   Simulator& sim_;
   std::vector<Slot> slots_;
   int busy_ = 0;
-  std::vector<Job> ring_;
-  std::size_t head_ = 0;
-  std::size_t queued_ = 0;
+  Ring<Job> ring_;  // waiting jobs
   StationLedger ledger_;
 };
 

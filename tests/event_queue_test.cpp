@@ -197,12 +197,17 @@ TEST(EventQueueTest, StressWithRandomCancellations) {
 struct ReferenceChurn {
   EventQueue q;
   std::set<std::pair<Time, int>> model;
-  std::vector<EventId> ids;  // by logical event
+  std::vector<EventId> ids;  // by logical event; 0 for lane events
   std::vector<Time> whens;   // by logical event
   std::vector<bool> gone;    // popped or cancelled
-  int fired = -1;            // set by callbacks
+  std::vector<LaneId> lanes;        // lanes made by add_lane
+  std::vector<Duration> lane_delays;  // by lane
+  int fired = -1;            // set by callbacks and lane handlers
   Time now = 0;              // time of the last pop
   std::uint64_t pushes = 0;
+
+  ReferenceChurn() = default;
+  ReferenceChurn(const ReferenceChurn&) = delete;  // lanes point at this
 
   void push(Time when) {
     const int k = static_cast<int>(ids.size());
@@ -213,14 +218,37 @@ struct ReferenceChurn {
     ++pushes;
   }
 
+  // Adds a lane whose events all fire `delay` after the pop before their
+  // push, as a fixed-latency link's deliveries do.
+  void add_lane(Duration delay) {
+    lanes.push_back(q.add_lane(
+        [](void* ctx, std::uint32_t token) {
+          static_cast<ReferenceChurn*>(ctx)->fired = static_cast<int>(token);
+        },
+        this));
+    lane_delays.push_back(delay);
+  }
+
+  void push_lane(std::size_t lane) {
+    const int k = static_cast<int>(ids.size());
+    const Time when = now + lane_delays[lane];
+    q.push_lane(lanes[lane], when, static_cast<std::uint32_t>(k));
+    ids.push_back(0);
+    whens.push_back(when);
+    gone.push_back(false);
+    model.emplace(when, k);
+    ++pushes;
+  }
+
   // Cancels a random logical event among the `window` latest (all by
-  // default); one already gone must fail. Returns whether it cancelled.
+  // default); one already gone, or a lane event, must fail. Returns
+  // whether it cancelled.
   bool cancel_random(Rng& rng, std::size_t window = 0) {
     const std::size_t probe =
         window == 0
             ? rng.uniform(ids.size())
             : ids.size() - 1 - rng.uniform(std::min(window, ids.size()));
-    if (gone[probe]) {
+    if (gone[probe] || ids[probe] == 0) {
       EXPECT_FALSE(q.cancel(ids[probe]));
       return false;
     }
@@ -237,6 +265,37 @@ struct ReferenceChurn {
     auto [when, cb] = q.pop();
     ASSERT_EQ(when, want_time) << "pop time diverged at op " << op;
     cb();
+    ASSERT_EQ(fired, want_event) << "pop order diverged at op " << op;
+    gone[static_cast<std::size_t>(fired)] = true;
+    model.erase(model.begin());
+    now = when;
+  }
+
+  // The run loop's path: pop_next with a deadline. Nothing may be removed
+  // when the earliest event is later; otherwise the event must be the
+  // model's minimum and come back through its own kind (lane or Task).
+  void pop_next_and_check(Time deadline, int op) {
+    ASSERT_FALSE(model.empty());
+    const auto [want_time, want_event] = *model.begin();
+    Time when = -1;
+    EventQueue::Callback cb;
+    LaneEvent lane;
+    const EventQueue::Popped popped = q.pop_next(deadline, when, cb, lane);
+    if (want_time > deadline) {
+      ASSERT_EQ(popped, EventQueue::Popped::kNone) << "op " << op;
+      ASSERT_EQ(q.size(), model.size()) << "op " << op;
+      return;
+    }
+    const bool want_lane = ids[static_cast<std::size_t>(want_event)] == 0;
+    ASSERT_EQ(popped, want_lane ? EventQueue::Popped::kLane
+                                : EventQueue::Popped::kTask)
+        << "op " << op;
+    ASSERT_EQ(when, want_time) << "pop time diverged at op " << op;
+    if (want_lane) {
+      lane();
+    } else {
+      cb();
+    }
     ASSERT_EQ(fired, want_event) << "pop order diverged at op " << op;
     gone[static_cast<std::size_t>(fired)] = true;
     model.erase(model.begin());
@@ -448,6 +507,126 @@ TEST(EventQueueTest, CancelHeavyChurnReclaimsTombstones) {
     --live_count;
   }
   EXPECT_EQ(live_count, 0u);
+}
+
+TEST(EventQueueTest, LanesMixedWithCalendarMatchReferenceModel) {
+  // Differential test of the lanes: two or three fixed-delay lanes (the
+  // fabric's 30 us and 1.25 us links, plus a third in one run) share the
+  // queue with calendar pushes from the simulator's delay mix, cancels of
+  // calendar events, and pops both through pop() and through pop_next
+  // with random deadlines. Every pop must match the (time, push order)
+  // reference model, so lane events interleave with calendar events
+  // exactly as one index over all of them would order them.
+  for (const int nlanes : {2, 3}) {
+    SCOPED_TRACE(nlanes);
+    Rng rng(static_cast<std::uint64_t>(40 + nlanes));
+    ReferenceChurn c;
+    c.add_lane(micros(30));
+    c.add_lane(micros(1.25));
+    if (nlanes == 3) c.add_lane(micros(5));
+    for (int i = 0; i < 200; ++i) {
+      if (rng.uniform(2) == 0) {
+        c.push_lane(rng.uniform(c.lanes.size()));
+      } else {
+        c.push(near_far_mix(rng));
+      }
+    }
+    for (int op = 0; op < 40000; ++op) {
+      const std::uint64_t dice = rng.uniform(20);
+      if (dice < 6 || c.model.empty()) {
+        c.push_lane(rng.uniform(c.lanes.size()));
+      } else if (dice < 9) {
+        c.push(c.now + near_far_mix(rng));
+      } else if (dice < 10) {
+        c.cancel_random(rng, 500);
+      } else if (dice < 15) {
+        c.pop_and_check(op);
+      } else {
+        // Deadlines from just behind to well past the lane delays.
+        c.pop_next_and_check(c.now + static_cast<Time>(rng.uniform(40'000)),
+                             op);
+      }
+      ASSERT_FALSE(HasFatalFailure());
+      ASSERT_EQ(c.q.size(), c.model.size());
+      ASSERT_EQ(c.q.empty(), c.model.empty());
+    }
+    c.drain();
+  }
+}
+
+TEST(EventQueueTest, LaneAndCalendarEventsAtOneInstantPopInPushOrder) {
+  // Lane entries take their seq from the queue's one counter, so a lane
+  // event and a calendar event at the same instant fire in push order,
+  // whichever lane or bucket holds them.
+  EventQueue q;
+  std::vector<int> fired;
+  const auto record = [](void* ctx, std::uint32_t token) {
+    static_cast<std::vector<int>*>(ctx)->push_back(static_cast<int>(token));
+  };
+  const LaneId a = q.add_lane(record, &fired);
+  const LaneId b = q.add_lane(record, &fired);
+  q.push(100, [&] { fired.push_back(1); });
+  q.push_lane(a, 100, 2);
+  q.push_lane(b, 100, 3);
+  q.push(100, [&] { fired.push_back(4); });
+  q.push_lane(a, 100, 5);
+  q.push(50, [&] { fired.push_back(0); });
+  q.push_lane(b, 200, 7);
+  q.push(100, [&] { fired.push_back(6); });
+  EXPECT_EQ(q.size(), 8u);
+  EXPECT_EQ(q.next_time(), 50);
+  Time prev = 0;
+  while (!q.empty()) {
+    auto [when, cb] = q.pop();
+    EXPECT_GE(when, prev);
+    prev = when;
+    cb();
+  }
+  EXPECT_EQ(fired, (std::vector<int>{0, 1, 2, 3, 4, 5, 6, 7}));
+}
+
+TEST(EventQueueTest, LaneRingWrapsAndGrowsInOrder) {
+  // A ring that has wrapped (head past the start) must grow into one
+  // that keeps the oldest entry first; pops interleaved with the pushes
+  // check the order across the wrap, the growth and the tail.
+  EventQueue q;
+  std::vector<std::uint32_t> fired;
+  const LaneId lane = q.add_lane(
+      [](void* ctx, std::uint32_t token) {
+        static_cast<std::vector<std::uint32_t>*>(ctx)->push_back(token);
+      },
+      &fired);
+  std::uint32_t next = 0;
+  const auto push = [&](int n) {
+    for (int i = 0; i < n; ++i, ++next) {
+      q.push_lane(lane, static_cast<Time>(10 * next), next);
+    }
+  };
+  const auto pop = [&](int n) {
+    for (int i = 0; i < n; ++i) {
+      Time when = -1;
+      EventQueue::Callback cb;
+      LaneEvent ev;
+      ASSERT_EQ(q.pop_next(kNever, when, cb, ev), EventQueue::Popped::kLane);
+      ev();
+      ASSERT_EQ(when, static_cast<Time>(10 * fired.back()));
+    }
+  };
+  push(64);   // fills a 64-entry ring exactly
+  pop(40);    // head moves to 40
+  push(40);   // wraps: entries 64..103 land in slots 0..39
+  ASSERT_FALSE(HasFatalFailure());
+  push(300);  // grows twice from a wrapped ring
+  EXPECT_EQ(q.size(), 364u);
+  pop(200);
+  push(100);
+  ASSERT_FALSE(HasFatalFailure());
+  while (!q.empty()) {
+    pop(1);
+    ASSERT_FALSE(HasFatalFailure());
+  }
+  ASSERT_EQ(fired.size(), next);
+  for (std::uint32_t i = 0; i < next; ++i) EXPECT_EQ(fired[i], i);
 }
 
 TEST(EventQueueTest, GenerationWrapSkipsZeroAndKillsStaleIds) {

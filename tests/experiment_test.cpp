@@ -150,6 +150,19 @@ TEST(ExperimentTest, RejectsFewerServersThanReplicas) {
   EXPECT_THROW(run_experiment(Scheme::kNetRSIlp, cfg), std::invalid_argument);
 }
 
+TEST(ExperimentTest, RejectsNegativeLinkLatency) {
+  // One shard runs no lookahead check, so only the fabric's own check
+  // stands between a negative latency and hops silently clamped to zero.
+  ExperimentConfig cfg = small_config();
+  cfg.shards = 1;
+  cfg.accelerator_link_latency = -sim::micros(1);
+  EXPECT_THROW(run_experiment(Scheme::kNetRSIlp, cfg), std::invalid_argument);
+  cfg = small_config();
+  cfg.shards = 1;
+  cfg.host_link_latency = -1;
+  EXPECT_THROW(run_experiment(Scheme::kCliRS, cfg), std::invalid_argument);
+}
+
 TEST(ExperimentTest, DefaultConfigRejectsMalformedEnvironment) {
   ::setenv("NETRS_REQUESTS", "1e6", 1);
   EXPECT_THROW(default_config(), std::invalid_argument);

@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "net/fabric.hpp"
@@ -105,6 +107,69 @@ TEST(FabricTest, PacketsArriveFromTorPort) {
   rig.fabric.simulator().run();
   ASSERT_EQ(rig.hosts[dst]->froms.size(), 1u);
   EXPECT_EQ(rig.hosts[dst]->froms[0], rig.topo.host_tor(dst));
+}
+
+TEST(FabricTest, RejectsNegativeLinkLatencyAtAnyShardCount) {
+  // Every link class, serial and sharded: a negative latency is a config
+  // error, not a hop clamped to zero. The accelerator link never crosses
+  // shards, so no lookahead check covers it at any shard count.
+  const FatTree topo{4};
+  for (const int shards : {1, 2}) {
+    for (int link = 0; link < 3; ++link) {
+      SCOPED_TRACE("shards=" + std::to_string(shards) +
+                   " link=" + std::to_string(link));
+      sim::ShardGroup group{shards};
+      FabricConfig cfg;
+      sim::Duration& lat = link == 0   ? cfg.switch_link_latency
+                           : link == 1 ? cfg.host_link_latency
+                                       : cfg.accelerator_link_latency;
+      lat = -1;
+      EXPECT_THROW(Fabric(group, topo, cfg), std::invalid_argument);
+    }
+  }
+  // Zero is a valid serial latency.
+  sim::ShardGroup group{1};
+  FabricConfig zero;
+  zero.accelerator_link_latency = 0;
+  EXPECT_NO_THROW(Fabric(group, topo, zero));
+}
+
+TEST(FabricTest, DistinctHostAndSwitchLatenciesDeliverOnTime) {
+  // Host and switch links on separate event lanes: each hop keeps its own
+  // latency and the arrivals keep their send order.
+  sim::ShardGroup group{1};
+  FatTree topo{4};
+  FabricConfig cfg;
+  cfg.host_link_latency = sim::micros(10);
+  cfg.switch_link_latency = sim::micros(20);
+  Fabric fabric{group, topo, cfg};
+  std::vector<std::unique_ptr<Switch>> switches;
+  std::vector<std::unique_ptr<SinkHost>> hosts;
+  for (NodeId sw = 0; sw < topo.switch_count(); ++sw) {
+    switches.push_back(std::make_unique<Switch>(fabric, sw));
+    fabric.attach(sw, switches.back().get());
+  }
+  for (HostId h = 0; h < topo.host_count(); ++h) {
+    hosts.push_back(std::make_unique<SinkHost>(fabric, h));
+  }
+  const HostId src = topo.host_id(0, 0, 0);
+  const HostId near = topo.host_id(0, 0, 1);  // 2 host links
+  const HostId far = topo.host_id(3, 1, 1);   // + 4 switch links
+  Packet p;
+  p.src = src;
+  p.dst = far;
+  hosts[src]->transmit(p);
+  p.dst = near;
+  hosts[src]->transmit(p);
+  fabric.simulator().run();
+  ASSERT_EQ(hosts[near]->received_at.size(), 1u);
+  ASSERT_EQ(hosts[far]->received_at.size(), 1u);
+  EXPECT_EQ(hosts[near]->received_at[0], sim::micros(20));
+  EXPECT_EQ(hosts[far]->received_at[0], sim::micros(100));
+  EXPECT_EQ(fabric.deliveries_in_flight(), 0u);
+  // Lane events count like any other: one per link crossing.
+  EXPECT_EQ(fabric.simulator().events_fired(), 8u);
+  EXPECT_EQ(fabric.simulator().pending_events(), 0u);
 }
 
 TEST(FabricTest, WireSizeAccountsPhantomBytes) {
