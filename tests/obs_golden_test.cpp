@@ -5,11 +5,14 @@
 // run would pass them; this test hashes the bytes of each file and
 // compares them against recorded digests.
 //
-// Two small cells cover the formatting paths:
+// Three small cells cover the formatting paths:
 //   - NetRS-ILP, one shard, with a crash/recover fault: accelerator
 //     (via_rs=1) rows, unmatched and pending requests, doomed picks;
 //   - CliRS-R95, two repeats: duplicate-won (dup=1) attribution rows and
-//     a second repeat in every file.
+//     a second repeat in every file;
+//   - NetRS-ILP with shared core-group accelerators (§III-B): the pooled
+//     units' accel.util/rs.selected columns, decision rows and trace
+//     names.
 //
 // The recorded digests were produced by this test itself (run with
 // NETRS_PRINT_DIGESTS=1 to reprint them). They are a byte-level contract:
@@ -59,6 +62,7 @@ struct ObsGoldenCase {
   const char* name;
   Scheme scheme;
   const char* fault_plan;
+  bool share_core_accelerators;
   ObsDigests expected;
 };
 
@@ -73,6 +77,7 @@ ObsDigests run_and_hash(const ObsGoldenCase& gc) {
   cfg.jobs = 1;
   cfg.shards = 1;
   cfg.fault_plan = gc.fault_plan;
+  cfg.share_core_accelerators = gc.share_core_accelerators;
   const std::string base = ::testing::TempDir() + "obs_golden_" + gc.name;
   cfg.obs.trace_path = base + ".json";
   cfg.obs.metrics_path = base + "_metrics.csv";
@@ -90,12 +95,15 @@ ObsDigests run_and_hash(const ObsGoldenCase& gc) {
 // Recorded from the per-field snprintf/ostream writers (see file comment).
 constexpr ObsGoldenCase kGolden[] = {
     {"netrs_ilp_crash", Scheme::kNetRSIlp,
-     "at 0.15s crash server 3; at 0.3s recover server 3",
+     "at 0.15s crash server 3; at 0.3s recover server 3", false,
      {0x31348486CB506955ULL, 0x7DBFA1A5BA353F9DULL, 0xEE8496DAABD5DDE2ULL,
       0x8032BBDF2285DC69ULL}},
-    {"clirs_r95", Scheme::kCliRSR95, "",
+    {"clirs_r95", Scheme::kCliRSR95, "", false,
      {0xE62AC63FBB85E1FCULL, 0x82B2F8683FC6AC94ULL, 0xDC8D64DDB4F9A94EULL,
       0x359DEAF67CDD50DEULL}},
+    {"netrs_ilp_shared", Scheme::kNetRSIlp, "", true,
+     {0xE002031FAB1DAA25ULL, 0xD793F1A062D2EF2AULL, 0x1714014D8DC4DD02ULL,
+      0x4CE10BE28D271ED3ULL}},
 };
 
 // Prints a case by name (gtest would otherwise dump its raw bytes).
