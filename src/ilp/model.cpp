@@ -10,7 +10,6 @@ VarId Model::add_var(double lb, double ub, double obj, bool integral,
                      std::string name) {
   assert(lb <= ub);
   vars_.push_back(VariableDef{lb, ub, obj, integral, 0, std::move(name)});
-  has_integers_ = has_integers_ || integral;
   return static_cast<VarId>(vars_.size()) - 1;
 }
 

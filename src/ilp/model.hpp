@@ -117,8 +117,6 @@ class Model {
   [[nodiscard]] const std::vector<ConstraintDef>& constraints() const {
     return cons_;
   }
-  /// True when any variable is integer-constrained.
-  [[nodiscard]] bool has_integers() const { return has_integers_; }
 
   /// Evaluates the objective at a point (no feasibility check).
   [[nodiscard]] double objective_value(const std::vector<double>& x) const;
@@ -137,7 +135,6 @@ class Model {
  private:
   std::vector<VariableDef> vars_;
   std::vector<ConstraintDef> cons_;
-  bool has_integers_ = false;
 };
 
 }  // namespace netrs::ilp

@@ -39,8 +39,6 @@ class NETRS_SHARD_LOCAL CubicRateController {
 
   /// Current allowed sending rate (requests/s; tests).
   [[nodiscard]] double send_rate() const { return rate_; }
-  /// Current receive-rate estimate (requests/s; tests).
-  [[nodiscard]] double receive_rate() const { return recv_rate_; }
 
  private:
   void refill(sim::Time now);
