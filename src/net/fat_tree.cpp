@@ -1,11 +1,16 @@
 #include "net/fat_tree.hpp"
 
 #include <cassert>
+#include <stdexcept>
+#include <string>
 
 namespace netrs::net {
 
 FatTree::FatTree(int k) : k_(k), half_(k / 2) {
-  assert(k >= 2 && k % 2 == 0 && "fat-tree arity must be even and >= 2");
+  if (k < 2 || k % 2 != 0) {
+    throw std::invalid_argument("FatTree: the arity k must be even and >= 2, "
+                                "got k=" + std::to_string(k));
+  }
 }
 
 NodeId FatTree::core_node(int group, int j) const {

@@ -34,7 +34,8 @@ struct NETRS_SHARED_IMMUTABLE SwitchCoord {
 /// comment); Fabric binds the NodeIds to live objects.
 class NETRS_SHARED_IMMUTABLE FatTree {
  public:
-  /// Builds a k-ary fat-tree; k must be even and >= 2.
+  /// Builds a k-ary fat-tree. Throws std::invalid_argument unless k is
+  /// even and >= 2.
   explicit FatTree(int k);
 
   /// The arity k.

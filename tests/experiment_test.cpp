@@ -7,6 +7,7 @@
 
 #include <cstdlib>
 #include <stdexcept>
+#include <string>
 
 namespace netrs::harness {
 namespace {
@@ -148,6 +149,23 @@ TEST(ExperimentTest, RejectsFewerServersThanReplicas) {
   ExperimentConfig cfg = small_config();
   cfg.num_servers = 2;  // replication_factor is 3
   EXPECT_THROW(run_experiment(Scheme::kNetRSIlp, cfg), std::invalid_argument);
+}
+
+TEST(ExperimentTest, RejectsOddZeroAndNegativeArity) {
+  // An odd k used to simulate a malformed tree in Release builds, and k <= 0
+  // died on a shard count clamped to k instead of naming k.
+  for (const int k : {5, 0, -2}) {
+    ExperimentConfig cfg = small_config();
+    cfg.fat_tree_k = k;
+    try {
+      (void)run_experiment(Scheme::kNetRSIlp, cfg);
+      ADD_FAILURE() << "k=" << k << " was accepted";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find("k=" + std::to_string(k)),
+                std::string::npos)
+          << e.what();
+    }
+  }
 }
 
 TEST(ExperimentTest, RejectsNegativeLinkLatency) {

@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <stdexcept>
+#include <string>
 
 #include "sim/rng.hpp"
 
@@ -15,6 +17,19 @@ TEST(FatTreeTest, CountsForK4) {
   EXPECT_EQ(t.switch_count(), 4u + 16u);
   EXPECT_EQ(t.host_count(), 16u);
   EXPECT_EQ(t.racks(), 8);
+}
+
+TEST(FatTreeTest, RejectsOddZeroAndNegativeArity) {
+  for (const int k : {5, 3, 1, 0, -2}) {
+    try {
+      const FatTree t(k);
+      ADD_FAILURE() << "k=" << k << " was accepted";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find("k=" + std::to_string(k)),
+                std::string::npos)
+          << e.what();
+    }
+  }
 }
 
 TEST(FatTreeTest, CountsForK16MatchPaper) {
