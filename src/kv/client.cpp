@@ -108,7 +108,6 @@ void Client::send_copy(Pending& p, net::HostId target,
   pkt.dst_port = kServerPort;
   pkt.payload = core::encode_request(rh, encode_app_request(ar));
   pkt.meta.request_id = req_id;
-  pkt.meta.client_send_time = simulator().now();
   pkt.meta.redundant = redundant;
 
   p.copies[p.copy_count++] = Copy{target, false, simulator().now()};
@@ -167,7 +166,6 @@ void Client::send_cancels(const Pending& p) {
     pkt.dst_port = kServerPort;
     pkt.payload = core::encode_request(rh, encode_app_request(ar));
     pkt.meta.request_id = req_id;
-    pkt.meta.client_send_time = simulator().now();
     ++cancels_;
     if (obs::Observer* o = simulator().observer()) {
       o->instant("cli.cancel", "cli", static_cast<std::int32_t>(node_id()),

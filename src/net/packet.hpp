@@ -7,7 +7,7 @@
 // accounting, flight stamps) that no device may use for forwarding
 // decisions.
 //
-// A Packet is trivially copyable (192 B): the payload is a fixed inline
+// A Packet is trivially copyable (184 B): the payload is a fixed inline
 // array with no heap fallback, so copying or moving a packet is a flat
 // copy. The switch pipeline and the fabric pass it by reference; a hop
 // copies it only into its delivery slot and out of it.
@@ -34,7 +34,6 @@ namespace netrs::net {
 /// the winning response alone (obs::FlightRecorder, DESIGN.md §8.4).
 struct NETRS_SHARED_IMMUTABLE PacketMeta {
   std::uint64_t request_id = 0;   ///< end-to-end request correlation
-  sim::Time client_send_time = 0; ///< when the originating client sent it
   std::uint32_t forwards = 0;     ///< switch forwarding operations so far
   bool redundant = false;         ///< true for CliRS-R95 duplicate requests
   bool accel_stamped = false;     ///< an accelerator served the request
@@ -69,6 +68,6 @@ struct NETRS_SHARED_IMMUTABLE Packet {
 };
 
 static_assert(std::is_trivially_copyable_v<Packet>);
-static_assert(sizeof(Packet) == 192);
+static_assert(sizeof(Packet) == 184);
 
 }  // namespace netrs::net

@@ -44,9 +44,10 @@ class CaptureServer final : public net::Host {
     const auto app =
         decode_app_request(core::request_app_payload(pkt.payload));
     ASSERT_TRUE(app.has_value());
-    log_.push_back({app->client_request_id, host_id(),
-                    pkt.meta.client_send_time, pkt.meta.redundant,
-                    app->op == AppOp::kCancel});
+    // The links have zero latency, so the arrival instant is the instant
+    // the client sent the copy.
+    log_.push_back({app->client_request_id, host_id(), simulator().now(),
+                    pkt.meta.redundant, app->op == AppOp::kCancel});
   }
 
  private:
