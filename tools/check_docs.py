@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Best-effort doc-coverage check for the public headers.
+"""Best-effort doc-coverage check for the public headers and the file map.
 
 Flags public declarations (types, functions, enum values, members,
 constants) in src/ headers that lack a Doxygen comment (`///` above or
@@ -7,8 +7,13 @@ constants) in src/ headers that lack a Doxygen comment (`///` above or
 target (Doxygen with WARN_IF_UNDOCUMENTED + warnings-as-errors), usable
 in containers without a doxygen binary.
 
-Usage: tools/check_docs.py [header...]   (defaults to all src/*/*.hpp)
-Exit 1 when any undocumented declaration is found.
+Without arguments it also checks DESIGN.md's §2 file map against src/:
+every file a §2 bullet names must exist, and every src/**/*.{hpp,cpp}
+must be named by one.
+
+Usage: tools/check_docs.py [header...]   (defaults to all src/*/*.hpp
+plus the file map)
+Exit 1 when any undocumented declaration or file-map mismatch is found.
 """
 
 import re
@@ -113,6 +118,47 @@ def check(path: Path) -> list[str]:
     return problems
 
 
+MAP_DIR = re.compile(r"^### `src/([\w/]+)`")
+MAP_NAME = re.compile(r"`([^`]+)`")
+
+
+def file_map_problems(design: str, src: Path) -> list[str]:
+    """Mismatches between DESIGN.md's §2 file map and the files in `src`.
+
+    §2 lists files per `### `src/<dir>`` heading, one bullet per module:
+    the backticked names before the bullet's " — " are file names in that
+    directory, and `name.{hpp,cpp}` stands for both files.
+    """
+    problems = []
+    listed = set()
+    in_map = False
+    directory = None
+    for line in design.splitlines():
+        if line.startswith("## "):
+            in_map = line.startswith("## 2.")
+            continue
+        m = MAP_DIR.match(line)
+        if in_map and m:
+            directory = m.group(1)
+            continue
+        if not in_map or directory is None or not line.startswith("- "):
+            continue
+        for name in MAP_NAME.findall(line[2:].split(" — ", 1)[0]):
+            stem, _, ext = name.partition(".")
+            exts = ext[1:-1].split(",") if ext.startswith("{") else [ext]
+            for e in exts:
+                rel = f"{directory}/{stem}.{e}"
+                listed.add(rel)
+                if not (src / rel).is_file():
+                    problems.append(
+                        f"DESIGN.md §2 names src/{rel}, which does not exist")
+    for path in sorted(src.rglob("*.[hc]pp")):
+        rel = path.relative_to(src).as_posix()
+        if rel not in listed:
+            problems.append(f"src/{rel} is missing from DESIGN.md §2")
+    return problems
+
+
 def main() -> int:
     args = sys.argv[1:]
     root = Path(__file__).resolve().parent.parent
@@ -125,7 +171,15 @@ def main() -> int:
             total += 1
     print(f"check_docs: {total} undocumented declaration(s) "
           f"in {len(paths)} header(s)")
-    return 1 if total else 0
+    if args:
+        return 1 if total else 0
+    map_problems = file_map_problems((root / "DESIGN.md").read_text(),
+                                     root / "src")
+    for msg in map_problems:
+        print(msg)
+    print(f"check_docs: {len(map_problems)} file-map mismatch(es) "
+          f"in DESIGN.md §2")
+    return 1 if total or map_problems else 0
 
 
 if __name__ == "__main__":
