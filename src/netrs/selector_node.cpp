@@ -17,8 +17,10 @@ constexpr std::size_t kMaxSlots = std::size_t{1} << 16;
 }  // namespace
 
 SelectorNode::SelectorNode(sim::Simulator& sim, const ReplicaDatabase& db,
-                           std::unique_ptr<rs::ReplicaSelector> selector)
-    : sim_(sim), db_(db), selector_(std::move(selector)) {
+                           std::unique_ptr<rs::ReplicaSelector> selector,
+                           std::int32_t trace_tid)
+    : sim_(sim), db_(db), selector_(std::move(selector)),
+      trace_tid_(trace_tid) {
   assert(selector_ != nullptr);
 }
 
