@@ -5,14 +5,17 @@
 // run would pass them; this test hashes the bytes of each file and
 // compares them against recorded digests.
 //
-// Three small cells cover the formatting paths:
+// Six small cells cover the formatting paths:
 //   - NetRS-ILP, one shard, with a crash/recover fault: accelerator
 //     (via_rs=1) rows, unmatched and pending requests, doomed picks;
 //   - CliRS-R95, two repeats: duplicate-won (dup=1) attribution rows and
 //     a second repeat in every file;
 //   - NetRS-ILP with shared core-group accelerators (§III-B): the pooled
 //     units' accel.util/rs.selected columns, decision rows and trace
-//     names.
+//     names;
+//   - CliRS with each baseline selector that audits its decisions
+//     (least-outstanding, two-choices, ewma-latency): their decision
+//     rows and per-candidate context.
 //
 // The recorded digests were produced by this test itself (run with
 // NETRS_PRINT_DIGESTS=1 to reprint them). They are a byte-level contract:
@@ -63,6 +66,7 @@ struct ObsGoldenCase {
   Scheme scheme;
   const char* fault_plan;
   bool share_core_accelerators;
+  const char* algorithm;  // rs::SelectorConfig::algorithm
   ObsDigests expected;
 };
 
@@ -78,6 +82,7 @@ ObsDigests run_and_hash(const ObsGoldenCase& gc) {
   cfg.shards = 1;
   cfg.fault_plan = gc.fault_plan;
   cfg.share_core_accelerators = gc.share_core_accelerators;
+  cfg.selector.algorithm = gc.algorithm;
   const std::string base = ::testing::TempDir() + "obs_golden_" + gc.name;
   cfg.obs.trace_path = base + ".json";
   cfg.obs.metrics_path = base + "_metrics.csv";
@@ -95,15 +100,24 @@ ObsDigests run_and_hash(const ObsGoldenCase& gc) {
 // Recorded from the per-field snprintf/ostream writers (see file comment).
 constexpr ObsGoldenCase kGolden[] = {
     {"netrs_ilp_crash", Scheme::kNetRSIlp,
-     "at 0.15s crash server 3; at 0.3s recover server 3", false,
+     "at 0.15s crash server 3; at 0.3s recover server 3", false, "c3",
      {0x31348486CB506955ULL, 0x7DBFA1A5BA353F9DULL, 0xEE8496DAABD5DDE2ULL,
       0x8032BBDF2285DC69ULL}},
-    {"clirs_r95", Scheme::kCliRSR95, "", false,
+    {"clirs_r95", Scheme::kCliRSR95, "", false, "c3",
      {0xE62AC63FBB85E1FCULL, 0x82B2F8683FC6AC94ULL, 0xDC8D64DDB4F9A94EULL,
       0x359DEAF67CDD50DEULL}},
-    {"netrs_ilp_shared", Scheme::kNetRSIlp, "", true,
+    {"netrs_ilp_shared", Scheme::kNetRSIlp, "", true, "c3",
      {0xE002031FAB1DAA25ULL, 0xD793F1A062D2EF2AULL, 0x1714014D8DC4DD02ULL,
       0x4CE10BE28D271ED3ULL}},
+    {"clirs_least_outstanding", Scheme::kCliRS, "", false, "least-outstanding",
+     {0xA9837BAF2361BB11ULL, 0xD0643EBC764F18E0ULL, 0xF1459068A8BC5BC6ULL,
+      0x70FAF5C71FAAFFC8ULL}},
+    {"clirs_two_choices", Scheme::kCliRS, "", false, "two-choices",
+     {0x86BF086AD1BACC17ULL, 0x9BC6B258955EF630ULL, 0x3661CCE7E14C8CBFULL,
+      0x9FC8A08618517E3FULL}},
+    {"clirs_ewma_latency", Scheme::kCliRS, "", false, "ewma-latency",
+     {0x040A20D688BC49FAULL, 0x14C27272A1A57F26ULL, 0x62BB94292137D21AULL,
+      0xF824B5FC2386E062ULL}},
 };
 
 // Prints a case by name (gtest would otherwise dump its raw bytes).
