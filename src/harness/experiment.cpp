@@ -56,9 +56,13 @@ struct Tally {
   // replica while it was crash-dark (needs decisions + timeline + plan).
   std::vector<std::uint64_t> doomed_timeline;
   std::uint64_t doomed_picks = 0;
+  // The measured completions again, bucketed for the `latency_ms`
+  // metrics columns (empty unless metrics are on).
+  obs::LatencyHistogram latency_hist;
 
   void merge(const Tally& o) {
     latencies_ms.merge(o.latencies_ms);
+    latency_hist.merge(o.latency_hist);
     for (int p = 0; p < 3; ++p) phase[p].merge(o.phase[p]);
     if (o.timeline.size() > timeline.size()) timeline.resize(o.timeline.size());
     for (std::size_t i = 0; i < o.timeline.size(); ++i) {
@@ -217,7 +221,6 @@ struct Deployment {
   sim::FaultInjector injector;
   std::vector<QueueMoments> moments;
   std::unique_ptr<obs::ShardObserverSet> observer;
-  obs::ShardedHistogram* latency_hist = nullptr;
   std::vector<Tally> tallies;  // one per shard
   std::vector<std::unique_ptr<kv::Client>> clients;
 
@@ -296,8 +299,8 @@ Deployment::Deployment(Scheme scheme_in, const ExperimentConfig& cfg_in,
     return simulator.now() < t_end;
   });
   // Observability, created before the clients so the completion callback
-  // can capture the latency histogram; wire_obs() hooks it into every
-  // component once they all exist. Observation-only: results are identical
+  // knows whether to fill the latency histogram; wire_obs() hooks it into
+  // every component once they all exist. Observation-only: results are identical
   // with or without it. One Observer lane per shard — each component
   // records on its own shard's simulator with zero cross-shard traffic —
   // plus the coordinator observer for global-simulator events; the lane
@@ -311,8 +314,30 @@ Deployment::Deployment(Scheme scheme_in, const ExperimentConfig& cfg_in,
     // is lane(0) — the second set_observer stores the same pointer.
     simulator.set_observer(&observer->coordinator());
     if (observer->metering()) {
-      latency_hist = observer->metrics().sharded_histogram(
-          "latency_ms", {1, 2, 4, 8, 16, 32, 64, 128, 256}, shards);
+      // The `latency_ms` columns: the shards' histograms folded at each
+      // tick by integer addition, so the series is byte-identical at any
+      // shard count. Only the count feeds the report summary.
+      const auto folded = [this] {
+        obs::LatencyHistogram h;
+        for (const Tally& t : tallies) h.merge(t.latency_hist);
+        return h;
+      };
+      obs::MetricsRegistry& reg = observer->metrics();
+      const std::size_t bounds = obs::kLatencyBucketBounds.size();
+      for (std::size_t b = 0; b <= bounds; ++b) {
+        reg.gauge("latency_ms.le_" +
+                      (b < bounds ? obs::format_metric_value(sim::to_millis(
+                                        obs::kLatencyBucketBounds[b]))
+                                  : std::string("inf")),
+                  [folded, b] {
+                    return static_cast<double>(folded().buckets[b]);
+                  },
+                  false);
+      }
+      reg.gauge("latency_ms.count",
+                [folded] { return static_cast<double>(folded().count); });
+      reg.gauge("latency_ms.sum", [folded] { return folded().sum_ms(); },
+                false);
     }
   }
   build_clients();
@@ -471,6 +496,7 @@ void Deployment::build_clients() {
   client_cfg.selector.c3.concurrency = std::max(1.0, logical_clients);
   client_cfg.selector.c3.service_time_prior = cfg.mean_service_time;
 
+  const bool metering = observer != nullptr && observer->metering();
   const bool have_fault = !plan.empty();
   const sim::Time fault_start = plan.window_start();
   const sim::Time fault_end = plan.window_end();
@@ -489,8 +515,8 @@ void Deployment::build_clients() {
     const int lane = fabric.shard_of(c->node_id());
     Tally* acc = &tallies[static_cast<std::size_t>(lane)];
     c->set_completion_callback(
-        [acc, lane, warmup = warmup_time, hist = latency_hist, have_fault,
-         fault_start, fault_end,
+        [acc, warmup = warmup_time, metering, have_fault, fault_start,
+         fault_end,
          tl_bucket](const kv::Client::Completion& comp) {
           if (tl_bucket > 0) {
             // Timeline buckets cover the whole run (warmup included), so
@@ -502,12 +528,7 @@ void Deployment::build_clients() {
           }
           if (comp.completed_at - comp.latency < warmup) return;
           acc->latencies_ms.add(sim::to_millis(comp.latency));
-          if (hist != nullptr) {
-            // Integer-ns bucketing on the caller's shard lane: lanes fold
-            // by integer addition at sample time, so the series is
-            // byte-identical at any shard count.
-            hist->add(lane, comp.latency);
-          }
+          if (metering) acc->latency_hist.add(comp.latency);
           acc->forwards_sum += comp.forwards;
           if (have_fault) {
             // Phase by completion time against the plan's fault window.

@@ -1,62 +1,24 @@
 #include "obs/metrics.hpp"
 
 #include <cassert>
-#include <cmath>
 #include <string_view>
 
 #include "obs/text_sink.hpp"
 
 namespace netrs::obs {
-namespace {
 
-/// Expanded column label for one histogram bucket upper bound.
-std::string bucket_label(const std::string& name, double bound) {
-  return name + ".le_" + format_metric_value(bound);
-}
-
-}  // namespace
-
-ShardedHistogram::ShardedHistogram(std::vector<double> bounds, int lanes)
-    : bounds_(std::move(bounds)) {
-  for (std::size_t i = 1; i < bounds_.size(); ++i) {
-    assert(bounds_[i - 1] < bounds_[i] && "histogram bounds must increase");
-  }
-  bounds_ns_.reserve(bounds_.size());
-  for (const double b : bounds_) {
-    bounds_ns_.push_back(static_cast<sim::Duration>(std::llround(b * 1e6)));
-  }
-  if (lanes < 1) lanes = 1;
-  lanes_.resize(static_cast<std::size_t>(lanes));
-  for (Lane& lane : lanes_) {
-    lane.counts.assign(bounds_.size() + 1, 0);
-  }
-}
-
-void ShardedHistogram::add(int lane, sim::Duration v) {
-  Lane& l = lanes_[static_cast<std::size_t>(lane)];
+void LatencyHistogram::add(sim::Duration v) {
   std::size_t i = 0;
-  while (i < bounds_ns_.size() && v > bounds_ns_[i]) ++i;
-  ++l.counts[i];
-  ++l.count;
-  l.sum_ns += static_cast<std::uint64_t>(v);
+  while (i < kLatencyBucketBounds.size() && v > kLatencyBucketBounds[i]) ++i;
+  ++buckets[i];
+  ++count;
+  sum_ns += static_cast<std::uint64_t>(v);
 }
 
-std::uint64_t ShardedHistogram::bucket(std::size_t i) const {
-  std::uint64_t total = 0;
-  for (const Lane& l : lanes_) total += l.counts[i];
-  return total;
-}
-
-std::uint64_t ShardedHistogram::count() const {
-  std::uint64_t total = 0;
-  for (const Lane& l : lanes_) total += l.count;
-  return total;
-}
-
-double ShardedHistogram::sum() const {
-  std::uint64_t total_ns = 0;
-  for (const Lane& l : lanes_) total_ns += l.sum_ns;
-  return static_cast<double>(total_ns) * 1e-6;
+void LatencyHistogram::merge(const LatencyHistogram& o) {
+  for (std::size_t i = 0; i < buckets.size(); ++i) buckets[i] += o.buckets[i];
+  count += o.count;
+  sum_ns += o.sum_ns;
 }
 
 void MetricsSummary::merge(const MetricsSnapshot& snap) {
@@ -94,63 +56,19 @@ void MetricsSummary::merge(const MetricsSnapshot& snap) {
 
 void MetricsRegistry::gauge(std::string name, GaugeFn fn, bool summarize) {
   assert(times_.empty() && "register metrics before the first sample");
-  gauges_.push_back(std::move(fn));
-  metrics_.push_back(
-      {std::move(name), Kind::kGauge, summarize, gauges_.size() - 1});
-}
-
-ShardedHistogram* MetricsRegistry::sharded_histogram(std::string name,
-                                                     std::vector<double> bounds,
-                                                     int lanes,
-                                                     bool summarize) {
-  assert(times_.empty() && "register metrics before the first sample");
-  sharded_.emplace_back(std::move(bounds), lanes);
-  metrics_.push_back({std::move(name), Kind::kShardedHistogram, summarize,
-                      sharded_.size() - 1});
-  return &sharded_.back();
+  gauges_.push_back({std::move(name), std::move(fn), summarize});
 }
 
 void MetricsRegistry::sample(sim::Time now) {
-  if (columns_ == 0) {
-    for (const Metric& m : metrics_) {
-      columns_ += m.kind == Kind::kShardedHistogram
-                      ? sharded_[m.index].bucket_count() + 2
-                      : 1;
-    }
-  }
   times_.push_back(now);
-  for (const Metric& m : metrics_) {
-    if (m.kind == Kind::kGauge) {
-      values_.push_back(gauges_[m.index]());
-      continue;
-    }
-    const ShardedHistogram& h = sharded_[m.index];
-    for (std::size_t b = 0; b < h.bucket_count(); ++b) {
-      values_.push_back(static_cast<double>(h.bucket(b)));
-    }
-    values_.push_back(static_cast<double>(h.count()));
-    values_.push_back(h.sum());
-  }
+  for (const Gauge& g : gauges_) values_.push_back(g.fn());
 }
 
 MetricsSnapshot MetricsRegistry::take() {
   MetricsSnapshot snap;
-  for (const Metric& m : metrics_) {
-    if (m.kind == Kind::kGauge) {
-      snap.columns.push_back(m.name);
-      snap.summarize.push_back(m.summarize ? 1 : 0);
-      continue;
-    }
-    for (const double bound : sharded_[m.index].bounds()) {
-      snap.columns.push_back(bucket_label(m.name, bound));
-      snap.summarize.push_back(0);
-    }
-    snap.columns.push_back(m.name + ".le_inf");
-    snap.summarize.push_back(0);
-    snap.columns.push_back(m.name + ".count");
-    snap.summarize.push_back(m.summarize ? 1 : 0);
-    snap.columns.push_back(m.name + ".sum");
-    snap.summarize.push_back(0);
+  for (const Gauge& g : gauges_) {
+    snap.columns.push_back(g.name);
+    snap.summarize.push_back(g.summarize ? 1 : 0);
   }
   snap.times = std::move(times_);
   snap.values = std::move(values_);

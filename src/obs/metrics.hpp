@@ -1,9 +1,8 @@
 // Deterministic metrics registry sampled on simulated time.
 //
-// Components register gauges (pull-style callbacks over const getters)
-// and shard-laned fixed-bucket histograms. The harness calls sample() at
-// every sampling grid point between engine windows, appending one row per
-// tick; after the run the rows become a long-format CSV time series plus
+// Components register gauges (pull-style callbacks over const getters),
+// one per column. The harness calls sample() at every sampling grid point
+// between engine windows, appending one row per tick; after the run the rows become a long-format CSV time series plus
 // a compact per-metric summary for the harness report.
 //
 // Determinism contract: the column layout is the registration order
@@ -12,8 +11,8 @@
 // so the CSV is bit-identical for a given seed at any --jobs value.
 #pragma once
 
+#include <array>
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <ostream>
 #include <string>
@@ -28,66 +27,42 @@ namespace netrs::obs {
 /// registry at every multiple of it up to the end of the run.
 inline constexpr sim::Duration kSampleInterval = 5 * sim::kMillisecond;
 
-/// Fixed-bucket histogram in the Prometheus "le" style (a value lands in
-/// the first bucket whose upper bound is >= the value; values above the
-/// last bound land in the overflow bucket), safe to feed from shard worker
-/// threads: each shard owns one cache-line-isolated lane (single writer)
-/// accumulating integer bucket counts and an exact nanosecond sum, and
-/// the read side folds the lanes by plain integer addition in lane order
-/// at sample time — order-independent, so the expanded columns are
-/// byte-identical at any shard count. Reads must happen at engine
-/// quiescence (between ShardGroup::run_until windows), which is where the
-/// harness samples. Marked shard-local because each lane belongs to
-/// exactly one shard's thread.
-class NETRS_SHARD_LOCAL ShardedHistogram {
- public:
-  /// Creates a histogram with the given strictly increasing upper bounds
-  /// in milliseconds (one overflow bucket is added implicitly) and one
-  /// write lane per shard (`lanes` >= 1).
-  ShardedHistogram(std::vector<double> bounds, int lanes);
+/// Upper bounds of the `latency_ms` histogram buckets in simulated ns:
+/// 1, 2, 4, ..., 256 ms, followed by one overflow bucket.
+inline constexpr std::array<sim::Duration, 9> kLatencyBucketBounds = {
+    1 * sim::kMillisecond,  2 * sim::kMillisecond,  4 * sim::kMillisecond,
+    8 * sim::kMillisecond,  16 * sim::kMillisecond, 32 * sim::kMillisecond,
+    64 * sim::kMillisecond, 128 * sim::kMillisecond, 256 * sim::kMillisecond};
 
-  /// Records one observation of `v` simulated nanoseconds on `lane`.
-  /// Only that lane's owning shard thread may call this.
-  void add(int lane, sim::Duration v);
+/// Fixed-bucket latency histogram in the Prometheus "le" style: a value
+/// lands in the first bucket whose upper bound is >= the value, and values
+/// above the last bound land in the overflow bucket. Counts and the sum
+/// are integers (the sum in exact ns), so folding histograms is plain
+/// integer addition: order-independent, hence byte-identical at any shard
+/// count. Each shard's tally owns one and fills it from its own thread.
+struct NETRS_SHARD_LOCAL LatencyHistogram {
+  /// Observation count per bucket, not cumulative; the last is overflow.
+  std::array<std::uint64_t, kLatencyBucketBounds.size() + 1> buckets{};
+  /// Total observations.
+  std::uint64_t count = 0;
+  /// Exact sum of the observed values, ns.
+  std::uint64_t sum_ns = 0;
 
-  /// Upper bounds in ms as configured (excludes the overflow bucket).
-  [[nodiscard]] const std::vector<double>& bounds() const { return bounds_; }
-
-  /// Number of buckets including the overflow bucket.
-  [[nodiscard]] std::size_t bucket_count() const {
-    return bounds_.size() + 1;
+  /// Records one observation of `v` simulated nanoseconds.
+  void add(sim::Duration v);
+  /// Adds `o`'s counts and sum into this one.
+  void merge(const LatencyHistogram& o);
+  /// Sum of the observed values in milliseconds (converted once).
+  [[nodiscard]] double sum_ms() const {
+    return static_cast<double>(sum_ns) * 1e-6;
   }
-
-  /// Observation count in bucket `i`, folded over all lanes (the last
-  /// index is the overflow bucket). Not cumulative.
-  [[nodiscard]] std::uint64_t bucket(std::size_t i) const;
-
-  /// Total observations over all lanes.
-  [[nodiscard]] std::uint64_t count() const;
-
-  /// Sum of all observed values in milliseconds (exact integer ns sum,
-  /// converted once).
-  [[nodiscard]] double sum() const;
-
- private:
-  /// One shard's single-writer accumulator, padded to its own cache line.
-  struct alignas(64) Lane {
-    std::vector<std::uint64_t> counts;
-    std::uint64_t count = 0;
-    std::uint64_t sum_ns = 0;
-  };
-
-  std::vector<double> bounds_;        // ms, for column labels
-  std::vector<sim::Duration> bounds_ns_;  // exact ns thresholds
-  std::vector<Lane> lanes_;
 };
 
-/// One sampled time series extracted from a repeat: the expanded column
-/// names, which columns feed the report summary, and one row per tick,
+/// One sampled time series extracted from a repeat: the column names,
+/// which columns feed the report summary, and one row per tick,
 /// stored as one flat row-major table.
 struct NETRS_SHARED_IMMUTABLE MetricsSnapshot {
-  /// Expanded column names in registration order (histograms expand to
-  /// `<name>.le_<bound>` buckets plus `<name>.count` / `<name>.sum`).
+  /// Column names in registration order.
   std::vector<std::string> columns;
   /// Per-column flag: include this column in the report summary table.
   std::vector<std::uint8_t> summarize;
@@ -107,7 +82,7 @@ struct NETRS_SHARED_IMMUTABLE MetricsSnapshot {
 /// Per-column aggregate over every tick of every repeat, shown as the
 /// "Metrics summary" table in the harness report.
 struct NETRS_SHARED_IMMUTABLE MetricSummaryEntry {
-  /// Expanded column name.
+  /// Column name.
   std::string name;
   /// Number of contributing samples (ticks x repeats).
   std::uint64_t samples = 0;
@@ -136,7 +111,7 @@ struct NETRS_SHARED_IMMUTABLE MetricsSummary {
   void merge(const MetricsSnapshot& snap);
 };
 
-/// Registry of gauges and sharded histograms with a deterministic,
+/// Registry of gauges, one per column, with a deterministic
 /// registration-ordered column layout. One instance per repeat.
 class NETRS_COORD_GLOBAL MetricsRegistry {
  public:
@@ -147,41 +122,27 @@ class NETRS_COORD_GLOBAL MetricsRegistry {
   /// whether the column appears in the report summary table.
   void gauge(std::string name, GaugeFn fn, bool summarize = true);
 
-  /// Registers a shard-laned histogram (bounds in ms, one lane per
-  /// shard) and returns a stable pointer the owners feed via
-  /// ShardedHistogram::add. Expands to `<name>.le_<bound>` buckets,
-  /// `<name>.le_inf`, `<name>.count` and `<name>.sum`.
-  ShardedHistogram* sharded_histogram(std::string name,
-                                      std::vector<double> bounds, int lanes,
-                                      bool summarize = true);
-
-  /// Number of registered metrics (pre-expansion).
-  [[nodiscard]] std::size_t metric_count() const { return metrics_.size(); }
+  /// Number of registered gauges (= columns).
+  [[nodiscard]] std::size_t metric_count() const { return gauges_.size(); }
 
   /// Appends one sample row at simulated time `now`. Registration must
   /// be finished before the first tick (the column layout freezes then).
   void sample(sim::Time now);
 
   /// Moves the sampled series out (column names, summary flags, rows);
-  /// the registry keeps its metrics but no rows.
+  /// the registry keeps its gauges but no rows.
   [[nodiscard]] MetricsSnapshot take();
 
  private:
-  enum class Kind { kGauge, kShardedHistogram };
-
-  struct Metric {
+  struct Gauge {
     std::string name;
-    Kind kind;
+    GaugeFn fn;
     bool summarize;
-    std::size_t index;  // into the kind-specific storage below
   };
 
-  std::vector<Metric> metrics_;
-  std::vector<GaugeFn> gauges_;
-  std::deque<ShardedHistogram> sharded_;  // deque: stable addresses
+  std::vector<Gauge> gauges_;
   std::vector<sim::Time> times_;  // one per sampled row
-  std::vector<double> values_;    // row-major, columns_ per row
-  std::size_t columns_ = 0;  // frozen at first sample()
+  std::vector<double> values_;    // row-major, one value per gauge per row
 };
 
 /// Formats a metric value for CSV/report output: integers print exactly

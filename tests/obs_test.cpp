@@ -157,29 +157,35 @@ TEST(ChromeTraceTest, EscapesNamesThatNeedIt) {
 }
 
 TEST(HistogramTest, ValueOnBoundaryLandsInThatBucket) {
-  ShardedHistogram h({1.0, 2.0, 4.0}, 2);  // ms bounds, ns values, 2 lanes
-  ASSERT_EQ(h.bucket_count(), 4u);  // 3 bounds + overflow
-  h.add(0, sim::millis(1));     // == first bound -> bucket 0
-  h.add(1, 1'000'001);          // 1 ns above it -> bucket 1 (le 2)
-  h.add(0, sim::millis(2));     // == second bound -> bucket 1
-  h.add(1, sim::millis(4));     // == last bound -> bucket 2
-  h.add(0, sim::micros(4001));  // overflow
-  h.add(1, sim::millis(100));   // overflow
-  EXPECT_EQ(h.bucket(0), 1u);
-  EXPECT_EQ(h.bucket(1), 2u);
-  EXPECT_EQ(h.bucket(2), 1u);
-  EXPECT_EQ(h.bucket(3), 2u);
-  EXPECT_EQ(h.count(), 6u);
-  EXPECT_DOUBLE_EQ(h.sum(), 112.001001);  // exact ns sum, in ms
+  LatencyHistogram h;  // bounds 1, 2, 4, ..., 256 ms + overflow
+  ASSERT_EQ(h.buckets.size(), 10u);
+  h.add(sim::millis(1));     // == first bound -> bucket 0
+  h.add(1'000'001);          // 1 ns above it -> bucket 1 (le 2)
+  h.add(sim::millis(2));     // == second bound -> bucket 1
+  h.add(sim::millis(4));     // == third bound -> bucket 2
+  h.add(sim::millis(256));   // == last bound -> bucket 8
+  h.add(sim::micros(256001));  // overflow
+  EXPECT_EQ(h.buckets[0], 1u);
+  EXPECT_EQ(h.buckets[1], 2u);
+  EXPECT_EQ(h.buckets[2], 1u);
+  EXPECT_EQ(h.buckets[8], 1u);
+  EXPECT_EQ(h.buckets[9], 1u);
+  EXPECT_EQ(h.count, 6u);
+  EXPECT_DOUBLE_EQ(h.sum_ms(), 520.001001);  // exact ns sum, in ms
 }
 
 TEST(HistogramTest, ValueBelowFirstBoundLandsInFirstBucket) {
-  ShardedHistogram h({10.0, 20.0}, 3);
-  h.add(0, 0);
-  h.add(2, sim::millis(9));
-  EXPECT_EQ(h.bucket(0), 2u);
-  EXPECT_EQ(h.bucket(1), 0u);
-  EXPECT_EQ(h.bucket(2), 0u);
+  LatencyHistogram a;
+  LatencyHistogram b;
+  a.add(0);
+  b.add(sim::micros(900));
+  b.add(sim::millis(9));
+  a.merge(b);  // folding is plain addition
+  EXPECT_EQ(a.buckets[0], 2u);
+  EXPECT_EQ(a.buckets[1], 0u);
+  EXPECT_EQ(a.buckets[4], 1u);  // 9 ms in le 16
+  EXPECT_EQ(a.count, 3u);
+  EXPECT_EQ(a.sum_ns, 9'900'000u);
 }
 
 TEST(FormatMetricValueTest, IntegersExactOthersNineSigFigs) {
@@ -194,31 +200,27 @@ TEST(MetricsRegistryTest, ColumnsFollowRegistrationOrder) {
   MetricsRegistry reg;
   double reqs = 5.0;
   reg.gauge("reqs", [&reqs] { return reqs; });
-  reg.gauge("depth", [] { return 3.0; });
-  ShardedHistogram* h = reg.sharded_histogram("lat", {1.0, 2.0}, 2);
+  reg.gauge("depth", [] { return 3.0; }, false);
+  reg.gauge("lat.count", [&reqs] { return 2.0 * reqs; });
   EXPECT_EQ(reg.metric_count(), 3u);
 
-  h->add(0, sim::micros(500));
-  h->add(1, sim::millis(9));
   reg.sample(1000);
   reqs = 8.0;
   reg.sample(2000);
 
   const MetricsSnapshot snap = reg.take();
-  const std::vector<std::string> want = {
-      "reqs", "depth", "lat.le_1", "lat.le_2", "lat.le_inf", "lat.count",
-      "lat.sum"};
+  const std::vector<std::string> want = {"reqs", "depth", "lat.count"};
   EXPECT_EQ(snap.columns, want);
+  EXPECT_EQ(snap.summarize, (std::vector<std::uint8_t>{1, 0, 1}));
   ASSERT_EQ(snap.rows(), 2u);
   ASSERT_EQ(snap.values.size(), 2 * want.size());
   EXPECT_EQ(snap.times[0], 1000);
   EXPECT_EQ(snap.times[1], 2000);
   EXPECT_DOUBLE_EQ(snap.value(0, 0), 5.0);
   EXPECT_DOUBLE_EQ(snap.value(0, 1), 3.0);
-  EXPECT_DOUBLE_EQ(snap.value(0, 2), 1.0);  // 0.5 in le_1
-  EXPECT_DOUBLE_EQ(snap.value(0, 4), 1.0);  // 9.0 in overflow
-  EXPECT_DOUBLE_EQ(snap.value(0, 5), 2.0);  // count
+  EXPECT_DOUBLE_EQ(snap.value(0, 2), 10.0);
   EXPECT_DOUBLE_EQ(snap.value(1, 0), 8.0);
+  EXPECT_DOUBLE_EQ(snap.value(1, 2), 16.0);
   // take() moved the rows out; the metrics stay registered.
   EXPECT_EQ(reg.take().rows(), 0u);
   EXPECT_EQ(reg.metric_count(), 3u);
