@@ -6,6 +6,7 @@
 // weighted queue heuristic that is not part of the library — and deploys
 // it on every NetRS operator of a small cluster, side by side with C3.
 #include <cstdio>
+#include <functional>
 #include <memory>
 #include <numeric>
 #include <unordered_map>
@@ -71,9 +72,13 @@ class WeightedQueueSelector final : public rs::ReplicaSelector {
   std::unordered_map<net::HostId, State> state_;
 };
 
-// Builds a small NetRS cluster and runs `selector_factory` on every
-// operator; returns the measured latency distribution.
-sim::LatencyRecorder run_with(core::SelectorFactory make_one_selector,
+// Makes one selector instance on the run's simulator.
+using SelectorMaker =
+    std::function<std::unique_ptr<rs::ReplicaSelector>(sim::Simulator&)>;
+
+// Builds a small NetRS cluster and runs a selector from `make_one_selector`
+// on every operator; returns the measured latency distribution.
+sim::LatencyRecorder run_with(const SelectorMaker& make_one_selector,
                               const char* label) {
   sim::ShardGroup group{1};
   net::FatTree topo(8);
@@ -108,7 +113,7 @@ sim::LatencyRecorder run_with(core::SelectorFactory make_one_selector,
     operators.push_back(std::make_unique<core::NetRSOperator>(
         fabric, *switches[sw], static_cast<core::RsNodeId>(sw + 1),
         core::AcceleratorConfig{}, directory, ring.groups(),
-        make_one_selector, &groups, bootstrap));
+        [&] { return make_one_selector(sim); }, &groups, bootstrap));
   }
 
   core::ControllerConfig ctrl_cfg;
@@ -165,23 +170,20 @@ int main() {
 
   int seed = 0;
   run_with(
-      [&seed] {
+      [&seed](sim::Simulator&) {
         return std::make_unique<WeightedQueueSelector>(sim::Rng(++seed));
       },
       "weighted-queue");
 
-  // The same cluster with the library's C3 for comparison. Each operator
-  // gets a fresh instance, exactly like the custom one.
-  // (Selector instances need the experiment's simulator; for simplicity the
-  // factory here closes over a per-run simulator via rs::make_selector in
-  // the harness — this example keeps C3's rate control off.)
+  // The same cluster with a library algorithm for comparison. Each
+  // operator gets a fresh instance, exactly like the custom one.
   int seed2 = 0;
   run_with(
-      [&seed2] {
+      [&seed2](sim::Simulator& sim) {
         // LeastOutstanding is the stand-in library algorithm here; see
         // bench/ablation_algorithms for the full C3 comparison.
         return std::make_unique<rs::LeastOutstandingSelector>(
-            sim::Rng(++seed2));
+            sim::Rng(++seed2), sim);
       },
       "least-outstanding");
   return 0;

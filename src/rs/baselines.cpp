@@ -7,6 +7,12 @@
 #include "sim/simulator.hpp"
 
 namespace netrs::rs {
+namespace {
+
+/// History weight of EwmaLatencySelector's per-server latency EWMA.
+constexpr double kLatencyEwmaAlpha = 0.9;
+
+}  // namespace
 
 net::HostId RandomSelector::select(std::span<const net::HostId> candidates) {
   assert(!candidates.empty());
@@ -50,15 +56,15 @@ net::HostId LeastOutstandingSelector::select(
   if (has_decision_hook()) {
     scores_scratch_.clear();
     ages_scratch_.clear();
-    const sim::Time now = sim_ != nullptr ? sim_->now() : sim::Time{0};
+    const sim::Time now = sim_.now();
     for (net::HostId h : candidates) {
       const std::uint32_t slot = index_.find(h);
       scores_scratch_.push_back(
           slot == HostSlotIndex::kNone
               ? 0.0
               : static_cast<double>(outstanding_[slot]));
-      const bool aged = sim_ != nullptr && slot != HostSlotIndex::kNone &&
-                        has_feedback_[slot] != 0;
+      const bool aged =
+          slot != HostSlotIndex::kNone && has_feedback_[slot] != 0;
       ages_scratch_.push_back(aged ? now - last_feedback_[slot]
                                    : sim::Duration{-1});
     }
@@ -68,31 +74,25 @@ net::HostId LeastOutstandingSelector::select(
   return best;
 }
 
-void LeastOutstandingSelector::on_send(net::HostId server) {
+std::uint32_t LeastOutstandingSelector::slot_of(net::HostId server) {
   const auto [slot, inserted] = index_.get_or_add(server);
   if (inserted) {
     outstanding_.push_back(0);
     last_feedback_.push_back(0);
     has_feedback_.push_back(0);
   }
-  ++outstanding_[slot];
+  return slot;
+}
+
+void LeastOutstandingSelector::on_send(net::HostId server) {
+  ++outstanding_[slot_of(server)];
 }
 
 void LeastOutstandingSelector::on_response(const Feedback& fb) {
-  const std::uint32_t found = index_.find(fb.server);
-  if (found != HostSlotIndex::kNone && outstanding_[found] > 0) {
-    --outstanding_[found];
-  }
-  if (sim_ != nullptr) {
-    const auto [slot, inserted] = index_.get_or_add(fb.server);
-    if (inserted) {
-      outstanding_.push_back(0);
-      last_feedback_.push_back(0);
-      has_feedback_.push_back(0);
-    }
-    last_feedback_[slot] = sim_->now();
-    has_feedback_[slot] = 1;
-  }
+  const std::uint32_t slot = slot_of(fb.server);
+  if (outstanding_[slot] > 0) --outstanding_[slot];
+  last_feedback_[slot] = sim_.now();
+  has_feedback_[slot] = 1;
 }
 
 double TwoChoicesSelector::load(std::uint32_t slot) const {
@@ -126,9 +126,8 @@ net::HostId TwoChoicesSelector::select(
       const std::uint32_t slot = index_.find(h);
       scores_scratch_.push_back(load(slot));
       const bool heard = slot != HostSlotIndex::kNone && heard_[slot] != 0;
-      ages_scratch_.push_back(heard && sim_ != nullptr
-                                  ? sim_->now() - last_feedback_[slot]
-                                  : sim::Duration{-1});
+      ages_scratch_.push_back(heard ? sim_.now() - last_feedback_[slot]
+                                    : sim::Duration{-1});
     }
     report_decision(
         DecisionContext{candidates, chosen, scores_scratch_, ages_scratch_});
@@ -136,7 +135,7 @@ net::HostId TwoChoicesSelector::select(
   return chosen;
 }
 
-void TwoChoicesSelector::on_send(net::HostId server) {
+std::uint32_t TwoChoicesSelector::slot_of(net::HostId server) {
   const auto [slot, inserted] = index_.get_or_add(server);
   if (inserted) {
     outstanding_.push_back(0);
@@ -144,23 +143,19 @@ void TwoChoicesSelector::on_send(net::HostId server) {
     last_feedback_.push_back(0);
     heard_.push_back(0);
   }
-  ++outstanding_[slot];
+  return slot;
+}
+
+void TwoChoicesSelector::on_send(net::HostId server) {
+  ++outstanding_[slot_of(server)];
 }
 
 void TwoChoicesSelector::on_response(const Feedback& fb) {
-  const auto [slot, inserted] = index_.get_or_add(fb.server);
-  if (inserted) {
-    outstanding_.push_back(0);
-    queue_size_.push_back(0);
-    last_feedback_.push_back(0);
-    heard_.push_back(0);
-  }
+  const std::uint32_t slot = slot_of(fb.server);
   if (outstanding_[slot] > 0) --outstanding_[slot];
   queue_size_[slot] = fb.queue_size;
-  if (sim_ != nullptr) {
-    last_feedback_[slot] = sim_->now();
-    heard_[slot] = 1;
-  }
+  last_feedback_[slot] = sim_.now();
+  heard_[slot] = 1;
 }
 
 net::HostId EwmaLatencySelector::select(
@@ -190,9 +185,9 @@ net::HostId EwmaLatencySelector::select(
       const std::uint32_t slot = index_.find(h);
       scores_scratch_.push_back(
           slot == HostSlotIndex::kNone ? -1.0 : latency_[slot].value());
-      const bool aged = sim_ != nullptr && slot != HostSlotIndex::kNone;
-      ages_scratch_.push_back(aged ? sim_->now() - last_feedback_[slot]
-                                   : sim::Duration{-1});
+      ages_scratch_.push_back(slot != HostSlotIndex::kNone
+                                  ? sim_.now() - last_feedback_[slot]
+                                  : sim::Duration{-1});
     }
     report_decision(
         DecisionContext{candidates, best, scores_scratch_, ages_scratch_});
@@ -204,11 +199,11 @@ void EwmaLatencySelector::on_response(const Feedback& fb) {
   if (!fb.has_response_time) return;
   const auto [slot, inserted] = index_.get_or_add(fb.server);
   if (inserted) {
-    latency_.emplace_back(alpha_);
+    latency_.emplace_back(kLatencyEwmaAlpha);
     last_feedback_.push_back(0);
   }
   latency_[slot].add(sim::to_micros(fb.response_time));
-  if (sim_ != nullptr) last_feedback_[slot] = sim_->now();
+  last_feedback_[slot] = sim_.now();
 }
 
 }  // namespace netrs::rs

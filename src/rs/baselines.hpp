@@ -8,8 +8,8 @@
 //     Snitch-style history ranking).
 //
 // Every selector fires the base-class decision hook (rs/selector.hpp) once
-// per select(); the stateful ones also report per-candidate scores and
-// feedback-snapshot ages (which is why they take the simulator clock).
+// per select(); the feedback-driven ones also report per-candidate scores
+// and feedback-snapshot ages (which is why they take the simulator clock).
 #pragma once
 
 #include <vector>
@@ -64,10 +64,9 @@ class NETRS_SHARD_LOCAL RoundRobinSelector final : public ReplicaSelector {
 /// Fewest requests outstanding from this RSNode; random tie-break.
 class NETRS_SHARD_LOCAL LeastOutstandingSelector final : public ReplicaSelector {
  public:
-  /// `rng` breaks ties among equally loaded candidates; `sim` (optional)
-  /// supplies the clock for decision-hook feedback ages.
-  explicit LeastOutstandingSelector(sim::Rng rng,
-                                    sim::Simulator* sim = nullptr)
+  /// `rng` breaks ties among equally loaded candidates; `sim` supplies
+  /// the clock for decision-hook feedback ages.
+  LeastOutstandingSelector(sim::Rng rng, sim::Simulator& sim)
       : rng_(rng), sim_(sim) {}
 
   /// Picks the candidate with the fewest outstanding requests.
@@ -82,8 +81,12 @@ class NETRS_SHARD_LOCAL LeastOutstandingSelector final : public ReplicaSelector 
   }
 
  private:
+  /// Slot of `server`, created on first touch (one element appended to
+  /// every parallel array).
+  std::uint32_t slot_of(net::HostId server);
+
   sim::Rng rng_;
-  sim::Simulator* sim_;
+  sim::Simulator& sim_;
   // Per-server hot state, SoA over the slot index (rs/server_table.hpp):
   // the select() scan walks outstanding_ directly instead of hashing per
   // candidate. has_feedback_ distinguishes "never responded" (age -1).
@@ -99,9 +102,9 @@ class NETRS_SHARD_LOCAL LeastOutstandingSelector final : public ReplicaSelector 
 /// keep the one with the lower load estimate.
 class NETRS_SHARD_LOCAL TwoChoicesSelector final : public ReplicaSelector {
  public:
-  /// `rng` draws the two candidates; `sim` (optional) supplies the clock
-  /// for decision-hook feedback ages.
-  explicit TwoChoicesSelector(sim::Rng rng, sim::Simulator* sim = nullptr)
+  /// `rng` draws the two candidates; `sim` supplies the clock for
+  /// decision-hook feedback ages.
+  TwoChoicesSelector(sim::Rng rng, sim::Simulator& sim)
       : rng_(rng), sim_(sim) {}
 
   /// Samples two candidates, returns the less loaded one.
@@ -117,9 +120,12 @@ class NETRS_SHARD_LOCAL TwoChoicesSelector final : public ReplicaSelector {
   /// Estimated load of the server in `slot` (kNone = never touched = 0):
   /// outstanding from this RSNode plus last reported queue.
   [[nodiscard]] double load(std::uint32_t slot) const;
+  /// Slot of `server`, created on first touch (one element appended to
+  /// every parallel array).
+  std::uint32_t slot_of(net::HostId server);
 
   sim::Rng rng_;
-  sim::Simulator* sim_;
+  sim::Simulator& sim_;
   // Per-server load estimates in SoA layout over the slot index.
   HostSlotIndex index_;
   std::vector<std::uint32_t> outstanding_;
@@ -133,12 +139,10 @@ class NETRS_SHARD_LOCAL TwoChoicesSelector final : public ReplicaSelector {
 /// Lowest EWMA response time (Cassandra Dynamic Snitch-style ranking).
 class NETRS_SHARD_LOCAL EwmaLatencySelector final : public ReplicaSelector {
  public:
-  /// `alpha` is the EWMA history weight; `rng` breaks ties and picks
-  /// among never-seen servers; `sim` (optional) supplies the clock for
-  /// decision-hook feedback ages.
-  EwmaLatencySelector(sim::Rng rng, double alpha = 0.9,
-                      sim::Simulator* sim = nullptr)
-      : rng_(rng), alpha_(alpha), sim_(sim) {}
+  /// `rng` breaks ties and picks among never-seen servers; `sim`
+  /// supplies the clock for decision-hook feedback ages.
+  EwmaLatencySelector(sim::Rng rng, sim::Simulator& sim)
+      : rng_(rng), sim_(sim) {}
 
   /// Picks the candidate with the lowest latency EWMA.
   net::HostId select(std::span<const net::HostId> candidates) override;
@@ -151,11 +155,10 @@ class NETRS_SHARD_LOCAL EwmaLatencySelector final : public ReplicaSelector {
 
  private:
   sim::Rng rng_;
-  double alpha_;
-  sim::Simulator* sim_;
+  sim::Simulator& sim_;
   // Per-server EWMA state in SoA layout over the slot index. Slots are
   // only created on a timed response, so slot-present implies the EWMA
-  // (and, when a clock is attached, the feedback time) is populated.
+  // and the feedback time are populated.
   HostSlotIndex index_;
   std::vector<sim::Ewma> latency_;
   std::vector<sim::Time> last_feedback_;

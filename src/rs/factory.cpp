@@ -23,7 +23,7 @@ std::unique_ptr<ReplicaSelector> make_selector(const SelectorConfig& cfg,
     return std::make_unique<C3Selector>(sim, rng, opts);
   }
   if (cfg.algorithm == "least-outstanding") {
-    return std::make_unique<LeastOutstandingSelector>(rng, &sim);
+    return std::make_unique<LeastOutstandingSelector>(rng, sim);
   }
   if (cfg.algorithm == "random") {
     return std::make_unique<RandomSelector>(rng);
@@ -32,10 +32,10 @@ std::unique_ptr<ReplicaSelector> make_selector(const SelectorConfig& cfg,
     return std::make_unique<RoundRobinSelector>();
   }
   if (cfg.algorithm == "two-choices") {
-    return std::make_unique<TwoChoicesSelector>(rng, &sim);
+    return std::make_unique<TwoChoicesSelector>(rng, sim);
   }
   if (cfg.algorithm == "ewma-latency") {
-    return std::make_unique<EwmaLatencySelector>(rng, 0.9, &sim);
+    return std::make_unique<EwmaLatencySelector>(rng, sim);
   }
   throw std::invalid_argument("unknown replica-selection algorithm: " +
                               cfg.algorithm);

@@ -46,9 +46,9 @@ class ControllerRig : public ::testing::Test {
       operators.push_back(std::make_unique<NetRSOperator>(
           fabric, *switches[sw], static_cast<RsNodeId>(sw + 1),
           AcceleratorConfig{}, directory, ring->groups(),
-          [sw] {
+          [this, sw] {
             return std::make_unique<rs::LeastOutstandingSelector>(
-                sim::Rng(sw));
+                sim::Rng(sw), fabric.simulator());
           },
           &groups, bootstrap));
     }

@@ -160,7 +160,8 @@ TEST(BaselinesTest, RandomCoversAllCandidates) {
 }
 
 TEST(BaselinesTest, LeastOutstandingAvoidsBusyServer) {
-  LeastOutstandingSelector lor{sim::Rng(11)};
+  sim::Simulator sim;
+  LeastOutstandingSelector lor{sim::Rng(11), sim};
   lor.on_send(10);
   lor.on_send(10);
   lor.on_send(20);
@@ -172,14 +173,16 @@ TEST(BaselinesTest, LeastOutstandingAvoidsBusyServer) {
 }
 
 TEST(BaselinesTest, LeastOutstandingTieBreaksUniformly) {
-  LeastOutstandingSelector lor{sim::Rng(12)};
+  sim::Simulator sim;
+  LeastOutstandingSelector lor{sim::Rng(12), sim};
   std::map<net::HostId, int> counts;
   for (int i = 0; i < 3000; ++i) ++counts[lor.select(kServers)];
   EXPECT_EQ(counts.size(), 3u);  // ties must not always pick the first
 }
 
 TEST(BaselinesTest, TwoChoicesPrefersShorterQueue) {
-  TwoChoicesSelector p2c{sim::Rng(13)};
+  sim::Simulator sim;
+  TwoChoicesSelector p2c{sim::Rng(13), sim};
   Feedback f;
   f.server = 10;
   f.queue_size = 50;
@@ -192,7 +195,8 @@ TEST(BaselinesTest, TwoChoicesPrefersShorterQueue) {
 }
 
 TEST(BaselinesTest, EwmaLatencySelectsFastest) {
-  EwmaLatencySelector sel{sim::Rng(14)};
+  sim::Simulator sim;
+  EwmaLatencySelector sel{sim::Rng(14), sim};
   sel.on_response(fb(10, 9.0, 0, 4.0));
   sel.on_response(fb(20, 2.0, 0, 4.0));
   sel.on_response(fb(30, 5.0, 0, 4.0));
