@@ -6,10 +6,14 @@
 //   run_experiment --scheme netrs-ilp --clients 700 --utilization 0.9
 //   run_experiment --scheme clirs-r95c --requests 500000 --skew 0.8
 //   run_experiment --scheme netrs-ilp --algorithm two-choices --share-accel
+#include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <exception>
+#include <limits>
+#include <stdexcept>
 #include <string>
 
 #include "harness/experiment.hpp"
@@ -83,9 +87,27 @@ bool parse_scheme(const std::string& s, harness::Scheme* out) {
   return true;
 }
 
-}  // namespace
+// Sets `field` to `value`, the whole count given to `flag`; throws
+// std::invalid_argument unless it fits the field.
+template <typename T>
+void set_count(T& field, const std::string& flag, const char* value) {
+  field = static_cast<T>(harness::parse_count(
+      flag, value, static_cast<std::uint64_t>(std::numeric_limits<T>::max())));
+}
 
-int main(int argc, char** argv) {
+// `value`, the whole finite number given to `flag`; throws
+// std::invalid_argument otherwise.
+double real(const std::string& flag, const char* value) {
+  char* end = nullptr;
+  const double x = std::strtod(value, &end);
+  if (end == value || *end != '\0' || !std::isfinite(x)) {
+    throw std::invalid_argument(flag + "=\"" + value +
+                                "\" is not a number");
+  }
+  return x;
+}
+
+int run(int argc, char** argv) {
   harness::ExperimentConfig cfg = harness::default_config();
   harness::Scheme scheme = harness::Scheme::kNetRSIlp;
 
@@ -104,22 +126,22 @@ int main(int argc, char** argv) {
         return 2;
       }
     } else if (arg == "--k") {
-      cfg.fat_tree_k = std::atoi(next());
+      set_count(cfg.fat_tree_k, arg, next());
     } else if (arg == "--servers") {
-      cfg.num_servers = std::atoi(next());
+      set_count(cfg.num_servers, arg, next());
     } else if (arg == "--clients") {
-      cfg.num_clients = std::atoi(next());
+      set_count(cfg.num_clients, arg, next());
     } else if (arg == "--utilization") {
-      cfg.utilization = std::atof(next());
+      cfg.utilization = real(arg, next());
     } else if (arg == "--skew") {
-      cfg.demand_skew = std::atof(next());
+      cfg.demand_skew = real(arg, next());
     } else if (arg == "--tkv") {
-      cfg.mean_service_time = sim::millis(std::atof(next()));
+      cfg.mean_service_time = sim::millis(real(arg, next()));
       cfg.selector.c3.service_time_prior = cfg.mean_service_time;
     } else if (arg == "--requests") {
-      cfg.total_requests = std::strtoull(next(), nullptr, 10);
+      set_count(cfg.total_requests, arg, next());
     } else if (arg == "--repeats") {
-      cfg.repeats = std::atoi(next());
+      set_count(cfg.repeats, arg, next());
     } else if (arg == "--algorithm") {
       cfg.selector.algorithm = next();
     } else if (arg == "--granularity") {
@@ -136,17 +158,17 @@ int main(int argc, char** argv) {
         return 2;
       }
     } else if (arg == "--hop-budget") {
-      cfg.extra_hop_fraction = std::atof(next());
+      cfg.extra_hop_fraction = real(arg, next());
     } else if (arg == "--share-accel") {
       cfg.share_core_accelerators = true;
     } else if (arg == "--seed") {
-      cfg.seed = std::strtoull(next(), nullptr, 10);
+      set_count(cfg.seed, arg, next());
     } else if (arg == "--jobs") {
-      cfg.jobs = std::atoi(next());
+      set_count(cfg.jobs, arg, next());
     } else if (arg == "--shards") {
-      cfg.shards = std::atoi(next());
+      set_count(cfg.shards, arg, next());
     } else if (arg == "--multiplicity") {
-      cfg.client_multiplicity = std::atoi(next());
+      set_count(cfg.client_multiplicity, arg, next());
     } else if (arg == "--trace") {
       cfg.obs.trace_path = next();
     } else if (arg.rfind("--trace=", 0) == 0) {
@@ -168,10 +190,9 @@ int main(int argc, char** argv) {
     } else if (arg.rfind("--faults=", 0) == 0) {
       cfg.fault_plan = arg.substr(std::strlen("--faults="));
     } else if (arg == "--timeline-bucket") {
-      cfg.timeline_bucket = sim::millis(std::atof(next()));
+      cfg.timeline_bucket = sim::millis(real(arg, next()));
     } else if (arg == "--trace-capacity") {
-      cfg.obs.trace_capacity =
-          static_cast<std::size_t>(std::strtoull(next(), nullptr, 10));
+      set_count(cfg.obs.trace_capacity, arg, next());
     } else if (arg == "--shard-telemetry") {
       cfg.shard_telemetry_path = next();
     } else if (arg.rfind("--shard-telemetry=", 0) == 0) {
@@ -336,4 +357,17 @@ int main(int argc, char** argv) {
     harness::print_fault_phases(harness::scheme_name(scheme), r);
   }
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  // A rejected configuration (odd k, too many hosts, a bad fault plan or
+  // flag value) is a usage error, not a crash.
+  try {
+    return run(argc, argv);
+  } catch (const std::exception& e) {
+    std::fprintf(stderr, "run_experiment: %s\n", e.what());
+    return 2;
+  }
 }

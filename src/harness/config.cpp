@@ -42,26 +42,30 @@ sim::Duration ExperimentConfig::nominal_duration() const {
                       aggregate_rate());
 }
 
+std::uint64_t parse_count(std::string_view what, std::string_view value,
+                          std::uint64_t max) {
+  std::uint64_t n = 0;
+  const char* const last = value.data() + value.size();
+  const auto [end, ec] = std::from_chars(value.data(), last, n);
+  if (value.empty() || ec != std::errc{} || end != last || n > max) {
+    throw std::invalid_argument(std::string(what) + "=\"" +
+                                std::string(value) +
+                                "\" is not a count in [0, " +
+                                std::to_string(max) + "]");
+  }
+  return n;
+}
+
 namespace {
 
 /// The count in environment variable `name`, or `fallback` when it is
-/// unset or empty. Throws std::invalid_argument unless the whole value is a
-/// non-negative decimal integer that fits a T.
+/// unset or empty; parse_count() checks it against T's range.
 template <typename T>
 T env_count(const char* name, T fallback) {
   const char* v = std::getenv(name);
   if (v == nullptr || *v == '\0') return fallback;
-  const std::string_view s(v);
-  std::uint64_t n = 0;
-  const auto [end, ec] = std::from_chars(s.data(), s.data() + s.size(), n);
-  if (ec != std::errc{} || end != s.data() + s.size() ||
-      n > static_cast<std::uint64_t>(std::numeric_limits<T>::max())) {
-    throw std::invalid_argument(std::string(name) + "=\"" + v +
-                                "\" is not a count in [0, " +
-                                std::to_string(std::numeric_limits<T>::max()) +
-                                "]");
-  }
-  return static_cast<T>(n);
+  return static_cast<T>(parse_count(
+      name, v, static_cast<std::uint64_t>(std::numeric_limits<T>::max())));
 }
 
 std::string env_str(const char* name, std::string fallback) {

@@ -3,6 +3,7 @@
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 
 #include "netrs/accelerator.hpp"
 #include "netrs/placement.hpp"
@@ -145,6 +146,14 @@ struct ExperimentConfig {
   /// Nominal run length: total_requests / aggregate_rate().
   [[nodiscard]] sim::Duration nominal_duration() const;
 };
+
+/// `value` as a whole non-negative decimal count no larger than `max`:
+/// no sign, exponent or suffix ("-1", "1e6" and "64k" are rejected).
+/// Throws std::invalid_argument naming `what` and the value otherwise.
+/// The NETRS_* overrides and the run_experiment flags parse through it.
+[[nodiscard]] std::uint64_t parse_count(std::string_view what,
+                                        std::string_view value,
+                                        std::uint64_t max);
 
 /// Paper defaults with NETRS_REQUESTS / NETRS_REPEATS / NETRS_SEED /
 /// NETRS_JOBS / NETRS_SHARDS / NETRS_FAULTS / NETRS_TRACE / NETRS_METRICS /

@@ -196,5 +196,19 @@ TEST(ExperimentTest, DefaultConfigRejectsMalformedEnvironment) {
             ExperimentConfig{}.total_requests);
 }
 
+TEST(ExperimentTest, ParseCountTakesOnlyWholeCounts) {
+  EXPECT_EQ(parse_count("--k", "8", 100), 8u);
+  EXPECT_EQ(parse_count("--k", "100", 100), 100u);
+  for (const char* bad : {"", "abc", "1e6", "64k", "-1", " 8", "101"}) {
+    EXPECT_THROW((void)parse_count("--k", bad, 100), std::invalid_argument)
+        << bad;
+  }
+  try {
+    (void)parse_count("--k", "abc", 100);
+  } catch (const std::invalid_argument& e) {
+    EXPECT_STREQ(e.what(), "--k=\"abc\" is not a count in [0, 100]");
+  }
+}
+
 }  // namespace
 }  // namespace netrs::harness
