@@ -17,9 +17,9 @@
 //      keeps selector processing off the response's critical path.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <memory>
-#include <unordered_map>
 #include <vector>
 
 #include "net/switch.hpp"
@@ -29,9 +29,29 @@
 
 namespace netrs::core {
 
-/// Where each RSNode id lives (operator id -> switch NodeId). Static for a
-/// deployment: ids are assigned once by the controller.
-using RsNodeDirectory = std::unordered_map<RsNodeId, net::NodeId>;
+/// Where each RSNode id lives (operator id -> switch NodeId), as a flat
+/// table indexed by the id. Static for a deployment: ids are assigned once
+/// at setup.
+class NETRS_SHARED_IMMUTABLE RsNodeDirectory {
+ public:
+  /// The entry of `rid` for assignment, growing the table to hold it;
+  /// until assigned it reads as absent.
+  net::NodeId& operator[](RsNodeId rid) {
+    if (rid >= switch_of_.size()) {
+      switch_of_.resize(std::size_t{rid} + 1, net::kInvalidNode);
+    }
+    return switch_of_[rid];
+  }
+
+  /// The switch of `rid`, or net::kInvalidNode for an id that was never
+  /// set (kRidUnset and kRidIllegal included). Never grows the table.
+  [[nodiscard]] net::NodeId find(RsNodeId rid) const {
+    return rid < switch_of_.size() ? switch_of_[rid] : net::kInvalidNode;
+  }
+
+ private:
+  std::vector<net::NodeId> switch_of_;  // indexed by RsNodeId
+};
 
 /// The ToR's traffic-group -> RSNode table (one RSP slice). kRidIllegal
 /// entries enable DRS for that group.

@@ -83,6 +83,21 @@ class RulesRig : public ::testing::Test {
   std::shared_ptr<RsNodeDirectory> directory;
 };
 
+TEST(RsNodeDirectoryTest, IdsNeverSetReadAsAbsent) {
+  RsNodeDirectory dir;
+  EXPECT_EQ(dir.find(1), net::kInvalidNode);  // empty table
+  dir[3] = 7;
+  dir[5] = 0;
+  EXPECT_EQ(dir.find(3), 7u);
+  EXPECT_EQ(dir.find(5), 0u);
+  EXPECT_EQ(dir.find(4), net::kInvalidNode);  // a hole below the last id
+  EXPECT_EQ(dir.find(6), net::kInvalidNode);  // past the table
+  EXPECT_EQ(dir.find(kRidUnset), net::kInvalidNode);
+  EXPECT_EQ(dir.find(kRidIllegal), net::kInvalidNode);
+  dir[3] = 9;  // reassignment overwrites
+  EXPECT_EQ(dir.find(3), 9u);
+}
+
 TEST_F(RulesRig, TorAssignsRidFromGroupTable) {
   auto rules = tor_rules(/*rid=*/2);
   const net::HostId client = topo.host_id(0, 0, 0);
