@@ -6,21 +6,19 @@
 
 namespace netrs::ilp {
 
-VarId Model::add_var(double lb, double ub, double obj, bool integral,
-                     std::string name) {
+VarId Model::add_var(double lb, double ub, double obj, bool integral) {
   assert(lb <= ub);
-  vars_.push_back(VariableDef{lb, ub, obj, integral, 0, std::move(name)});
+  vars_.push_back(VariableDef{lb, ub, obj, integral, 0});
   return static_cast<VarId>(vars_.size()) - 1;
 }
 
-void Model::add_constraint(LinExpr expr, Sense sense, double rhs,
-                           std::string name) {
+void Model::add_constraint(LinExpr expr, Sense sense, double rhs) {
 #ifndef NDEBUG
   for (const Term& t : expr.terms) {
     assert(t.var >= 0 && t.var < num_vars());
   }
 #endif
-  cons_.push_back(ConstraintDef{std::move(expr), sense, rhs, std::move(name)});
+  cons_.push_back(ConstraintDef{std::move(expr), sense, rhs});
 }
 
 double Model::objective_value(const std::vector<double>& x) const {

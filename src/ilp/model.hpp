@@ -6,7 +6,6 @@
 #pragma once
 
 #include <limits>
-#include <string>
 #include <vector>
 
 namespace netrs::ilp {
@@ -50,7 +49,6 @@ struct VariableDef {
   /// Branch-and-bound picks fractional variables with the highest priority
   /// first (coupling variables like operator counts close trees faster).
   int branch_priority = 0;
-  std::string name;  ///< Diagnostic label.
 };
 
 /// One row: expr `sense` rhs.
@@ -58,7 +56,6 @@ struct ConstraintDef {
   LinExpr expr;              ///< Left-hand side.
   Sense sense = Sense::kLe;  ///< Direction.
   double rhs = 0.0;          ///< Right-hand side.
-  std::string name;          ///< Diagnostic label.
 };
 
 /// Outcome classification of a solve.
@@ -86,22 +83,18 @@ struct Solution {
 class Model {
  public:
   /// Adds a variable; returns its id. Bounds must satisfy lb <= ub.
-  VarId add_var(double lb, double ub, double obj, bool integral = false,
-                std::string name = {});
+  VarId add_var(double lb, double ub, double obj, bool integral = false);
 
   /// Convenience: binary variable in {0, 1}.
-  VarId add_binary(double obj, std::string name = {}) {
-    return add_var(0.0, 1.0, obj, true, std::move(name));
-  }
+  VarId add_binary(double obj) { return add_var(0.0, 1.0, obj, true); }
 
   /// Convenience: integer variable in [lb, ub].
-  VarId add_integer(double lb, double ub, double obj, std::string name = {}) {
-    return add_var(lb, ub, obj, true, std::move(name));
+  VarId add_integer(double lb, double ub, double obj) {
+    return add_var(lb, ub, obj, true);
   }
 
   /// Adds the row `expr sense rhs`.
-  void add_constraint(LinExpr expr, Sense sense, double rhs,
-                      std::string name = {});
+  void add_constraint(LinExpr expr, Sense sense, double rhs);
 
   /// Number of variables added so far.
   [[nodiscard]] int num_vars() const {
