@@ -11,6 +11,8 @@ namespace {
 
 /// History weight of EwmaLatencySelector's per-server latency EWMA.
 constexpr double kLatencyEwmaAlpha = 0.9;
+/// last_feedback_ of a server that has not responded yet.
+constexpr sim::Time kNeverHeard = -1;
 
 }  // namespace
 
@@ -63,8 +65,8 @@ net::HostId LeastOutstandingSelector::select(
           slot == HostSlotIndex::kNone
               ? 0.0
               : static_cast<double>(outstanding_[slot]));
-      const bool aged =
-          slot != HostSlotIndex::kNone && has_feedback_[slot] != 0;
+      const bool aged = slot != HostSlotIndex::kNone &&
+                        last_feedback_[slot] != kNeverHeard;
       ages_scratch_.push_back(aged ? now - last_feedback_[slot]
                                    : sim::Duration{-1});
     }
@@ -78,8 +80,7 @@ std::uint32_t LeastOutstandingSelector::slot_of(net::HostId server) {
   const auto [slot, inserted] = index_.get_or_add(server);
   if (inserted) {
     outstanding_.push_back(0);
-    last_feedback_.push_back(0);
-    has_feedback_.push_back(0);
+    last_feedback_.push_back(kNeverHeard);
   }
   return slot;
 }
@@ -92,7 +93,6 @@ void LeastOutstandingSelector::on_response(const Feedback& fb) {
   const std::uint32_t slot = slot_of(fb.server);
   if (outstanding_[slot] > 0) --outstanding_[slot];
   last_feedback_[slot] = sim_.now();
-  has_feedback_[slot] = 1;
 }
 
 double TwoChoicesSelector::load(std::uint32_t slot) const {
@@ -125,7 +125,8 @@ net::HostId TwoChoicesSelector::select(
     for (net::HostId h : candidates) {
       const std::uint32_t slot = index_.find(h);
       scores_scratch_.push_back(load(slot));
-      const bool heard = slot != HostSlotIndex::kNone && heard_[slot] != 0;
+      const bool heard = slot != HostSlotIndex::kNone &&
+                         last_feedback_[slot] != kNeverHeard;
       ages_scratch_.push_back(heard ? sim_.now() - last_feedback_[slot]
                                     : sim::Duration{-1});
     }
@@ -140,8 +141,7 @@ std::uint32_t TwoChoicesSelector::slot_of(net::HostId server) {
   if (inserted) {
     outstanding_.push_back(0);
     queue_size_.push_back(0);
-    last_feedback_.push_back(0);
-    heard_.push_back(0);
+    last_feedback_.push_back(kNeverHeard);
   }
   return slot;
 }
@@ -155,7 +155,6 @@ void TwoChoicesSelector::on_response(const Feedback& fb) {
   if (outstanding_[slot] > 0) --outstanding_[slot];
   queue_size_[slot] = fb.queue_size;
   last_feedback_[slot] = sim_.now();
-  heard_[slot] = 1;
 }
 
 net::HostId EwmaLatencySelector::select(

@@ -81,19 +81,17 @@ class NETRS_SHARD_LOCAL LeastOutstandingSelector final : public ReplicaSelector 
   }
 
  private:
-  /// Slot of `server`, created on first touch (one element appended to
-  /// every parallel array).
+  /// Slot of `server`, created on first touch in every parallel array.
   std::uint32_t slot_of(net::HostId server);
 
   sim::Rng rng_;
   sim::Simulator& sim_;
   // Per-server hot state, SoA over the slot index (rs/server_table.hpp):
   // the select() scan walks outstanding_ directly instead of hashing per
-  // candidate. has_feedback_ distinguishes "never responded" (age -1).
+  // candidate. last_feedback_ is -1 until the server first responds.
   HostSlotIndex index_;
   std::vector<std::uint32_t> outstanding_;
   std::vector<sim::Time> last_feedback_;
-  std::vector<std::uint8_t> has_feedback_;
   std::vector<double> scores_scratch_;
   std::vector<sim::Duration> ages_scratch_;
 };
@@ -120,18 +118,17 @@ class NETRS_SHARD_LOCAL TwoChoicesSelector final : public ReplicaSelector {
   /// Estimated load of the server in `slot` (kNone = never touched = 0):
   /// outstanding from this RSNode plus last reported queue.
   [[nodiscard]] double load(std::uint32_t slot) const;
-  /// Slot of `server`, created on first touch (one element appended to
-  /// every parallel array).
+  /// Slot of `server`, created on first touch in every parallel array.
   std::uint32_t slot_of(net::HostId server);
 
   sim::Rng rng_;
   sim::Simulator& sim_;
-  // Per-server load estimates in SoA layout over the slot index.
+  // Per-server load estimates in SoA layout over the slot index;
+  // last_feedback_ is -1 until the server first responds.
   HostSlotIndex index_;
   std::vector<std::uint32_t> outstanding_;
   std::vector<std::uint32_t> queue_size_;
   std::vector<sim::Time> last_feedback_;
-  std::vector<std::uint8_t> heard_;
   std::vector<double> scores_scratch_;
   std::vector<sim::Duration> ages_scratch_;
 };
