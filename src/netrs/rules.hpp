@@ -17,7 +17,6 @@
 //      keeps selector processing off the response's critical path.
 #pragma once
 
-#include <cstddef>
 #include <cstdint>
 #include <memory>
 #include <vector>
@@ -29,22 +28,19 @@
 
 namespace netrs::core {
 
-/// Where each RSNode id lives (operator id -> switch NodeId), as a flat
-/// table indexed by the id. Static for a deployment: ids are assigned once
-/// at setup.
+/// Where each RSNode id lives (operator id -> switch NodeId): a flat table
+/// indexed by the id, filled once at setup.
 class NETRS_SHARED_IMMUTABLE RsNodeDirectory {
  public:
-  /// The entry of `rid` for assignment, growing the table to hold it;
-  /// until assigned it reads as absent.
+  /// The entry of `rid`, growing the table to hold it (absent until set).
   net::NodeId& operator[](RsNodeId rid) {
     if (rid >= switch_of_.size()) {
-      switch_of_.resize(std::size_t{rid} + 1, net::kInvalidNode);
+      switch_of_.resize(rid + 1u, net::kInvalidNode);
     }
     return switch_of_[rid];
   }
-
-  /// The switch of `rid`, or net::kInvalidNode for an id that was never
-  /// set (kRidUnset and kRidIllegal included). Never grows the table.
+  /// The switch of `rid`, or net::kInvalidNode for an id never set
+  /// (kRidUnset and kRidIllegal included). Never grows the table.
   [[nodiscard]] net::NodeId find(RsNodeId rid) const {
     return rid < switch_of_.size() ? switch_of_[rid] : net::kInvalidNode;
   }
