@@ -300,11 +300,11 @@ Deployment::Deployment(Scheme scheme_in, const ExperimentConfig& cfg_in,
   });
   // Observability, created before the clients so the completion callback
   // knows whether to fill the latency histogram; wire_obs() hooks it into
-  // every component once they all exist. Observation-only: results are identical
-  // with or without it. One Observer lane per shard — each component
-  // records on its own shard's simulator with zero cross-shard traffic —
-  // plus the coordinator observer for global-simulator events; the lane
-  // snapshots merge deterministically at harvest (DESIGN.md §8.6).
+  // every component once they all exist. Observation-only: results are
+  // identical with or without it. One Observer lane per shard — each
+  // component records on its own shard's simulator with zero cross-shard
+  // traffic — plus the coordinator observer for global-simulator events;
+  // the lane snapshots merge deterministically at harvest (DESIGN.md §8.6).
   if (cfg.obs.any()) {
     observer = std::make_unique<obs::ShardObserverSet>(cfg.obs, shards);
     for (int s = 0; s < shards; ++s) {
@@ -336,8 +336,10 @@ Deployment::Deployment(Scheme scheme_in, const ExperimentConfig& cfg_in,
       }
       reg.gauge("latency_ms.count",
                 [folded] { return static_cast<double>(folded().count); });
-      reg.gauge("latency_ms.sum", [folded] { return folded().sum_ms(); },
-                false);
+      reg.gauge(
+          "latency_ms.sum",
+          [folded] { return static_cast<double>(folded().sum_ns) * 1e-6; },
+          false);
     }
   }
   build_clients();

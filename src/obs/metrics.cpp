@@ -82,11 +82,6 @@ std::string format_metric_value(double v) {
   return std::string(buf, write_metric_value(buf, v));
 }
 
-std::string format_time_us(sim::Time t) {
-  char buf[kMaxNumberChars];
-  return std::string(buf, write_time_us(buf, t));
-}
-
 void write_metrics_csv(std::ostream& os,
                        const std::vector<MetricsSnapshot>& repeats) {
   TextSink out(os);

@@ -2,8 +2,9 @@
 //
 // Components register gauges (pull-style callbacks over const getters),
 // one per column. The harness calls sample() at every sampling grid point
-// between engine windows, appending one row per tick; after the run the rows become a long-format CSV time series plus
-// a compact per-metric summary for the harness report.
+// between engine windows, appending one row per tick; after the run the
+// rows become a long-format CSV time series plus a compact per-metric
+// summary for the harness report.
 //
 // Determinism contract: the column layout is the registration order
 // (never hash order), sampling reads const state only, and all value
@@ -52,10 +53,6 @@ struct NETRS_SHARD_LOCAL LatencyHistogram {
   void add(sim::Duration v);
   /// Adds `o`'s counts and sum into this one.
   void merge(const LatencyHistogram& o);
-  /// Sum of the observed values in milliseconds (converted once).
-  [[nodiscard]] double sum_ms() const {
-    return static_cast<double>(sum_ns) * 1e-6;
-  }
 };
 
 /// One sampled time series extracted from a repeat: the column names,
@@ -122,9 +119,6 @@ class NETRS_COORD_GLOBAL MetricsRegistry {
   /// whether the column appears in the report summary table.
   void gauge(std::string name, GaugeFn fn, bool summarize = true);
 
-  /// Number of registered gauges (= columns).
-  [[nodiscard]] std::size_t metric_count() const { return gauges_.size(); }
-
   /// Appends one sample row at simulated time `now`. Registration must
   /// be finished before the first tick (the column layout freezes then).
   void sample(sim::Time now);
@@ -150,12 +144,6 @@ class NETRS_COORD_GLOBAL MetricsRegistry {
 /// wrapper over write_metric_value() (obs/text_sink.hpp), the one path the
 /// obs writers use.
 [[nodiscard]] std::string format_metric_value(double v);
-
-/// Formats simulated nanoseconds as a microsecond decimal string with
-/// exact remainder and trailing zeros stripped ("1250.5"), integer
-/// arithmetic only — the shared `time_us` CSV column format. A string
-/// wrapper over write_time_us() (obs/text_sink.hpp).
-[[nodiscard]] std::string format_time_us(sim::Time t);
 
 /// Writes the merged long-format CSV: header
 /// `repeat,time_us,metric,value`, then one row per (repeat, tick,

@@ -69,8 +69,8 @@ class NETRS_COORD_GLOBAL ShardObserverSet {
 
   /// The single metrics home of the repeat (gauges read cross-shard
   /// state at sampling quiescence, so per-shard registries would buy
-  /// nothing but merge complexity). Register gauges and histograms here
-  /// before the first sample.
+  /// nothing but merge complexity). Register gauges here before the
+  /// first sample.
   [[nodiscard]] MetricsRegistry& metrics() { return metrics_; }
 
   /// True when trace events are being recorded.

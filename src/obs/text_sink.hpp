@@ -6,8 +6,8 @@
 // the buffer to the stream with a single write() per flush: no std::string
 // per field, no locale, no per-field virtual stream call. The two shared
 // value formats live here too, as char-level primitives, so every obs
-// output (and the report's format_metric_value / format_time_us wrappers)
-// has exactly one formatting path:
+// output (and the report's format_metric_value wrapper) has exactly one
+// formatting path:
 //
 //   metric value — integers below 1e15 print exactly ("17"), everything
 //                  else as printf "%.9g" (std::to_chars general, 9 digits,
