@@ -47,7 +47,7 @@ std::uint64_t parse_count(std::string_view what, std::string_view value,
   std::uint64_t n = 0;
   const char* const last = value.data() + value.size();
   const auto [end, ec] = std::from_chars(value.data(), last, n);
-  if (value.empty() || ec != std::errc{} || end != last || n > max) {
+  if (ec != std::errc{} || end != last || n > max) {
     throw std::invalid_argument(std::string(what) + "=\"" +
                                 std::string(value) +
                                 "\" is not a count in [0, " +
