@@ -97,7 +97,7 @@ void set_count(T& field, const std::string& flag, const char* value) {
 
 // `value`, the whole finite number given to `flag`; throws
 // std::invalid_argument otherwise.
-double real(const std::string& flag, const char* value) {
+double parse_real(const std::string& flag, const char* value) {
   char* end = nullptr;
   const double x = std::strtod(value, &end);
   if (end == value || *end != '\0' || !std::isfinite(x)) {
@@ -132,11 +132,11 @@ int run(int argc, char** argv) {
     } else if (arg == "--clients") {
       set_count(cfg.num_clients, arg, next());
     } else if (arg == "--utilization") {
-      cfg.utilization = real(arg, next());
+      cfg.utilization = parse_real(arg, next());
     } else if (arg == "--skew") {
-      cfg.demand_skew = real(arg, next());
+      cfg.demand_skew = parse_real(arg, next());
     } else if (arg == "--tkv") {
-      cfg.mean_service_time = sim::millis(real(arg, next()));
+      cfg.mean_service_time = sim::millis(parse_real(arg, next()));
       cfg.selector.c3.service_time_prior = cfg.mean_service_time;
     } else if (arg == "--requests") {
       set_count(cfg.total_requests, arg, next());
@@ -158,7 +158,7 @@ int run(int argc, char** argv) {
         return 2;
       }
     } else if (arg == "--hop-budget") {
-      cfg.extra_hop_fraction = real(arg, next());
+      cfg.extra_hop_fraction = parse_real(arg, next());
     } else if (arg == "--share-accel") {
       cfg.share_core_accelerators = true;
     } else if (arg == "--seed") {
@@ -190,7 +190,7 @@ int run(int argc, char** argv) {
     } else if (arg.rfind("--faults=", 0) == 0) {
       cfg.fault_plan = arg.substr(std::strlen("--faults="));
     } else if (arg == "--timeline-bucket") {
-      cfg.timeline_bucket = sim::millis(real(arg, next()));
+      cfg.timeline_bucket = sim::millis(parse_real(arg, next()));
     } else if (arg == "--trace-capacity") {
       set_count(cfg.obs.trace_capacity, arg, next());
     } else if (arg == "--shard-telemetry") {

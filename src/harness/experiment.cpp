@@ -518,8 +518,7 @@ void Deployment::build_clients() {
     Tally* acc = &tallies[static_cast<std::size_t>(lane)];
     c->set_completion_callback(
         [acc, warmup = warmup_time, metering, have_fault, fault_start,
-         fault_end,
-         tl_bucket](const kv::Client::Completion& comp) {
+         fault_end, tl_bucket](const kv::Client::Completion& comp) {
           if (tl_bucket > 0) {
             // Timeline buckets cover the whole run (warmup included), so
             // the failover panel shows the ramp as well as the event.
