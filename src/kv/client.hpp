@@ -112,8 +112,6 @@ class NETRS_SHARD_LOCAL Client final : public net::Host {
   [[nodiscard]] std::uint64_t cancels_sent() const { return cancels_; }
   /// Requests currently outstanding.
   [[nodiscard]] std::size_t in_flight() const { return pending_.size(); }
-  /// Streaming p95 latency estimate in microseconds (R95 trigger; tests).
-  [[nodiscard]] double p95_estimate_us() const { return p95_.estimate(); }
 
  private:
   /// Copies one request can have: the primary plus one R95 duplicate.

@@ -38,12 +38,6 @@ class NETRS_SHARED_IMMUTABLE ConsistentHashRing {
   [[nodiscard]] std::span<const net::HostId> replicas(
       core::ReplicaGroupId g) const;
 
-  /// Convenience: replica candidates for a key.
-  [[nodiscard]] std::span<const net::HostId> replicas_of_key(
-      std::uint64_t key) const {
-    return replicas(group_of_key(key));
-  }
-
   /// Number of distinct replica groups (ring segments).
   [[nodiscard]] std::size_t group_count() const { return groups_.size(); }
   /// Replicas per key, as configured.

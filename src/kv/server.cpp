@@ -112,7 +112,6 @@ void Server::handle_cancel(const net::Packet& cancel, const AppRequest& app) {
   // normal response settles the copy.
   if (!victim.has_value()) return;
   simulator().auditor().on_packet_dropped("server-cancel");
-  ++cancelled_;
   journal_state();
   if (obs::Observer* o = simulator().observer()) {
     o->instant("kv.cancel", "kv", static_cast<std::int32_t>(node_id()),
@@ -161,7 +160,6 @@ void Server::start_service(Job job) {
 }
 
 void Server::finish_service(Job job, sim::Time started) {
-  ++served_;
   // The completion fires exactly `service` after `started`.
   service_time_ewma_.add(sim::to_micros(simulator().now() - started));
   // Respond before dequeuing: the piggybacked queue size counts the slot

@@ -75,10 +75,6 @@ class NETRS_SHARD_LOCAL Server final : public net::Host {
            static_cast<std::uint32_t>(station_.busy());
   }
 
-  /// Requests fully served.
-  [[nodiscard]] std::uint64_t served() const { return served_; }
-  /// Queued requests removed by cross-server cancellation.
-  [[nodiscard]] std::uint64_t cancelled() const { return cancelled_; }
   /// Current fluctuation-mode mean, scaled by any slow-node inflation
   /// (tests and the decision auditor's oracle).
   [[nodiscard]] sim::Duration current_mean() const {
@@ -111,8 +107,6 @@ class NETRS_SHARD_LOCAL Server final : public net::Host {
   sim::Station<Job> station_;
   bool failed_ = false;      // crash-fault flag (fail()/recover())
   double inflation_ = 1.0;   // slow-node service-time multiplier
-  std::uint64_t served_ = 0;
-  std::uint64_t cancelled_ = 0;
   sim::Ewma service_time_ewma_;
 };
 

@@ -18,12 +18,6 @@ NodeId FatTree::core_node(int group, int j) const {
   return static_cast<NodeId>(group * half_ + j);
 }
 
-NodeId FatTree::core_node_flat(int core_index) const {
-  assert(core_index >= 0 &&
-         core_index < static_cast<int>(core_count()));
-  return static_cast<NodeId>(core_index);
-}
-
 NodeId FatTree::agg_node(int pod, int a) const {
   assert(pod >= 0 && pod < k_ && a >= 0 && a < half_);
   return core_count() + static_cast<NodeId>(pod * half_ + a);

@@ -42,8 +42,6 @@ class NETRS_SHARED_IMMUTABLE FatTree {
   [[nodiscard]] int k() const { return k_; }
   /// Number of pods (= k).
   [[nodiscard]] int pods() const { return k_; }
-  /// Aggregation switches per pod (= k/2).
-  [[nodiscard]] int aggs_per_pod() const { return k_ / 2; }
   /// ToR switches per pod (= k/2).
   [[nodiscard]] int tors_per_pod() const { return k_ / 2; }
   /// Hosts cabled to each ToR (= k/2).
@@ -71,8 +69,6 @@ class NETRS_SHARED_IMMUTABLE FatTree {
   // --- NodeId layout: [cores][aggs][tors][hosts] ---------------------------
   /// NodeId of core switch j in core group `group`.
   [[nodiscard]] NodeId core_node(int group, int j) const;
-  /// NodeId of the core switch with flat index i*(k/2)+j.
-  [[nodiscard]] NodeId core_node_flat(int core_index) const;
   /// NodeId of aggregation switch `a` in pod `pod`.
   [[nodiscard]] NodeId agg_node(int pod, int a) const;
   /// NodeId of ToR switch `t` in pod `pod`.

@@ -29,8 +29,6 @@ class NETRS_SHARD_LOCAL Host : public Node {
   [[nodiscard]] HostId host_id() const { return host_id_; }
   /// This host's fabric node id.
   [[nodiscard]] NodeId node_id() const { return node_id_; }
-  /// The ToR switch this host is cabled to.
-  [[nodiscard]] NodeId tor() const { return tor_; }
 
  protected:
   /// Stamps the source address and pushes the packet onto the access link.

@@ -85,8 +85,7 @@ void Switch::forward_toward_switch(Packet&& pkt, NodeId target) {
 
 void Switch::emit(Packet&& pkt, NodeId next) {
   for (EgressStage* stage : egress_) stage->on_egress(pkt, next, *this);
-  ++forwards_;
-  ++pkt.meta.forwards;
+  ++pkt.meta.forwards;  // the paper's hop metric, per packet
   fabric_.send(self_, next, std::move(pkt));
 }
 

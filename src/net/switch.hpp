@@ -9,7 +9,6 @@
 //     §IV-D is an egress stage on ToR switches.
 #pragma once
 
-#include <cstdint>
 #include <variant>
 #include <vector>
 
@@ -80,9 +79,6 @@ class NETRS_SHARD_LOCAL Switch : public Node {
   /// The simulation clock/scheduler of this switch's shard.
   [[nodiscard]] sim::Simulator& simulator() { return sim_; }
 
-  /// Switch forwarding operations performed (the paper's hop metric).
-  [[nodiscard]] std::uint64_t forwards() const { return forwards_; }
-
  private:
   void run_pipeline(Packet& pkt, NodeId from);
   void emit(Packet&& pkt, NodeId next);
@@ -92,7 +88,6 @@ class NETRS_SHARD_LOCAL Switch : public Node {
   sim::Simulator& sim_;
   std::vector<IngressStage*> ingress_;
   std::vector<EgressStage*> egress_;
-  std::uint64_t forwards_ = 0;
 };
 
 }  // namespace netrs::net

@@ -34,12 +34,6 @@ net::NodeId Accelerator::attach_switch(net::NodeId sw) {
   return aux;
 }
 
-net::NodeId Accelerator::node_id_for(net::NodeId sw) const {
-  const auto it = by_switch_.find(sw);
-  assert(it != by_switch_.end() && "switch not cabled to this accelerator");
-  return it->second;
-}
-
 void Accelerator::receive(net::Packet pkt, net::NodeId from) {
   shard_affinity().check("receive");
   if (failed_) {
@@ -112,7 +106,6 @@ void Accelerator::finish_service(Job job, sim::Time started) {
   // Charge only the busy time inside the current window: a
   // reset_utilization() mid-service moved window_start_ past `started`.
   busy_accum_ += sim_.now() - std::max(started, window_start_);
-  ++processed_;
   // The handler runs and its packet is sent before the next job starts.
   if (handler_) {
     const net::NodeId from = job.from_switch;

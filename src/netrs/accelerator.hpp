@@ -16,7 +16,6 @@
 // cores, the queue, and the selector behind the handler.
 #pragma once
 
-#include <cstdint>
 #include <functional>
 #include <optional>
 #include <unordered_map>
@@ -53,7 +52,8 @@ class NETRS_SHARD_LOCAL Accelerator final : public net::Node {
               AcceleratorConfig cfg);
 
   /// Cables this accelerator to an additional switch (shared mode).
-  /// Returns the auxiliary NodeId that switch must address.
+  /// Returns the auxiliary NodeId that switch must address; a switch
+  /// already cabled gets its existing id back.
   net::NodeId attach_switch(net::NodeId sw);
 
   /// Installs the selector-side packet handler.
@@ -76,22 +76,12 @@ class NETRS_SHARD_LOCAL Accelerator final : public net::Node {
 
   /// Auxiliary NodeId for the primary (first) switch.
   [[nodiscard]] net::NodeId node_id() const { return primary_node_; }
-  /// Auxiliary NodeId used by a specific attached switch.
-  [[nodiscard]] net::NodeId node_id_for(net::NodeId sw) const;
   /// NodeId of the primary (first) switch.
   [[nodiscard]] net::NodeId switch_node() const { return primary_switch_; }
-  /// Number of switches cabled to this accelerator.
-  [[nodiscard]] std::size_t attached_switches() const {
-    return by_switch_.size();
-  }
   /// The service parameters.
   [[nodiscard]] const AcceleratorConfig& config() const { return cfg_; }
 
-  // --- Diagnostics / controller inputs --------------------------------------
-  /// Packets fully serviced (requests selected + clones absorbed).
-  [[nodiscard]] std::uint64_t processed() const { return processed_; }
-  /// Jobs waiting for a core right now (excludes jobs in service).
-  [[nodiscard]] std::size_t queue_length() const { return station_.queued(); }
+  // --- Controller inputs ----------------------------------------------------
   /// Fraction of core-time spent busy since the last reset, including the
   /// elapsed part of services still in progress. Always in [0, 1].
   /// A pure read — safe to call from metrics samplers and from const
@@ -125,7 +115,6 @@ class NETRS_SHARD_LOCAL Accelerator final : public net::Node {
   net::NodeId primary_node_ = net::kInvalidNode;
   std::unordered_map<net::NodeId, net::NodeId> by_switch_;  // switch -> aux
 
-  std::uint64_t processed_ = 0;
   // Busy time is accrued per job at *completion*, clamped to the current
   // measurement window: a reset_utilization() mid-service splits the
   // service across windows instead of crediting it all to the window in

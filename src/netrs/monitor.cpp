@@ -27,7 +27,6 @@ void Monitor::on_egress(const net::Packet& pkt, net::NodeId next_hop,
   }
   const GroupId g = groups_.group_of_host(pkt.dst);
   counts_[g][static_cast<std::size_t>(tier)] += 1;
-  ++total_;
 }
 
 Monitor::Counts Monitor::snapshot_and_reset() {

@@ -40,15 +40,11 @@ class NETRS_SHARD_LOCAL Monitor final : public net::Switch::EgressStage {
   /// NetRS controller).
   [[nodiscard]] Counts snapshot_and_reset();
 
-  /// Responses counted over the monitor's lifetime (diagnostic).
-  [[nodiscard]] std::uint64_t total_counted() const { return total_; }
-
  private:
   const net::FatTree& topo_;
   const TrafficGroups& groups_;
   net::SourceMarker local_;
   Counts counts_;
-  std::uint64_t total_ = 0;
 };
 
 }  // namespace netrs::core

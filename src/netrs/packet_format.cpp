@@ -172,11 +172,6 @@ void set_rv(std::span<std::byte> p, std::uint16_t rv) {
   put_u16(p, kOffRv, rv);
 }
 
-std::uint16_t peek_rv(std::span<const std::byte> p) {
-  assert(p.size() >= kOffRv + 2);
-  return get_u16(p, kOffRv);
-}
-
 void set_source_marker(std::span<std::byte> p, net::SourceMarker sm) {
   assert(p.size() >= kOffSm + 4);
   put_u32(p, kOffSm, sm.encoded());

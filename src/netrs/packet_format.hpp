@@ -152,8 +152,6 @@ void set_rid(std::span<std::byte> p, RsNodeId rid);
 void set_magic(std::span<std::byte> p, Magic mf);
 /// Overwrites the retaining value in place.
 void set_rv(std::span<std::byte> p, std::uint16_t rv);
-/// Reads the retaining value. Precondition: payload holds a NetRS header.
-std::uint16_t peek_rv(std::span<const std::byte> p);
 /// Overwrites the response's source marker (offsets differ from the
 /// request layout — response-only).
 void set_source_marker(std::span<std::byte> p, net::SourceMarker sm);

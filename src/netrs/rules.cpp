@@ -60,7 +60,6 @@ net::Switch::Disposition NetRSRules::handle_request(net::Packet& pkt,
       // Degraded Replica Selection: label as monitor-visible plain traffic
       // and let it ride to the client-chosen backup replica.
       set_magic(pkt.payload, magic_f(kMagicMonitor));
-      ++drs_;
       return net::Switch::Continue{};
     }
     set_rid(pkt.payload, rid);
@@ -69,7 +68,6 @@ net::Switch::Disposition NetRSRules::handle_request(net::Packet& pkt,
   const auto rid = peek_rid(pkt.payload);
   assert(rid.has_value());
   if (*rid == local_id_) {
-    ++to_accel_;
     sw.fabric().send(sw.id(), accel_, std::move(pkt));
     return net::Switch::Consumed{};
   }
@@ -77,10 +75,8 @@ net::Switch::Disposition NetRSRules::handle_request(net::Packet& pkt,
   if (loc == net::kInvalidNode) {
     // Unknown RSNode (e.g. a request raced an RSP retirement): degrade.
     set_magic(pkt.payload, magic_f(kMagicMonitor));
-    ++drs_;
     return net::Switch::Continue{};
   }
-  ++steered_;
   return net::Switch::Steer{loc};
 }
 
@@ -99,7 +95,6 @@ net::Switch::Disposition NetRSRules::handle_response(net::Packet& pkt,
     // Clone to the accelerator (selector updates its local information off
     // the critical path), relabel the original Mmon and forward normally.
     net::Packet clone = pkt;
-    ++cloned_;
     sw.fabric().send(sw.id(), accel_, std::move(clone));
     set_magic(pkt.payload, kMagicMonitor);
     return net::Switch::Continue{};
@@ -111,7 +106,6 @@ net::Switch::Disposition NetRSRules::handle_response(net::Packet& pkt,
     set_magic(pkt.payload, kMagicMonitor);
     return net::Switch::Continue{};
   }
-  ++steered_;
   return net::Switch::Steer{loc};
 }
 

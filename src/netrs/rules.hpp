@@ -17,7 +17,6 @@
 //      keeps selector processing off the response's critical path.
 #pragma once
 
-#include <cstdint>
 #include <memory>
 #include <vector>
 
@@ -74,19 +73,6 @@ class NETRS_SHARD_LOCAL NetRSRules final : public net::Switch::IngressStage {
   net::Switch::Disposition on_ingress(net::Packet& pkt, net::NodeId from,
                                       net::Switch& sw) override;
 
-  /// RSNode id of the operator these rules belong to.
-  [[nodiscard]] RsNodeId local_id() const { return local_id_; }
-
-  // --- Diagnostics -----------------------------------------------------------
-  /// Packets steered toward another RSNode's switch.
-  [[nodiscard]] std::uint64_t steered() const { return steered_; }
-  /// Requests handed to the local accelerator.
-  [[nodiscard]] std::uint64_t to_accelerator() const { return to_accel_; }
-  /// Responses cloned to the local accelerator.
-  [[nodiscard]] std::uint64_t cloned() const { return cloned_; }
-  /// Requests relabelled for Degraded Replica Selection.
-  [[nodiscard]] std::uint64_t drs_labelled() const { return drs_; }
-
  private:
   net::Switch::Disposition handle_request(net::Packet& pkt, net::NodeId from,
                                           net::Switch& sw);
@@ -101,11 +87,6 @@ class NETRS_SHARD_LOCAL NetRSRules final : public net::Switch::IngressStage {
   // ToR-only state.
   const TrafficGroups* groups_ = nullptr;
   std::shared_ptr<const GroupRidTable> rid_table_;
-
-  std::uint64_t steered_ = 0;
-  std::uint64_t to_accel_ = 0;
-  std::uint64_t cloned_ = 0;
-  std::uint64_t drs_ = 0;
 };
 
 }  // namespace netrs::core

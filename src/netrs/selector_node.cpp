@@ -32,12 +32,7 @@ void SelectorNode::reset_selector(
   pending_.assign(pending_.size(), PendingSlot{});
 }
 
-void SelectorNode::fail() {
-  for (const PendingSlot& slot : pending_) {
-    if (slot.server != net::kInvalidHost) ++pending_dropped_;
-  }
-  pending_.assign(pending_.size(), PendingSlot{});
-}
+void SelectorNode::fail() { pending_.assign(pending_.size(), PendingSlot{}); }
 
 void SelectorNode::grow_to(std::uint16_t rv) {
   std::size_t size = pending_.empty() ? kInitialSlots : pending_.size();
@@ -108,7 +103,6 @@ void SelectorNode::handle_response(const net::Packet& pkt) {
     slot->server = net::kInvalidHost;
   } else {
     fb.has_response_time = false;
-    ++rv_mismatches_;
   }
   selector_->on_response(fb);
 }

@@ -49,14 +49,10 @@ class NETRS_SHARD_LOCAL SelectorNode {
   /// Fault hook — reached only through sim::FaultInjector at global-sim
   /// barriers (fault-hook-discipline lint rule). The RSNode lost its
   /// state: every pending RV slot is invalidated (late responses for
-  /// them count as rv_mismatches). On recovery the harness rebuilds the
-  /// selection algorithm itself via reset_selector() (§II: a re-activated
-  /// RSNode starts from scratch).
+  /// them yield feedback without a response time). On recovery the
+  /// harness rebuilds the selection algorithm itself via reset_selector()
+  /// (§II: a re-activated RSNode starts from scratch).
   void fail();
-  /// Pending selections invalidated by fail() (diagnostic).
-  [[nodiscard]] std::uint64_t pending_dropped() const {
-    return pending_dropped_;
-  }
 
   /// The current selection algorithm (diagnostic/report access).
   [[nodiscard]] const rs::ReplicaSelector& selector() const {
@@ -70,8 +66,6 @@ class NETRS_SHARD_LOCAL SelectorNode {
   [[nodiscard]] std::uint64_t responses_absorbed() const {
     return responses_absorbed_;
   }
-  /// Responses whose RV no longer matched a pending slot (reused tag).
-  [[nodiscard]] std::uint64_t rv_mismatches() const { return rv_mismatches_; }
   /// Slots currently allocated in the RV table (0 until the first
   /// selection; at most 65,536). Diagnostic.
   [[nodiscard]] std::size_t rv_table_slots() const { return pending_.size(); }
@@ -108,8 +102,6 @@ class NETRS_SHARD_LOCAL SelectorNode {
   std::uint16_t next_rv_ = 1;
   std::uint64_t requests_selected_ = 0;
   std::uint64_t responses_absorbed_ = 0;
-  std::uint64_t rv_mismatches_ = 0;
-  std::uint64_t pending_dropped_ = 0;
   std::int32_t trace_tid_;
 };
 

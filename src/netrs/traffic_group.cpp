@@ -7,9 +7,7 @@ namespace netrs::core {
 TrafficGroups::TrafficGroups(const net::FatTree& topo,
                              GroupGranularity granularity,
                              int hosts_per_group)
-    : topo_(topo),
-      granularity_(granularity),
-      hosts_per_group_(hosts_per_group) {
+    : topo_(topo), hosts_per_group_(hosts_per_group) {
   switch (granularity) {
     case GroupGranularity::kHost:
       hosts_per_group_ = 1;
@@ -51,17 +49,6 @@ int TrafficGroups::pod_of_group(GroupId g) const {
 int TrafficGroups::rack_of_group(GroupId g) const {
   assert(g < count_);
   return static_cast<int>(g) / groups_per_rack();
-}
-
-std::vector<net::HostId> TrafficGroups::hosts_of_group(GroupId g) const {
-  assert(g < count_);
-  std::vector<net::HostId> out;
-  out.reserve(static_cast<std::size_t>(hosts_per_group_));
-  const net::HostId first = g * static_cast<std::uint32_t>(hosts_per_group_);
-  for (int i = 0; i < hosts_per_group_; ++i) {
-    out.push_back(first + static_cast<net::HostId>(i));
-  }
-  return out;
 }
 
 }  // namespace netrs::core

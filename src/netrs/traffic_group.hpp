@@ -13,7 +13,6 @@
 #pragma once
 
 #include <cstdint>
-#include <vector>
 
 #include "net/fat_tree.hpp"
 #include "sim/affinity.hpp"
@@ -50,17 +49,11 @@ class NETRS_SHARED_IMMUTABLE TrafficGroups {
   [[nodiscard]] int pod_of_group(GroupId g) const;
   /// Rack index (see FatTree::rack_index) of the group.
   [[nodiscard]] int rack_of_group(GroupId g) const;
-  /// The group's member hosts, ascending.
-  [[nodiscard]] std::vector<net::HostId> hosts_of_group(GroupId g) const;
-
-  /// The configured granularity.
-  [[nodiscard]] GroupGranularity granularity() const { return granularity_; }
 
  private:
   [[nodiscard]] int groups_per_rack() const;
 
   const net::FatTree& topo_;
-  GroupGranularity granularity_;
   int hosts_per_group_;
   std::uint32_t count_;
 };

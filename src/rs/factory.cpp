@@ -6,11 +6,6 @@
 
 namespace netrs::rs {
 
-std::vector<std::string> selector_names() {
-  return {"c3",           "c3-norate",   "least-outstanding", "random",
-          "round-robin",  "two-choices", "ewma-latency"};
-}
-
 std::unique_ptr<ReplicaSelector> make_selector(const SelectorConfig& cfg,
                                                sim::Simulator& sim,
                                                sim::Rng rng) {

@@ -4,7 +4,6 @@
 
 #include <memory>
 #include <string>
-#include <vector>
 
 #include "rs/c3.hpp"
 #include "rs/selector.hpp"
@@ -19,9 +18,6 @@ struct NETRS_SHARED_IMMUTABLE SelectorConfig {
   std::string algorithm = "c3";
   C3Options c3;
 };
-
-/// Names accepted by make_selector.
-std::vector<std::string> selector_names();
 
 /// Creates a selector. Throws std::invalid_argument on unknown names.
 std::unique_ptr<ReplicaSelector> make_selector(const SelectorConfig& cfg,

@@ -98,13 +98,6 @@ class ShardAffinityGuard {
     }
   }
 
-  /// The bound owner shard (kUnbound before bind; meaningful in audit
-  /// builds only — plain builds never store the binding).
-  [[nodiscard]] int owner_shard() const { return shard_; }
-
-  /// True once bind() attached a live shard group (audit builds only).
-  [[nodiscard]] bool bound() const { return group_ != nullptr; }
-
  private:
   void check_impl(const char* op) const;
 

@@ -125,10 +125,6 @@ class Auditor {
 
   /// Snapshot of all counters and recorded violations.
   [[nodiscard]] AuditSummary summary() const;
-  /// Total violations recorded so far.
-  [[nodiscard]] std::uint64_t violations_total() const {
-    return violations_total_;
-  }
 
   /// Resets all counters and recorded violations.
   void clear();

@@ -350,13 +350,4 @@ void EventQueue::take(const Entry& e, Callback& cb) {
   if (--epoch_left_ == 0) end_epoch();
 }
 
-std::pair<Time, EventQueue::Callback> EventQueue::pop() {
-  std::pair<Time, Callback> out;
-  LaneEvent lane;
-  if (pop_next(kNever, out.first, out.second, lane) == Popped::kLane) {
-    out.second = [lane] { lane(); };
-  }
-  return out;
-}
-
 }  // namespace netrs::sim

@@ -131,10 +131,6 @@ class EventQueue {
   /// Time of the earliest live event. Precondition: !empty().
   [[nodiscard]] Time next_time() { return find_min().time; }
 
-  /// Removes and returns the earliest live event; a lane event comes back
-  /// wrapped in a Task that calls its handler. Precondition: !empty().
-  std::pair<Time, Callback> pop();
-
   /// The run loop's dispatch: one min-selection over the calendar head
   /// and the lane heads by (time, seq). When the earliest live event is
   /// due at or before `deadline`, stores its time in `when`, removes it

@@ -81,12 +81,6 @@ std::uint64_t Rng::uniform(std::uint64_t n) {
   return static_cast<std::uint64_t>(m >> 64);
 }
 
-std::int64_t Rng::uniform_range(std::int64_t lo, std::int64_t hi) {
-  assert(lo <= hi);
-  const auto span = static_cast<std::uint64_t>(hi - lo) + 1;
-  return lo + static_cast<std::int64_t>(uniform(span));
-}
-
 bool Rng::bernoulli(double p) {
   if (p <= 0.0) return false;
   if (p >= 1.0) return true;

@@ -36,9 +36,6 @@ class Rng {
   /// Uniform integer in [0, n). Precondition: n > 0.
   std::uint64_t uniform(std::uint64_t n);
 
-  /// Uniform integer in [lo, hi]. Precondition: lo <= hi.
-  std::int64_t uniform_range(std::int64_t lo, std::int64_t hi);
-
   /// True with probability p (clamped to [0, 1]).
   bool bernoulli(double p);
 
@@ -71,11 +68,6 @@ class ZipfDistribution {
 
   /// Returns a rank in [1, n]; rank 1 is the most popular.
   std::uint64_t operator()(Rng& rng) const;
-
-  /// Number of ranks.
-  [[nodiscard]] std::uint64_t n() const { return n_; }
-  /// The configured skew exponent.
-  [[nodiscard]] double exponent() const { return s_; }
 
  private:
   [[nodiscard]] double h(double x) const;

@@ -66,8 +66,8 @@ class Simulator {
   /// Schedules a lane event a non-negative delay `d` from now(). Every
   /// push onto one lane must use the same `d` (or a non-decreasing one),
   /// which keeps the lane in time order (EventQueue::push_lane). Lane
-  /// events cannot be cancelled; they count in events_fired() and
-  /// pending_events() like any other.
+  /// events cannot be cancelled; they count in events_fired() like any
+  /// other.
   void after_lane(LaneId lane, Duration d, std::uint32_t token) {
     affinity_.check("schedule");
     assert(d >= 0 && "negative lane delay");
@@ -91,9 +91,6 @@ class Simulator {
 
   /// Number of events fired so far (diagnostic).
   [[nodiscard]] std::uint64_t events_fired() const { return fired_; }
-
-  /// Live events still queued (diagnostic).
-  [[nodiscard]] std::size_t pending_events() const { return queue_.size(); }
 
   /// Timestamp of the earliest queued event, or kNever when the queue is
   /// empty (the ShardGroup coordinator peeks at global-event deadlines).

@@ -72,6 +72,13 @@ class RawClient final : public net::Host {
   std::vector<sim::Time> times;
 };
 
+/// The app-level response a delivered response packet carries.
+AppResponse app_response(const net::Packet& pkt) {
+  const auto r = decode_app_response(core::response_app_payload(pkt.payload));
+  EXPECT_TRUE(r.has_value());
+  return r.value_or(AppResponse{});
+}
+
 net::Packet raw_request(net::HostId dst, std::uint64_t id, AppOp op) {
   core::RequestHeader rh;
   rh.mf = core::magic_f(core::kMagicMonitor);  // plain-labelled
@@ -105,17 +112,17 @@ TEST_F(CancelRig, ServerCancelsQueuedRequest) {
   sim.run();
 
   ASSERT_EQ(client.responses.size(), 2u);
-  EXPECT_EQ(servers[0]->cancelled(), 1u);
-  EXPECT_EQ(servers[0]->served(), 1u);  // only the first consumed service
-
   // The cancelled response came back long before the 10ms service would
   // have finished it, and carries an empty value.
-  const auto r0 = decode_app_response(
-      core::response_app_payload(client.responses[0].payload));
-  ASSERT_TRUE(r0.has_value());
-  EXPECT_EQ(r0->client_request_id, 101u);
-  EXPECT_EQ(r0->value_bytes, 0u);
+  const AppResponse r0 = app_response(client.responses[0]);
+  EXPECT_EQ(r0.client_request_id, 101u);
+  EXPECT_EQ(r0.value_bytes, 0u);
   EXPECT_LT(client.times[0], sim::millis(5));
+  // Only the first request consumed a service: it carries the full value.
+  const AppResponse r1 = app_response(client.responses[1]);
+  EXPECT_EQ(r1.client_request_id, 100u);
+  EXPECT_EQ(r1.value_bytes, cfg.value_bytes);
+  EXPECT_GE(client.times[1], sim::millis(10));
 }
 
 TEST_F(CancelRig, CancelForUnknownRequestIsIgnored) {
@@ -128,7 +135,6 @@ TEST_F(CancelRig, CancelForUnknownRequestIsIgnored) {
   client.transmit(raw_request(server_hosts[0], 999, AppOp::kCancel));
   sim.run();
   EXPECT_TRUE(client.responses.empty());
-  EXPECT_EQ(servers[0]->cancelled(), 0u);
 }
 
 TEST_F(CancelRig, CancelOnlyMatchesSameClient) {
@@ -148,9 +154,12 @@ TEST_F(CancelRig, CancelOnlyMatchesSameClient) {
   // Bob cancels "7" — but *his* 7, which does not exist. Alice's stays.
   bob.transmit(raw_request(server_hosts[0], 7, AppOp::kCancel));
   sim.run();
-  EXPECT_EQ(servers[0]->cancelled(), 0u);
-  EXPECT_EQ(alice.responses.size(), 2u);
-  EXPECT_EQ(servers[0]->served(), 2u);
+  EXPECT_TRUE(bob.responses.empty());
+  // Both of Alice's requests were served in full, none cancelled.
+  ASSERT_EQ(alice.responses.size(), 2u);
+  for (const net::Packet& r : alice.responses) {
+    EXPECT_EQ(app_response(r).value_bytes, cfg.value_bytes);
+  }
 }
 
 // End-to-end: a redundant client with cancellation settles every request
@@ -169,8 +178,22 @@ TEST_F(CancelRig, ClientCancelsLosingCopies) {
   ccfg.redundancy.enabled = true;
   ccfg.redundancy.min_samples = 10;
   ccfg.redundancy.cancel_on_completion = true;
-  Client client(fabric, topo.host_id(0, 1, 1), ccfg, *ring, *zipf,
-                sim::Rng(4));
+  const net::HostId client_host = topo.host_id(0, 1, 1);
+  Client client(fabric, client_host, ccfg, *ring, *zipf, sim::Rng(4));
+  // Counts the empty-valued responses (cancelled copies) that the
+  // client's ToR delivers to it.
+  struct CancelledTap final : net::Switch::EgressStage {
+    void on_egress(const net::Packet& pkt, net::NodeId next_hop,
+                   net::Switch&) override {
+      if (next_hop == client_node && app_response(pkt).value_bytes == 0) {
+        ++cancelled;
+      }
+    }
+    net::NodeId client_node = net::kInvalidNode;
+    std::uint64_t cancelled = 0;
+  } tap;
+  tap.client_node = topo.host_node(client_host);
+  switches[topo.host_tor(client_host)]->add_egress_stage(&tap);
   client.start();
   sim.run_until(sim::seconds(2));
   client.stop();
@@ -180,9 +203,7 @@ TEST_F(CancelRig, ClientCancelsLosingCopies) {
   EXPECT_GT(client.cancels_sent(), 0u);
   EXPECT_EQ(client.completed(), client.issued());
   EXPECT_EQ(client.in_flight(), 0u);
-  std::uint64_t cancelled = 0;
-  for (const auto& s : servers) cancelled += s->cancelled();
-  EXPECT_GT(cancelled, 0u);
+  EXPECT_GT(tap.cancelled, 0u);
 }
 
 }  // namespace

@@ -23,7 +23,7 @@ TEST(ConsistentHashTest, ReplicaSetsHaveRfDistinctServers) {
   const auto servers = make_servers(10);
   ConsistentHashRing ring(servers, 3);
   for (std::uint64_t key = 0; key < 2000; ++key) {
-    const auto reps = ring.replicas_of_key(key);
+    const auto reps = ring.replicas(ring.group_of_key(key));
     ASSERT_EQ(reps.size(), 3u);
     std::set<net::HostId> uniq(reps.begin(), reps.end());
     EXPECT_EQ(uniq.size(), 3u);
@@ -75,7 +75,7 @@ TEST(ConsistentHashTest, LoadRoughlyBalanced) {
   const int keys = 50000;
   for (int i = 0; i < keys; ++i) {
     const std::uint64_t key = rng.next_u64();
-    primary_count[ring.replicas_of_key(key)[0]]++;
+    primary_count[ring.replicas(ring.group_of_key(key))[0]]++;
   }
   for (const auto& [server, count] : primary_count) {
     (void)server;
@@ -90,7 +90,7 @@ TEST(ConsistentHashTest, SingleServerDegenerate) {
   const auto servers = make_servers(1);
   ConsistentHashRing ring(servers, 1, 4);
   for (std::uint64_t key = 0; key < 100; ++key) {
-    const auto reps = ring.replicas_of_key(key);
+    const auto reps = ring.replicas(ring.group_of_key(key));
     ASSERT_EQ(reps.size(), 1u);
     EXPECT_EQ(reps[0], servers[0]);
   }
@@ -100,7 +100,7 @@ TEST(ConsistentHashTest, RfEqualsServerCount) {
   const auto servers = make_servers(3);
   ConsistentHashRing ring(servers, 3);
   for (std::uint64_t key = 0; key < 100; ++key) {
-    const auto reps = ring.replicas_of_key(key);
+    const auto reps = ring.replicas(ring.group_of_key(key));
     std::set<net::HostId> uniq(reps.begin(), reps.end());
     EXPECT_EQ(uniq.size(), 3u);  // every server in every set
   }
@@ -117,8 +117,8 @@ TEST(ConsistentHashTest, MinimalDisruptionOnServerRemoval) {
   ConsistentHashRing less(fewer, 3, 32, 9);
   int moved = 0, checked = 0;
   for (std::uint64_t key = 0; key < 3000; ++key) {
-    const auto before = full.replicas_of_key(key);
-    const auto after = less.replicas_of_key(key);
+    const auto before = full.replicas(full.group_of_key(key));
+    const auto after = less.replicas(less.group_of_key(key));
     const bool had_removed =
         std::find(before.begin(), before.end(), removed) != before.end();
     if (!had_removed) {

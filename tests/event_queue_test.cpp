@@ -33,6 +33,18 @@ struct EventQueueTestPeer {
 
 namespace {
 
+/// Removes and returns the earliest live event (pop_next with no
+/// deadline); a lane event comes back wrapped in a callback that fires it.
+std::pair<Time, EventQueue::Callback> pop_earliest(EventQueue& q) {
+  std::pair<Time, EventQueue::Callback> out;
+  LaneEvent lane;
+  if (q.pop_next(kNever, out.first, out.second, lane) ==
+      EventQueue::Popped::kLane) {
+    out.second = [lane] { lane(); };
+  }
+  return out;
+}
+
 TEST(EventQueueTest, StartsEmpty) {
   EventQueue q;
   EXPECT_TRUE(q.empty());
@@ -45,7 +57,7 @@ TEST(EventQueueTest, PopsInTimeOrder) {
   q.push(30, [&] { fired.push_back(3); });
   q.push(10, [&] { fired.push_back(1); });
   q.push(20, [&] { fired.push_back(2); });
-  while (!q.empty()) q.pop().second();
+  while (!q.empty()) pop_earliest(q).second();
   EXPECT_EQ(fired, (std::vector<int>{1, 2, 3}));
 }
 
@@ -55,7 +67,7 @@ TEST(EventQueueTest, FifoWithinSameInstant) {
   for (int i = 0; i < 10; ++i) {
     q.push(42, [&fired, i] { fired.push_back(i); });
   }
-  while (!q.empty()) q.pop().second();
+  while (!q.empty()) pop_earliest(q).second();
   for (int i = 0; i < 10; ++i) EXPECT_EQ(fired[static_cast<size_t>(i)], i);
 }
 
@@ -63,7 +75,7 @@ TEST(EventQueueTest, PopReportsTime) {
   EventQueue q;
   q.push(77, [] {});
   EXPECT_EQ(q.next_time(), 77);
-  auto [t, cb] = q.pop();
+  auto [t, cb] = pop_earliest(q);
   EXPECT_EQ(t, 77);
   EXPECT_TRUE(q.empty());
 }
@@ -75,7 +87,7 @@ TEST(EventQueueTest, CancelRemovesPendingEvent) {
   q.push(6, [] {});
   EXPECT_TRUE(q.cancel(id));
   EXPECT_EQ(q.size(), 1u);
-  while (!q.empty()) q.pop().second();
+  while (!q.empty()) pop_earliest(q).second();
   EXPECT_FALSE(fired);
 }
 
@@ -90,7 +102,7 @@ TEST(EventQueueTest, CancelUnknownIdIsNoop) {
 TEST(EventQueueTest, CancelFiredIdIsNoop) {
   EventQueue q;
   const EventId id = q.push(1, [] {});
-  q.pop().second();
+  pop_earliest(q).second();
   EXPECT_FALSE(q.cancel(id));
 }
 
@@ -120,7 +132,7 @@ TEST(EventQueueTest, CancelReleasesCapturedResourcesEagerly) {
   EXPECT_EQ(retained.use_count(), 2);
   EXPECT_TRUE(q.cancel(id));
   EXPECT_EQ(retained.use_count(), 1) << "callback retained past cancel()";
-  while (!q.empty()) q.pop().second();
+  while (!q.empty()) pop_earliest(q).second();
 }
 
 TEST(EventQueueTest, RecycledSlotsInvalidateStaleIds) {
@@ -128,12 +140,12 @@ TEST(EventQueueTest, RecycledSlotsInvalidateStaleIds) {
   // EventId must not cancel the new occupant (generation tag check).
   EventQueue q;
   const EventId first = q.push(1, [] {});
-  q.pop().second();  // frees the slot
+  pop_earliest(q).second();  // frees the slot
   bool fired = false;
   q.push(2, [&] { fired = true; });  // likely reuses the slot
   EXPECT_FALSE(q.cancel(first));
   EXPECT_EQ(q.size(), 1u);
-  while (!q.empty()) q.pop().second();
+  while (!q.empty()) pop_earliest(q).second();
   EXPECT_TRUE(fired);
 }
 
@@ -148,7 +160,7 @@ TEST(EventQueueTest, FifoPreservedAcrossSlotReuse) {
   for (int i = 1; i <= 5; ++i) {
     q.push(5, [&fired, i] { fired.push_back(i); });
   }
-  while (!q.empty()) q.pop().second();
+  while (!q.empty()) pop_earliest(q).second();
   EXPECT_EQ(fired, (std::vector<int>{0, 1, 2, 3, 4, 5}));
 }
 
@@ -163,7 +175,7 @@ TEST(EventQueueTest, StressRandomOrderMatchesSort) {
   }
   Time prev = -1;
   while (!q.empty()) {
-    const Time t = q.pop().first;
+    const Time t = pop_earliest(q).first;
     EXPECT_GE(t, prev);
     prev = t;
   }
@@ -184,7 +196,7 @@ TEST(EventQueueTest, StressWithRandomCancellations) {
   EXPECT_EQ(q.size(), static_cast<size_t>(live));
   int popped = 0;
   while (!q.empty()) {
-    q.pop();
+    pop_earliest(q);
     ++popped;
   }
   EXPECT_EQ(popped, live);
@@ -262,7 +274,7 @@ struct ReferenceChurn {
     ASSERT_FALSE(model.empty());
     const auto [want_time, want_event] = *model.begin();
     ASSERT_EQ(q.next_time(), want_time) << "op " << op;
-    auto [when, cb] = q.pop();
+    auto [when, cb] = pop_earliest(q);
     ASSERT_EQ(when, want_time) << "pop time diverged at op " << op;
     cb();
     ASSERT_EQ(fired, want_event) << "pop order diverged at op " << op;
@@ -489,7 +501,7 @@ TEST(EventQueueTest, CancelHeavyChurnReclaimsTombstones) {
     }
     // Pop a few survivors; time only moves forward.
     for (int i = 0; i < 3 && !q.empty(); ++i) {
-      auto [when, cb] = q.pop();
+      auto [when, cb] = pop_earliest(q);
       EXPECT_GE(when, t);
       t = when;
       cb();
@@ -501,7 +513,7 @@ TEST(EventQueueTest, CancelHeavyChurnReclaimsTombstones) {
     ASSERT_EQ(q.size(), live_count);
   }
   while (!q.empty()) {
-    auto [when, cb] = q.pop();
+    auto [when, cb] = pop_earliest(q);
     cb();
     gone[static_cast<std::size_t>(fired)] = true;
     --live_count;
@@ -513,9 +525,9 @@ TEST(EventQueueTest, LanesMixedWithCalendarMatchReferenceModel) {
   // Differential test of the lanes: two or three fixed-delay lanes (the
   // fabric's 30 us and 1.25 us links, plus a third in one run) share the
   // queue with calendar pushes from the simulator's delay mix, cancels of
-  // calendar events, and pops both through pop() and through pop_next
-  // with random deadlines. Every pop must match the (time, push order)
-  // reference model, so lane events interleave with calendar events
+  // calendar events, and pops both without a deadline and through
+  // pop_next with random deadlines. Every pop must match the (time, push
+  // order) reference model, so lane events interleave with calendar events
   // exactly as one index over all of them would order them.
   for (const int nlanes : {2, 3}) {
     SCOPED_TRACE(nlanes);
@@ -577,7 +589,7 @@ TEST(EventQueueTest, LaneAndCalendarEventsAtOneInstantPopInPushOrder) {
   EXPECT_EQ(q.next_time(), 50);
   Time prev = 0;
   while (!q.empty()) {
-    auto [when, cb] = q.pop();
+    auto [when, cb] = pop_earliest(q);
     EXPECT_GE(when, prev);
     prev = when;
     cb();
@@ -635,7 +647,7 @@ TEST(EventQueueTest, GenerationWrapSkipsZeroAndKillsStaleIds) {
   // Cycle slot 0 once so it exists and is free.
   const EventId first = q.push(1, [] {});
   ASSERT_EQ(static_cast<std::uint32_t>(first & 0xFFFFFFFFu), 0u);
-  (void)q.pop();
+  (void)pop_earliest(q);
 
   // Park the free slot's generation at the wrap boundary.
   EventQueueTestPeer::set_generation(q, 0, 0xFFFFFFFFu);
@@ -650,7 +662,7 @@ TEST(EventQueueTest, GenerationWrapSkipsZeroAndKillsStaleIds) {
   // seq first), so popping it releases the cancelled slot on the way.
   ASSERT_TRUE(q.cancel(boundary));
   const EventId later = q.push(2, [] {});
-  auto [when, cb] = q.pop();
+  auto [when, cb] = pop_earliest(q);
   EXPECT_EQ(when, 2);
 
   // The wrapped generation must have skipped 0 (0 is never a valid id).

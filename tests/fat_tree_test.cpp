@@ -44,8 +44,8 @@ TEST(FatTreeTest, CoordRoundTrip) {
   for (NodeId sw = 0; sw < t.switch_count(); ++sw) {
     const SwitchCoord c = t.coord(sw);
     switch (c.tier) {
-      case Tier::kCore:
-        EXPECT_EQ(t.core_node_flat(c.idx), sw);
+      case Tier::kCore:  // flat core index i = group * (k/2) + j
+        EXPECT_EQ(t.core_node(c.idx / (t.k() / 2), c.idx % (t.k() / 2)), sw);
         break;
       case Tier::kAgg:
         EXPECT_EQ(t.agg_node(c.pod, c.idx), sw);
@@ -150,11 +150,12 @@ TEST(FatTreeTest, SwitchRoutingReachesTargets) {
     const HostLocation loc = t.location(src);
     std::vector<NodeId> targets;
     targets.push_back(t.host_tor(src));
-    for (int a = 0; a < t.aggs_per_pod(); ++a) {
+    const int half = t.k() / 2;  // aggs per pod, cores per group
+    for (int a = 0; a < half; ++a) {
       targets.push_back(t.agg_node(loc.pod, a));
     }
-    for (std::uint32_t c = 0; c < t.core_count(); ++c) {
-      targets.push_back(t.core_node_flat(static_cast<int>(c)));
+    for (int c = 0; c < static_cast<int>(t.core_count()); ++c) {
+      targets.push_back(t.core_node(c / half, c % half));
     }
     const NodeId target = targets[rng.uniform(targets.size())];
     NodeId cur = t.host_tor(src);

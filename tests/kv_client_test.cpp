@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <unordered_map>
 #include <vector>
 
 #include "kv/server.hpp"
@@ -166,14 +167,41 @@ TEST_F(ClientRig, P95EstimateTracksCompletions) {
   add_servers(scfg);
   ClientConfig ccfg;
   ccfg.arrival_rate = 300.0;
-  Client& c = make_client(ccfg, topo.host_id(0, 1, 1));
+  // R95 sends a request's duplicate one p95 estimate after its primary,
+  // so the gap between the two on the client's access link reads the
+  // estimate off the wire.
+  ccfg.redundancy.enabled = true;
+  const net::HostId client_host = topo.host_id(0, 1, 1);
+  struct DuplicateTap final : net::Switch::IngressStage {
+    net::Switch::Disposition on_ingress(net::Packet& pkt, net::NodeId from,
+                                        net::Switch& sw) override {
+      if (from == client_node) {
+        const sim::Time now = sw.simulator().now();
+        if (pkt.meta.redundant) {
+          gaps.push_back(now - primary_at.at(pkt.meta.request_id));
+        } else {
+          primary_at[pkt.meta.request_id] = now;
+        }
+      }
+      return net::Switch::Continue{};
+    }
+    net::NodeId client_node = net::kInvalidNode;
+    std::unordered_map<std::uint64_t, sim::Time> primary_at;
+    std::vector<sim::Duration> gaps;
+  } tap;
+  tap.client_node = topo.host_node(client_host);
+  switches[topo.host_tor(client_host)]->add_ingress_stage(&tap);
+  Client& c = make_client(ccfg, client_host);
   c.start();
   sim.run_until(sim::seconds(1));
   c.stop();
   sim.run_until(sim.now() + sim::millis(100));
+  ASSERT_FALSE(tap.gaps.empty());
   // Latency floor is 4 host-link hops (120us+) plus ~1ms service.
-  EXPECT_GT(c.p95_estimate_us(), 500.0);
-  EXPECT_LT(c.p95_estimate_us(), 60000.0);
+  for (const sim::Duration gap : tap.gaps) {
+    EXPECT_GT(gap, sim::micros(500));
+    EXPECT_LT(gap, sim::millis(60));
+  }
 }
 
 TEST_F(ClientRig, StopPreventsNewArrivals) {

@@ -125,8 +125,13 @@ TEST_F(ServerRig, ParallelismBoundsInService) {
   sim.run_until(sim::millis(1));
   EXPECT_EQ(server.queue_size(), 6u);
   sim.run();
-  EXPECT_EQ(client.responses.size(), 6u);
-  EXPECT_EQ(server.served(), 6u);
+  ASSERT_EQ(client.responses.size(), 6u);
+  for (const net::Packet& resp : client.responses) {  // all served in full
+    const auto app =
+        decode_app_response(core::response_app_payload(resp.payload));
+    ASSERT_TRUE(app.has_value());
+    EXPECT_EQ(app->value_bytes, cfg.value_bytes);
+  }
   EXPECT_EQ(server.queue_size(), 0u);
 }
 

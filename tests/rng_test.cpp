@@ -63,20 +63,6 @@ TEST(RngTest, UniformInRange) {
   for (int c : counts) EXPECT_NEAR(c, 10000, 1000);
 }
 
-TEST(RngTest, UniformRangeInclusiveBounds) {
-  Rng r(3);
-  bool saw_lo = false, saw_hi = false;
-  for (int i = 0; i < 1000; ++i) {
-    const auto v = r.uniform_range(-2, 2);
-    EXPECT_GE(v, -2);
-    EXPECT_LE(v, 2);
-    saw_lo |= v == -2;
-    saw_hi |= v == 2;
-  }
-  EXPECT_TRUE(saw_lo);
-  EXPECT_TRUE(saw_hi);
-}
-
 TEST(RngTest, BernoulliEdgeCases) {
   Rng r(4);
   EXPECT_FALSE(r.bernoulli(0.0));

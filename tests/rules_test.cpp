@@ -6,7 +6,9 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <utility>
 #include <variant>
+#include <vector>
 
 #include "net/switch.hpp"
 
@@ -32,10 +34,23 @@ class RulesRig : public ::testing::Test {
     agg_accel_ = fabric.attach_auxiliary(&accel_sink_, topo.agg_node(0, 1));
   }
 
+  /// Records what reaches the stand-in accelerators, and from which
+  /// switch.
   struct SinkNode final : net::Node {
-    void receive(net::Packet, net::NodeId) override { ++packets; }
-    int packets = 0;
+    void receive(net::Packet pkt, net::NodeId from) override {
+      received.push_back(std::move(pkt));
+      senders.push_back(from);
+    }
+    std::vector<net::Packet> received;
+    std::vector<net::NodeId> senders;
   };
+
+  /// Delivers everything in flight and returns the packets that reached
+  /// an accelerator.
+  const std::vector<net::Packet>& accelerator_arrivals() {
+    fabric.simulator().run();
+    return accel_sink_.received;
+  }
 
   /// Builds rules for the ToR of pod 0 / rack 0, local RSNode id 1, with a
   /// uniform group table pointing at `rid`.
@@ -108,7 +123,7 @@ TEST_F(RulesRig, TorAssignsRidFromGroupTable) {
   EXPECT_EQ(std::get<net::Switch::Steer>(d).target_switch,
             topo.agg_node(0, 1));
   EXPECT_EQ(*peek_rid(pkt.payload), 2);
-  EXPECT_EQ(rules->steered(), 1u);
+  EXPECT_TRUE(accelerator_arrivals().empty());
 }
 
 TEST_F(RulesRig, IllegalRidTriggersDrsRelabel) {
@@ -117,8 +132,9 @@ TEST_F(RulesRig, IllegalRidTriggersDrsRelabel) {
   net::Packet pkt = request(client, topo.host_id(1, 0, 0));
   const auto d = rules->on_ingress(pkt, topo.host_node(client), tor());
   EXPECT_TRUE(std::holds_alternative<net::Switch::Continue>(d));
+  // The DRS label: f(Mmon), so the packet rides to the backup replica.
   EXPECT_EQ(*peek_magic(pkt.payload), magic_f(kMagicMonitor));
-  EXPECT_EQ(rules->drs_labelled(), 1u);
+  EXPECT_TRUE(accelerator_arrivals().empty());
 }
 
 TEST_F(RulesRig, UnknownRidDegradesInsteadOfBlackholing) {
@@ -136,7 +152,13 @@ TEST_F(RulesRig, LocalRidRequestGoesToAccelerator) {
   net::Packet pkt = request(client, topo.host_id(1, 0, 0));
   const auto d = rules->on_ingress(pkt, topo.host_node(client), tor());
   EXPECT_TRUE(std::holds_alternative<net::Switch::Consumed>(d));
-  EXPECT_EQ(rules->to_accelerator(), 1u);
+  // The consumed request arrives at the ToR's accelerator, still a
+  // request labelled with the local RSNode id.
+  const auto& arrived = accelerator_arrivals();
+  ASSERT_EQ(arrived.size(), 1u);
+  EXPECT_EQ(accel_sink_.senders[0], topo.tor_node(0, 0));
+  EXPECT_EQ(*peek_magic(arrived[0].payload), kMagicRequest);
+  EXPECT_EQ(*peek_rid(arrived[0].payload), 1);
 }
 
 TEST_F(RulesRig, ResponseGetsSourceMarkerAndSteersToRsnode) {
@@ -159,7 +181,12 @@ TEST_F(RulesRig, LocalRidResponseClonedAndRelabelled) {
   const auto d = rules->on_ingress(pkt, topo.host_node(server), tor());
   EXPECT_TRUE(std::holds_alternative<net::Switch::Continue>(d));
   EXPECT_EQ(*peek_magic(pkt.payload), kMagicMonitor);
-  EXPECT_EQ(rules->cloned(), 1u);
+  // The clone reaching the accelerator keeps the response label.
+  const auto& arrived = accelerator_arrivals();
+  ASSERT_EQ(arrived.size(), 1u);
+  EXPECT_EQ(accel_sink_.senders[0], topo.tor_node(0, 0));
+  EXPECT_EQ(*peek_magic(arrived[0].payload), kMagicResponse);
+  EXPECT_EQ(arrived[0].src, server);
 }
 
 TEST_F(RulesRig, NonTorSwitchNeverTouchesGroupTables) {
@@ -176,6 +203,8 @@ TEST_F(RulesRig, NonTorSwitchNeverTouchesGroupTables) {
       request(topo.host_id(0, 0, 0), topo.host_id(1, 0, 0), /*rid=*/2);
   d = rules.on_ingress(mine, topo.tor_node(0, 0), agg);
   EXPECT_TRUE(std::holds_alternative<net::Switch::Consumed>(d));
+  ASSERT_EQ(accelerator_arrivals().size(), 1u);
+  EXPECT_EQ(accel_sink_.senders[0], topo.agg_node(0, 1));
 }
 
 TEST_F(RulesRig, PlainAndMonitorPacketsFallThrough) {
@@ -191,8 +220,7 @@ TEST_F(RulesRig, PlainAndMonitorPacketsFallThrough) {
   set_magic(mon.payload, kMagicMonitor);
   d = rules->on_ingress(mon, topo.host_node(mon.src), tor());
   EXPECT_TRUE(std::holds_alternative<net::Switch::Continue>(d));
-  EXPECT_EQ(rules->steered(), 0u);
-  EXPECT_EQ(rules->to_accelerator(), 0u);
+  EXPECT_TRUE(accelerator_arrivals().empty());
 }
 
 TEST_F(RulesRig, RidTableSwapTakesEffect) {

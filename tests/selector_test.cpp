@@ -207,7 +207,10 @@ TEST(BaselinesTest, EwmaLatencySelectsFastest) {
 
 TEST(FactoryTest, BuildsEveryRegisteredAlgorithm) {
   sim::Simulator sim;
-  for (const std::string& name : selector_names()) {
+  // The names SelectorConfig::algorithm documents.
+  for (const std::string name :
+       {"c3", "c3-norate", "least-outstanding", "random", "round-robin",
+        "two-choices", "ewma-latency"}) {
     SelectorConfig cfg;
     cfg.algorithm = name;
     auto sel = make_selector(cfg, sim, sim::Rng(15));

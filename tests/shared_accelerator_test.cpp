@@ -3,7 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <optional>
 #include <stdexcept>
+#include <utility>
 #include <vector>
 
 #include "net/switch.hpp"
@@ -45,8 +47,22 @@ TEST_F(SharedAccelRig, AttachSwitchIsIdempotent) {
   EXPECT_EQ(accel.attach_switch(topo.core_node(0, 0)), aux0);
   const net::NodeId aux1 = accel.attach_switch(topo.core_node(0, 1));
   EXPECT_NE(aux1, aux0);
-  EXPECT_EQ(accel.attached_switches(), 2u);
-  EXPECT_EQ(accel.node_id_for(topo.core_node(0, 1)), aux1);
+  EXPECT_EQ(accel.attach_switch(topo.core_node(0, 1)), aux1);
+  EXPECT_EQ(accel.attach_switch(topo.core_node(0, 0)), aux0);
+  // Both cables carry packets into the one accelerator.
+  std::vector<net::HostId> senders;
+  accel.set_handler([&](net::Packet pkt) {
+    senders.push_back(pkt.src);
+    return std::nullopt;
+  });
+  net::Packet via_a = netrs_request();
+  via_a.src = 10;
+  net::Packet via_b = netrs_request();
+  via_b.src = 11;
+  fabric.send(topo.core_node(0, 0), aux0, std::move(via_a));
+  fabric.send(topo.core_node(0, 1), aux1, std::move(via_b));
+  sim.run();
+  EXPECT_EQ(senders, (std::vector<net::HostId>{10, 11}));
 }
 
 TEST_F(SharedAccelRig, ZeroCoresAreRejected) {
@@ -76,20 +92,24 @@ TEST_F(SharedAccelRig, RepliesReturnToTheOriginSwitch) {
   const net::NodeId sw_a = topo.core_node(0, 0);
   const net::NodeId sw_b = topo.core_node(0, 1);
   Accelerator accel(fabric, sw_a, AcceleratorConfig{});
-  accel.attach_switch(sw_b);
-  accel.set_handler([](net::Packet pkt) { return pkt; });  // echo
+  const net::NodeId aux_b = accel.attach_switch(sw_b);
+  int handled = 0;
+  accel.set_handler([&handled](net::Packet pkt) {  // echo
+    ++handled;
+    return std::optional<net::Packet>(pkt);
+  });
 
   CaptureStage cap_a, cap_b;
   switches[sw_a]->add_ingress_stage(&cap_a);
   switches[sw_b]->add_ingress_stage(&cap_b);
 
-  fabric.send(sw_a, accel.node_id_for(sw_a), netrs_request());
-  fabric.send(sw_b, accel.node_id_for(sw_b), netrs_request());
+  fabric.send(sw_a, accel.node_id(), netrs_request());
+  fabric.send(sw_b, aux_b, netrs_request());
   sim.run();
 
   EXPECT_EQ(cap_a.hits.size(), 1u);
   EXPECT_EQ(cap_b.hits.size(), 1u);
-  EXPECT_EQ(accel.processed(), 2u);
+  EXPECT_EQ(handled, 2);
 }
 
 TEST_F(SharedAccelRig, CoresAreSharedAcrossSwitches) {
@@ -101,7 +121,7 @@ TEST_F(SharedAccelRig, CoresAreSharedAcrossSwitches) {
   cfg.cores = 1;
   cfg.request_service_time = sim::micros(5);
   Accelerator accel(fabric, sw_a, cfg);
-  accel.attach_switch(sw_b);
+  const net::NodeId aux_b = accel.attach_switch(sw_b);
   int handled = 0;
   sim::Time last_done = 0;
   accel.set_handler([&](net::Packet) {
@@ -110,8 +130,8 @@ TEST_F(SharedAccelRig, CoresAreSharedAcrossSwitches) {
     return std::nullopt;
   });
   for (int i = 0; i < 5; ++i) {
-    fabric.send(sw_a, accel.node_id_for(sw_a), netrs_request());
-    fabric.send(sw_b, accel.node_id_for(sw_b), netrs_request());
+    fabric.send(sw_a, accel.node_id(), netrs_request());
+    fabric.send(sw_b, aux_b, netrs_request());
   }
   sim.run();
   EXPECT_EQ(handled, 10);

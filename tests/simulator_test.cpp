@@ -50,8 +50,8 @@ TEST(SimulatorTest, RunUntilStopsAtDeadline) {
   EXPECT_EQ(s.run_until(50), 5u);
   EXPECT_EQ(fired, 5);
   EXPECT_EQ(s.now(), 50);
-  EXPECT_EQ(s.pending_events(), 5u);
-  s.run();
+  EXPECT_EQ(s.next_event_time(), 60);  // later events stay queued
+  EXPECT_EQ(s.run(), 5u);
   EXPECT_EQ(fired, 10);
 }
 

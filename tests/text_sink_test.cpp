@@ -59,6 +59,12 @@ double from_bits(std::uint64_t bits) {
   return v;
 }
 
+// Uniform integer in [lo, hi].
+std::int64_t uniform_in(sim::Rng& rng, std::int64_t lo, std::int64_t hi) {
+  return lo + static_cast<std::int64_t>(
+                  rng.uniform(static_cast<std::uint64_t>(hi - lo) + 1));
+}
+
 // Doubles from a seeded mix: raw bit patterns (NaNs, infinities,
 // denormals included), log-uniform magnitudes of either sign, integers
 // around the 1e15 cut-over, and values on or next to a 9-digit rounding
@@ -78,14 +84,14 @@ std::vector<double> random_doubles(std::size_t n) {
         break;
       }
       case 2:
-        out.push_back(1e15 + static_cast<double>(rng.uniform_range(-4, 4)) +
+        out.push_back(1e15 + static_cast<double>(uniform_in(rng, -4, 4)) +
                       (rng.bernoulli(0.5) ? 0.5 : 0.0));
         break;
       case 3: {
         const auto digits = static_cast<double>(
-            rng.uniform_range(100'000'000, 999'999'999));
+            uniform_in(rng, 100'000'000, 999'999'999));
         const double scale =
-            std::pow(10.0, static_cast<double>(rng.uniform_range(-14, 8)));
+            std::pow(10.0, static_cast<double>(uniform_in(rng, -14, 8)));
         const double tie = (digits + 0.5) * scale;
         out.push_back(tie);
         out.push_back(std::nextafter(tie, 0.0));

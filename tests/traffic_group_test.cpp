@@ -3,9 +3,20 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <vector>
 
 namespace netrs::core {
 namespace {
+
+/// The hosts that `g` maps to group `gid`, ascending.
+std::vector<net::HostId> members(const net::FatTree& topo,
+                                 const TrafficGroups& g, GroupId gid) {
+  std::vector<net::HostId> out;
+  for (net::HostId h = 0; h < topo.host_count(); ++h) {
+    if (g.group_of_host(h) == gid) out.push_back(h);
+  }
+  return out;
+}
 
 TEST(TrafficGroupsTest, HostGranularityOneGroupPerHost) {
   net::FatTree topo(4);
@@ -26,7 +37,7 @@ TEST(TrafficGroupsTest, RackGranularityGroupsWholeRacks) {
   }
   // Every host of a group shares the group's ToR.
   for (GroupId gid = 0; gid < g.group_count(); ++gid) {
-    for (net::HostId h : g.hosts_of_group(gid)) {
+    for (net::HostId h : members(topo, g, gid)) {
       EXPECT_EQ(topo.host_tor(h), g.tor_of_group(gid));
     }
   }
@@ -42,7 +53,7 @@ TEST(TrafficGroupsTest, SubRackGranularitySplitsRacks) {
   // Sub-rack groups never straddle rack boundaries.
   for (GroupId gid = 0; gid < g.group_count(); ++gid) {
     std::set<int> racks;
-    for (net::HostId h : g.hosts_of_group(gid)) {
+    for (net::HostId h : members(topo, g, gid)) {
       racks.insert(topo.rack_index(h));
     }
     EXPECT_EQ(racks.size(), 1u);
@@ -53,7 +64,7 @@ TEST(TrafficGroupsTest, PodAndRackLookups) {
   net::FatTree topo(4);
   TrafficGroups g(topo, GroupGranularity::kRack);
   for (GroupId gid = 0; gid < g.group_count(); ++gid) {
-    const auto hosts = g.hosts_of_group(gid);
+    const auto hosts = members(topo, g, gid);
     ASSERT_FALSE(hosts.empty());
     const net::HostLocation loc = topo.location(hosts[0]);
     EXPECT_EQ(g.pod_of_group(gid), loc.pod);
@@ -65,14 +76,21 @@ TEST(TrafficGroupsTest, GroupsPartitionHosts) {
   net::FatTree topo(4);
   for (auto gran : {GroupGranularity::kHost, GroupGranularity::kRack}) {
     TrafficGroups g(topo, gran);
-    std::set<net::HostId> seen;
-    for (GroupId gid = 0; gid < g.group_count(); ++gid) {
-      for (net::HostId h : g.hosts_of_group(gid)) {
-        EXPECT_TRUE(seen.insert(h).second) << "host in two groups";
-        EXPECT_EQ(g.group_of_host(h), gid);
-      }
+    // Every host lands in a valid group, and every group gets the same
+    // number of consecutive hosts.
+    std::vector<std::uint32_t> size_of(g.group_count(), 0);
+    for (net::HostId h = 0; h < topo.host_count(); ++h) {
+      ASSERT_LT(g.group_of_host(h), g.group_count());
+      ++size_of[g.group_of_host(h)];
     }
-    EXPECT_EQ(seen.size(), topo.host_count());
+    const std::uint32_t per_group = topo.host_count() / g.group_count();
+    for (GroupId gid = 0; gid < g.group_count(); ++gid) {
+      EXPECT_EQ(size_of[gid], per_group) << "group " << gid;
+      const auto hosts = members(topo, g, gid);
+      ASSERT_FALSE(hosts.empty());
+      EXPECT_EQ(hosts.back() - hosts.front() + 1, per_group)
+          << "group " << gid << " is not contiguous";
+    }
   }
 }
 
