@@ -26,9 +26,12 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
+#include <limits>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
+#include "harness/config.hpp"
 #include "harness/experiment.hpp"
 #include "harness/report.hpp"
 #include "sim/time.hpp"
@@ -149,6 +152,23 @@ bool write_bench_section(const std::string& path,
   return true;
 }
 
+// The request count in environment variable `name`: `fallback` when it is
+// unset, empty or 0. A value that is not a whole count ends the program
+// with "<program>: <reason>" and exit status 2, before anything runs.
+std::uint64_t requests_from_env(const char* program, const char* name,
+                                std::uint64_t fallback) {
+  const char* e = std::getenv(name);
+  if (e == nullptr || *e == '\0') return fallback;
+  try {
+    const std::uint64_t n = harness::parse_count(
+        name, e, std::numeric_limits<std::uint64_t>::max());
+    return n == 0 ? fallback : n;
+  } catch (const std::invalid_argument& ex) {
+    std::fprintf(stderr, "%s: %s\n", program, ex.what());
+    std::exit(2);
+  }
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -157,11 +177,8 @@ int main(int argc, char** argv) {
   if (argc > 1) out_path = argv[1];
   if (argc > 2) csv_path = argv[2];
 
-  std::uint64_t requests = kRequests;
-  if (const char* e = std::getenv("NETRS_BENCH_FAILOVER_REQUESTS")) {
-    requests = std::strtoull(e, nullptr, 10);
-    if (requests == 0) requests = kRequests;
-  }
+  const std::uint64_t requests = requests_from_env(
+      "fig_failover", "NETRS_BENCH_FAILOVER_REQUESTS", kRequests);
 
   struct Cell {
     harness::Scheme scheme;

@@ -38,11 +38,14 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
+#include <limits>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "alloc_shim.hpp"
+#include "harness/config.hpp"
 #include "harness/experiment.hpp"
 
 namespace {
@@ -99,22 +102,33 @@ harness::ExperimentConfig scale_config(int shards, std::uint64_t requests) {
   return cfg;
 }
 
+// The request count in environment variable `name`: `fallback` when it is
+// unset, empty or 0. A value that is not a whole count ends the program
+// with "<program>: <reason>" and exit status 2, before anything runs.
+std::uint64_t requests_from_env(const char* program, const char* name,
+                                std::uint64_t fallback) {
+  const char* e = std::getenv(name);
+  if (e == nullptr || *e == '\0') return fallback;
+  try {
+    const std::uint64_t n = harness::parse_count(
+        name, e, std::numeric_limits<std::uint64_t>::max());
+    return n == 0 ? fallback : n;
+  } catch (const std::invalid_argument& ex) {
+    std::fprintf(stderr, "%s: %s\n", program, ex.what());
+    std::exit(2);
+  }
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
   std::string out_path = "BENCH_7.json";
   if (argc > 1) out_path = argv[1];
 
-  std::uint64_t requests = kRequestsPerCell;
-  if (const char* e = std::getenv("NETRS_BENCH_REQUESTS")) {
-    requests = std::strtoull(e, nullptr, 10);
-    if (requests == 0) requests = kRequestsPerCell;
-  }
-  std::uint64_t scale_requests = kScaleRequests;
-  if (const char* e = std::getenv("NETRS_BENCH_SCALE_REQUESTS")) {
-    scale_requests = std::strtoull(e, nullptr, 10);
-    if (scale_requests == 0) scale_requests = kScaleRequests;
-  }
+  const std::uint64_t requests =
+      requests_from_env("macro", "NETRS_BENCH_REQUESTS", kRequestsPerCell);
+  const std::uint64_t scale_requests = requests_from_env(
+      "macro", "NETRS_BENCH_SCALE_REQUESTS", kScaleRequests);
 
   struct CellResult {
     int util_pct;

@@ -10,9 +10,11 @@
 // Usage: placement_planner [k] [utilization] [hop_budget_fraction]
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
+#include <exception>
+#include <limits>
 #include <map>
 
+#include "harness/config.hpp"
 #include "net/fat_tree.hpp"
 #include "netrs/placement.hpp"
 #include "sim/rng.hpp"
@@ -81,14 +83,17 @@ void report(const char* name, const core::PlacementProblem& p,
       res.proven_optimal ? "yes" : "no", seconds);
 }
 
-}  // namespace
+int run(int argc, char** argv) {
+  const int k =
+      argc > 1 ? static_cast<int>(harness::parse_count(
+                     "k", argv[1], std::numeric_limits<int>::max()))
+               : 16;
+  const double util =
+      argc > 2 ? harness::parse_real("utilization", argv[2]) : 0.9;
+  const double frac =
+      argc > 3 ? harness::parse_real("hop_budget_fraction", argv[3]) : 0.2;
 
-int main(int argc, char** argv) {
-  const int k = argc > 1 ? std::atoi(argv[1]) : 16;
-  const double util = argc > 2 ? std::atof(argv[2]) : 0.9;
-  const double frac = argc > 3 ? std::atof(argv[3]) : 0.2;
-
-  net::FatTree topo(k);
+  const net::FatTree topo(k);
   const core::PlacementProblem p = build_problem(topo, util, frac);
   std::printf(
       "Placement problem: %d-ary fat-tree, %zu rack groups, %zu operators, "
@@ -124,4 +129,17 @@ int main(int argc, char** argv) {
   const core::PlacementResult tor = core::tor_placement(p);
   report("tor-plan", p, tor, 0.0);
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  // A rejected argument (not a whole count or number, an odd k) is a
+  // usage error, not a crash.
+  try {
+    return run(argc, argv);
+  } catch (const std::exception& e) {
+    std::fprintf(stderr, "placement_planner: %s\n", e.what());
+    return 2;
+  }
 }

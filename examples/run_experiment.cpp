@@ -6,7 +6,6 @@
 //   run_experiment --scheme netrs-ilp --clients 700 --utilization 0.9
 //   run_experiment --scheme clirs-r95c --requests 500000 --skew 0.8
 //   run_experiment --scheme netrs-ilp --algorithm two-choices --share-accel
-#include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
@@ -95,18 +94,6 @@ void set_count(T& field, const std::string& flag, const char* value) {
       flag, value, static_cast<std::uint64_t>(std::numeric_limits<T>::max())));
 }
 
-// `value`, the whole finite number given to `flag`; throws
-// std::invalid_argument otherwise.
-double parse_real(const std::string& flag, const char* value) {
-  char* end = nullptr;
-  const double x = std::strtod(value, &end);
-  if (end == value || *end != '\0' || !std::isfinite(x)) {
-    throw std::invalid_argument(flag + "=\"" + value +
-                                "\" is not a number");
-  }
-  return x;
-}
-
 int run(int argc, char** argv) {
   harness::ExperimentConfig cfg = harness::default_config();
   harness::Scheme scheme = harness::Scheme::kNetRSIlp;
@@ -132,11 +119,11 @@ int run(int argc, char** argv) {
     } else if (arg == "--clients") {
       set_count(cfg.num_clients, arg, next());
     } else if (arg == "--utilization") {
-      cfg.utilization = parse_real(arg, next());
+      cfg.utilization = harness::parse_real(arg, next());
     } else if (arg == "--skew") {
-      cfg.demand_skew = parse_real(arg, next());
+      cfg.demand_skew = harness::parse_real(arg, next());
     } else if (arg == "--tkv") {
-      cfg.mean_service_time = sim::millis(parse_real(arg, next()));
+      cfg.mean_service_time = sim::millis(harness::parse_real(arg, next()));
       cfg.selector.c3.service_time_prior = cfg.mean_service_time;
     } else if (arg == "--requests") {
       set_count(cfg.total_requests, arg, next());
@@ -158,7 +145,7 @@ int run(int argc, char** argv) {
         return 2;
       }
     } else if (arg == "--hop-budget") {
-      cfg.extra_hop_fraction = parse_real(arg, next());
+      cfg.extra_hop_fraction = harness::parse_real(arg, next());
     } else if (arg == "--share-accel") {
       cfg.share_core_accelerators = true;
     } else if (arg == "--seed") {
@@ -190,7 +177,7 @@ int run(int argc, char** argv) {
     } else if (arg.rfind("--faults=", 0) == 0) {
       cfg.fault_plan = arg.substr(std::strlen("--faults="));
     } else if (arg == "--timeline-bucket") {
-      cfg.timeline_bucket = sim::millis(parse_real(arg, next()));
+      cfg.timeline_bucket = sim::millis(harness::parse_real(arg, next()));
     } else if (arg == "--trace-capacity") {
       set_count(cfg.obs.trace_capacity, arg, next());
     } else if (arg == "--shard-telemetry") {

@@ -1,6 +1,7 @@
 #include "harness/config.hpp"
 
 #include <charconv>
+#include <cmath>
 #include <cstdint>
 #include <cstdlib>
 #include <limits>
@@ -54,6 +55,16 @@ std::uint64_t parse_count(std::string_view what, std::string_view value,
                                 std::to_string(max) + "]");
   }
   return n;
+}
+
+double parse_real(std::string_view what, const char* value) {
+  char* end = nullptr;
+  const double x = std::strtod(value, &end);
+  if (end == value || *end != '\0' || !std::isfinite(x)) {
+    throw std::invalid_argument(std::string(what) + "=\"" + value +
+                                "\" is not a number");
+  }
+  return x;
 }
 
 namespace {

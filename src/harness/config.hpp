@@ -155,6 +155,11 @@ struct ExperimentConfig {
                                         std::string_view value,
                                         std::uint64_t max);
 
+/// `value` as one whole finite number (strtod syntax, nothing after it).
+/// Throws std::invalid_argument naming `what` and the value otherwise.
+/// The real-valued flags of the examples parse through it.
+[[nodiscard]] double parse_real(std::string_view what, const char* value);
+
 /// Paper defaults with NETRS_REQUESTS / NETRS_REPEATS / NETRS_SEED /
 /// NETRS_JOBS / NETRS_SHARDS / NETRS_FAULTS / NETRS_TRACE / NETRS_METRICS /
 /// NETRS_ATTRIBUTION / NETRS_DECISIONS / NETRS_TRACE_CAPACITY /

@@ -1011,7 +1011,7 @@ ExperimentResult run_experiment(Scheme scheme, const ExperimentConfig& cfg) {
     const char* verb =
         e.op == sim::FaultOp::kLinkDown ? "link-down " : "link-up ";
     throw std::invalid_argument(
-        "run_experiment: fault plan entry \"" + std::string(verb) +
+        "fault plan entry \"" + std::string(verb) +
         std::to_string(e.index) + " " + std::to_string(e.peer) + "\" at " +
         std::to_string(e.at) + " ns names no link of the k=" +
         std::to_string(cfg.fat_tree_k) + " fat tree (NodeIds 0.." +
@@ -1021,7 +1021,7 @@ ExperimentResult run_experiment(Scheme scheme, const ExperimentConfig& cfg) {
     // Fail fast in every build type: an over-provisioned cluster used to
     // walk off the shuffled host vector in Release builds.
     throw std::invalid_argument(
-        "run_experiment: num_servers + num_clients = " +
+        "num_servers + num_clients = " +
         std::to_string(cfg.num_servers + cfg.num_clients) +
         " exceeds the k=" + std::to_string(cfg.fat_tree_k) +
         " fat tree's " + std::to_string(tree.host_count()) + " hosts");

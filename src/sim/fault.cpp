@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cctype>
+#include <charconv>
 #include <cmath>
 #include <fstream>
 #include <sstream>
@@ -36,10 +37,11 @@ Time parse_time(const std::string& entry, const std::string& tok) {
     ++i;
   }
   if (i == 0) bad_entry(entry, "expected a time, got \"" + tok + "\"");
+  // The whole scanned number must parse: "1.2.3ms" is not 1.2 ms.
   double value = 0.0;
-  try {
-    value = std::stod(tok.substr(0, i));
-  } catch (const std::exception&) {
+  const char* const digits_end = tok.data() + i;
+  const auto [end, ec] = std::from_chars(tok.data(), digits_end, value);
+  if (ec != std::errc{} || end != digits_end) {
     bad_entry(entry, "unparseable time value \"" + tok + "\"");
   }
   const std::string unit = tok.substr(i);

@@ -120,6 +120,25 @@ TEST(FaultPlanParse, RejectsMalformedEntries) {
                std::invalid_argument);
 }
 
+TEST(FaultPlanParse, TimeNumberMustParseWhole) {
+  // Digits and dots are scanned together; all of them must form one
+  // number, so a second dot is an error, not a truncation to 1.2 ms.
+  EXPECT_THROW(FaultPlan::parse("at 1.2.3ms crash server 0"),
+               std::invalid_argument);
+  EXPECT_THROW(FaultPlan::parse("at 1..2s crash server 0"),
+               std::invalid_argument);
+  EXPECT_THROW(FaultPlan::parse("at .ms crash server 0"),
+               std::invalid_argument);
+  // Fractional forms that are one number still parse.
+  const FaultPlan plan = FaultPlan::parse(
+      "at 1.25ms crash server 0; at .5ms crash server 1; "
+      "at 3.s recover server 0");
+  ASSERT_EQ(plan.events().size(), 3u);
+  EXPECT_EQ(plan.events()[0].at, 500'000);  // sorted by time
+  EXPECT_EQ(plan.events()[1].at, 1'250'000);
+  EXPECT_EQ(plan.events()[2].at, 3'000'000'000);
+}
+
 TEST(FaultPlanParse, LoadsPlanFromFile) {
   const std::string path = ::testing::TempDir() + "/fault_plan_test.txt";
   std::FILE* f = std::fopen(path.c_str(), "w");
