@@ -18,6 +18,7 @@
 
 #include <cstdint>
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <stdexcept>
 #include <string>
@@ -292,6 +293,32 @@ TEST(FaultZeroPlan, ReproducesRecordedGoldenDigests) {
           << "zero-fault plan " << (plan[0] != '\0' ? "(comment)" : "(empty)")
           << " drifted for " << harness::scheme_name(c.scheme);
     }
+  }
+}
+
+// An accelerator crash under a NetRS scheme. RSNode 13 (ToR NodeId 12)
+// selects under NetRS-ToR, so its accelerator holds in-service and queued
+// packets when it goes dark mid-run; the digest pins the whole episode
+// (drops, the recovery and what the clients see) at shards 1 and 2.
+TEST(FaultAccelerator, CrashAndRecoveryDigestIsPinned) {
+  constexpr std::uint64_t kExpected = 0xC3416A34105A135AULL;
+  harness::ExperimentConfig cfg = faulted_config();
+  cfg.fault_plan = "at 0.15s fail accel 13; at 0.3s recover accel 13";
+  for (const int shards : {1, 2}) {
+    cfg.shards = shards;
+    const harness::ExperimentResult res =
+        harness::run_experiment(harness::Scheme::kNetRSToR, cfg);
+    EXPECT_EQ(res.fault.events_fired, 2u * 2u);  // 2 events x 2 repeats
+    EXPECT_EQ(res.fault.events_unbound, 0u);
+    EXPECT_GT(res.issued, res.completed)
+        << "a dark accelerator must lose the packets it held";
+    const std::uint64_t got = result_digest(res);
+    if (std::getenv("NETRS_PRINT_DIGESTS") != nullptr) {
+      std::printf("accel crash shards=%d: 0x%016llXULL\n", shards,
+                  static_cast<unsigned long long>(got));
+    }
+    EXPECT_EQ(got, kExpected) << "accelerator crash drifted at shards="
+                              << shards;
   }
 }
 
