@@ -51,8 +51,8 @@ class NETRS_SHARD_LOCAL Server final : public net::Host {
 
   /// Fault hook — reached only through sim::FaultInjector at global-sim
   /// barriers (fault-hook-discipline lint rule). Crashes the server:
-  /// queued requests are dropped (`server-crash` in the audit ledger),
-  /// in-flight completions are cancelled and their requests dropped, and
+  /// queued and in-service requests are dropped (`server-crash` in the
+  /// audit ledger), the dropped requests' completions do nothing, and
   /// all traffic is rejected (`server-down`) until recover().
   void fail();
   /// Fault hook — clears the crash flag; the server resumes with an

@@ -64,9 +64,9 @@ class NETRS_SHARD_LOCAL Accelerator final : public net::Node {
 
   /// Fault hook — reached only through sim::FaultInjector at global-sim
   /// barriers (fault-hook-discipline lint rule). Fails the accelerator:
-  /// queued jobs are dropped (`accel-crash` in the audit ledger),
-  /// in-service completions are cancelled, and arrivals are rejected
-  /// (`accel-down`) until recover().
+  /// queued and in-service jobs are dropped (`accel-crash` in the audit
+  /// ledger), the dropped jobs' completions do nothing, and arrivals are
+  /// rejected (`accel-down`) until recover().
   void fail();
   /// Fault hook — clears the failure flag; the accelerator resumes with
   /// an empty queue and idle cores.

@@ -68,75 +68,44 @@ std::uint32_t EventQueue::acquire_slot() {
 void EventQueue::release_slot(std::uint32_t index) {
   Slot& s = slots_[index];
   s.task.reset();
-  // Bumping the generation invalidates every EventId handed out for this
-  // slot so far; wrap-around after 2^32 reuses is acceptable.
-  ++s.generation;
-  if (s.generation == 0) s.generation = 1;
-  s.state = SlotState::kFree;
+  s.live = false;
   s.next_free = free_head_;
   free_head_ = index;
 }
 
 void EventQueue::check_live_slot(const Entry& e, const Slot& s) {
-  // A surfacing index entry must reference a live slot — tombstones were
-  // dropped before it was selected, and a free slot here means the
-  // (slot, generation) recycling lost track of an event.
+  // A surfacing index entry must reference a live slot: a free slot here
+  // means the arena's recycling lost track of an event.
   if constexpr (kAuditEnabled) {
     if (auditor_ != nullptr) {
-      auditor_->check(s.state == SlotState::kLive, "event-slot-state", [&] {
+      auditor_->check(s.live, "event-slot-state", [&] {
         return "index entry (t=" + std::to_string(e.time) +
-               " ns, seq=" + std::to_string(e.seq) + ") surfaced slot " +
-               std::to_string(e.slot) + " in state " +
-               std::to_string(static_cast<int>(s.state)) +
-               " (generation " + std::to_string(s.generation) + ")";
+               " ns, seq=" + std::to_string(e.seq) + ") surfaced free slot " +
+               std::to_string(e.slot);
       });
       return;
     }
   }
   // Audit builds without an installed auditor (bare EventQueue usage) must
   // not silently skip the invariant; fall back to the plain-build assert.
-  assert(s.state == SlotState::kLive);
+  assert(s.live);
   (void)e;
   (void)s;
 }
 
-EventId EventQueue::push(Time t, Callback&& cb) {
+void EventQueue::push(Time t, Callback&& cb) {
   const std::uint32_t index = acquire_slot();
   Slot& s = slots_[index];
   s.task = std::move(cb);
-  s.state = SlotState::kLive;
+  s.live = true;
   if (buckets_.empty()) cal_init();
   cal_insert(Entry{t, next_seq_++, index});
-  ++live_;
-  ++cal_live_;
+  ++size_;
+  ++cal_size_;
   cal_head_valid_ = false;
-  if (cal_live_ > buckets_.size() * 2 && buckets_.size() < kMaxBuckets) {
+  if (cal_size_ > buckets_.size() * 2 && buckets_.size() < kMaxBuckets) {
     cal_rebuild(buckets_.size() * 2);
-  } else if (cal_stored_ > 2 * cal_live_ + 64) {
-    // Tombstones the cursor never sweeps (cancelled entries in windows
-    // the scan jumped over) would otherwise pin arena slots forever.
-    cal_rebuild(buckets_.size());
   }
-  return (static_cast<EventId>(s.generation) << 32) | index;
-}
-
-bool EventQueue::cancel(EventId id) {
-  const auto index = static_cast<std::uint32_t>(id & 0xFFFFFFFFu);
-  const auto generation = static_cast<std::uint32_t>(id >> 32);
-  if (index >= slots_.size()) return false;
-  Slot& s = slots_[index];
-  if (s.state != SlotState::kLive || s.generation != generation) {
-    return false;
-  }
-  // Release the callback (and whatever it captured) now; the index entry
-  // becomes a tombstone discarded lazily when it reaches the front.
-  s.task.reset();
-  s.state = SlotState::kCancelled;
-  assert(cal_live_ > 0);
-  --live_;
-  --cal_live_;
-  cal_head_valid_ = false;
-  return true;
 }
 
 LaneId EventQueue::add_lane(LaneHandler handler, void* ctx) {
@@ -173,7 +142,6 @@ void EventQueue::cal_init() {
   shift_ = 0;
   cursor_ = 0;
   cursor_upper_ = window_end(0);
-  cal_stored_ = 0;
   epoch_len_ = epoch_left_ = kMinEpoch;
   epoch_cost_mark_ = shifted_ + scanned_;
 }
@@ -191,8 +159,7 @@ void EventQueue::cal_insert(const Entry& e) {
     shifted_ += static_cast<std::uint64_t>(b.entries.end() - it);
     b.entries.insert(it, e);
   }
-  ++cal_stored_;
-  if (cal_live_ == 0 || e.time < cursor_upper_ - (Time{1} << shift_)) {
+  if (cal_size_ == 0 || e.time < cursor_upper_ - (Time{1} << shift_)) {
     // The new entry precedes the scan position: reposition the year scan
     // on its window so pop order stays exact.
     cursor_ = bucket_of(e.time);
@@ -201,22 +168,13 @@ void EventQueue::cal_insert(const Entry& e) {
 }
 
 EventQueue::Entry* EventQueue::cal_find_min() {
-  assert(cal_live_ > 0);
+  assert(cal_size_ > 0);
   std::size_t scanned = 0;
   while (true) {
     Bucket& b = buckets_[cursor_];
-    while (b.head < b.entries.size() &&
-           slots_[b.entries[b.head].slot].state == SlotState::kCancelled) {
-      release_slot(b.entries[b.head].slot);
-      ++b.head;
-      --cal_stored_;
-    }
-    if (b.head >= b.entries.size()) {
-      b.entries.clear();
-      b.head = 0;
-    } else if (b.entries[b.head].time < cursor_upper_) {
-      // Buckets are sorted and no live entry precedes the current window
-      // (push repositions the cursor), so this head is the global minimum.
+    if (b.head < b.entries.size() && b.entries[b.head].time < cursor_upper_) {
+      // Buckets are sorted and no entry precedes the current window (push
+      // repositions the cursor), so this head is the global minimum.
       return &b.entries[b.head];
     }
     cursor_ = (cursor_ + 1) & bucket_mask_;
@@ -235,25 +193,15 @@ void EventQueue::cal_direct_seek() {
   const Entry* best = nullptr;
   std::size_t best_bucket = 0;
   for (std::size_t i = 0; i < buckets_.size(); ++i) {
-    Bucket& b = buckets_[i];
-    while (b.head < b.entries.size() &&
-           slots_[b.entries[b.head].slot].state == SlotState::kCancelled) {
-      release_slot(b.entries[b.head].slot);
-      ++b.head;
-      --cal_stored_;
-    }
-    if (b.head >= b.entries.size()) {
-      b.entries.clear();
-      b.head = 0;
-      continue;
-    }
+    const Bucket& b = buckets_[i];
+    if (b.head >= b.entries.size()) continue;
     const Entry& e = b.entries[b.head];
     if (best == nullptr || entry_less(e, *best)) {
       best = &e;
       best_bucket = i;
     }
   }
-  assert(best != nullptr && "cal_direct_seek on a queue with no live events");
+  assert(best != nullptr && "cal_direct_seek on an empty calendar");
   scanned_ += buckets_.size();
   cursor_ = best_bucket;
   cursor_upper_ = window_end(best->time);
@@ -262,16 +210,10 @@ void EventQueue::cal_direct_seek() {
 void EventQueue::cal_rebuild(std::size_t nbuckets) {
   nbuckets = std::clamp(nbuckets, kMinBuckets, kMaxBuckets);
   rebuild_scratch_.clear();
-  rebuild_scratch_.reserve(cal_live_);
+  rebuild_scratch_.reserve(cal_size_);
   for (Bucket& b : buckets_) {
-    for (std::size_t i = b.head; i < b.entries.size(); ++i) {
-      const Entry& e = b.entries[i];
-      if (slots_[e.slot].state == SlotState::kCancelled) {
-        release_slot(e.slot);
-        continue;
-      }
-      rebuild_scratch_.push_back(e);
-    }
+    const auto first = b.entries.begin() + static_cast<std::ptrdiff_t>(b.head);
+    rebuild_scratch_.insert(rebuild_scratch_.end(), first, b.entries.end());
     b.entries.clear();
     b.head = 0;
   }
@@ -290,7 +232,6 @@ void EventQueue::cal_rebuild(std::size_t nbuckets) {
   for (const Entry& e : rebuild_scratch_) {
     buckets_[bucket_of(e.time)].entries.push_back(e);
   }
-  cal_stored_ = rebuild_scratch_.size();
 }
 
 void EventQueue::calibrate_width() {
@@ -337,14 +278,13 @@ void EventQueue::take(const Entry& e, Callback& cb) {
   cal_head_valid_ = false;
   Bucket& b = buckets_[cursor_];
   ++b.head;
-  --cal_stored_;
   if (b.head >= b.entries.size()) {
     b.entries.clear();
     b.head = 0;
   }
-  --live_;
-  --cal_live_;
-  if (buckets_.size() > kMinBuckets && cal_live_ < buckets_.size() / 8) {
+  --size_;
+  --cal_size_;
+  if (buckets_.size() > kMinBuckets && cal_size_ < buckets_.size() / 8) {
     cal_rebuild(buckets_.size() / 2);
   }
   if (--epoch_left_ == 0) end_epoch();

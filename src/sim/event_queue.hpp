@@ -7,11 +7,10 @@
 // The queue is allocation-free in steady state. Two kinds of event share
 // that one order. General events are sim::Task callbacks (small-buffer
 // inline storage) indexed by (time, seq, slot) triples, with the
-// callbacks in a recycled slot arena. Cancellation is O(1) and hash-free
-// — an EventId encodes its slot index plus a generation tag, so cancel()
-// is a bounds check and a generation compare. Cancelling destroys the
-// callback (and everything it captured) eagerly; the slot itself is
-// tombstoned until its index entry surfaces.
+// callbacks in a recycled slot arena: a push takes a free slot, the pop
+// of its index entry frees it again. Scheduled events cannot be
+// cancelled; an owner that must void work it scheduled (a crashed
+// sim::Station) makes the callback check for itself when it fires.
 //
 // FIFO lanes carry the events that are pushed in time order anyway, such
 // as link crossings of one fixed latency: a lane is a sim::Ring of
@@ -20,8 +19,7 @@
 // Task, no arena slot, no index insert. Lane entries take their seq from
 // the same counter as general events, and every pop selects the minimum
 // (time, seq) over the calendar head and the lane heads, so the pop order
-// is exactly the order one index over all events would give. Lane events
-// carry no EventId and cannot be cancelled.
+// is exactly the order one index over all events would give.
 //
 // The general events' priority index is a calendar queue (Brown 1988;
 // DESIGN.md §4.8) of width-aligned time buckets, each kept sorted by
@@ -45,11 +43,6 @@
 
 namespace netrs::sim {
 
-/// Identifies a scheduled event so it can be cancelled. Encodes
-/// (generation << 32) | slot; generations start at 1, so 0 is never a
-/// valid id.
-using EventId = std::uint64_t;
-
 /// Identifies a FIFO lane of one EventQueue (lanes are numbered in the
 /// order add_lane created them).
 using LaneId = std::uint32_t;
@@ -68,10 +61,9 @@ struct LaneEvent {
   void operator()() const { handler(ctx, token); }
 };
 
-/// Scheduled-callback priority queue with FIFO same-instant ordering, O(1)
-/// generation-tagged cancellation, a recycled slot arena, a calendar
-/// priority index, and Task-free FIFO lanes for in-order traffic (see the
-/// file comment for the design).
+/// Scheduled-callback priority queue with FIFO same-instant ordering, a
+/// recycled slot arena, a calendar priority index, and Task-free FIFO
+/// lanes for in-order traffic (see the file comment for the design).
 class EventQueue {
  public:
   /// The stored callable type (sim::Task, move-only small-buffer).
@@ -89,9 +81,9 @@ class EventQueue {
   EventQueue(const EventQueue&) = delete;
   EventQueue& operator=(const EventQueue&) = delete;
 
-  /// Schedules `cb` to fire at absolute time `t`. Returns an id usable with
-  /// `cancel`. The callback is moved once, into its arena slot.
-  EventId push(Time t, Callback&& cb);
+  /// Schedules `cb` to fire at absolute time `t`. The callback is moved
+  /// once, into its arena slot.
+  void push(Time t, Callback&& cb);
 
   /// Creates a FIFO lane whose events fire as `handler(ctx, token)`.
   /// Lanes are meant for traffic that arrives in time order by
@@ -113,26 +105,20 @@ class EventQueue {
       if (t < tail) [[unlikely]] t = lane_order_violation(lane, t, tail);
     }
     ring.push_back(LaneEntry{t, next_seq_++, token});
-    ++live_;
+    ++size_;
   }
 
-  /// Cancels a pending event. Returns true if the id was pending;
-  /// cancelling an already-fired or unknown id is a no-op returning false.
-  /// The callback is destroyed immediately (releasing captured resources);
-  /// the tombstoned index entry is discarded when it reaches the head.
-  bool cancel(EventId id);
+  /// True when no events remain, lanes included.
+  [[nodiscard]] bool empty() const { return size_ == 0; }
 
-  /// True when no live (non-cancelled) events remain, lanes included.
-  [[nodiscard]] bool empty() const { return live_ == 0; }
+  /// Number of pending events, lane events included.
+  [[nodiscard]] std::size_t size() const { return size_; }
 
-  /// Number of live events, lane events included.
-  [[nodiscard]] std::size_t size() const { return live_; }
-
-  /// Time of the earliest live event. Precondition: !empty().
+  /// Time of the earliest event. Precondition: !empty().
   [[nodiscard]] Time next_time() { return find_min().time; }
 
   /// The run loop's dispatch: one min-selection over the calendar head
-  /// and the lane heads by (time, seq). When the earliest live event is
+  /// and the lane heads by (time, seq). When the earliest event is
   /// due at or before `deadline`, stores its time in `when`, removes it
   /// and returns where it came from: a general event's callback is moved
   /// into `cb`, a lane event's handler and token are stored in `lane`.
@@ -148,7 +134,7 @@ class EventQueue {
     Lane& ln = *h.lane;
     lane = LaneEvent{ln.handler, ln.ctx, ln.ring[0].token};
     ln.ring.pop_front();
-    --live_;
+    --size_;
     return Popped::kLane;
   }
 
@@ -163,17 +149,14 @@ class EventQueue {
   void set_auditor(Auditor* auditor) { auditor_ = auditor; }
 
  private:
-  friend struct EventQueueTestPeer;  // generation and layout tests
+  friend struct EventQueueTestPeer;  // layout tests
 
   static constexpr std::uint32_t kNilSlot = 0xFFFFFFFFu;
 
-  enum class SlotState : std::uint8_t { kFree, kLive, kCancelled };
-
   struct Slot {
     Task task;
-    std::uint32_t generation = 1;
     std::uint32_t next_free = kNilSlot;
-    SlotState state = SlotState::kFree;
+    bool live = false;
   };
 
   struct Entry {
@@ -195,7 +178,7 @@ class EventQueue {
     void* ctx = nullptr;
   };
 
-  // The earliest live event: a lane's head, or with `lane` null the
+  // The earliest event: a lane's head, or with `lane` null the
   // calendar's (cal_head_). The defaults lose every (time, seq)
   // comparison.
   struct Head {
@@ -244,9 +227,9 @@ class EventQueue {
   // One min-selection over the calendar head and the lane heads by
   // (time, seq); serves next_time and pop_next.
   [[nodiscard]] Head find_min() {
-    assert(live_ > 0);
+    assert(size_ > 0);
     Head best;
-    if (cal_live_ > 0) {
+    if (cal_size_ > 0) {
       if (!cal_head_valid_) {
         cal_head_ = *cal_find_min();
         cal_head_valid_ = true;
@@ -269,13 +252,12 @@ class EventQueue {
   std::vector<Entry> rebuild_scratch_;
   int shift_ = 0;               // bucket width is 2^shift_ ns
   std::size_t bucket_mask_ = 0;
-  std::size_t cursor_ = 0;      // bucket the year scan is positioned on
-  Time cursor_upper_ = 1;       // exclusive time bound of cursor_'s window
-  std::size_t cal_stored_ = 0;  // entries in buckets incl. tombstones
-  std::size_t cal_live_ = 0;    // live events in the calendar
-  // The calendar's earliest live entry as find_min last saw it; valid
-  // until the calendar changes (a push, a cancel or a take), so lane pops
-  // in between do not probe the calendar again.
+  std::size_t cursor_ = 0;    // bucket the year scan is positioned on
+  Time cursor_upper_ = 1;     // exclusive time bound of cursor_'s window
+  std::size_t cal_size_ = 0;  // events in the calendar
+  // The calendar's earliest entry as find_min last saw it; valid until
+  // the calendar changes (a push or a take), so lane pops in between do
+  // not probe the calendar again.
   Entry cal_head_;
   bool cal_head_valid_ = false;
 
@@ -292,7 +274,7 @@ class EventQueue {
   std::uint32_t free_head_ = kNilSlot;
   std::vector<Lane> lanes_;
   std::uint64_t next_seq_ = 1;
-  std::size_t live_ = 0;  // live events, calendar and lanes
+  std::size_t size_ = 0;  // pending events, calendar and lanes
   Auditor* auditor_ = nullptr;
 };
 

@@ -7,7 +7,7 @@
 
 namespace netrs::sim {
 
-EventId Simulator::at(Time t, Callback&& cb) {
+void Simulator::at(Time t, Callback&& cb) {
   // Shard affinity: only the owning worker (or the coordinator between
   // windows) may push events onto a sharded simulator's queue.
   affinity_.check("schedule");
@@ -25,10 +25,10 @@ EventId Simulator::at(Time t, Callback&& cb) {
   } else {
     assert(t >= now_ && "cannot schedule into the past");
   }
-  return queue_.push(t < now_ ? now_ : t, std::move(cb));
+  queue_.push(t < now_ ? now_ : t, std::move(cb));
 }
 
-EventId Simulator::after(Duration d, Callback&& cb) {
+void Simulator::after(Duration d, Callback&& cb) {
   if constexpr (kAuditEnabled) {
     auditor_.check(d >= 0, "schedule-into-past", [&] {
       return "negative delay " + std::to_string(d) + " ns at now=" +
@@ -37,7 +37,7 @@ EventId Simulator::after(Duration d, Callback&& cb) {
   } else {
     assert(d >= 0 && "negative delay");
   }
-  return at(now_ + (d < 0 ? 0 : d), std::move(cb));
+  at(now_ + (d < 0 ? 0 : d), std::move(cb));
 }
 
 void Simulator::every(Duration period, std::function<bool()> cb) {

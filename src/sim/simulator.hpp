@@ -51,11 +51,13 @@ class Simulator {
   /// Current simulated time. 0 before the first event fires.
   [[nodiscard]] Time now() const { return now_; }
 
-  /// Schedules `cb` at absolute time `t`; `t` must be >= now().
-  EventId at(Time t, Callback&& cb);
+  /// Schedules `cb` at absolute time `t`; `t` must be >= now(). A
+  /// scheduled event always fires: an owner that may have to void it
+  /// checks for that inside `cb` (sim::Station does, after a crash).
+  void at(Time t, Callback&& cb);
 
   /// Schedules `cb` after a non-negative delay from now().
-  EventId after(Duration d, Callback&& cb);
+  void after(Duration d, Callback&& cb);
 
   /// Creates a FIFO lane on this simulator's queue whose events fire as
   /// `handler(ctx, token)`; see EventQueue::add_lane.
@@ -66,8 +68,7 @@ class Simulator {
   /// Schedules a lane event a non-negative delay `d` from now(). Every
   /// push onto one lane must use the same `d` (or a non-decreasing one),
   /// which keeps the lane in time order (EventQueue::push_lane). Lane
-  /// events cannot be cancelled; they count in events_fired() like any
-  /// other.
+  /// events count in events_fired() like any other.
   void after_lane(LaneId lane, Duration d, std::uint32_t token) {
     affinity_.check("schedule");
     assert(d >= 0 && "negative lane delay");
@@ -77,9 +78,6 @@ class Simulator {
   /// Schedules `cb` every `period` (> 0), first firing at now() + period.
   /// The periodic task stops when `cb` returns false or the simulation ends.
   void every(Duration period, std::function<bool()> cb);
-
-  /// Cancels a pending event; see EventQueue::cancel.
-  bool cancel(EventId id) { return queue_.cancel(id); }
 
   /// Runs until the queue drains. Returns the number of events fired.
   std::uint64_t run();
@@ -94,7 +92,8 @@ class Simulator {
 
   /// Timestamp of the earliest queued event, or kNever when the queue is
   /// empty (the ShardGroup coordinator peeks at global-event deadlines).
-  /// Non-const: peeking may purge cancelled calendar-queue entries.
+  /// Non-const: peeking positions the calendar's scan on its earliest
+  /// entry.
   [[nodiscard]] Time next_event_time() {
     return queue_.empty() ? kNever : queue_.next_time();
   }

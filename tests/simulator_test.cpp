@@ -70,15 +70,6 @@ TEST(SimulatorTest, EveryRepeatsUntilFalse) {
   EXPECT_EQ(s.now(), 40);
 }
 
-TEST(SimulatorTest, CancelPreventsCallback) {
-  Simulator s;
-  bool fired = false;
-  const EventId id = s.after(10, [&] { fired = true; });
-  EXPECT_TRUE(s.cancel(id));
-  s.run();
-  EXPECT_FALSE(fired);
-}
-
 TEST(SimulatorTest, EventsFiredCounts) {
   Simulator s;
   for (int i = 0; i < 7; ++i) s.at(i, [] {});

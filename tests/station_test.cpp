@@ -102,7 +102,7 @@ TEST_F(StationRig, CrashDropsEverythingAndTheStationRestartsClean) {
   EXPECT_EQ(st.busy(), 0);
   EXPECT_EQ(st.queued(), 0u);
   sim.run();
-  EXPECT_TRUE(done.empty()) << "a cancelled completion fired";
+  EXPECT_TRUE(done.empty()) << "a dropped job's completion finished a job";
   if constexpr (kAuditEnabled) {
     const AuditSummary s = sim.auditor().summary();
     EXPECT_EQ(s.drops_by_reason.at("test-crash"), 5u);
@@ -119,6 +119,26 @@ TEST_F(StationRig, CrashDropsEverythingAndTheStationRestartsClean) {
   EXPECT_EQ(done[0].job, 7);
   EXPECT_EQ(done[1].job, 6);
   EXPECT_EQ(st.dequeue(), 8);
+}
+
+TEST_F(StationRig, CrashVoidsOnlyTheCompletionsOfTheJobsItDropped) {
+  // Job 2 reuses the slot job 1 was dropped from. Job 1's completion is
+  // still queued for 10 us and must not finish job 2 there.
+  Station<int> st(sim, 1, "epoch");
+  start(st, 1, micros(10));
+  sim.run_until(micros(4));
+  st.crash("test-crash");
+  sim.run_until(micros(5));
+  start(st, 2, micros(20));
+  sim.run_until(micros(10));
+  EXPECT_TRUE(done.empty()) << "job 1's completion finished job 2";
+  EXPECT_EQ(st.busy(), 1);
+  sim.run();
+  ASSERT_EQ(done.size(), 1u);
+  EXPECT_EQ(done[0].job, 2);
+  EXPECT_EQ(done[0].started, micros(5));
+  EXPECT_EQ(done[0].finished, micros(25));
+  EXPECT_EQ(done[0].busy, 0);
 }
 
 TEST_F(StationRig, AuditLedgerStaysCleanOverAMixedWorkload) {
