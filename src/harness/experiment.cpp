@@ -1026,6 +1026,15 @@ ExperimentResult run_experiment(Scheme scheme, const ExperimentConfig& cfg) {
         " exceeds the k=" + std::to_string(cfg.fat_tree_k) +
         " fat tree's " + std::to_string(tree.host_count()) + " hosts");
   }
+  // A cell without requests or repeats measures nothing; reject it
+  // rather than report zero latencies or run a repeat nobody asked for.
+  if (cfg.total_requests == 0) {
+    throw std::invalid_argument("total_requests must be at least 1, got 0");
+  }
+  if (cfg.repeats < 1) {
+    throw std::invalid_argument("repeats must be at least 1, got " +
+                                std::to_string(cfg.repeats));
+  }
   res.fault.enabled = !fault_plan.empty();
   res.fault.window_start_ms = sim::to_millis(fault_plan.window_start());
   res.fault.window_end_ms = sim::to_millis(fault_plan.window_end());
@@ -1036,7 +1045,7 @@ ExperimentResult run_experiment(Scheme scheme, const ExperimentConfig& cfg) {
   // pool; each worker writes only its own slot. Merging the slots in
   // repeat order afterwards reproduces the serial accumulation exactly,
   // so any --jobs value yields bit-identical statistics.
-  const int repeats = std::max(1, cfg.repeats);
+  const int repeats = cfg.repeats;
   std::vector<RunOutput> outputs(static_cast<std::size_t>(repeats));
   ObsSnapshots snaps(cfg.obs.any() ? outputs.size() : 0);
   parallel_for(cfg.jobs, static_cast<std::size_t>(repeats),
