@@ -375,17 +375,17 @@ class CountingBuf : public std::streambuf {
 // The obs write path: a fixed synthetic repeat of 100k flight records and
 // 100k audited decisions (values shaped like a k=8 NetRS-ILP run: ~ms
 // components, fractional scores, regrets and herd indices) written as the
-// attribution CSV and the decision CSV. Reports bytes/s and
-// allocs_per_record; each writer owns one TextSink buffer, so anything
-// beyond one allocation per writer call is a per-record allocation and
+// attribution CSV and the decision CSV, one chunk each. Reports bytes/s and
+// allocs_per_record; each iteration owns one TextSink buffer, so anything
+// beyond one allocation per iteration is a per-record allocation and
 // fails the benchmark.
 void BM_ObsWrite(benchmark::State& state) {
   constexpr std::size_t kRecords = 100'000;
   sim::Rng rng(11);
-  std::vector<obs::FlightSnapshot> flights(1);
-  std::vector<obs::DecisionSnapshot> decisions(1);
-  flights[0].enabled = true;
-  decisions[0].enabled = true;
+  obs::FlightSnapshot flights;
+  obs::DecisionSnapshot decisions;
+  flights.enabled = true;
+  decisions.enabled = true;
   sim::Time t = sim::millis(50);
   for (std::size_t i = 0; i < kRecords; ++i) {
     t += static_cast<sim::Time>(rng.uniform(20'000));
@@ -399,7 +399,7 @@ void BM_ObsWrite(benchmark::State& state) {
       c = static_cast<sim::Duration>(rng.uniform(4'000'000));
       r.total += c;
     }
-    flights[0].records.push_back(r);
+    flights.records.push_back(r);
 
     obs::DecisionRecord d;
     d.t = t;
@@ -413,15 +413,18 @@ void BM_ObsWrite(benchmark::State& state) {
     d.has_staleness = true;
     d.staleness = static_cast<sim::Duration>(rng.uniform(5'000'000));
     d.herd = 1.0 / static_cast<double>(1 + rng.uniform(8));
-    decisions[0].records.push_back(d);
+    decisions.records.push_back(d);
   }
 
   CountingBuf buf;
   std::ostream os(&buf);
   const std::uint64_t before = alloc_count();
   for (auto _ : state) {
-    obs::write_attribution_csv(os, flights);
-    obs::write_decision_csv(os, decisions);
+    obs::TextSink out(os);
+    obs::write_attribution_header(out);
+    obs::write_attribution_rows(out, 0, flights);
+    obs::write_decision_header(out);
+    obs::write_decision_rows(out, 0, decisions);
   }
   const std::uint64_t allocs = alloc_count() - before;
   const auto iterations = static_cast<std::uint64_t>(state.iterations());

@@ -191,6 +191,8 @@ int run(int argc, char** argv) {
     }
   }
 
+  // A rejected cell prints only its error, not a run header first.
+  harness::validate_config(cfg);
   std::printf("running %s: k=%d servers=%d clients=%d util=%.0f%% "
               "skew=%.0f%% tkv=%.1fms requests=%llu x%d algo=%s jobs=%d "
               "shards=%d\n",

@@ -4,17 +4,18 @@
 #include <array>
 #include <chrono>
 #include <cmath>
-#include <exception>
 #include <fstream>
 #include <limits>
 #include <map>
 #include <memory>
 #include <numeric>
+#include <optional>
 #include <stdexcept>
 #include <string>
-#include <thread>
+#include <utility>
 #include <vector>
 
+#include "harness/obs_stream.hpp"
 #include "harness/parallel.hpp"
 #include "obs/observer.hpp"
 #include "obs/shard_obs.hpp"
@@ -74,6 +75,23 @@ struct Tally {
   }
 };
 
+// The obs report summaries of one repeat, folded chunk by chunk on its
+// writer thread and merged into the result in repeat order.
+struct ObsSummaries {
+  obs::AttributionSummary attribution;
+  obs::DecisionSummary decisions;
+  // The summarized metric columns' samples (see keep_summarized).
+  obs::MetricsSnapshot metric_rows;
+  // Decision regret and staleness per fault phase (with a fault plan),
+  // and the staleness timeline (with timeline buckets).
+  sim::LatencyRecorder regret_ms[3];
+  sim::LatencyRecorder staleness_ms[3];
+  std::vector<sim::LatencyRecorder> stale_timeline;
+  // Doomed picks (see tally_doomed_picks), added to the repeat's tally.
+  std::vector<std::uint64_t> doomed_timeline;
+  std::uint64_t doomed_picks = 0;
+};
+
 struct RunOutput {
   Tally tally;
   std::uint64_t issued = 0;
@@ -95,21 +113,16 @@ struct RunOutput {
   std::vector<obs::TraceLaneCounts> trace_lanes;
   std::vector<std::uint64_t> events_per_shard;
   sim::ShardTelemetry telemetry;
-  // Wall-clock seconds spent in the obs take_*() harvest (0 without obs).
+  // The merged trace's counts: events kept, recorded and dropped.
+  std::uint64_t trace_events = 0;
+  std::uint64_t trace_recorded = 0;
+  std::uint64_t trace_dropped = 0;
+  ObsSummaries obs;
+  // Wall-clock seconds the simulation thread spent in the obs flushes and
+  // the trace merge, and the writer thread writing and folding chunks (0
+  // without obs).
   double harvest_seconds = 0.0;
-};
-
-// The obs snapshots of every repeat, one vector per output file, sized to
-// the repeat count only when obs is on: repeat `rep` harvests into slot
-// `rep` of each, and each file's writer reads its vector in place.
-struct ObsSnapshots {
-  explicit ObsSnapshots(std::size_t repeats)
-      : trace(repeats), metrics(repeats), flight(repeats),
-        decisions(repeats) {}
-  std::vector<obs::TraceSnapshot> trace;
-  std::vector<obs::MetricsSnapshot> metrics;
-  std::vector<obs::FlightSnapshot> flight;
-  std::vector<obs::DecisionSnapshot> decisions;
+  double write_seconds = 0.0;
 };
 
 /// Running queue-length moments of one server, fed by the periodic herd
@@ -186,7 +199,7 @@ struct Deployment {
   const sim::FaultPlan& plan;
   // Shard-count resolution (DESIGN.md §4.10): clamp to [1, pods]. The obs
   // layer is shard-parallel (one Observer lane per shard, merged
-  // deterministically at harvest — DESIGN.md §8.6), so every output —
+  // deterministically at each flush — DESIGN.md §8.6), so every output —
   // digests, metrics CSV, attribution CSV, decision CSV, and the trace
   // JSON while no trace ring wraps — is byte-identical at any --shards x
   // --jobs combination.
@@ -304,7 +317,8 @@ Deployment::Deployment(Scheme scheme_in, const ExperimentConfig& cfg_in,
   // identical with or without it. One Observer lane per shard — each
   // component records on its own shard's simulator with zero cross-shard
   // traffic — plus the coordinator observer for global-simulator events;
-  // the lane snapshots merge deterministically at harvest (DESIGN.md §8.6).
+  // the lanes are flushed deterministically during the run (DESIGN.md
+  // §8.6).
   if (cfg.obs.any()) {
     observer = std::make_unique<obs::ShardObserverSet>(cfg.obs, shards);
     for (int s = 0; s < shards; ++s) {
@@ -654,8 +668,8 @@ void wire_obs(Deployment& d) {
   if (observer == nullptr) return;
   register_run_metrics(observer->metrics(), d);
   // Flight + decision records apply the same warmup filter as the
-  // measured latencies (at merge time), so record counts match the
-  // latency sample count exactly.
+  // measured latencies (on completion and in the decision replay), so
+  // record counts match the latency sample count exactly.
   observer->set_measure_from(d.warmup_time);
   if (observer->deciding()) {
     // Seed the decision oracle's journal: every server's t=0 state on
@@ -738,19 +752,38 @@ void step_while(sim::ShardGroup& group, sim::Time deadline,
   }
 }
 
+// Moves what the observer recorded before `watermark` into the writer's
+// chunk and hands it over; adds the time spent to `seconds`.
+void flush_obs(Deployment& d, ObsWriter& writer, sim::Time watermark,
+               double& seconds) {
+  // netrs-lint: allow(wall-clock): harvest_seconds is a harness
+  // diagnostic; it never feeds back into simulated behavior.
+  const auto start = std::chrono::steady_clock::now();
+  d.observer->flush(watermark, writer.chunk());
+  writer.submit();
+  // netrs-lint: allow(wall-clock): see start above.
+  const auto end = std::chrono::steady_clock::now();
+  seconds += std::chrono::duration<double>(end - start).count();
+}
+
 // Runs the workload to its nominal end, then drains in-flight requests.
-void run(Deployment& d) {
-  // Metrics sampling is driven from here, between run_until calls, not by
-  // a simulator tick: at each grid point T the engine is quiescent with
-  // every event <= T-1 executed and none at T, so a sample reads the same
-  // state at any --shards x --jobs combination (an in-simulator ticker
-  // would interleave unpredictably with same-timestamp events). Gauges
-  // that cross shards are safe here for the same reason.
-  if (d.observer && d.observer->metering()) {
+void run(Deployment& d, ObsWriter* writer, RunOutput& out) {
+  // Metrics sampling and the obs flushes are driven from here, between
+  // run_until calls, not by a simulator tick: at each grid point T the
+  // engine is quiescent with every event <= T-1 executed and none at T, so
+  // a sample reads the same state at any --shards x --jobs combination (an
+  // in-simulator ticker would interleave unpredictably with
+  // same-timestamp events), and T is a watermark below which every record
+  // is final on every shard. Gauges that cross shards are safe here for
+  // the same reason.
+  const obs::ShardObserverSet* o = d.observer.get();
+  if (writer != nullptr &&
+      (o->metering() || o->attributing() || o->deciding())) {
     for (sim::Time t = obs::kSampleInterval; t <= d.t_end;
          t += obs::kSampleInterval) {
       d.shard_group.run_until(t - 1);
-      d.observer->metrics().sample(t);
+      if (o->metering()) d.observer->metrics().sample(t);
+      flush_obs(d, *writer, t, out.harvest_seconds);
     }
   }
   d.shard_group.run_until(d.t_end);
@@ -764,19 +797,38 @@ void run(Deployment& d) {
   });
 }
 
-// Selections of a crash-dark replica ("doomed picks"): for each server
-// crash/recover pair in the plan, count the audited decisions that chose
-// that server's host inside its dark interval, bucketed on the latency
-// timeline. The tail of nonzero buckets after a crash is how long the
-// scheme kept routing to the dead replica — its failure reaction time as
-// a directly comparable number (fig_failover plots it per scheme).
-void tally_doomed_picks(const Deployment& d,
-                        const obs::DecisionSnapshot& decisions, Tally& out) {
-  const sim::Duration bucket = d.cfg.timeline_bucket;
-  if (d.plan.empty() || bucket <= 0 || decisions.records.empty()) return;
+// A server's crash-dark interval [from, to) on the repeat's placement.
+struct DarkInterval {
+  net::HostId host;
+  sim::Time from;
+  sim::Time to;
+};
+
+// What the writer thread needs to fold a repeat's chunks into its
+// summaries: the fault phases, the timeline and the dark intervals for the
+// decision records, and the run's sampling tick count for the kept metric
+// samples.
+struct ChunkFold {
+  bool fault_phases = false;
+  sim::Time fault_start = 0;
+  sim::Time fault_end = 0;
+  sim::Duration timeline_bucket = 0;
+  // Dark intervals of the plan's server crashes; empty unless the plan
+  // crashes a server and the timeline is on.
+  std::vector<DarkInterval> dark;
+  std::size_t metric_ticks = 0;
+};
+
+ChunkFold chunk_fold(const Deployment& d) {
+  ChunkFold f;
+  f.fault_phases = !d.plan.empty();
+  f.fault_start = d.plan.window_start();
+  f.fault_end = d.plan.window_end();
+  f.timeline_bucket = d.cfg.timeline_bucket;
+  f.metric_ticks = static_cast<std::size_t>(d.t_end / obs::kSampleInterval);
+  if (d.plan.empty() || f.timeline_bucket <= 0) return f;
   // Dark intervals as (host, [crash, recover)); an unmatched crash stays
   // dark to the end of the run. Events naming no server are ignored.
-  std::vector<std::pair<net::HostId, std::pair<sim::Time, sim::Time>>> dark;
   std::map<int, sim::Time> open;
   for (const sim::FaultEvent& e : d.plan.events()) {
     if (e.unit != sim::FaultUnit::kServer || e.index < 0 ||
@@ -787,18 +839,31 @@ void tally_doomed_picks(const Deployment& d,
     if (e.op == sim::FaultOp::kFail && it == open.end()) {
       open.emplace(e.index, e.at);
     } else if (e.op == sim::FaultOp::kRecover && it != open.end()) {
-      dark.push_back({d.server_hosts[e.index], {it->second, e.at}});
+      f.dark.push_back({d.server_hosts[e.index], it->second, e.at});
       open.erase(it);
     }
   }
   for (const auto& [idx, t0] : open) {
-    dark.push_back(
-        {d.server_hosts[idx], {t0, std::numeric_limits<sim::Time>::max()}});
+    f.dark.push_back(
+        {d.server_hosts[idx], t0, std::numeric_limits<sim::Time>::max()});
   }
+  return f;
+}
+
+// Selections of a crash-dark replica ("doomed picks"): for each server
+// crash/recover pair in the plan, count the audited decisions that chose
+// that server's host inside its dark interval, bucketed on the latency
+// timeline. The tail of nonzero buckets after a crash is how long the
+// scheme kept routing to the dead replica — its failure reaction time as
+// a directly comparable number (fig_failover plots it per scheme).
+void tally_doomed_picks(const ChunkFold& f,
+                        const obs::DecisionSnapshot& decisions,
+                        ObsSummaries& out) {
+  if (f.dark.empty()) return;
   for (const obs::DecisionRecord& r : decisions.records) {
-    for (const auto& [host, window] : dark) {
-      if (r.chosen == host && r.t >= window.first && r.t < window.second) {
-        const auto b = static_cast<std::size_t>(r.t / bucket);
+    for (const DarkInterval& dark : f.dark) {
+      if (r.chosen == dark.host && r.t >= dark.from && r.t < dark.to) {
+        const auto b = static_cast<std::size_t>(r.t / f.timeline_bucket);
         if (b >= out.doomed_timeline.size()) {
           out.doomed_timeline.resize(b + 1, 0);
         }
@@ -810,10 +875,60 @@ void tally_doomed_picks(const Deployment& d,
   }
 }
 
-// Reads the repeat's results off the drained deployment; with obs on, its
-// snapshots land in slot `rep` of `snaps`.
-RunOutput harvest(Deployment& d, ObsSnapshots& snaps, std::size_t rep) {
-  RunOutput out;
+// Appends the summarized columns of `chunk`'s rows to `kept`, sized once
+// for the run's `ticks`. The report's metric means are running means over
+// every sample of every repeat in repeat order, so a repeat keeps these
+// few columns' samples, and they are folded into the summary once every
+// repeat has run.
+void keep_summarized(const obs::MetricsSnapshot& chunk, std::size_t ticks,
+                     obs::MetricsSnapshot& kept) {
+  if (chunk.rows() == 0) return;
+  if (kept.columns.empty()) {
+    for (std::size_t c = 0; c < chunk.columns.size(); ++c) {
+      if (chunk.summarize[c] == 0) continue;
+      kept.columns.push_back(chunk.columns[c]);
+      kept.summarize.push_back(1);
+    }
+    kept.times.reserve(ticks);
+    kept.values.reserve(ticks * kept.columns.size());
+  }
+  for (std::size_t row = 0; row < chunk.rows(); ++row) {
+    kept.times.push_back(chunk.times[row]);
+    for (std::size_t c = 0; c < chunk.columns.size(); ++c) {
+      if (chunk.summarize[c] != 0) kept.values.push_back(chunk.value(row, c));
+    }
+  }
+}
+
+// Folds one chunk, on the writer thread, into the repeat's summaries.
+void fold_chunk(const ChunkFold& f, const obs::ObsChunk& chunk,
+                ObsSummaries& out) {
+  keep_summarized(chunk.metrics, f.metric_ticks, out.metric_rows);
+  out.attribution.merge(chunk.flight);
+  out.decisions.merge(chunk.decisions);
+  // Decision records carry their timestamps, so the per-phase regret and
+  // staleness windows and the staleness timeline fall out of the same
+  // bucketing the latencies use (records exist only with --decisions).
+  for (const obs::DecisionRecord& r : chunk.decisions.records) {
+    const int p = r.t < f.fault_start ? 0 : r.t < f.fault_end ? 1 : 2;
+    if (f.fault_phases && r.has_regret) {
+      out.regret_ms[p].add(r.regret_ns / 1e6);
+    }
+    if (!r.has_staleness) continue;
+    if (f.fault_phases) out.staleness_ms[p].add(sim::to_millis(r.staleness));
+    if (f.timeline_bucket > 0) {
+      const auto i = static_cast<std::size_t>(r.t / f.timeline_bucket);
+      if (i >= out.stale_timeline.size()) out.stale_timeline.resize(i + 1);
+      out.stale_timeline[i].add(sim::to_millis(r.staleness));
+    }
+  }
+  tally_doomed_picks(f, chunk.decisions, out);
+}
+
+// Reads the repeat's results off the drained deployment into `out`; with
+// obs on, flushes what the lanes still hold and hands the trace to the
+// writer.
+void harvest(Deployment& d, ObsWriter* writer, RunOutput& out) {
   for (const Tally& t : d.tallies) out.tally.merge(t);
   out.fault_fired = d.injector.fired();
   out.fault_unbound = d.injector.unbound();
@@ -854,130 +969,80 @@ RunOutput harvest(Deployment& d, ObsSnapshots& snaps, std::size_t rep) {
   }
   out.events_per_shard = d.shard_group.events_fired_per_shard();
   out.telemetry = d.shard_group.telemetry();  // empty unless enabled
-  if (!d.observer) return out;
-  // netrs-lint: allow(wall-clock): harvest_seconds is a harness
-  // diagnostic; it never feeds back into simulated behavior.
-  const auto harvest_start = std::chrono::steady_clock::now();
-  snaps.trace[rep] = d.observer->take_trace();
-  snaps.metrics[rep] = d.observer->take_metrics();
-  snaps.flight[rep] = d.observer->take_flight();
-  snaps.decisions[rep] = d.observer->take_decisions();
-  // netrs-lint: allow(wall-clock): see harvest_start above.
-  const auto harvest_end = std::chrono::steady_clock::now();
-  out.harvest_seconds =
-      std::chrono::duration<double>(harvest_end - harvest_start).count();
+  if (writer == nullptr) return;
+  // The final flush takes everything the lanes still hold.
+  flush_obs(d, *writer, std::numeric_limits<sim::Time>::max(),
+            out.harvest_seconds);
+  // netrs-lint: allow(wall-clock): see flush_obs.
+  const auto trace_start = std::chrono::steady_clock::now();
+  const obs::TraceSnapshot trace = d.observer->take_trace();
+  // netrs-lint: allow(wall-clock): see flush_obs.
+  const auto trace_end = std::chrono::steady_clock::now();
+  out.harvest_seconds +=
+      std::chrono::duration<double>(trace_end - trace_start).count();
+  out.trace_events = trace.events.size();
+  out.trace_recorded = trace.recorded;
+  out.trace_dropped = trace.dropped;
   if (d.observer->tracing()) out.trace_lanes = d.observer->lane_trace_counts();
   for (int s = 0; s < d.shards; ++s) {
     d.shard_group.shard_sim(s).set_observer(nullptr);
   }
   d.simulator.set_observer(nullptr);
-  tally_doomed_picks(d, snaps.decisions[rep], out.tally);
+  writer->finish(trace);
+  out.write_seconds = writer->busy_seconds();
+  add_elementwise(out.tally.doomed_timeline, out.obs.doomed_timeline);
+  out.tally.doomed_picks += out.obs.doomed_picks;
+}
+
+// Runs one repeat; with obs on, its obs files stream into
+// `files->sinks(rep)` while it runs.
+RunOutput run_once(Scheme scheme, const ExperimentConfig& cfg,
+                   const sim::FaultPlan& fault_plan, std::uint64_t seed,
+                   ObsFiles* files, std::size_t rep) {
+  Deployment d(scheme, cfg, fault_plan, seed);
+  wire_obs(d);
+  RunOutput out;
+  const ChunkFold fold = d.observer ? chunk_fold(d) : ChunkFold{};
+  std::optional<ObsWriter> writer;
+  if (d.observer) {
+    writer.emplace(
+        files->sinks(rep), rep,
+        [&fold, &out](const obs::ObsChunk& c) {
+          fold_chunk(fold, c, out.obs);
+        },
+        d.observer->metering() ? d.observer->metrics().layout()
+                               : obs::MetricsSnapshot{});
+  }
+  run(d, writer ? &*writer : nullptr, out);
+  harvest(d, writer ? &*writer : nullptr, out);
   return out;
 }
 
-// Runs one repeat; with obs on, its snapshots land in slot `rep` of
-// `snaps`.
-RunOutput run_once(Scheme scheme, const ExperimentConfig& cfg,
-                   const sim::FaultPlan& fault_plan, std::uint64_t seed,
-                   ObsSnapshots& snaps, std::size_t rep) {
-  Deployment d(scheme, cfg, fault_plan, seed);
-  wire_obs(d);
-  run(d);
-  return harvest(d, snaps, rep);
-}
-
-// Writes one obs file from every repeat's snapshots of its kind.
-template <auto kWrite, auto kSnapshots>
-void write_obs(std::ostream& os, const ObsSnapshots& snaps) {
-  kWrite(os, snaps.*kSnapshots);
-}
-
-// Writes the requested obs files, one thread per file, while the calling
-// thread folds every repeat's snapshots into the report summaries (so
-// their large allocations stay on its arena). Each file is written by
-// exactly one thread in repeat order, so its bytes do not depend on the
-// thread count; writers and summaries only read the snapshots.
-void finish_obs(const ExperimentConfig& cfg, const sim::FaultPlan& fault_plan,
-                const std::vector<RunOutput>& outputs,
-                const ObsSnapshots& snaps, ExperimentResult& res) {
-  struct ObsFile {
-    const std::string* path;
-    void (*write)(std::ostream& os, const ObsSnapshots& snaps);
-  };
-  const ObsFile all[] = {
-      {&cfg.obs.trace_path,
-       write_obs<obs::write_chrome_trace, &ObsSnapshots::trace>},
-      {&cfg.obs.metrics_path,
-       write_obs<obs::write_metrics_csv, &ObsSnapshots::metrics>},
-      {&cfg.obs.attribution_path,
-       write_obs<obs::write_attribution_csv, &ObsSnapshots::flight>},
-      {&cfg.obs.decision_path,
-       write_obs<obs::write_decision_csv, &ObsSnapshots::decisions>},
-  };
-  std::vector<ObsFile> files;
-  for (const ObsFile& f : all) {
-    if (!f.path->empty()) files.push_back(f);
+// Merges one repeat's obs summaries into the result, repeats in order.
+void merge_obs(const ExperimentConfig& cfg, RunOutput& out,
+               ExperimentResult& res) {
+  ObsSummaries& o = out.obs;
+  res.metrics.merge(o.metric_rows);
+  res.attribution.merge(std::move(o.attribution));
+  res.decisions.merge(std::move(o.decisions));
+  for (int p = 0; p < 3; ++p) {
+    res.fault.regret_ms[p].merge(std::move(o.regret_ms[p]));
+    res.fault.staleness_ms[p].merge(std::move(o.staleness_ms[p]));
   }
-  // netrs-lint: allow(wall-clock): write_seconds is a harness diagnostic.
-  const auto write_start = std::chrono::steady_clock::now();
-  std::exception_ptr write_error;
-  std::jthread writers;
-  if (!files.empty()) {
-    writers = std::jthread([&write_error, &files, &snaps] {
-      try {
-        parallel_for(static_cast<int>(files.size()), files.size(),
-                     [&files, &snaps](std::size_t i) {
-                       std::ofstream os(*files[i].path, std::ios::binary);
-                       files[i].write(os, snaps);
-                     });
-      } catch (...) {
-        write_error = std::current_exception();
-      }
-    });
+  if (o.stale_timeline.size() > res.stale_timeline.size()) {
+    res.stale_timeline.resize(o.stale_timeline.size());
   }
-
-  for (std::size_t rep = 0; rep < outputs.size(); ++rep) {
-    const obs::TraceSnapshot& trace = snaps.trace[rep];
-    const obs::DecisionSnapshot& decisions = snaps.decisions[rep];
-    res.metrics.merge(snaps.metrics[rep]);
-    res.trace_events += trace.events.size();
-    res.trace_dropped += trace.dropped;
-    if (cfg.obs.want_trace()) {
-      res.trace_repeats.push_back(
-          {trace.recorded, trace.dropped, outputs[rep].trace_lanes});
-    }
-    res.attribution.merge(snaps.flight[rep]);
-    res.decisions.merge(decisions);
-    // Decision records carry their timestamps, so the per-phase regret and
-    // staleness windows and the staleness timeline fall out of the same
-    // bucketing the latencies use (records exist only with --decisions).
-    const sim::Time fault_start = fault_plan.window_start();
-    const sim::Time fault_end = fault_plan.window_end();
-    for (const obs::DecisionRecord& r : decisions.records) {
-      const int p = r.t < fault_start ? 0 : r.t < fault_end ? 1 : 2;
-      if (res.fault.enabled && r.has_regret) {
-        res.fault.regret_ms[p].add(r.regret_ns / 1e6);
-      }
-      if (!r.has_staleness) continue;
-      if (res.fault.enabled) {
-        res.fault.staleness_ms[p].add(sim::to_millis(r.staleness));
-      }
-      if (cfg.timeline_bucket > 0) {
-        const auto i = static_cast<std::size_t>(r.t / cfg.timeline_bucket);
-        if (i >= res.stale_timeline.size()) res.stale_timeline.resize(i + 1);
-        res.stale_timeline[i].add(sim::to_millis(r.staleness));
-      }
-    }
+  for (std::size_t i = 0; i < o.stale_timeline.size(); ++i) {
+    res.stale_timeline[i].merge(std::move(o.stale_timeline[i]));
   }
-  res.attribution.finalize();
-  res.decisions.finalize();
-
-  if (writers.joinable()) writers.join();
-  // netrs-lint: allow(wall-clock): see write_start above.
-  const auto write_end = std::chrono::steady_clock::now();
-  res.write_seconds =
-      std::chrono::duration<double>(write_end - write_start).count();
-  if (write_error) std::rethrow_exception(write_error);
+  res.trace_events += out.trace_events;
+  res.trace_dropped += out.trace_dropped;
+  if (cfg.obs.want_trace()) {
+    res.trace_repeats.push_back(
+        {out.trace_recorded, out.trace_dropped, out.trace_lanes});
+  }
+  res.harvest_seconds += out.harvest_seconds;
+  res.write_seconds += out.write_seconds;
 }
 
 }  // namespace
@@ -986,15 +1051,12 @@ const char* fault_phase_name(int phase) {
   return phase == 0 ? "pre" : phase == 1 ? "during" : "post";
 }
 
-ExperimentResult run_experiment(Scheme scheme, const ExperimentConfig& cfg) {
-  // netrs-lint: allow(wall-clock): wall_seconds is a harness diagnostic
-  // outside the simulation; it never feeds back into simulated behavior.
-  const auto wall_start = std::chrono::steady_clock::now();
-  ExperimentResult res;
-  res.scheme = scheme;
-  // Parse the fault plan once up front: a malformed spec throws here, on
-  // the caller's thread, before any repeat fans out.
-  const sim::FaultPlan fault_plan = sim::FaultPlan::parse(cfg.fault_plan);
+namespace {
+
+// validate_config() returning the parsed fault plan.
+sim::FaultPlan checked_fault_plan(const ExperimentConfig& cfg) {
+  // A malformed fault plan throws here.
+  sim::FaultPlan fault_plan = sim::FaultPlan::parse(cfg.fault_plan);
   // Link events must name a cabled fat-tree link: Fabric::set_link_state
   // checks its endpoints only in debug builds, so a bad pair would count
   // as fired while cutting nothing.
@@ -1035,6 +1097,36 @@ ExperimentResult run_experiment(Scheme scheme, const ExperimentConfig& cfg) {
     throw std::invalid_argument("repeats must be at least 1, got " +
                                 std::to_string(cfg.repeats));
   }
+  return fault_plan;
+}
+
+}  // namespace
+
+void validate_config(const ExperimentConfig& cfg) {
+  static_cast<void>(checked_fault_plan(cfg));
+}
+
+ExperimentResult run_experiment(Scheme scheme, const ExperimentConfig& cfg) {
+  // netrs-lint: allow(wall-clock): wall_seconds is a harness diagnostic
+  // outside the simulation; it never feeds back into simulated behavior.
+  const auto wall_start = std::chrono::steady_clock::now();
+  ExperimentResult res;
+  res.scheme = scheme;
+  // Everything is checked up front, on the caller's thread, before any
+  // repeat fans out: the configuration, then every output file, so a path
+  // that cannot be written fails before the simulation runs.
+  const sim::FaultPlan fault_plan = checked_fault_plan(cfg);
+  std::optional<ObsFiles> files;
+  if (cfg.obs.any()) files.emplace(cfg.obs, cfg.repeats);
+  std::optional<std::ofstream> telemetry_out;
+  if (!cfg.shard_telemetry_path.empty()) {
+    telemetry_out.emplace(cfg.shard_telemetry_path, std::ios::binary);
+    if (!*telemetry_out) {
+      throw std::invalid_argument("cannot open shard telemetry output \"" +
+                                  cfg.shard_telemetry_path +
+                                  "\" for writing");
+    }
+  }
   res.fault.enabled = !fault_plan.empty();
   res.fault.window_start_ms = sim::to_millis(fault_plan.window_start());
   res.fault.window_end_ms = sim::to_millis(fault_plan.window_end());
@@ -1042,22 +1134,33 @@ ExperimentResult run_experiment(Scheme scheme, const ExperimentConfig& cfg) {
 
   // Repeats are independent simulations (each owns its Simulator and
   // derives its Rng from cfg.seed + rep), so they fan out across the
-  // pool; each worker writes only its own slot. Merging the slots in
-  // repeat order afterwards reproduces the serial accumulation exactly,
-  // so any --jobs value yields bit-identical statistics.
+  // pool; each worker writes only its own slot (and its own obs sinks).
+  // Merging the slots in repeat order afterwards reproduces the serial
+  // accumulation exactly, so any --jobs value yields bit-identical
+  // statistics.
   const int repeats = cfg.repeats;
   std::vector<RunOutput> outputs(static_cast<std::size_t>(repeats));
-  ObsSnapshots snaps(cfg.obs.any() ? outputs.size() : 0);
+  ObsFiles* obs_files = files ? &*files : nullptr;
   parallel_for(cfg.jobs, static_cast<std::size_t>(repeats),
-               [&outputs, &snaps, scheme, &cfg, &fault_plan](std::size_t rep) {
+               [&outputs, obs_files, scheme, &cfg,
+                &fault_plan](std::size_t rep) {
                  outputs[rep] =
                      run_once(scheme, cfg, fault_plan,
                               cfg.seed + static_cast<std::uint64_t>(rep),
-                              snaps, rep);
+                              obs_files, rep);
                });
+  if (files) {
+    // netrs-lint: allow(wall-clock): write_seconds is a harness diagnostic.
+    const auto finish_start = std::chrono::steady_clock::now();
+    files->finish();
+    // netrs-lint: allow(wall-clock): see finish_start above.
+    const auto finish_end = std::chrono::steady_clock::now();
+    res.write_seconds +=
+        std::chrono::duration<double>(finish_end - finish_start).count();
+  }
 
   Tally total;
-  for (const RunOutput& out : outputs) {
+  for (RunOutput& out : outputs) {
     total.merge(out.tally);
     res.issued += out.issued;
     res.completed += out.completed;
@@ -1077,7 +1180,7 @@ ExperimentResult run_experiment(Scheme scheme, const ExperimentConfig& cfg) {
     add_elementwise(res.events_per_shard, out.events_per_shard);
     res.fault.events_fired += out.fault_fired;
     res.fault.events_unbound += out.fault_unbound;
-    res.harvest_seconds += out.harvest_seconds;
+    if (cfg.obs.any()) merge_obs(cfg, out, res);
   }
   res.latencies_ms = std::move(total.latencies_ms);
   std::move(std::begin(total.phase), std::end(total.phase),
@@ -1086,14 +1189,14 @@ ExperimentResult run_experiment(Scheme scheme, const ExperimentConfig& cfg) {
   res.avg_forwards = total.forwards_sum;
   res.doomed_timeline = std::move(total.doomed_timeline);
   res.doomed_picks = total.doomed_picks;
-  if (cfg.obs.any()) finish_obs(cfg, fault_plan, outputs, snaps, res);
-  if (!cfg.shard_telemetry_path.empty()) {
+  res.attribution.finalize();
+  res.decisions.finalize();
+  if (telemetry_out) {
     res.shard_telemetry.reserve(outputs.size());
     for (RunOutput& out : outputs) {
       res.shard_telemetry.push_back(std::move(out.telemetry));
     }
-    std::ofstream os(cfg.shard_telemetry_path, std::ios::binary);
-    sim::write_shard_telemetry_csv(os, res.shard_telemetry);
+    sim::write_shard_telemetry_csv(*telemetry_out, res.shard_telemetry);
   }
   if (res.latencies_ms.count() > 0) {
     // avg_forwards accumulated raw forward counts across repeats.

@@ -88,14 +88,18 @@ struct ExperimentResult {
   std::vector<sim::ShardTelemetry> shard_telemetry;
 
   double wall_seconds = 0.0;
-  /// Wall-clock seconds spent harvesting the obs recorders (the take_*()
-  /// merges), summed over repeats; 0 when obs is off. A diagnostic like
-  /// wall_seconds: nondeterministic, not in the report.
+  /// Wall-clock seconds the simulation threads spent harvesting obs
+  /// records: the flushes at each watermark (moving records out of the
+  /// lanes, merging them, replaying decisions, handing the chunk to the
+  /// writer) and the trace merge at the end, summed over repeats; 0 when
+  /// obs is off. A diagnostic like wall_seconds: nondeterministic, not in
+  /// the report.
   double harvest_seconds = 0.0;
-  /// Wall-clock seconds from the start of the obs file writes (one thread
-  /// per file) until they and the report summaries, folded meanwhile on
-  /// the calling thread, are done; 0 when obs is off. A diagnostic like
-  /// wall_seconds.
+  /// Wall-clock seconds the obs writer threads spent formatting and
+  /// writing chunks and folding them into the report summaries, summed
+  /// over repeats (this overlaps the run), plus the time after the last
+  /// repeat spent appending the spools and closing the files; 0 when obs
+  /// is off. A diagnostic like wall_seconds.
   double write_seconds = 0.0;
 
   /// Invariant-audit result merged over repeats. `enabled` only in
@@ -159,8 +163,17 @@ struct ExperimentResult {
   }
 };
 
+/// Checks what run_experiment() checks before its first repeat: the fault
+/// plan parses and its link events name cabled links of the fat tree, the
+/// tree is valid and holds the servers and clients, and the cell asks for
+/// at least one request and one repeat. Throws std::invalid_argument
+/// naming the first problem.
+void validate_config(const ExperimentConfig& cfg);
+
 /// Runs `cfg.repeats` independent deployments (re-randomized client/server
-/// placement, as in the paper) and merges the measured latencies.
+/// placement, as in the paper) and merges the measured latencies. Throws
+/// std::invalid_argument, before any repeat runs, for a configuration
+/// validate_config() rejects or an output file that cannot be opened.
 ExperimentResult run_experiment(Scheme scheme, const ExperimentConfig& cfg);
 
 }  // namespace netrs::harness

@@ -75,33 +75,42 @@ void sort_lane(std::vector<FlightRecord>& records) {
 
 }  // namespace
 
-FlightSnapshot merge_flights(std::vector<FlightSnapshot> lanes) {
-  FlightSnapshot out;
-  std::size_t total = 0;
-  for (const FlightSnapshot& lane : lanes) total += lane.records.size();
-  for (FlightSnapshot& lane : lanes) {
-    sort_lane(lane.records);
-    if (out.records.empty()) {
-      out.records = std::move(lane.records);  // one busy lane: no copy
-      out.records.reserve(total);
-    } else {
-      const auto mid = static_cast<std::ptrdiff_t>(out.records.size());
-      out.records.insert(out.records.end(), lane.records.begin(),
-                         lane.records.end());
-      std::inplace_merge(out.records.begin(), out.records.begin() + mid,
-                         out.records.end(), canonical);
-    }
-    out.warmup_skipped += lane.warmup_skipped;
-    out.unmatched += lane.unmatched;
-  }
-  return out;
+void FlightSnapshot::clear() {
+  records.clear();
+  warmup_skipped = 0;
+  unmatched = 0;
 }
 
-void AttributionSummary::merge(const FlightSnapshot& snap) {
-  if (!snap.enabled) return;
+void merge_flights(std::span<FlightRecorder* const> lanes,
+                   sim::Time watermark, FlightSnapshot& chunk) {
+  const std::size_t first = chunk.records.size();
+  int contributing = 0;
+  for (FlightRecorder* rec : lanes) {
+    FlightSnapshot& lane = rec->lane_;
+    chunk.warmup_skipped += std::exchange(lane.warmup_skipped, 0);
+    chunk.unmatched += std::exchange(lane.unmatched, 0);
+    std::vector<FlightRecord>& records = lane.records;
+    sort_lane(records);
+    const auto cut = std::partition_point(
+        records.begin(), records.end(), [watermark](const FlightRecord& r) {
+          return r.completed_at < watermark;
+        });
+    if (cut == records.begin()) continue;
+    ++contributing;
+    chunk.records.insert(chunk.records.end(), records.begin(), cut);
+    records.erase(records.begin(), cut);
+  }
+  if (contributing > 1) {
+    std::sort(chunk.records.begin() + static_cast<std::ptrdiff_t>(first),
+              chunk.records.end(), canonical);
+  }
+}
+
+void AttributionSummary::merge(const FlightSnapshot& chunk) {
+  if (!chunk.enabled) return;
   enabled = true;
-  unmatched += snap.unmatched;
-  for (const FlightRecord& r : snap.records) {
+  unmatched += chunk.unmatched;
+  for (const FlightRecord& r : chunk.records) {
     ++requests;
     if (r.dup_won) ++dup_wins;
     if (r.via_rs) ++via_rs;
@@ -112,25 +121,38 @@ void AttributionSummary::merge(const FlightSnapshot& snap) {
   }
 }
 
+void AttributionSummary::merge(AttributionSummary&& later) {
+  if (!later.enabled) return;
+  enabled = true;
+  requests += later.requests;
+  dup_wins += later.dup_wins;
+  via_rs += later.via_rs;
+  unmatched += later.unmatched;
+  total_ms.merge(std::move(later.total_ms));
+  for (std::size_t c = 0; c < kFlightComponents; ++c) {
+    components_ms[c].merge(std::move(later.components_ms[c]));
+  }
+}
+
 void AttributionSummary::finalize() {
   total_ms.finalize();
   for (sim::LatencyRecorder& rec : components_ms) rec.finalize();
 }
 
-void write_attribution_csv(std::ostream& os,
-                           const std::vector<FlightSnapshot>& repeats) {
-  TextSink out(os);
+void write_attribution_header(TextSink& out) {
   out.put("repeat,req,complete_us,server,dup,via_rs");
   for (const char* name : kFlightComponentNames) out.put(',').put(name);
   out.put(",total\n");
-  for (std::size_t rep = 0; rep < repeats.size(); ++rep) {
-    for (const FlightRecord& r : repeats[rep].records) {
-      out.put_int(rep).put(',').put_int(r.request_id).put(',')
-          .put_time_us(r.completed_at).put(',').put_int(r.server).put(',')
-          .put(r.dup_won ? '1' : '0').put(',').put(r.via_rs ? '1' : '0');
-      for (const sim::Duration c : r.components) out.put(',').put_int(c);
-      out.put(',').put_int(r.total).put('\n');
-    }
+}
+
+void write_attribution_rows(TextSink& out, std::size_t repeat,
+                            const FlightSnapshot& chunk) {
+  for (const FlightRecord& r : chunk.records) {
+    out.put_int(repeat).put(',').put_int(r.request_id).put(',')
+        .put_time_us(r.completed_at).put(',').put_int(r.server).put(',')
+        .put(r.dup_won ? '1' : '0').put(',').put(r.via_rs ? '1' : '0');
+    for (const sim::Duration c : r.components) out.put(',').put_int(c);
+    out.put(',').put_int(r.total).put('\n');
   }
 }
 

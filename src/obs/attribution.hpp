@@ -8,28 +8,34 @@
 // and the return path. The accelerator and the server stamp their timing
 // into the request's simulation-only net::PacketMeta, the server's
 // response carries it back, and the client's FlightRecorder builds the
-// record on completion — no per-hop log and no join at harvest.
+// record on completion — no per-hop log and no join.
 // Every component is a difference of stamped event timestamps, so the
 // eight components telescope to exactly the measured end-to-end latency —
 // the invariant attribution_test asserts per record.
 //
-// Determinism contract (DESIGN.md §8.4, §8.6): recording is
-// observation-only (no RNG draws, no wall clock, no feedback into
-// simulated behavior; no device reads the stamps), the lane merge restores
-// a canonical order keyed on simulated time, and repeats merge in repeat
-// order — so the CSV and summaries are bit-identical for a given seed at
-// any harness --jobs value, and golden digests are unchanged with the
-// recorder on or off.
+// Records leave the lanes while the run goes on: at each flush watermark
+// the harness moves every record that completed before it out of the
+// lanes (merge_flights) and writes them as one chunk of the CSV, so a
+// lane holds at most one sampling interval of completions (DESIGN.md
+// §8.4, §8.6).
+//
+// Determinism contract: recording is observation-only (no RNG draws, no
+// wall clock, no feedback into simulated behavior; no device reads the
+// stamps), each chunk is in a canonical order keyed on simulated time and
+// chunks follow each other in time, and repeats follow each other in
+// repeat order — so the CSV and summaries are bit-identical for a given
+// seed at any harness --jobs value and any chunking, and golden digests
+// are unchanged with the recorder on or off.
 #pragma once
 
 #include <array>
 #include <cstdint>
-#include <ostream>
-#include <utility>
+#include <span>
 #include <vector>
 
 #include "net/address.hpp"
 #include "net/packet.hpp"
+#include "obs/text_sink.hpp"
 #include "sim/affinity.hpp"
 #include "sim/stats.hpp"
 #include "sim/time.hpp"
@@ -74,25 +80,45 @@ struct NETRS_SHARED_IMMUTABLE FlightRecord {
   std::array<sim::Duration, kFlightComponents> components{};
 };
 
-/// One repeat's worth of completed-flight records plus bookkeeping counts.
+/// Completed-flight records plus bookkeeping counts: one lane's records,
+/// or one chunk of a repeat (the records that completed between two flush
+/// watermarks, merged over the lanes).
 struct NETRS_SHARED_IMMUTABLE FlightSnapshot {
-  /// True when the repeat recorded attribution at all.
+  /// True when the repeat records attribution at all.
   bool enabled = false;
-  /// Completed records in (completed_at, request_id) order.
+  /// Completed records; in (completed_at, request_id) order in a chunk.
   std::vector<FlightRecord> records;
   /// Completions skipped because the request was issued during warmup.
   std::uint64_t warmup_skipped = 0;
   /// Completions whose winning response carried no server stamps
   /// (defensive; 0 in practice).
   std::uint64_t unmatched = 0;
+
+  /// Empties the records (keeping their capacity) and zeroes the counts.
+  void clear();
 };
+
+class FlightRecorder;
+
+/// Moves every lane's records that completed before `watermark` into
+/// `chunk`, after what it holds, in canonical (completion time, request
+/// id) order, and moves the lanes' counts there too. Each lane is
+/// appended in its shard's completion-time order, so only same-instant
+/// completions can be out of id order: the lane is fixed up with an
+/// insertion sort, cut at the watermark, and its head appended; the
+/// appended range is sorted only when more than one lane contributed. The
+/// lanes keep their capacity, so a flush allocates nothing once the
+/// buffers have grown. Stamps are shard-count-invariant (DESIGN.md
+/// §4.10), so the chunk is byte-identical at any --shards value.
+void merge_flights(std::span<FlightRecorder* const> lanes,
+                   sim::Time watermark, FlightSnapshot& chunk);
 
 /// Per-request flight recorder; one per shard per repeat, owned by that
 /// shard's Observer. The client calls on_complete() under the existing
 /// observer null guard when a request's first response arrives; the
 /// response carries the winning copy's accelerator and server stamps
 /// (net::PacketMeta), so the record is built there and appended to this
-/// recorder's lane. merge_flights() concatenates the lanes at harvest.
+/// recorder's lane. merge_flights() moves the lanes out at each flush.
 class NETRS_SHARD_LOCAL FlightRecorder {
  public:
   /// A disabled recorder ignores every hook.
@@ -113,24 +139,14 @@ class NETRS_SHARD_LOCAL FlightRecorder {
                    sim::Time winner_send, net::HostId winner, sim::Time now,
                    const net::PacketMeta& stamps);
 
-  /// Moves this lane's records (completion order) and counts out; the
-  /// recorder is left empty.
-  [[nodiscard]] FlightSnapshot take() { return std::exchange(lane_, {}); }
-
  private:
+  friend void merge_flights(std::span<FlightRecorder* const> lanes,
+                            sim::Time watermark, FlightSnapshot& chunk);
+
   bool enabled_;
   sim::Time measure_from_ = 0;
   FlightSnapshot lane_;
 };
-
-/// Merges the lanes of every shard's recorder (plus the coordinator's)
-/// into one repeat snapshot in canonical (completion time, request id)
-/// order, summing the counts. Each lane already holds completion-time
-/// order (one shard's clock), so it is fixed up with an insertion sort
-/// (same-instant completions only) and merged into the result; one lane
-/// is moved, not copied. Stamps are shard-count-invariant (DESIGN.md
-/// §4.10), so the result is byte-identical at any --shards value.
-[[nodiscard]] FlightSnapshot merge_flights(std::vector<FlightSnapshot> lanes);
 
 /// Per-component latency aggregates over every record of every repeat,
 /// shown as the "Latency attribution" report table.
@@ -150,18 +166,24 @@ struct NETRS_SHARED_IMMUTABLE AttributionSummary {
   /// Per-component latency distributions (ms), kFlightComponentNames order.
   std::array<sim::LatencyRecorder, kFlightComponents> components_ms;
 
-  /// Folds one repeat's snapshot into the running summary.
-  void merge(const FlightSnapshot& snap);
+  /// Folds one chunk into the running summary (chunks in order).
+  void merge(const FlightSnapshot& chunk);
+  /// Appends a later repeat's summary (repeats in order); moves it when
+  /// this one is still empty.
+  void merge(AttributionSummary&& later);
   /// Sorts all recorders so percentile() calls are plain lookups.
   void finalize();
 };
 
-/// Writes the merged attribution CSV, one row per record: header
+/// Writes the attribution CSV header:
 /// `repeat,req,complete_us,server,dup,via_rs,` then the eight
-/// kFlightComponentNames and `total` as columns (integer ns), repeats in
-/// order, through one buffered TextSink. Bit-identical at any --jobs
-/// value.
-void write_attribution_csv(std::ostream& os,
-                           const std::vector<FlightSnapshot>& repeats);
+/// kFlightComponentNames and `total`.
+void write_attribution_header(TextSink& out);
+
+/// Writes one row per record of `chunk` (integer ns components), tagged
+/// with `repeat`. Chunks written in order after the header, repeats in
+/// order, make the file; it is bit-identical at any --jobs value.
+void write_attribution_rows(TextSink& out, std::size_t repeat,
+                            const FlightSnapshot& chunk);
 
 }  // namespace netrs::obs

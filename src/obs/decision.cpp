@@ -2,11 +2,11 @@
 
 #include <algorithm>
 #include <cassert>
+#include <limits>
 #include <tuple>
 #include <utility>
 
 #include "obs/text_sink.hpp"
-#include "sim/radix_sort.hpp"
 
 namespace netrs::obs {
 
@@ -61,119 +61,105 @@ void DecisionRecorder::on_server_state(net::HostId host, sim::Time t,
       DecisionLog::ServerState{t, host, queue_size, parallelism, mean});
 }
 
-DecisionSnapshot replay_decisions(std::vector<DecisionLog> logs,
-                                  sim::Duration herd_window,
-                                  sim::Time measure_from) {
-  // The union of all logs as one flat log (the first is moved, not
-  // copied); later logs' candidate offsets are re-based onto the merged
-  // pool.
-  DecisionLog all;
-  for (std::size_t i = 0; i < logs.size(); ++i) {
-    DecisionLog& log = logs[i];
-    if (i == 0) {
-      all = std::move(log);
-      continue;
+void DecisionSnapshot::clear() {
+  records.clear();
+  observed = 0;
+}
+
+namespace {
+
+// Canonical pick order: (time, node, per-node sequence). The key is
+// unique within a lane (one recorder numbers each node's picks).
+bool pick_before(const DecisionLog::Pick& a, const DecisionLog::Pick& b) {
+  return std::tie(a.t, a.node, a.node_seq) <
+         std::tie(b.t, b.node, b.node_seq);
+}
+
+}  // namespace
+
+void DecisionReplay::apply_journal(std::span<DecisionRecorder* const> lanes,
+                                   sim::Time t) {
+  for (std::size_t l = 0; l < lanes.size(); ++l) {
+    const std::vector<DecisionLog::ServerState>& states =
+        lanes[l]->log_.states;
+    for (std::size_t& i = journal_next_[l];
+         i < journal_cut_[l] && states[i].t <= t; ++i) {
+      const DecisionLog::ServerState& s = states[i];
+      if (s.host >= oracle_.size()) oracle_.resize(std::size_t{s.host} + 1);
+      oracle_[s.host] = {true, s.queue_size, s.parallelism, s.mean};
     }
-    const auto base = static_cast<std::uint32_t>(all.cand_pool.size());
-    for (DecisionLog::Pick p : log.picks) {
-      p.cand_begin += base;
-      all.picks.push_back(p);
-    }
-    all.cand_pool.insert(all.cand_pool.end(), log.cand_pool.begin(),
-                         log.cand_pool.end());
-    all.states.insert(all.states.end(), log.states.begin(),
-                      log.states.end());
   }
-  // Canonical pick order (time, node, per-node sequence). One log's
-  // picks are appended in time order, so the sort rarely runs.
-  const auto by_decision = [](const DecisionLog::Pick& a,
-                              const DecisionLog::Pick& b) {
-    return std::tie(a.t, a.node, a.node_seq) <
-           std::tie(b.t, b.node, b.node_seq);
-  };
-  if (!std::is_sorted(all.picks.begin(), all.picks.end(), by_decision)) {
-    std::stable_sort(all.picks.begin(), all.picks.end(), by_decision);
+}
+
+void DecisionReplay::flush(std::span<DecisionRecorder* const> lanes,
+                           sim::Time watermark, DecisionSnapshot& chunk) {
+  // Each lane's cut: its picks and journal entries before the watermark.
+  // A lane is logged in its shard's time order, so only same-instant picks
+  // can be out of order, and the sort rarely runs.
+  pick_next_.assign(lanes.size(), 0);
+  pick_cut_.assign(lanes.size(), 0);
+  journal_next_.assign(lanes.size(), 0);
+  journal_cut_.assign(lanes.size(), 0);
+  for (std::size_t l = 0; l < lanes.size(); ++l) {
+    DecisionLog& log = lanes[l]->log_;
+    if (!std::is_sorted(log.picks.begin(), log.picks.end(), pick_before)) {
+      std::sort(log.picks.begin(), log.picks.end(), pick_before);
+    }
+    pick_cut_[l] = static_cast<std::size_t>(
+        std::partition_point(log.picks.begin(), log.picks.end(),
+                             [watermark](const DecisionLog::Pick& p) {
+                               return p.t < watermark;
+                             }) -
+        log.picks.begin());
+    journal_cut_[l] = static_cast<std::size_t>(
+        std::partition_point(log.states.begin(), log.states.end(),
+                             [watermark](const DecisionLog::ServerState& s) {
+                               return s.t < watermark;
+                             }) -
+        log.states.begin());
   }
 
-  // Oracle journal grouped by host (a stable sort, so each host's entries
-  // keep their record order), then each host's entries in time order. A
-  // host's journal lives in one log (one server = one shard) and is
-  // appended in time order; the time sort is a guard, not a requirement.
-  std::vector<DecisionLog::ServerState>& journal = all.states;
-  sim::radix_sort(journal, [](const DecisionLog::ServerState& s) {
-    return std::uint64_t{s.host};
-  });
-  const std::size_t hosts =
-      journal.empty() ? 0 : std::size_t{journal.back().host} + 1;
-  // journal_begin[h]: first entry of host h (dense host ids).
-  std::vector<std::size_t> journal_begin(hosts + 1, 0);
-  for (const DecisionLog::ServerState& s : journal) {
-    ++journal_begin[s.host + 1];
-  }
-  const auto by_time = [](const DecisionLog::ServerState& a,
-                          const DecisionLog::ServerState& b) {
-    return a.t < b.t;
-  };
-  for (std::size_t h = 0; h < hosts; ++h) {
-    journal_begin[h + 1] += journal_begin[h];
-    const auto first = journal.begin() + journal_begin[h];
-    const auto last = journal.begin() + journal_begin[h + 1];
-    if (!std::is_sorted(first, last, by_time)) {
-      std::stable_sort(first, last, by_time);
+  for (;;) {
+    // The next pick in canonical order: the smallest lane head, the lower
+    // lane on a tie (the order of the lanes concatenated and stably
+    // sorted).
+    std::size_t lane = lanes.size();
+    for (std::size_t l = 0; l < lanes.size(); ++l) {
+      if (pick_next_[l] == pick_cut_[l]) continue;
+      if (lane == lanes.size() ||
+          pick_before(lanes[l]->log_.picks[pick_next_[l]],
+                      lanes[lane]->log_.picks[pick_next_[lane]])) {
+        lane = l;
+      }
     }
-  }
-  // Picks are replayed in time order, so each host's "last journaled
-  // state at or before t" only moves forward: one cursor per host (one
-  // past that state) replaces a search per lookup.
-  std::vector<std::size_t> cursor(journal_begin.begin(),
-                                  journal_begin.end() - 1);
-  const auto oracle_at = [&](net::HostId host,
-                             sim::Time t) -> OracleServerState {
-    OracleServerState out;
-    if (host >= hosts) return out;
-    std::size_t& c = cursor[host];
-    while (c < journal_begin[host + 1] && journal[c].t <= t) ++c;
-    if (c == journal_begin[host]) return out;
-    const DecisionLog::ServerState& s = journal[c - 1];
-    out.valid = true;
-    out.queue_size = s.queue_size;
-    out.parallelism = s.parallelism;
-    out.mean_service_time = s.mean;
-    return out;
-  };
+    if (lane == lanes.size()) break;
+    const DecisionLog& log = lanes[lane]->log_;
+    const DecisionLog::Pick& p = log.picks[pick_next_[lane]++];
+    ++chunk.observed;
+    apply_journal(lanes, p.t);
 
-  DecisionSnapshot snap;
-  snap.enabled = true;
-  snap.observed = all.picks.size();
-  snap.records.reserve(all.picks.size());
-  // Trailing herd window over the merged stream: the picks in
-  // [tail, current] of the time-sorted array, plus dense per-server
-  // counts. Every pick enters it, warmup included, so the first measured
-  // records see a fully warmed window.
-  std::size_t servers = 0;
-  for (const DecisionLog::Pick& p : all.picks) {
-    servers = std::max<std::size_t>(servers, std::size_t{p.chosen} + 1);
-  }
-  std::vector<std::uint32_t> window_counts(servers, 0);
-  std::size_t tail = 0;
-  for (std::size_t i = 0; i < all.picks.size(); ++i) {
-    const DecisionLog::Pick& p = all.picks[i];
-    const sim::Time horizon = p.t - herd_window;
-    while (tail < i && all.picks[tail].t <= horizon) {
-      --window_counts[all.picks[tail].chosen];
-      ++tail;
+    // Trailing herd window over the merged stream. Every pick enters it,
+    // warmup included, so the first measured records see a warmed window.
+    const sim::Time horizon = p.t - herd_window_;
+    while (!window_.empty() && window_[0].t <= horizon) {
+      --window_counts_[window_[0].chosen];
+      window_.pop_front();
     }
-    ++window_counts[p.chosen];
+    window_.push_back({p.t, p.chosen});
+    if (p.chosen >= window_counts_.size()) {
+      window_counts_.resize(std::size_t{p.chosen} + 1, 0);
+    }
+    ++window_counts_[p.chosen];
 
-    if (p.t < measure_from) continue;
+    if (p.t < measure_from_) continue;
 
     DecisionRecord rec;
     rec.t = p.t;
     rec.node = p.node;
     rec.chosen = p.chosen;
     rec.candidates = p.cand_count;
-    rec.herd = static_cast<double>(window_counts[p.chosen]) /
-               static_cast<double>(i + 1 - tail);
+    rec.herd = static_cast<double>(window_counts_[p.chosen]) /
+               static_cast<double>(window_.size());
     rec.chosen_score = p.score;
     rec.has_score = p.has_score;
     rec.staleness = p.staleness;
@@ -186,13 +172,12 @@ DecisionSnapshot replay_decisions(std::vector<DecisionLog> logs,
       bool chosen_valid = false;
       bool first = true;
       for (std::uint32_t c = 0; c < p.cand_count; ++c) {
-        const net::HostId host = all.cand_pool[p.cand_begin + c];
-        const OracleServerState s = oracle_at(host, p.t);
-        if (!s.valid) {
+        const net::HostId host = log.cand_pool[p.cand_begin + c];
+        if (host >= oracle_.size() || !oracle_[host].valid) {
           all_valid = false;
           break;
         }
-        const double cost = oracle_cost_ns(s);
+        const double cost = oracle_cost_ns(oracle_[host]);
         if (first || cost < best) best = cost;
         first = false;
         if (host == p.chosen) {
@@ -206,15 +191,39 @@ DecisionSnapshot replay_decisions(std::vector<DecisionLog> logs,
         rec.has_regret = true;
       }
     }
-    snap.records.push_back(rec);
+    chunk.records.push_back(rec);
   }
-  return snap;
+  // The journal entries after the last pick still count for later chunks.
+  apply_journal(lanes, std::numeric_limits<sim::Time>::max());
+
+  // Drop what was replayed. The kept picks (at or after the watermark)
+  // were logged after every replayed one, so their candidates follow the
+  // replayed picks' in the pool.
+  for (std::size_t l = 0; l < lanes.size(); ++l) {
+    DecisionLog& log = lanes[l]->log_;
+    const auto kept = log.picks.begin() +
+                      static_cast<std::ptrdiff_t>(pick_cut_[l]);
+    std::uint32_t pool_cut =
+        static_cast<std::uint32_t>(log.cand_pool.size());
+    for (auto it = kept; it != log.picks.end(); ++it) {
+      pool_cut = std::min(pool_cut, it->cand_begin);
+    }
+    for (auto it = kept; it != log.picks.end(); ++it) {
+      it->cand_begin -= pool_cut;
+    }
+    log.picks.erase(log.picks.begin(), kept);
+    log.cand_pool.erase(log.cand_pool.begin(),
+                        log.cand_pool.begin() + pool_cut);
+    log.states.erase(log.states.begin(),
+                     log.states.begin() +
+                         static_cast<std::ptrdiff_t>(journal_cut_[l]));
+  }
 }
 
-void DecisionSummary::merge(const DecisionSnapshot& snap) {
-  if (!snap.enabled) return;
+void DecisionSummary::merge(const DecisionSnapshot& chunk) {
+  if (!chunk.enabled) return;
   enabled = true;
-  for (const DecisionRecord& r : snap.records) {
+  for (const DecisionRecord& r : chunk.records) {
     ++decisions;
     herd.add(r.herd);
     if (r.has_regret) {
@@ -228,31 +237,42 @@ void DecisionSummary::merge(const DecisionSnapshot& snap) {
   }
 }
 
+void DecisionSummary::merge(DecisionSummary&& later) {
+  if (!later.enabled) return;
+  enabled = true;
+  decisions += later.decisions;
+  with_feedback += later.with_feedback;
+  with_regret += later.with_regret;
+  regret_ms.merge(std::move(later.regret_ms));
+  staleness_ms.merge(std::move(later.staleness_ms));
+  herd.merge(std::move(later.herd));
+}
+
 void DecisionSummary::finalize() {
   regret_ms.finalize();
   staleness_ms.finalize();
   herd.finalize();
 }
 
-void write_decision_csv(std::ostream& os,
-                        const std::vector<DecisionSnapshot>& repeats) {
-  TextSink out(os);
+void write_decision_header(TextSink& out) {
   out.put("repeat,time_us,node,chosen,candidates,score,regret_ns,"
           "staleness_ns,herd\n");
-  for (std::size_t rep = 0; rep < repeats.size(); ++rep) {
-    for (const DecisionRecord& r : repeats[rep].records) {
-      out.put_int(rep).put(',').put_time_us(r.t).put(',').put_int(r.node)
-          .put(',').put_int(r.chosen).put(',').put_int(r.candidates)
-          .put(',');
-      // Absent values print as -1 (real regrets and staleness are >= 0,
-      // and no selector emits negative scores).
-      r.has_score ? out.put_metric(r.chosen_score) : out.put("-1");
-      out.put(',');
-      r.has_regret ? out.put_metric(r.regret_ns) : out.put("-1");
-      out.put(',');
-      r.has_staleness ? out.put_int(r.staleness) : out.put("-1");
-      out.put(',').put_metric(r.herd).put('\n');
-    }
+}
+
+void write_decision_rows(TextSink& out, std::size_t repeat,
+                         const DecisionSnapshot& chunk) {
+  for (const DecisionRecord& r : chunk.records) {
+    out.put_int(repeat).put(',').put_time_us(r.t).put(',').put_int(r.node)
+        .put(',').put_int(r.chosen).put(',').put_int(r.candidates)
+        .put(',');
+    // Absent values print as -1 (real regrets and staleness are >= 0,
+    // and no selector emits negative scores).
+    r.has_score ? out.put_metric(r.chosen_score) : out.put("-1");
+    out.put(',');
+    r.has_regret ? out.put_metric(r.regret_ns) : out.put("-1");
+    out.put(',');
+    r.has_staleness ? out.put_int(r.staleness) : out.put("-1");
+    out.put(',').put_metric(r.herd).put('\n');
   }
 }
 

@@ -4,8 +4,10 @@
 // The selectors see only stale, piggybacked server status; the oracle sees
 // the true instantaneous server state (queue depth, parallelism, current
 // fluctuation-mode mean), which every server journals on each transition.
-// The recorder logs picks and journal entries verbatim; at harvest,
-// replay_decisions() merges every shard's log and records per decision:
+// The recorder logs picks and journal entries verbatim; at each flush
+// watermark of the run, a DecisionReplay moves every shard's picks and
+// journal entries before the watermark out of the logs, merges them, and
+// records per decision:
 //
 //   regret     — oracle cost of the chosen replica minus the cheapest
 //                candidate's oracle cost, where cost(s) = mean_s * (1 +
@@ -21,6 +23,10 @@
 //                1/candidates when balanced, near 1 when RSNodes stampede
 //                one replica (§II load oscillation, per decision).
 //
+// The replay carries what a later chunk needs — the picks still inside
+// the trailing herd window and every host's last journaled state — so its
+// records are the same whatever the flush watermarks were (DESIGN.md §8.5).
+//
 // Observation-only contract (DESIGN.md §8.5): the hooks and the journal
 // read const simulation state only — they consume no RNG draws, mutate no
 // component, and never read the wall clock. Golden digests are identical
@@ -29,13 +35,13 @@
 #pragma once
 
 #include <cstdint>
-#include <ostream>
 #include <span>
-#include <utility>
 #include <vector>
 
 #include "net/address.hpp"
+#include "obs/text_sink.hpp"
 #include "sim/affinity.hpp"
+#include "sim/ring.hpp"
 #include "sim/stats.hpp"
 #include "sim/time.hpp"
 
@@ -85,21 +91,25 @@ struct NETRS_SHARED_IMMUTABLE DecisionRecord {
   double herd = 0.0;
 };
 
-/// One repeat's audited decisions plus bookkeeping counts.
+/// One chunk of a repeat's audited decisions (those between two flush
+/// watermarks) plus bookkeeping counts.
 struct NETRS_SHARED_IMMUTABLE DecisionSnapshot {
-  /// True when the repeat audited decisions at all.
+  /// True when the repeat audits decisions at all.
   bool enabled = false;
   /// Post-warmup decisions in decision order.
   std::vector<DecisionRecord> records;
   /// All decisions observed, including warmup (herd state covers these).
   std::uint64_t observed = 0;
+
+  /// Empties the records (keeping their capacity) and zeroes the count.
+  void clear();
 };
 
 /// Raw decision log of one recorder (DESIGN.md §8.6). Shard-local
 /// recorders log picks and true server-state transitions (the
-/// oracle journal) verbatim; replay_decisions() merges every log, orders
+/// oracle journal) verbatim; a DecisionReplay merges every log, orders
 /// picks canonically by (time, node, per-node sequence), and computes the
-/// herd index and oracle regret at harvest time — the same bytes at any
+/// herd index and oracle regret chunk by chunk — the same bytes at any
 /// shard count.
 struct NETRS_SHARED_IMMUTABLE DecisionLog {
   /// One raw selection decision.
@@ -153,7 +163,7 @@ struct NETRS_SHARED_IMMUTABLE DecisionLog {
 /// Per-shard, per-repeat decision auditor, owned by that shard's
 /// Observer. The harness routes every selector's decision hook here and
 /// kv::Server journals its state transitions here; both append to a
-/// DecisionLog, and replay_decisions() builds the records at harvest time.
+/// DecisionLog, and a DecisionReplay builds the records at each flush.
 class NETRS_SHARD_LOCAL DecisionRecorder {
  public:
   /// A disabled recorder ignores every call.
@@ -178,11 +188,9 @@ class NETRS_SHARD_LOCAL DecisionRecorder {
                        std::uint32_t queue_size, int parallelism,
                        sim::Duration mean);
 
-  /// Moves the raw log (record order) out; the recorder is left with an
-  /// empty log.
-  [[nodiscard]] DecisionLog take_log() { return std::exchange(log_, {}); }
-
  private:
+  friend class DecisionReplay;
+
   bool enabled_;
   DecisionLog log_;
   // Next pick sequence number per node, indexed by node + 1 (trace tids
@@ -190,25 +198,69 @@ class NETRS_SHARD_LOCAL DecisionRecorder {
   std::vector<std::uint64_t> node_seq_;
 };
 
-/// Trailing window of the decision auditor's herd index: the
-/// `herd_window` that ShardObserverSet::take_decisions() replays with.
+/// Trailing window of the decision auditor's herd index, the window the
+/// harness's DecisionReplay uses.
 inline constexpr sim::Duration kHerdWindow = 1 * sim::kMillisecond;
 
 /// Replays the logs of every shard's recorder (plus the coordinator's)
-/// into one repeat snapshot. The logs are moved in and concatenated into
-/// one flat log; picks are ordered canonically by (time, node, per-node
-/// sequence). The herd index is computed over that merged stream with a
-/// trailing `herd_window` (a range of the sorted picks plus dense
-/// per-server counts); every pick, warmup included, enters the window, but
-/// only picks at or after `measure_from` produce records. Regret is
-/// computed against the oracle journal, grouped by host — for each
-/// candidate, the last journaled state at or before the decision time.
+/// into decision records, one flush watermark at a time; one per repeat.
+///
+/// flush() takes the picks and journal entries logged before the
+/// watermark out of the lanes and orders the picks canonically by (time,
+/// node, per-node sequence). The herd index is computed over that merged
+/// stream with a trailing `herd_window` (a FIFO of the picks inside it
+/// plus dense per-server counts, both carried to the next chunk); every
+/// pick, warmup included, enters the window, but only picks at or after
+/// `measure_from` produce records. Regret is computed against the oracle
+/// journal: before each pick every lane's entries at or before its time
+/// are applied to a per-host table of last journaled states, which is
+/// also carried. A chunk therefore yields the records a single replay of
+/// the whole run would give for its picks, whatever the watermarks.
 /// Pick times and per-node streams are shard-count-invariant (DESIGN.md
-/// §4.10), so the result is byte-identical at any --shards value —
-/// including 1, which the harness routes through this same replay.
-[[nodiscard]] DecisionSnapshot replay_decisions(std::vector<DecisionLog> logs,
-                                                sim::Duration herd_window,
-                                                sim::Time measure_from);
+/// §4.10), so the result is byte-identical at any --shards value.
+///
+/// Preconditions: a lane logs picks and journal entries in time order (its
+/// shard's clock), a host journals on one lane only (its server's shard),
+/// and every later entry is at or after the watermark — the harness
+/// flushes at engine quiescence, when all events before the watermark
+/// have run and none after it.
+class NETRS_COORD_GLOBAL DecisionReplay {
+ public:
+  DecisionReplay(sim::Duration herd_window, sim::Time measure_from)
+      : herd_window_(herd_window), measure_from_(measure_from) {}
+
+  /// Replays every lane's picks before `watermark` into `chunk` (records
+  /// appended, `observed` counted) and applies their journal entries
+  /// before it; both leave the lanes, which keep their capacity, as do
+  /// the replay's own buffers, so a flush allocates nothing once they have
+  /// grown.
+  void flush(std::span<DecisionRecorder* const> lanes, sim::Time watermark,
+             DecisionSnapshot& chunk);
+
+ private:
+  // One pick of the trailing herd window.
+  struct WindowPick {
+    sim::Time t = 0;
+    net::HostId chosen = 0;
+  };
+
+  void apply_journal(std::span<DecisionRecorder* const> lanes, sim::Time t);
+
+  sim::Duration herd_window_;
+  sim::Time measure_from_;
+  // Carried across chunks: the picks inside the trailing herd window, the
+  // window's per-server pick counts, and each host's last journaled state
+  // (invalid until its first entry).
+  sim::Ring<WindowPick> window_;
+  std::vector<std::uint32_t> window_counts_;
+  std::vector<OracleServerState> oracle_;
+  // Per-flush scratch, reused: each lane's next pick and journal entry to
+  // replay, and its cuts at the watermark.
+  std::vector<std::size_t> pick_next_;
+  std::vector<std::size_t> pick_cut_;
+  std::vector<std::size_t> journal_next_;
+  std::vector<std::size_t> journal_cut_;
+};
 
 /// Selection-quality aggregates over every decision of every repeat,
 /// shown as the "Selection quality" report table.
@@ -228,18 +280,25 @@ struct NETRS_SHARED_IMMUTABLE DecisionSummary {
   /// Herd-index distribution ([0, 1]) over all merged decisions.
   sim::LatencyRecorder herd;
 
-  /// Folds one repeat's snapshot into the running summary.
-  void merge(const DecisionSnapshot& snap);
+  /// Folds one chunk into the running summary (chunks in order).
+  void merge(const DecisionSnapshot& chunk);
+  /// Appends a later repeat's summary (repeats in order); moves it when
+  /// this one is still empty.
+  void merge(DecisionSummary&& later);
   /// Sorts all recorders so percentile() calls are plain lookups.
   void finalize();
 };
 
-/// Writes the merged long-format decision CSV: header
+/// Writes the decision CSV header:
 /// `repeat,time_us,node,chosen,candidates,score,regret_ns,staleness_ns,
-/// herd`, one row per post-warmup decision, repeats in order; absent
-/// score/regret/staleness print as -1. Written through one buffered
-/// TextSink; bit-identical at any --jobs value.
-void write_decision_csv(std::ostream& os,
-                        const std::vector<DecisionSnapshot>& repeats);
+/// herd`.
+void write_decision_header(TextSink& out);
+
+/// Writes one row per record of `chunk`, tagged with `repeat`; absent
+/// score/regret/staleness print as -1. Chunks written in order after the
+/// header, repeats in order, make the file; it is bit-identical at any
+/// --jobs value.
+void write_decision_rows(TextSink& out, std::size_t repeat,
+                         const DecisionSnapshot& chunk);
 
 }  // namespace netrs::obs

@@ -1,7 +1,9 @@
 #include "obs/metrics.hpp"
 
+#include <algorithm>
 #include <cassert>
 #include <string_view>
+#include <utility>
 
 #include "obs/text_sink.hpp"
 
@@ -60,21 +62,30 @@ void MetricsRegistry::gauge(std::string name, GaugeFn fn, bool summarize) {
 }
 
 void MetricsRegistry::sample(sim::Time now) {
+  // Grow by whole rows: a buffer that holds one row per take allocates
+  // once, not once per doubling.
+  if (values_.capacity() - values_.size() < gauges_.size()) {
+    values_.reserve(
+        std::max(2 * values_.capacity(), values_.size() + gauges_.size()));
+  }
   times_.push_back(now);
   for (const Gauge& g : gauges_) values_.push_back(g.fn());
 }
 
-MetricsSnapshot MetricsRegistry::take() {
+MetricsSnapshot MetricsRegistry::layout() const {
   MetricsSnapshot snap;
   for (const Gauge& g : gauges_) {
     snap.columns.push_back(g.name);
     snap.summarize.push_back(g.summarize ? 1 : 0);
   }
-  snap.times = std::move(times_);
-  snap.values = std::move(values_);
+  return snap;
+}
+
+void MetricsRegistry::take(MetricsSnapshot& into) {
+  into.times.swap(times_);
+  into.values.swap(values_);
   times_.clear();
   values_.clear();
-  return snap;
 }
 
 std::string format_metric_value(double v) {
@@ -82,25 +93,23 @@ std::string format_metric_value(double v) {
   return std::string(buf, write_metric_value(buf, v));
 }
 
-void write_metrics_csv(std::ostream& os,
-                       const std::vector<MetricsSnapshot>& repeats) {
-  TextSink out(os);
+void write_metrics_header(TextSink& out) {
   out.put("repeat,time_us,metric,value\n");
-  for (std::size_t rep = 0; rep < repeats.size(); ++rep) {
-    const MetricsSnapshot& snap = repeats[rep];
-    for (std::size_t row = 0; row < snap.rows(); ++row) {
-      // "repeat,time_us," is shared by every column of the tick.
-      char prefix[2 * kMaxNumberChars + 2];
-      char* p = write_int(prefix, rep);
-      *p++ = ',';
-      p = write_time_us(p, snap.times[row]);
-      *p++ = ',';
-      const std::string_view tick(prefix,
-                                  static_cast<std::size_t>(p - prefix));
-      for (std::size_t c = 0; c < snap.columns.size(); ++c) {
-        out.put(tick).put(snap.columns[c]).put(',')
-            .put_metric(snap.value(row, c)).put('\n');
-      }
+}
+
+void write_metrics_rows(TextSink& out, std::size_t repeat,
+                        const MetricsSnapshot& chunk) {
+  for (std::size_t row = 0; row < chunk.rows(); ++row) {
+    // "repeat,time_us," is shared by every column of the tick.
+    char prefix[2 * kMaxNumberChars + 2];
+    char* p = write_int(prefix, repeat);
+    *p++ = ',';
+    p = write_time_us(p, chunk.times[row]);
+    *p++ = ',';
+    const std::string_view tick(prefix, static_cast<std::size_t>(p - prefix));
+    for (std::size_t c = 0; c < chunk.columns.size(); ++c) {
+      out.put(tick).put(chunk.columns[c]).put(',')
+          .put_metric(chunk.value(row, c)).put('\n');
     }
   }
 }

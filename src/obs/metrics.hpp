@@ -2,9 +2,10 @@
 //
 // Components register gauges (pull-style callbacks over const getters),
 // one per column. The harness calls sample() at every sampling grid point
-// between engine windows, appending one row per tick; after the run the
-// rows become a long-format CSV time series plus a compact per-metric
-// summary for the harness report.
+// between engine windows, appending one row per tick, and takes the rows
+// out at each flush: they become one chunk of a long-format CSV time
+// series and are folded into a compact per-metric summary for the harness
+// report, so the registry holds one interval's rows at a time.
 //
 // Determinism contract: the column layout is the registration order
 // (never hash order), sampling reads const state only, and all value
@@ -15,10 +16,10 @@
 #include <array>
 #include <cstdint>
 #include <functional>
-#include <ostream>
 #include <string>
 #include <vector>
 
+#include "obs/text_sink.hpp"
 #include "sim/affinity.hpp"
 #include "sim/time.hpp"
 
@@ -55,9 +56,10 @@ struct NETRS_SHARD_LOCAL LatencyHistogram {
   void merge(const LatencyHistogram& o);
 };
 
-/// One sampled time series extracted from a repeat: the column names,
-/// which columns feed the report summary, and one row per tick,
-/// stored as one flat row-major table.
+/// Sampled rows taken from a repeat's registry (one chunk: the ticks
+/// since the previous take): the column names, which columns feed the
+/// report summary, and one row per tick, stored as one flat row-major
+/// table.
 struct NETRS_SHARED_IMMUTABLE MetricsSnapshot {
   /// Column names in registration order.
   std::vector<std::string> columns;
@@ -102,9 +104,9 @@ struct NETRS_SHARED_IMMUTABLE MetricsSummary {
   /// True once at least one snapshot has been merged.
   [[nodiscard]] bool enabled() const { return !entries.empty(); }
 
-  /// Folds one repeat's snapshot into the running summary. Column sets
-  /// must match across merged snapshots (they do: every repeat registers
-  /// the same metrics in the same order).
+  /// Folds rows into the running summary (rows of every repeat, in
+  /// order). Column sets must match across merged snapshots (they do:
+  /// every repeat registers the same metrics in the same order).
   void merge(const MetricsSnapshot& snap);
 };
 
@@ -123,9 +125,14 @@ class NETRS_COORD_GLOBAL MetricsRegistry {
   /// be finished before the first tick (the column layout freezes then).
   void sample(sim::Time now);
 
-  /// Moves the sampled series out (column names, summary flags, rows);
-  /// the registry keeps its gauges but no rows.
-  [[nodiscard]] MetricsSnapshot take();
+  /// The column names and summary flags, without rows.
+  [[nodiscard]] MetricsSnapshot layout() const;
+
+  /// Moves the rows sampled since the last take into `into`, replacing
+  /// its rows and leaving its layout alone. The registry keeps its gauges
+  /// and reuses `into`'s old row buffers, so alternating between two
+  /// chunks allocates nothing once they have grown.
+  void take(MetricsSnapshot& into);
 
  private:
   struct Gauge {
@@ -145,11 +152,13 @@ class NETRS_COORD_GLOBAL MetricsRegistry {
 /// obs writers use.
 [[nodiscard]] std::string format_metric_value(double v);
 
-/// Writes the merged long-format CSV: header
-/// `repeat,time_us,metric,value`, then one row per (repeat, tick,
-/// column), repeats in order, through one buffered TextSink.
-/// Bit-identical at any --jobs value.
-void write_metrics_csv(std::ostream& os,
-                       const std::vector<MetricsSnapshot>& repeats);
+/// Writes the long-format metrics CSV header `repeat,time_us,metric,value`.
+void write_metrics_header(TextSink& out);
+
+/// Writes one row per (tick, column) of `chunk`, tagged with `repeat`.
+/// Chunks written in order after the header, repeats in order, make the
+/// file; it is bit-identical at any --jobs value.
+void write_metrics_rows(TextSink& out, std::size_t repeat,
+                        const MetricsSnapshot& chunk);
 
 }  // namespace netrs::obs

@@ -76,9 +76,9 @@ struct NETRS_SHARED_IMMUTABLE ObsConfig {
 /// simulator), bundled in a ShardObserverSet (obs/shard_obs.hpp) — and
 /// attached to that simulator via Simulator::set_observer, so every
 /// component hook lands on its own shard's observer with no cross-shard
-/// traffic. Harvested through the set's deterministic merges after the
-/// run. Shard-local by construction: only the owning shard's thread
-/// records into it while the engine runs.
+/// traffic. Emptied by the set's deterministic flushes at engine
+/// quiescence during the run. Shard-local by construction: only the
+/// owning shard's thread records into it while the engine runs.
 class NETRS_SHARD_LOCAL Observer {
  public:
   /// Sizes the trace ring (0 when tracing is off) per `cfg`.

@@ -12,6 +12,21 @@ ShardObserverSet::ShardObserverSet(const ObsConfig& cfg, int lanes)
     lanes_.push_back(std::make_unique<Observer>(cfg));
   }
   if (lanes > 1) coord_ = std::make_unique<Observer>(cfg);
+  for (const std::unique_ptr<Observer>& o : lanes_) {
+    flight_lanes_.push_back(&o->flight());
+    decision_lanes_.push_back(&o->decisions());
+  }
+  if (coord_ != nullptr) {
+    flight_lanes_.push_back(&coord_->flight());
+    decision_lanes_.push_back(&coord_->decisions());
+  }
+}
+
+void ObsChunk::clear() {
+  flight.clear();
+  decisions.clear();
+  metrics.times.clear();
+  metrics.values.clear();
 }
 
 void ShardObserverSet::set_tid_name(std::int32_t tid,
@@ -34,36 +49,20 @@ TraceSnapshot ShardObserverSet::take_trace() const {
 }
 
 void ShardObserverSet::set_measure_from(sim::Time t) {
-  measure_from_ = t;
-  for (const std::unique_ptr<Observer>& o : lanes_) {
-    o->flight().set_measure_from(t);
-  }
-  if (coord_ != nullptr) coord_->flight().set_measure_from(t);
+  for (FlightRecorder* rec : flight_lanes_) rec->set_measure_from(t);
+  replay_ = DecisionReplay(kHerdWindow, t);
 }
 
-FlightSnapshot ShardObserverSet::take_flight() {
-  std::vector<FlightSnapshot> parts;
-  parts.reserve(lanes_.size() + 1);
-  for (const std::unique_ptr<Observer>& o : lanes_) {
-    parts.push_back(o->flight().take());
+void ShardObserverSet::flush(sim::Time watermark, ObsChunk& chunk) {
+  if (attributing()) {
+    chunk.flight.enabled = true;
+    merge_flights(flight_lanes_, watermark, chunk.flight);
   }
-  if (coord_ != nullptr) parts.push_back(coord_->flight().take());
-  FlightSnapshot snap = merge_flights(std::move(parts));
-  snap.enabled = attributing();
-  return snap;
-}
-
-DecisionSnapshot ShardObserverSet::take_decisions() {
-  std::vector<DecisionLog> logs;
-  logs.reserve(lanes_.size() + 1);
-  for (const std::unique_ptr<Observer>& o : lanes_) {
-    logs.push_back(o->decisions().take_log());
+  if (deciding()) {
+    chunk.decisions.enabled = true;
+    replay_.flush(decision_lanes_, watermark, chunk.decisions);
   }
-  if (coord_ != nullptr) logs.push_back(coord_->decisions().take_log());
-  DecisionSnapshot snap =
-      replay_decisions(std::move(logs), kHerdWindow, measure_from_);
-  snap.enabled = deciding();
-  return snap;
+  if (metering()) metrics_.take(chunk.metrics);
 }
 
 std::vector<TraceLaneCounts> ShardObserverSet::lane_trace_counts() const {

@@ -1,5 +1,5 @@
-// Shard-parallel observability: one Observer per engine shard, merged
-// deterministically at harvest (DESIGN.md §8.6).
+// Shard-parallel observability: one Observer per engine shard, flushed
+// deterministically in chunks while the run goes on (DESIGN.md §8.6).
 //
 // The partitioned engine (sim/shard.hpp) runs one Simulator per shard on
 // its own worker thread; a single Observer cannot be shared across them
@@ -8,14 +8,18 @@
 // harness to that shard's simulator, so every component hook lands on its
 // own shard's recorders with no synchronization — plus one coordinator
 // observer for the global simulator (controller, fault injector). Flight
-// records are built in-band at the client, the decision recorders log raw
-// observations, and the take_*() harvests merge the per-shard
-// contributions in canonical orders keyed on simulated time: event times
-// are shard-count-invariant (DESIGN.md §4.10), so the merged attribution
-// and decision CSVs are byte-identical at any --shards value, and so is
-// the trace JSON as long as no trace ring wraps (DESIGN.md §8.6). The
-// single-shard harness routes through the very same merges, which is what
-// makes the identity hold by construction rather than by coincidence.
+// records are built in-band at the client and the decision recorders log
+// raw observations. At each flush watermark — a point of the harness's
+// sampling grid, where every event before it has run on every shard and
+// none after it — flush() moves what the lanes recorded before the
+// watermark into an ObsChunk: the flight records merged in canonical
+// order, the decision picks replayed against the oracle journal, and the
+// metric rows sampled so far. The merge keys are simulated time plus
+// stable ids and event times are shard-count-invariant (DESIGN.md §4.10),
+// so the attribution, decision and metrics files are byte-identical at
+// any --shards value and any chunking, and so is the trace JSON, merged
+// once at the end of the repeat, as long as no trace ring wraps (DESIGN.md
+// §8.6). The single-shard harness routes through the very same flushes.
 //
 // Observation only, unchanged: nothing here mutates simulation state,
 // consumes RNG draws, or reads the wall clock — golden digests are
@@ -27,6 +31,8 @@
 #include <string>
 #include <vector>
 
+#include "obs/attribution.hpp"
+#include "obs/decision.hpp"
 #include "obs/metrics.hpp"
 #include "obs/observer.hpp"
 #include "sim/affinity.hpp"
@@ -42,11 +48,27 @@ struct NETRS_SHARED_IMMUTABLE TraceLaneCounts {
   std::uint64_t dropped = 0;
 };
 
+/// What one flush moves out of a repeat's lanes: the records between two
+/// flush watermarks, in the order their files list them. The harness
+/// alternates between two chunks, so their buffers are reused.
+struct NETRS_SHARED_IMMUTABLE ObsChunk {
+  /// Flight records in (completion time, request id) order, plus counts.
+  FlightSnapshot flight;
+  /// Audited decisions in (time, node, per-node sequence) order.
+  DecisionSnapshot decisions;
+  /// Metric rows sampled since the previous flush (without the column
+  /// layout, which the reader holds: MetricsRegistry::layout()).
+  MetricsSnapshot metrics;
+
+  /// Empties the chunk, keeping its buffers' capacity.
+  void clear();
+};
+
 /// Owns the per-shard Observers of one repeat plus the coordinator-side
-/// one, and the repeat's single metrics registry, and produces the
-/// deterministic merged snapshots. Coordinator-owned: the harness creates
-/// it, attaches the lanes, and harvests after the run; shard threads only
-/// ever touch their own lane's Observer.
+/// one, the repeat's single metrics registry and its decision replay, and
+/// produces the deterministic chunks. Coordinator-owned: the harness
+/// creates it, attaches the lanes, and flushes it at engine quiescence;
+/// shard threads only ever touch their own lane's Observer.
 class NETRS_COORD_GLOBAL ShardObserverSet {
  public:
   /// Creates `lanes` shard observers (>= 1) from `cfg`. With a single
@@ -86,7 +108,7 @@ class NETRS_COORD_GLOBAL ShardObserverSet {
 
   /// Completions/decisions of requests issued before `t` are excluded
   /// from records: every lane's flight recorder applies it on completion,
-  /// the decision replay at harvest.
+  /// the decision replay at each flush. Set before the run.
   void set_measure_from(sim::Time t);
 
   /// Names a trace thread on every lane (merge takes the union).
@@ -96,19 +118,14 @@ class NETRS_COORD_GLOBAL ShardObserverSet {
   /// the rings with the configured capacity.
   [[nodiscard]] TraceSnapshot take_trace() const;
 
-  /// The registry's sampled series, moved out (MetricsRegistry::take()),
-  /// so this harvests once per repeat.
-  [[nodiscard]] MetricsSnapshot take_metrics() { return metrics_.take(); }
-
-  /// Every lane's flight records in canonical order (merge_flights()).
-  /// The records are moved out of the lanes, so this harvests once per
-  /// repeat.
-  [[nodiscard]] FlightSnapshot take_flight();
-
-  /// Canonical replay of every lane's decision log (replay_decisions()
-  /// with the configured herd window). The logs are moved out of the
-  /// lanes, so this harvests once per repeat.
-  [[nodiscard]] DecisionSnapshot take_decisions();
+  /// Moves everything the lanes recorded before `watermark` into `chunk`
+  /// (after what it holds): the flight records (merge_flights()), the
+  /// replayed decisions (DecisionReplay with kHerdWindow), and every
+  /// metric row sampled so far (the rows only: the column layout is
+  /// metrics().layout()). Call it at engine quiescence, with every
+  /// event before the watermark run and none after it; the final flush
+  /// after the drain passes the largest sim::Time.
+  void flush(sim::Time watermark, ObsChunk& chunk);
 
   /// Per-ring recorded/dropped counts: one entry per shard lane, plus a
   /// final coordinator entry when a separate coordinator observer exists.
@@ -116,10 +133,13 @@ class NETRS_COORD_GLOBAL ShardObserverSet {
 
  private:
   ObsConfig cfg_;
-  sim::Time measure_from_ = 0;
   MetricsRegistry metrics_;
   std::vector<std::unique_ptr<Observer>> lanes_;
   std::unique_ptr<Observer> coord_;  // null when lanes() == 1
+  // Every recorder of the lanes plus the coordinator, in that order.
+  std::vector<FlightRecorder*> flight_lanes_;
+  std::vector<DecisionRecorder*> decision_lanes_;
+  DecisionReplay replay_{kHerdWindow, 0};
 };
 
 }  // namespace netrs::obs

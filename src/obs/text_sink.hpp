@@ -21,6 +21,7 @@
 #include <concepts>
 #include <cstddef>
 #include <cstdint>
+#include <cstdio>
 #include <cstring>
 #include <memory>
 #include <ostream>
@@ -50,10 +51,11 @@ char* write_metric_value(char* out, double v);
 /// kMaxNumberChars bytes of room); returns one past the last char.
 char* write_time_us(char* out, sim::Time t);
 
-/// Buffered, allocation-free-per-field text writer over a std::ostream.
-/// Owns one 64 KiB buffer; every put*() appends to it and the buffer goes
-/// to the stream in one write() when full, on flush(), and on
-/// destruction. Used by the coordinator after the run (write phase).
+/// Buffered, allocation-free-per-field text writer over a std::ostream or
+/// a C stream. Owns one 64 KiB buffer; every put*() appends to it and the
+/// buffer goes to the stream in one write() when full, on flush(), and on
+/// destruction. The harness's obs writer threads each own one per output
+/// file for the whole repeat (DESIGN.md §8.6).
 class NETRS_COORD_GLOBAL TextSink {
  public:
   /// Buffer size: one stream write() per this many bytes of output.
@@ -61,7 +63,12 @@ class NETRS_COORD_GLOBAL TextSink {
 
   /// Creates a sink appending to `os` (allocates the buffer once).
   explicit TextSink(std::ostream& os)
-      : os_(os), buf_(std::make_unique_for_overwrite<char[]>(kCapacity)) {}
+      : os_(&os), buf_(std::make_unique_for_overwrite<char[]>(kCapacity)) {}
+  /// Creates a sink appending to the open C stream `file`, which it does
+  /// not own (allocates the buffer once).
+  explicit TextSink(std::FILE* file)
+      : file_(file),
+        buf_(std::make_unique_for_overwrite<char[]>(kCapacity)) {}
   /// Flushes what is left.
   ~TextSink() { flush(); }
 
@@ -80,7 +87,7 @@ class NETRS_COORD_GLOBAL TextSink {
     if (s.size() > kCapacity - len_) {
       flush();
       if (s.size() > kCapacity) {
-        os_.write(s.data(), static_cast<std::streamsize>(s.size()));
+        write(s.data(), s.size());
         return *this;
       }
     }
@@ -117,17 +124,27 @@ class NETRS_COORD_GLOBAL TextSink {
   /// Hands the buffered bytes to the stream in one write().
   void flush() {
     if (len_ == 0) return;
-    os_.write(buf_.get(), static_cast<std::streamsize>(len_));
+    write(buf_.get(), len_);
     len_ = 0;
   }
 
  private:
+  /// Writes `n` bytes at `p` to the destination stream.
+  void write(const char* p, std::size_t n) {
+    if (file_ != nullptr) {
+      std::fwrite(p, 1, n, file_);
+    } else {
+      os_->write(p, static_cast<std::streamsize>(n));
+    }
+  }
+
   /// Makes room for `n` more bytes (n <= kCapacity).
   void room(std::size_t n) {
     if (kCapacity - len_ < n) flush();
   }
 
-  std::ostream& os_;
+  std::ostream* os_ = nullptr;
+  std::FILE* file_ = nullptr;
   std::unique_ptr<char[]> buf_;
   std::size_t len_ = 0;
 };

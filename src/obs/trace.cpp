@@ -173,28 +173,28 @@ std::string json_escape(std::string_view s) {
   return out;
 }
 
-void write_chrome_trace(std::ostream& os,
-                        const std::vector<TraceSnapshot>& repeats) {
-  TextSink out(os);
-  out.put("{\"traceEvents\":[");
-  std::string_view sep = "\n";
-  for (std::size_t rep = 0; rep < repeats.size(); ++rep) {
-    const TraceSnapshot& snap = repeats[rep];
-    out.put(sep);
-    sep = ",\n";
-    char pid[kMaxNumberChars];
-    const std::string_view pid_text(
-        pid, static_cast<std::size_t>(write_int(pid, rep) - pid));
-    write_metadata(out, "process_name", rep, -1, "repeat ", pid_text);
-    for (const auto& [tid, name] : snap.tid_names) {
-      out.put(sep);
-      write_metadata(out, "thread_name", rep, tid, "", name);
-    }
-    for (const TraceEvent& e : snap.events) {
-      out.put(sep);
-      write_event(out, e, rep);
-    }
+void write_trace_begin(TextSink& out) { out.put("{\"traceEvents\":["); }
+
+void write_trace_repeat(TextSink& out, std::size_t repeat,
+                        const TraceSnapshot& snap) {
+  // Every section opens with its process name, so only repeat 0's first
+  // entry goes without a separator.
+  out.put(repeat == 0 ? "\n" : ",\n");
+  char pid[kMaxNumberChars];
+  const std::string_view pid_text(
+      pid, static_cast<std::size_t>(write_int(pid, repeat) - pid));
+  write_metadata(out, "process_name", repeat, -1, "repeat ", pid_text);
+  for (const auto& [tid, name] : snap.tid_names) {
+    out.put(",\n");
+    write_metadata(out, "thread_name", repeat, tid, "", name);
   }
+  for (const TraceEvent& e : snap.events) {
+    out.put(",\n");
+    write_event(out, e, repeat);
+  }
+}
+
+void write_trace_end(TextSink& out) {
   out.put("\n],\"displayTimeUnit\":\"ns\"}\n");
 }
 

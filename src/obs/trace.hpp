@@ -4,8 +4,9 @@
 // instants keyed by the packet's simulation-side request id) into a
 // bounded ring buffer; when the buffer is full the oldest events are
 // overwritten, so memory stays bounded no matter how long the run is.
-// After the run the retained events are emitted as Chrome trace-event
-// JSON ("traceEvents" array), loadable in Perfetto / chrome://tracing.
+// At the end of each repeat the retained events are emitted as that
+// repeat's section of a Chrome trace-event JSON file ("traceEvents"
+// array), loadable in Perfetto / chrome://tracing.
 //
 // Determinism contract: recording is observation-only (no RNG, no
 // wall-clock, no feedback into simulated behavior), entry order is the
@@ -17,11 +18,11 @@
 
 #include <cstdint>
 #include <map>
-#include <ostream>
 #include <string>
 #include <string_view>
 #include <vector>
 
+#include "obs/text_sink.hpp"
 #include "sim/affinity.hpp"
 #include "sim/time.hpp"
 
@@ -58,7 +59,7 @@ struct NETRS_SHARED_IMMUTABLE TraceEvent {
 
 /// Bounded ring buffer of TraceEvents. Capacity 0 disables recording
 /// entirely (record() is a cheap early-out branch). One ring per shard's
-/// Observer; merge_traces() folds the rings at harvest time.
+/// Observer; merge_traces() folds the rings at the end of the repeat.
 class NETRS_SHARD_LOCAL TraceRing {
  public:
   /// Creates a ring retaining at most `capacity` events (0 = disabled).
@@ -138,14 +139,20 @@ struct NETRS_SHARED_IMMUTABLE TraceSnapshot {
 /// non-ASCII UTF-8 bytes — passes through unchanged.
 [[nodiscard]] std::string json_escape(std::string_view s);
 
-/// Writes the Chrome trace-event JSON for a set of per-repeat snapshots.
-/// Repeat r becomes process pid=r (named "repeat r"); tids keep their
-/// NodeId values and the registered thread names. Timestamps are emitted
-/// in microseconds with exact nanosecond remainders (integer arithmetic,
-/// locale-independent), so output is byte-stable across runs and --jobs
-/// values. Written through one buffered TextSink; json_escape() runs only
-/// on names that need it.
-void write_chrome_trace(std::ostream& os,
-                        const std::vector<TraceSnapshot>& repeats);
+/// Writes the opening of the Chrome trace-event JSON file.
+void write_trace_begin(TextSink& out);
+
+/// Writes one repeat's section: repeat r becomes process pid=r (named
+/// "repeat r"); tids keep their NodeId values and the registered thread
+/// names. Timestamps are emitted in microseconds with exact nanosecond
+/// remainders (integer arithmetic, locale-independent), so output is
+/// byte-stable across runs and --jobs values. json_escape() runs only on
+/// names that need it. Sections written in repeat order between
+/// write_trace_begin() and write_trace_end() make the file.
+void write_trace_repeat(TextSink& out, std::size_t repeat,
+                        const TraceSnapshot& snap);
+
+/// Writes the closing of the trace file.
+void write_trace_end(TextSink& out);
 
 }  // namespace netrs::obs

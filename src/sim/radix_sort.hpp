@@ -1,9 +1,8 @@
 // Stable LSD radix sort on 64-bit unsigned keys.
 //
-// The obs harvest sorts ~10^5 flat records per repeat by integer keys
-// (request ids, simulated times, trace tids) and the report sorts every
-// latency recorder's samples; a comparison sort spends most of that time
-// on O(n log n) comparisons of large records. radix_sort() does one
+// The report sorts every latency recorder's samples (~10^5 per recorder
+// per repeat); a comparison sort spends most of that time on O(n log n)
+// comparisons. radix_sort() does one
 // histogram pass plus one stable scatter pass per key byte that actually
 // varies (a byte equal in every key is skipped), so a sort by a compound
 // key (a, b) is radix_sort by b, then by a — the same order a stable

@@ -5,6 +5,7 @@
 #include <cassert>
 #include <cmath>
 #include <limits>
+#include <utility>
 
 #include "sim/radix_sort.hpp"
 
@@ -84,6 +85,19 @@ void LatencyRecorder::merge(const LatencyRecorder& other) {
                   other.samples_.end());
   sum_ += other.sum_;
   sorted_ = was_empty && other.sorted_;
+}
+
+void LatencyRecorder::merge(LatencyRecorder&& other) {
+  if (!samples_.empty()) {
+    merge(other);
+    return;
+  }
+  if (other.samples_.empty()) return;
+  // 0.0 + other.sum_ == other.sum_: the copying merge's result exactly.
+  samples_ = std::move(other.samples_);
+  sum_ = other.sum_;
+  sorted_ = other.sorted_;
+  other.clear();
 }
 
 void LatencyRecorder::clear() {

@@ -52,6 +52,8 @@ class LatencyRecorder {
 
   /// Merges another recorder's samples into this one.
   void merge(const LatencyRecorder& other);
+  /// Same, but takes `other`'s storage when this recorder is empty.
+  void merge(LatencyRecorder&& other);
 
   /// Discards all samples.
   void clear();

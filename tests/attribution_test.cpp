@@ -1,8 +1,9 @@
 // Flight-recorder and decision-auditor tests (DESIGN.md §8.4-§8.6):
 // hand-built oracle-regret scenarios with exact expected values, the
-// canonical merge rules of merge_flights()/replay_decisions() across
-// per-shard lanes, the telescoping invariant (components sum to the
-// measured end-to-end latency for every record), determinism with
+// canonical merge rules of merge_flights() and DecisionReplay across
+// per-shard lanes, chunked flushes at random watermarks writing the same
+// CSV bytes as one flush, the telescoping invariant (components sum to
+// the measured end-to-end latency for every record), determinism with
 // recording on at any --jobs value, and the paper's causal claim —
 // in-network selection (NetRS-ILP) decides on fresher information and
 // closer to the oracle than client-side C3.
@@ -11,6 +12,7 @@
 #include <cstdint>
 #include <cstring>
 #include <fstream>
+#include <limits>
 #include <sstream>
 #include <string>
 #include <utility>
@@ -19,14 +21,19 @@
 #include "harness/experiment.hpp"
 #include "obs/attribution.hpp"
 #include "obs/decision.hpp"
+#include "obs/text_sink.hpp"
 #include "sim/audit.hpp"
+#include "sim/rng.hpp"
 
 namespace netrs {
 namespace {
 
+// The final flush's watermark: everything the lanes hold.
+constexpr sim::Time kForever = std::numeric_limits<sim::Time>::max();
+
 // ---------------------------------------------------------------------------
 // FlightRecorder unit tests: hand-stamped winning responses with exact
-// sums, harvested through merge_flights() as the harness does.
+// sums, flushed through merge_flights() as the harness does.
 
 // The flight stamps of a copy that crossed no accelerator.
 net::PacketMeta server_stamps(sim::Time arrival, sim::Time start,
@@ -53,10 +60,12 @@ net::PacketMeta accel_and_server_stamps(sim::Time accel_arrival,
   return m;
 }
 
+// Everything `rec` holds as one chunk, as the harness's final flush.
 obs::FlightSnapshot harvest(obs::FlightRecorder& rec) {
-  std::vector<obs::FlightSnapshot> lanes;
-  lanes.push_back(rec.take());
-  return obs::merge_flights(std::move(lanes));
+  obs::FlightSnapshot chunk;
+  obs::FlightRecorder* const lanes[] = {&rec};
+  obs::merge_flights(lanes, kForever, chunk);
+  return chunk;
 }
 
 TEST(FlightRecorderTest, AccelPathTelescopesExactly) {
@@ -145,7 +154,7 @@ TEST(FlightRecorderTest, DisabledRecorderIgnoresHooks) {
   obs::FlightRecorder rec(false);
   rec.on_complete(1, 0, 0, 0, 500, server_stamps(0, 0, 100));
   rec.on_complete(2, 0, 0, 0, 500, net::PacketMeta{});
-  const obs::FlightSnapshot snap = rec.take();
+  const obs::FlightSnapshot snap = harvest(rec);
   EXPECT_TRUE(snap.records.empty());
   EXPECT_EQ(snap.unmatched, 0u);
   EXPECT_EQ(snap.warmup_skipped, 0u);
@@ -155,27 +164,30 @@ TEST(FlightRecorderTest, LaneMergeRestoresCompletionOrder) {
   // As in a sharded run: clients on different shards complete requests
   // into their own lanes; the merge yields one (completion time, request
   // id) order whichever lane holds what.
-  obs::FlightRecorder lane_a(true);
-  obs::FlightRecorder lane_b(true);
   const net::PacketMeta stamps = server_stamps(2400, 2500, 4000);
-  // Lane a: request 9 then request 7, both completing at 7000 ns (the
-  // order the shard's events ran in, not id order).
-  lane_a.on_complete(9, 1000, 1000, 3, 7000, stamps);
-  lane_a.on_complete(7, 1000, 1000, 3, 7000, stamps);
-  lane_a.on_complete(4, 1000, 1000, 3, 9000, stamps);
-  // Lane b: request 8 completes between them; one warmup completion and
-  // one unmatched completion add to the counts.
-  lane_b.set_measure_from(500);
-  lane_b.on_complete(8, 1000, 1000, 3, 8000, stamps);
-  lane_b.on_complete(6, /*first_send=*/100, 100, 3, 8500, stamps);
-  lane_b.on_complete(5, 1000, 1000, 3, 8600, net::PacketMeta{});
-  const obs::FlightSnapshot a = lane_a.take();
-  const obs::FlightSnapshot b = lane_b.take();
+  const auto fill = [&stamps](obs::FlightRecorder& lane_a,
+                              obs::FlightRecorder& lane_b) {
+    // Lane a: request 9 then request 7, both completing at 7000 ns (the
+    // order the shard's events ran in, not id order).
+    lane_a.on_complete(9, 1000, 1000, 3, 7000, stamps);
+    lane_a.on_complete(7, 1000, 1000, 3, 7000, stamps);
+    lane_a.on_complete(4, 1000, 1000, 3, 9000, stamps);
+    // Lane b: request 8 completes between them; one warmup completion
+    // and one unmatched completion add to the counts.
+    lane_b.set_measure_from(500);
+    lane_b.on_complete(8, 1000, 1000, 3, 8000, stamps);
+    lane_b.on_complete(6, /*first_send=*/100, 100, 3, 8500, stamps);
+    lane_b.on_complete(5, 1000, 1000, 3, 8600, net::PacketMeta{});
+  };
 
-  for (const std::vector<obs::FlightSnapshot>& lanes :
-       {std::vector<obs::FlightSnapshot>{a, b},
-        std::vector<obs::FlightSnapshot>{b, a}}) {
-    const obs::FlightSnapshot snap = obs::merge_flights(lanes);
+  for (const bool a_first : {true, false}) {
+    obs::FlightRecorder lane_a(true);
+    obs::FlightRecorder lane_b(true);
+    fill(lane_a, lane_b);
+    obs::FlightRecorder* const lanes[] = {a_first ? &lane_a : &lane_b,
+                                          a_first ? &lane_b : &lane_a};
+    obs::FlightSnapshot snap;
+    obs::merge_flights(lanes, kForever, snap);
     ASSERT_EQ(snap.records.size(), 4u);
     EXPECT_EQ(snap.records[0].request_id, 7u);  // same instant: id order
     EXPECT_EQ(snap.records[1].request_id, 9u);
@@ -191,10 +203,126 @@ TEST(FlightRecorderTest, LaneMergeRestoresCompletionOrder) {
   }
 }
 
+TEST(FlightRecorderTest, SameInstantCompletionsAtTheWatermarkWaitForTheNextChunk) {
+  // Two lanes complete requests at exactly the watermark: they are not
+  // before it, so they stay in their lanes and open the next chunk, in id
+  // order across the lanes.
+  const net::PacketMeta stamps = server_stamps(2400, 2500, 4000);
+  obs::FlightRecorder lane_a(true);
+  obs::FlightRecorder lane_b(true);
+  lane_a.on_complete(3, 1000, 1000, 1, 4999, stamps);
+  lane_a.on_complete(12, 1000, 1000, 1, 5000, stamps);
+  lane_b.on_complete(11, 1000, 1000, 2, 5000, stamps);
+  lane_b.on_complete(2, 1000, 1000, 2, 6000, stamps);
+  obs::FlightRecorder* const lanes[] = {&lane_a, &lane_b};
+
+  obs::FlightSnapshot first;
+  obs::merge_flights(lanes, 5000, first);
+  ASSERT_EQ(first.records.size(), 1u);
+  EXPECT_EQ(first.records[0].request_id, 3u);
+
+  obs::FlightSnapshot second;
+  obs::merge_flights(lanes, kForever, second);
+  ASSERT_EQ(second.records.size(), 3u);
+  EXPECT_EQ(second.records[0].request_id, 11u);
+  EXPECT_EQ(second.records[1].request_id, 12u);
+  EXPECT_EQ(second.records[2].request_id, 2u);
+}
+
+// The attribution CSV rows of `chunks`, written in order.
+std::string attribution_rows(const std::vector<obs::FlightSnapshot>& chunks) {
+  std::ostringstream os;
+  {
+    obs::TextSink out(os);
+    for (const obs::FlightSnapshot& chunk : chunks) {
+      obs::write_attribution_rows(out, 0, chunk);
+    }
+  }
+  return os.str();
+}
+
+TEST(FlightRecorderTest, ChunkedFlushesWriteTheBytesOfOneFlush) {
+  // Random lanes: completions on a coarse time grid (so same-instant
+  // completions land in one lane and across lanes), some in warmup and
+  // some unmatched. Flushing at random watermarks must write the same
+  // rows as one flush after the run.
+  sim::Rng rng(41);
+  for (int trial = 0; trial < 40; ++trial) {
+    const std::size_t lane_count = 1 + rng.uniform(4);
+    struct Completion {
+      std::size_t lane;
+      std::uint64_t id;
+      sim::Time first_send, now;
+      bool stamped;
+    };
+    std::vector<Completion> log;
+    sim::Time now = 0;
+    for (std::uint64_t id = 1; id <= 300; ++id) {
+      now += static_cast<sim::Time>(rng.uniform(3)) * 1000;
+      const sim::Time first_send =
+          now - 500 - static_cast<sim::Time>(rng.uniform(4000));
+      // Ids are unique, as request ids are, but not in completion order.
+      log.push_back({rng.uniform(lane_count), rng.uniform(1000) * 1000 + id,
+                     first_send, now, !rng.bernoulli(0.02)});
+    }
+    const sim::Time measure_from = static_cast<sim::Time>(rng.uniform(50'000));
+    const auto record = [&](std::vector<obs::FlightRecorder>& lanes) {
+      for (obs::FlightRecorder& lane : lanes) {
+        lane.set_measure_from(measure_from);
+      }
+      for (const Completion& c : log) {
+        lanes[c.lane].on_complete(
+            c.id, c.first_send, c.first_send, 1, c.now,
+            c.stamped ? server_stamps(c.first_send + 100, c.first_send + 200,
+                                      300)
+                      : net::PacketMeta{});
+      }
+    };
+    const auto pointers = [](std::vector<obs::FlightRecorder>& lanes) {
+      std::vector<obs::FlightRecorder*> out;
+      for (obs::FlightRecorder& lane : lanes) out.push_back(&lane);
+      return out;
+    };
+
+    std::vector<obs::FlightRecorder> one_lanes(lane_count,
+                                               obs::FlightRecorder(true));
+    record(one_lanes);
+    std::vector<obs::FlightSnapshot> one(1);
+    obs::merge_flights(pointers(one_lanes), kForever, one[0]);
+
+    std::vector<obs::FlightRecorder> chunk_lanes(lane_count,
+                                                 obs::FlightRecorder(true));
+    record(chunk_lanes);
+    std::vector<obs::FlightSnapshot> chunks;
+    sim::Time watermark = 0;
+    while (watermark < now) {
+      // Watermarks on the completion grid, so some fall exactly on
+      // completions.
+      watermark += static_cast<sim::Time>(rng.uniform(20)) * 1000;
+      obs::merge_flights(pointers(chunk_lanes), watermark,
+                         chunks.emplace_back());
+    }
+    obs::merge_flights(pointers(chunk_lanes), kForever,
+                       chunks.emplace_back());
+
+    ASSERT_FALSE(one[0].records.empty());
+    EXPECT_EQ(attribution_rows(chunks), attribution_rows(one))
+        << "trial " << trial;
+    std::uint64_t skipped = 0;
+    std::uint64_t unmatched = 0;
+    for (const obs::FlightSnapshot& chunk : chunks) {
+      skipped += chunk.warmup_skipped;
+      unmatched += chunk.unmatched;
+    }
+    EXPECT_EQ(skipped, one[0].warmup_skipped);
+    EXPECT_EQ(unmatched, one[0].unmatched);
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Decision-auditor unit tests: two servers with known true state, so the
-// oracle regret is exact arithmetic. Harvested through replay_decisions()
-// as the harness does.
+// oracle regret is exact arithmetic. Replayed through a DecisionReplay as
+// the harness does.
 
 void journal_two_servers(obs::DecisionRecorder& rec) {
   // Server 1: idle, mean 4 ms, Np=1 -> cost 4 ms. Server 2: 4 queued,
@@ -205,10 +333,14 @@ void journal_two_servers(obs::DecisionRecorder& rec) {
                       sim::millis(4));
 }
 
+// Everything `rec` logged, replayed as one chunk.
 obs::DecisionSnapshot replay(obs::DecisionRecorder& rec,
                              sim::Time measure_from = 0) {
-  return obs::replay_decisions({rec.take_log()}, sim::millis(1),
-                               measure_from);
+  obs::DecisionReplay replay(sim::millis(1), measure_from);
+  obs::DecisionSnapshot chunk;
+  obs::DecisionRecorder* const lanes[] = {&rec};
+  replay.flush(lanes, kForever, chunk);
+  return chunk;
 }
 
 TEST(DecisionRecorderTest, PickingLoadedServerHasExactPositiveRegret) {
@@ -336,20 +468,18 @@ TEST(DecisionRecorderTest, CandidateFirstJournaledAfterDecisionHasNoRegret) {
 TEST(DecisionRecorderTest, SameInstantPicksFromTwoLogsOrderByNodeThenSeq) {
   // Two shards decide at the same instant. Node 5 (logged first, in its
   // own log) decides twice; node 3 once.
-  obs::DecisionRecorder shard_a(true);
-  obs::DecisionRecorder shard_b(true);
   const std::vector<net::HostId> cand = {1, 2, 3};
-  shard_a.on_decision(5, sim::micros(100), cand, /*chosen=*/1, {}, {});
-  shard_a.on_decision(5, sim::micros(100), cand, /*chosen=*/2, {}, {});
-  shard_b.on_decision(3, sim::micros(100), cand, /*chosen=*/3, {}, {});
-  const obs::DecisionLog a = shard_a.take_log();
-  const obs::DecisionLog b = shard_b.take_log();
-
-  for (const std::vector<obs::DecisionLog>& logs :
-       {std::vector<obs::DecisionLog>{a, b},
-        std::vector<obs::DecisionLog>{b, a}}) {
-    const obs::DecisionSnapshot snap =
-        obs::replay_decisions(logs, sim::millis(1), 0);
+  for (const bool a_first : {true, false}) {
+    obs::DecisionRecorder shard_a(true);
+    obs::DecisionRecorder shard_b(true);
+    shard_a.on_decision(5, sim::micros(100), cand, /*chosen=*/1, {}, {});
+    shard_a.on_decision(5, sim::micros(100), cand, /*chosen=*/2, {}, {});
+    shard_b.on_decision(3, sim::micros(100), cand, /*chosen=*/3, {}, {});
+    obs::DecisionRecorder* const lanes[] = {a_first ? &shard_a : &shard_b,
+                                            a_first ? &shard_b : &shard_a};
+    obs::DecisionReplay replay(sim::millis(1), 0);
+    obs::DecisionSnapshot snap;
+    replay.flush(lanes, kForever, snap);
     ASSERT_EQ(snap.records.size(), 3u);
     EXPECT_EQ(snap.records[0].node, 3);
     EXPECT_EQ(snap.records[0].chosen, 3u);
@@ -361,6 +491,192 @@ TEST(DecisionRecorderTest, SameInstantPicksFromTwoLogsOrderByNodeThenSeq) {
     EXPECT_DOUBLE_EQ(snap.records[0].herd, 1.0);
     EXPECT_DOUBLE_EQ(snap.records[1].herd, 0.5);
     EXPECT_DOUBLE_EQ(snap.records[2].herd, 1.0 / 3.0);
+  }
+}
+
+TEST(DecisionReplayTest, HerdWindowStraddlesAFlush) {
+  // Picks at 0.2, 0.6 and 0.9 ms, a flush at 1 ms, then a pick at 1.3 ms:
+  // its 1 ms window still holds the last two picks of the first chunk.
+  obs::DecisionRecorder rec(true);
+  const std::vector<net::HostId> cand = {1, 2};
+  rec.on_decision(0, sim::micros(200), cand, 1, {}, {});
+  rec.on_decision(0, sim::micros(600), cand, 1, {}, {});
+  rec.on_decision(0, sim::micros(900), cand, 2, {}, {});
+  obs::DecisionRecorder* const lanes[] = {&rec};
+  obs::DecisionReplay replay(sim::millis(1), 0);
+  obs::DecisionSnapshot first;
+  replay.flush(lanes, sim::millis(1), first);
+  ASSERT_EQ(first.records.size(), 3u);
+
+  rec.on_decision(0, sim::micros(1300), cand, 2, {}, {});
+  obs::DecisionSnapshot second;
+  replay.flush(lanes, kForever, second);
+  ASSERT_EQ(second.records.size(), 1u);
+  // 0.2 ms left the window at 1.3 ms; {1, 2, 2} remain.
+  EXPECT_DOUBLE_EQ(second.records[0].herd, 2.0 / 3.0);
+  EXPECT_EQ(first.observed + second.observed, 4u);
+}
+
+TEST(DecisionReplayTest, MeasureFromInsideAChunkStartsTheRecordsThere) {
+  // measure_from at 0.5 ms falls inside the first chunk [0, 1 ms): the
+  // earlier picks feed the herd window but produce no records.
+  obs::DecisionRecorder rec(true);
+  const std::vector<net::HostId> cand = {1, 2};
+  rec.on_decision(0, sim::micros(100), cand, 1, {}, {});
+  rec.on_decision(0, sim::micros(400), cand, 1, {}, {});
+  rec.on_decision(0, sim::micros(700), cand, 2, {}, {});
+  rec.on_decision(0, sim::micros(1200), cand, 1, {}, {});
+  obs::DecisionRecorder* const lanes[] = {&rec};
+  obs::DecisionReplay replay(sim::millis(1), sim::micros(500));
+  obs::DecisionSnapshot first;
+  replay.flush(lanes, sim::millis(1), first);
+  EXPECT_EQ(first.observed, 3u);
+  ASSERT_EQ(first.records.size(), 1u);
+  EXPECT_DOUBLE_EQ(first.records[0].herd, 1.0 / 3.0);  // {1, 1, 2}
+  obs::DecisionSnapshot second;
+  replay.flush(lanes, kForever, second);
+  ASSERT_EQ(second.records.size(), 1u);
+  // 0.1 ms left the window at 1.2 ms: {1, 2, 1}.
+  EXPECT_DOUBLE_EQ(second.records[0].herd, 2.0 / 3.0);
+}
+
+TEST(DecisionReplayTest, HostJournaledBeforeTheChunkKeepsItsState) {
+  // Both servers journal only at t=0; the decision at 3 ms, two chunks
+  // later, is scored against those carried states.
+  obs::DecisionRecorder rec(true);
+  journal_two_servers(rec);
+  obs::DecisionRecorder* const lanes[] = {&rec};
+  obs::DecisionReplay replay(sim::millis(1), 0);
+  obs::DecisionSnapshot chunk;
+  replay.flush(lanes, sim::millis(1), chunk);
+  replay.flush(lanes, sim::millis(2), chunk);
+  const std::vector<net::HostId> cand = {1, 2};
+  rec.on_decision(0, sim::millis(3), cand, /*chosen=*/2, {}, {});
+  replay.flush(lanes, kForever, chunk);
+  ASSERT_EQ(chunk.records.size(), 1u);
+  ASSERT_TRUE(chunk.records[0].has_regret);
+  EXPECT_DOUBLE_EQ(chunk.records[0].regret_ns, 16.0 * 1e6);
+}
+
+// The decision CSV rows of `chunks`, written in order.
+std::string decision_rows(const std::vector<obs::DecisionSnapshot>& chunks) {
+  std::ostringstream os;
+  {
+    obs::TextSink out(os);
+    for (const obs::DecisionSnapshot& chunk : chunks) {
+      obs::write_decision_rows(out, 0, chunk);
+    }
+  }
+  return os.str();
+}
+
+TEST(DecisionReplayTest, ChunkedFlushesWriteTheBytesOfOneFlush) {
+  // Random lanes, as a sharded run logs them: every node and every server
+  // lives on one lane, picks and journal entries arrive in time order on
+  // a coarse grid (same-instant picks within and across lanes), some
+  // servers journal only at t=0, and measure_from falls anywhere. Each
+  // lane is fed only up to a watermark before that watermark's flush,
+  // as the engine does. The chunked replay must write the rows of one
+  // replay after the run.
+  sim::Rng rng(43);
+  for (int trial = 0; trial < 40; ++trial) {
+    const std::size_t lane_count = 1 + rng.uniform(4);
+    constexpr std::uint32_t kHosts = 8;
+    struct Event {
+      sim::Time t;
+      bool pick;
+      std::int32_t node;  // pick: the deciding node
+      net::HostId host;   // journal: the server; pick: the chosen one
+      std::vector<net::HostId> cand;
+      std::vector<double> scores;
+      std::vector<sim::Duration> ages;
+      std::uint32_t queue;
+    };
+    std::vector<Event> log;
+    // Hosts below 2 journal only their t=0 state.
+    for (net::HostId h = 0; h < kHosts; ++h) {
+      log.push_back({0, false, 0, h, {}, {}, {}, h});
+    }
+    sim::Time t = 0;
+    for (int i = 0; i < 400; ++i) {
+      t += static_cast<sim::Time>(rng.uniform(3)) * sim::micros(100);
+      Event e{t, rng.bernoulli(0.6), 0, 0, {}, {}, {}, 0};
+      if (e.pick) {
+        e.node = static_cast<std::int32_t>(rng.uniform(6));
+        std::vector<net::HostId> all = {0, 1, 2, 3, 4, 5, 6, 7, 8};
+        for (int c = 0; c < 3; ++c) {
+          const std::size_t j = c + rng.uniform(all.size() - c);
+          std::swap(all[c], all[j]);
+          e.cand.push_back(all[c]);
+          e.scores.push_back(rng.next_double());
+          e.ages.push_back(rng.bernoulli(0.1)
+                               ? -1
+                               : static_cast<sim::Duration>(rng.uniform(9000)));
+        }
+        e.host = e.cand[rng.uniform(3)];
+        if (rng.bernoulli(0.2)) e.scores.clear();
+      } else {
+        e.host = static_cast<net::HostId>(2 + rng.uniform(kHosts - 2));
+        e.queue = static_cast<std::uint32_t>(rng.uniform(10));
+      }
+      log.push_back(std::move(e));
+    }
+    const sim::Time measure_from = static_cast<sim::Time>(
+        rng.uniform(static_cast<std::uint64_t>(t / 2)));
+    const auto lane_of = [lane_count](const Event& e) {
+      return e.pick ? static_cast<std::size_t>(e.node) % lane_count
+                    : std::size_t{e.host} % lane_count;
+    };
+    // Feeds the events before `until`, from `next` on, to their lanes.
+    const auto feed = [&](std::vector<obs::DecisionRecorder>& lanes,
+                          std::size_t& next, sim::Time until) {
+      for (; next < log.size() && log[next].t < until; ++next) {
+        const Event& e = log[next];
+        obs::DecisionRecorder& lane = lanes[lane_of(e)];
+        if (e.pick) {
+          lane.on_decision(e.node, e.t, e.cand, e.host, e.scores, e.ages);
+        } else {
+          lane.on_server_state(e.host, e.t, e.queue, 1 + e.host % 3,
+                               sim::micros(100 + 50 * e.host));
+        }
+      }
+    };
+    const auto pointers = [](std::vector<obs::DecisionRecorder>& lanes) {
+      std::vector<obs::DecisionRecorder*> out;
+      for (obs::DecisionRecorder& lane : lanes) out.push_back(&lane);
+      return out;
+    };
+
+    std::vector<obs::DecisionRecorder> one_lanes(lane_count,
+                                                 obs::DecisionRecorder(true));
+    std::size_t next = 0;
+    feed(one_lanes, next, kForever);
+    obs::DecisionReplay one_replay(sim::millis(1), measure_from);
+    std::vector<obs::DecisionSnapshot> one(1);
+    one_replay.flush(pointers(one_lanes), kForever, one[0]);
+
+    std::vector<obs::DecisionRecorder> chunk_lanes(
+        lane_count, obs::DecisionRecorder(true));
+    obs::DecisionReplay chunk_replay(sim::millis(1), measure_from);
+    std::vector<obs::DecisionSnapshot> chunks;
+    next = 0;
+    sim::Time watermark = 0;
+    while (next < log.size()) {
+      watermark += static_cast<sim::Time>(rng.uniform(12)) * sim::micros(100);
+      feed(chunk_lanes, next, watermark);
+      chunk_replay.flush(pointers(chunk_lanes), watermark,
+                         chunks.emplace_back());
+    }
+    chunk_replay.flush(pointers(chunk_lanes), kForever,
+                       chunks.emplace_back());
+
+    ASSERT_FALSE(one[0].records.empty());
+    EXPECT_EQ(decision_rows(chunks), decision_rows(one)) << "trial " << trial;
+    std::uint64_t observed = 0;
+    for (const obs::DecisionSnapshot& chunk : chunks) {
+      observed += chunk.observed;
+    }
+    EXPECT_EQ(observed, one[0].observed);
   }
 }
 

@@ -103,37 +103,55 @@ TEST(ObsIntegrationTest, HarvestAndWritePhasesAreTimedOnlyWithObs) {
   EXPECT_GT(r.write_seconds, 0.0);
 }
 
-TEST(ObsIntegrationTest, TraceAndMetricsBytesIdenticalAcrossJobs) {
-  ExperimentConfig cfg = small_config();
-  cfg.obs.trace_path = ::testing::TempDir() + "obs_itest_j1.json";
-  cfg.obs.metrics_path = ::testing::TempDir() + "obs_itest_j1.csv";
-  cfg.jobs = 1;
-  const std::uint64_t d1 = result_digest(run_experiment(Scheme::kCliRS, cfg));
-
-  cfg.obs.trace_path = ::testing::TempDir() + "obs_itest_j4.json";
-  cfg.obs.metrics_path = ::testing::TempDir() + "obs_itest_j4.csv";
-  cfg.jobs = 4;
-  const std::uint64_t d4 = result_digest(run_experiment(Scheme::kCliRS, cfg));
-
-  EXPECT_EQ(d1, d4);
-  const std::string t1 = slurp(::testing::TempDir() + "obs_itest_j1.json");
-  const std::string t4 = slurp(::testing::TempDir() + "obs_itest_j4.json");
-  EXPECT_FALSE(t1.empty());
-  EXPECT_EQ(t1, t4) << "trace JSON differs between --jobs 1 and --jobs 4";
-
-  const std::string m1 = slurp(::testing::TempDir() + "obs_itest_j1.csv");
-  const std::string m4 = slurp(::testing::TempDir() + "obs_itest_j4.csv");
-  EXPECT_FALSE(m1.empty());
-  EXPECT_EQ(m1, m4) << "metrics CSV differs between --jobs 1 and --jobs 4";
+TEST(ObsIntegrationTest, ObsFileBytesIdenticalAcrossJobs) {
+  // Three repeats at --jobs 4 run at once: repeat 0 streams into the
+  // files, repeats 1 and 2 into spools appended afterwards in repeat
+  // order. All four files must equal the --jobs 1 run's byte for byte.
+  const char* kFiles[] = {"json", "csv", "a.csv", "d.csv"};
+  const auto path = [](int jobs, const char* file) {
+    return ::testing::TempDir() + "obs_itest_j" + std::to_string(jobs) +
+           "." + file;
+  };
+  const auto run = [&](int jobs) {
+    ExperimentConfig cfg = small_config();
+    cfg.repeats = 3;
+    cfg.jobs = jobs;
+    cfg.obs.trace_path = path(jobs, kFiles[0]);
+    cfg.obs.metrics_path = path(jobs, kFiles[1]);
+    cfg.obs.attribution_path = path(jobs, kFiles[2]);
+    cfg.obs.decision_path = path(jobs, kFiles[3]);
+    return result_digest(run_experiment(Scheme::kCliRS, cfg));
+  };
+  EXPECT_EQ(run(1), run(4));
+  for (const char* file : kFiles) {
+    const std::string one = slurp(path(1, file));
+    EXPECT_FALSE(one.empty()) << file;
+    EXPECT_EQ(one, slurp(path(4, file)))
+        << file << " differs between --jobs 1 and --jobs 4";
+  }
 
   // Structural sanity on the emitted artifacts.
+  const std::string t1 = slurp(path(1, kFiles[0]));
+  const std::string m1 = slurp(path(1, kFiles[1]));
+  const std::string a1 = slurp(path(1, kFiles[2]));
+  const std::string d1 = slurp(path(1, kFiles[3]));
   EXPECT_EQ(t1.front(), '{');
   EXPECT_NE(t1.find("\"traceEvents\""), std::string::npos);
   EXPECT_NE(t1.find("\"ph\":\"X\""), std::string::npos);
+  EXPECT_EQ(t1.substr(t1.size() - 2), "}\n");
   EXPECT_EQ(m1.rfind("repeat,time_us,metric,value\n", 0), 0u);
-  // Both repeats contributed (pid metadata / repeat column).
-  EXPECT_NE(t1.find("repeat 1"), std::string::npos);
-  EXPECT_NE(m1.find("\n1,"), std::string::npos);
+  EXPECT_EQ(a1.rfind("repeat,req,complete_us,", 0), 0u);
+  EXPECT_EQ(d1.rfind("repeat,time_us,node,chosen,", 0), 0u);
+  // Every repeat contributed, in order (pid metadata / repeat column).
+  for (const std::string* csv : {&m1, &a1, &d1}) {
+    const std::size_t r1 = csv->find("\n1,");
+    const std::size_t r2 = csv->find("\n2,");
+    EXPECT_NE(r1, std::string::npos);
+    EXPECT_NE(r2, std::string::npos);
+    EXPECT_LT(r1, r2);
+    EXPECT_EQ(csv->find("\n0,", r1), std::string::npos);
+  }
+  EXPECT_LT(t1.find("repeat 1"), t1.find("repeat 2"));
 }
 
 TEST(ObsIntegrationTest, ResultCarriesSummariesWhenEnabled) {

@@ -17,6 +17,18 @@
 namespace netrs::obs {
 namespace {
 
+// A one-repeat trace file holding `snap`, as the harness writes it.
+std::string trace_json(const TraceSnapshot& snap) {
+  std::ostringstream os;
+  {
+    TextSink out(os);
+    write_trace_begin(out);
+    write_trace_repeat(out, 0, snap);
+    write_trace_end(out);
+  }
+  return os.str();
+}
+
 TraceEvent instant_at(sim::Time ts, std::uint64_t id) {
   TraceEvent e;
   e.name = "ev";
@@ -106,9 +118,7 @@ TEST(ChromeTraceTest, EmitsSpansInstantsAndMetadata) {
   snap.recorded = ring.recorded();
   snap.dropped = ring.dropped();
 
-  std::ostringstream os;
-  write_chrome_trace(os, {snap});
-  const std::string out = os.str();
+  const std::string out = trace_json(snap);
   EXPECT_NE(out.find("\"traceEvents\""), std::string::npos);
   EXPECT_NE(out.find("\"name\":\"kv.service\""), std::string::npos);
   EXPECT_NE(out.find("\"ph\":\"X\""), std::string::npos);
@@ -143,9 +153,7 @@ TEST(ChromeTraceTest, EscapesNamesThatNeedIt) {
   snap.events = {span};
   snap.tid_names[2] = "line\nbreak";
 
-  std::ostringstream os;
-  write_chrome_trace(os, {snap});
-  const std::string out = os.str();
+  const std::string out = trace_json(snap);
   EXPECT_NE(out.find("\"name\":\"say \\\"hi\\\"\""), std::string::npos)
       << out;
   EXPECT_NE(out.find("\"cat\":\"c\\\\d\""), std::string::npos) << out;
@@ -207,7 +215,8 @@ TEST(MetricsRegistryTest, ColumnsFollowRegistrationOrder) {
   reqs = 8.0;
   reg.sample(2000);
 
-  const MetricsSnapshot snap = reg.take();
+  MetricsSnapshot snap = reg.layout();
+  reg.take(snap);
   const std::vector<std::string> want = {"reqs", "depth", "lat.count"};
   EXPECT_EQ(snap.columns, want);
   EXPECT_EQ(snap.summarize, (std::vector<std::uint8_t>{1, 0, 1}));
@@ -222,7 +231,8 @@ TEST(MetricsRegistryTest, ColumnsFollowRegistrationOrder) {
   EXPECT_DOUBLE_EQ(snap.value(1, 2), 16.0);
   // take() moved the rows out; the metrics stay registered.
   reg.sample(3000);
-  const MetricsSnapshot next = reg.take();
+  MetricsSnapshot next = reg.layout();
+  reg.take(next);
   EXPECT_EQ(next.columns, want);
   EXPECT_EQ(next.rows(), 1u);
 }
@@ -260,7 +270,12 @@ TEST(MetricsCsvTest, LongFormatWithRepeatColumn) {
   snap.values = {1.0, 2.5};
 
   std::ostringstream os;
-  write_metrics_csv(os, {snap, snap});
+  {
+    TextSink sink(os);
+    write_metrics_header(sink);
+    write_metrics_rows(sink, 0, snap);
+    write_metrics_rows(sink, 1, snap);
+  }
   const std::string out = os.str();
   EXPECT_NE(out.find("repeat,time_us,metric,value\n"), std::string::npos);
   EXPECT_NE(out.find("0,5,a,1\n"), std::string::npos);
