@@ -1,7 +1,7 @@
 #include "net/fabric.hpp"
 
-#include <algorithm>
 #include <cassert>
+#include <cstddef>
 #include <stdexcept>
 #include <string>
 #include <utility>
@@ -69,6 +69,20 @@ Fabric::Fabric(sim::ShardGroup& group, const FatTree& topo, FabricConfig cfg)
       st.event_lanes[c] =
           same < c ? st.event_lanes[same]
                    : sims_[std::size_t(s)]->add_lane(deliver_from_lane, &st);
+    }
+    if (shards > 1) {
+      // Sized up front: how many crossings gather between two drains
+      // follows thread timing, so growth here would make the run's
+      // allocation count depend on it too.
+      st.cross_lane = sims_[std::size_t(s)]->add_lane(deliver_from_lane, &st,
+                                                      kCrossDepth);
+      st.inbox.reserve(kCrossDepth);
+      st.arrivals.resize(std::size_t(shards));
+      for (int src = 0; src < shards; ++src) {
+        if (src == s) continue;
+        lane(s, src).entries.reserve(kCrossDepth);
+        st.arrivals[std::size_t(src)].entries.reserve(kCrossDepth);
+      }
     }
   }
 
@@ -245,8 +259,7 @@ void Fabric::send(NodeId from, NodeId to, Packet&& pkt) {
   const sim::Time arrive = clock_sim.now() + link_latency(from, to);
   Lane& ln = lane(dst_shard, src_shard);
   const std::lock_guard<std::mutex> lock(ln.m);
-  ln.entries.push_back(
-      CrossEntry{arrive, src_shard, ln.next_seq++, from, to, std::move(pkt)});
+  ln.entries.push_back(CrossEntry{arrive, from, to, std::move(pkt)});
 }
 
 void Fabric::drain_shard(int dst, sim::Time safe) {
@@ -256,25 +269,44 @@ void Fabric::drain_shard(int dst, sim::Time safe) {
     if (src == dst) continue;
     Lane& ln = lane(dst, src);
     {
-      // Swap, not copy: both vectors keep their capacity, so steady-state
+      // Swap, not copy: the vectors trade their capacity, so steady-state
       // traffic allocates nothing.
       const std::lock_guard<std::mutex> lock(ln.m);
       ln.entries.swap(st.inbox);
     }
-    for (CrossEntry& e : st.inbox) {
-      st.pending.push_back(std::move(e));
-      std::push_heap(st.pending.begin(), st.pending.end(), CrossLater{});
+    // Everything the last drain parked has been delivered by now.
+    Arrivals& a = st.arrivals[std::size_t(src)];
+    a.entries.erase(a.entries.begin(),
+                    a.entries.begin() + std::ptrdiff_t(a.head));
+    a.head = 0;
+    if (a.entries.empty()) {
+      a.entries.swap(st.inbox);
+    } else {
+      a.entries.insert(a.entries.end(), st.inbox.begin(), st.inbox.end());
+      st.inbox.clear();
     }
-    st.inbox.clear();
   }
-  // Park every arrival strictly below the window bound, in deterministic
-  // (arrive, src_shard, seq) order; conservative sync guarantees no later
-  // push can land below `safe`, so the order is independent of thread
-  // timing. Later arrivals wait in the heap for a future window.
+  // Park every arrival strictly below the window bound by merging the
+  // per-source heads in deterministic (arrive, src_shard, FIFO) order:
+  // every lane is in arrival order (see the file comment), and
+  // conservative sync guarantees no later send can land below `safe`, so
+  // the order is independent of thread timing. Each park takes the shard
+  // queue's next seq in merge order, so same-instant local events keep
+  // their place. Later arrivals wait for a future window.
   sim::Simulator& sim = *sims_[std::size_t(dst)];
-  while (!st.pending.empty() && st.pending.front().arrive < safe) {
-    std::pop_heap(st.pending.begin(), st.pending.end(), CrossLater{});
-    const CrossEntry& entry = st.pending.back();
+  for (;;) {
+    int src = -1;
+    sim::Time first = safe;
+    for (int s = 0; s < shards; ++s) {
+      const Arrivals& a = st.arrivals[std::size_t(s)];
+      if (a.head < a.entries.size() && a.entries[a.head].arrive < first) {
+        first = a.entries[a.head].arrive;
+        src = s;
+      }
+    }
+    if (src < 0) break;
+    Arrivals& a = st.arrivals[std::size_t(src)];
+    const CrossEntry& entry = a.entries[a.head++];
     const std::uint32_t slot = acquire_slot(st);
     Delivery& d = st.deliveries[slot];
     d.pkt = entry.pkt;
@@ -284,11 +316,10 @@ void Fabric::drain_shard(int dst, sim::Time safe) {
       return "packet src=" + std::to_string(d.pkt.src) +
              " dst=" + std::to_string(d.pkt.dst) + " link " +
              std::to_string(entry.from) + "->" + std::to_string(entry.to) +
-             " crossing from shard " + std::to_string(entry.src_shard) +
+             " crossing from shard " + std::to_string(src) +
              ", arrives t=" + std::to_string(entry.arrive) + " ns";
     });
-    sim.at(entry.arrive, [this, dst, slot] { deliver(dst, slot); });
-    st.pending.pop_back();
+    sim.at_lane(st.cross_lane, entry.arrive, slot);
   }
 }
 
@@ -351,7 +382,10 @@ std::uint64_t Fabric::cross_sends(int s) const {
 std::uint64_t Fabric::cross_pending_depth(int s) const {
   // Between windows no thread touches the lanes, and the window barrier
   // orders every send before this read, so the sizes are read unlocked.
-  std::uint64_t depth = state_[s].pending.size();
+  std::uint64_t depth = 0;
+  for (const Arrivals& a : state_[s].arrivals) {
+    depth += a.entries.size() - a.head;
+  }
   if (lanes_.empty()) return depth;
   for (int src = 0; src < shard_count(); ++src) {
     depth += lanes_[std::size_t(s) * sims_.size() + std::size_t(src)]

@@ -16,19 +16,25 @@
 // links, which bound the group's conservative lookahead. send() parks
 // intra-shard packets in the sending shard's delivery pool and appends
 // cross-shard packets, stamped with arrival time, to a mutex-guarded
-// per-(dst,src) lane; each shard swaps its lanes out at the start of every
-// conservative window and schedules arrivals in deterministic
-// (arrive, src-shard, seq) order. Cross-shard traffic is a few packets per
-// lane per window, so one uncontended lock per send costs nothing
-// measurable. With one shard every send is intra-shard.
+// per-(dst,src) lane. A sender's clock never runs back and every crossing
+// link has the same latency, so each lane is in arrival order by
+// construction. At the start of every conservative window each shard moves
+// its lanes' entries onto one FIFO buffer per source shard and merges the
+// buffer heads in deterministic (arrive, src-shard, FIFO) order while they
+// arrive below the window's safe bound — no heap. Cross-shard traffic is a
+// few packets per lane per window, so one uncontended lock per send costs
+// nothing measurable. With one shard every send is intra-shard.
 //
-// Intra-shard deliveries ride the shard simulator's FIFO event lanes
+// Deliveries ride the shard simulator's FIFO event lanes
 // (sim::EventQueue): the fabric creates one lane per distinct link latency
 // on every shard simulator, and since every push onto a lane is now() plus
 // that lane's constant, each lane is in time order by construction. A hop
 // is then a ring append of the delivery slot's index, fired by a plain
-// function call — no Task, no arena slot, no calendar insert. Cross-shard
-// arrivals parked by the window drain keep using the calendar.
+// function call — no Task, no arena slot, no calendar insert. With more
+// than one shard, one more lane per shard carries the cross-shard
+// arrivals: a window's drain parks only arrivals below its safe bound, in
+// time order, and every later drain parks only arrivals at or above the
+// previous bound, so that lane is in time order too.
 #pragma once
 
 #include <array>
@@ -142,8 +148,8 @@ class NETRS_COORD_GLOBAL Fabric {
   /// Packets shard `s` sent across a shard boundary. Engine
   /// self-telemetry; call only between ShardGroup windows.
   [[nodiscard]] std::uint64_t cross_sends(int s) const;
-  /// Cross-shard packets bound for shard `s` not yet scheduled there (in
-  /// a lane or the pending heap). Engine self-telemetry; call only
+  /// Cross-shard packets bound for shard `s` not yet parked there (in a
+  /// lane or the per-source arrivals). Engine self-telemetry; call only
   /// between ShardGroup windows.
   [[nodiscard]] std::uint64_t cross_pending_depth(int s) const;
 
@@ -165,7 +171,7 @@ class NETRS_COORD_GLOBAL Fabric {
   static std::uint64_t flow_hash(const Packet& pkt);
 
   /// Packets on the wire: parked delivery slots plus cross-shard packets
-  /// still in lanes or pending heaps (diagnostic; call between windows).
+  /// not yet parked (diagnostic; call between windows).
   [[nodiscard]] std::size_t deliveries_in_flight() const;
 
   /// Registers the fabric's wire-level gauges (`net.packets`, `net.bytes`,
@@ -196,25 +202,32 @@ class NETRS_COORD_GLOBAL Fabric {
     NodeId from = kInvalidNode;
   };
 
-  /// A cross-shard packet after lane drain, ordered in the destination
-  /// shard's pending min-heap by (arrive, src_shard, seq).
+  /// A cross-shard packet in flight: appended to its (dst, src) lane by
+  /// the sender, moved onto the destination's arrivals from that source at
+  /// the next window start, and parked for delivery once it arrives below
+  /// a window's safe bound. Both are FIFO in arrival order, so the
+  /// position in them is the per-lane sequence.
   struct CrossEntry {
     sim::Time arrive = 0;
-    int src_shard = 0;
-    std::uint64_t seq = 0;
     NodeId from = kInvalidNode;
     NodeId to = kInvalidNode;
     Packet pkt;
   };
 
-  /// Min-heap comparator over CrossEntry: "a arrives later than b" in the
-  /// deterministic (arrive, src_shard, seq) drain order.
-  struct CrossLater {
-    bool operator()(const CrossEntry& a, const CrossEntry& b) const {
-      if (a.arrive != b.arrive) return a.arrive > b.arrive;
-      if (a.src_shard != b.src_shard) return a.src_shard > b.src_shard;
-      return a.seq > b.seq;
-    }
+  /// Entries reserved in every lane vector, inbox, per-source arrivals
+  /// vector and cross-shard event lane at construction: two to four times
+  /// the deepest any of them reached on the k=16 NetRS-ToR cell at four
+  /// shards, so that their growth, and with it the allocation count,
+  /// does not follow thread timing.
+  static constexpr std::size_t kCrossDepth = 64;
+
+  /// Drained arrivals from one source shard, in arrival order; those from
+  /// `head` on are not parked yet. Each drain drops the parked prefix
+  /// (delivered by then) before appending, so the live entries stay at
+  /// the front of the buffer: a ring would walk its whole reserved buffer.
+  struct Arrivals {
+    std::vector<CrossEntry> entries;
+    std::size_t head = 0;
   };
 
   /// Cross-shard channel from one source shard (or the coordinator on its
@@ -222,8 +235,7 @@ class NETRS_COORD_GLOBAL Fabric {
   /// destination swaps `entries` out at each window start.
   struct alignas(64) Lane {
     std::mutex m;
-    std::vector<CrossEntry> entries;  // guarded by m
-    std::uint64_t next_seq = 0;       // guarded by m; monotone per lane
+    std::vector<CrossEntry> entries;  // guarded by m; in arrival order
   };
 
   /// Link kinds by latency parameter; indexes `latency_` and the lanes.
@@ -246,8 +258,9 @@ class NETRS_COORD_GLOBAL Fabric {
     std::uint64_t bytes_sent = 0;
     std::uint64_t cross_sends = 0;  // sends leaving this shard's partition
     sim::SlotLedger ledger;           // conservation audit (checked builds)
+    sim::LaneId cross_lane = 0;       // parked arrivals; shards > 1 only
     std::vector<CrossEntry> inbox;    // a lane's entries, swapped out
-    std::vector<CrossEntry> pending;  // drained, not yet schedulable
+    std::vector<Arrivals> arrivals;   // by source shard; empty with one
   };
 
   /// Audit-build half of simulator_for (see its doc comment): records the
@@ -265,9 +278,10 @@ class NETRS_COORD_GLOBAL Fabric {
   /// The intra-shard path: park in `shard`'s pool and schedule delivery on
   /// its own simulator.
   void send_local(int shard, NodeId from, NodeId to, Packet&& pkt);
-  /// Drains every lane bound for `dst` and parks all arrivals strictly
-  /// below `safe` in (arrive, src_shard, seq) order; the rest wait in the
-  /// pending heap. Runs on `dst`'s worker at each window start.
+  /// Drains every lane bound for `dst` onto its per-source arrivals and
+  /// parks all arrivals strictly below `safe` on the cross-shard event lane
+  /// in (arrive, src_shard, FIFO) order; the rest wait there. Runs on
+  /// `dst`'s worker at each window start.
   void drain_shard(int dst, sim::Time safe);
   void deliver(int shard, std::uint32_t slot);
   /// Lane handler: `ctx` is the delivering shard's ShardState.

@@ -7,10 +7,12 @@
 // accounting, flight stamps) that no device may use for forwarding
 // decisions.
 //
-// A Packet is trivially copyable (184 B): the payload is a fixed inline
-// array with no heap fallback, so copying or moving a packet is a flat
-// copy. The switch pipeline and the fabric pass it by reference; a hop
-// copies it only into its delivery slot and out of it.
+// A Packet is trivially copyable and exactly two cache lines (128 B): the
+// wire fields (addresses, ports, phantom length and the 48 B payload
+// buffer) fill bytes 0-63 and `meta` fills bytes 64-127. The payload is a
+// fixed inline array with no heap fallback, so copying or moving a packet
+// is a flat copy. The switch pipeline and the fabric pass it by reference;
+// a hop copies it only into its delivery slot and out of it.
 #pragma once
 
 #include <cstddef>
@@ -52,13 +54,13 @@ struct NETRS_SHARED_IMMUTABLE Packet {
   HostId dst = kInvalidHost;   ///< Destination host (switches may rewrite).
   std::uint16_t src_port = 0;  ///< UDP source port.
   std::uint16_t dst_port = 0;  ///< UDP destination port (service demux).
+  /// Bytes carried on the wire but never parsed by any device (the bulk of
+  /// a ~1 KB value). Counted in wire_size() without being materialized.
+  std::uint32_t phantom_payload = 0;
   /// UDP payload (NetRS header + app data). Fixed inline capacity: NetRS
   /// payloads are tens of bytes, so construction/clone/move never touch
   /// the heap.
   PayloadBuffer payload;
-  /// Bytes carried on the wire but never parsed by any device (the bulk of
-  /// a ~1 KB value). Counted in wire_size() without being materialized.
-  std::uint32_t phantom_payload = 0;
   PacketMeta meta;  ///< Simulation-side bookkeeping (never forwarded on).
 
   /// Total bytes on the wire: Ethernet(18) + IPv4(20) + UDP(8) + payload.
@@ -68,6 +70,8 @@ struct NETRS_SHARED_IMMUTABLE Packet {
 };
 
 static_assert(std::is_trivially_copyable_v<Packet>);
-static_assert(sizeof(Packet) == 184);
+static_assert(sizeof(PacketMeta) == 64);
+static_assert(offsetof(Packet, meta) == 64);
+static_assert(sizeof(Packet) == 128);
 
 }  // namespace netrs::net

@@ -1,9 +1,11 @@
 // Fixed-capacity byte buffer for packet payloads.
 //
 // Every NetRS payload is tens of bytes (request header 13 B + app request
-// 17 B; response header 22 B + app response 20 B; bulk value bytes are
-// phantom), so the bytes live in a fixed inline array of kInlineCapacity
-// bytes with no heap fallback. PayloadBuffer — and so net::Packet — is
+// 17 B; response header 22 B + app response 20 B, the largest frame built
+// at 42 B; bulk value bytes are phantom), so the bytes live in a fixed
+// inline array of kInlineCapacity bytes with a 1 B size and no heap
+// fallback: 48 B in all, the payload's share of net::Packet's two cache
+// lines. PayloadBuffer — and so net::Packet — is
 // trivially copyable: constructing, cloning (response duplication) and
 // moving a packet is a flat copy that never touches the heap, and a
 // moved-from buffer keeps its bytes. A resize or assign beyond the
@@ -31,10 +33,10 @@ namespace netrs::net {
 /// needs, stored inline with no heap fallback (see the file comment).
 class NETRS_SHARED_IMMUTABLE PayloadBuffer {
  public:
-  /// Holds every frame the NetRS codec encodes: the 22 B response header
-  /// plus the largest app payload the codec tests round-trip (63 B) is
-  /// 85 B, rounded up to 96.
-  static constexpr std::size_t kInlineCapacity = 96;
+  /// Holds every frame the NetRS stack builds (the largest is the 22 B
+  /// response header plus the 20 B app response, 42 B) with 5 B to spare;
+  /// with the 1 B size the buffer is 48 B.
+  static constexpr std::size_t kInlineCapacity = 47;
 
   /// Constructs an empty buffer.
   PayloadBuffer() noexcept = default;
@@ -108,7 +110,7 @@ class NETRS_SHARED_IMMUTABLE PayloadBuffer {
  private:
   void set_size(std::size_t n) {
     if (n > kInlineCapacity) [[unlikely]] throw_oversize(n);
-    size_ = static_cast<std::uint32_t>(n);
+    size_ = static_cast<std::uint8_t>(n);
   }
 
   // Out of line and cold, so the inlined resize/assign stay small.
@@ -119,10 +121,11 @@ class NETRS_SHARED_IMMUTABLE PayloadBuffer {
                             std::to_string(kInlineCapacity));
   }
 
-  std::uint32_t size_ = 0;
   std::byte bytes_[kInlineCapacity];
+  std::uint8_t size_ = 0;
 };
 
 static_assert(std::is_trivially_copyable_v<PayloadBuffer>);
+static_assert(sizeof(PayloadBuffer) == 48);
 
 }  // namespace netrs::net

@@ -108,9 +108,11 @@ void EventQueue::push(Time t, Callback&& cb) {
   }
 }
 
-LaneId EventQueue::add_lane(LaneHandler handler, void* ctx) {
+LaneId EventQueue::add_lane(LaneHandler handler, void* ctx,
+                            std::size_t depth) {
   assert(handler != nullptr);
   lanes_.push_back(Lane{{}, handler, ctx});
+  lanes_.back().ring.reserve(depth);
   return static_cast<LaneId>(lanes_.size() - 1);
 }
 

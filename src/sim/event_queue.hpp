@@ -85,11 +85,11 @@ class EventQueue {
   /// once, into its arena slot.
   void push(Time t, Callback&& cb);
 
-  /// Creates a FIFO lane whose events fire as `handler(ctx, token)`.
-  /// Lanes are meant for traffic that arrives in time order by
-  /// construction (a fixed delay added to a clock that never runs back);
-  /// see push_lane.
-  LaneId add_lane(LaneHandler handler, void* ctx);
+  /// Creates a FIFO lane whose events fire as `handler(ctx, token)`, its
+  /// ring reserved for `depth` pending events (Ring::reserve). Lanes are
+  /// meant for traffic that arrives in time order by construction (a
+  /// fixed delay added to a clock that never runs back); see push_lane.
+  LaneId add_lane(LaneHandler handler, void* ctx, std::size_t depth = 0);
 
   /// Schedules a lane event at absolute time `t`. Precondition: `t` is no
   /// earlier than the lane's latest pending event. Audit builds record a

@@ -33,8 +33,19 @@ class Ring {
 
   /// Appends `v` at the back, doubling the ring first when it is full.
   void push_back(T v) {
-    if (size_ == buf_.size()) [[unlikely]] grow();
+    if (size_ == buf_.size()) [[unlikely]] {
+      grow(buf_.empty() ? 4 : 2 * buf_.size());
+    }
     (*this)[size_++] = std::move(v);
+  }
+  /// Grows the ring, keeping its elements, to the least power of two that
+  /// holds `n` elements; never shrinks. A ring reserved at its owner's
+  /// construction allocates nothing until it exceeds that depth.
+  void reserve(std::size_t n) {
+    if (n <= buf_.size()) return;
+    std::size_t cap = buf_.empty() ? 4 : buf_.size();
+    while (cap < n) cap *= 2;
+    grow(cap);
   }
   /// Drops the front element. Precondition: !empty().
   void pop_front() {
@@ -45,8 +56,8 @@ class Ring {
   void pop_back() { --size_; }
 
  private:
-  void grow() {
-    std::vector<T> bigger(buf_.empty() ? 4 : 2 * buf_.size());
+  void grow(std::size_t cap) {
+    std::vector<T> bigger(cap);
     for (std::size_t i = 0; i < size_; ++i) bigger[i] = std::move((*this)[i]);
     buf_.swap(bigger);
     head_ = 0;

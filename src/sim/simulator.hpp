@@ -8,9 +8,10 @@
 // temporary sim::Task in place, and the queue moves it once, into its
 // arena slot; the run loop moves it out of the slot to fire it. Traffic
 // that is in time order by construction — a fixed delay from now() — can
-// skip the Task entirely: `after_lane` appends a (time, seq, token) entry
-// to a FIFO lane created by `add_lane`, and the run loop calls the lane's
-// plain-function handler with the token (EventQueue's file comment).
+// skip the Task entirely: `after_lane` (or `at_lane`, at an absolute
+// time) appends a (time, seq, token) entry to a FIFO lane created by
+// `add_lane`, and the run loop calls the lane's plain-function handler
+// with the token (EventQueue's file comment).
 #pragma once
 
 #include <cassert>
@@ -60,9 +61,10 @@ class Simulator {
   void after(Duration d, Callback&& cb);
 
   /// Creates a FIFO lane on this simulator's queue whose events fire as
-  /// `handler(ctx, token)`; see EventQueue::add_lane.
-  LaneId add_lane(LaneHandler handler, void* ctx) {
-    return queue_.add_lane(handler, ctx);
+  /// `handler(ctx, token)`, reserved for `depth` pending events; see
+  /// EventQueue::add_lane.
+  LaneId add_lane(LaneHandler handler, void* ctx, std::size_t depth = 0) {
+    return queue_.add_lane(handler, ctx, depth);
   }
 
   /// Schedules a lane event a non-negative delay `d` from now(). Every
@@ -73,6 +75,16 @@ class Simulator {
     affinity_.check("schedule");
     assert(d >= 0 && "negative lane delay");
     queue_.push_lane(lane, now_ + d, token);
+  }
+
+  /// Schedules a lane event at absolute time `t` >= now(), for traffic
+  /// that is in time order by construction without a fixed delay (the
+  /// fabric's cross-shard arrivals, parked in merge order at each window
+  /// start). The lane-order precondition of after_lane applies.
+  void at_lane(LaneId lane, Time t, std::uint32_t token) {
+    affinity_.check("schedule");
+    assert(t >= now_ && "lane event scheduled into the past");
+    queue_.push_lane(lane, t, token);
   }
 
   /// Schedules `cb` every `period` (> 0), first firing at now() + period.

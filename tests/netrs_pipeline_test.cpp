@@ -347,7 +347,7 @@ TEST_F(PipelineRig, NonNetRSTrafficPassesUntouched) {
   plain.dst = sink.host_id();
   plain.src_port = 1234;
   plain.dst_port = 4321;
-  plain.payload.assign(64, std::byte{0});  // magic field reads as 0
+  plain.payload.assign(40, std::byte{0});  // magic field reads as 0
   client->transmit(std::move(plain));
   sim.run_until(sim::millis(5));
   // Delivered unchanged over the default path: not steered...
@@ -356,7 +356,7 @@ TEST_F(PipelineRig, NonNetRSTrafficPassesUntouched) {
             static_cast<std::uint32_t>(
                 topo.default_forwards(client_host, sink.host_id())));
   const auto& payload = sink.received[0].payload;
-  EXPECT_EQ(payload.size(), 64u);
+  EXPECT_EQ(payload.size(), 40u);
   EXPECT_TRUE(std::all_of(payload.begin(), payload.end(),
                           [](std::byte b) { return b == std::byte{0}; }));
   // ...and no accelerator spent time on it.

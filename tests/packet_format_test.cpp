@@ -2,8 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
 #include <vector>
 
+#include "kv/app_message.hpp"
 #include "sim/rng.hpp"
 
 namespace netrs::core {
@@ -163,7 +165,9 @@ TEST(PacketFormatTest, RandomRoundTripProperty) {
     rq.mf = rng.next_u64() & kMagicMask;
     rq.rv = static_cast<std::uint16_t>(rng.uniform(65536));
     rq.rgid = static_cast<ReplicaGroupId>(rng.uniform(kMaxReplicaGroupId + 1));
-    std::vector<std::byte> app(rng.uniform(64));
+    // Every app size that fits behind the request header.
+    std::vector<std::byte> app(rng.uniform(
+        net::PayloadBuffer::kInlineCapacity - kRequestHeaderBytes + 1));
     for (auto& b : app) b = static_cast<std::byte>(rng.uniform(256));
     const auto p = encode_request(rq, app);
     const auto back = decode_request(p);
@@ -176,6 +180,26 @@ TEST(PacketFormatTest, RandomRoundTripProperty) {
     ASSERT_EQ(got.size(), app.size());
     for (std::size_t j = 0; j < app.size(); ++j) EXPECT_EQ(got[j], app[j]);
   }
+}
+
+// The largest frames the KV stack builds fit the fixed payload capacity.
+static_assert(kRequestHeaderBytes + kv::kAppRequestBytes <=
+              net::PayloadBuffer::kInlineCapacity);
+static_assert(kResponseHeaderBytes + kv::kAppResponseBytes <=
+              net::PayloadBuffer::kInlineCapacity);
+
+TEST(PacketFormatTest, EncodeThrowsOneBytePastCapacity) {
+  constexpr std::size_t kCap = net::PayloadBuffer::kInlineCapacity;
+  const std::vector<std::byte> req_fits(kCap - kRequestHeaderBytes);
+  const std::vector<std::byte> req_over(kCap - kRequestHeaderBytes + 1);
+  EXPECT_EQ(encode_request(RequestHeader{}, req_fits).size(), kCap);
+  EXPECT_THROW((void)encode_request(RequestHeader{}, req_over),
+               std::length_error);
+  const std::vector<std::byte> resp_fits(kCap - kResponseHeaderBytes);
+  const std::vector<std::byte> resp_over(kCap - kResponseHeaderBytes + 1);
+  EXPECT_EQ(encode_response(ResponseHeader{}, resp_fits).size(), kCap);
+  EXPECT_THROW((void)encode_response(ResponseHeader{}, resp_over),
+               std::length_error);
 }
 
 }  // namespace

@@ -163,6 +163,51 @@ TEST(FabricLaneTest, SameInstantArrivalsDeliverInArriveSrcShardSeqOrder) {
   EXPECT_EQ(rig.fabric.cross_sends(3), 1u);
 }
 
+// Crossings and local events reaching one node at one nanosecond. The
+// crossings are parked in (arrive, src_shard, per-lane FIFO) order at the
+// start of the first window whose safe bound passes their arrival, and
+// each park takes the shard queue's next seq there: same-instant local
+// events scheduled before that drain fire before them, and those
+// scheduled after it fire after them. Splitting the run at 20 us pins the
+// drain to the window that starts at 20 us, whatever the thread timing.
+TEST(FabricLaneTest, CrossingsTakeDrainTimeSeqAmongSameInstantLocalEvents) {
+  const sim::Time arrive = sim::micros(30);
+  const std::vector<std::uint16_t> expected = {1, 2, 20, 21, 22, 30, 31, 3};
+  for (int run = 0; run < 20; ++run) {
+    CrossShardRig rig;
+    sim::Simulator& local = rig.group.shard_sim(0);
+    ASSERT_EQ(rig.fabric.shard_of(rig.agg(0)), 0);
+    // Marks an instant in the sink's log from shard 0's own events.
+    auto mark_at = [&rig, &local](sim::Time at, std::uint16_t tag) {
+      local.at(at, [&rig, tag, &local] {
+        rig.sink.log.push_back({net::kInvalidNode, tag, local.now()});
+      });
+    };
+    // A coordinator-context crossing takes the (0, 2) lane's first place.
+    rig.fabric.send(rig.agg(2), rig.dst, tagged(20));
+    rig.send_from_worker(2, 0, {21, 22});
+    rig.send_from_worker(3, 0, {30, 31});
+    // Local traffic on shard 0: a hop sent at 0 and a mark set at 10 us
+    // both take their seq before the drain...
+    rig.send_from_worker(0, 0, {1});
+    local.at(sim::micros(10), [&] { mark_at(arrive, 2); });
+    // ...and a mark set at 25 us takes its seq after it.
+    local.at(sim::micros(25), [&] { mark_at(arrive, 3); });
+    rig.group.run_until(sim::micros(20));
+    ASSERT_TRUE(rig.sink.log.empty());
+    rig.group.run_until(sim::micros(100));
+
+    ASSERT_EQ(rig.sink.log.size(), expected.size()) << "run " << run;
+    for (std::size_t i = 0; i < expected.size(); ++i) {
+      EXPECT_EQ(rig.sink.log[i].tag, expected[i])
+          << "run " << run << ", delivery " << i;
+      EXPECT_EQ(rig.sink.log[i].at, arrive)
+          << "run " << run << ", delivery " << i;
+    }
+    EXPECT_EQ(rig.fabric.deliveries_in_flight(), 0u);
+  }
+}
+
 TEST(FabricLaneTest, InFlightCountsLaneAndPendingEntriesBetweenRuns) {
   CrossShardRig rig;
   EXPECT_EQ(rig.fabric.deliveries_in_flight(), 0u);
@@ -172,8 +217,8 @@ TEST(FabricLaneTest, InFlightCountsLaneAndPendingEntriesBetweenRuns) {
   rig.send_from_worker(3, sim::micros(5), {2, 3});
 
   // Arrivals land at 30 and 35 us: in between they sit in a lane, the
-  // destination's pending heap or its delivery pool, depending on how far
-  // the windows got, and every one of them is counted.
+  // destination's per-source arrivals or its delivery pool, depending on how
+  // far the windows got, and every one of them is counted.
   rig.group.run_until(sim::micros(10));
   EXPECT_EQ(rig.fabric.deliveries_in_flight(), 3u);
   EXPECT_TRUE(rig.sink.log.empty());
