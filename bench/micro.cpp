@@ -221,11 +221,15 @@ void BM_PercentileBatch(benchmark::State& state) {
 }
 BENCHMARK(BM_PercentileBatch);
 
-// Bounces a NetRS-sized packet between a host and its ToR forever; each
+// Bounces a NetRS-sized packet between two adjacent nodes forever; each
 // benchmark iteration advances the simulation by exactly one link crossing
-// (send + deliver + receive). After the warm-up hops fill the delivery pool
-// and the fabric's event-lane ring, the steady state must not allocate:
-// `allocs_per_hop` is asserted to be 0.0 via the counting shim above.
+// (send + deliver + receive). The argument is the shard count: at 1 the
+// nodes are a host and its ToR, at 2 an aggregation switch and a core
+// switch on different shards, so every hop takes the cross-shard path
+// (lane, per-source arrivals, cross-shard event lane). After the warm-up
+// hops fill the fabric's rings and vectors, the steady state must not
+// allocate: `allocs_per_hop` is asserted to be 0.0 via the counting shim
+// above.
 class PingPongNode final : public net::Node {
  public:
   PingPongNode(net::Fabric& fabric, net::NodeId self, net::NodeId peer)
@@ -246,14 +250,18 @@ class PingPongNode final : public net::Node {
 };
 
 void BM_FabricHotPath(benchmark::State& state) {
-  sim::ShardGroup group{1};
+  const int shards = static_cast<int>(state.range(0));
+  sim::ShardGroup group{shards};
   net::FatTree topo(4);
   net::Fabric fabric(group, topo, net::FabricConfig{});
-  sim::Simulator& sim = fabric.simulator();
-  const net::NodeId host = topo.host_node(0);
-  const net::NodeId tor = topo.host_tor(0);
-  PingPongNode a(fabric, host, tor);
-  PingPongNode b(fabric, tor, host);
+  const net::NodeId from = shards == 1 ? topo.host_node(0) : topo.agg_node(1, 0);
+  const net::NodeId to = shards == 1 ? topo.host_tor(0) : topo.core_node(0, 0);
+  if ((fabric.shard_of(from) != fabric.shard_of(to)) != (shards > 1)) {
+    state.SkipWithError("the ping-pong link does not match the shard count");
+    return;
+  }
+  PingPongNode a(fabric, from, to);
+  PingPongNode b(fabric, to, from);
 
   core::RequestHeader h;
   h.rid = 1;
@@ -262,22 +270,23 @@ void BM_FabricHotPath(benchmark::State& state) {
   app.client_request_id = 1;
   app.key = 7;
   net::Packet pkt;
-  pkt.src = host;
-  pkt.dst = tor;
+  pkt.src = from;
+  pkt.dst = to;
   pkt.src_port = kv::kClientPort;
   pkt.dst_port = kv::kServerPort;
   pkt.payload = core::encode_request(h, kv::encode_app_request(app));
-  fabric.send(host, tor, std::move(pkt));
+  fabric.send(from, to, std::move(pkt));
 
-  const sim::Duration hop = fabric.config().host_link_latency;
-  // Warm up: let the delivery pool and the lane ring reach their
+  const sim::Duration hop = shards == 1 ? fabric.config().host_link_latency
+                                        : fabric.config().switch_link_latency;
+  // Warm up: let the packet FIFOs and the lane rings reach their
   // high-water marks before counting.
-  for (int i = 0; i < 1024; ++i) sim.run_until(sim.now() + hop);
+  for (int i = 0; i < 1024; ++i) group.run_until(group.now() + hop);
 
   const std::uint64_t before = alloc_count();
   std::uint64_t hops = 0;
   for (auto _ : state) {
-    sim.run_until(sim.now() + hop);
+    group.run_until(group.now() + hop);
     ++hops;
   }
   const std::uint64_t allocs =
@@ -289,11 +298,11 @@ void BM_FabricHotPath(benchmark::State& state) {
     state.SkipWithError("steady-state forwarding allocated on the heap");
   }
 }
-BENCHMARK(BM_FabricHotPath);
+BENCHMARK(BM_FabricHotPath)->Arg(1)->Arg(2);
 
 // A small CliRS-R95 cell (one client, three servers on a k=4 fat-tree) run
 // past warm-up; each iteration advances it by 1 ms of simulated time. Once
-// the client's pending table, the fabric delivery pool and the event-slot
+// the client's pending table, the fabric's packet FIFOs and the event-slot
 // arena have reached their high-water marks, issuing, duplicating and
 // completing requests must not allocate: `allocs_per_request` is asserted
 // to be 0.0. The argument is the servers' parallelism: at 16 no request

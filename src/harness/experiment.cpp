@@ -1097,6 +1097,38 @@ sim::FaultPlan checked_fault_plan(const ExperimentConfig& cfg) {
     throw std::invalid_argument("repeats must be at least 1, got " +
                                 std::to_string(cfg.repeats));
   }
+  // So does a cell without load: no service time makes the aggregate
+  // rate infinite (the run never ends), no utilization or no clients
+  // issue nothing, and at a skew of 1 or more the cold clients' rate is
+  // not positive. The negated comparisons reject NaN too.
+  const auto reject = [](const char* field, const std::string& rule,
+                         const std::string& got) {
+    throw std::invalid_argument(std::string(field) + " must be " + rule +
+                                ", got " + got);
+  };
+  if (!(cfg.mean_service_time > 0)) {
+    reject("mean_service_time", "positive",
+           std::to_string(cfg.mean_service_time) + " ns");
+  }
+  if (!(cfg.utilization > 0.0)) {
+    reject("utilization", "positive", std::to_string(cfg.utilization));
+  }
+  if (cfg.num_clients < 1) {
+    reject("num_clients", "at least 1", std::to_string(cfg.num_clients));
+  }
+  if (!(cfg.demand_skew >= 0.0 && cfg.demand_skew < 1.0)) {
+    reject("demand_skew", "in [0, 1)", std::to_string(cfg.demand_skew));
+  }
+  // The replica ring is built inside each repeat; check its inputs here
+  // so a bad cell fails before anything runs.
+  if (cfg.replication_factor < 1 || cfg.replication_factor > cfg.num_servers) {
+    reject("replication_factor",
+           "between 1 and num_servers = " + std::to_string(cfg.num_servers),
+           std::to_string(cfg.replication_factor));
+  }
+  if (cfg.virtual_nodes < 1) {
+    reject("virtual_nodes", "at least 1", std::to_string(cfg.virtual_nodes));
+  }
   return fault_plan;
 }
 

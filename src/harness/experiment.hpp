@@ -165,9 +165,12 @@ struct ExperimentResult {
 
 /// Checks what run_experiment() checks before its first repeat: the fault
 /// plan parses and its link events name cabled links of the fat tree, the
-/// tree is valid and holds the servers and clients, and the cell asks for
-/// at least one request and one repeat. Throws std::invalid_argument
-/// naming the first problem.
+/// tree is valid and holds the servers and clients, the cell asks for at
+/// least one request and one repeat and carries load (positive service
+/// time and utilization, at least one client, skew in [0, 1)), and the
+/// replica ring can be built (1 <= replication_factor <= num_servers,
+/// virtual_nodes >= 1). Throws std::invalid_argument naming the first
+/// problem.
 void validate_config(const ExperimentConfig& cfg);
 
 /// Runs `cfg.repeats` independent deployments (re-randomized client/server

@@ -58,24 +58,27 @@ Fabric::Fabric(sim::ShardGroup& group, const FatTree& topo, FabricConfig cfg)
   state_ = std::make_unique<ShardState[]>(std::size_t(shards));
   for (int s = 0; s < shards; ++s) {
     ShardState& st = state_[s];
-    st.ledger.set_name("fabric-delivery");
+    sim::Simulator& sim = *sims_[std::size_t(s)];
     st.fabric = this;
-    st.shard = s;
-    // One event lane per distinct latency: classes sharing a latency share
-    // a lane, so pushes onto each lane are now() plus one constant.
+    st.auditor = &sim.auditor();
+    // One event lane and packet FIFO per distinct latency: classes sharing
+    // a latency share both, so pushes onto each lane are now() plus one
+    // constant and the FIFO follows the lane's order.
     for (int c = 0; c < kLinkClasses; ++c) {
       int same = 0;
       while (latency_[same] != latency_[c]) ++same;
-      st.event_lanes[c] =
-          same < c ? st.event_lanes[same]
-                   : sims_[std::size_t(s)]->add_lane(deliver_from_lane, &st);
+      if (same == c) {
+        LinkLane& ln = st.fifos[c];
+        ln.id = sim.add_lane(deliver_local, &ln);
+        ln.auditor = st.auditor;
+      }
+      st.link_lanes[c] = &st.fifos[same];
     }
     if (shards > 1) {
       // Sized up front: how many crossings gather between two drains
       // follows thread timing, so growth here would make the run's
       // allocation count depend on it too.
-      st.cross_lane = sims_[std::size_t(s)]->add_lane(deliver_from_lane, &st,
-                                                      kCrossDepth);
+      st.cross_lane = sim.add_lane(deliver_crossing, &st, kCrossDepth);
       st.inbox.reserve(kCrossDepth);
       st.arrivals.resize(std::size_t(shards));
       for (int src = 0; src < shards; ++src) {
@@ -181,17 +184,6 @@ bool Fabric::valid_link(NodeId from, NodeId to) const {
   return topo_.adjacent(from, to);
 }
 
-std::uint32_t Fabric::acquire_slot(ShardState& st) {
-  if (!st.free_deliveries.empty()) {
-    const std::uint32_t slot = st.free_deliveries.back();
-    st.free_deliveries.pop_back();
-    return slot;
-  }
-  const std::uint32_t slot = static_cast<std::uint32_t>(st.deliveries.size());
-  st.deliveries.emplace_back();
-  return slot;
-}
-
 void Fabric::send_local(int shard, NodeId from, NodeId to, Packet&& pkt) {
   Node* dst = node(to);
   assert(dst != nullptr && "destination NodeId has no attached object");
@@ -201,22 +193,16 @@ void Fabric::send_local(int shard, NodeId from, NodeId to, Packet&& pkt) {
   st.bytes_sent += pkt.wire_size();
   const LinkClass cls = link_class(from, to);
 
-  // Park the packet in the pool; the link's event lane carries only the
-  // slot index. The pool grows to the high-water mark of concurrently
-  // in-flight packets and is reused.
-  const std::uint32_t slot = acquire_slot(st);
-  Delivery& d = st.deliveries[slot];
-  d.pkt = pkt;
+  // The packet rides the FIFO beside the link's event lane, in the lane's
+  // order, so the lane entry needs no token.
+  LinkLane& ln = *st.link_lanes[cls];
+  Delivery& d = ln.packets.push_back_slot();
+  d.pkt = std::move(pkt);
   d.dst = dst;
   d.from = from;
+  d.to = to;
   sim.auditor().on_packet_injected();
-  st.ledger.on_park(sim.auditor(), slot, [&] {
-    return "packet src=" + std::to_string(d.pkt.src) +
-           " dst=" + std::to_string(d.pkt.dst) + " link " +
-           std::to_string(from) + "->" + std::to_string(to) +
-           " sent at t=" + std::to_string(sim.now()) + " ns";
-  });
-  sim.after_lane(st.event_lanes[cls], latency_[cls], slot);
+  sim.after_lane(ln.id, latency_[cls], 0);
 }
 
 void Fabric::send(NodeId from, NodeId to, Packet&& pkt) {
@@ -276,9 +262,10 @@ void Fabric::drain_shard(int dst, sim::Time safe) {
     }
     // Everything the last drain parked has been delivered by now.
     Arrivals& a = st.arrivals[std::size_t(src)];
+    assert(a.delivered == a.head && "a parked crossing outlived its window");
     a.entries.erase(a.entries.begin(),
                     a.entries.begin() + std::ptrdiff_t(a.head));
-    a.head = 0;
+    a.delivered = a.head = 0;
     if (a.entries.empty()) {
       a.entries.swap(st.inbox);
     } else {
@@ -306,40 +293,30 @@ void Fabric::drain_shard(int dst, sim::Time safe) {
     }
     if (src < 0) break;
     Arrivals& a = st.arrivals[std::size_t(src)];
-    const CrossEntry& entry = a.entries[a.head++];
-    const std::uint32_t slot = acquire_slot(st);
-    Delivery& d = st.deliveries[slot];
-    d.pkt = entry.pkt;
-    d.dst = node(entry.to);
-    d.from = entry.from;
-    st.ledger.on_park(sim.auditor(), slot, [&] {
-      return "packet src=" + std::to_string(d.pkt.src) +
-             " dst=" + std::to_string(d.pkt.dst) + " link " +
-             std::to_string(entry.from) + "->" + std::to_string(entry.to) +
-             " crossing from shard " + std::to_string(src) +
-             ", arrives t=" + std::to_string(entry.arrive) + " ns";
-    });
-    sim.at_lane(st.cross_lane, entry.arrive, slot);
+    sim.at_lane(st.cross_lane, a.entries[a.head++].arrive,
+                static_cast<std::uint32_t>(src));
   }
 }
 
-void Fabric::deliver_from_lane(void* ctx, std::uint32_t slot) {
-  const ShardState& st = *static_cast<const ShardState*>(ctx);
-  st.fabric->deliver(st.shard, slot);
+void Fabric::deliver_local(void* ctx, std::uint32_t /*token*/) {
+  LinkLane& ln = *static_cast<LinkLane*>(ctx);
+  const Delivery& d = ln.packets[0];
+  ln.auditor->on_packet_delivered();
+  // Pop only after receive() returns: its by-value parameter is copied
+  // from the head before the body runs, and anything the receiver sends
+  // is appended behind the head (a ring growth keeps the head in front).
+  d.dst->receive(d.pkt, d.from);
+  ln.packets.pop_front();
 }
 
-void Fabric::deliver(int shard, std::uint32_t slot) {
-  ShardState& st = state_[shard];
-  sim::Simulator& sim = *sims_[std::size_t(shard)];
-  const Delivery& d = st.deliveries[slot];
-  sim.auditor().on_packet_delivered();
-  st.ledger.on_release(sim.auditor(), slot);
-  // Recycle before receive(): anything the receiver sends can reuse the
-  // slot immediately, keeping the pool at its high-water mark. The packet
-  // is copied out of the slot into receive()'s parameter before its body
-  // runs, so that reuse cannot touch it.
-  st.free_deliveries.push_back(slot);
-  d.dst->receive(d.pkt, d.from);
+void Fabric::deliver_crossing(void* ctx, std::uint32_t src) {
+  ShardState& st = *static_cast<ShardState*>(ctx);
+  // Arrivals change only at the next window's drain, so the entry stays
+  // put while the receiver runs.
+  Arrivals& a = st.arrivals[src];
+  const CrossEntry& e = a.entries[a.delivered++];
+  st.auditor->on_packet_delivered();
+  st.fabric->node(e.to)->receive(e.pkt, e.from);
 }
 
 void Fabric::set_link_state(NodeId a, NodeId b, bool up) {
@@ -384,7 +361,7 @@ std::uint64_t Fabric::cross_pending_depth(int s) const {
   // orders every send before this read, so the sizes are read unlocked.
   std::uint64_t depth = 0;
   for (const Arrivals& a : state_[s].arrivals) {
-    depth += a.entries.size() - a.head;
+    depth += a.entries.size() - a.delivered;
   }
   if (lanes_.empty()) return depth;
   for (int src = 0; src < shard_count(); ++src) {
@@ -394,13 +371,15 @@ std::uint64_t Fabric::cross_pending_depth(int s) const {
   return depth;
 }
 
+std::size_t Fabric::in_flight(int s) const {
+  std::size_t n = cross_pending_depth(s);
+  for (const LinkLane& ln : state_[s].fifos) n += ln.packets.size();
+  return n;
+}
+
 std::size_t Fabric::deliveries_in_flight() const {
   std::size_t total = 0;
-  for (int s = 0; s < shard_count(); ++s) {
-    const ShardState& st = state_[s];
-    total += st.deliveries.size() - st.free_deliveries.size();
-    total += cross_pending_depth(s);
-  }
+  for (int s = 0; s < shard_count(); ++s) total += in_flight(s);
   return total;
 }
 
@@ -427,18 +406,36 @@ void Fabric::audit_finalize(bool expect_drained) {
     return;
   }
   for (int s = 0; s < shard_count(); ++s) {
-    ShardState& st = state_[s];
-    if (expect_drained) {
-      st.ledger.finalize(sims_[std::size_t(s)]->auditor());
-    } else {
-      sims_[std::size_t(s)]->auditor().on_packets_in_flight_at_end(
-          st.ledger.parked_count() + cross_pending_depth(s));
+    const ShardState& st = state_[s];
+    if (!expect_drained) {
+      st.auditor->on_packets_in_flight_at_end(in_flight(s));
+      continue;
+    }
+    // Every packet still on the wire towards shard s is a leak.
+    const auto leak = [&](const auto& e) {  // a Delivery or a CrossEntry
+      st.auditor->record(
+          "packet-leak",
+          "fabric-delivery packet src=" + std::to_string(e.pkt.src) +
+              " dst=" + std::to_string(e.pkt.dst) + " link " +
+              std::to_string(e.from) + "->" + std::to_string(e.to) +
+              " undelivered at finalize");
+    };
+    for (const LinkLane& ln : st.fifos) {
+      for (std::size_t i = 0; i < ln.packets.size(); ++i) leak(ln.packets[i]);
+    }
+    for (int src = 0; src < shard_count(); ++src) {
+      if (src == s) continue;
+      for (const CrossEntry& e : lane(s, src).entries) leak(e);
+      const Arrivals& a = st.arrivals[std::size_t(src)];
+      for (std::size_t i = a.delivered; i < a.entries.size(); ++i) {
+        leak(a.entries[i]);
+      }
     }
   }
-  // Conservation identity over the merged per-shard ledgers: the counters
-  // must balance regardless of drain state — a mismatch means a delivery
-  // fired without a send (duplication) or vice versa (loss the slot
-  // ledgers missed), including packets lost crossing shards.
+  // Conservation identity over the merged per-shard counters: they must
+  // balance regardless of drain state — a mismatch means a delivery fired
+  // without a send (duplication) or vice versa (loss), including packets
+  // lost crossing shards.
   const sim::AuditSummary merged = merged_audit_summary();
   const std::uint64_t sent = packets_sent();
   global_sim_->auditor().check(

@@ -13,9 +13,9 @@
 // p (its ToRs, aggs, and hosts) lives on shard p mod S, core group g (its
 // k/2 switches plus the shared accelerator cabled to them) on shard
 // g mod S — so the only links that cross shards are the 30 us agg<->core
-// links, which bound the group's conservative lookahead. send() parks
-// intra-shard packets in the sending shard's delivery pool and appends
-// cross-shard packets, stamped with arrival time, to a mutex-guarded
+// links, which bound the group's conservative lookahead. send() appends
+// intra-shard packets to the sending shard's FIFO for the link's latency
+// and cross-shard packets, stamped with arrival time, to a mutex-guarded
 // per-(dst,src) lane. A sender's clock never runs back and every crossing
 // link has the same latency, so each lane is in arrival order by
 // construction. At the start of every conservative window each shard moves
@@ -25,16 +25,19 @@
 // few packets per lane per window, so one uncontended lock per send costs
 // nothing measurable. With one shard every send is intra-shard.
 //
-// Deliveries ride the shard simulator's FIFO event lanes
-// (sim::EventQueue): the fabric creates one lane per distinct link latency
-// on every shard simulator, and since every push onto a lane is now() plus
-// that lane's constant, each lane is in time order by construction. A hop
-// is then a ring append of the delivery slot's index, fired by a plain
-// function call — no Task, no arena slot, no calendar insert. With more
-// than one shard, one more lane per shard carries the cross-shard
-// arrivals: a window's drain parks only arrivals below its safe bound, in
-// time order, and every later drain parks only arrivals at or above the
-// previous bound, so that lane is in time order too.
+// Packets ride the shard simulator's FIFO event lanes (sim::EventQueue):
+// the fabric creates one lane per distinct link latency on every shard
+// simulator, and since every push onto a lane is now() plus that lane's
+// constant, each lane is in time order by construction. Each lane has a
+// packet FIFO beside it in the same order, so a hop appends the packet to
+// the FIFO and a token-less entry to the lane, and the lane's handler —
+// a plain function call, no Task, no arena slot, no calendar insert —
+// delivers the FIFO's head. With more than one shard, one more lane per
+// shard carries the cross-shard arrivals, its token naming the source
+// shard whose next arrival to deliver: a window's drain parks only
+// arrivals below its safe bound, in time order, and every later drain
+// parks only arrivals at or above the previous bound, so that lane is in
+// time order too, and in each source's arrival order.
 #pragma once
 
 #include <array>
@@ -50,6 +53,7 @@
 #include "net/node.hpp"
 #include "net/packet.hpp"
 #include "sim/affinity.hpp"
+#include "sim/ring.hpp"
 #include "sim/shard.hpp"
 #include "sim/simulator.hpp"
 
@@ -99,16 +103,16 @@ class NETRS_COORD_GLOBAL Fabric {
   /// the link's one-way latency. Asserts topological adjacency (debug
   /// builds only; release builds skip the check entirely).
   ///
-  /// Allocation-free in steady state: the packet is copied once, into a
-  /// free-list delivery pool slot, and the slot's index is appended to the
-  /// shard simulator's event lane for the link's latency; delivery copies
-  /// the packet out of the slot into the receiver's parameter. Lane rings
-  /// and the pool keep their capacity, so both are bounded by the peak of
-  /// packets in flight. In sharded mode a cross-shard send instead
-  /// appends to the (destination, source) shard lane under its mutex; lane
-  /// vectors keep their capacity, so this allocates nothing in steady state
-  /// either. Coordinator-context sends (setup, global events) use the same
-  /// lane.
+  /// Allocation-free in steady state: the packet is copied once, into the
+  /// back of the packet FIFO beside the shard simulator's event lane for
+  /// the link's latency, and delivery copies the FIFO's head into the
+  /// receiver's parameter. The rings keep their capacity, so they are
+  /// bounded by the peak of packets in flight. In sharded mode a
+  /// cross-shard send instead appends to the (destination, source) shard
+  /// lane under its mutex; the destination moves it onto its arrivals from
+  /// that source and delivers it from there. Lane vectors keep their
+  /// capacity, so this allocates nothing in steady state either.
+  /// Coordinator-context sends (setup, global events) use the same lane.
   void send(NodeId from, NodeId to, Packet&& pkt);
 
   /// The global simulation clock/scheduler: the ShardGroup's
@@ -148,7 +152,7 @@ class NETRS_COORD_GLOBAL Fabric {
   /// Packets shard `s` sent across a shard boundary. Engine
   /// self-telemetry; call only between ShardGroup windows.
   [[nodiscard]] std::uint64_t cross_sends(int s) const;
-  /// Cross-shard packets bound for shard `s` not yet parked there (in a
+  /// Cross-shard packets bound for shard `s` not yet delivered there (in a
   /// lane or the per-source arrivals). Engine self-telemetry; call only
   /// between ShardGroup windows.
   [[nodiscard]] std::uint64_t cross_pending_depth(int s) const;
@@ -170,8 +174,8 @@ class NETRS_COORD_GLOBAL Fabric {
   /// Stable per-flow hash used for ECMP decisions.
   static std::uint64_t flow_hash(const Packet& pkt);
 
-  /// Packets on the wire: parked delivery slots plus cross-shard packets
-  /// not yet parked (diagnostic; call between windows).
+  /// Packets on the wire: the packet FIFOs' sizes plus the cross-shard
+  /// packets not yet delivered (diagnostic; call between windows).
   [[nodiscard]] std::size_t deliveries_in_flight() const;
 
   /// Registers the fabric's wire-level gauges (`net.packets`, `net.bytes`,
@@ -180,12 +184,14 @@ class NETRS_COORD_GLOBAL Fabric {
   void register_metrics(obs::MetricsRegistry& reg) const;
 
   /// Closes the packet-conservation ledger (checked builds; no-op
-  /// otherwise). With `expect_drained`, every delivery slot still parked is
-  /// reported as a packet leak with its send provenance; without it (a run
-  /// cut off at a simulated-time wall with traffic legitimately on the
-  /// wire) the in-flight count is recorded in the audit summary instead.
-  /// The per-shard ledgers are closed in shard order and the conservation
-  /// identity is checked over the merged counters.
+  /// otherwise). With `expect_drained`, every packet still on the wire —
+  /// in a packet FIFO, a cross-shard lane or a destination's undelivered
+  /// arrivals — is reported as a `packet-leak` naming its source,
+  /// destination and link; without it (a run cut off at a simulated-time
+  /// wall with traffic legitimately on the wire) the in-flight count is
+  /// recorded in the audit summary instead. Shards are walked in shard
+  /// order and the conservation identity is checked over the merged
+  /// counters.
   void audit_finalize(bool expect_drained = true);
 
   /// Merged audit counters across every shard auditor plus the global one
@@ -194,12 +200,21 @@ class NETRS_COORD_GLOBAL Fabric {
   [[nodiscard]] sim::AuditSummary merged_audit_summary() const;
 
  private:
-  /// One in-flight link crossing. Pooled: slots are recycled through
-  /// the per-shard free list, so steady-state traffic allocates nothing.
+  /// One in-flight intra-shard link crossing.
   struct Delivery {
     Packet pkt;
     Node* dst = nullptr;
     NodeId from = kInvalidNode;
+    NodeId to = kInvalidNode;
+  };
+
+  /// One shard's event lane for one link latency and the packets riding
+  /// it, in the lane's order: the lane's handler context, so each lane
+  /// event delivers the FIFO's head.
+  struct LinkLane {
+    sim::Ring<Delivery> packets;
+    sim::LaneId id = 0;
+    sim::Auditor* auditor = nullptr;  // the shard's
   };
 
   /// A cross-shard packet in flight: appended to its (dst, src) lane by
@@ -222,11 +237,13 @@ class NETRS_COORD_GLOBAL Fabric {
   static constexpr std::size_t kCrossDepth = 64;
 
   /// Drained arrivals from one source shard, in arrival order; those from
-  /// `head` on are not parked yet. Each drain drops the parked prefix
-  /// (delivered by then) before appending, so the live entries stay at
-  /// the front of the buffer: a ring would walk its whole reserved buffer.
+  /// `delivered` on are not delivered yet and those from `head` on not
+  /// parked yet. Each drain drops the parked prefix (delivered by then)
+  /// before appending, so the live entries stay at the front of the
+  /// buffer: a ring would walk its whole reserved buffer.
   struct Arrivals {
     std::vector<CrossEntry> entries;
+    std::size_t delivered = 0;
     std::size_t head = 0;
   };
 
@@ -238,7 +255,8 @@ class NETRS_COORD_GLOBAL Fabric {
     std::vector<CrossEntry> entries;  // guarded by m; in arrival order
   };
 
-  /// Link kinds by latency parameter; indexes `latency_` and the lanes.
+  /// Link kinds by latency parameter; indexes `latency_` and
+  /// `ShardState::link_lanes`.
   enum LinkClass : std::uint8_t {
     kSwitchLink,
     kHostLink,
@@ -249,15 +267,13 @@ class NETRS_COORD_GLOBAL Fabric {
   /// Everything one shard owns; cache-line isolated. Only the owning shard
   /// thread (or the coordinator at a barrier) touches it.
   struct alignas(64) ShardState {
-    Fabric* fabric = nullptr;  // lane handler context: {fabric, shard}
-    int shard = 0;
-    std::array<sim::LaneId, kLinkClasses> event_lanes{};  // by LinkClass
-    std::vector<Delivery> deliveries;            // packet pool
-    std::vector<std::uint32_t> free_deliveries;  // free slot indices
+    Fabric* fabric = nullptr;  // cross-lane handler context
+    sim::Auditor* auditor = nullptr;
+    std::array<LinkLane, kLinkClasses> fifos;  // one per distinct latency
+    std::array<LinkLane*, kLinkClasses> link_lanes{};  // by LinkClass
     std::uint64_t packets_sent = 0;
     std::uint64_t bytes_sent = 0;
     std::uint64_t cross_sends = 0;  // sends leaving this shard's partition
-    sim::SlotLedger ledger;           // conservation audit (checked builds)
     sim::LaneId cross_lane = 0;       // parked arrivals; shards > 1 only
     std::vector<CrossEntry> inbox;    // a lane's entries, swapped out
     std::vector<Arrivals> arrivals;   // by source shard; empty with one
@@ -275,18 +291,22 @@ class NETRS_COORD_GLOBAL Fabric {
   /// Cabling check behind assert(): tree adjacency or an auxiliary link in
   /// either direction. Single map lookup per direction.
   [[nodiscard]] bool valid_link(NodeId from, NodeId to) const;
-  /// The intra-shard path: park in `shard`'s pool and schedule delivery on
-  /// its own simulator.
+  /// The intra-shard path: append to `shard`'s packet FIFO for the link and
+  /// schedule delivery on its own simulator.
   void send_local(int shard, NodeId from, NodeId to, Packet&& pkt);
   /// Drains every lane bound for `dst` onto its per-source arrivals and
   /// parks all arrivals strictly below `safe` on the cross-shard event lane
   /// in (arrive, src_shard, FIFO) order; the rest wait there. Runs on
   /// `dst`'s worker at each window start.
   void drain_shard(int dst, sim::Time safe);
-  void deliver(int shard, std::uint32_t slot);
-  /// Lane handler: `ctx` is the delivering shard's ShardState.
-  static void deliver_from_lane(void* ctx, std::uint32_t slot);
-  [[nodiscard]] std::uint32_t acquire_slot(ShardState& st);
+  /// Link-lane handler: `ctx` is the LinkLane; delivers its FIFO's head.
+  static void deliver_local(void* ctx, std::uint32_t /*token*/);
+  /// Cross-lane handler: `ctx` is the delivering shard's ShardState; the
+  /// token is the source shard whose next arrival is delivered.
+  static void deliver_crossing(void* ctx, std::uint32_t src);
+  /// Packets on the wire bound for shard `s` (deliveries_in_flight's
+  /// per-shard term).
+  [[nodiscard]] std::size_t in_flight(int s) const;
   [[nodiscard]] Lane& lane(int dst, int src) {
     return lanes_[std::size_t(dst) * sims_.size() + std::size_t(src)];
   }

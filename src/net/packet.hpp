@@ -12,7 +12,7 @@
 // buffer) fill bytes 0-63 and `meta` fills bytes 64-127. The payload is a
 // fixed inline array with no heap fallback, so copying or moving a packet
 // is a flat copy. The switch pipeline and the fabric pass it by reference;
-// a hop copies it only into its delivery slot and out of it.
+// a hop copies it only into its link lane's FIFO and out of it.
 #pragma once
 
 #include <cstddef>

@@ -63,62 +63,6 @@ void Auditor::clear() {
   drops_by_reason_.clear();
 }
 
-// --- SlotLedger -------------------------------------------------------------
-
-void SlotLedger::park(Auditor& a, std::uint32_t slot, std::string provenance) {
-  if constexpr (!kAuditEnabled) {
-    (void)a;
-    (void)slot;
-    (void)provenance;
-    return;
-  }
-  if (slot >= parked_.size()) {
-    parked_.resize(slot + 1, 0);
-    provenance_.resize(slot + 1);
-  }
-  if (parked_[slot] != 0) {
-    a.record("double-park", name_ + " slot " + std::to_string(slot) +
-                                " parked twice; first: " + provenance_[slot] +
-                                "; second: " + provenance);
-    return;
-  }
-  parked_[slot] = 1;
-  provenance_[slot] = std::move(provenance);
-  ++parked_count_;
-}
-
-void SlotLedger::on_release(Auditor& a, std::uint32_t slot) {
-  if constexpr (!kAuditEnabled) {
-    (void)a;
-    (void)slot;
-    return;
-  }
-  if (slot >= parked_.size() || parked_[slot] == 0) {
-    a.record("double-delivery",
-             name_ + " slot " + std::to_string(slot) +
-                 " released while not parked (delivered twice, or never "
-                 "sent)");
-    return;
-  }
-  parked_[slot] = 0;
-  provenance_[slot].clear();
-  --parked_count_;
-}
-
-void SlotLedger::finalize(Auditor& a) const {
-  if constexpr (!kAuditEnabled) {
-    (void)a;
-    return;
-  }
-  for (std::size_t slot = 0; slot < parked_.size(); ++slot) {
-    if (parked_[slot] != 0) {
-      a.record("packet-leak", name_ + " slot " + std::to_string(slot) +
-                                  " still parked at finalize: " +
-                                  provenance_[slot]);
-    }
-  }
-}
-
 // --- StationLedger ----------------------------------------------------------
 
 void StationLedger::check_depth(Auditor& a, const char* op,

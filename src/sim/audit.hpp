@@ -12,10 +12,11 @@
 //     never regress, event-queue slots are in the state their heap entries
 //     claim (the bare asserts of simulator.cpp/event_queue.cpp, promoted to
 //     violations that carry event provenance instead of aborting);
-//   - packet conservation: every Fabric::send parks exactly one delivery
-//     slot and every slot is delivered exactly once (no duplication); at
-//     finalize the ledger must balance (no leaks), and node-level drops
-//     (malformed, cancelled) are explicitly accounted by reason;
+//   - packet conservation: every packet Fabric::send injects is either
+//     delivered or still on the wire, so sent = delivered + in flight; at
+//     finalize every packet still on the wire is reported as a leak, and
+//     node-level drops (malformed, cancelled) are explicitly accounted by
+//     reason;
 //   - queue accounting: per-station enqueue/dequeue/remove counters must
 //     match the live queue depth at every step, service slots never exceed
 //     capacity, and accelerator busy time never exceeds wall time.
@@ -61,7 +62,8 @@ struct AuditSummary {
   /// First kMaxDetailedViolations violations with full provenance.
   std::vector<AuditViolation> violations;
 
-  // Packet-conservation counters (Fabric ledger + node-level drops).
+  // Packet-conservation counters (Fabric sends and deliveries + node-level
+  // drops).
   std::uint64_t packets_injected = 0;   ///< Fabric::send calls.
   std::uint64_t packets_delivered = 0;  ///< Deliveries to a node.
   std::uint64_t packets_in_flight_at_end = 0;  ///< Undelivered at finalize.
@@ -99,7 +101,7 @@ class Auditor {
     }
   }
 
-  /// Records a violation unconditionally (used by ledgers).
+  /// Records a violation unconditionally (used by ledgers and leak walks).
   void record(const char* rule, std::string detail);
 
   // --- Packet-conservation counters ---------------------------------------
@@ -138,49 +140,6 @@ class Auditor {
   std::uint64_t packets_delivered_ = 0;
   std::uint64_t packets_in_flight_at_end_ = 0;
   std::map<std::string, std::uint64_t> drops_by_reason_;
-};
-
-/// Park/release ledger over pooled slots (Fabric's delivery pool): detects
-/// double delivery (release of a slot that is not parked), double park, and
-/// leaks (slots still parked at finalize), keeping per-slot provenance.
-class SlotLedger {
- public:
-  /// `what` names the pool in violation messages, e.g. "fabric-delivery".
-  void set_name(std::string what) {
-    if constexpr (kAuditEnabled) name_ = std::move(what);
-  }
-
-  /// Marks `slot` parked; `provenance` (a callable returning std::string)
-  /// is only evaluated in checked builds.
-  template <typename F>
-  void on_park(Auditor& a, std::uint32_t slot, F&& provenance) {
-    if constexpr (kAuditEnabled) {
-      park(a, slot, std::forward<F>(provenance)());
-    } else {
-      (void)a;
-      (void)slot;
-      (void)provenance;
-    }
-  }
-
-  /// Marks `slot` released; a release without a matching park is a
-  /// double-delivery violation.
-  void on_release(Auditor& a, std::uint32_t slot);
-
-  /// Checks that nothing is still parked. Call once the pool is expected to
-  /// be drained; every parked slot is reported with its provenance.
-  void finalize(Auditor& a) const;
-
-  /// Slots currently parked (0 in plain builds).
-  [[nodiscard]] std::size_t parked_count() const { return parked_count_; }
-
- private:
-  void park(Auditor& a, std::uint32_t slot, std::string provenance);
-
-  std::string name_ = "slot-pool";
-  std::vector<std::uint8_t> parked_;       // by slot index
-  std::vector<std::string> provenance_;    // by slot index, valid iff parked
-  std::size_t parked_count_ = 0;
 };
 
 /// Queue-accounting ledger for a FIFO service station (Accelerator, Server):

@@ -53,7 +53,7 @@ double mean_gap(std::span<const Time> t) {
 
 }  // namespace
 
-std::uint32_t EventQueue::acquire_slot() {
+std::uint32_t EventQueue::take_slot() {
   if (free_head_ != kNilSlot) {
     const std::uint32_t index = free_head_;
     free_head_ = slots_[index].next_free;
@@ -94,7 +94,7 @@ void EventQueue::check_live_slot(const Entry& e, const Slot& s) {
 }
 
 void EventQueue::push(Time t, Callback&& cb) {
-  const std::uint32_t index = acquire_slot();
+  const std::uint32_t index = take_slot();
   Slot& s = slots_[index];
   s.task = std::move(cb);
   s.live = true;

@@ -202,7 +202,7 @@ class EventQueue {
     return a.seq < b.seq;
   }
 
-  [[nodiscard]] std::uint32_t acquire_slot();
+  [[nodiscard]] std::uint32_t take_slot();
   void release_slot(std::uint32_t index);
   void check_live_slot(const Entry& e, const Slot& s);
 

@@ -1,5 +1,5 @@
-// Power-of-two ring FIFO: the wait queue of sim::Station and the FIFO
-// lanes of sim::EventQueue.
+// Power-of-two ring FIFO: the wait queue of sim::Station, the FIFO lanes
+// of sim::EventQueue and the packets riding them in net::Fabric.
 //
 // Elements live in one vector whose size is zero or a power of two, so an
 // index wraps with a mask. The ring doubles when full and never shrinks:
@@ -32,11 +32,15 @@ class Ring {
   }
 
   /// Appends `v` at the back, doubling the ring first when it is full.
-  void push_back(T v) {
+  void push_back(T v) { push_back_slot() = std::move(v); }
+  /// Appends a slot at the back, doubling the ring first when it is full,
+  /// and returns it to be filled in place. The slot still holds the
+  /// element last popped from it, so assigning reuses its storage.
+  T& push_back_slot() {
     if (size_ == buf_.size()) [[unlikely]] {
       grow(buf_.empty() ? 4 : 2 * buf_.size());
     }
-    (*this)[size_++] = std::move(v);
+    return (*this)[size_++];
   }
   /// Grows the ring, keeping its elements, to the least power of two that
   /// holds `n` elements; never shrinks. A ring reserved at its owner's

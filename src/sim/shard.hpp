@@ -162,6 +162,12 @@ class ShardGroup {
     window_active_.store(active, std::memory_order_relaxed);
   }
 
+  /// Audit/test hook: runs the drain hook for `shard` as a window starting
+  /// with exclusive bound `safe` would, but executes nothing, so a test can
+  /// inspect arrivals parked but not yet delivered. The group must not run
+  /// afterwards; never call while run_until is executing.
+  void testing_drain(int shard, Time safe) { drain_hook_(shard, safe); }
+
   /// Called on a shard's worker thread at the start of every window with
   /// the window's exclusive safe bound; the fabric drains that shard's
   /// cross-shard inboxes here, scheduling every arrival below the bound.

@@ -13,6 +13,7 @@
 #include "net/host.hpp"
 #include "net/switch.hpp"
 #include "sim/audit.hpp"
+#include "sim/shard.hpp"
 #include "sim/simulator.hpp"
 
 namespace netrs {
@@ -147,45 +148,72 @@ TEST(AuditTest, LeakedDeliveryIsDetectedAtFinalize) {
   const net::HostId src = rig.topo.host_id(0, 0, 0);
   const net::HostId dst = rig.topo.host_id(0, 0, 1);
   rig.hosts[src]->transmit(rig.make_packet(src, dst));
-  // Fault: finalize while the delivery event is still queued — the parked
-  // slot was never released.
+  // Fault: finalize while the delivery event is still queued — the packet
+  // is still on its link lane.
   rig.fabric.audit_finalize(/*expect_drained=*/true);
   const AuditSummary s = rig.fabric.simulator().auditor().summary();
   const AuditViolation* v = find_violation(s, "packet-leak");
   ASSERT_NE(v, nullptr);
   EXPECT_NE(v->detail.find("fabric-delivery"), std::string::npos) << v->detail;
-  // Per-slot provenance names the packet.
+  // Provenance names the packet.
   EXPECT_NE(v->detail.find("src=" + std::to_string(src)), std::string::npos)
       << v->detail;
   EXPECT_EQ(s.packets_injected, 1u);
   EXPECT_EQ(s.packets_delivered, 0u);
 }
 
-TEST(AuditTest, DoubleDeliveryIsDetected) {
+// k = 4 over four shards: pod p lives on shard p and core group 0 on
+// shard 0, so aggregation switch 0 of pods 1-3 each cross a shard boundary
+// to reach core switch (0, 0).
+TEST(AuditTest, CrossShardLeaksAreDetectedAtFinalize) {
   SKIP_WITHOUT_AUDIT();
-  sim::Simulator sim;
-  sim::SlotLedger ledger;
-  ledger.set_name("test-pool");
-  ledger.on_park(sim.auditor(), 3, [] { return std::string("pkt A"); });
-  ledger.on_release(sim.auditor(), 3);
-  // Fault: the same slot released again without a park in between.
-  ledger.on_release(sim.auditor(), 3);
-  const AuditSummary s = sim.auditor().summary();
-  const AuditViolation* v = find_violation(s, "double-delivery");
-  ASSERT_NE(v, nullptr);
-  EXPECT_NE(v->detail.find("test-pool"), std::string::npos) << v->detail;
-}
+  sim::ShardGroup group{4};
+  net::FatTree topo{4};
+  net::Fabric fabric{group, topo, net::FabricConfig{}};
+  struct NullNode final : net::Node {
+    void receive(net::Packet, net::NodeId) override {}
+  } sink;
+  const net::NodeId core = topo.core_node(0, 0);
+  fabric.attach(core, &sink);
+  auto cross = [&](int pod, net::HostId tag) {
+    net::Packet p;
+    p.src = tag;
+    fabric.send(topo.agg_node(pod, 0), core, std::move(p));
+  };
+  // Sent at 0, arriving at 30 us: the windows up to 5 us move it onto the
+  // core's arrivals from shard 1 but cannot park it yet.
+  cross(1, 101);
+  group.run_until(sim::micros(5));
+  // Sent at 5 us, arriving at 35 us: a drain bounded at 31 us moves it
+  // onto the arrivals from shard 2 and parks the first one, and the group
+  // never runs the window that would deliver it.
+  cross(2, 102);
+  group.testing_drain(0, sim::micros(31));
+  // Sent at 5 us and left in the (0, 3) lane.
+  cross(3, 103);
+  ASSERT_EQ(fabric.deliveries_in_flight(), 3u);
 
-TEST(AuditTest, DoubleParkIsDetected) {
-  SKIP_WITHOUT_AUDIT();
-  sim::Simulator sim;
-  sim::SlotLedger ledger;
-  ledger.set_name("test-pool");
-  ledger.on_park(sim.auditor(), 7, [] { return std::string("pkt A"); });
-  // Fault: slot reused while still parked.
-  ledger.on_park(sim.auditor(), 7, [] { return std::string("pkt B"); });
-  const AuditSummary s = sim.auditor().summary();
-  ASSERT_NE(find_violation(s, "double-park"), nullptr);
+  fabric.audit_finalize(/*expect_drained=*/true);
+  const AuditSummary s = fabric.merged_audit_summary();
+  std::vector<std::string> leaks;
+  for (const AuditViolation& v : s.violations) {
+    EXPECT_EQ(v.rule, "packet-leak") << v.detail;
+    leaks.push_back(v.detail);
+  }
+  ASSERT_EQ(leaks.size(), 3u);
+  for (const int tag : {101, 102, 103}) {
+    const std::string src = "src=" + std::to_string(tag) + " ";
+    int found = 0;
+    for (const std::string& d : leaks) {
+      if (d.find(src) == std::string::npos) continue;
+      ++found;
+      EXPECT_NE(d.find("fabric-delivery"), std::string::npos) << d;
+    }
+    EXPECT_EQ(found, 1) << src;
+  }
+  // Every leak is still counted in flight, so the identity balances.
+  EXPECT_EQ(s.packets_injected, 3u);
+  EXPECT_EQ(s.packets_delivered, 0u);
 }
 
 TEST(AuditTest, QueueAccountingMismatchIsDetected) {

@@ -164,6 +164,37 @@ TEST(ExperimentTest, RejectsCellsThatMeasureNothing) {
                  std::invalid_argument)
         << "repeats=" << repeats;
   }
+  // Nor does a cell without load: zero service time never ends, zero or
+  // negative utilization and zero clients issue nothing, and a skew of 1
+  // or more used to issue more requests than asked. Each is named.
+  const auto rejects = [](const ExperimentConfig& c, const std::string& what) {
+    try {
+      (void)run_experiment(Scheme::kNetRSIlp, c);
+      ADD_FAILURE() << what << " was accepted";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find(what), std::string::npos)
+          << e.what();
+    }
+  };
+  for (const sim::Duration tkv : {sim::Duration{0}, -sim::millis(2)}) {
+    cfg = small_config();
+    cfg.mean_service_time = tkv;
+    rejects(cfg, "mean_service_time must be positive, got " +
+                     std::to_string(tkv));
+  }
+  for (const double u : {0.0, -1.0}) {
+    cfg = small_config();
+    cfg.utilization = u;
+    rejects(cfg, "utilization must be positive, got " + std::to_string(u));
+  }
+  cfg = small_config();
+  cfg.num_clients = 0;
+  rejects(cfg, "num_clients must be at least 1, got 0");
+  for (const double skew : {1.0, 1.5, -0.1}) {
+    cfg = small_config();
+    cfg.demand_skew = skew;
+    rejects(cfg, "demand_skew must be in [0, 1), got " + std::to_string(skew));
+  }
 }
 
 TEST(ExperimentTest, RejectsOddZeroAndNegativeArity) {

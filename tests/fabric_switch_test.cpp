@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 #include <stdexcept>
 #include <string>
@@ -170,6 +171,98 @@ TEST(FabricTest, DistinctHostAndSwitchLatenciesDeliverOnTime) {
   // Lane events count like any other: one per link crossing.
   EXPECT_EQ(fabric.simulator().events_fired(), 8u);
   EXPECT_EQ(fabric.simulator().next_event_time(), sim::kNever);
+}
+
+// Packets ride one FIFO per event lane, and link classes sharing a latency
+// share the lane and its FIFO. Interleaved sends over host, switch and
+// accelerator links, in both directions, must each arrive exactly once at
+// send time plus the link's latency, and same-instant arrivals in send
+// order — whether two classes share a lane or all three are distinct.
+TEST(FabricTest, LinkLanesDeliverEachPacketOnTimeInSendOrder) {
+  struct Arrival {
+    std::uint32_t tag;
+    sim::Time at;
+    bool operator==(const Arrival&) const = default;
+  };
+  struct Recorder final : Node {
+    sim::Simulator* sim = nullptr;
+    std::vector<Arrival>* log = nullptr;
+    void receive(Packet pkt, NodeId) override {
+      log->push_back({pkt.src, sim->now()});
+    }
+  };
+  FabricConfig shared;  // host == switch: one lane for both
+  shared.host_link_latency = shared.switch_link_latency = sim::micros(30);
+  shared.accelerator_link_latency = sim::micros(1.25);
+  FabricConfig distinct;
+  distinct.host_link_latency = sim::micros(10);
+  distinct.switch_link_latency = sim::micros(20);
+  distinct.accelerator_link_latency = sim::micros(5);
+  for (const FabricConfig& cfg : {shared, distinct}) {
+    SCOPED_TRACE("switch/host/accelerator latency " +
+                 std::to_string(cfg.switch_link_latency) + "/" +
+                 std::to_string(cfg.host_link_latency) + "/" +
+                 std::to_string(cfg.accelerator_link_latency) + " ns");
+    sim::ShardGroup group{1};
+    FatTree topo{4};
+    Fabric fabric{group, topo, cfg};
+    sim::Simulator& sim = fabric.simulator();
+    std::vector<Arrival> log;
+    Recorder host, tor, agg, accel;
+    for (Recorder* r : {&host, &tor, &agg, &accel}) {
+      r->sim = &sim;
+      r->log = &log;
+    }
+    const NodeId host_id = topo.host_node(0);
+    const NodeId tor_id = topo.host_tor(0);
+    const NodeId agg_id = topo.agg_node(0, 0);
+    fabric.attach(host_id, &host);
+    fabric.attach(tor_id, &tor);
+    fabric.attach(agg_id, &agg);
+    const NodeId accel_id = fabric.attach_auxiliary(&accel, tor_id);
+    struct Link {
+      NodeId from, to;
+      sim::Duration latency;
+    };
+    const std::vector<Link> links = {
+        {host_id, tor_id, cfg.host_link_latency},
+        {tor_id, agg_id, cfg.switch_link_latency},
+        {accel_id, tor_id, cfg.accelerator_link_latency},
+        {tor_id, host_id, cfg.host_link_latency},
+        {agg_id, tor_id, cfg.switch_link_latency},
+        {tor_id, accel_id, cfg.accelerator_link_latency},
+    };
+    // Every 1.25 us, one packet over each directed link, starting at a
+    // rotating link; every latency is a multiple of the step, so packets
+    // sent at different instants over different lanes meet.
+    std::vector<Arrival> expected;
+    std::uint32_t tag = 0;
+    for (int step = 0; step < 40; ++step) {
+      const sim::Time at = step * sim::micros(1.25);
+      std::vector<Link> round;
+      for (std::size_t i = 0; i < links.size(); ++i) {
+        const Link& l = links[(std::size_t(step) + i) % links.size()];
+        round.push_back(l);
+        expected.push_back({tag++, at + l.latency});
+      }
+      sim.at(at, [&fabric, round, first = tag - round.size()] {
+        std::uint32_t t = std::uint32_t(first);
+        for (const Link& l : round) {
+          Packet p;
+          p.src = t++;
+          fabric.send(l.from, l.to, std::move(p));
+        }
+      });
+    }
+    // Arrival order: by time, and at one instant in send (tag) order.
+    std::stable_sort(expected.begin(), expected.end(),
+                     [](const Arrival& a, const Arrival& b) {
+                       return a.at < b.at;
+                     });
+    sim.run();
+    EXPECT_EQ(log, expected);
+    EXPECT_EQ(fabric.deliveries_in_flight(), 0u);
+  }
 }
 
 TEST(FabricTest, WireSizeAccountsPhantomBytes) {

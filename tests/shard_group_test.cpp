@@ -216,9 +216,10 @@ TEST(FabricLaneTest, InFlightCountsLaneAndPendingEntriesBetweenRuns) {
   EXPECT_EQ(rig.fabric.cross_pending_depth(0), 1u);
   rig.send_from_worker(3, sim::micros(5), {2, 3});
 
-  // Arrivals land at 30 and 35 us: in between they sit in a lane, the
-  // destination's per-source arrivals or its delivery pool, depending on how
-  // far the windows got, and every one of them is counted.
+  // Arrivals land at 30 and 35 us: in between they sit in a lane or the
+  // destination's per-source arrivals, parked on its cross-shard event
+  // lane or not, depending on how far the windows got, and every one of
+  // them is counted.
   rig.group.run_until(sim::micros(10));
   EXPECT_EQ(rig.fabric.deliveries_in_flight(), 3u);
   EXPECT_TRUE(rig.sink.log.empty());
