@@ -13,6 +13,7 @@
 #include "obs/metrics.hpp"
 #include "obs/shard_obs.hpp"
 #include "sim/audit.hpp"
+#include "sim/fault.hpp"
 #include "sim/shard.hpp"
 #include "sim/stats.hpp"
 
@@ -46,7 +47,9 @@ struct FaultPhaseStats {
 /// Report label for a fault phase index: "pre", "during", "post".
 [[nodiscard]] const char* fault_phase_name(int phase);
 
-/// Everything measured by one run_experiment() call (merged repeats).
+/// Everything measured by one run_experiment() call, or by one repeat
+/// (Deployment::run()). Repeats fold in repeat order through merge();
+/// until finalize(), the three means below hold sums.
 struct ExperimentResult {
   Scheme scheme = Scheme::kCliRS;  ///< Scheme that was run.
   /// Measured completions (after warmup), merged over repeats.
@@ -57,8 +60,9 @@ struct ExperimentResult {
   std::uint64_t redundant = 0;
   std::uint64_t cancels = 0;  ///< cross-server cancels sent (R95C)
   double avg_forwards = 0.0;  ///< mean switch forwards per request+response
-  /// Total wire bytes per completed request (bandwidth accounting; covers
-  /// every link crossing: headers, piggybacks, detours, duplicates).
+  /// Total wire bytes per completed request, averaged over repeats
+  /// (bandwidth accounting; covers every link crossing: headers,
+  /// piggybacks, detours, duplicates).
   double wire_bytes_per_request = 0.0;
 
   /// Herd-behavior metric: the mean over servers of the coefficient of
@@ -66,6 +70,8 @@ struct ExperimentResult {
   /// the measured phase. The paper argues more independent RSNodes cause
   /// load oscillation; this makes that claim directly measurable.
   double load_oscillation = 0.0;
+  /// Repeats merged into this result.
+  int repeats = 0;
 
   /// RSNodes performing selection: #clients for CliRS schemes, the active
   /// plan's RSNode count for NetRS schemes (last repeat).
@@ -161,22 +167,31 @@ struct ExperimentResult {
   [[nodiscard]] double percentile_ms(double q) const {
     return latencies_ms.empty() ? 0.0 : latencies_ms.percentile(q);
   }
+
+  /// Appends `later` (the next repeat or shard tally), taking its storage;
+  /// what describes one repeat (scheme, plan, fault window) is `later`'s.
+  void merge(ExperimentResult&& later);
+  /// Turns the sums into means and sorts every sample set, once.
+  void finalize();
 };
 
 /// Checks what run_experiment() checks before its first repeat: the fault
 /// plan parses and its link events name cabled links of the fat tree, the
 /// tree is valid and holds the servers and clients, the cell asks for at
 /// least one request and one repeat and carries load (positive service
-/// time and utilization, at least one client, skew in [0, 1)), and the
+/// time and utilization, at least one client, skew in [0, 1)), the
 /// replica ring can be built (1 <= replication_factor <= num_servers,
-/// virtual_nodes >= 1). Throws std::invalid_argument naming the first
-/// problem.
-void validate_config(const ExperimentConfig& cfg);
+/// virtual_nodes >= 1), rs::make_selector() knows the selector
+/// algorithm, and neither extra_hop_fraction nor timeline_bucket is
+/// negative. Returns the parsed fault plan; throws std::invalid_argument
+/// naming the first problem.
+sim::FaultPlan validate_config(const ExperimentConfig& cfg);
 
 /// Runs `cfg.repeats` independent deployments (re-randomized client/server
-/// placement, as in the paper) and merges the measured latencies. Throws
-/// std::invalid_argument, before any repeat runs, for a configuration
-/// validate_config() rejects or an output file that cannot be opened.
+/// placement, as in the paper; see harness::Deployment) and merges their
+/// results in repeat order. Throws std::invalid_argument, before any
+/// repeat runs, for a configuration validate_config() rejects or an
+/// output file that cannot be opened.
 ExperimentResult run_experiment(Scheme scheme, const ExperimentConfig& cfg);
 
 }  // namespace netrs::harness

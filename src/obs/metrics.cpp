@@ -23,37 +23,58 @@ void LatencyHistogram::merge(const LatencyHistogram& o) {
   sum_ns += o.sum_ns;
 }
 
-void MetricsSummary::merge(const MetricsSnapshot& snap) {
-  if (snap.rows() == 0) return;
-  if (entries.empty()) {
-    for (std::size_t c = 0; c < snap.columns.size(); ++c) {
-      if (snap.summarize[c] == 0) continue;
-      MetricSummaryEntry e;
-      e.name = snap.columns[c];
-      entries.push_back(std::move(e));
+void MetricsSummary::keep(const MetricsSnapshot& chunk, std::size_t ticks) {
+  if (chunk.rows() == 0) return;
+  if (kept.columns.empty()) {
+    for (std::size_t c = 0; c < chunk.columns.size(); ++c) {
+      if (chunk.summarize[c] == 0) continue;
+      kept.columns.push_back(chunk.columns[c]);
+    }
+    kept.times.reserve(ticks);
+    kept.values.reserve(ticks * kept.columns.size());
+  }
+  for (std::size_t row = 0; row < chunk.rows(); ++row) {
+    kept.times.push_back(chunk.times[row]);
+    for (std::size_t c = 0; c < chunk.columns.size(); ++c) {
+      if (chunk.summarize[c] != 0) kept.values.push_back(chunk.value(row, c));
     }
   }
-  std::size_t out = 0;
-  for (std::size_t c = 0; c < snap.columns.size(); ++c) {
-    if (snap.summarize[c] == 0) continue;
-    assert(out < entries.size() && entries[out].name == snap.columns[c] &&
-           "merged snapshots must share one column layout");
-    MetricSummaryEntry& e = entries[out++];
-    for (std::size_t row = 0; row < snap.rows(); ++row) {
-      const double v = snap.value(row, c);
-      if (e.samples == 0) {
-        e.min = e.max = v;
-      } else {
-        if (v < e.min) e.min = v;
-        if (v > e.max) e.max = v;
-      }
-      // Running mean keeps the merge independent of how repeats are
-      // batched (same fold order as the serial harness).
+  assert(kept.values.size() == kept.rows() * kept.columns.size() &&
+         "kept chunks must share one column layout");
+}
+
+void MetricsSummary::merge(MetricsSummary&& later) {
+  if (later.kept.rows() == 0) return;
+  if (kept.rows() == 0) {
+    kept = std::move(later.kept);
+    return;
+  }
+  kept.times.insert(kept.times.end(), later.kept.times.begin(),
+                    later.kept.times.end());
+  kept.values.insert(kept.values.end(), later.kept.values.begin(),
+                     later.kept.values.end());
+}
+
+void MetricsSummary::finalize() {
+  if (entries.empty()) {
+    for (const std::string& name : kept.columns) {
+      entries.push_back({.name = name});
+    }
+  }
+  for (std::size_t row = 0; row < kept.rows(); ++row) {
+    for (std::size_t c = 0; c < entries.size(); ++c) {
+      const double v = kept.value(row, c);
+      MetricSummaryEntry& e = entries[c];
+      e.min = e.samples == 0 ? v : std::min(e.min, v);
+      e.max = e.samples == 0 ? v : std::max(e.max, v);
+      // Running mean over every sample of every repeat in repeat order,
+      // so the result does not depend on how the repeats were batched.
       ++e.samples;
       e.mean += (v - e.mean) / static_cast<double>(e.samples);
       e.last = v;
     }
   }
+  kept = MetricsSnapshot{};
 }
 
 void MetricsRegistry::gauge(std::string name, GaugeFn fn, bool summarize) {

@@ -100,14 +100,21 @@ struct NETRS_SHARED_IMMUTABLE MetricSummaryEntry {
 struct NETRS_SHARED_IMMUTABLE MetricsSummary {
   /// One entry per summarized column, registration order.
   std::vector<MetricSummaryEntry> entries;
+  /// The summarized columns' samples, in repeat and tick order, kept until
+  /// finalize() folds them into running means in that order.
+  MetricsSnapshot kept;
 
-  /// True once at least one snapshot has been merged.
+  /// True once kept samples have been folded into the entries.
   [[nodiscard]] bool enabled() const { return !entries.empty(); }
 
-  /// Folds rows into the running summary (rows of every repeat, in
-  /// order). Column sets must match across merged snapshots (they do:
-  /// every repeat registers the same metrics in the same order).
-  void merge(const MetricsSnapshot& snap);
+  /// Appends the summarized columns of `chunk`'s rows to `kept` (sized on
+  /// first use for `ticks` rows); every chunk has the same columns.
+  void keep(const MetricsSnapshot& chunk, std::size_t ticks);
+  /// Appends a later repeat's kept samples (repeats in order); moves them
+  /// when none are kept yet.
+  void merge(MetricsSummary&& later);
+  /// Folds the kept samples, in order, into the entries and drops them.
+  void finalize();
 };
 
 /// Registry of gauges, one per column, with a deterministic

@@ -4,6 +4,7 @@
 
 #include <memory>
 #include <string>
+#include <string_view>
 
 #include "rs/c3.hpp"
 #include "rs/selector.hpp"
@@ -23,5 +24,10 @@ struct NETRS_SHARED_IMMUTABLE SelectorConfig {
 std::unique_ptr<ReplicaSelector> make_selector(const SelectorConfig& cfg,
                                                sim::Simulator& sim,
                                                sim::Rng rng);
+
+/// True when make_selector() accepts `name`.
+[[nodiscard]] bool is_selector_algorithm(std::string_view name);
+/// The names make_selector() accepts, comma-separated, in a fixed order.
+[[nodiscard]] std::string selector_algorithm_names();
 
 }  // namespace netrs::rs

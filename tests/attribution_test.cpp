@@ -10,7 +10,6 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
-#include <cstring>
 #include <fstream>
 #include <limits>
 #include <sstream>
@@ -18,6 +17,7 @@
 #include <utility>
 #include <vector>
 
+#include "golden.hpp"
 #include "harness/experiment.hpp"
 #include "obs/attribution.hpp"
 #include "obs/decision.hpp"
@@ -683,48 +683,16 @@ TEST(DecisionReplayTest, ChunkedFlushesWriteTheBytesOfOneFlush) {
 // ---------------------------------------------------------------------------
 // Experiment-level tests: full runs with recording enabled.
 
-harness::ExperimentConfig small_config() {
-  harness::ExperimentConfig cfg;
-  cfg.fat_tree_k = 4;  // 16 hosts
-  cfg.num_servers = 5;
-  cfg.num_clients = 8;
-  cfg.total_requests = 2000;
-  cfg.repeats = 2;
-  cfg.seed = 17;
-  cfg.jobs = 1;
-  return cfg;
-}
-
-// FNV-1a over every measured latency sample plus the summary counters —
-// the same digest shape golden_digest_test pins.
-std::uint64_t result_digest(const harness::ExperimentResult& res) {
-  std::uint64_t h = 0xCBF29CE484222325ULL;
-  const auto mix = [&h](std::uint64_t v) {
-    for (std::size_t i = 0; i < sizeof(v); ++i) {
-      h ^= (v >> (8 * i)) & 0xFF;
-      h *= 0x100000001B3ULL;
-    }
-  };
-  mix(res.latencies_ms.count());
-  for (const double s : res.latencies_ms.samples()) {
-    std::uint64_t bits = 0;
-    std::memcpy(&bits, &s, sizeof(bits));
-    mix(bits);
-  }
-  mix(res.issued);
-  mix(res.completed);
-  mix(res.redundant);
-  mix(res.cancels);
-  return h;
-}
+// The golden cell (golden.hpp) and its digest.
+using golden::result_digest;
 
 TEST(AttributionExperimentTest, DigestsUnchangedWithRecordingOnAtAnyJobs) {
   for (const harness::Scheme scheme :
        {harness::Scheme::kCliRSR95Cancel, harness::Scheme::kNetRSIlp}) {
-    harness::ExperimentConfig off = small_config();
+    harness::ExperimentConfig off = golden::cell();
     const std::uint64_t base = result_digest(run_experiment(scheme, off));
 
-    harness::ExperimentConfig on = small_config();
+    harness::ExperimentConfig on = golden::cell();
     on.obs.record_attribution = true;
     on.obs.record_decisions = true;
     const std::uint64_t serial = result_digest(run_experiment(scheme, on));
@@ -745,7 +713,7 @@ TEST(AttributionExperimentTest, ComponentsSumToTotalForEveryRequest) {
       ::testing::TempDir() + "/attribution_test_flight.csv";
   for (const harness::Scheme scheme :
        {harness::Scheme::kCliRSR95Cancel, harness::Scheme::kNetRSIlp}) {
-    harness::ExperimentConfig cfg = small_config();
+    harness::ExperimentConfig cfg = golden::cell();
     cfg.obs.attribution_path = path;
     const harness::ExperimentResult res =
         harness::run_experiment(scheme, cfg);
@@ -794,7 +762,7 @@ TEST(AttributionExperimentTest, StampsAreWrittenOncePerCopyInAuditBuilds) {
        {harness::Scheme::kCliRSR95Cancel, harness::Scheme::kNetRSToR,
         harness::Scheme::kNetRSIlp}) {
     for (const bool shared : {false, true}) {
-      harness::ExperimentConfig cfg = small_config();
+      harness::ExperimentConfig cfg = golden::cell();
       cfg.shards = 2;
       cfg.share_core_accelerators = shared;
       cfg.fault_plan = "at 0.15s crash server 3; at 0.3s recover server 3";
@@ -815,7 +783,7 @@ TEST(AttributionExperimentTest, NetRSDecidesFresherAndCloserToOracle) {
   // Needs enough independent clients for client-side feedback to actually
   // go stale: with only a handful of clients the two schemes are within
   // noise of each other (128 hosts, 64 clients here).
-  harness::ExperimentConfig cfg = small_config();
+  harness::ExperimentConfig cfg = golden::cell();
   cfg.fat_tree_k = 8;
   cfg.num_servers = 16;
   cfg.num_clients = 64;

@@ -9,6 +9,9 @@
 #include <stdexcept>
 #include <string>
 
+#include "golden.hpp"
+#include "harness/deployment.hpp"
+
 namespace netrs::harness {
 namespace {
 
@@ -194,6 +197,39 @@ TEST(ExperimentTest, RejectsCellsThatMeasureNothing) {
     cfg = small_config();
     cfg.demand_skew = skew;
     rejects(cfg, "demand_skew must be in [0, 1), got " + std::to_string(skew));
+  }
+  // An unknown selector used to fail inside the first repeat, a negative
+  // hop budget planned no RSNode, and a negative timeline bucket turned
+  // the timeline off; each is now named before anything runs.
+  cfg = small_config();
+  cfg.selector.algorithm = "bogus";
+  rejects(cfg, "selector.algorithm must be one of c3, ");
+  rejects(cfg, "got \"bogus\"");
+  cfg = small_config();
+  cfg.extra_hop_fraction = -1.0;
+  rejects(cfg, "extra_hop_fraction must be non-negative, got " +
+                   std::to_string(-1.0));
+  cfg = small_config();
+  cfg.timeline_bucket = -sim::millis(5);
+  rejects(cfg, "timeline_bucket must be non-negative, got " +
+                   std::to_string(-sim::millis(5)) + " ns");
+}
+
+// The public deployment is run_experiment's repeat: built and run directly
+// at one repeat, it gives run_experiment's digest, serial and sharded.
+TEST(ExperimentTest, DeploymentRunMatchesRunExperiment) {
+  for (const int shards : {1, 2}) {
+    ExperimentConfig cfg = golden::cell();
+    cfg.repeats = 1;
+    cfg.shards = shards;
+    const sim::FaultPlan plan = validate_config(cfg);
+    Deployment d(Scheme::kNetRSIlp, cfg, plan, cfg.seed);
+    ExperimentResult direct = d.run();
+    direct.finalize();
+    EXPECT_EQ(direct.repeats, 1);
+    EXPECT_EQ(golden::result_digest(direct),
+              golden::result_digest(run_experiment(Scheme::kNetRSIlp, cfg)))
+        << "shards=" << shards;
   }
 }
 

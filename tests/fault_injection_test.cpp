@@ -19,10 +19,10 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <stdexcept>
 #include <string>
 
+#include "golden.hpp"
 #include "harness/experiment.hpp"
 #include "sim/audit.hpp"
 #include "sim/fault.hpp"
@@ -159,69 +159,14 @@ TEST(FaultPlanParse, LoadsPlanFromFile) {
 // ---------------------------------------------------------------------------
 // Experiment-level determinism
 
-// FNV-1a over the merged result (mirrors golden_digest_test.cpp).
-class Digest {
- public:
-  void add_bytes(const void* p, std::size_t n) {
-    const auto* b = static_cast<const unsigned char*>(p);
-    for (std::size_t i = 0; i < n; ++i) {
-      h_ ^= b[i];
-      h_ *= 0x100000001B3ULL;
-    }
-  }
-  void add_u64(std::uint64_t v) { add_bytes(&v, sizeof(v)); }
-  void add_double(double v) {
-    std::uint64_t bits = 0;
-    std::memcpy(&bits, &v, sizeof(bits));
-    add_u64(bits);
-  }
-  [[nodiscard]] std::uint64_t value() const { return h_; }
+using golden::result_digest;
 
- private:
-  std::uint64_t h_ = 0xCBF29CE484222325ULL;
-};
-
-// `include_fault` adds the fault-phase outputs; the zero-fault golden
-// comparison must hash exactly what golden_digest_test.cpp hashes.
-std::uint64_t result_digest(const harness::ExperimentResult& res,
-                            bool include_fault = true) {
-  Digest d;
-  d.add_u64(res.latencies_ms.count());
-  for (double s : res.latencies_ms.samples()) d.add_double(s);
-  d.add_u64(res.issued);
-  d.add_u64(res.completed);
-  d.add_u64(res.redundant);
-  d.add_u64(res.cancels);
-  d.add_double(res.avg_forwards);
-  d.add_double(res.wire_bytes_per_request);
-  d.add_double(res.load_oscillation);
-  d.add_u64(static_cast<std::uint64_t>(res.rsnodes));
-  d.add_bytes(res.plan_method.data(), res.plan_method.size());
-  d.add_u64(static_cast<std::uint64_t>(res.plans_deployed));
-  d.add_u64(res.drs_groups);
-  if (include_fault) {
-    // Fault-specific outputs must be partition-invariant too.
-    d.add_u64(res.fault.events_fired);
-    for (int p = 0; p < 3; ++p) {
-      d.add_u64(res.fault.latency_ms[p].count());
-      for (double s : res.fault.latency_ms[p].samples()) d.add_double(s);
-    }
-  }
-  return d.value();
-}
-
-// The golden cell (golden_digest_test.cpp) with the committed failover
-// plan scaled into its ~440 ms nominal duration: crash at 1/3, recover
-// at 2/3 of the run, matching the shape of bench/fig_failover's plan.
+// The golden cell (golden.hpp; 4 pods, so shards=4 is a real partition)
+// with the committed failover plan scaled into its ~440 ms nominal
+// duration: crash at 1/3, recover at 2/3 of the run, matching the shape
+// of bench/fig_failover's plan.
 harness::ExperimentConfig faulted_config() {
-  harness::ExperimentConfig cfg;
-  cfg.fat_tree_k = 4;  // 16 hosts, 4 pods — shards=4 is a real partition
-  cfg.num_servers = 5;
-  cfg.num_clients = 8;
-  cfg.total_requests = 2000;
-  cfg.repeats = 2;
-  cfg.seed = 17;
-  cfg.jobs = 1;
+  harness::ExperimentConfig cfg = golden::cell();
   cfg.fault_plan =
       "at 0.15s crash server 0; at 0.15s slow server 3 x8; "
       "at 0.3s recover server 0; at 0.3s slow server 3 x1";
@@ -250,7 +195,8 @@ TEST_P(FaultDeterminismTest, FaultedDigestMatchesSerialBaseline) {
   cfg.jobs = sj.jobs;
   const harness::ExperimentResult out =
       harness::run_experiment(harness::Scheme::kNetRSIlp, cfg);
-  EXPECT_EQ(result_digest(base), result_digest(out))
+  EXPECT_EQ(result_digest(base, /*include_fault=*/true),
+            result_digest(out, /*include_fault=*/true))
       << "fault timing diverged at shards=" << sj.shards
       << " jobs=" << sj.jobs;
 }
@@ -264,34 +210,20 @@ INSTANTIATE_TEST_SUITE_P(
              std::to_string(info.param.jobs);
     });
 
-// Recorded goldens from golden_digest_test.cpp: a zero-fault plan (empty
-// or comment-only) must not perturb a single bit of the existing cells.
+// Recorded goldens (golden.hpp): a zero-fault plan (empty or comment-only)
+// must not perturb a single bit of the existing cells.
 TEST(FaultZeroPlan, ReproducesRecordedGoldenDigests) {
-  struct Case {
-    harness::Scheme scheme;
-    std::uint64_t expected;
-  };
-  const Case cases[] = {
-      {harness::Scheme::kCliRS, 0x22129A79E79D7970ULL},
-      {harness::Scheme::kNetRSToR, 0x3A2BD8D30D7BB217ULL},
-  };
   for (const char* plan : {"", "  # no faults today\n;"}) {
-    for (const Case& c : cases) {
-      harness::ExperimentConfig cfg;
-      cfg.fat_tree_k = 4;
-      cfg.num_servers = 5;
-      cfg.num_clients = 8;
-      cfg.total_requests = 2000;
-      cfg.repeats = 2;
-      cfg.seed = 17;
-      cfg.jobs = 1;
+    for (const harness::Scheme scheme :
+         {harness::Scheme::kCliRS, harness::Scheme::kNetRSToR}) {
+      harness::ExperimentConfig cfg = golden::cell();
       cfg.fault_plan = plan;
       const harness::ExperimentResult res =
-          harness::run_experiment(c.scheme, cfg);
+          harness::run_experiment(scheme, cfg);
       EXPECT_FALSE(res.fault.enabled);
-      EXPECT_EQ(result_digest(res, /*include_fault=*/false), c.expected)
+      EXPECT_EQ(result_digest(res), golden::pinned(scheme))
           << "zero-fault plan " << (plan[0] != '\0' ? "(comment)" : "(empty)")
-          << " drifted for " << harness::scheme_name(c.scheme);
+          << " drifted for " << harness::scheme_name(scheme);
     }
   }
 }
@@ -312,7 +244,7 @@ TEST(FaultAccelerator, CrashAndRecoveryDigestIsPinned) {
     EXPECT_EQ(res.fault.events_unbound, 0u);
     EXPECT_GT(res.issued, res.completed)
         << "a dark accelerator must lose the packets it held";
-    const std::uint64_t got = result_digest(res);
+    const std::uint64_t got = result_digest(res, /*include_fault=*/true);
     if (std::getenv("NETRS_PRINT_DIGESTS") != nullptr) {
       std::printf("accel crash shards=%d: 0x%016llXULL\n", shards,
                   static_cast<unsigned long long>(got));

@@ -5,101 +5,30 @@
 // buffers, scheduling — that silently changes behavior trips this test,
 // because the digest covers the bit pattern of every measured latency.
 //
-// The recorded digests were produced by this test itself (run with
-// NETRS_PRINT_DIGESTS=1 to reprint them). They are a *behavioral contract*:
-// update them only for a change that intentionally alters simulation
-// results, and say so in the commit message.
+// The recorded digests (golden.hpp) were produced by this test itself (run
+// with NETRS_PRINT_DIGESTS=1 to reprint them). They are a *behavioral
+// contract*: update them only for a change that intentionally alters
+// simulation results, and say so in the commit message.
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <string>
 
+#include "golden.hpp"
 #include "harness/experiment.hpp"
 
 namespace netrs::harness {
 namespace {
 
-// FNV-1a over raw bytes; doubles are hashed by bit pattern, so any change
-// in any sample or statistic changes the digest.
-class Digest {
- public:
-  void add_bytes(const void* p, std::size_t n) {
-    const auto* b = static_cast<const unsigned char*>(p);
-    for (std::size_t i = 0; i < n; ++i) {
-      h_ ^= b[i];
-      h_ *= 0x100000001B3ULL;
-    }
-  }
-  void add_u64(std::uint64_t v) { add_bytes(&v, sizeof(v)); }
-  void add_double(double v) {
-    std::uint64_t bits = 0;
-    std::memcpy(&bits, &v, sizeof(bits));
-    add_u64(bits);
-  }
-  [[nodiscard]] std::uint64_t value() const { return h_; }
+using golden::result_digest;
 
- private:
-  std::uint64_t h_ = 0xCBF29CE484222325ULL;
-};
-
-ExperimentConfig digest_config() {
-  ExperimentConfig cfg;
-  cfg.fat_tree_k = 4;  // 16 hosts
-  cfg.num_servers = 5;
-  cfg.num_clients = 8;
-  cfg.total_requests = 2000;
-  cfg.repeats = 2;
-  cfg.seed = 17;
-  cfg.jobs = 1;
-  return cfg;
-}
-
-std::uint64_t result_digest(const ExperimentResult& res) {
-  Digest d;
-  d.add_u64(res.latencies_ms.count());
-  for (double s : res.latencies_ms.samples()) d.add_double(s);
-  d.add_u64(res.issued);
-  d.add_u64(res.completed);
-  d.add_u64(res.redundant);
-  d.add_u64(res.cancels);
-  d.add_double(res.avg_forwards);
-  d.add_double(res.wire_bytes_per_request);
-  d.add_double(res.load_oscillation);
-  d.add_u64(static_cast<std::uint64_t>(res.rsnodes));
-  d.add_bytes(res.plan_method.data(), res.plan_method.size());
-  d.add_u64(static_cast<std::uint64_t>(res.plans_deployed));
-  d.add_u64(res.drs_groups);
-  return d.value();
-}
-
-struct GoldenCase {
-  Scheme scheme;
-  std::uint64_t expected;
-};
-
-// Recorded from the seed implementation (see file comment).
-//
-// NetRS-ILP was re-recorded when Controller::rates_ switched from
-// unordered_map to an ordered map (sorted GroupId order): build_problem
-// iterates rates_, so the ILP's variable order — and with it tie-breaking
-// among equal-cost placements — previously depended on hash layout. The new
-// digest is the deterministic-order plan; CliRS/CliRS-R95C/NetRS-ToR never
-// consult the ILP and were unaffected.
-constexpr GoldenCase kGolden[] = {
-    {Scheme::kCliRS, 0x22129A79E79D7970ULL},
-    {Scheme::kCliRSR95Cancel, 0x0891AE823F6B4F89ULL},
-    {Scheme::kNetRSToR, 0x3A2BD8D30D7BB217ULL},
-    {Scheme::kNetRSIlp, 0xE5DF15E64FB0AFFBULL},
-};
-
-class GoldenDigestTest : public ::testing::TestWithParam<GoldenCase> {};
+class GoldenDigestTest : public ::testing::TestWithParam<golden::Pin> {};
 
 TEST_P(GoldenDigestTest, MatchesRecordedDigestAtAnyJobsValue) {
-  const GoldenCase gc = GetParam();
-  ExperimentConfig cfg = digest_config();
+  const golden::Pin gc = GetParam();
+  ExperimentConfig cfg = golden::cell();
   const ExperimentResult serial = run_experiment(gc.scheme, cfg);
   const std::uint64_t serial_digest = result_digest(serial);
 
@@ -114,13 +43,13 @@ TEST_P(GoldenDigestTest, MatchesRecordedDigestAtAnyJobsValue) {
   }
   EXPECT_EQ(serial_digest, parallel_digest)
       << "jobs=1 vs jobs=4 diverged for " << scheme_name(gc.scheme);
-  EXPECT_EQ(serial_digest, gc.expected)
+  EXPECT_EQ(serial_digest, gc.digest)
       << "behavior drift for " << scheme_name(gc.scheme)
       << " — if intentional, re-record with NETRS_PRINT_DIGESTS=1";
 }
 
 INSTANTIATE_TEST_SUITE_P(
-    MixedSchemes, GoldenDigestTest, ::testing::ValuesIn(kGolden),
+    MixedSchemes, GoldenDigestTest, ::testing::ValuesIn(golden::kPins),
     [](const auto& info) {
       std::string n = scheme_name(info.param.scheme);
       for (char& c : n) {

@@ -31,20 +31,13 @@
 #include <sstream>
 #include <string>
 
+#include "golden.hpp"
 #include "harness/experiment.hpp"
 
 namespace netrs::harness {
 namespace {
 
-// FNV-1a over the raw file bytes, as in golden_digest_test.cpp.
-std::uint64_t fnv1a(const std::string& bytes) {
-  std::uint64_t h = 0xCBF29CE484222325ULL;
-  for (const char c : bytes) {
-    h ^= static_cast<unsigned char>(c);
-    h *= 0x100000001B3ULL;
-  }
-  return h;
-}
+using golden::fnv1a;
 
 std::string slurp(const std::string& path) {
   std::ifstream in(path, std::ios::binary);
@@ -71,14 +64,7 @@ struct ObsGoldenCase {
 };
 
 ObsDigests run_and_hash(const ObsGoldenCase& gc) {
-  ExperimentConfig cfg;
-  cfg.fat_tree_k = 4;  // 16 hosts
-  cfg.num_servers = 5;
-  cfg.num_clients = 8;
-  cfg.total_requests = 2000;
-  cfg.repeats = 2;
-  cfg.seed = 17;
-  cfg.jobs = 1;
+  ExperimentConfig cfg = golden::cell();
   cfg.shards = 1;
   cfg.fault_plan = gc.fault_plan;
   cfg.share_core_accelerators = gc.share_core_accelerators;

@@ -5,53 +5,18 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
-#include <cstring>
 #include <fstream>
 #include <sstream>
 #include <string>
 #include <vector>
 
+#include "golden.hpp"
 #include "harness/experiment.hpp"
 
 namespace netrs::harness {
 namespace {
 
-// Same digest as golden_digest_test.cpp: FNV-1a over every latency
-// sample's bit pattern plus all summary statistics.
-class Digest {
- public:
-  void add_bytes(const void* p, std::size_t n) {
-    const auto* b = static_cast<const unsigned char*>(p);
-    for (std::size_t i = 0; i < n; ++i) {
-      h_ ^= b[i];
-      h_ *= 0x100000001B3ULL;
-    }
-  }
-  void add_u64(std::uint64_t v) { add_bytes(&v, sizeof(v)); }
-  void add_double(double v) {
-    std::uint64_t bits = 0;
-    std::memcpy(&bits, &v, sizeof(bits));
-    add_u64(bits);
-  }
-  [[nodiscard]] std::uint64_t value() const { return h_; }
-
- private:
-  std::uint64_t h_ = 0xCBF29CE484222325ULL;
-};
-
-std::uint64_t result_digest(const ExperimentResult& res) {
-  Digest d;
-  d.add_u64(res.latencies_ms.count());
-  for (double s : res.latencies_ms.samples()) d.add_double(s);
-  d.add_u64(res.issued);
-  d.add_u64(res.completed);
-  d.add_u64(res.redundant);
-  d.add_u64(res.cancels);
-  d.add_double(res.avg_forwards);
-  d.add_double(res.wire_bytes_per_request);
-  d.add_double(res.load_oscillation);
-  return d.value();
-}
+using golden::result_digest;
 
 ExperimentConfig small_config() {
   ExperimentConfig cfg;

@@ -7,6 +7,7 @@
 #include <cstdint>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "obs/metrics.hpp"
@@ -246,10 +247,14 @@ TEST(MetricsRegistryTest, SummaryMergeAcrossRepeats) {
   MetricsSnapshot b = a;
   b.values = {6.0, 9.0, 8.0, 9.0};
 
+  // Two repeats keep their rows; the merged summary folds them in order.
   MetricsSummary sum;
+  MetricsSummary later;
+  sum.keep(a, a.rows());
+  later.keep(b, b.rows());
+  sum.merge(std::move(later));
   EXPECT_FALSE(sum.enabled());
-  sum.merge(a);
-  sum.merge(b);
+  sum.finalize();
   ASSERT_TRUE(sum.enabled());
   // Only the summarized column appears.
   ASSERT_EQ(sum.entries.size(), 1u);

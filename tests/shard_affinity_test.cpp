@@ -17,11 +17,11 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
-#include <cstring>
 #include <memory>
 #include <string>
 #include <vector>
 
+#include "golden.hpp"
 #include "harness/experiment.hpp"
 #include "kv/server.hpp"
 #include "net/fabric.hpp"
@@ -155,67 +155,20 @@ TEST(ShardAffinityTest, CoordinatorAccessDuringWindowIsCaught) {
 
 // --- Digest invariance -----------------------------------------------------
 
-// Same FNV-1a digest as golden_digest_test / shard_determinism_test so the
-// pinned constant is directly comparable.
-class Digest {
- public:
-  void add_bytes(const void* p, std::size_t n) {
-    const auto* b = static_cast<const unsigned char*>(p);
-    for (std::size_t i = 0; i < n; ++i) {
-      h_ ^= b[i];
-      h_ *= 0x100000001B3ULL;
-    }
-  }
-  void add_u64(std::uint64_t v) { add_bytes(&v, sizeof(v)); }
-  void add_double(double v) {
-    std::uint64_t bits = 0;
-    std::memcpy(&bits, &v, sizeof(bits));
-    add_u64(bits);
-  }
-  [[nodiscard]] std::uint64_t value() const { return h_; }
-
- private:
-  std::uint64_t h_ = 0xCBF29CE484222325ULL;
-};
-
-std::uint64_t result_digest(const ExperimentResult& res) {
-  Digest d;
-  d.add_u64(res.latencies_ms.count());
-  for (double s : res.latencies_ms.samples()) d.add_double(s);
-  d.add_u64(res.issued);
-  d.add_u64(res.completed);
-  d.add_u64(res.redundant);
-  d.add_u64(res.cancels);
-  d.add_double(res.avg_forwards);
-  d.add_double(res.wire_bytes_per_request);
-  d.add_double(res.load_oscillation);
-  d.add_u64(static_cast<std::uint64_t>(res.rsnodes));
-  d.add_bytes(res.plan_method.data(), res.plan_method.size());
-  d.add_u64(static_cast<std::uint64_t>(res.plans_deployed));
-  d.add_u64(res.drs_groups);
-  return d.value();
-}
-
-// Runs in BOTH plain and audit builds: the constant below is the recorded
-// serial-core value from golden_digest_test, so matching it here under
+// Runs in BOTH plain and audit builds: the pinned NetRS-ToR digest is the
+// recorded serial-core value (golden.hpp), so matching it here under
 // -DNETRS_AUDIT=ON proves the affinity guard (bind + per-access checks +
 // the simulator_for audit hook) perturbs nothing, and matching it in the
 // plain build proves compiling the guard out perturbs nothing either.
 TEST(ShardAffinityDigestTest, GuardLeavesDigestsUnchanged) {
-  constexpr std::uint64_t kNetRSToRSerial = 0x3A2BD8D30D7BB217ULL;
   for (const int shards : {1, 4}) {
     for (const int jobs : {1, 4}) {
-      ExperimentConfig cfg;
-      cfg.fat_tree_k = 4;
-      cfg.num_servers = 5;
-      cfg.num_clients = 8;
-      cfg.total_requests = 2000;
-      cfg.repeats = 2;
-      cfg.seed = 17;
+      ExperimentConfig cfg = golden::cell();
       cfg.shards = shards;
       cfg.jobs = jobs;
       const ExperimentResult res = run_experiment(Scheme::kNetRSToR, cfg);
-      EXPECT_EQ(result_digest(res), kNetRSToRSerial)
+      EXPECT_EQ(golden::result_digest(res),
+                golden::pinned(Scheme::kNetRSToR))
           << "netrs-tor diverged with affinity guard "
           << (sim::kAuditEnabled ? "active" : "compiled out")
           << " at shards=" << shards << " jobs=" << jobs;

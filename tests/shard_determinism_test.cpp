@@ -2,23 +2,23 @@
 // core must be *behaviorally invisible*. For every scheme the golden
 // digest — covering the bit pattern of every measured latency plus all
 // summary statistics — must be identical across --shards {1, 2, 4} and
-// --jobs {1, 4}, and equal to the recorded serial-core values (the same
-// constants golden_digest_test pins). A divergence means a cross-shard
-// packet was reordered, a window boundary leaked, or an RNG stream moved.
+// --jobs {1, 4}, and equal to the recorded serial-core values (golden.hpp).
+// A divergence means a cross-shard packet was reordered, a window boundary
+// leaked, or an RNG stream moved.
 //
 // Also covered here:
 //   - cross-pod packet conservation under -DNETRS_AUDIT=ON with the
-//     per-shard slot ledgers merged, on the k=4 cell and on a k=16
+//     per-shard fabric audit ledgers merged, on the k=4 cell and on a k=16
 //     NetRS-ToR cell (both skipped in plain builds), and
 //   - the fabric's fail-fast lookahead validation (satellite: every
 //     switch/host link must be at least the lookahead window long).
 #include <gtest/gtest.h>
 
 #include <cstdint>
-#include <cstring>
 #include <stdexcept>
 #include <string>
 
+#include "golden.hpp"
 #include "harness/experiment.hpp"
 #include "net/fabric.hpp"
 #include "net/fat_tree.hpp"
@@ -28,84 +28,22 @@
 namespace netrs::harness {
 namespace {
 
-// FNV-1a over raw bytes (same digest as golden_digest_test so the pinned
-// constants are directly comparable).
-class Digest {
- public:
-  void add_bytes(const void* p, std::size_t n) {
-    const auto* b = static_cast<const unsigned char*>(p);
-    for (std::size_t i = 0; i < n; ++i) {
-      h_ ^= b[i];
-      h_ *= 0x100000001B3ULL;
-    }
-  }
-  void add_u64(std::uint64_t v) { add_bytes(&v, sizeof(v)); }
-  void add_double(double v) {
-    std::uint64_t bits = 0;
-    std::memcpy(&bits, &v, sizeof(bits));
-    add_u64(bits);
-  }
-  [[nodiscard]] std::uint64_t value() const { return h_; }
+using golden::result_digest;
 
- private:
-  std::uint64_t h_ = 0xCBF29CE484222325ULL;
-};
-
-ExperimentConfig digest_config() {
-  ExperimentConfig cfg;
-  cfg.fat_tree_k = 4;  // 16 hosts, 4 pods => up to 4 shards
-  cfg.num_servers = 5;
-  cfg.num_clients = 8;
-  cfg.total_requests = 2000;
-  cfg.repeats = 2;
-  cfg.seed = 17;
-  cfg.jobs = 1;
-  return cfg;
-}
-
-std::uint64_t result_digest(const ExperimentResult& res) {
-  Digest d;
-  d.add_u64(res.latencies_ms.count());
-  for (double s : res.latencies_ms.samples()) d.add_double(s);
-  d.add_u64(res.issued);
-  d.add_u64(res.completed);
-  d.add_u64(res.redundant);
-  d.add_u64(res.cancels);
-  d.add_double(res.avg_forwards);
-  d.add_double(res.wire_bytes_per_request);
-  d.add_double(res.load_oscillation);
-  d.add_u64(static_cast<std::uint64_t>(res.rsnodes));
-  d.add_bytes(res.plan_method.data(), res.plan_method.size());
-  d.add_u64(static_cast<std::uint64_t>(res.plans_deployed));
-  d.add_u64(res.drs_groups);
-  return d.value();
-}
-
-struct ShardCase {
-  Scheme scheme;
-  std::uint64_t expected;  // serial-core golden digest
-};
-
-// Identical to golden_digest_test's recorded values: the sharded core is
-// required to reproduce the serial core bit-for-bit at every shard count.
-constexpr ShardCase kCases[] = {
-    {Scheme::kCliRS, 0x22129A79E79D7970ULL},
-    {Scheme::kCliRSR95Cancel, 0x0891AE823F6B4F89ULL},
-    {Scheme::kNetRSToR, 0x3A2BD8D30D7BB217ULL},
-    {Scheme::kNetRSIlp, 0xE5DF15E64FB0AFFBULL},
-};
-
-class ShardDeterminismTest : public ::testing::TestWithParam<ShardCase> {};
+// Same four cells as golden_digest_test: the sharded core is required to
+// reproduce the serial core's recorded digests bit-for-bit at every shard
+// count.
+class ShardDeterminismTest : public ::testing::TestWithParam<golden::Pin> {};
 
 TEST_P(ShardDeterminismTest, DigestIdenticalAcrossShardAndJobCounts) {
-  const ShardCase sc = GetParam();
+  const golden::Pin sc = GetParam();
   for (const int shards : {1, 2, 4}) {
     for (const int jobs : {1, 4}) {
-      ExperimentConfig cfg = digest_config();
+      ExperimentConfig cfg = golden::cell();
       cfg.shards = shards;
       cfg.jobs = jobs;
       const ExperimentResult res = run_experiment(sc.scheme, cfg);
-      EXPECT_EQ(result_digest(res), sc.expected)
+      EXPECT_EQ(result_digest(res), sc.digest)
           << scheme_name(sc.scheme) << " diverged at shards=" << shards
           << " jobs=" << jobs;
     }
@@ -113,7 +51,7 @@ TEST_P(ShardDeterminismTest, DigestIdenticalAcrossShardAndJobCounts) {
 }
 
 INSTANTIATE_TEST_SUITE_P(
-    MixedSchemes, ShardDeterminismTest, ::testing::ValuesIn(kCases),
+    MixedSchemes, ShardDeterminismTest, ::testing::ValuesIn(golden::kPins),
     [](const auto& info) {
       std::string n = scheme_name(info.param.scheme);
       for (char& c : n) {
@@ -129,7 +67,7 @@ TEST(ShardAuditTest, CrossPodConservationHoldsWithMergedLedgers) {
   if constexpr (!sim::kAuditEnabled) {
     GTEST_SKIP() << "auditor compiled out; configure -DNETRS_AUDIT=ON";
   }
-  ExperimentConfig cfg = digest_config();
+  ExperimentConfig cfg = golden::cell();
   cfg.shards = 4;
   const ExperimentResult res = run_experiment(Scheme::kNetRSToR, cfg);
   EXPECT_TRUE(res.audit.enabled);

@@ -170,18 +170,32 @@ hardware saving is free, which is why the paper proposes it.
 §II warns that "the deployment of a new RSP may lead to a temporary
 latency increase" because newly activated RSNodes must rebuild their view
 of the system from scratch, and argues the controller therefore should
-not update the RSP frequently. Measured: at paper scale (7 RSNodes, C3,
-90 % utilization), wiping every active RSNode's selector state mid-run
-produces no distinguishable latency transient — the p99 of the 300 ms
-after the reset is within noise of steady state. The reason is the same
-aggregation that motivates NetRS: one RSNode sees ~13 k responses/s, so
-C3's EWMAs and queue estimates re-converge within milliseconds. (The one
-cold-start hazard we did observe during development — C3's token-bucket
-rate limiters starting at client-scale budgets and deflecting the first
-wave of requests — is exactly the RSNode-scaling issue documented in
-DESIGN.md §5, and is fixed by scaling the budget.) Conclusion: the
-paper's caution holds for slow-converging algorithms, but for C3 the RSP
-could be updated far more aggressively than the paper assumes.
+not update the RSP frequently. The bench runs the paper-default NetRS-ILP
+cell (C3, 90 % utilization, seed 17, 3 s) on the public
+`harness::Deployment` and, at t = 1.5 s, wipes the selector state of
+every active RSNode — the state a newly activated RSNode starts from.
+
+Measured: the reset itself produces no distinguishable transient. The
+p99 of the 300 ms after it is 1.2x that of the 500 ms before it, and
+windows with no event in them already spread from 14.5 to 37 ms at p99.
+The reason is the aggregation that motivates NetRS: one of the 7 RSNodes
+sees ~13 k responses/s, so C3's EWMAs and queue estimates re-converge
+within milliseconds. (The one cold-start hazard seen during development
+— C3's token-bucket rate limiters starting at client-scale budgets and
+deflecting the first wave of requests — is the RSNode-scaling issue in
+DESIGN.md §5, fixed by scaling the budget.)
+
+Finding: a *re-solved* plan is another matter. The bench runs with the
+controller's default RSP pacing (at most one new plan per 2 s), so a
+further plan lands after 2.1 s, past the measured windows (the final
+plan has 6 RSNodes, not 7). The two windows that follow, 2.3-2.5 s, are
+the worst of the run at p99 52 and 63 ms; a one-off run with the pacing
+raised to 60 s (one plan) reads 17 and 33 ms there, and is identical up
+to 2.1 s. So wiping an RSNode's selector is cheap, but moving groups
+onto a different set of RSNodes shows the transient §II warns about —
+the paper's caution about frequent RSP updates holds for C3 too. One
+seed, one run: the size of that transient is not yet measured across
+seeds.
 """,
 
     "fig_attribution": """## Latency attribution & selection quality (extension)
@@ -272,11 +286,12 @@ def main() -> int:
         out.append("\n```text\n" + body_clean + "\n```\n\n")
 
     md = open("EXPERIMENTS.md").read()
-    marker = "<!-- RESULTS -->"
+    # The marker on a line of its own; the prose above names it inline.
+    marker = "\n<!-- RESULTS -->\n"
     if marker not in md:
         print("marker missing", file=sys.stderr)
         return 1
-    md = md.split(marker)[0] + marker + "\n\n" + "".join(out)
+    md = md.split(marker)[0] + marker + "\n" + "".join(out)
     open("EXPERIMENTS.md", "w").write(md)
     print("EXPERIMENTS.md assembled:", len(out) // 2, "sections")
     return 0
