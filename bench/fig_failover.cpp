@@ -111,8 +111,8 @@ double stale_recovery_ms(const harness::ExperimentResult& r) {
   const auto first = static_cast<std::size_t>(f.window_end_ms /
                                               r.timeline_bucket_ms);
   for (std::size_t b = first; b + 1 < r.stale_timeline.size(); ++b) {
-    const sim::LatencyRecorder& cur = r.stale_timeline[b];
-    const sim::LatencyRecorder& nxt = r.stale_timeline[b + 1];
+    const sim::MeanRecorder& cur = r.stale_timeline[b];
+    const sim::MeanRecorder& nxt = r.stale_timeline[b + 1];
     if (cur.empty() || nxt.empty()) continue;
     if (cur.mean() <= band && nxt.mean() <= band) {
       return static_cast<double>(b) * r.timeline_bucket_ms - f.window_end_ms;

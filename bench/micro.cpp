@@ -196,7 +196,7 @@ BENCHMARK(BM_EventQueueChurn)
 void BM_PercentileBatch(benchmark::State& state) {
   // The report pattern: p50/p95/p99/p999 back-to-back. Finalizing first
   // makes the batch four lookups; the regression counter proves no query
-  // fell back to the unsorted copy-and-sort slow path.
+  // fell back to the unsorted copy-and-select slow path.
   sim::Rng rng(7);
   sim::LatencyRecorder base;
   for (int i = 0; i < 100'000; ++i) base.add(rng.next_double());
@@ -216,7 +216,7 @@ void BM_PercentileBatch(benchmark::State& state) {
   state.counters["unsorted_sorts"] =
       benchmark::Counter(static_cast<double>(slow));
   if (slow != 0) {
-    state.SkipWithError("percentile batch hit the unsorted copy-sort path");
+    state.SkipWithError("percentile batch hit the unsorted copy-select path");
   }
 }
 BENCHMARK(BM_PercentileBatch);

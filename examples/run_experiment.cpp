@@ -224,8 +224,9 @@ int run(int argc, char** argv) {
               r.wire_bytes_per_request / 1024.0, r.load_oscillation,
               r.wall_seconds);
   if (cfg.obs.any()) {
-    std::printf(" (obs harvest %.3fs, write %.3fs)", r.harvest_seconds,
-                r.write_seconds);
+    std::printf(" (obs harvest %.3fs, wait %.3fs, write %.3fs, %llu chunks)",
+                r.harvest_seconds, r.wait_seconds, r.write_seconds,
+                static_cast<unsigned long long>(r.obs_handoffs));
   }
   std::printf("\n");
   if (r.events_per_shard.size() > 1) {

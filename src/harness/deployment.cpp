@@ -674,6 +674,12 @@ ExperimentResult Deployment::run(const ObsSinks& sinks, std::size_t repeat) {
   const std::vector<DarkInterval> dark = dark_intervals(*this);
   std::optional<ObsWriter> writer;
   if (observer) {
+    // Sized for about one record and one decision per request, so the
+    // writer does not stop to move its summaries as they grow and make
+    // the simulation thread wait at the next handoff.
+    const auto requests = static_cast<std::size_t>(cfg.total_requests);
+    if (observer->attributing()) res.attribution.reserve(requests);
+    if (observer->deciding()) res.decisions.reserve(requests);
     writer.emplace(
         sinks, repeat,
         [this, &dark, &res](const obs::ObsChunk& c) {
@@ -689,17 +695,17 @@ ExperimentResult Deployment::run(const ObsSinks& sinks, std::size_t repeat) {
   // in-simulator ticker would interleave unpredictably with
   // same-timestamp events), and T is a watermark below which every record
   // is final on every shard. Gauges that cross shards are safe here for
-  // the same reason.
+  // the same reason. Each flush appends to the writer's chunk, which is
+  // handed over only once it is full (kObsChunkRows).
   if (writer && (observer->metering() || observer->attributing() ||
                  observer->deciding())) {
     for (sim::Time t = obs::kSampleInterval; t <= t_end;
          t += obs::kSampleInterval) {
       shard_group.run_until(t - 1);
       if (observer->metering()) observer->metrics().sample(t);
-      timed(own.harvest_seconds, [&] {
-        observer->flush(t, writer->chunk());
-        writer->submit();
-      });
+      timed(own.harvest_seconds,
+            [&] { observer->flush(t, writer->chunk()); });
+      if (writer->chunk().rows() >= kObsChunkRows) writer->submit();
     }
   }
   shard_group.run_until(t_end);
@@ -771,11 +777,11 @@ void Deployment::harvest(ObsWriter* writer, ExperimentResult& out) {
     out.shard_telemetry.push_back(shard_group.telemetry());
   }
   if (writer == nullptr) return;
-  // The final flush takes everything the lanes still hold.
+  // The final flush takes everything the lanes still hold; finish() hands
+  // it over as the last chunk.
   obs::TraceSnapshot trace;
   timed(out.harvest_seconds, [&] {
     observer->flush(std::numeric_limits<sim::Time>::max(), writer->chunk());
-    writer->submit();
     trace = observer->take_trace();
   });
   out.trace_events = trace.events.size();
@@ -792,6 +798,8 @@ void Deployment::harvest(ObsWriter* writer, ExperimentResult& out) {
   simulator.set_observer(nullptr);
   writer->finish(trace);
   out.write_seconds = writer->busy_seconds();
+  out.wait_seconds = writer->wait_seconds();
+  out.obs_handoffs = writer->handoffs();
 }
 
 }  // namespace netrs::harness

@@ -32,8 +32,8 @@ void add_elementwise(std::vector<std::uint64_t>& into,
 }
 
 // Merges `from`'s buckets into `into`'s, growing `into` to fit.
-void merge_buckets(std::vector<sim::LatencyRecorder>& into,
-                   std::vector<sim::LatencyRecorder>&& from) {
+template <typename Recorder>
+void merge_buckets(std::vector<Recorder>& into, std::vector<Recorder>&& from) {
   if (from.size() > into.size()) into.resize(from.size());
   for (std::size_t i = 0; i < from.size(); ++i) {
     into[i].merge(std::move(from[i]));
@@ -67,6 +67,8 @@ void ExperimentResult::merge(ExperimentResult&& later) {
   add_elementwise(events_per_shard, std::move(later.events_per_shard));
   append(shard_telemetry, std::move(later.shard_telemetry));
   harvest_seconds += later.harvest_seconds;
+  wait_seconds += later.wait_seconds;
+  obs_handoffs += later.obs_handoffs;
   write_seconds += later.write_seconds;
   audit.merge(later.audit);
   metrics.merge(std::move(later.metrics));
@@ -101,16 +103,9 @@ void ExperimentResult::finalize() {
     load_oscillation /= repeats;
   }
   metrics.finalize();
-  attribution.finalize();
-  decisions.finalize();
   latencies_ms.finalize();
-  for (int p = 0; p < 3; ++p) {
-    fault.latency_ms[p].finalize();
-    fault.regret_ms[p].finalize();
-    fault.staleness_ms[p].finalize();
-  }
+  for (sim::LatencyRecorder& phase : fault.latency_ms) phase.finalize();
   for (sim::LatencyRecorder& bucket : timeline) bucket.finalize();
-  for (sim::LatencyRecorder& bucket : stale_timeline) bucket.finalize();
 }
 
 const char* fault_phase_name(int phase) {

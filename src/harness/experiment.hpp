@@ -96,11 +96,17 @@ struct ExperimentResult {
   double wall_seconds = 0.0;
   /// Wall-clock seconds the simulation threads spent harvesting obs
   /// records: the flushes at each watermark (moving records out of the
-  /// lanes, merging them, replaying decisions, handing the chunk to the
-  /// writer) and the trace merge at the end, summed over repeats; 0 when
-  /// obs is off. A diagnostic like wall_seconds: nondeterministic, not in
-  /// the report.
+  /// lanes, merging them, replaying decisions) and the trace merge at the
+  /// end, summed over repeats; 0 when obs is off. A diagnostic like
+  /// wall_seconds: nondeterministic, not in the report.
   double harvest_seconds = 0.0;
+  /// Wall-clock seconds the simulation threads waited to hand a chunk to
+  /// their obs writer (ObsWriter::wait_seconds), summed over repeats; 0
+  /// when obs is off. A diagnostic like wall_seconds.
+  double wait_seconds = 0.0;
+  /// Chunks the simulation threads handed to their obs writers, summed
+  /// over repeats; 0 when obs is off. A diagnostic like wall_seconds.
+  std::uint64_t obs_handoffs = 0;
   /// Wall-clock seconds the obs writer threads spent formatting and
   /// writing chunks and folding them into the report summaries, summed
   /// over repeats (this overlaps the run), plus the time after the last
@@ -148,9 +154,10 @@ struct ExperimentResult {
   /// Timeline bucket width in ms (0 = timeline off).
   double timeline_bucket_ms = 0.0;
   /// Decision-staleness timeline on the same buckets as `timeline`,
-  /// bucketed by decision time; empty unless decisions were recorded
-  /// (`cfg.obs`) and `cfg.timeline_bucket` > 0.
-  std::vector<sim::LatencyRecorder> stale_timeline;
+  /// bucketed by decision time (only averaged, so it keeps no samples);
+  /// empty unless decisions were recorded (`cfg.obs`) and
+  /// `cfg.timeline_bucket` > 0.
+  std::vector<sim::MeanRecorder> stale_timeline;
   /// Doomed-pick timeline: per bucket, audited decisions that chose a
   /// replica while it was crash-dark — the scheme's failure reaction
   /// time as a directly comparable number (same preconditions as
@@ -171,7 +178,10 @@ struct ExperimentResult {
   /// Appends `later` (the next repeat or shard tally), taking its storage;
   /// what describes one repeat (scheme, plan, fault window) is `later`'s.
   void merge(ExperimentResult&& later);
-  /// Turns the sums into means and sorts every sample set, once.
+  /// Turns the sums into means and sorts, once, the sample sets whose
+  /// order is read: latencies_ms, fault.latency_ms and timeline (the
+  /// golden digests and perfbench read them sorted). The report's other
+  /// recorders answer their few percentile queries unsorted.
   void finalize();
 };
 

@@ -119,6 +119,8 @@ ObsWriter::~ObsWriter() {
 }
 
 void ObsWriter::hand_over(bool last) {
+  // netrs-lint: allow(wall-clock): wait_seconds is a harness diagnostic.
+  const auto start = std::chrono::steady_clock::now();
   {
     std::unique_lock lock(mu_);
     cv_.wait(lock, [this] { return !pending_; });
@@ -126,7 +128,11 @@ void ObsWriter::hand_over(bool last) {
     last_ = last;
     pending_ = true;
   }
+  // netrs-lint: allow(wall-clock): see start above.
+  const auto end = std::chrono::steady_clock::now();
   cv_.notify_one();
+  wait_seconds_ += std::chrono::duration<double>(end - start).count();
+  ++handoffs_;
 }
 
 void ObsWriter::submit() {

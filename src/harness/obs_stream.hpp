@@ -7,14 +7,18 @@
 // every later repeat into spools of its own (std::tmpfile()), which
 // finish() appends in repeat order — so the bytes do not depend on
 // --jobs. ObsWriter is one repeat's writer thread: the simulation thread
-// fills one chunk (obs::ObsChunk) per flush watermark and hands it over
+// appends every flush watermark's records to one chunk (obs::ObsChunk)
+// and hands it over once it holds kObsChunkRows rows, and at the end,
 // while the writer formats and writes the previous one and folds it into
-// the repeat's report summaries, so writing overlaps the run and the two
-// chunk buffers are reused throughout.
+// the repeat's report summaries. Writing overlaps the run, the two chunk
+// buffers are reused throughout, and the simulation thread meets the
+// writer about once per kObsChunkRows rows rather than at every
+// watermark, so it seldom waits for the writer to wake.
 #pragma once
 
 #include <condition_variable>
 #include <cstddef>
+#include <cstdint>
 #include <cstdio>
 #include <exception>
 #include <functional>
@@ -28,6 +32,12 @@
 #include "obs/trace.hpp"
 
 namespace netrs::harness {
+
+/// Rows (ObsChunk::rows()) a chunk collects before the simulation thread
+/// hands it to the writer. Large enough that a handoff costs little
+/// against the rows it carries, small enough that a chunk's buffers stay
+/// a few hundred KiB.
+inline constexpr std::size_t kObsChunkRows = 2048;
 
 /// One repeat's destinations for the four obs files; null where the file
 /// was not requested.
@@ -91,7 +101,8 @@ class ObsWriter {
   [[nodiscard]] obs::ObsChunk& chunk() { return chunks_[filling_]; }
 
   /// Hands the filled chunk to the writer, first waiting for it to finish
-  /// the previous one, and returns the other chunk emptied.
+  /// the previous one, and makes the other chunk, emptied, the one to
+  /// fill. The caller hands over only full chunks (kObsChunkRows).
   void submit();
 
   /// Hands over the filled chunk as the last one, then `trace` as the
@@ -102,6 +113,12 @@ class ObsWriter {
   /// Wall-clock seconds the writer spent writing and folding chunks;
   /// read after finish().
   [[nodiscard]] double busy_seconds() const { return busy_seconds_; }
+  /// Wall-clock seconds submit() and finish() spent waiting for the writer
+  /// to finish the previous chunk (not finish()'s join); read after
+  /// finish().
+  [[nodiscard]] double wait_seconds() const { return wait_seconds_; }
+  /// Chunks handed to the writer, the last one included.
+  [[nodiscard]] std::uint64_t handoffs() const { return handoffs_; }
 
  private:
   void hand_over(bool last);
@@ -121,6 +138,8 @@ class ObsWriter {
   const obs::TraceSnapshot* trace_ = nullptr;
   std::exception_ptr error_;
   double busy_seconds_ = 0.0;
+  double wait_seconds_ = 0.0;   // simulation thread only
+  std::uint64_t handoffs_ = 0;  // simulation thread only
   std::thread thread_;
 };
 

@@ -134,9 +134,9 @@ void AttributionSummary::merge(AttributionSummary&& later) {
   }
 }
 
-void AttributionSummary::finalize() {
-  total_ms.finalize();
-  for (sim::LatencyRecorder& rec : components_ms) rec.finalize();
+void AttributionSummary::reserve(std::size_t n) {
+  total_ms.reserve(n);
+  for (sim::LatencyRecorder& rec : components_ms) rec.reserve(n);
 }
 
 void write_attribution_header(TextSink& out) {

@@ -29,6 +29,7 @@
 #pragma once
 
 #include <array>
+#include <cstddef>
 #include <cstdint>
 #include <span>
 #include <vector>
@@ -171,8 +172,8 @@ struct NETRS_SHARED_IMMUTABLE AttributionSummary {
   /// Appends a later repeat's summary (repeats in order); moves it when
   /// this one is still empty.
   void merge(AttributionSummary&& later);
-  /// Sorts all recorders so percentile() calls are plain lookups.
-  void finalize();
+  /// Makes room for `n` records in every recorder.
+  void reserve(std::size_t n);
 };
 
 /// Writes the attribution CSV header:

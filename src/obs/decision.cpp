@@ -245,13 +245,12 @@ void DecisionSummary::merge(DecisionSummary&& later) {
   with_regret += later.with_regret;
   regret_ms.merge(std::move(later.regret_ms));
   staleness_ms.merge(std::move(later.staleness_ms));
-  herd.merge(std::move(later.herd));
+  herd.merge(later.herd);
 }
 
-void DecisionSummary::finalize() {
-  regret_ms.finalize();
-  staleness_ms.finalize();
-  herd.finalize();
+void DecisionSummary::reserve(std::size_t n) {
+  regret_ms.reserve(n);
+  staleness_ms.reserve(n);
 }
 
 void write_decision_header(TextSink& out) {

@@ -34,6 +34,7 @@
 // value.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <span>
 #include <vector>
@@ -277,16 +278,16 @@ struct NETRS_SHARED_IMMUTABLE DecisionSummary {
   sim::LatencyRecorder regret_ms;
   /// Staleness distribution (ms) over decisions with feedback.
   sim::LatencyRecorder staleness_ms;
-  /// Herd-index distribution ([0, 1]) over all merged decisions.
-  sim::LatencyRecorder herd;
+  /// Herd index ([0, 1]) over all merged decisions (only averaged).
+  sim::MeanRecorder herd;
 
   /// Folds one chunk into the running summary (chunks in order).
   void merge(const DecisionSnapshot& chunk);
   /// Appends a later repeat's summary (repeats in order); moves it when
   /// this one is still empty.
   void merge(DecisionSummary&& later);
-  /// Sorts all recorders so percentile() calls are plain lookups.
-  void finalize();
+  /// Makes room for `n` decisions in every recorder.
+  void reserve(std::size_t n);
 };
 
 /// Writes the decision CSV header:

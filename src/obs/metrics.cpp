@@ -103,8 +103,8 @@ MetricsSnapshot MetricsRegistry::layout() const {
 }
 
 void MetricsRegistry::take(MetricsSnapshot& into) {
-  into.times.swap(times_);
-  into.values.swap(values_);
+  into.times.insert(into.times.end(), times_.begin(), times_.end());
+  into.values.insert(into.values.end(), values_.begin(), values_.end());
   times_.clear();
   values_.clear();
 }

@@ -135,10 +135,10 @@ class NETRS_COORD_GLOBAL MetricsRegistry {
   /// The column names and summary flags, without rows.
   [[nodiscard]] MetricsSnapshot layout() const;
 
-  /// Moves the rows sampled since the last take into `into`, replacing
-  /// its rows and leaving its layout alone. The registry keeps its gauges
-  /// and reuses `into`'s old row buffers, so alternating between two
-  /// chunks allocates nothing once they have grown.
+  /// Appends the rows sampled since the last take to `into`'s rows,
+  /// leaving its layout alone, and empties the registry's rows. The
+  /// registry keeps its gauges and its buffers' capacity, so a chunk that
+  /// keeps its own capacity allocates nothing once both have grown.
   void take(MetricsSnapshot& into);
 
  private:

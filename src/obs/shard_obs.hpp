@@ -26,6 +26,7 @@
 // identical with the set attached or absent.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <memory>
 #include <string>
@@ -48,9 +49,10 @@ struct NETRS_SHARED_IMMUTABLE TraceLaneCounts {
   std::uint64_t dropped = 0;
 };
 
-/// What one flush moves out of a repeat's lanes: the records between two
-/// flush watermarks, in the order their files list them. The harness
-/// alternates between two chunks, so their buffers are reused.
+/// What the flushes move out of a repeat's lanes: the records between two
+/// flush watermarks, or several flushes' worth appended in order, in the
+/// order their files list them. The harness alternates between two
+/// chunks, so their buffers are reused.
 struct NETRS_SHARED_IMMUTABLE ObsChunk {
   /// Flight records in (completion time, request id) order, plus counts.
   FlightSnapshot flight;
@@ -59,6 +61,11 @@ struct NETRS_SHARED_IMMUTABLE ObsChunk {
   /// Metric rows sampled since the previous flush (without the column
   /// layout, which the reader holds: MetricsRegistry::layout()).
   MetricsSnapshot metrics;
+
+  /// Rows held: flight and decision records plus sampled metric ticks.
+  [[nodiscard]] std::size_t rows() const {
+    return flight.records.size() + decisions.records.size() + metrics.rows();
+  }
 
   /// Empties the chunk, keeping its buffers' capacity.
   void clear();
@@ -118,8 +125,8 @@ class NETRS_COORD_GLOBAL ShardObserverSet {
   /// the rings with the configured capacity.
   [[nodiscard]] TraceSnapshot take_trace() const;
 
-  /// Moves everything the lanes recorded before `watermark` into `chunk`
-  /// (after what it holds): the flight records (merge_flights()), the
+  /// Appends everything the lanes recorded before `watermark` to `chunk`,
+  /// after what it holds: the flight records (merge_flights()), the
   /// replayed decisions (DecisionReplay with kHerdWindow), and every
   /// metric row sampled so far (the rows only: the column layout is
   /// metrics().layout()). Call it at engine quiescence, with every

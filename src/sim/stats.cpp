@@ -47,15 +47,31 @@ double LatencyRecorder::max() const {
   return *std::max_element(samples_.begin(), samples_.end());
 }
 
+double MeanRecorder::mean() const {
+  assert(count_ > 0);
+  return sum_ / static_cast<double>(count_);
+}
+
 namespace {
 
-double quantile_of_sorted(const std::vector<double>& sorted, double q) {
-  const double idx = q * static_cast<double>(sorted.size() - 1);
+// The q-quantile of n samples sits between the order statistics lo and
+// hi (equal when it falls on one), hi weighted by frac.
+struct Rank {
+  std::size_t lo = 0;
+  std::size_t hi = 0;
+  double frac = 0.0;
+};
+
+Rank rank_of(std::size_t n, double q) {
+  const double idx = q * static_cast<double>(n - 1);
   const auto lo = static_cast<std::size_t>(std::floor(idx));
   const auto hi = static_cast<std::size_t>(std::ceil(idx));
-  if (lo == hi) return sorted[lo];
-  const double frac = idx - static_cast<double>(lo);
-  return sorted[lo] * (1.0 - frac) + sorted[hi] * frac;
+  return {lo, hi, idx - static_cast<double>(lo)};
+}
+
+double interpolate(double lo, double hi, const Rank& r) {
+  if (r.lo == r.hi) return lo;
+  return lo * (1.0 - r.frac) + hi * r.frac;
 }
 
 }  // namespace
@@ -63,13 +79,17 @@ double quantile_of_sorted(const std::vector<double>& sorted, double q) {
 double LatencyRecorder::percentile(double q) const {
   assert(!samples_.empty());
   assert(q >= 0.0 && q <= 1.0);
-  if (sorted_) return quantile_of_sorted(samples_, q);
-  // Not finalized: sort a copy instead of mutating from a const method,
-  // which would race with concurrent readers.
+  const Rank r = rank_of(samples_.size(), q);
+  if (sorted_) return interpolate(samples_[r.lo], samples_[r.hi], r);
+  // Not finalized: select from a copy instead of mutating from a const
+  // method, which would race with concurrent readers. Order statistic hi
+  // is lo or the smallest sample after lo once lo is in place.
   g_unsorted_percentile_sorts.fetch_add(1, std::memory_order_relaxed);
   std::vector<double> copy = samples_;
-  std::sort(copy.begin(), copy.end());
-  return quantile_of_sorted(copy, q);
+  const auto lo = copy.begin() + static_cast<std::ptrdiff_t>(r.lo);
+  std::nth_element(copy.begin(), lo, copy.end());
+  const double hi = r.lo == r.hi ? *lo : *std::min_element(lo + 1, copy.end());
+  return interpolate(*lo, hi, r);
 }
 
 void LatencyRecorder::finalize() {

@@ -1,6 +1,7 @@
-// Measurement utilities: exact percentile recording for experiment output
-// and a streaming P-square quantile estimator for the CliRS-R95 client's
-// online 95th-percentile latency tracking.
+// Measurement utilities: exact percentile recording for experiment output,
+// a mean-only recorder for series that are only ever averaged, and a
+// streaming P-square quantile estimator for the CliRS-R95 client's online
+// 95th-percentile latency tracking.
 #pragma once
 
 #include <cstddef>
@@ -10,10 +11,11 @@
 namespace netrs::sim {
 
 /// Records latency samples and answers exact mean / percentile queries.
-/// Samples are stored; call finalize() once after the last add()/merge()
-/// to sort them in place, after which percentile() is a plain lookup and
-/// the recorder can be read from multiple threads concurrently (no query
-/// mutates state).
+/// Samples are stored. A recorder whose sorted samples someone reads (or
+/// that answers many percentile queries) calls finalize() once after the
+/// last add()/merge() to sort them in place, after which percentile() is a
+/// plain lookup; one queried a few times can skip it. No query mutates
+/// state, so the recorder can be read from multiple threads concurrently.
 class LatencyRecorder {
  public:
   /// Records one sample.
@@ -32,8 +34,11 @@ class LatencyRecorder {
 
   /// Exact q-quantile (q in [0,1]) with linear interpolation between order
   /// statistics. Precondition: !empty(). If the recorder has not been
-  /// finalized since the last add()/merge(), sorts a copy of the samples
-  /// (O(n log n) per call) rather than mutating them.
+  /// finalized since the last add()/merge(), selects the two order
+  /// statistics from a copy of the samples (std::nth_element, O(n) per
+  /// call) rather than mutating them; the value is the finalized one bit
+  /// for bit, as long as no sample is NaN or -0.0 (finalize() orders -0.0
+  /// before +0.0, a selection ties them).
   [[nodiscard]] double percentile(double q) const;
 
   /// Sorts the samples in place so subsequent percentile() calls are
@@ -41,10 +46,10 @@ class LatencyRecorder {
   void finalize();
 
   /// Process-wide count of percentile() calls that hit the unsorted
-  /// copy-and-sort slow path. Report paths batch p50/p95/p99/p999 queries,
-  /// so a recorder that reaches them unfinalized re-sorts the same samples
-  /// once per query; benchmarks and tests watch this counter to keep that
-  /// regression from quietly coming back.
+  /// copy-and-select slow path. Report paths batch p50/p95/p99/p999
+  /// queries, so a recorder that reaches them unfinalized copies the same
+  /// samples once per query; benchmarks and tests watch this counter to
+  /// keep that regression from quietly coming back.
   [[nodiscard]] static std::uint64_t unsorted_percentile_sorts();
 
   /// Resets the slow-path counter to zero (test/benchmark setup).
@@ -58,6 +63,10 @@ class LatencyRecorder {
   /// Discards all samples.
   void clear();
 
+  /// Makes room for `n` samples in all, so adds up to there never move
+  /// the samples.
+  void reserve(std::size_t n) { samples_.reserve(n); }
+
   /// The raw samples (sorted only after finalize()).
   [[nodiscard]] const std::vector<double>& samples() const { return samples_; }
 
@@ -65,6 +74,34 @@ class LatencyRecorder {
   std::vector<double> samples_;
   bool sorted_ = true;
   double sum_ = 0.0;
+};
+
+/// Mean-only recorder: the sum and count of its samples, added in
+/// LatencyRecorder's order (a sum per add(), then a sum per merge()), so
+/// mean() equals LatencyRecorder::mean() after the same adds and merges
+/// bit for bit, without keeping the samples.
+class MeanRecorder {
+ public:
+  /// Records one sample.
+  void add(double v) {
+    sum_ += v;
+    ++count_;
+  }
+  /// Number of recorded samples.
+  [[nodiscard]] std::size_t count() const { return count_; }
+  /// True when no samples have been recorded.
+  [[nodiscard]] bool empty() const { return count_ == 0; }
+  /// Arithmetic mean. Precondition: !empty().
+  [[nodiscard]] double mean() const;
+  /// Merges another recorder's samples into this one.
+  void merge(const MeanRecorder& other) {
+    sum_ += other.sum_;
+    count_ += other.count_;
+  }
+
+ private:
+  double sum_ = 0.0;
+  std::size_t count_ = 0;
 };
 
 /// Streaming quantile estimation via the P-square algorithm (Jain & Chlamtac

@@ -8,9 +8,11 @@
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <utility>
 
 #include "golden.hpp"
 #include "harness/experiment.hpp"
+#include "harness/obs_stream.hpp"
 
 namespace netrs::harness {
 namespace {
@@ -56,7 +58,9 @@ TEST(ObsIntegrationTest, HarvestAndWritePhasesAreTimedOnlyWithObs) {
   const ExperimentConfig base = small_config();
   const ExperimentResult off = run_experiment(Scheme::kNetRSIlp, base);
   EXPECT_EQ(off.harvest_seconds, 0.0);
+  EXPECT_EQ(off.wait_seconds, 0.0);
   EXPECT_EQ(off.write_seconds, 0.0);
+  EXPECT_EQ(off.obs_handoffs, 0u);
 
   ExperimentConfig on = base;
   on.obs.trace_path = ::testing::TempDir() + "obs_itest_phase.json";
@@ -66,6 +70,8 @@ TEST(ObsIntegrationTest, HarvestAndWritePhasesAreTimedOnlyWithObs) {
   const ExperimentResult r = run_experiment(Scheme::kNetRSIlp, on);
   EXPECT_GT(r.harvest_seconds, 0.0);
   EXPECT_GT(r.write_seconds, 0.0);
+  EXPECT_GE(r.wait_seconds, 0.0);
+  EXPECT_GE(r.obs_handoffs, static_cast<std::uint64_t>(on.repeats));
 }
 
 TEST(ObsIntegrationTest, ObsFileBytesIdenticalAcrossJobs) {
@@ -117,6 +123,47 @@ TEST(ObsIntegrationTest, ObsFileBytesIdenticalAcrossJobs) {
     EXPECT_EQ(csv->find("\n0,", r1), std::string::npos);
   }
   EXPECT_LT(t1.find("repeat 1"), t1.find("repeat 2"));
+}
+
+TEST(ObsIntegrationTest, MultiChunkFilesIdenticalAcrossShardsAndJobs) {
+  // Each measured request gives one flight record and one decision, so
+  // 2 x kObsChunkRows requests fill at least three chunks per repeat: the
+  // files are cut into several handoffs, at different flush watermarks on
+  // each run, and must still be the same bytes at any --shards x --jobs.
+  const char* kFiles[] = {"json", "csv", "a.csv", "d.csv"};
+  const auto path = [](int shards, int jobs, const char* file) {
+    return ::testing::TempDir() + "obs_itest_chunks_s" +
+           std::to_string(shards) + "j" + std::to_string(jobs) + "." + file;
+  };
+  ExperimentConfig cfg = small_config();
+  cfg.total_requests = 2 * kObsChunkRows;
+  cfg.repeats = 3;
+  const auto run = [&](int shards, int jobs) {
+    ExperimentConfig c = cfg;
+    c.shards = shards;
+    c.jobs = jobs;
+    c.obs.trace_path = path(shards, jobs, kFiles[0]);
+    c.obs.metrics_path = path(shards, jobs, kFiles[1]);
+    c.obs.attribution_path = path(shards, jobs, kFiles[2]);
+    c.obs.decision_path = path(shards, jobs, kFiles[3]);
+    const ExperimentResult r = run_experiment(Scheme::kNetRSIlp, c);
+    EXPECT_GE(r.obs_handoffs, 3u * static_cast<std::uint64_t>(c.repeats))
+        << "shards " << shards << " jobs " << jobs;
+    // A wrapped ring would keep different events at other shard counts.
+    EXPECT_EQ(r.trace_dropped, 0u);
+    return result_digest(r);
+  };
+  const std::uint64_t serial = run(1, 1);
+  for (const auto& [shards, jobs] :
+       {std::pair{2, 1}, std::pair{1, 3}, std::pair{2, 3}}) {
+    EXPECT_EQ(run(shards, jobs), serial);
+    for (const char* file : kFiles) {
+      const std::string one = slurp(path(1, 1, file));
+      EXPECT_FALSE(one.empty()) << file;
+      EXPECT_EQ(one, slurp(path(shards, jobs, file)))
+          << file << " differs at --shards " << shards << " --jobs " << jobs;
+    }
+  }
 }
 
 TEST(ObsIntegrationTest, ResultCarriesSummariesWhenEnabled) {

@@ -236,6 +236,12 @@ TEST(MetricsRegistryTest, ColumnsFollowRegistrationOrder) {
   reg.take(next);
   EXPECT_EQ(next.columns, want);
   EXPECT_EQ(next.rows(), 1u);
+  // A later take appends to the rows the snapshot already holds.
+  reg.sample(4000);
+  reg.take(next);
+  ASSERT_EQ(next.rows(), 2u);
+  EXPECT_EQ(next.times[1], 4000);
+  EXPECT_DOUBLE_EQ(next.value(1, 2), 16.0);
 }
 
 TEST(MetricsRegistryTest, SummaryMergeAcrossRepeats) {

@@ -3,10 +3,14 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <limits>
+#include <utility>
 #include <vector>
 
+#include "harness/experiment.hpp"
 #include "sim/rng.hpp"
 
 namespace netrs::sim {
@@ -127,6 +131,113 @@ TEST(LatencyRecorderTest, MergeTracksSortedness) {
   dst.finalize();
   const std::vector<double> merged = {0.5, 1.0, 2.0};
   EXPECT_EQ(dst.samples(), merged);
+}
+
+TEST(LatencyRecorderTest, UnsortedPercentileEqualsFinalizedBitForBit) {
+  // The report queries most recorders unsorted (a selection on a copy);
+  // the value must be the sorted lookup's exactly, ties included.
+  Rng rng(7);
+  for (const std::size_t n : {1, 2, 3, 7, 100, 1001, 4096}) {
+    LatencyRecorder r;
+    for (std::size_t i = 0; i < n; ++i) {
+      // 16 distinct values, so most order statistics are tied.
+      r.add(static_cast<double>(rng.uniform(16)) * 0.375);
+    }
+    LatencyRecorder sorted = r;
+    sorted.finalize();
+    for (const double q : {0.0, 0.25, 0.5, 0.99, 0.999, 1.0}) {
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(r.percentile(q)),
+                std::bit_cast<std::uint64_t>(sorted.percentile(q)))
+          << "n=" << n << " q=" << q;
+    }
+  }
+}
+
+TEST(MeanRecorderTest, MeanEqualsLatencyRecorderMeanBitForBit) {
+  Rng rng(11);
+  const auto fill = [&rng](LatencyRecorder& lat, MeanRecorder& mean, int n) {
+    for (int i = 0; i < n; ++i) {
+      const double v = rng.next_double() * 10.0;
+      lat.add(v);
+      mean.add(v);
+    }
+  };
+  LatencyRecorder la, lb, lc, ld;
+  MeanRecorder ma, mb, mc, md;
+  fill(la, ma, 37);
+  fill(lb, mb, 101);
+  fill(lc, mc, 5);
+  // A copied merge into a non-empty recorder, a moved merge into an empty
+  // one and then into a non-empty one, and merges of empty recorders.
+  la.merge(lb);
+  ma.merge(mb);
+  ld.merge(LatencyRecorder{});
+  md.merge(MeanRecorder{});
+  ld.merge(std::move(la));
+  md.merge(ma);
+  ld.merge(std::move(lc));
+  md.merge(mc);
+  ld.merge(LatencyRecorder{});
+  md.merge(MeanRecorder{});
+  ASSERT_EQ(md.count(), ld.count());
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(md.mean()),
+            std::bit_cast<std::uint64_t>(ld.mean()));
+  EXPECT_TRUE(MeanRecorder{}.empty());
+}
+
+TEST(SummarySamplesTest, NoSummaryHoldsNanOrNegativeZero) {
+  // The unsorted percentile equals the finalized one only while no sample
+  // is NaN or -0.0: a selection ties -0.0 with +0.0 (and cannot order
+  // NaN), while finalize()'s radix key puts -0.0 first. Every summary
+  // sample is a simulated duration, a clamped non-negative regret or a
+  // herd share; this checks that on a crash cell with every summary on.
+  harness::ExperimentConfig cfg;
+  cfg.fat_tree_k = 4;
+  cfg.num_servers = 5;
+  cfg.num_clients = 8;
+  cfg.total_requests = 3000;
+  cfg.repeats = 2;
+  cfg.seed = 17;
+  cfg.timeline_bucket = 50 * kMillisecond;
+  cfg.fault_plan = "at 0.15s crash server 3; at 0.3s recover server 3";
+  cfg.obs.record_attribution = true;
+  cfg.obs.record_decisions = true;
+  const auto clean = [](double v) {
+    return !std::isnan(v) && !(v == 0.0 && std::signbit(v));
+  };
+  for (const harness::Scheme scheme :
+       {harness::Scheme::kCliRSR95Cancel, harness::Scheme::kNetRSIlp}) {
+    const harness::ExperimentResult res =
+        harness::run_experiment(scheme, cfg);
+    std::vector<const LatencyRecorder*> recorders = {
+        &res.latencies_ms, &res.attribution.total_ms,
+        &res.decisions.regret_ms, &res.decisions.staleness_ms};
+    for (const LatencyRecorder& c : res.attribution.components_ms) {
+      recorders.push_back(&c);
+    }
+    for (int p = 0; p < 3; ++p) {
+      recorders.push_back(&res.fault.latency_ms[p]);
+      recorders.push_back(&res.fault.regret_ms[p]);
+      recorders.push_back(&res.fault.staleness_ms[p]);
+    }
+    for (const LatencyRecorder& bucket : res.timeline) {
+      recorders.push_back(&bucket);
+    }
+    ASSERT_FALSE(res.decisions.regret_ms.empty());
+    ASSERT_FALSE(res.fault.staleness_ms[1].empty());
+    for (const LatencyRecorder* rec : recorders) {
+      for (const double v : rec->samples()) {
+        ASSERT_TRUE(clean(v)) << harness::scheme_name(scheme) << ": " << v;
+      }
+    }
+    ASSERT_FALSE(res.decisions.herd.empty());
+    EXPECT_TRUE(clean(res.decisions.herd.mean()));
+    for (const MeanRecorder& bucket : res.stale_timeline) {
+      if (!bucket.empty()) {
+        EXPECT_TRUE(clean(bucket.mean()));
+      }
+    }
+  }
 }
 
 TEST(LatencyRecorderTest, ClearResets) {

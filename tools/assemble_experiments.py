@@ -6,6 +6,12 @@ bench's output (verbatim, fenced) under a hand-written commentary section
 comparing it against the paper. Run after `for b in build/bench/*; do $b;
 done | tee bench_output.txt`.
 
+Below the `<!-- RESULTS -->` marker, a section whose `## ` heading a bench
+of the log produces is rewritten in place, keeping any notes written after
+its log block. Every other section (hand-written ones without a log
+block, and those of benches the log did not run) stays as it is, where it
+is; a bench with no section yet is appended at the end.
+
 The benches parallelize their sweeps across cores (NETRS_JOBS=N to pin the
 worker count, 1 for serial); results are bit-identical at any jobs value,
 so regenerating this file with parallelism changes nothing but wall-clock.
@@ -268,14 +274,22 @@ Gurobi call.
 }
 
 
-def main() -> int:
-    log = open("bench_output.txt").read()
+MARKER = "\n<!-- RESULTS -->\n"
+# A bench's output block, as bench_section() writes it.
+FENCE_OPEN = "\n```text\n"
+FENCE_CLOSE = "\n```\n"
+
+
+def bench_sections(log: str) -> dict:
+    """Maps each section heading the log produces to the section's text:
+    the commentary, then the bench's output fenced, progress lines
+    dropped."""
     sections = re.split(r"^=== RUNNING (\S+) ===$", log, flags=re.M)
     # sections = [prefix, name1, body1, name2, body2, ...]
-    out = []
+    out = {}
     for i in range(1, len(sections) - 1, 2):
         name, body = sections[i], sections[i + 1]
-        out.append(COMMENTARY.get(name, f"## {name}\n"))
+        commentary = COMMENTARY.get(name, f"## {name}\n")
         # Strip progress lines, keep the result tables.
         lines = [
             ln
@@ -283,17 +297,52 @@ def main() -> int:
             if not ln.startswith("[") or "]" not in ln[:60]
         ]
         body_clean = "\n".join(lines).strip("\n")
-        out.append("\n```text\n" + body_clean + "\n```\n\n")
+        heading = commentary.split("\n", 1)[0]
+        out[heading] = (commentary + FENCE_OPEN + body_clean + FENCE_CLOSE +
+                        "\n")
+    return out
 
+
+def notes_after_block(section: str) -> str:
+    """The hand-written text after a section's log block ('' if none)."""
+    start = section.find(FENCE_OPEN)
+    if start < 0:
+        return ""
+    end = section.find(FENCE_CLOSE, start + len(FENCE_OPEN))
+    if end < 0:
+        return ""
+    return section[end + len(FENCE_CLOSE):].lstrip("\n")
+
+
+def assemble(md: str, log: str) -> str:
+    """EXPERIMENTS.md text `md` with the sections of bench log `log`
+    emplaced below the marker (see the module comment)."""
+    head, tail = md.split(MARKER, 1)
+    parts = re.split(r"(?m)^(?=## )", tail)
+    lead, old = parts[0] or "\n", parts[1:]
+    fresh = bench_sections(log)
+    out = []
+    for section in old:
+        heading = section.split("\n", 1)[0]
+        if heading in fresh:
+            out.append(fresh.pop(heading) + notes_after_block(section))
+        else:
+            out.append(section)
+    for text in fresh.values():
+        if out and not out[-1].endswith("\n\n"):
+            out[-1] += "\n"
+        out.append(text)
+    return head + MARKER + lead + "".join(out)
+
+
+def main() -> int:
     md = open("EXPERIMENTS.md").read()
-    # The marker on a line of its own; the prose above names it inline.
-    marker = "\n<!-- RESULTS -->\n"
-    if marker not in md:
+    if MARKER not in md:
         print("marker missing", file=sys.stderr)
         return 1
-    md = md.split(marker)[0] + marker + "\n" + "".join(out)
-    open("EXPERIMENTS.md", "w").write(md)
-    print("EXPERIMENTS.md assembled:", len(out) // 2, "sections")
+    log = open("bench_output.txt").read()
+    open("EXPERIMENTS.md", "w").write(assemble(md, log))
+    print("EXPERIMENTS.md assembled:", len(bench_sections(log)), "sections")
     return 0
 
 
