@@ -17,8 +17,6 @@ int main() {
     points.push_back({label,
                       [tkv_ms](netrs::harness::ExperimentConfig& cfg) {
                         cfg.mean_service_time = netrs::sim::millis(tkv_ms);
-                        cfg.selector.c3.service_time_prior =
-                            cfg.mean_service_time;
                         // Fixed 90% utilization means the aggregate rate
                         // grows as tkv shrinks (A = u*Ns*Np/tkv, up to
                         // 3.6M req/s at 0.1 ms). Keep every point running

@@ -1,5 +1,7 @@
 #include "harness/config.hpp"
 
+#include <algorithm>
+#include <cctype>
 #include <charconv>
 #include <cmath>
 #include <cstdint>
@@ -8,6 +10,8 @@
 #include <stdexcept>
 #include <string>
 #include <string_view>
+#include <type_traits>
+#include <vector>
 
 namespace netrs::harness {
 
@@ -26,6 +30,34 @@ const char* scheme_name(Scheme s) {
   }
   return "?";
 }
+
+namespace {
+
+// The --scheme field: a scheme is spelled as its lower-cased name.
+std::string spelling(Scheme scheme) {
+  std::string s = scheme_name(scheme);
+  for (char& ch : s) ch = static_cast<char>(std::tolower(ch));
+  return s;
+}
+
+std::string format_scheme(const Cell& c) { return spelling(c.scheme); }
+
+void parse_scheme(Cell& c, std::string_view what, const char* v) {
+  std::string known;
+  for (const Scheme s : {Scheme::kCliRS, Scheme::kCliRSR95,
+                         Scheme::kCliRSR95Cancel, Scheme::kNetRSToR,
+                         Scheme::kNetRSIlp}) {
+    if (spelling(s) == v) {
+      c.scheme = s;
+      return;
+    }
+    known += (known.empty() ? "" : ", ") + spelling(s);
+  }
+  throw std::invalid_argument(std::string(what) + "=\"" + v +
+                              "\" is not one of " + known);
+}
+
+}  // namespace
 
 bool is_netrs(Scheme s) {
   return s == Scheme::kNetRSToR || s == Scheme::kNetRSIlp;
@@ -69,42 +101,225 @@ double parse_real(std::string_view what, const char* value) {
 
 namespace {
 
-/// The count in environment variable `name`, or `fallback` when it is
-/// unset or empty; parse_count() checks it against T's range.
-template <typename T>
-T env_count(const char* name, T fallback) {
-  const char* v = std::getenv(name);
-  if (v == nullptr || *v == '\0') return fallback;
-  return static_cast<T>(parse_count(
-      name, v, static_cast<std::uint64_t>(std::numeric_limits<T>::max())));
+/// Shortest text that strtod() reads back as exactly `x`.
+std::string shortest(double x) {
+  char buf[32];
+  const auto [end, ec] = std::to_chars(buf, buf + sizeof buf, x);
+  return std::string(buf, end);
 }
 
-std::string env_str(const char* name, std::string fallback) {
-  const char* v = std::getenv(name);
-  if (v == nullptr || *v == '\0') return fallback;
-  return v;
+// How each field type is parsed and printed. A bool is a switch; an
+// int64 is a sim::Duration, given in (fractional) milliseconds.
+template <typename T>
+void parse_into(T& field, std::string_view what, const char* v) {
+  if constexpr (std::is_same_v<T, bool>) {
+    field = true;
+  } else if constexpr (std::is_same_v<T, std::string>) {
+    field = v;
+  } else if constexpr (std::is_same_v<T, double>) {
+    field = parse_real(what, v);
+  } else if constexpr (std::is_same_v<T, sim::Duration>) {
+    field = sim::millis(parse_real(what, v));
+  } else {
+    field = static_cast<T>(parse_count(
+        what, v, static_cast<std::uint64_t>(std::numeric_limits<T>::max())));
+  }
 }
+
+template <typename T>
+std::string format_value(const T& field) {
+  if constexpr (std::is_same_v<T, bool>) {
+    return field ? "on" : "";
+  } else if constexpr (std::is_same_v<T, std::string>) {
+    return field;
+  } else if constexpr (std::is_same_v<T, double>) {
+    return shortest(field);
+  } else if constexpr (std::is_same_v<T, sim::Duration>) {
+    // sim::millis() truncates, so the nearest double to d/1e6 can read
+    // back one nanosecond off; step to a neighbour that does not (a few
+    // ulps at most while |d| < 2^53 ns).
+    double ms = sim::to_millis(field);
+    for (int i = 0; i < 8 && sim::millis(ms) != field; ++i) {
+      ms = std::nextafter(ms, sim::millis(ms) < field ? HUGE_VAL : -HUGE_VAL);
+    }
+    return shortest(ms);
+  } else {
+    return std::to_string(field);
+  }
+}
+
+/// The entry of the ExperimentConfig field at member path `Path`.
+template <auto... Path>
+constexpr CellField field(const char* flag, const char* env, const char* arg,
+                          const char* help) {
+  return {flag, env, arg, help,
+          [](Cell& c, std::string_view what, const char* v) {
+            parse_into((c.cfg .* ... .* Path), what, v);
+          },
+          [](const Cell& c) {
+            return format_value((c.cfg .* ... .* Path));
+          }};
+}
+
+// The --granularity field.
+void parse_granularity(Cell& c, std::string_view what, const char* v) {
+  const std::string_view g = v;
+  if (g == "rack") {
+    c.cfg.granularity = core::GroupGranularity::kRack;
+  } else if (g == "host") {
+    c.cfg.granularity = core::GroupGranularity::kHost;
+  } else if (g == "subrack4") {
+    c.cfg.granularity = core::GroupGranularity::kSubRack;
+    c.cfg.sub_rack_hosts = 4;
+  } else {
+    throw std::invalid_argument(std::string(what) + "=\"" + v +
+                                "\" is not one of rack, host, subrack4");
+  }
+}
+
+std::string format_granularity(const Cell& c) {
+  switch (c.cfg.granularity) {
+    case core::GroupGranularity::kRack:
+      return "rack";
+    case core::GroupGranularity::kHost:
+      return "host";
+    case core::GroupGranularity::kSubRack:
+      return "subrack" + std::to_string(c.cfg.sub_rack_hosts);
+  }
+  return "?";
+}
+
+using C = ExperimentConfig;
+using O = obs::ObsConfig;
+
+constexpr CellField kTraceCapacity = field<&C::obs, &O::trace_capacity>(
+    "--trace-capacity", "NETRS_TRACE_CAPACITY", "N",
+    "trace ring size per shard and repeat");
+
+constexpr CellField kCellFields[] = {
+    {"--scheme", nullptr, "S",
+     "clirs | clirs-r95 | clirs-r95c | netrs-tor | netrs-ilp", parse_scheme,
+     format_scheme},
+    field<&C::fat_tree_k>("--k", nullptr, "N", "fat-tree arity"),
+    field<&C::num_servers>("--servers", nullptr, "N", "KV servers"),
+    field<&C::num_clients>("--clients", nullptr, "N", "clients"),
+    field<&C::utilization>("--utilization", nullptr, "F",
+                           "system utilization"),
+    field<&C::demand_skew>("--skew", nullptr, "F",
+                           "demand share of 20% of the clients, 0 = uniform"),
+    field<&C::mean_service_time>("--tkv", nullptr, "MS", "mean service time"),
+    field<&C::total_requests>("--requests", "NETRS_REQUESTS", "N",
+                              "total requests, warmup included"),
+    field<&C::repeats>("--repeats", "NETRS_REPEATS", "N",
+                       "deployments merged into the result"),
+    field<&C::selector, &rs::SelectorConfig::algorithm>(
+        "--algorithm", nullptr, "A",
+        "replica-selection algorithm; a wrong name lists them"),
+    {"--granularity", nullptr, "G", "rack | host | subrack4",
+     parse_granularity, format_granularity},
+    field<&C::extra_hop_fraction>(
+        "--hop-budget", nullptr, "F",
+        "extra-hop budget E as a fraction of the rate A"),
+    field<&C::share_core_accelerators>(
+        "--share-accel", nullptr, nullptr,
+        "share one accelerator per core group"),
+    field<&C::seed>("--seed", "NETRS_SEED", "N", "RNG seed"),
+    field<&C::jobs>("--jobs", "NETRS_JOBS", "N",
+                    "worker threads for repeats, 0 = all cores"),
+    field<&C::shards>("--shards", "NETRS_SHARDS", "N",
+                      "event-queue shards per repeat, clamped to the pods"),
+    field<&C::client_multiplicity>(
+        "--multiplicity", nullptr, "N",
+        "logical client streams per client (C3 concurrency only)"),
+    field<&C::obs, &O::trace_path>(
+        "--trace", "NETRS_TRACE", "FILE",
+        "Chrome trace-event JSON of request spans (Perfetto)"),
+    field<&C::obs, &O::metrics_path>(
+        "--metrics", "NETRS_METRICS", "FILE",
+        "sampled metrics CSV (repeat,time_us,metric,value)"),
+    field<&C::obs, &O::attribution_path>(
+        "--attribution", "NETRS_ATTRIBUTION", "FILE",
+        "per-request latency-attribution CSV"),
+    field<&C::obs, &O::decision_path>(
+        "--decisions", "NETRS_DECISIONS", "FILE",
+        "per-decision audit CSV (regret, staleness, herd)"),
+    kTraceCapacity,
+    field<&C::shard_telemetry_path>(
+        "--shard-telemetry", "NETRS_SHARD_TELEMETRY", "FILE",
+        "engine self-telemetry CSV (wall-clock, nondeterministic)"),
+    field<&C::fault_plan>("--faults", "NETRS_FAULTS", "PLAN",
+                          "fault plan (docs/SCENARIOS.md) or @file"),
+    field<&C::timeline_bucket>(
+        "--timeline-bucket", nullptr, "MS",
+        "latency-timeline bucket width in sim ms, 0 = off"),
+};
 
 }  // namespace
 
+std::span<const CellField> cell_fields() { return kCellFields; }
+
+const CellField& trace_capacity_field() { return kTraceCapacity; }
+
+void apply_cell_args(Cell& cell, std::span<const std::string> args) {
+  for (std::size_t i = 0; i < args.size(); ++i) {
+    const std::size_t eq = args[i].find('=');
+    const std::string flag = args[i].substr(0, eq);
+    const auto f = std::find_if(
+        std::begin(kCellFields), std::end(kCellFields),
+        [&](const CellField& field) { return flag == field.flag; });
+    if (f == std::end(kCellFields)) {
+      throw std::invalid_argument("unknown flag \"" + args[i] +
+                                  "\" (--help lists the flags)");
+    }
+    const char* value = nullptr;  // a switch takes none
+    if (f->arg == nullptr && eq != std::string::npos) {
+      throw std::invalid_argument(flag + " takes no value, got \"" +
+                                  args[i] + "\"");
+    } else if (f->arg != nullptr && eq != std::string::npos) {
+      value = args[i].c_str() + eq + 1;
+    } else if (f->arg != nullptr && i + 1 < args.size()) {
+      value = args[++i].c_str();
+    } else if (f->arg != nullptr) {
+      throw std::invalid_argument(flag + " needs a value");
+    }
+    f->parse(cell, flag, value);
+  }
+}
+
+std::vector<std::string> cell_args(const Cell& cell) {
+  std::vector<std::string> args;
+  for (const CellField& f : kCellFields) {
+    std::string value = f.format(cell);
+    if (f.arg != nullptr || !value.empty()) args.emplace_back(f.flag);
+    if (f.arg != nullptr) args.push_back(std::move(value));
+  }
+  return args;
+}
+
+std::string cell_usage() {
+  const Cell defaults;
+  std::string out;
+  for (const CellField& f : kCellFields) {
+    std::string line = std::string("  ") + f.flag;
+    if (f.arg != nullptr) line += std::string(" ") + f.arg;
+    line.resize(std::max<std::size_t>(line.size() + 1, 26), ' ');
+    line += f.help;
+    const std::string value = f.format(defaults);
+    if (f.arg != nullptr && !value.empty()) line += " (default " + value + ")";
+    if (f.env != nullptr) line += std::string("; also ") + f.env;
+    out += line + '\n';
+  }
+  return out;
+}
+
 ExperimentConfig default_config() {
-  ExperimentConfig cfg;
-  cfg.total_requests = env_count("NETRS_REQUESTS", cfg.total_requests);
-  cfg.repeats = env_count("NETRS_REPEATS", cfg.repeats);
-  cfg.seed = env_count("NETRS_SEED", cfg.seed);
-  cfg.jobs = env_count("NETRS_JOBS", cfg.jobs);
-  cfg.shards = env_count("NETRS_SHARDS", cfg.shards);
-  cfg.fault_plan = env_str("NETRS_FAULTS", cfg.fault_plan);
-  cfg.obs.trace_path = env_str("NETRS_TRACE", cfg.obs.trace_path);
-  cfg.obs.metrics_path = env_str("NETRS_METRICS", cfg.obs.metrics_path);
-  cfg.obs.attribution_path =
-      env_str("NETRS_ATTRIBUTION", cfg.obs.attribution_path);
-  cfg.obs.decision_path = env_str("NETRS_DECISIONS", cfg.obs.decision_path);
-  cfg.obs.trace_capacity =
-      env_count("NETRS_TRACE_CAPACITY", cfg.obs.trace_capacity);
-  cfg.shard_telemetry_path =
-      env_str("NETRS_SHARD_TELEMETRY", cfg.shard_telemetry_path);
-  return cfg;
+  Cell cell;
+  for (const CellField& f : kCellFields) {
+    if (f.env == nullptr) continue;
+    const char* v = std::getenv(f.env);
+    if (v != nullptr && *v != '\0') f.parse(cell, f.env, v);
+  }
+  return cell.cfg;
 }
 
 }  // namespace netrs::harness

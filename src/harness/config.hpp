@@ -2,8 +2,10 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <string>
 #include <string_view>
+#include <vector>
 
 #include "netrs/accelerator.hpp"
 #include "netrs/placement.hpp"
@@ -66,7 +68,7 @@ struct ExperimentConfig {
   /// (the paper sweeps 70%..95%).
   double demand_skew = 0.0;
   /// Total requests to issue (warmup + measured). The paper uses 6M; the
-  /// default here is laptop-sized and overridable via NETRS_REQUESTS.
+  /// default here is laptop-sized and overridable from the environment.
   std::uint64_t total_requests = 120'000;
   /// Leading fraction of the run excluded from measurement.
   double warmup_fraction = 0.15;
@@ -95,7 +97,11 @@ struct ExperimentConfig {
   bool share_core_accelerators = false;
 
   // --- Replica selection ---
-  rs::SelectorConfig selector;  ///< algorithm; concurrency set per scheme
+  /// Selector algorithm and its tuning. The deployment sets
+  /// `c3.concurrency` (from the scheme and the logical client count) and
+  /// `c3.service_time_prior` (from `mean_service_time`) for every client
+  /// and RSNode selector, so the values given here are ignored.
+  rs::SelectorConfig selector;
 
   // --- Run control ---
   std::uint64_t seed = 1;
@@ -150,23 +156,54 @@ struct ExperimentConfig {
 /// `value` as a whole non-negative decimal count no larger than `max`:
 /// no sign, exponent or suffix ("-1", "1e6" and "64k" are rejected).
 /// Throws std::invalid_argument naming `what` and the value otherwise.
-/// The NETRS_* overrides and the run_experiment flags parse through it.
+/// The cell fields and the examples' arguments parse through it.
 [[nodiscard]] std::uint64_t parse_count(std::string_view what,
                                         std::string_view value,
                                         std::uint64_t max);
 
 /// `value` as one whole finite number (strtod syntax, nothing after it).
 /// Throws std::invalid_argument naming `what` and the value otherwise.
-/// The real-valued flags of the examples parse through it.
+/// The real-valued cell fields and examples' arguments parse through it.
 [[nodiscard]] double parse_real(std::string_view what, const char* value);
 
-/// Paper defaults with NETRS_REQUESTS / NETRS_REPEATS / NETRS_SEED /
-/// NETRS_JOBS / NETRS_SHARDS / NETRS_FAULTS / NETRS_TRACE / NETRS_METRICS /
-/// NETRS_ATTRIBUTION / NETRS_DECISIONS / NETRS_TRACE_CAPACITY /
-/// NETRS_SHARD_TELEMETRY environment overrides applied (the benches use
-/// this). An empty or unset variable keeps the default; a numeric one that
-/// is not a whole decimal count fitting its field throws
-/// std::invalid_argument naming the variable and its value.
+/// One cell of the §V evaluation grid.
+struct Cell {
+  Scheme scheme = Scheme::kNetRSIlp;  ///< The compared scheme.
+  ExperimentConfig cfg;               ///< Every other knob.
+};
+
+/// One settable field of a Cell. cell_fields() is the one place a flag or
+/// environment variable name is written.
+struct CellField {
+  const char* flag;  ///< "--k"; "--k=V" works too.
+  const char* env;   ///< "NETRS_REQUESTS", or nullptr.
+  const char* arg;   ///< Usage placeholder; nullptr for a switch.
+  const char* help;  ///< The usage line.
+  /// Sets the field (`value` is nullptr for a switch); throws
+  /// std::invalid_argument naming `what` and `value` when it is rejected.
+  void (*parse)(Cell& cell, std::string_view what, const char* value);
+  /// The value as parse() reads it back exactly; "" for a switch that is
+  /// off.
+  std::string (*format)(const Cell& cell);
+};
+
+/// Every settable cell field, in usage order.
+[[nodiscard]] std::span<const CellField> cell_fields();
+/// The field the reports' trace-ring overflow warnings name.
+[[nodiscard]] const CellField& trace_capacity_field();
+
+/// Applies "--flag V", "--flag=V" and bare-switch arguments to `cell`, in
+/// order; throws std::invalid_argument naming an unknown flag, a missing
+/// value or a rejected one.
+void apply_cell_args(Cell& cell, std::span<const std::string> args);
+/// The arguments that apply_cell_args() turns into `cell`: every field.
+[[nodiscard]] std::vector<std::string> cell_args(const Cell& cell);
+/// One usage line per field, with its default and variable.
+[[nodiscard]] std::string cell_usage();
+
+/// Paper defaults with the fields' environment variables applied (the
+/// benches use this). An empty or unset variable keeps the default; a
+/// rejected value throws std::invalid_argument naming the variable.
 [[nodiscard]] ExperimentConfig default_config();
 
 }  // namespace netrs::harness

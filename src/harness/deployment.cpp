@@ -395,10 +395,11 @@ void Deployment::build_netrs() {
                                                std::uint64_t rng_key) {
     return [&op_sim = fabric.simulator_for(sw), op_rng = root.child(rng_key),
             concurrency_hint, selector = cfg.selector,
-            clients = logical_clients,
+            tkv = cfg.mean_service_time, clients = logical_clients,
             incarnation = std::uint64_t{0}]() mutable {
       rs::SelectorConfig sc = selector;
       sc.c3.concurrency = std::max(1.0, *concurrency_hint);
+      sc.c3.service_time_prior = tkv;
       // C3's cubic rate controller was sized for *client* send rates; an
       // RSNode aggregates the traffic of clients/RSNodes many clients, so
       // its initial rate budget and token burst scale by that factor

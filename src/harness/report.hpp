@@ -20,8 +20,15 @@ struct SweepReport {
   std::vector<std::vector<ExperimentResult>> results;
 };
 
-/// Prints the four latency panels and a diagnostics block to stdout.
+/// Prints the four latency panels, then print_cell_sections(), to stdout.
 void print_report(const SweepReport& report);
+
+/// Prints one row per cell in each section, to stdout: diagnostics, trace
+/// ring counts, metrics summary, latency attribution, selection quality,
+/// invariant audit, shard engine and fault phases. A section other than
+/// the diagnostics prints only when some cell recorded its data.
+/// run_experiment prints its single cell through this too.
+void print_cell_sections(const SweepReport& report);
 
 /// Prints one result's pre/during/post-fault windows (completions, p50,
 /// p99, decision regret and staleness per phase, plus the fault window and

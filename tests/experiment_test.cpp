@@ -5,9 +5,13 @@
 
 #include <gtest/gtest.h>
 
+#include <climits>
+#include <cstdint>
 #include <cstdlib>
+#include <random>
 #include <stdexcept>
 #include <string>
+#include <vector>
 
 #include "golden.hpp"
 #include "harness/deployment.hpp"
@@ -120,7 +124,7 @@ TEST(ExperimentTest, SharedCoreAcceleratorsWork) {
 TEST(ExperimentTest, NetRSIlpConsolidatesVsToR) {
   ExperimentConfig cfg = small_config();
   cfg.num_clients = 10;
-  const ExperimentResult tor = run_experiment(Scheme::kNetRSToR, cfg);
+  const ExperimentResult tor = run_experiment(Scheme::kNetRSIlp, cfg);
   const ExperimentResult ilp = run_experiment(Scheme::kNetRSIlp, cfg);
   EXPECT_LT(ilp.rsnodes, tor.rsnodes);
 }
@@ -233,6 +237,17 @@ TEST(ExperimentTest, DeploymentRunMatchesRunExperiment) {
   }
 }
 
+// Every selector's C3 service-time prior comes from the cell's tkv, on
+// the RSNodes as on the clients, whatever the selector config says.
+TEST(ExperimentTest, SelectorsTakeTheServiceTimePriorFromTkv) {
+  ExperimentConfig cfg = small_config();
+  cfg.mean_service_time = sim::millis(0.5);
+  const ExperimentResult given = run_experiment(Scheme::kNetRSIlp, cfg);
+  cfg.selector.c3.service_time_prior = sim::millis(40);
+  EXPECT_EQ(golden::result_digest(given),
+            golden::result_digest(run_experiment(Scheme::kNetRSIlp, cfg)));
+}
+
 TEST(ExperimentTest, RejectsOddZeroAndNegativeArity) {
   // An odd k used to simulate a malformed tree in Release builds, and k <= 0
   // died on a shard count clamped to k instead of naming k.
@@ -289,6 +304,178 @@ TEST(ExperimentTest, ParseCountTakesOnlyWholeCounts) {
     (void)parse_count("--k", "abc", 100);
   } catch (const std::invalid_argument& e) {
     EXPECT_STREQ(e.what(), "--k=\"abc\" is not a count in [0, 100]");
+  }
+}
+
+// Every field apply_cell_args() can set, compared exactly (doubles too).
+void expect_same_cell(const Cell& a, const Cell& b) {
+  const ExperimentConfig& x = a.cfg;
+  const ExperimentConfig& y = b.cfg;
+  EXPECT_EQ(a.scheme, b.scheme);
+  EXPECT_EQ(x.fat_tree_k, y.fat_tree_k);
+  EXPECT_EQ(x.num_servers, y.num_servers);
+  EXPECT_EQ(x.num_clients, y.num_clients);
+  EXPECT_EQ(x.utilization, y.utilization);
+  EXPECT_EQ(x.demand_skew, y.demand_skew);
+  EXPECT_EQ(x.mean_service_time, y.mean_service_time);
+  EXPECT_EQ(x.total_requests, y.total_requests);
+  EXPECT_EQ(x.repeats, y.repeats);
+  EXPECT_EQ(x.selector.algorithm, y.selector.algorithm);
+  EXPECT_EQ(x.granularity, y.granularity);
+  EXPECT_EQ(x.sub_rack_hosts, y.sub_rack_hosts);
+  EXPECT_EQ(x.extra_hop_fraction, y.extra_hop_fraction);
+  EXPECT_EQ(x.share_core_accelerators, y.share_core_accelerators);
+  EXPECT_EQ(x.seed, y.seed);
+  EXPECT_EQ(x.jobs, y.jobs);
+  EXPECT_EQ(x.shards, y.shards);
+  EXPECT_EQ(x.client_multiplicity, y.client_multiplicity);
+  EXPECT_EQ(x.obs.trace_path, y.obs.trace_path);
+  EXPECT_EQ(x.obs.metrics_path, y.obs.metrics_path);
+  EXPECT_EQ(x.obs.attribution_path, y.obs.attribution_path);
+  EXPECT_EQ(x.obs.decision_path, y.obs.decision_path);
+  EXPECT_EQ(x.obs.trace_capacity, y.obs.trace_capacity);
+  EXPECT_EQ(x.shard_telemetry_path, y.shard_telemetry_path);
+  EXPECT_EQ(x.fault_plan, y.fault_plan);
+  EXPECT_EQ(x.timeline_bucket, y.timeline_bucket);
+}
+
+// A value no field holds by default, in the spelling format() prints,
+// chosen by the field's usage placeholder.
+std::string sample_value(const CellField& f) {
+  const std::string arg = f.arg;
+  if (arg == "N") return "3";
+  if (arg == "F") return "0.25";
+  if (arg == "MS") return "1.5";
+  if (arg == "FILE") return "out.csv";
+  if (arg == "PLAN") return "at 1s crash server 0";
+  if (arg == "S") return "clirs-r95";
+  if (arg == "A") return "two-choices";
+  if (arg == "G") return "subrack4";
+  ADD_FAILURE() << f.flag << ": no sample for placeholder " << arg;
+  return "";
+}
+
+TEST(CellFieldTest, FlagEqualsFormAndEnvironmentSetTheSameValue) {
+  const Cell base{.cfg = default_config()};
+  for (const CellField& f : cell_fields()) {
+    SCOPED_TRACE(f.flag);
+    if (f.arg == nullptr) {  // a switch
+      Cell on = base;
+      apply_cell_args(on, std::vector<std::string>{f.flag});
+      EXPECT_NE(f.format(on), f.format(base));
+      EXPECT_EQ(f.env, nullptr);
+      continue;
+    }
+    const std::string v = sample_value(f);
+    ASSERT_NE(f.format(base), v);
+    Cell spaced = base;
+    apply_cell_args(spaced, std::vector<std::string>{f.flag, v});
+    EXPECT_EQ(f.format(spaced), v);
+    Cell joined = base;
+    apply_cell_args(joined, std::vector<std::string>{f.flag + ("=" + v)});
+    expect_same_cell(spaced, joined);
+    if (f.env != nullptr) {
+      ::setenv(f.env, v.c_str(), 1);
+      const Cell from_env{.scheme = base.scheme, .cfg = default_config()};
+      ::unsetenv(f.env);
+      expect_same_cell(spaced, from_env);
+    }
+  }
+}
+
+TEST(CellFieldTest, FlagsOverrideTheEnvironment) {
+  ::setenv("NETRS_SEED", "5", 1);
+  Cell cell{.cfg = default_config()};
+  ::unsetenv("NETRS_SEED");
+  EXPECT_EQ(cell.cfg.seed, 5u);
+  apply_cell_args(cell, std::vector<std::string>{"--seed", "9"});
+  EXPECT_EQ(cell.cfg.seed, 9u);
+}
+
+TEST(CellFieldTest, UsageListsEveryFlag) {
+  const std::string usage = cell_usage();
+  for (const CellField& f : cell_fields()) {
+    EXPECT_NE(usage.find("  " + std::string(f.flag) + " "),
+              std::string::npos)
+        << f.flag;
+  }
+}
+
+TEST(CellFieldTest, RejectedArgumentsNameTheFlagAndValue) {
+  const auto message = [](std::vector<std::string> args) -> std::string {
+    Cell cell;
+    try {
+      apply_cell_args(cell, args);
+    } catch (const std::invalid_argument& e) {
+      return e.what();
+    }
+    return "(accepted)";
+  };
+  EXPECT_EQ(message({"--bogus", "3"}),
+            "unknown flag \"--bogus\" (--help lists the flags)");
+  EXPECT_EQ(message({"--k"}), "--k needs a value");
+  EXPECT_EQ(message({"--k", "x"}), "--k=\"x\" is not a count in [0, " +
+                                       std::to_string(INT_MAX) + "]");
+  EXPECT_EQ(message({"--scheme=bogus"}),
+            "--scheme=\"bogus\" is not one of clirs, clirs-r95, clirs-r95c, "
+            "netrs-tor, netrs-ilp");
+  EXPECT_EQ(message({"--share-accel=1"}),
+            "--share-accel takes no value, got \"--share-accel=1\"");
+}
+
+// The run header prints cell_args(); read back through the parser, it
+// gives the same cell for any value the table can spell.
+TEST(CellFieldTest, HeaderArgumentsReplayRandomCells) {
+  std::mt19937_64 rng(31);
+  const auto count = [&](auto max) {
+    return std::uniform_int_distribution<decltype(max)>(0, max)(rng);
+  };
+  const auto real = [&] {
+    return std::uniform_real_distribution<double>(-10.0, 10.0)(rng);
+  };
+  const auto duration = [&] {
+    return std::uniform_int_distribution<sim::Duration>(
+        -1'000'000'000'000, 1'000'000'000'000)(rng);
+  };
+  const auto text = [&] {
+    std::string s(count(12), ' ');
+    for (char& c : s) c = static_cast<char>(' ' + count(94));
+    return s;
+  };
+  for (int i = 0; i < 300; ++i) {
+    Cell cell;
+    ExperimentConfig& c = cell.cfg;
+    cell.scheme = static_cast<Scheme>(count(4));
+    c.fat_tree_k = count(INT_MAX);
+    c.num_servers = count(INT_MAX);
+    c.num_clients = count(INT_MAX);
+    c.utilization = real();
+    c.demand_skew = real();
+    c.mean_service_time = duration();
+    c.total_requests = count(UINT64_MAX);
+    c.repeats = count(INT_MAX);
+    c.selector.algorithm = text();
+    c.granularity = static_cast<core::GroupGranularity>(count(2));
+    c.sub_rack_hosts =
+        c.granularity == core::GroupGranularity::kSubRack ? 4 : 0;
+    c.extra_hop_fraction = real();
+    c.share_core_accelerators = count(1) == 1;
+    c.seed = count(UINT64_MAX);
+    c.jobs = count(INT_MAX);
+    c.shards = count(INT_MAX);
+    c.client_multiplicity = count(INT_MAX);
+    c.obs.trace_path = text();
+    c.obs.metrics_path = text();
+    c.obs.attribution_path = text();
+    c.obs.decision_path = text();
+    c.obs.trace_capacity = count(SIZE_MAX);
+    c.shard_telemetry_path = text();
+    c.fault_plan = text();
+    c.timeline_bucket = duration();
+    Cell back;
+    apply_cell_args(back, cell_args(cell));
+    SCOPED_TRACE(i);
+    expect_same_cell(cell, back);
   }
 }
 
