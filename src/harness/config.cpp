@@ -6,6 +6,7 @@
 #include <cmath>
 #include <cstdint>
 #include <cstdlib>
+#include <iterator>
 #include <limits>
 #include <stdexcept>
 #include <string>
@@ -33,28 +34,11 @@ const char* scheme_name(Scheme s) {
 
 namespace {
 
-// The --scheme field: a scheme is spelled as its lower-cased name.
+// A scheme's --scheme spelling is its lower-cased name.
 std::string spelling(Scheme scheme) {
   std::string s = scheme_name(scheme);
   for (char& ch : s) ch = static_cast<char>(std::tolower(ch));
   return s;
-}
-
-std::string format_scheme(const Cell& c) { return spelling(c.scheme); }
-
-void parse_scheme(Cell& c, std::string_view what, const char* v) {
-  std::string known;
-  for (const Scheme s : {Scheme::kCliRS, Scheme::kCliRSR95,
-                         Scheme::kCliRSR95Cancel, Scheme::kNetRSToR,
-                         Scheme::kNetRSIlp}) {
-    if (spelling(s) == v) {
-      c.scheme = s;
-      return;
-    }
-    known += (known.empty() ? "" : ", ") + spelling(s);
-  }
-  throw std::invalid_argument(std::string(what) + "=\"" + v +
-                              "\" is not one of " + known);
 }
 
 }  // namespace
@@ -108,8 +92,9 @@ std::string shortest(double x) {
   return std::string(buf, end);
 }
 
-// How each field type is parsed and printed. A bool is a switch; an
-// int64 is a sim::Duration, given in (fractional) milliseconds.
+// How each field type is parsed and printed. A bool is a switch; a
+// sim::Duration is given in (fractional) milliseconds, rounded to the
+// nanosecond so that its shortest() form reads back exactly.
 template <typename T>
 void parse_into(T& field, std::string_view what, const char* v) {
   if constexpr (std::is_same_v<T, bool>) {
@@ -119,7 +104,8 @@ void parse_into(T& field, std::string_view what, const char* v) {
   } else if constexpr (std::is_same_v<T, double>) {
     field = parse_real(what, v);
   } else if constexpr (std::is_same_v<T, sim::Duration>) {
-    field = sim::millis(parse_real(what, v));
+    field = std::llround(parse_real(what, v) *
+                         static_cast<double>(sim::kMillisecond));
   } else {
     field = static_cast<T>(parse_count(
         what, v, static_cast<std::uint64_t>(std::numeric_limits<T>::max())));
@@ -135,14 +121,7 @@ std::string format_value(const T& field) {
   } else if constexpr (std::is_same_v<T, double>) {
     return shortest(field);
   } else if constexpr (std::is_same_v<T, sim::Duration>) {
-    // sim::millis() truncates, so the nearest double to d/1e6 can read
-    // back one nanosecond off; step to a neighbour that does not (a few
-    // ulps at most while |d| < 2^53 ns).
-    double ms = sim::to_millis(field);
-    for (int i = 0; i < 8 && sim::millis(ms) != field; ++i) {
-      ms = std::nextafter(ms, sim::millis(ms) < field ? HUGE_VAL : -HUGE_VAL);
-    }
-    return shortest(ms);
+    return shortest(sim::to_millis(field));
   } else {
     return std::to_string(field);
   }
@@ -161,32 +140,58 @@ constexpr CellField field(const char* flag, const char* env, const char* arg,
           }};
 }
 
-// The --granularity field.
+/// The i in [0, n) whose `name(i)` is `v`; throws naming `what` and
+/// listing the names when there is none.
+template <typename Name>
+std::size_t choose(std::size_t n, Name name, std::string_view what,
+                   const char* v) {
+  std::string known;
+  for (std::size_t i = 0; i < n; ++i) {
+    if (name(i) == v) return i;
+    known += (i == 0 ? "" : ", ") + name(i);
+  }
+  throw std::invalid_argument(std::string(what) + "=\"" + v +
+                              "\" is not one of " + known);
+}
+
+// The --scheme field.
+void parse_scheme(Cell& c, std::string_view what, const char* v) {
+  const auto name = [](std::size_t i) {
+    return spelling(static_cast<Scheme>(i));
+  };
+  const std::size_t schemes = static_cast<std::size_t>(Scheme::kNetRSIlp) + 1;
+  c.scheme = static_cast<Scheme>(choose(schemes, name, what, v));
+}
+
+std::string format_scheme(const Cell& c) { return spelling(c.scheme); }
+
+// The --granularity field, in core::GroupGranularity order. A sub-rack
+// granularity is spelled with its group size; the flag offers groups of
+// kSubRackHosts.
+constexpr const char* kGranularities[] = {"host", "rack", "subrack"};
+constexpr int kSubRackHosts = 4;
+
+std::string granularity_spelling(core::GroupGranularity g,
+                                 int sub_rack_hosts) {
+  const bool sub_rack = g == core::GroupGranularity::kSubRack;
+  return kGranularities[static_cast<std::size_t>(g)] +
+         (sub_rack ? std::to_string(sub_rack_hosts) : "");
+}
+
 void parse_granularity(Cell& c, std::string_view what, const char* v) {
-  const std::string_view g = v;
-  if (g == "rack") {
-    c.cfg.granularity = core::GroupGranularity::kRack;
-  } else if (g == "host") {
-    c.cfg.granularity = core::GroupGranularity::kHost;
-  } else if (g == "subrack4") {
-    c.cfg.granularity = core::GroupGranularity::kSubRack;
-    c.cfg.sub_rack_hosts = 4;
-  } else {
-    throw std::invalid_argument(std::string(what) + "=\"" + v +
-                                "\" is not one of rack, host, subrack4");
+  const auto name = [](std::size_t g) {
+    return granularity_spelling(static_cast<core::GroupGranularity>(g),
+                                kSubRackHosts);
+  };
+  c.cfg.granularity = static_cast<core::GroupGranularity>(
+      choose(std::size(kGranularities), name, what, v));
+  if (c.cfg.granularity == core::GroupGranularity::kSubRack) {
+    c.cfg.sub_rack_hosts = kSubRackHosts;
   }
 }
 
 std::string format_granularity(const Cell& c) {
-  switch (c.cfg.granularity) {
-    case core::GroupGranularity::kRack:
-      return "rack";
-    case core::GroupGranularity::kHost:
-      return "host";
-    case core::GroupGranularity::kSubRack:
-      return "subrack" + std::to_string(c.cfg.sub_rack_hosts);
-  }
-  return "?";
+  return granularity_spelling(c.cfg.granularity, c.cfg.sub_rack_hosts);
 }
 
 using C = ExperimentConfig;
@@ -197,9 +202,8 @@ constexpr CellField kTraceCapacity = field<&C::obs, &O::trace_capacity>(
     "trace ring size per shard and repeat");
 
 constexpr CellField kCellFields[] = {
-    {"--scheme", nullptr, "S",
-     "clirs | clirs-r95 | clirs-r95c | netrs-tor | netrs-ilp", parse_scheme,
-     format_scheme},
+    {"--scheme", nullptr, "S", "compared scheme; a wrong name lists them",
+     parse_scheme, format_scheme},
     field<&C::fat_tree_k>("--k", nullptr, "N", "fat-tree arity"),
     field<&C::num_servers>("--servers", nullptr, "N", "KV servers"),
     field<&C::num_clients>("--clients", nullptr, "N", "clients"),
@@ -215,8 +219,9 @@ constexpr CellField kCellFields[] = {
     field<&C::selector, &rs::SelectorConfig::algorithm>(
         "--algorithm", nullptr, "A",
         "replica-selection algorithm; a wrong name lists them"),
-    {"--granularity", nullptr, "G", "rack | host | subrack4",
-     parse_granularity, format_granularity},
+    {"--granularity", nullptr, "G",
+     "NetRS traffic-group size; a wrong name lists them", parse_granularity,
+     format_granularity},
     field<&C::extra_hop_fraction>(
         "--hop-budget", nullptr, "F",
         "extra-hop budget E as a fraction of the rate A"),

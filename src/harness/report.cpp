@@ -26,30 +26,6 @@ double panel_value(const ExperimentResult& r, const Panel& p) {
   return p.quantile < 0.0 ? r.mean_ms() : r.percentile_ms(p.quantile);
 }
 
-/// Report label of one trace ring: "shard N", or "coordinator" for the
-/// trailing entry of a sharded repeat (serial repeats have one ring).
-std::string trace_lane_label(std::size_t lane, std::size_t lanes) {
-  if (lanes > 1 && lane + 1 == lanes) return "coordinator";
-  return "shard " + std::to_string(lane);
-}
-
-/// " (worst: shard N, M dropped)" naming the ring that wrapped hardest
-/// across repeats, or "" when no per-ring breakdown exists.
-std::string worst_trace_lane(const ExperimentResult& r) {
-  std::uint64_t worst = 0;
-  std::string label;
-  for (const ExperimentResult::TraceRepeatCounts& t : r.trace_repeats) {
-    for (std::size_t lane = 0; lane < t.lanes.size(); ++lane) {
-      if (t.lanes[lane].dropped > worst) {
-        worst = t.lanes[lane].dropped;
-        label = trace_lane_label(lane, t.lanes.size());
-      }
-    }
-  }
-  if (worst == 0) return "";
-  return " (worst: " + label + ", " + std::to_string(worst) + " dropped)";
-}
-
 /// One cell of a report: its sweep value, scheme label and result.
 struct Row {
   const char* value;
@@ -99,6 +75,8 @@ void print_trace(const std::vector<Row>& rows) {
                   static_cast<unsigned long long>(r.trace_events),
                   static_cast<unsigned long long>(r.trace_dropped));
     }
+    std::uint64_t worst = 0;
+    std::string worst_ring;
     for (std::size_t rep = 0; rep < r.trace_repeats.size(); ++rep) {
       const ExperimentResult::TraceRepeatCounts& t = r.trace_repeats[rep];
       std::printf("%-12s %-11s   trace repeat %llu: %llu recorded, "
@@ -107,23 +85,33 @@ void print_trace(const std::vector<Row>& rows) {
                   static_cast<unsigned long long>(t.recorded),
                   static_cast<unsigned long long>(t.dropped));
       // Per-ring breakdown only for rings that actually wrapped, so a
-      // clean run's report is identical at any shard count.
+      // clean run's report is identical at any shard count. A sharded
+      // repeat's last ring is the coordinator's.
       for (std::size_t lane = 0; lane < t.lanes.size(); ++lane) {
         if (t.lanes[lane].dropped == 0) continue;
+        const std::string ring = lane > 0 && lane + 1 == t.lanes.size()
+                                     ? "coordinator"
+                                     : "shard " + std::to_string(lane);
         std::printf("%-12s %-11s     %s ring: %llu recorded, %llu "
                     "dropped\n",
-                    value, scheme,
-                    trace_lane_label(lane, t.lanes.size()).c_str(),
+                    value, scheme, ring.c_str(),
                     static_cast<unsigned long long>(t.lanes[lane].recorded),
                     static_cast<unsigned long long>(t.lanes[lane].dropped));
+        if (t.lanes[lane].dropped > worst) {
+          worst = t.lanes[lane].dropped;
+          worst_ring = ring;
+        }
       }
     }
     if (r.trace_dropped > 0) {
+      const std::string where =
+          worst == 0 ? "" : " (worst: " + worst_ring + ", " +
+                                std::to_string(worst) + " dropped)";
       std::printf("WARNING: %s/%s dropped %llu trace events to ring "
                   "wraparound%s; raise %s (or %s) to keep them\n",
                   value, scheme,
                   static_cast<unsigned long long>(r.trace_dropped),
-                  worst_trace_lane(r).c_str(), capacity.flag, capacity.env);
+                  where.c_str(), capacity.flag, capacity.env);
     }
   }
 }

@@ -124,7 +124,7 @@ TEST(ExperimentTest, SharedCoreAcceleratorsWork) {
 TEST(ExperimentTest, NetRSIlpConsolidatesVsToR) {
   ExperimentConfig cfg = small_config();
   cfg.num_clients = 10;
-  const ExperimentResult tor = run_experiment(Scheme::kNetRSIlp, cfg);
+  const ExperimentResult tor = run_experiment(Scheme::kNetRSToR, cfg);
   const ExperimentResult ilp = run_experiment(Scheme::kNetRSIlp, cfg);
   EXPECT_LT(ilp.rsnodes, tor.rsnodes);
 }
@@ -390,6 +390,16 @@ TEST(CellFieldTest, FlagsOverrideTheEnvironment) {
   EXPECT_EQ(cell.cfg.seed, 5u);
   apply_cell_args(cell, std::vector<std::string>{"--seed", "9"});
   EXPECT_EQ(cell.cfg.seed, 9u);
+}
+
+// Millisecond flags round to the nearest nanosecond: 0.000249 ms is 249 ns,
+// though 0.000249 * 1e6 is a hair below 249 in double arithmetic.
+TEST(CellFieldTest, MillisecondFlagsRoundToTheNanosecond) {
+  Cell cell;
+  apply_cell_args(cell, std::vector<std::string>{
+                            "--tkv", "0.000249", "--timeline-bucket=0.000983"});
+  EXPECT_EQ(cell.cfg.mean_service_time, 249);
+  EXPECT_EQ(cell.cfg.timeline_bucket, 983);
 }
 
 TEST(CellFieldTest, UsageListsEveryFlag) {
