@@ -7,7 +7,6 @@
 //   run_experiment --scheme netrs-ilp --clients 700 --utilization 0.9
 //   run_experiment --scheme clirs-r95c --requests 500000 --skew 0.8
 //   run_experiment --scheme netrs-ilp --algorithm two-choices --share-accel
-#include <algorithm>
 #include <cstdio>
 #include <exception>
 #include <string>
@@ -38,15 +37,12 @@ std::string shell_word(const std::string& s) {
 
 int run(int argc, char** argv) {
   const std::vector<std::string> args(argv + 1, argv + argc);
-  if (std::find_if(args.begin(), args.end(), [](const std::string& a) {
-        return a == "--help" || a == "-h";
-      }) != args.end()) {
+  harness::Cell cell{.cfg = harness::default_config()};
+  if (!harness::apply_cell_args(cell, args)) {
     std::printf("usage: %s [--flag V | --flag=V]...\n%s", argv[0],
                 harness::cell_usage().c_str());
     return 0;
   }
-  harness::Cell cell{.cfg = harness::default_config()};
-  harness::apply_cell_args(cell, args);
   const harness::ExperimentConfig& cfg = cell.cfg;
 
   // A rejected cell prints only its error, not a run header first. The

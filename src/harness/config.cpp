@@ -1,7 +1,6 @@
 #include "harness/config.hpp"
 
 #include <algorithm>
-#include <cctype>
 #include <charconv>
 #include <cmath>
 #include <cstdint>
@@ -16,32 +15,19 @@
 
 namespace netrs::harness {
 
-const char* scheme_name(Scheme s) {
-  switch (s) {
-    case Scheme::kCliRS:
-      return "CliRS";
-    case Scheme::kCliRSR95:
-      return "CliRS-R95";
-    case Scheme::kCliRSR95Cancel:
-      return "CliRS-R95C";
-    case Scheme::kNetRSToR:
-      return "NetRS-ToR";
-    case Scheme::kNetRSIlp:
-      return "NetRS-ILP";
-  }
-  return "?";
-}
-
 namespace {
 
-// A scheme's --scheme spelling is its lower-cased name.
-std::string spelling(Scheme scheme) {
-  std::string s = scheme_name(scheme);
-  for (char& ch : s) ch = static_cast<char>(std::tolower(ch));
-  return s;
-}
+// Indexed by Scheme: the report label and the --scheme spelling.
+constexpr const char* kSchemeNames[] = {"CliRS", "CliRS-R95", "CliRS-R95C",
+                                        "NetRS-ToR", "NetRS-ILP"};
+constexpr const char* kSchemeSpellings[] = {"clirs", "clirs-r95", "clirs-r95c",
+                                            "netrs-tor", "netrs-ilp"};
 
 }  // namespace
+
+const char* scheme_name(Scheme s) {
+  return kSchemeNames[static_cast<std::size_t>(s)];
+}
 
 bool is_netrs(Scheme s) {
   return s == Scheme::kNetRSToR || s == Scheme::kNetRSIlp;
@@ -92,9 +78,7 @@ std::string shortest(double x) {
   return std::string(buf, end);
 }
 
-// How each field type is parsed and printed. A bool is a switch; a
-// sim::Duration is given in (fractional) milliseconds, rounded to the
-// nanosecond so that its shortest() form reads back exactly.
+// How each field type is parsed and printed. A bool is a switch.
 template <typename T>
 void parse_into(T& field, std::string_view what, const char* v) {
   if constexpr (std::is_same_v<T, bool>) {
@@ -103,9 +87,6 @@ void parse_into(T& field, std::string_view what, const char* v) {
     field = v;
   } else if constexpr (std::is_same_v<T, double>) {
     field = parse_real(what, v);
-  } else if constexpr (std::is_same_v<T, sim::Duration>) {
-    field = std::llround(parse_real(what, v) *
-                         static_cast<double>(sim::kMillisecond));
   } else {
     field = static_cast<T>(parse_count(
         what, v, static_cast<std::uint64_t>(std::numeric_limits<T>::max())));
@@ -120,8 +101,6 @@ std::string format_value(const T& field) {
     return field;
   } else if constexpr (std::is_same_v<T, double>) {
     return shortest(field);
-  } else if constexpr (std::is_same_v<T, sim::Duration>) {
-    return shortest(sim::to_millis(field));
   } else {
     return std::to_string(field);
   }
@@ -140,58 +119,53 @@ constexpr CellField field(const char* flag, const char* env, const char* arg,
           }};
 }
 
-/// The i in [0, n) whose `name(i)` is `v`; throws naming `what` and
-/// listing the names when there is none.
-template <typename Name>
-std::size_t choose(std::size_t n, Name name, std::string_view what,
+/// The entry of a sim::Duration field, given in (fractional) milliseconds.
+template <auto... Path>
+constexpr CellField ms_field(const char* flag, const char* help) {
+  return {flag, nullptr, "MS", help,
+          [](Cell& c, std::string_view what, const char* v) {
+            (c.cfg .* ... .* Path) = sim::millis(parse_real(what, v));
+          },
+          [](const Cell& c) {
+            return shortest(sim::to_millis((c.cfg .* ... .* Path)));
+          }};
+}
+
+/// The index of `v` in `names`; throws naming `what` and listing the
+/// names when it is not there.
+std::size_t choose(std::span<const char* const> names, std::string_view what,
                    const char* v) {
   std::string known;
-  for (std::size_t i = 0; i < n; ++i) {
-    if (name(i) == v) return i;
-    known += (i == 0 ? "" : ", ") + name(i);
+  for (std::size_t i = 0; i < names.size(); ++i) {
+    if (std::string_view(names[i]) == v) return i;
+    known += std::string(i == 0 ? "" : ", ") + names[i];
   }
   throw std::invalid_argument(std::string(what) + "=\"" + v +
                               "\" is not one of " + known);
 }
 
-// The --scheme field.
 void parse_scheme(Cell& c, std::string_view what, const char* v) {
-  const auto name = [](std::size_t i) {
-    return spelling(static_cast<Scheme>(i));
-  };
-  const std::size_t schemes = static_cast<std::size_t>(Scheme::kNetRSIlp) + 1;
-  c.scheme = static_cast<Scheme>(choose(schemes, name, what, v));
+  c.scheme = static_cast<Scheme>(choose(kSchemeSpellings, what, v));
 }
 
-std::string format_scheme(const Cell& c) { return spelling(c.scheme); }
-
-// The --granularity field, in core::GroupGranularity order. A sub-rack
-// granularity is spelled with its group size; the flag offers groups of
-// kSubRackHosts.
-constexpr const char* kGranularities[] = {"host", "rack", "subrack"};
-constexpr int kSubRackHosts = 4;
-
-std::string granularity_spelling(core::GroupGranularity g,
-                                 int sub_rack_hosts) {
-  const bool sub_rack = g == core::GroupGranularity::kSubRack;
-  return kGranularities[static_cast<std::size_t>(g)] +
-         (sub_rack ? std::to_string(sub_rack_hosts) : "");
+std::string format_scheme(const Cell& c) {
+  return kSchemeSpellings[static_cast<std::size_t>(c.scheme)];
 }
+
+// The --granularity spellings, indexed by core::GroupGranularity; the flag
+// offers sub-rack groups of 4 hosts only.
+constexpr const char* kGranularities[] = {"host", "rack", "subrack4"};
 
 void parse_granularity(Cell& c, std::string_view what, const char* v) {
-  const auto name = [](std::size_t g) {
-    return granularity_spelling(static_cast<core::GroupGranularity>(g),
-                                kSubRackHosts);
-  };
-  c.cfg.granularity = static_cast<core::GroupGranularity>(
-      choose(std::size(kGranularities), name, what, v));
+  c.cfg.granularity =
+      static_cast<core::GroupGranularity>(choose(kGranularities, what, v));
   if (c.cfg.granularity == core::GroupGranularity::kSubRack) {
-    c.cfg.sub_rack_hosts = kSubRackHosts;
+    c.cfg.sub_rack_hosts = 4;
   }
 }
 
 std::string format_granularity(const Cell& c) {
-  return granularity_spelling(c.cfg.granularity, c.cfg.sub_rack_hosts);
+  return kGranularities[static_cast<std::size_t>(c.cfg.granularity)];
 }
 
 using C = ExperimentConfig;
@@ -211,7 +185,7 @@ constexpr CellField kCellFields[] = {
                            "system utilization"),
     field<&C::demand_skew>("--skew", nullptr, "F",
                            "demand share of 20% of the clients, 0 = uniform"),
-    field<&C::mean_service_time>("--tkv", nullptr, "MS", "mean service time"),
+    ms_field<&C::mean_service_time>("--tkv", "mean service time"),
     field<&C::total_requests>("--requests", "NETRS_REQUESTS", "N",
                               "total requests, warmup included"),
     field<&C::repeats>("--repeats", "NETRS_REPEATS", "N",
@@ -254,8 +228,8 @@ constexpr CellField kCellFields[] = {
         "engine self-telemetry CSV (wall-clock, nondeterministic)"),
     field<&C::fault_plan>("--faults", "NETRS_FAULTS", "PLAN",
                           "fault plan (docs/SCENARIOS.md) or @file"),
-    field<&C::timeline_bucket>(
-        "--timeline-bucket", nullptr, "MS",
+    ms_field<&C::timeline_bucket>(
+        "--timeline-bucket",
         "latency-timeline bucket width in sim ms, 0 = off"),
 };
 
@@ -265,8 +239,9 @@ std::span<const CellField> cell_fields() { return kCellFields; }
 
 const CellField& trace_capacity_field() { return kTraceCapacity; }
 
-void apply_cell_args(Cell& cell, std::span<const std::string> args) {
+bool apply_cell_args(Cell& cell, std::span<const std::string> args) {
   for (std::size_t i = 0; i < args.size(); ++i) {
+    if (args[i] == "--help" || args[i] == "-h") return false;
     const std::size_t eq = args[i].find('=');
     const std::string flag = args[i].substr(0, eq);
     const auto f = std::find_if(
@@ -289,6 +264,7 @@ void apply_cell_args(Cell& cell, std::span<const std::string> args) {
     }
     f->parse(cell, flag, value);
   }
+  return true;
 }
 
 std::vector<std::string> cell_args(const Cell& cell) {

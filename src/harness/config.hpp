@@ -194,8 +194,10 @@ struct CellField {
 
 /// Applies "--flag V", "--flag=V" and bare-switch arguments to `cell`, in
 /// order; throws std::invalid_argument naming an unknown flag, a missing
-/// value or a rejected one.
-void apply_cell_args(Cell& cell, std::span<const std::string> args);
+/// value or a rejected one. Stops and returns false at a "--help" or "-h"
+/// in flag position (not as a flag's value).
+[[nodiscard]] bool apply_cell_args(Cell& cell,
+                                   std::span<const std::string> args);
 /// The arguments that apply_cell_args() turns into `cell`: every field.
 [[nodiscard]] std::vector<std::string> cell_args(const Cell& cell);
 /// One usage line per field, with its default and variable.

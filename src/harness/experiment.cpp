@@ -187,6 +187,15 @@ sim::FaultPlan validate_config(const ExperimentConfig& cfg) {
   if (cfg.virtual_nodes < 1) {
     reject("virtual_nodes", "at least 1", std::to_string(cfg.virtual_nodes));
   }
+  // core::TrafficGroups checks the sub-rack group size only by assert.
+  const int rack_hosts = tree.hosts_per_rack();
+  if (cfg.granularity == core::GroupGranularity::kSubRack &&
+      !(cfg.sub_rack_hosts > 0 && rack_hosts % cfg.sub_rack_hosts == 0)) {
+    reject("sub_rack_hosts",
+           "a divisor of the k=" + std::to_string(cfg.fat_tree_k) +
+               " rack's " + std::to_string(rack_hosts) + " hosts",
+           std::to_string(cfg.sub_rack_hosts));
+  }
   // The selector is built by name inside each repeat.
   if (!rs::is_selector_algorithm(cfg.selector.algorithm)) {
     reject("selector.algorithm", "one of " + rs::selector_algorithm_names(),

@@ -33,9 +33,15 @@ constexpr Duration nanos(double n) { return static_cast<Duration>(n); }
 constexpr Duration micros(double us) {
   return static_cast<Duration>(us * static_cast<double>(kMicrosecond));
 }
-/// Builds a Duration from milliseconds, e.g. `millis(4.0)` for T_kv.
+/// Builds a Duration from milliseconds, e.g. `millis(4.0)` for T_kv,
+/// rounded to the nearest nanosecond (half away from zero), so that
+/// `millis(to_millis(d)) == d` and `millis(0.000249)` is 249 ns although
+/// 0.000249 * 1e6 is a hair below 249 in double arithmetic.
 constexpr Duration millis(double ms) {
-  return static_cast<Duration>(ms * static_cast<double>(kMillisecond));
+  const double ns = ms * static_cast<double>(kMillisecond);
+  const auto whole = static_cast<Duration>(ns);  // toward zero
+  const double rest = ns - static_cast<double>(whole);
+  return whole + (rest >= 0.5 ? 1 : 0) - (rest <= -0.5 ? 1 : 0);
 }
 /// Builds a Duration from seconds.
 constexpr Duration seconds(double s) {

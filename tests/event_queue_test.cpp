@@ -33,6 +33,21 @@ std::pair<Time, EventQueue::Callback> pop_earliest(EventQueue& q) {
   return out;
 }
 
+// millis() rounds to the nearest nanosecond, half away from zero, and
+// reads to_millis() back exactly.
+TEST(TimeTest, MillisRoundsToTheNearestNanosecond) {
+  static_assert(millis(4) == 4 * kMillisecond);
+  EXPECT_EQ(millis(0.000249), 249);  // 0.000249 * 1e6 is just below 249
+  EXPECT_EQ(millis(-0.000249), -249);
+  EXPECT_EQ(millis(0.0000005), 1);
+  EXPECT_EQ(millis(-0.0000005), -1);
+  EXPECT_EQ(millis(0.00000049), 0);
+  for (const Duration d : {Duration{1}, Duration{983}, Duration{-7},
+                           Duration{123'456'789'012}}) {
+    EXPECT_EQ(millis(to_millis(d)), d) << d;
+  }
+}
+
 TEST(EventQueueTest, StartsEmpty) {
   EventQueue q;
   EXPECT_TRUE(q.empty());

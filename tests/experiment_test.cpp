@@ -8,9 +8,11 @@
 #include <climits>
 #include <cstdint>
 #include <cstdlib>
+#include <optional>
 #include <random>
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "golden.hpp"
@@ -219,6 +221,26 @@ TEST(ExperimentTest, RejectsCellsThatMeasureNothing) {
                    std::to_string(-sim::millis(5)) + " ns");
 }
 
+// A sub-rack group size that does not divide the rack used to trap with
+// SIGFPE inside the first repeat (a k=4 rack has 2 hosts).
+TEST(ExperimentTest, RejectsSubRackGroupsThatDoNotDivideTheRack) {
+  ExperimentConfig cfg = small_config();
+  cfg.granularity = core::GroupGranularity::kSubRack;
+  for (const int hosts : {4, 0, -2}) {
+    cfg.sub_rack_hosts = hosts;
+    try {
+      (void)validate_config(cfg);
+      ADD_FAILURE() << hosts << " was accepted";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_EQ(std::string(e.what()),
+                "sub_rack_hosts must be a divisor of the k=4 rack's 2 "
+                "hosts, got " + std::to_string(hosts));
+    }
+  }
+  cfg.sub_rack_hosts = 2;
+  EXPECT_GT(run_experiment(Scheme::kNetRSIlp, cfg).completed, 0u);
+}
+
 // The public deployment is run_experiment's repeat: built and run directly
 // at one repeat, it gives run_experiment's digest, serial and sharded.
 TEST(ExperimentTest, DeploymentRunMatchesRunExperiment) {
@@ -278,7 +300,38 @@ TEST(ExperimentTest, RejectsNegativeLinkLatency) {
   EXPECT_THROW(run_experiment(Scheme::kCliRS, cfg), std::invalid_argument);
 }
 
+// Unsets every cell field's NETRS_* variable for the scope and then puts
+// back what was there, so a test reads the paper defaults (and leaves the
+// variables as it found them) whatever the environment of the test run.
+class CleanEnvironment {
+ public:
+  CleanEnvironment() {
+    for (const CellField& f : cell_fields()) {
+      if (f.env == nullptr) continue;
+      const char* v = std::getenv(f.env);
+      saved_.emplace_back(f.env, v == nullptr ? std::nullopt
+                                              : std::optional<std::string>(v));
+      ::unsetenv(f.env);
+    }
+  }
+  ~CleanEnvironment() {
+    for (const auto& [name, value] : saved_) {
+      if (value) {
+        ::setenv(name, value->c_str(), 1);
+      } else {
+        ::unsetenv(name);
+      }
+    }
+  }
+  CleanEnvironment(const CleanEnvironment&) = delete;
+  CleanEnvironment& operator=(const CleanEnvironment&) = delete;
+
+ private:
+  std::vector<std::pair<const char*, std::optional<std::string>>> saved_;
+};
+
 TEST(ExperimentTest, DefaultConfigRejectsMalformedEnvironment) {
+  const CleanEnvironment clean;
   ::setenv("NETRS_REQUESTS", "1e6", 1);
   EXPECT_THROW(default_config(), std::invalid_argument);
   ::setenv("NETRS_REQUESTS", "-1", 1);
@@ -356,12 +409,13 @@ std::string sample_value(const CellField& f) {
 }
 
 TEST(CellFieldTest, FlagEqualsFormAndEnvironmentSetTheSameValue) {
+  const CleanEnvironment clean;
   const Cell base{.cfg = default_config()};
   for (const CellField& f : cell_fields()) {
     SCOPED_TRACE(f.flag);
     if (f.arg == nullptr) {  // a switch
       Cell on = base;
-      apply_cell_args(on, std::vector<std::string>{f.flag});
+      EXPECT_TRUE(apply_cell_args(on, std::vector<std::string>{f.flag}));
       EXPECT_NE(f.format(on), f.format(base));
       EXPECT_EQ(f.env, nullptr);
       continue;
@@ -369,10 +423,11 @@ TEST(CellFieldTest, FlagEqualsFormAndEnvironmentSetTheSameValue) {
     const std::string v = sample_value(f);
     ASSERT_NE(f.format(base), v);
     Cell spaced = base;
-    apply_cell_args(spaced, std::vector<std::string>{f.flag, v});
+    EXPECT_TRUE(apply_cell_args(spaced, std::vector<std::string>{f.flag, v}));
     EXPECT_EQ(f.format(spaced), v);
     Cell joined = base;
-    apply_cell_args(joined, std::vector<std::string>{f.flag + ("=" + v)});
+    EXPECT_TRUE(
+        apply_cell_args(joined, std::vector<std::string>{f.flag + ("=" + v)}));
     expect_same_cell(spaced, joined);
     if (f.env != nullptr) {
       ::setenv(f.env, v.c_str(), 1);
@@ -384,20 +439,38 @@ TEST(CellFieldTest, FlagEqualsFormAndEnvironmentSetTheSameValue) {
 }
 
 TEST(CellFieldTest, FlagsOverrideTheEnvironment) {
+  const CleanEnvironment clean;
   ::setenv("NETRS_SEED", "5", 1);
   Cell cell{.cfg = default_config()};
-  ::unsetenv("NETRS_SEED");
   EXPECT_EQ(cell.cfg.seed, 5u);
-  apply_cell_args(cell, std::vector<std::string>{"--seed", "9"});
+  EXPECT_TRUE(apply_cell_args(cell, std::vector<std::string>{"--seed", "9"}));
   EXPECT_EQ(cell.cfg.seed, 9u);
+}
+
+// --help and -h ask for the usage only in flag position; as a flag's
+// value they are that value.
+TEST(CellFieldTest, HelpIsAFlagOnlyInFlagPosition) {
+  Cell cell;
+  EXPECT_FALSE(apply_cell_args(cell, std::vector<std::string>{"--k", "8",
+                                                              "-h"}));
+  EXPECT_EQ(cell.cfg.fat_tree_k, 8);
+  EXPECT_FALSE(apply_cell_args(cell, std::vector<std::string>{"--help"}));
+  EXPECT_TRUE(apply_cell_args(
+      cell, std::vector<std::string>{"--trace", "-h", "--algorithm=--help"}));
+  EXPECT_EQ(cell.cfg.obs.trace_path, "-h");
+  EXPECT_EQ(cell.cfg.selector.algorithm, "--help");
+  EXPECT_THROW((void)apply_cell_args(
+                   cell, std::vector<std::string>{"--k", "--help"}),
+               std::invalid_argument);
 }
 
 // Millisecond flags round to the nearest nanosecond: 0.000249 ms is 249 ns,
 // though 0.000249 * 1e6 is a hair below 249 in double arithmetic.
 TEST(CellFieldTest, MillisecondFlagsRoundToTheNanosecond) {
   Cell cell;
-  apply_cell_args(cell, std::vector<std::string>{
-                            "--tkv", "0.000249", "--timeline-bucket=0.000983"});
+  EXPECT_TRUE(apply_cell_args(
+      cell, std::vector<std::string>{"--tkv", "0.000249",
+                                     "--timeline-bucket=0.000983"}));
   EXPECT_EQ(cell.cfg.mean_service_time, 249);
   EXPECT_EQ(cell.cfg.timeline_bucket, 983);
 }
@@ -415,7 +488,7 @@ TEST(CellFieldTest, RejectedArgumentsNameTheFlagAndValue) {
   const auto message = [](std::vector<std::string> args) -> std::string {
     Cell cell;
     try {
-      apply_cell_args(cell, args);
+      (void)apply_cell_args(cell, args);
     } catch (const std::invalid_argument& e) {
       return e.what();
     }
@@ -483,7 +556,7 @@ TEST(CellFieldTest, HeaderArgumentsReplayRandomCells) {
     c.fault_plan = text();
     c.timeline_bucket = duration();
     Cell back;
-    apply_cell_args(back, cell_args(cell));
+    EXPECT_TRUE(apply_cell_args(back, cell_args(cell)));
     SCOPED_TRACE(i);
     expect_same_cell(cell, back);
   }
