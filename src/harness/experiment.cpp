@@ -13,6 +13,7 @@
 #include "harness/deployment.hpp"
 #include "harness/obs_stream.hpp"
 #include "harness/parallel.hpp"
+#include "kv/consistent_hash.hpp"
 #include "net/fat_tree.hpp"
 #include "rs/factory.hpp"
 
@@ -186,6 +187,15 @@ sim::FaultPlan validate_config(const ExperimentConfig& cfg) {
   }
   if (cfg.virtual_nodes < 1) {
     reject("virtual_nodes", "at least 1", std::to_string(cfg.virtual_nodes));
+  }
+  // Past 2^24 ring points the RGIDs would overflow their 24-bit field.
+  const std::uint64_t max_vnodes =
+      kv::ConsistentHashRing::kMaxPoints /
+      static_cast<std::uint64_t>(std::max(1, cfg.num_servers));
+  if (static_cast<std::uint64_t>(cfg.virtual_nodes) > max_vnodes) {
+    reject("virtual_nodes",
+           "at most 2^24 / num_servers = " + std::to_string(max_vnodes),
+           std::to_string(cfg.virtual_nodes));
   }
   // core::TrafficGroups checks the sub-rack group size only by assert.
   const int rack_hosts = tree.hosts_per_rack();

@@ -191,7 +191,8 @@ struct ExperimentResult {
 /// least one request and one repeat and carries load (positive service
 /// time and utilization, at least one client, skew in [0, 1)), the
 /// replica ring can be built (1 <= replication_factor <= num_servers,
-/// virtual_nodes >= 1), rs::make_selector() knows the selector
+/// 1 <= virtual_nodes and num_servers x virtual_nodes <= 2^24, so every
+/// RGID fits its 24-bit field), rs::make_selector() knows the selector
 /// algorithm, and neither extra_hop_fraction nor timeline_bucket is
 /// negative. Returns the parsed fault plan; throws std::invalid_argument
 /// naming the first problem.

@@ -1,8 +1,9 @@
 #include "kv/consistent_hash.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cassert>
-#include <map>
+#include <span>
 #include <stdexcept>
 #include <string>
 
@@ -37,7 +38,19 @@ ConsistentHashRing::ConsistentHashRing(std::span<const net::HostId> servers,
         std::to_string(virtual_nodes));
   }
 
-  ring_.reserve(servers.size() * static_cast<std::size_t>(virtual_nodes));
+  const std::uint64_t points =
+      servers.size() * static_cast<std::uint64_t>(virtual_nodes);
+  if (points > kMaxPoints) {
+    // Checked before anything is allocated: past 2^24 segments the RGIDs
+    // would no longer fit the packet's 24-bit field.
+    throw std::invalid_argument(
+        "ConsistentHashRing: " + std::to_string(servers.size()) +
+        " servers x " + std::to_string(virtual_nodes) +
+        " virtual_nodes = " + std::to_string(points) +
+        " ring points exceeds 2^24, the RGID field's range");
+  }
+
+  ring_.reserve(points);
   for (net::HostId s : servers) {
     for (int v = 0; v < virtual_nodes; ++v) {
       const std::uint64_t h =
@@ -49,30 +62,52 @@ ConsistentHashRing::ConsistentHashRing(std::span<const net::HostId> servers,
   std::sort(ring_.begin(), ring_.end(),
             [](const Point& a, const Point& b) { return a.hash < b.hash; });
 
-  // Replica set of each ring segment: next RF distinct servers clockwise.
-  // Identical sets share an RGID to keep the database minimal.
-  std::map<std::vector<net::HostId>, core::ReplicaGroupId> seen;
-  point_group_.resize(ring_.size());
-  for (std::size_t i = 0; i < ring_.size(); ++i) {
-    std::vector<net::HostId> set;
-    set.reserve(static_cast<std::size_t>(rf_));
-    for (std::size_t step = 0;
-         step < ring_.size() && set.size() < static_cast<std::size_t>(rf_);
-         ++step) {
-      const net::HostId s = ring_[(i + step) % ring_.size()].server;
-      if (std::find(set.begin(), set.end(), s) == set.end()) {
-        set.push_back(s);
-      }
+  // Replica set of every ring segment in one flat pass: row i holds the
+  // next RF distinct servers clockwise from point i.
+  const std::size_t n = ring_.size();
+  const auto rf = static_cast<std::size_t>(rf_);
+  std::vector<net::HostId> sets(n * rf);
+  for (std::size_t i = 0; i < n; ++i) {
+    net::HostId* row = &sets[i * rf];
+    std::size_t have = 0;
+    for (std::size_t step = 0; step < n && have < rf; ++step) {
+      const net::HostId s = ring_[(i + step) % n].server;
+      if (std::find(row, row + have, s) == row + have) row[have++] = s;
     }
-    assert(set.size() == static_cast<std::size_t>(rf_));
-    auto it = seen.find(set);
-    if (it == seen.end()) {
-      const auto id = static_cast<core::ReplicaGroupId>(groups_.size());
-      assert(id <= core::kMaxReplicaGroupId);
-      groups_.push_back(set);
-      it = seen.emplace(std::move(set), id).first;
+    assert(have == rf);
+  }
+
+  // Identical sets share an RGID, numbered in order of first occurrence
+  // (RGIDs ride in packets). An open-addressing table over the rows maps
+  // each set to the first point that has it.
+  const auto row = [&](std::size_t i) {
+    return std::span<const net::HostId>(&sets[i * rf], rf);
+  };
+  const std::size_t table_size = std::bit_ceil(2 * n);
+  constexpr std::uint32_t kEmpty = 0xFFFFFFFFu;
+  std::vector<std::uint32_t> first_point(table_size, kEmpty);
+  std::vector<std::uint32_t> group_first;  // RGID -> its first point
+  point_group_.resize(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    std::uint64_t h = 0;
+    for (net::HostId s : row(i)) h = mix64(h ^ s);
+    std::size_t slot = h & (table_size - 1);
+    while (first_point[slot] != kEmpty &&
+           !std::ranges::equal(row(first_point[slot]), row(i))) {
+      slot = (slot + 1) & (table_size - 1);
     }
-    point_group_[i] = it->second;
+    if (first_point[slot] == kEmpty) {
+      first_point[slot] = static_cast<std::uint32_t>(i);
+      point_group_[i] = static_cast<core::ReplicaGroupId>(group_first.size());
+      group_first.push_back(static_cast<std::uint32_t>(i));
+    } else {
+      point_group_[i] = point_group_[first_point[slot]];
+    }
+  }
+  groups_.reserve(group_first.size());
+  for (const std::uint32_t i : group_first) {
+    const auto members = row(i);
+    groups_.emplace_back(members.begin(), members.end());
   }
 }
 

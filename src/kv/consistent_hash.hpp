@@ -23,10 +23,17 @@ namespace netrs::kv {
 /// database installed into NetRS selectors (see the file comment).
 class NETRS_SHARED_IMMUTABLE ConsistentHashRing {
  public:
+  /// Most ring points a ring may have: each point starts one segment at
+  /// most, and every segment's RGID must fit the 24-bit wire field
+  /// (core::kMaxReplicaGroupId).
+  static constexpr std::uint64_t kMaxPoints =
+      std::uint64_t{core::kMaxReplicaGroupId} + 1;
+
   /// `servers`: host ids of the KV servers. `replication_factor` servers
   /// per key (paper: 3). `virtual_nodes` ring points per server. Throws
   /// std::invalid_argument when `servers` is empty, `replication_factor`
-  /// is < 1 or exceeds the server count, or `virtual_nodes` < 1.
+  /// is < 1 or exceeds the server count, `virtual_nodes` < 1, or the ring
+  /// would have more than kMaxPoints points (servers x virtual_nodes).
   ConsistentHashRing(std::span<const net::HostId> servers,
                      int replication_factor, int virtual_nodes = 16,
                      std::uint64_t seed = 42);

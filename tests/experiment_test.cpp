@@ -221,6 +221,26 @@ TEST(ExperimentTest, RejectsCellsThatMeasureNothing) {
                    std::to_string(-sim::millis(5)) + " ns");
 }
 
+// Past 2^24 ring points a release build used to truncate RGIDs to their
+// 24-bit field, so selectors served the wrong replica group. Checked by
+// arithmetic: the ring is never built.
+TEST(ExperimentTest, RejectsRingsPastTheRgidField) {
+  ExperimentConfig cfg = small_config();
+  cfg.num_servers = 2;
+  cfg.replication_factor = 2;
+  cfg.virtual_nodes = (1 << 23) + 1;
+  try {
+    (void)validate_config(cfg);
+    ADD_FAILURE() << "2 x (2^23 + 1) ring points were accepted";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_EQ(std::string(e.what()),
+              "virtual_nodes must be at most 2^24 / num_servers = 8388608, "
+              "got 8388609");
+  }
+  cfg.virtual_nodes = 1 << 23;
+  EXPECT_NO_THROW((void)validate_config(cfg));
+}
+
 // A sub-rack group size that does not divide the rack used to trap with
 // SIGFPE inside the first repeat (a k=4 rack has 2 hosts).
 TEST(ExperimentTest, RejectsSubRackGroupsThatDoNotDivideTheRack) {
