@@ -1,5 +1,6 @@
 #include "netrs/monitor.hpp"
 
+#include <algorithm>
 #include <cassert>
 
 namespace netrs::core {
@@ -10,6 +11,10 @@ Monitor::Monitor(const net::FatTree& topo, const TrafficGroups& groups,
   const net::SwitchCoord c = topo.coord(tor);
   assert(c.tier == net::Tier::kTor && "monitors live on ToR switches only");
   local_ = net::SourceMarker{c.pod, c.idx};
+  const int rack = c.pod * topo.tors_per_pod() + c.idx;
+  first_group_ = static_cast<GroupId>(rack * groups.groups_per_rack());
+  counts_.assign(static_cast<std::size_t>(groups.groups_per_rack()),
+                 TierCounts{});
 }
 
 void Monitor::on_egress(const net::Packet& pkt, net::NodeId next_hop,
@@ -25,14 +30,12 @@ void Monitor::on_egress(const net::Packet& pkt, net::NodeId next_hop,
   if (sm->pod == local_.pod) {
     tier = sm->rack == local_.rack ? 2 : 1;
   }
-  const GroupId g = groups_.group_of_host(pkt.dst);
-  counts_[g][static_cast<std::size_t>(tier)] += 1;
+  // A host port of this ToR leads to a host of its rack.
+  const GroupId row = groups_.group_of_host(pkt.dst) - first_group_;
+  assert(row < counts_.size());
+  counts_[row][static_cast<std::size_t>(tier)] += 1;
 }
 
-Monitor::Counts Monitor::snapshot_and_reset() {
-  Counts out;
-  out.swap(counts_);
-  return out;
-}
+void Monitor::reset() { std::ranges::fill(counts_, TierCounts{}); }
 
 }  // namespace netrs::core

@@ -7,12 +7,15 @@
 // this rack's traffic groups are counted. The source marker SM (set by the
 // server-side ToR) is compared against this ToR's own marker to classify
 // the response's traffic tier: same rack = tier 2, same pod = tier 1,
-// otherwise tier 0.
+// otherwise tier 0. The counted hosts are this rack's, and a rack's traffic
+// groups are contiguous, so the counters are a dense groups_per_rack x 3
+// array, sized once: counting and resetting allocate nothing.
 #pragma once
 
 #include <array>
 #include <cstdint>
-#include <unordered_map>
+#include <span>
+#include <vector>
 
 #include "net/switch.hpp"
 #include "netrs/packet_format.hpp"
@@ -32,19 +35,25 @@ class NETRS_SHARD_LOCAL Monitor final : public net::Switch::EgressStage {
   void on_egress(const net::Packet& pkt, net::NodeId next_hop,
                  net::Switch& sw) override;
 
-  /// Per-group response counts since the last snapshot, indexed by tier
-  /// (index 0 = tier-0/inter-pod ... index 2 = tier-2/intra-rack).
-  using Counts = std::unordered_map<GroupId, std::array<std::uint64_t, 3>>;
+  /// One group's response counts, indexed by tier (index 0 =
+  /// tier-0/inter-pod ... index 2 = tier-2/intra-rack).
+  using TierCounts = std::array<std::uint64_t, 3>;
 
-  /// Returns accumulated counts and clears them (the periodic report to the
-  /// NetRS controller).
-  [[nodiscard]] Counts snapshot_and_reset();
+  /// First traffic group of this ToR's rack; row i of counts() is group
+  /// first_group() + i.
+  [[nodiscard]] GroupId first_group() const { return first_group_; }
+  /// Counts since the last reset(), one row per group of the rack (the
+  /// periodic report to the NetRS controller).
+  [[nodiscard]] std::span<const TierCounts> counts() const { return counts_; }
+  /// Zeroes every count (the controller has read them).
+  void reset();
 
  private:
   const net::FatTree& topo_;
   const TrafficGroups& groups_;
   net::SourceMarker local_;
-  Counts counts_;
+  GroupId first_group_ = 0;
+  std::vector<TierCounts> counts_;
 };
 
 }  // namespace netrs::core

@@ -49,10 +49,11 @@ class NETRS_SHARED_IMMUTABLE TrafficGroups {
   [[nodiscard]] int pod_of_group(GroupId g) const;
   /// Rack index (see FatTree::rack_index) of the group.
   [[nodiscard]] int rack_of_group(GroupId g) const;
-
- private:
+  /// Groups per rack; rack r's groups are [r * groups_per_rack(),
+  /// (r + 1) * groups_per_rack()).
   [[nodiscard]] int groups_per_rack() const;
 
+ private:
   const net::FatTree& topo_;
   int hosts_per_group_;
   std::uint32_t count_;

@@ -110,13 +110,14 @@ class PipelineRig : public ::testing::Test {
     return ring->replicas(ring->group_of_key(key));
   }
 
-  /// Responses counted by `mon` since its last snapshot, all groups and
+  /// Responses counted by `mon` since its last reset, all groups and
   /// tiers (resets the monitor).
   static std::uint64_t monitor_total(Monitor& mon) {
     std::uint64_t total = 0;
-    for (const auto& [group_id, tiers] : mon.snapshot_and_reset()) {
+    for (const Monitor::TierCounts& tiers : mon.counts()) {
       for (const std::uint64_t n : tiers) total += n;
     }
+    mon.reset();
     return total;
   }
 
@@ -245,18 +246,26 @@ TEST_F(PipelineRig, MonitorClassifiesTiersBySourceMarker) {
 
   Monitor* mon = op_at(tor).monitor();
   ASSERT_NE(mon, nullptr);
-  const auto counts = mon->snapshot_and_reset();
-  ASSERT_EQ(counts.size(), 1u);  // the client's group only
+  // The client's group is the only one counted.
   const GroupId g = groups.group_of_host(client_host);
-  ASSERT_TRUE(counts.contains(g));
-  const auto& tiers = counts.at(g);
+  const auto counts = mon->counts();
+  ASSERT_GE(g, mon->first_group());
+  ASSERT_LT(g - mon->first_group(), counts.size());
+  for (std::size_t i = 0; i < counts.size(); ++i) {
+    if (mon->first_group() + i == g) continue;
+    EXPECT_EQ(counts[i], Monitor::TierCounts{}) << "group row " << i;
+  }
+  const Monitor::TierCounts& tiers = counts[g - mon->first_group()];
   // The replica set of `key` spans all three server hosts (RF = 3 of 3),
   // and round-robin visited each once.
   EXPECT_EQ(tiers[0], 1u);
   EXPECT_EQ(tiers[1], 1u);
   EXPECT_EQ(tiers[2], 1u);
-  // Snapshot resets.
-  EXPECT_TRUE(mon->snapshot_and_reset().empty());
+  // reset() zeroes every row.
+  mon->reset();
+  for (const Monitor::TierCounts& row : mon->counts()) {
+    EXPECT_EQ(row, Monitor::TierCounts{});
+  }
 }
 
 TEST_F(PipelineRig, DrsRoutesToBackupWithoutSelector) {
