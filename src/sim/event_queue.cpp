@@ -62,6 +62,7 @@ std::uint32_t EventQueue::take_slot() {
   }
   assert(slots_.size() < kNilSlot);
   slots_.emplace_back();
+  nodes_.emplace_back();
   return static_cast<std::uint32_t>(slots_.size() - 1);
 }
 
@@ -98,8 +99,10 @@ void EventQueue::push(Time t, Callback&& cb) {
   Slot& s = slots_[index];
   s.task = std::move(cb);
   s.live = true;
+  nodes_[index].time = t;
+  nodes_[index].seq = next_seq_++;
   if (buckets_.empty()) cal_init();
-  cal_insert(Entry{t, next_seq_++, index});
+  cal_insert(index);
   ++size_;
   ++cal_size_;
   cal_head_valid_ = false;
@@ -148,36 +151,63 @@ void EventQueue::cal_init() {
   epoch_cost_mark_ = shifted_ + scanned_;
 }
 
-void EventQueue::cal_insert(const Entry& e) {
-  Bucket& b = buckets_[bucket_of(e.time)];
-  if (b.entries.empty() || entry_less(b.entries.back(), e)) {
+void EventQueue::cal_append(Bucket& b, std::uint32_t index) {
+  Node& n = nodes_[index];
+  n.prev = b.last;
+  n.next = kNilSlot;
+  if (b.last == kNilSlot) {
+    b.first = index;
+  } else {
+    nodes_[b.last].next = index;
+  }
+  b.last = index;
+}
+
+void EventQueue::cal_insert(std::uint32_t index) {
+  Node& n = nodes_[index];
+  Bucket& b = buckets_[bucket_of(n.time)];
+  if (b.last == kNilSlot || entry_less(nodes_[b.last], n)) {
     // Fast path: seqs are monotonic, so same-instant bursts and any
     // time-ascending insertion stream append in O(1).
-    b.entries.push_back(e);
+    cal_append(b, index);
   } else {
-    const auto it =
-        std::upper_bound(b.entries.begin() + static_cast<std::ptrdiff_t>(b.head),
-                         b.entries.end(), e, entry_less);
-    shifted_ += static_cast<std::uint64_t>(b.entries.end() - it);
-    b.entries.insert(it, e);
+    // Walk back from the tail to the first node the new one precedes;
+    // every node stepped over is one the sorted order moves aside.
+    std::uint32_t after = b.last;
+    std::uint64_t moved = 1;
+    while (nodes_[after].prev != kNilSlot &&
+           entry_less(n, nodes_[nodes_[after].prev])) {
+      after = nodes_[after].prev;
+      ++moved;
+    }
+    shifted_ += moved;
+    n.next = after;
+    n.prev = nodes_[after].prev;
+    if (n.prev == kNilSlot) {
+      b.first = index;
+    } else {
+      nodes_[n.prev].next = index;
+    }
+    nodes_[after].prev = index;
   }
-  if (cal_size_ == 0 || e.time < cursor_upper_ - (Time{1} << shift_)) {
+  if (cal_size_ == 0 || n.time < cursor_upper_ - (Time{1} << shift_)) {
     // The new entry precedes the scan position: reposition the year scan
     // on its window so pop order stays exact.
-    cursor_ = bucket_of(e.time);
-    cursor_upper_ = window_end(e.time);
+    cursor_ = bucket_of(n.time);
+    cursor_upper_ = window_end(n.time);
   }
 }
 
-EventQueue::Entry* EventQueue::cal_find_min() {
+EventQueue::Entry EventQueue::cal_find_min() {
   assert(cal_size_ > 0);
   std::size_t scanned = 0;
   while (true) {
-    Bucket& b = buckets_[cursor_];
-    if (b.head < b.entries.size() && b.entries[b.head].time < cursor_upper_) {
+    const Bucket& b = buckets_[cursor_];
+    if (b.first != kNilSlot && nodes_[b.first].time < cursor_upper_) {
       // Buckets are sorted and no entry precedes the current window (push
       // repositions the cursor), so this head is the global minimum.
-      return &b.entries[b.head];
+      const Node& n = nodes_[b.first];
+      return Entry{n.time, n.seq, b.first};
     }
     cursor_ = (cursor_ + 1) & bucket_mask_;
     cursor_upper_ += Time{1} << shift_;
@@ -192,14 +222,13 @@ EventQueue::Entry* EventQueue::cal_find_min() {
 }
 
 void EventQueue::cal_direct_seek() {
-  const Entry* best = nullptr;
+  const Node* best = nullptr;
   std::size_t best_bucket = 0;
   for (std::size_t i = 0; i < buckets_.size(); ++i) {
-    const Bucket& b = buckets_[i];
-    if (b.head >= b.entries.size()) continue;
-    const Entry& e = b.entries[b.head];
-    if (best == nullptr || entry_less(e, *best)) {
-      best = &e;
+    if (buckets_[i].first == kNilSlot) continue;
+    const Node& n = nodes_[buckets_[i].first];
+    if (best == nullptr || entry_less(n, *best)) {
+      best = &n;
       best_bucket = i;
     }
   }
@@ -214,14 +243,16 @@ void EventQueue::cal_rebuild(std::size_t nbuckets) {
   rebuild_scratch_.clear();
   rebuild_scratch_.reserve(cal_size_);
   for (Bucket& b : buckets_) {
-    const auto first = b.entries.begin() + static_cast<std::ptrdiff_t>(b.head);
-    rebuild_scratch_.insert(rebuild_scratch_.end(), first, b.entries.end());
-    b.entries.clear();
-    b.head = 0;
+    for (std::uint32_t i = b.first; i != kNilSlot; i = nodes_[i].next) {
+      rebuild_scratch_.push_back(Entry{nodes_[i].time, nodes_[i].seq, i});
+    }
+    b = Bucket{};
   }
+  // Halving keeps the directory's capacity, so doubling back reuses it.
   buckets_.resize(nbuckets);
   bucket_mask_ = nbuckets - 1;
-  std::sort(rebuild_scratch_.begin(), rebuild_scratch_.end(), entry_less);
+  std::sort(rebuild_scratch_.begin(), rebuild_scratch_.end(),
+            entry_less<Entry, Entry>);
   calibrate_width();
   if (rebuild_scratch_.empty()) {
     cursor_ = 0;
@@ -230,9 +261,9 @@ void EventQueue::cal_rebuild(std::size_t nbuckets) {
     cursor_ = bucket_of(rebuild_scratch_.front().time);
     cursor_upper_ = window_end(rebuild_scratch_.front().time);
   }
-  // Globally sorted order keeps every bucket's [head, end) run ascending.
+  // Globally sorted order keeps every bucket's list ascending.
   for (const Entry& e : rebuild_scratch_) {
-    buckets_[bucket_of(e.time)].entries.push_back(e);
+    cal_append(buckets_[bucket_of(e.time)], e.slot);
   }
 }
 
@@ -279,10 +310,12 @@ void EventQueue::take(const Entry& e, Callback& cb) {
   release_slot(e.slot);
   cal_head_valid_ = false;
   Bucket& b = buckets_[cursor_];
-  ++b.head;
-  if (b.head >= b.entries.size()) {
-    b.entries.clear();
-    b.head = 0;
+  assert(b.first == e.slot);
+  b.first = nodes_[e.slot].next;
+  if (b.first == kNilSlot) {
+    b.last = kNilSlot;
+  } else {
+    nodes_[b.first].prev = kNilSlot;
   }
   --size_;
   --cal_size_;

@@ -4,11 +4,9 @@
 // scheduled (FIFO tie-break by a monotonically increasing sequence number),
 // which makes every run with the same seed bit-for-bit reproducible.
 //
-// The queue is allocation-free in steady state. Two kinds of event share
-// that one order. General events are sim::Task callbacks (small-buffer
-// inline storage) indexed by (time, seq, slot) triples, with the
-// callbacks in a recycled slot arena: a push takes a free slot, the pop
-// of its index entry frees it again. Scheduled events cannot be
+// Two kinds of event share that one order. General events are sim::Task
+// callbacks (small-buffer inline storage) in a recycled slot arena: a push
+// takes a free slot, its pop frees it again. Scheduled events cannot be
 // cancelled; an owner that must void work it scheduled (a crashed
 // sim::Station) makes the callback check for itself when it fires.
 //
@@ -29,6 +27,16 @@
 // width is a power of two (bucket_of is a shift) calibrated on the gaps
 // among the earliest pending events, and is recalibrated when pushes and
 // pops start paying for a layout that no longer fits the traffic.
+//
+// The queue is allocation-free in steady state: every piece of storage
+// grows only to a high-water mark and is reused from then on. A bucket is
+// a (first, last) pair of a doubly linked list whose nodes live in one
+// pooled arena, indexed by the event's slot, so an event's index entry
+// comes and goes with its slot; doubling or halving the bucket count and
+// recalibrating the width relink the nodes without allocating. The slot
+// and node arenas grow to the peak number of pending general events, the
+// bucket directory to its peak bucket count, and each lane's ring to its
+// peak depth.
 #pragma once
 
 #include <cassert>
@@ -165,6 +173,15 @@ class EventQueue {
     std::uint32_t slot = kNilSlot;
   };
 
+  // A pending general event's place in its calendar bucket; nodes_[i]
+  // belongs to slots_[i].
+  struct Node {
+    Time time = 0;
+    std::uint64_t seq = 0;
+    std::uint32_t prev = kNilSlot;  // earlier neighbour in the bucket
+    std::uint32_t next = kNilSlot;  // later neighbour in the bucket
+  };
+
   struct LaneEntry {
     Time time = 0;
     std::uint64_t seq = 0;
@@ -187,17 +204,17 @@ class EventQueue {
     Lane* lane = nullptr;
   };
 
-  // Calendar bucket: entries ascending by (time, seq) from `head` on;
-  // positions before `head` are already consumed (cleared when the bucket
-  // drains, so capacity is recycled without memmoves).
+  // Calendar bucket: a list of nodes ascending by (time, seq) from
+  // `first` to `last` (kNilSlot when empty).
   struct Bucket {
-    std::vector<Entry> entries;
-    std::size_t head = 0;
+    std::uint32_t first = kNilSlot;
+    std::uint32_t last = kNilSlot;
   };
 
   // Total order over (time, seq); seqs are strictly increasing, so the
   // order is FIFO within an instant.
-  static bool entry_less(const Entry& a, const Entry& b) {
+  template <typename A, typename B>
+  static bool entry_less(const A& a, const B& b) {
     if (a.time != b.time) return a.time < b.time;
     return a.seq < b.seq;
   }
@@ -216,8 +233,9 @@ class EventQueue {
     return ((t >> shift_) + 1) << shift_;
   }
   void cal_init();
-  void cal_insert(const Entry& e);
-  Entry* cal_find_min();
+  void cal_insert(std::uint32_t index);
+  void cal_append(Bucket& b, std::uint32_t index);
+  Entry cal_find_min();
   void cal_direct_seek();
   void cal_rebuild(std::size_t nbuckets);
   void calibrate_width();
@@ -231,7 +249,7 @@ class EventQueue {
     Head best;
     if (cal_size_ > 0) {
       if (!cal_head_valid_) {
-        cal_head_ = *cal_find_min();
+        cal_head_ = cal_find_min();
         cal_head_valid_ = true;
       }
       best.time = cal_head_.time;
@@ -271,6 +289,7 @@ class EventQueue {
   std::size_t epoch_left_ = 0;
 
   std::vector<Slot> slots_;
+  std::vector<Node> nodes_;  // the buckets' node arena, by slot
   std::uint32_t free_head_ = kNilSlot;
   std::vector<Lane> lanes_;
   std::uint64_t next_seq_ = 1;
