@@ -12,30 +12,26 @@ constexpr int kCubicExponent = 3;   ///< b in q̂^b.
 
 }  // namespace
 
+C3Selector::Server::Server(const CubicOptions& cubic)
+    : response_time(kEwmaAlpha), service_time(kEwmaAlpha), rate(cubic) {}
+
 C3Selector::C3Selector(sim::Simulator& sim, sim::Rng rng, C3Options opts)
     : sim_(sim), rng_(rng), opts_(opts) {}
 
 std::uint32_t C3Selector::slot_of(net::HostId server) {
   const auto [slot, inserted] = index_.get_or_add(server);
-  if (inserted) {
-    response_time_.emplace_back(kEwmaAlpha);
-    service_time_.emplace_back(kEwmaAlpha);
-    queue_size_.push_back(0);
-    outstanding_.push_back(0);
-    last_feedback_.push_back(0);
-    heard_.push_back(0);
-    rate_.emplace_back(opts_.cubic);
-  }
+  if (inserted) servers_.emplace_back(opts_.cubic);
   return slot;
 }
 
 double C3Selector::score_of(std::uint32_t slot) const {
+  const Server& s = servers_[slot];
   const double prior_us = sim::to_micros(opts_.service_time_prior);
-  const double t_service = service_time_[slot].value_or(prior_us);
-  const double r = response_time_[slot].value_or(t_service);
+  const double t_service = s.service_time.value_or(prior_us);
+  const double r = s.response_time.value_or(t_service);
   const double q_hat =
-      1.0 + static_cast<double>(outstanding_[slot]) * opts_.concurrency +
-      static_cast<double>(queue_size_[slot]);
+      1.0 + static_cast<double>(s.outstanding) * opts_.concurrency +
+      static_cast<double>(s.queue_size);
   return (r - t_service) +
          std::pow(q_hat, static_cast<double>(kCubicExponent)) * t_service;
 }
@@ -48,13 +44,17 @@ double C3Selector::score(net::HostId server) const {
 
 std::uint32_t C3Selector::outstanding(net::HostId server) const {
   const std::uint32_t slot = index_.find(server);
-  return slot == HostSlotIndex::kNone ? 0 : outstanding_[slot];
+  return slot == HostSlotIndex::kNone ? 0 : servers_[slot].outstanding;
 }
 
 net::HostId C3Selector::select(std::span<const net::HostId> candidates) {
   assert(!candidates.empty());
   ranked_.clear();
   scores_scratch_.clear();
+  if (ranked_.capacity() < candidates.size()) {
+    ranked_.reserve(candidates.size());
+    scores_scratch_.reserve(candidates.size());
+  }
   for (net::HostId h : candidates) {
     const std::uint32_t slot = index_.find(h);
     double sc = 0.0;
@@ -78,7 +78,7 @@ net::HostId C3Selector::select(std::span<const net::HostId> candidates) {
         chosen = r.host;
         break;
       }
-      if (rate_[r.slot].try_acquire(now)) {
+      if (servers_[r.slot].rate.try_acquire(now)) {
         chosen = r.host;
         break;
       }
@@ -92,10 +92,10 @@ net::HostId C3Selector::select(std::span<const net::HostId> candidates) {
     const sim::Time now = sim_.now();
     for (net::HostId h : candidates) {
       const std::uint32_t slot = index_.find(h);
-      ages_scratch_.push_back(slot != HostSlotIndex::kNone &&
-                                      heard_[slot] != 0
-                                  ? now - last_feedback_[slot]
-                                  : sim::Duration{-1});
+      ages_scratch_.push_back(
+          slot != HostSlotIndex::kNone && servers_[slot].heard
+              ? now - servers_[slot].last_feedback
+              : sim::Duration{-1});
     }
     report_decision(DecisionContext{candidates, chosen, scores_scratch_,
                                     ages_scratch_});
@@ -104,20 +104,20 @@ net::HostId C3Selector::select(std::span<const net::HostId> candidates) {
 }
 
 void C3Selector::on_send(net::HostId server) {
-  ++outstanding_[slot_of(server)];
+  ++servers_[slot_of(server)].outstanding;
 }
 
 void C3Selector::on_response(const Feedback& fb) {
-  const std::uint32_t slot = slot_of(fb.server);
-  if (outstanding_[slot] > 0) --outstanding_[slot];
+  Server& s = servers_[slot_of(fb.server)];
+  if (s.outstanding > 0) --s.outstanding;
   if (fb.has_response_time) {
-    response_time_[slot].add(sim::to_micros(fb.response_time));
+    s.response_time.add(sim::to_micros(fb.response_time));
   }
-  service_time_[slot].add(sim::to_micros(fb.service_time));
-  queue_size_[slot] = fb.queue_size;
-  last_feedback_[slot] = sim_.now();
-  heard_[slot] = 1;
-  if (opts_.rate_control) rate_[slot].on_response(sim_.now());
+  s.service_time.add(sim::to_micros(fb.service_time));
+  s.queue_size = fb.queue_size;
+  s.last_feedback = sim_.now();
+  s.heard = true;
+  if (opts_.rate_control) s.rate.on_response(sim_.now());
 }
 
 }  // namespace netrs::rs

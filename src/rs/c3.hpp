@@ -80,26 +80,32 @@ class NETRS_SHARD_LOCAL C3Selector final : public ReplicaSelector {
     }
   };
 
-  /// Slot of `server`, created on first touch (one element appended to
-  /// every parallel array).
+  // What this RSNode knows of one server.
+  struct Server {
+    explicit Server(const CubicOptions& cubic);
+
+    sim::Ewma response_time;  // R̄_s
+    sim::Ewma service_time;   // T̄_s
+    std::uint32_t queue_size = 0;   // q_s
+    std::uint32_t outstanding = 0;  // os_s
+    sim::Time last_feedback = 0;
+    bool heard = false;
+    CubicRateController rate;
+  };
+
+  /// Slot of `server`, created on first touch (one Server appended).
   std::uint32_t slot_of(net::HostId server);
   [[nodiscard]] double score_of(std::uint32_t slot) const;
 
   sim::Simulator& sim_;
   sim::Rng rng_;
   C3Options opts_;
-  // Per-server hot state in SoA layout (parallel arrays indexed by the
-  // slot from index_): the select() scan reads the first four arrays
-  // sequentially instead of chasing unordered_map nodes per candidate.
+  // Per-server state in one vector indexed by the slot from index_, so a
+  // new server costs at most one growth of one vector. Nothing is sized
+  // at construction: most RSNodes never select.
   HostSlotIndex index_;
-  std::vector<sim::Ewma> response_time_;
-  std::vector<sim::Ewma> service_time_;
-  std::vector<std::uint32_t> queue_size_;
-  std::vector<std::uint32_t> outstanding_;
-  std::vector<sim::Time> last_feedback_;
-  std::vector<std::uint8_t> heard_;
-  std::vector<CubicRateController> rate_;
-  // Scratch buffers reused across select() calls.
+  std::vector<Server> servers_;
+  // Scratch buffers reused across select() calls, sized on the first.
   std::vector<Ranked> ranked_;
   std::vector<double> scores_scratch_;
   std::vector<sim::Duration> ages_scratch_;
