@@ -12,13 +12,20 @@ constexpr double kCubicC = 0.000004;  ///< Cubic growth scaling constant.
 /// Window of the receive-rate estimate.
 constexpr sim::Duration kRateWindow = sim::millis(20);
 
+/// K = cbrt(Rmax * beta / C): where the cubic curve anchored at a decrease
+/// to Rmax flattens.
+double inflection(double rate_at_decrease) {
+  return std::cbrt(rate_at_decrease * kBeta / kCubicC);
+}
+
 }  // namespace
 
 CubicRateController::CubicRateController(CubicOptions opts)
     : opts_(opts),
       rate_(opts.initial_rate),
       tokens_(opts.burst_tokens),
-      rate_at_decrease_(opts.initial_rate) {}
+      rate_at_decrease_(opts.initial_rate),
+      k_(inflection(opts.initial_rate)) {}
 
 void CubicRateController::refill(sim::Time now) {
   if (now <= last_refill_) return;
@@ -52,13 +59,13 @@ void CubicRateController::update_rate(sim::Time now) {
     // Cubic growth anchored at the last decrease: R(t) = C*(t - K)^3 + Rmax
     // with K = cbrt(Rmax * beta / C), t in milliseconds since decrease.
     const double t_ms = sim::to_millis(now - decrease_time_);
-    const double k = std::cbrt(rate_at_decrease_ * kBeta / kCubicC);
     const double target =
-        kCubicC * std::pow(t_ms - k, 3.0) + rate_at_decrease_;
+        kCubicC * std::pow(t_ms - k_, 3.0) + rate_at_decrease_;
     rate_ = std::max(kMinRate, std::max(rate_, target));
   } else {
     // Sending faster than the server delivers: multiplicative decrease.
     rate_at_decrease_ = rate_;
+    k_ = inflection(rate_at_decrease_);
     decrease_time_ = now;
     rate_ = std::max(kMinRate, recv_rate_ * (1.0 - kBeta));
   }

@@ -54,8 +54,10 @@ class NETRS_SHARD_LOCAL CubicRateController {
   sim::Time window_start_ = 0;
   double recv_rate_ = 0.0;
 
-  // Cubic state.
+  // Cubic state. k_ = cbrt(rate_at_decrease_ * beta / C), the curve's
+  // inflection point, changes only with rate_at_decrease_.
   double rate_at_decrease_;
+  double k_;
   sim::Time decrease_time_ = 0;
 };
 
