@@ -112,6 +112,11 @@ class NETRS_SHARD_LOCAL Client final : public net::Host {
   [[nodiscard]] std::uint64_t cancels_sent() const { return cancels_; }
   /// Requests currently outstanding.
   [[nodiscard]] std::size_t in_flight() const { return pending_.size(); }
+  /// Slots of the pending-request table (0 until the first request, then
+  /// 16, doubling at 1/2 load; diagnostic).
+  [[nodiscard]] std::size_t pending_capacity() const {
+    return pending_.capacity();
+  }
 
  private:
   /// Copies one request can have: the primary plus one R95 duplicate.
@@ -153,6 +158,8 @@ class NETRS_SHARD_LOCAL Client final : public net::Host {
     void erase(Pending& p);
     /// Live entries.
     [[nodiscard]] std::size_t size() const { return size_; }
+    /// Slots allocated.
+    [[nodiscard]] std::size_t capacity() const { return slots_.size(); }
 
    private:
     [[nodiscard]] std::size_t home(std::uint64_t req_id) const;

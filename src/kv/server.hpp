@@ -66,6 +66,11 @@ class NETRS_SHARD_LOCAL Server final : public net::Host {
   /// True while crashed by fault injection.
   [[nodiscard]] bool failed() const { return failed_; }
 
+  /// Waiting requests the station holds before its queue next doubles
+  /// (diagnostic).
+  [[nodiscard]] std::size_t queue_capacity() const {
+    return station_.queue_capacity();
+  }
   /// Waiting + in-service requests (the SS queue-size field). Legitimate
   /// off-shard readers (herd sampler, decision oracle) run at barriers or
   /// in serial mode, where the affinity check passes by construction.

@@ -21,6 +21,8 @@ class Ring {
   [[nodiscard]] std::size_t size() const { return size_; }
   /// True when no element is held.
   [[nodiscard]] bool empty() const { return size_ == 0; }
+  /// Elements the ring holds before it next doubles (0, 4, 8, ...).
+  [[nodiscard]] std::size_t capacity() const { return buf_.size(); }
 
   /// The i-th element from the front. Precondition: i < size().
   T& operator[](std::size_t i) {

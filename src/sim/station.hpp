@@ -57,6 +57,9 @@ class Station {
   [[nodiscard]] int busy() const { return busy_; }
   /// Jobs waiting for a slot.
   [[nodiscard]] std::size_t queued() const { return ring_.size(); }
+  /// Waiting jobs the queue holds before it next doubles (its high-water
+  /// storage; diagnostic).
+  [[nodiscard]] std::size_t queue_capacity() const { return ring_.capacity(); }
   /// True when start() may be called.
   [[nodiscard]] bool has_free_slot() const { return busy_ < slots(); }
 
