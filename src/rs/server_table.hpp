@@ -2,10 +2,10 @@
 //
 // HostId is a dense index in [0, host_count) (net/address.hpp), so a plain
 // vector lookup replaces the unordered_map::find chains the selectors used
-// to run per candidate per select(). Selectors keep their per-server fields
-// in parallel vectors indexed by the slot this table hands out (an SoA
-// layout: the cost-function scan touches only the arrays it reads, instead
-// of hopping across heap-allocated hash nodes). Slots are assigned in
+// to run per candidate per select(). Selectors keep their per-server state
+// in vectors indexed by the slot this table hands out (C3 one vector of
+// per-server records, the baselines a vector per field), instead of
+// hopping across heap-allocated hash nodes. Slots are assigned in
 // first-touch order and never reclaimed — the server population of a run
 // is fixed, and "absent" (kNone) keeps meaning "never touched", which the
 // selectors map to their cold-start behavior exactly as the maps did.
@@ -21,8 +21,8 @@
 namespace netrs::rs {
 
 /// Dense HostId -> slot map: O(1) find with no hashing, slots handed out
-/// in first-touch order. Selectors index their per-server field arrays
-/// (SoA) with the returned slot.
+/// in first-touch order. Selectors index their per-server state with the
+/// returned slot.
 class NETRS_SHARD_LOCAL HostSlotIndex {
  public:
   /// Sentinel slot meaning "host never touched".
@@ -35,7 +35,7 @@ class NETRS_SHARD_LOCAL HostSlotIndex {
 
   /// Slot of `h`, assigning the next slot (== size() before the call) on
   /// first touch. Returns (slot, true) when the host was just added —
-  /// the caller must then push one element onto each parallel array.
+  /// the caller must then append the host's state.
   std::pair<std::uint32_t, bool> get_or_add(net::HostId h) {
     if (h >= slot_of_.size()) slot_of_.resize(h + 1, kNone);
     if (slot_of_[h] != kNone) return {slot_of_[h], false};
@@ -44,7 +44,7 @@ class NETRS_SHARD_LOCAL HostSlotIndex {
     return {slot, true};
   }
 
-  /// Number of slots assigned so far (== size of each parallel array).
+  /// Number of slots assigned so far.
   [[nodiscard]] std::size_t size() const { return count_; }
 
  private:
